@@ -3,7 +3,7 @@
     python3 perfbench/all.py --seed 1 [--trace]
 
 Each workload runs in its own process (run.py), one after another, for
-BENCHMARK.json's run_seconds.  With
+BENCHMARK.json's run_seconds; run.py prints its metric table to stderr.  With
 --trace, each workload also gets a traced run, and the table adds where the
 traced pass spent its time: self time per layer as a share of the traced set-up and pass,
 largest first.  Result documents go to perfbench/results/.  Exit code 1 if
@@ -28,11 +28,6 @@ def run(workload: str, seed: int, seconds: float, trace: int) -> dict | None:
     return json.loads(lines[-1]) if lines else None
 
 
-def newest_doc(workload: str, seed: int, trace: int) -> dict:
-    docs = [json.loads(p.read_text()) for p in harness.RESULTS.glob(f"{workload}.seed{seed}.trace{trace}.*.json")]
-    return max(docs, key=lambda d: d["started"])
-
-
 def main(argv=None) -> int:
     spec = json.loads((harness.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     p = argparse.ArgumentParser(description="run every workload")
@@ -40,36 +35,27 @@ def main(argv=None) -> int:
     p.add_argument("--trace", action="store_true", help="also make a traced run of each workload")
     args = p.parse_args(argv)
     status = 0
-    rows = []
     for workload in [w["name"] for w in spec["workloads"]]:
         result = run(workload, args.seed, spec["run_seconds"], 0)
         if result is None or not result["correct"]:
             status = 1
-        if result is None:
-            rows.append(f"{workload:14s} run failed")
+        if not args.trace:
             continue
-        doc = newest_doc(workload, args.seed, 0)
-        rows.append(f"{workload:14s} correct={result['correct']} attempted={result['attempted']} failed={result['failed']}")
-        for name, m in {**result["metrics"], **doc.get("workload_metrics", {})}.items():
-            extra = f"  (p{m['percentile']}, n={m['samples']})" if "percentile" in m else ""
-            rows.append(f"{'':14s} {name:20s} {m['value']:12.6g} {m['unit']}{extra}")
-        if args.trace:
-            traced = run(workload, args.seed, spec["run_seconds"], 1)
-            if traced is None or not traced["correct"]:
-                status = 1
-                continue
-            tm = traced["metrics"]
-            pass_s = tm["trace.traced_pass_s"]["value"]
-            traced_s = pass_s + tm["trace.traced_setup_s"]["value"]
-            rows.append(f"{'':14s} tracing overhead {tm['trace.overhead_ratio']['value']:.3f}x "
-                        f"(traced pass {pass_s:.3f} s, untraced {tm['trace.untraced_pass_s']['value']:.3f} s)")
-            layers = sorted(
-                ((m["value"], name) for name, m in tm.items() if name.endswith(".self_s") and not name.startswith("verify.")),
-                reverse=True,
-            )
-            for value, name in layers[:8]:
-                rows.append(f"{'':14s}   {name:44s} {value:9.3f} s  {value / traced_s:6.1%} of traced set-up + pass")
-    print("\n".join(rows))
+        traced = run(workload, args.seed, spec["run_seconds"], 1)
+        if traced is None or not traced["correct"]:
+            status = 1
+            continue
+        tm = traced["metrics"]
+        pass_s = tm["trace.traced_pass_s"]["value"]
+        traced_s = pass_s + tm["trace.traced_setup_s"]["value"]
+        print(f"{workload:14s} tracing overhead {tm['trace.overhead_ratio']['value']:.3f}x "
+              f"(traced pass {pass_s:.3f} s, untraced {tm['trace.untraced_pass_s']['value']:.3f} s)")
+        layers = sorted(
+            ((m["value"], name) for name, m in tm.items() if name.endswith(".self_s") and not name.startswith("verify.")),
+            reverse=True,
+        )
+        for value, name in layers[:8]:
+            print(f"{'':14s}   {name:44s} {value:9.3f} s  {value / traced_s:6.1%} of traced set-up + pass")
     return status
 
 

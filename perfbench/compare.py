@@ -31,18 +31,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from collections import defaultdict
 from pathlib import Path
 
 import harness
 
-# workload-specific latencies from the result documents: (unit, better, bound)
+# z3-apply's latencies, which only that workload reports, so that BENCHMARK.json (whose
+# end-to-end metrics every workload must report) cannot hold them: (unit, better, bound).
+# Each bound is three times the largest interquartile spread, as a share of the median,
+# in two sets of ten seeds on a 2-core Xeon VM (5.7%, 7.0%, 6.7%, 8.4%, 7.4%), rounded up
+# to 5%: the same margin the BENCHMARK.json bounds keep over their spreads
 WORKLOAD_METRICS = {
-    "first_query_s": ("s", "lower", 0.25),
+    "first_query_s": ("s", "lower", 0.20),
     "apply_p50_ms": ("ms", "lower", 0.25),
     "apply_tail_ms": ("ms", "lower", 0.25),
-    "gram_p50_ms": ("ms", "lower", 0.25),
+    "gram_p50_ms": ("ms", "lower", 0.30),
     "gram_tail_ms": ("ms", "lower", 0.25),
 }
 
@@ -75,7 +80,7 @@ def judge(parent: dict, child: dict, better: str, bound: float) -> dict:
         return {"verdict": "missing"}
     sign = 1 if better == "lower" else -1
     wins = sum(1 for p, c in pairs if sign * (p - c) > 0)
-    mp, mc = harness.median(pv), harness.median(cv)
+    mp, mc = statistics.median(pv), statistics.median(cv)
     q1, q3 = harness.quartiles(pv)
     spread = (q3 - q1) / mp if mp else float("inf")
     worse = sign * (mc - mp) / mp if mp else 0.0
@@ -123,9 +128,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="compare two sets of benchmark results")
     p.add_argument("parent", type=Path)
     p.add_argument("child", type=Path)
-    p.add_argument("--benchmark", type=Path, default=harness.ROOT / "BENCHMARK.json")
     args = p.parse_args(argv)
-    spec = json.loads(args.benchmark.read_text(encoding="utf-8"))
+    spec = json.loads((harness.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parent, child = load_docs(args.parent), load_docs(args.child)
     if not parent or not child:
         print("error: no result documents in one of the sets", file=sys.stderr)

@@ -100,10 +100,6 @@ COMPARABLE_ENV = ("python", "implementation", "scalar_backend", "nproc", "cpu_mo
 # -- statistics ---------------------------------------------------------------------
 
 
-def median(values):
-    return statistics.median(values)
-
-
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -189,21 +185,25 @@ def per_layer_table() -> list[tuple[str, str, str, str]]:
     return rows
 
 
-def per_layer_metrics(tracer, run_values: dict) -> dict:
+def per_layer_metrics(timing, counting, scales: tuple[float, float], run_values: dict) -> dict:
+    """Times from the timing tracer in reference seconds (scales: of the traced
+    pass, of the calibration); counts from the counting tracer."""
     out = {}
     for name, unit, source, field in per_layer_table():
         if source == "scalar":
-            value = tracer.scalar_calls[field][0]
+            value = counting.scalar_calls[field][0]
         elif source == "counter":
             if field == "apply_useful_ratio":
-                value = tracer.apply_nonzeros / tracer.apply_entries if tracer.apply_entries else 0.0
+                value = counting.apply_nonzeros / counting.apply_entries if counting.apply_entries else 0.0
             else:
-                value = getattr(tracer, field)
+                value = getattr(counting, field)
         elif source == "run":
             value = run_values[field]
+        elif field == "calls":
+            st = counting.stats.get(source)
+            value = st.calls if st is not None else 0
         else:
-            st = tracer.stats.get(source)
-            value = getattr(st, field) if st is not None else 0
+            value = timing.seconds(source, field, *scales)
         out[name] = {"value": value, "unit": unit}
     return out
 

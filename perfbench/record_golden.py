@@ -1,6 +1,6 @@
 """Record the golden digests that every benchmark run is checked against.
 
-    python3 perfbench/record_golden.py --seeds 0-15 [--workload z3-apply ...]
+    python3 perfbench/record_golden.py --seeds 0-15
 
 For each workload and seed, one pass runs on freshly loaded bundles; the
 sha256 of each output chunk (a verify report body, or an answer stream) is
@@ -25,14 +25,13 @@ def seed_range(text: str) -> list[int]:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="record golden digests")
     p.add_argument("--seeds", type=seed_range, required=True, help="e.g. 0-15")
-    p.add_argument("--workload", action="append", help="default: every workload")
     args = p.parse_args(argv)
     harness.import_program()
     from run import Runner
     from workloads import WORKLOADS
 
     golden = harness.load_golden(harness.GOLDEN) if harness.GOLDEN.exists() else {}
-    for name in args.workload or list(WORKLOADS):
+    for name in WORKLOADS:
         for seed in args.seeds:
             runner = Runner(WORKLOADS[name], seed, None)
             chunks = runner.one_pass()["chunks"]

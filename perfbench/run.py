@@ -10,9 +10,10 @@ reference seconds, corrected for the machine's momentary speed by the probe
 in probe.py; the raw wall times stay in the result document.  The last line of stdout is
 {"correct", "attempted", "failed", "metrics"} with the end-to-end metrics.
 
-Traced (--trace 1), the run makes one untraced pass and then one pass with
-wrappers patched around the package's public functions, and reports the
-per-layer metrics and the tracing overhead instead.
+Traced (--trace 1), the run makes one untraced pass, one pass with span
+wrappers patched around the package's public functions, and one pass that
+adds the kernel counters and is not timed; it reports the per-layer metrics
+and the tracing overhead instead, in reference seconds as well.
 
 Every run writes its full result document (environment, per-pass figures,
 workload-specific latencies, golden-digest checks) to perfbench/results/,
@@ -27,6 +28,7 @@ import gc
 import json
 import os
 import resource
+import statistics
 import sys
 import time
 
@@ -110,24 +112,20 @@ class Runner:
             setups = [p["setup"] for p in passes]
             while len(setups) < MIN_SETUPS:
                 setups.append(self.setup()[1])
-        norm = probe.normalize
         for p in passes:
-            p["setup_s"], p["pass_s"] = norm(*p["setup"]), norm(*p["pass"])
-            p["cpu_s"] = norm(*p["pass"], cpu=p["cpu_s"])
-            for op in (o for c in p["chunks"] for o in c.ops):
-                op.seconds = norm(op.start, op.start + op.seconds)
-        setup_s = [norm(*iv) for iv in setups]
+            _normalize_pass(probe, p)
+        setup_s = [probe.normalize(*iv) for iv in setups]
         metrics = {
-            "setup_s": {"value": harness.median(setup_s), "unit": "s"},
-            "pass_s": {"value": harness.median([p["pass_s"] for p in passes]), "unit": "s"},
-            "cpu_s": {"value": harness.median([p["cpu_s"] for p in passes]), "unit": "s"},
+            "setup_s": {"value": statistics.median(setup_s), "unit": "s"},
+            "pass_s": {"value": statistics.median([p["pass_s"] for p in passes]), "unit": "s"},
+            "cpu_s": {"value": statistics.median([p["cpu_s"] for p in passes]), "unit": "s"},
             "peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "unit": "MB"},
         }
         extra = self.workload.extra_metrics([p["chunks"] for p in passes])
         extra["failed_ratio"] = {"value": self.failed / max(self.attempted, 1), "unit": "ratio"}
         raw = {
-            "setup_s": harness.median([b - a for a, b in setups]),
-            "pass_s": harness.median([b - a for a, b in (p["pass"] for p in passes)]),
+            "setup_s": statistics.median([b - a for a, b in setups]),
+            "pass_s": statistics.median([b - a for a, b in (p["pass"] for p in passes)]),
         }
         detail = {
             "setup_samples_s": setup_s,
@@ -139,34 +137,60 @@ class Runner:
         }
         return metrics, detail
 
-    def traced(self, run_id: str, spans_path) -> tuple[dict, dict]:
-        from tracer import Tracer
-
-        untraced = self.one_pass()
-        tracer = Tracer(run_id)
+    def _traced_pass(self, tracer) -> dict:
         tracer.install()
         try:
-            traced = self.one_pass(tracer)
+            return self.one_pass(tracer)
         finally:
             tracer.uninstall()
-        for p in (untraced, traced):
-            p["setup_s"], p["pass_s"] = p["setup"][1] - p["setup"][0], p["pass"][1] - p["pass"][0]
-        tracer.write_spans(spans_path)
+
+    def traced(self, run_id: str, spans_path) -> tuple[dict, dict]:
+        """An untraced pass, a pass timed by spans, and a pass counted but not timed."""
+        from tracer import Tracer
+
+        timing, counting = Tracer(run_id), Tracer(run_id, counting=True)
+        with Probe() as probe:
+            untraced = self.one_pass()
+            probe.on_tick = timing.add_overhead
+            calibration = timing.calibrate()
+            traced = self._traced_pass(timing)
+            probe.on_tick = None
+            counted = self._traced_pass(counting)
+        passes = (untraced, traced, counted)
+        for p in passes:
+            _normalize_pass(probe, p)
+        timing.write_spans(spans_path)
         run_values = {
             "traced_setup_s": traced["setup_s"],
             "untraced_pass_s": untraced["pass_s"],
             "traced_pass_s": traced["pass_s"],
             "overhead_ratio": traced["pass_s"] / untraced["pass_s"],
         }
-        metrics = harness.per_layer_metrics(tracer, run_values)
+        scales = probe.scale(traced["setup"][0], traced["pass"][1]), probe.scale(*calibration)
+        metrics = harness.per_layer_metrics(timing, counting, scales, run_values)
+        calls = {name: st.calls for name, st in timing.stats.items()}
+        unrepeated = sorted(n for n in calls.keys() | counting.stats.keys() if calls.get(n) != getattr(counting.stats.get(n), "calls", None))
+        if unrepeated:
+            print(f"warning: span calls differ between the timed and the counted pass: {unrepeated[:5]}", file=sys.stderr)
         detail = {
-            "passes": [_pass_doc(untraced), _pass_doc(traced)],
+            "passes": [_pass_doc(p) for p in passes],
             "traced_workload_metrics": self.workload.extra_metrics([traced["chunks"]]),
+            "span_bookkeeping_us": {"inner": timing.inner_s * scales[1] * 1e6, "outer": timing.outer_s * scales[1] * 1e6},
+            "time_scale": scales[0],
+            "calls_differ_between_passes": unrepeated,
             "spans_file": os.path.basename(spans_path),
-            "spans_kept": len(tracer.records),
-            "spans_dropped": tracer.dropped,
+            "spans_kept": len(timing.records),
+            "spans_dropped": timing.dropped,
         }
         return metrics, detail
+
+
+def _normalize_pass(probe, p: dict) -> None:
+    """Set the pass's set-up, pass and CPU times, and each operation's time, in reference seconds."""
+    p["setup_s"], p["pass_s"] = probe.normalize(*p["setup"]), probe.normalize(*p["pass"])
+    p["cpu_s"] = probe.normalize(*p["pass"], cpu=p["cpu_s"])
+    for op in (o for c in p["chunks"] for o in c.ops):
+        op.seconds = probe.normalize(op.start, op.start + op.seconds)
 
 
 def _pass_doc(p: dict) -> dict:

@@ -1,6 +1,6 @@
 """Self-test of the benchmark's own gates.
 
-    python3 perfbench/selftest.py [--seed 0]
+    python3 perfbench/selftest.py
 
 1. A normal small-bundles run is correct, with failed 0 and exit code 0.
 2. The correctness gate is not vacuous: with one golden digest tampered,
@@ -14,7 +14,6 @@ Scratch files go to perfbench/results/selftest/.  Exit code 0 if all hold.
 
 from __future__ import annotations
 
-import argparse
 import json
 import shutil
 import subprocess
@@ -23,10 +22,11 @@ import sys
 import harness
 
 WORKLOAD = "small-bundles"
+SEED = 0  # a seed with a golden entry
 
 
-def run(cwd, out, *extra, trace=0, seed=0):
-    cmd = [sys.executable, "perfbench/run.py", "--workload", WORKLOAD, "--seed", str(seed),
+def run(cwd, out, *extra, trace=0):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", WORKLOAD, "--seed", str(SEED),
            "--seconds", "1", "--trace", str(trace), "--out", str(out), *extra]
     proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, timeout=170)
     lines = proc.stdout.strip().splitlines()
@@ -37,10 +37,7 @@ def run(cwd, out, *extra, trace=0, seed=0):
     return proc.returncode, last
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description="self-test of the benchmark's gates")
-    p.add_argument("--seed", type=int, default=0, help="a seed with a golden entry")
-    args = p.parse_args(argv)
+def main() -> int:
     scratch = harness.RESULTS / "selftest"
     shutil.rmtree(scratch, ignore_errors=True)
     scratch.mkdir(parents=True)
@@ -52,25 +49,25 @@ def main(argv=None) -> int:
             failures.append(what)
 
     golden = harness.load_golden(harness.GOLDEN)
-    expect(str(args.seed) in golden.get(WORKLOAD, {}), f"golden digests exist for {WORKLOAD} seed {args.seed}")
+    expect(str(SEED) in golden.get(WORKLOAD, {}), f"golden digests exist for {WORKLOAD} seed {SEED}")
 
-    code, last = run(harness.ROOT, scratch, seed=args.seed)
+    code, last = run(harness.ROOT, scratch)
     expect(code == 0 and last is not None and last["correct"] and last["failed"] == 0, "untampered run is correct, exit 0")
 
     tampered = json.loads(harness.GOLDEN.read_text(encoding="utf-8"))
-    digests = tampered["workloads"][WORKLOAD][str(args.seed)]
+    digests = tampered["workloads"][WORKLOAD][str(SEED)]
     digests[0] = ("0" if digests[0][0] != "0" else "1") + digests[0][1:]
     tampered_path = scratch / "tampered-golden.json"
     tampered_path.write_text(json.dumps(tampered), encoding="utf-8")
-    code, last = run(harness.ROOT, scratch, "--golden", str(tampered_path), seed=args.seed)
-    docs = sorted(scratch.glob(f"{WORKLOAD}.seed{args.seed}.trace0.*.json"), key=lambda p: json.loads(p.read_text())["started"])
+    code, last = run(harness.ROOT, scratch, "--golden", str(tampered_path))
+    docs = sorted(scratch.glob(f"{WORKLOAD}.seed{SEED}.trace0.*.json"), key=lambda p: json.loads(p.read_text())["started"])
     ratio = json.loads(docs[-1].read_text())["workload_metrics"]["failed_ratio"]["value"] if docs else 0
     expect(code != 0 and last is not None and not last["correct"] and last["failed"] > 0 and ratio > 0,
            f"tampered golden digest: exit {code}, failed {last and last['failed']}, failed_ratio {ratio:.3g}")
 
     counts = []
     for _ in range(2):
-        code, last = run(harness.ROOT, scratch, trace=1, seed=args.seed)
+        code, last = run(harness.ROOT, scratch, trace=1)
         counts.append({k: m["value"] for k, m in (last or {}).get("metrics", {}).items() if harness.is_count(k)})
     expect(bool(counts[0]) and counts[0] == counts[1], f"two traced runs give the same {len(counts[0])} counts")
 
@@ -80,7 +77,7 @@ def main(argv=None) -> int:
     for path in harness.BENCH_DIR.iterdir():
         if path.is_file():
             shutil.copy(path, bare / "perfbench")
-    code, last = run(bare, bare / "out", seed=args.seed)
+    code, last = run(bare, bare / "out")
     expect(code != 0 and last is None, f"bare directory: exit {code}, no result printed")
 
     print("selftest " + ("passed" if not failures else f"FAILED ({len(failures)})"))

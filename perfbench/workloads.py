@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import statistics
 import time
 
 from ncdiffop.bundle import canonical_json
@@ -20,7 +21,7 @@ from ncdiffop.linalg import PsdCertificate
 from ncdiffop.sobolev import SobolevPairings, sobolev_gram
 from ncdiffop.verify import verify_all
 
-from harness import median, percentile, sha256
+from harness import percentile, sha256
 
 perf = time.perf_counter
 
@@ -31,9 +32,12 @@ TOWER_SUITES = ("bullet", "connections", "ev-duality", "fgp-zigzag", "sobolev")
 
 APPLY_QUERIES = 1000  # per pass: a p99 with ten samples beyond it
 APPLY_TAIL = 99
-GRAM_ORDERS = (0, 1, 2, 3)
-GRAM_ROUNDS = 3  # every (module, state, order) three times a pass: 48 grams, 12 beyond p75
-GRAM_TAIL = 75
+# each (module, state) this many times a pass per Sobolev order: 52 grams.  Latency
+# grows about fourfold per order and per module, so the grams form tight clusters;
+# these rounds put the median and p80 inside a cluster (omega1 at orders 1 and 2), not
+# in a gap between two, with ten samples beyond p80
+GRAM_ROUNDS = {0: 4, 1: 4, 2: 4, 3: 1}
+GRAM_TAIL = 80
 
 
 class Op:
@@ -164,8 +168,9 @@ class QueryWorkload:
             for m in sorted(bundle.inner_products)
             if m in bundle.modules
             for s in sorted(bundle.states)
-            for n in GRAM_ORDERS
-        ] * GRAM_ROUNDS
+            for n, rounds in GRAM_ROUNDS.items()
+            for _ in range(rounds)
+        ]
         rng.shuffle(grams)
         for q in grams:
             stream.insert(rng.randrange(len(stream) + 1), q)
@@ -229,7 +234,7 @@ class QueryWorkload:
             return [o.seconds * 1000 for o in ops if o.kind == kind]
 
         first = [sum(o.seconds for o in c.ops) for chunks in passes for c in chunks if c.name == "first-queries"]
-        out = {"first_query_s": {"value": median(first), "unit": "s", "samples": len(first)}}
+        out = {"first_query_s": {"value": statistics.median(first), "unit": "s", "samples": len(first)}}
         for kind, pct in (("apply", APPLY_TAIL), ("gram", GRAM_TAIL)):
             values = ms(kind)
             out[f"{kind}_p50_ms"] = {"value": percentile(values, 50), "unit": "ms", "samples": len(values)}
