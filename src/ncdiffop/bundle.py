@@ -27,6 +27,7 @@ from .scalars import ScalarParseError, sc
 from .sobolev import InnerProduct, canonical_algebra_ip
 
 FORMAT = "ncdiffop-bundle/1"
+REQUIRED_KEYS = ("algebra", "omega", "d", "dual_basis", "box", "sigma_inv")
 
 
 class ParseError(ValueError):
@@ -150,6 +151,9 @@ def canonical_json(doc: dict) -> str:
 def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ParseError(f"not a {FORMAT} document")
+    missing = [key for key in REQUIRED_KEYS if key not in doc]
+    if missing:
+        raise ParseError(f"missing required key(s): {', '.join(missing)}")
     name = doc.get("name", "bundle")
     field = doc.get("field", "Q")
     if field not in ("Q", "Q(i)"):

@@ -52,6 +52,11 @@ def main(argv=None) -> int:
     p_gram.add_argument("--json", action="store_true")
 
     args = parser.parse_args(argv)
+    for name in ("degree", "order"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            print(f"error: {name} must be non-negative, got {value}", file=sys.stderr)
+            return USAGE
     try:
         if args.command == "validate":
             return cmd_validate(args)

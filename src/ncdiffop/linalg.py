@@ -176,30 +176,8 @@ class Mat:
 # -- vectors ---------------------------------------------------------------
 
 
-def vec_zeros(n: int) -> list[Scalar]:
-    return [ZERO] * n
-
-
-def vec_add(x, y):
-    return [a + b for a, b in zip(x, y)]
-
-
-def vec_sub(x, y):
-    return [a - b for a, b in zip(x, y)]
-
-
-def vec_scale(s, x):
-    return [s * a for a in x]
-
-
 def vec_is_zero(x) -> bool:
     return all(not a for a in x)
-
-
-def basis_vec(n: int, i: int) -> list[Scalar]:
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
 
 
 def kron_vec(x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
@@ -543,10 +521,11 @@ def ldl_certify_psd(g: Mat):
             for i in range(step, n):
                 for j in range(step, n):
                     if i != j and a[i][j]:
-                        gij, gjj = a[i][j], a[j][j]
-                        t = gjj.re / (2 * (gij * gij.conj()).re) + 1
+                        gij = a[i][j]
+                        # a_ii = a_jj = 0 here, so v = g_ij e_i - e_j gives
+                        # v* a v = -2 |g_ij|^2 < 0
                         v = [ZERO] * n
-                        v[i] = Scalar(t) * gij  # alpha = t * g_ij, so Re(conj(alpha) g_ij) = t |g_ij|^2
+                        v[i] = gij
                         v[j] = -ONE
                         val = (
                             v[i].conj() * a[i][i] * v[i]

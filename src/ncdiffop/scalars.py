@@ -1,9 +1,14 @@
 """Exact field elements: rationals, optionally with an adjoined imaginary unit.
 
 All arithmetic in this package is exact.  A ``Scalar`` is a Gaussian rational
-``re + im*i`` whose parts are arbitrary-precision rationals (gmpy2 ``mpq`` when
-available, ``fractions.Fraction`` otherwise).  Conjugation flips the sign of
-the imaginary part, so on the rational subfield it is the identity.
+``re + im*i``.  Each part is kept in one normal form: a Python ``int`` when it
+is integral, otherwise an arbitrary-precision rational (gmpy2 ``mpq`` when
+available, ``fractions.Fraction`` otherwise).  Almost every entry of the
+shipped bundles is an integer, so most arithmetic runs on plain ints; division
+always goes through the rational type, so no part is ever a float.  Results,
+``str``, ``==`` and ``hash`` are identical under both backends.  Conjugation
+flips the sign of the imaginary part, so on the rational subfield it is the
+identity.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as _mpq
 
-_RAT_ZERO = _mpq(0)
-_RAT_ONE = _mpq(1)
+_RAT = type(_mpq(0))
 
 _RAT_RE = _re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -25,11 +29,22 @@ class ScalarParseError(ValueError):
     pass
 
 
+def _rat(x):
+    """Normal form of a rational part: an ``int`` if integral, else ``_RAT``."""
+    if type(x) is not _RAT:
+        if isinstance(x, float):
+            raise TypeError(f"inexact scalar part {x!r}")
+        x = _mpq(x)
+    if x.denominator == 1:
+        return int(x.numerator)
+    return x
+
+
 def _parse_rat(text: str):
     text = text.lstrip("+")
     if not _RAT_RE.match(text):
         raise ScalarParseError(f"bad rational {text!r}")
-    return _mpq(text)
+    return _rat(text)
 
 
 class Scalar:
@@ -38,8 +53,8 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is type(_RAT_ZERO) else _mpq(re)
-        self.im = im if type(im) is type(_RAT_ZERO) else _mpq(im)
+        self.re = re if type(re) is int else _rat(re)
+        self.im = im if type(im) is int else _rat(im)
 
     # -- constructors ------------------------------------------------------
 
@@ -57,32 +72,35 @@ class Scalar:
             else:
                 re_txt, im_txt = body[:idx], body[idx:]
             if im_txt in ("", "+"):
-                im_val = _RAT_ONE
+                im_val = 1
             elif im_txt == "-":
-                im_val = -_RAT_ONE
+                im_val = -1
             else:
                 im_val = _parse_rat(im_txt)
-            re_val = _parse_rat(re_txt) if re_txt else _RAT_ZERO
+            re_val = _parse_rat(re_txt) if re_txt else 0
             return Scalar(re_val, im_val)
         return Scalar(_parse_rat(s))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        if type(other) is not Scalar:
+            other = _coerce(other)
         return Scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
+        if type(other) is not Scalar:
+            other = _coerce(other)
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
+        if type(other) is not Scalar:
+            other = _coerce(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         if b or d:
             return Scalar(a * c - b * d, a * d + b * c)
@@ -91,15 +109,17 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
+        if type(other) is not Scalar:
+            other = _coerce(other)
         c, d = other.re, other.im
         if not c and not d:
             raise ZeroDivisionError("scalar division by zero")
+        # the dividend goes through the rational type: int / int is a float
         if not d:
-            return Scalar(self.re / c, self.im / c)
+            return Scalar(_mpq(self.re) / c, _mpq(self.im) / c)
         n = c * c + d * d
         a, b = self.re, self.im
-        return Scalar((a * c + b * d) / n, (b * c - a * d) / n)
+        return Scalar(_mpq(a * c + b * d) / n, _mpq(b * c - a * d) / n)
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -119,7 +139,7 @@ class Scalar:
 
     def __bool__(self):
         # identity test first: dense matrices and vectors are mostly ZERO
-        return self is not ZERO and (bool(self.re) or bool(self.im))
+        return self is not ZERO and bool(self.re or self.im)
 
     def is_real(self) -> bool:
         return not self.im

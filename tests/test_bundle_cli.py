@@ -1,6 +1,7 @@
 """Bundle round-trips, fault injection, CLI behaviour and determinism."""
 
 import copy
+import hashlib
 import json
 
 import pytest
@@ -55,6 +56,18 @@ def test_parse_error_on_garbage(tmp_path):
         load_bundle(path)
     with pytest.raises(ParseError):
         load_bundle_dict({"format": "something-else"})
+
+
+@pytest.mark.parametrize("keys", [("algebra",), ("d", "sigma_inv")])
+def test_missing_required_keys_named(tmp_path, capsys, two_point_doc, keys):
+    doc = {k: v for k, v in two_point_doc.items() if k not in keys}
+    with pytest.raises(ParseError) as err:
+        load_bundle_dict(doc)
+    assert all(k in str(err.value) for k in keys)
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert "error: missing required key(s): " + ", ".join(keys) in capsys.readouterr().err
 
 
 def test_field_q_rejects_gaussian_scalars(two_point_doc):
@@ -198,6 +211,21 @@ def test_cli_verify_unknown_suite(capsys):
     assert main(["verify", "zero-form-smoke", "--suites", "nope"]) == 2
 
 
+def test_cli_verify_negative_degree_is_input_error(capsys):
+    assert main(["verify", "two-point-universal", "--degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "error: degree must be non-negative" in captured.err
+    assert not captured.out
+
+
+def test_cli_gram_negative_order_is_input_error(capsys):
+    assert main(["gram", "two-point-universal", "A", "uniform", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "error: order must be non-negative" in captured.err
+    assert not captured.out
+    assert main(["gram", "two-point-universal", "A", "uniform", "0"]) == 0
+
+
 def test_cli_verify_json_deterministic(capsys):
     assert main(["verify", "zero-form-smoke", "--json", "--seed", "7"]) == 0
     first = capsys.readouterr().out
@@ -274,3 +302,40 @@ def test_field_qi_accepts_real_and_gaussian(two_point_doc):
     assert bundle.field == "Q(i)"
     # the conjugation round-trips through serialization
     assert load_bundle_dict(bundle.to_dict()).digest() == bundle.digest()
+
+
+# -- report bodies pinned across commits -------------------------------------------
+# sha256 of the stdout of `ncdiffop verify <bundle> --json --seed 7 [--suites ...]`.
+# Criterion 10 compares runs of one commit; these digests pin the bodies across
+# changes to the arithmetic, so a change that alters any check's outcome or the
+# canonical form of a body shows here.  Re-record only for a deliberate change
+# of the report format or of the checks themselves.
+PINNED_BODIES = [
+    (["two-point-universal"], "f8facf4a6ab82e49440a0cc49ab172dc6315bebf870c8283ccbe3278f1dc533f"),
+    (["zero-form-smoke"], "ba66916fb37b391fa7e6190cf1edd3371e28f1b272bdb3cc8f538730980278bd"),
+    (
+        ["z3-function-calculus", "--suites", "fgp-zigzag,connections,ev-duality,bullet,sobolev"],
+        "5057b90a9ded5a703869ec1a46a3edbeccf7dd63ef13ccdcadd8886cc14b533a",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_BODIES, ids=["two-point-universal", "zero-form-smoke", "z3-subset"])
+def test_cli_verify_body_digest_pinned(capsys, args, digest):
+    assert main(["verify", args[0], "--json", "--seed", "7", *args[1:]]) == 0
+    body = capsys.readouterr().out
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+def test_cli_apply_and_gram_values_pinned(capsys):
+    # the bodies above carry only check names and outcomes; these outputs carry
+    # exact scalars, integral and not, through `str`
+    assert main(["apply", "two-point-universal", "omega1", "2*v1@v2 + 1/3*v1 - 1", "1/2,-3", "--trace", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == ["595/6", "3"]
+    assert doc["derivatives"] == {"1": ["-13/4", "31/2"], "2": ["189/4", "-35/2"]}
+    assert main(["gram", "two-point-universal", "A", "uniform", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["gram"] == [["27", "-53/2"], ["-53/2", "27"]]
+    assert main(["gram", "z3-function-calculus", "A", "uniform", "2", "--json"]) == 0
+    gram = json.loads(capsys.readouterr().out)["gram"]
+    assert gram == [["11", "-16/3", "-16/3"], ["-16/3", "11", "-16/3"], ["-16/3", "-16/3", "11"]]

@@ -268,11 +268,14 @@ def test_psd_requires_hermitian():
 
 
 def test_psd_zero_diagonal_with_offdiagonal():
-    g = Mat.from_rows([[0, 1], [1, 0]])
-    res = ldl_certify_psd(g)
-    assert isinstance(res, PsdCounterexample)
-    assert quadratic_form(g, res.vector) == res.value
-    assert res.value.re < 0
+    for off in (1, 3, Fraction(-2, 5)):
+        g = Mat.from_rows([[0, off], [off, 0]])
+        res = ldl_certify_psd(g)
+        assert isinstance(res, PsdCounterexample)
+        assert quadratic_form(g, res.vector) == res.value
+        assert res.value.re < 0
+        parts = [p for x in [*res.vector, res.value] for p in (x.re, x.im)]
+        assert not any(isinstance(p, float) for p in parts)
 
 
 def test_psd_gaussian_entries():

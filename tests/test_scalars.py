@@ -1,10 +1,11 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncdiffop.scalars import ONE, ZERO, Scalar, ScalarParseError, sc
+from ncdiffop.scalars import _RAT, ONE, ZERO, Scalar, ScalarParseError, sc
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
 scalars = st.builds(lambda a, b: Scalar(a, b), rationals, rationals)
@@ -94,3 +95,92 @@ def test_nonzero_is_truthy():
     assert sc("i")
     assert sc("-1/3")
     assert not ZERO
+
+
+# -- normal form of the parts: int when integral, the rational type otherwise --------
+
+
+def _parts(x):
+    return (x.re, x.im)
+
+
+def _assert_normal(x):
+    for p in _parts(x):
+        assert not isinstance(p, float)
+        if Fraction(p).denominator == 1:
+            assert type(p) is int
+        else:
+            assert type(p) is _RAT
+
+
+def test_integral_results_carry_int_parts():
+    for x in (sc("1/2") * 2, sc("4/2"), Scalar(Fraction(6, 3)), sc("1/3") + sc("2/3"), sc("3i") / 3, -sc("-4/2")):
+        _assert_normal(x)
+        assert all(type(p) is int for p in _parts(x))
+    assert (sc("1/2") * 2).re == 1 and sc("4/2").re == 2
+
+
+def test_non_integral_results_keep_rational_type():
+    for x in (sc("1/2"), sc(1) / 3, sc("1/4") + 1, sc("2/3") * sc("1/2"), sc("1/2-1/3i")):
+        _assert_normal(x)
+        assert type(x.re) is _RAT
+    assert type(sc("1/2i").im) is _RAT
+
+
+def test_division_of_ints_is_exact():
+    q = sc(3) / sc(2)
+    assert q == sc("3/2")
+    assert str(q) == "3/2"
+    _assert_normal(q)
+    for x in (sc(1) / sc(3), sc(4) / sc(2), sc(1) / sc("1+1i"), sc(2).inv(), 5 / sc(7)):
+        _assert_normal(x)
+    assert sc(1) / sc(3) * 3 == ONE
+
+
+def test_float_parts_rejected():
+    with pytest.raises(TypeError):
+        Scalar(0.5)
+    with pytest.raises(TypeError):
+        Scalar(1, 2.0)
+
+
+def test_int_and_integral_rational_agree():
+    a, b = Scalar(2), Scalar(Fraction(4, 2))
+    assert type(b.re) is int and _parts(a) == _parts(b)
+    assert a == b and b == 2
+    assert hash(a) == hash(b) == hash(Scalar(2, 0))
+    assert str(a) == str(b) == "2"
+    assert str(Scalar(Fraction(-6, 3), Fraction(8, 4))) == str(Scalar(-2, 2)) == "-2+2i"
+    assert len({a, b, sc("2"), sc("10/5")}) == 1
+
+
+integral = st.builds(Fraction, st.integers(-50, 50))
+parts = st.one_of(integral, rationals)
+
+
+def _oracle(op, x, y):
+    a, b = x
+    c, d = y
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+@given(parts, parts, parts, parts, st.booleans(), st.sampled_from("+-*/"))
+def test_arithmetic_matches_fraction_oracle(a, b, c, d, gaussian, op):
+    if not gaussian:
+        b = d = Fraction(0)
+    if op == "/" and not c and not d:
+        return
+    x, y = Scalar(a, b), Scalar(c, d)
+    got = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op](x, y)
+    re_, im_ = _oracle(op, (a, b), (c, d))
+    _assert_normal(got)
+    assert (Fraction(got.re), Fraction(got.im)) == (re_, im_)
+    assert got == Scalar(re_, im_)
+    assert str(got) == str(Scalar(re_, im_))
