@@ -73,12 +73,6 @@ class Algebra:
             raise NoStar("algebra has no star structure")
         return self.star.apply([a.conj() for a in x])
 
-    def is_central(self, x: Sequence[Scalar]) -> bool:
-        return all(
-            self.mul(x, basis) == self.mul(basis, x)
-            for basis in (unit_row(self.dim, i) for i in range(self.dim))
-        )
-
     def validate(self) -> list[CheckResult]:
         """Run all algebra invariants; the report lists every failed triple."""
         results = []

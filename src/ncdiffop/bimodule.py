@@ -9,6 +9,17 @@ coordinates come from the deterministic echelon complement in
 that are only well defined as sums follow one discipline throughout: lift to
 the plain tensor space through ``TensorPair.lift``, apply, check that the sum
 kills the relation span, then ``TensorPair.push`` back down.
+
+Contractions against a pairing ``ev: Kron(V, W) -> A`` go through two
+``Bimodule`` methods, which read only the nonzero coordinates of their plain
+tensor argument:
+
+* ``M.ev_left(ev, b, x) = (ev (x) id_M)(v_b (x) x)`` for ``x`` in ``Kron(W, M)``;
+* ``M.ev_right(x, ev, j) = (id_M (x) ev)(x (x) w_j)`` for ``x`` in ``Kron(M, V)``.
+
+Every construction that evaluates a vector field against a form (the dual
+connection, the zig-zag and duality identities, the degree-1 bullet product,
+the module action and the crossing) is written in terms of these two.
 """
 
 from __future__ import annotations
@@ -62,6 +73,30 @@ class Bimodule:
                 for k, v in enumerate(self.right[i].apply(e)):
                     if v:
                         out[k] = out[k] + c * v
+        return out
+
+    def ev_left(self, ev: Mat, b: int, x: Sequence[Scalar]) -> list[Scalar]:
+        """(ev (x) id)(v_b (x) x) = sum x[r*dim+s] ev(v_b (x) w_r) |> m_s, x in Kron(W, self)."""
+        n = self.dim
+        W = len(x) // n if n else 0
+        return self._act_sum(self.left, ev, [(c, b * W + idx // n, idx % n) for idx, c in enumerate(x) if c])
+
+    def ev_right(self, x: Sequence[Scalar], ev: Mat, j: int) -> list[Scalar]:
+        """(id (x) ev)(x (x) w_j) = sum x[r*V+s] m_r <| ev(v_s (x) w_j), x in Kron(self, V)."""
+        V = len(x) // self.dim if self.dim else 0
+        W = ev.cols // V if V else 0
+        return self._act_sum(self.right, ev, [(c, (idx % V) * W + j, idx // V) for idx, c in enumerate(x) if c])
+
+    def _act_sum(self, acts: list[Mat], ev: Mat, terms) -> list[Scalar]:
+        """Sum of c * (column ``col`` of ev acting on basis element s) over (c, col, s)."""
+        out = [ZERO] * self.dim
+        for c, col, s in terms:
+            for i, row in enumerate(ev.data):
+                a = row[col]
+                if a:
+                    ca = c * a
+                    for k, v in acts[i].cols_sparse()[s]:
+                        out[k] = out[k] + ca * v
         return out
 
     def validate(self) -> list[CheckResult]:
@@ -136,15 +171,6 @@ def intertwining_failure(src: Bimodule, dst: Bimodule, mat: Mat):
     return None
 
 
-def module_map_failure(src: Bimodule, dst: Bimodule, mat: Mat, side: str):
-    acts_s = src.left if side == "left" else src.right
-    acts_d = dst.left if side == "left" else dst.right
-    for i in range(src.algebra.dim):
-        if mat @ acts_s[i] != acts_d[i] @ mat:
-            return (side, i)
-    return None
-
-
 # -- tensor product over A -----------------------------------------------------
 
 
@@ -212,9 +238,6 @@ class TensorPair:
 
     def push(self, plain: Sequence[Scalar]) -> list[Scalar]:
         return self.project.apply(plain)
-
-    def push_pair(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
-        return self.push(kron_vec(x, y))
 
     def descends(self, plain_map: Mat) -> bool:
         """Whether a map defined on plain tensors kills every relation."""
@@ -416,29 +439,11 @@ def dualize_right_module(
     coev_rep = pair_module_dual.lift(coev_q)
     for b in range(dual_dim):
         # (ev (x) id)(id (x) coev(1)) = id on the dual
-        acc = [ZERO] * dual_dim
-        alpha = unit_row(dual_dim, b)
-        for idx, c in enumerate(coev_rep):
-            if not c:
-                continue
-            i, j = divmod(idx, dual_dim)
-            a_val = [c * x for x in apply_mat.apply(kron_vec(alpha, unit_row(dO, i)))]
-            term = dual.left_apply(a_val, unit_row(dual_dim, j))
-            acc = [x + y for x, y in zip(acc, term)]
-        if acc != alpha:
+        if dual.ev_left(apply_mat, b, coev_rep) != unit_row(dual_dim, b):
             raise ValidationError("zigzag-dual", witness=(omega.name, b))
     for j in range(dO):
         # (id (x) ev)(coev(1) (x) id) = id on the module
-        acc = [ZERO] * dO
-        xi = unit_row(dO, j)
-        for idx, c in enumerate(coev_rep):
-            if not c:
-                continue
-            i, b = divmod(idx, dual_dim)
-            a_val = [c * x for x in apply_mat.apply(kron_vec(unit_row(dual_dim, b), xi))]
-            term = omega.right_apply(unit_row(dO, i), a_val)
-            acc = [x + y for x, y in zip(acc, term)]
-        if acc != xi:
+        if omega.ev_right(coev_rep, apply_mat, j) != unit_row(dO, j):
             raise ValidationError("zigzag-module", witness=(omega.name, j))
 
     # idempotent P[q][j] = f_q(f^j), P o P = P in M_n(A)

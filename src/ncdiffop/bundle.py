@@ -28,6 +28,12 @@ from .sobolev import InnerProduct, canonical_algebra_ip
 
 FORMAT = "ncdiffop-bundle/1"
 REQUIRED_KEYS = ("algebra", "omega", "d", "dual_basis", "box", "sigma_inv")
+REQUIRED_NESTED_KEYS = {
+    "algebra": ("basis", "mul", "unit"),
+    "omega": ("basis", "left", "right"),
+    "dual_basis": ("forms", "functionals"),
+}
+MODULE_KEYS = ("nabla", "sigma")
 
 
 class ParseError(ValueError):
@@ -151,7 +157,7 @@ def canonical_json(doc: dict) -> str:
 def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ParseError(f"not a {FORMAT} document")
-    missing = [key for key in REQUIRED_KEYS if key not in doc]
+    missing = _missing_keys(doc)
     if missing:
         raise ParseError(f"missing required key(s): {', '.join(missing)}")
     name = doc.get("name", "bundle")
@@ -257,6 +263,20 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
     )
     bundle._raw_functionals = functionals
     return bundle
+
+
+def _missing_keys(doc: dict) -> list[str]:
+    """Dotted names of the required keys absent from a bundle document."""
+    missing = [key for key in REQUIRED_KEYS if key not in doc]
+    for key, subkeys in REQUIRED_NESTED_KEYS.items():
+        if key in doc:
+            sub = doc[key] if isinstance(doc[key], dict) else {}
+            missing += [f"{key}.{k}" for k in subkeys if k not in sub]
+    modules = doc.get("modules", {})
+    for mname, decl in sorted(modules.items() if isinstance(modules, dict) else ()):
+        decl = decl if isinstance(decl, dict) else {}
+        missing += [f"modules.{mname}.{k}" for k in MODULE_KEYS if k not in decl]
+    return missing
 
 
 def _reject_imaginary(doc):

@@ -12,7 +12,7 @@ from .bimodule import Bimodule, TensorPair, intertwining_failure
 from .geometry import Geometry
 from .linalg import Mat, inverse, kron_vec, vec_is_zero
 from .report import ValidationError
-from .scalars import ZERO, Scalar
+from .scalars import Scalar
 
 
 class SigmaRequired(ValueError):
@@ -149,18 +149,11 @@ class ConnectionModule:
             ev = g.ev_pow(n)
             WEn = self.WE(n)
             npow = self.nabla_pow(n)
-            Wn_dim = g.W(n).dim
             out = Mat.zeros(E.dim, Vn.dim * E.dim)
             for j in range(E.dim):
                 lifted = WEn.lift(npow.column(j))
-                entries = [(idx, c) for idx, c in enumerate(lifted) if c]
                 for b in range(Vn.dim):
-                    col = [ZERO] * E.dim
-                    for idx, c in entries:
-                        r, s = divmod(idx, E.dim)
-                        term = E.left_apply(ev.column(b * Wn_dim + r), unit_row(E.dim, s))
-                        col = [x + c * y for x, y in zip(col, term)]
-                    for k, v in enumerate(col):
+                    for k, v in enumerate(E.ev_left(ev, b, lifted)):
                         if v:
                             out.data[k][b * E.dim + j] = v
         self._act[n] = out

@@ -35,27 +35,22 @@ def sigma_hat(table: BulletTable, module: ConnectionModule) -> Mat:
     as a matrix Kron(Vec, E) -> E (x)_A Vec.
     """
     g = table.geometry
-    E = module.space
+    E, ev = module.space, g.fgp.apply_mat
     EV1 = g.pair(E, g.vec)
     out = Mat.zeros(EV1.dim, g.vec.dim * E.dim)
-    coev = g.fgp.coev_one_plain
-    for b in range(g.vec.dim):
-        v = unit_row(g.vec.dim, b)
-        for j in range(E.dim):
+    coev = _entries(g.fgp.coev_one_plain)
+    for j in range(E.dim):
+        # sigma_E(e_j (x) xi_p) lifted to Kron(Omega, E), per coev(1) term xi_p (x) w_q
+        crossed = []
+        for idx, c in coev:
+            p, q = divmod(idx, g.vec.dim)
+            sig = module.sigma.apply(module.EO.project.column(j * g.omega.dim + p))
+            crossed.append((c, q, module.OE.lift(sig)))
+        for b in range(g.vec.dim):
             col = [ZERO] * EV1.dim
-            for idx, c in enumerate(coev):
-                if not c:
-                    continue
-                p, q = divmod(idx, g.vec.dim)
-                crossed = module.sigma.apply(
-                    module.EO.push(kron_vec(unit_row(E.dim, j), unit_row(g.omega.dim, p)))
-                )
-                for idx2, c2 in _entries(module.OE.lift(crossed)):
-                    r, s = divmod(idx2, E.dim)
-                    a_val = g.fgp.pair_apply(v, unit_row(g.omega.dim, r))
-                    moved = E.left_apply(a_val, unit_row(E.dim, s))
-                    term = EV1.push(kron_vec(moved, unit_row(g.vec.dim, q)))
-                    col = [x + c * c2 * y for x, y in zip(col, term)]
+            for c, q, lifted in crossed:
+                term = EV1.push(kron_vec(E.ev_left(ev, b, lifted), unit_row(g.vec.dim, q)))
+                col = [x + c * y for x, y in zip(col, term)]
             for k, val in enumerate(col):
                 if val:
                     out.data[k][b * E.dim + j] = val
@@ -255,7 +250,7 @@ class CrossingMap:
         cols = []
         for idx in range(EVm.dim):
             out = [ZERO] * EVk.dim
-            for p, c in _entries(EVm.lift(unit_row(EVm.dim, idx))):
+            for p, c in _entries(EVm.section.column(idx)):
                 i, j = divmod(p, g.V(m).dim)
                 moved = bt.apply(kron_vec(unit_row(g.V(m).dim, j), a))
                 if vec_is_zero(moved):
@@ -349,7 +344,7 @@ class CrossingMap:
                 push_t = []
                 for idx in range(EVm.dim):
                     out = [ZERO] * FVm.dim
-                    for p, c in _entries(EVm.lift(unit_row(EVm.dim, idx))):
+                    for p, c in _entries(EVm.section.column(idx)):
                         i, j = divmod(p, g.V(m).dim)
                         term = FVm.push(kron_vec(t.column(i), unit_row(g.V(m).dim, j)))
                         out = [x + c * y for x, y in zip(out, term)]
@@ -377,7 +372,7 @@ class CrossingMap:
         cols = []
         for idx in range(EV0.dim):
             out = [ZERO] * (g.algebra.dim * E.dim)
-            for p, c in _entries(EV0.lift(unit_row(EV0.dim, idx))):
+            for p, c in _entries(EV0.section.column(idx)):
                 j, i = divmod(p, g.algebra.dim)
                 moved = E.right[i].column(j)
                 contrib = kron_vec(g.algebra.unit, moved)
@@ -402,7 +397,7 @@ class CrossingMap:
             EVn1 = self.EV[n + 1]
             pv = g.pair_V(n + 1)
             for idx in range(EVn1.dim):
-                lifted = EVn1.lift(unit_row(EVn1.dim, idx))
+                lifted = EVn1.section.column(idx)
                 acc: dict[int, list[Scalar]] = {}
 
                 def add(m, coords):
@@ -414,7 +409,7 @@ class CrossingMap:
                 for p, c in _entries(lifted):
                     j, big = divmod(p, g.V(n + 1).dim)
                     f = unit_row(E.dim, j)
-                    for q, c2 in _entries(pv.lift(unit_row(g.V(n + 1).dim, big))):
+                    for q, c2 in _entries(pv.section.column(big)):
                         u_i, v_i = divmod(q, g.V(n).dim)
                         u = unit_row(g.vec.dim, u_i)
                         v = unit_row(g.V(n).dim, v_i)
@@ -656,12 +651,7 @@ def theta_tensor_factorization(
                                 for r2, c2 in _entries(cm_f.EV[mp].lift(coords2)):
                                     f_i, x_i = divmod(r2, g.V(mp).dim)
                                     contrib = cm_ef.EV[mp].push(
-                                        kron_vec(
-                                            pair_ef.push(
-                                                kron_vec(unit_row(E.dim, e_i), unit_row(F.dim, f_i))
-                                            ),
-                                            unit_row(g.V(mp).dim, x_i),
-                                        )
+                                        kron_vec(pair_ef.project.column(e_i * F.dim + f_i), unit_row(g.V(mp).dim, x_i))
                                     )
                                     contrib = [c * c2 * t for t in contrib]
                                     rhs[mp] = (
@@ -897,15 +887,6 @@ class OperatorConnection:
                     break
             results.append(CheckResult(f"operator-connection-morphism-deg{n}", fail is None, witness=fail))
         return results
-
-    def _check_product_is_morphism_single(self) -> CheckResult:
-        results = self.check_product_is_morphism()
-        bad = [r for r in results if not r.ok]
-        return CheckResult(
-            "operator-product-morphism",
-            not bad,
-            witness=bad[0].witness if bad else None,
-        )
 
     def check_product_is_morphism(self) -> list[CheckResult]:
         """(id (x) bullet) nabla_{T (x) T} = nabla o bullet (associativity in disguise)."""

@@ -57,16 +57,9 @@ class BulletTable:
             box = g.box_vec_pow(m)
             out = Mat.zeros(rows, cols)
             for c in range(Vm.dim):
-                lifted = OVm.lift(box.apply(unit_row(Vm.dim, c)))
-                entries = [(idx, cf) for idx, cf in enumerate(lifted) if cf]
+                lifted = OVm.lift(box.column(c))
                 for b in range(g.vec.dim):
-                    col = [ZERO] * rows
-                    for idx, cf in entries:
-                        r, s = divmod(idx, Vm.dim)
-                        a_val = g.fgp.pair_apply(unit_row(g.vec.dim, b), unit_row(g.omega.dim, r))
-                        term = Vm.left_apply(a_val, unit_row(Vm.dim, s))
-                        col = [x + cf * y for x, y in zip(col, term)]
-                    for t, v in enumerate(col):
+                    for t, v in enumerate(Vm.ev_left(g.fgp.apply_mat, b, lifted)):
                         if v:
                             out.data[t][b * Vm.dim + c] = v
         else:

@@ -102,12 +102,6 @@ class Geometry:
             self._pairs[key] = TensorPair(e, f)
         return self._pairs[key]
 
-    def d_of(self, a_coords) -> list[Scalar]:
-        return self.d.apply(a_coords)
-
-    def left_on(self, module: Bimodule, a_coords, vec) -> list[Scalar]:
-        return module.left_apply(a_coords, vec)
-
     # -- validation of the raw inputs ---------------------------------------
 
     def _validate_algebra_and_module(self):
@@ -167,32 +161,19 @@ class Geometry:
 
     def _build_dual_connection(self, check: bool = True):
         """box(v) = d(v(alpha)) (x) w - (ev (x) id (x) id)(v (x) box(alpha) (x) w)."""
-        A, om, vec, fgp = self.algebra, self.omega, self.vec, self.fgp
+        om, vec, ev = self.omega, self.vec, self.fgp.apply_mat
         OV1 = self.pair(om, vec)
         self.OV1 = OV1
+        coev = [(idx, c) for idx, c in enumerate(self.fgp.coev_one_plain) if c]
         cols = []
-        coev = fgp.coev_one_plain
         for b in range(vec.dim):
-            v = unit_row(vec.dim, b)
             out = [ZERO] * OV1.dim
-            for idx, c in enumerate(coev):
-                if not c:
-                    continue
+            for idx, c in coev:
                 p, q = divmod(idx, vec.dim)
-                alpha = unit_row(om.dim, p)
-                w = unit_row(vec.dim, q)
-                val = fgp.pair_apply(v, alpha)
-                term1 = OV1.push(kron_vec(self.d.apply(val), w))
-                out = [x + c * y for x, y in zip(out, term1)]
-                box_alpha = self.W2.lift(self.box_form.apply(alpha))
-                for idx2, c2 in enumerate(box_alpha):
-                    if not c2:
-                        continue
-                    r, s = divmod(idx2, om.dim)
-                    a_val = fgp.pair_apply(v, unit_row(om.dim, r))
-                    moved = om.left_apply(a_val, unit_row(om.dim, s))
-                    term2 = OV1.push(kron_vec(moved, w))
-                    out = [x - c * c2 * y for x, y in zip(out, term2)]
+                d_val = self.d.apply(ev.column(b * om.dim + p))
+                moved = om.ev_left(ev, b, self.W2.lift(self.box_form.column(p)))
+                term = OV1.push(kron_vec([x - y for x, y in zip(d_val, moved)], unit_row(vec.dim, q)))
+                out = [x + c * y for x, y in zip(out, term)]
             cols.append(out)
         self.box_vec = Mat.from_cols(cols)
 
@@ -201,23 +182,13 @@ class Geometry:
         self.VO1 = VO1
         scols = []
         for b in range(vec.dim):
-            v = unit_row(vec.dim, b)
             for j in range(om.dim):
-                xi = unit_row(om.dim, j)
                 out = [ZERO] * OV1.dim
-                for idx, c in enumerate(coev):
-                    if not c:
-                        continue
+                for idx, c in coev:
                     p, q = divmod(idx, vec.dim)
-                    w = unit_row(vec.dim, q)
-                    mid = self.sigma_inv_form.apply(self.W2.push(kron_vec(xi, unit_row(om.dim, p))))
-                    for idx2, c2 in enumerate(self.W2.lift(mid)):
-                        if not c2:
-                            continue
-                        r, s = divmod(idx2, om.dim)
-                        a_val = fgp.pair_apply(v, unit_row(om.dim, r))
-                        moved = om.left_apply(a_val, unit_row(om.dim, s))
-                        out = [x + c * c2 * y for x, y in zip(out, OV1.push(kron_vec(moved, w)))]
+                    mid = self.sigma_inv_form.apply(self.W2.project.column(j * om.dim + p))
+                    moved = om.ev_left(ev, b, self.W2.lift(mid))
+                    out = [x + c * y for x, y in zip(out, OV1.push(kron_vec(moved, unit_row(vec.dim, q))))]
                 scols.append(out)
         self.sigma_vec_plain = Mat.from_cols(scols)  # Kron(vec, omega) -> OV1
         if not VO1.descends(self.sigma_vec_plain):
@@ -256,37 +227,9 @@ class Geometry:
                 if lhs != rhs:
                     raise ValidationError("box-vec-left-leibniz", witness=(i, b))
         # duality: d o ev = (id (x) ev)(box (x) id) + (ev (x) id)(id (x) box)
-        lhs_fail = self._duality_defect()
+        lhs_fail = self.ev_duality_defect(1)
         if lhs_fail is not None:
             raise DualityFailure("duality", witness=lhs_fail)
-
-    def _duality_defect(self):
-        om, vec, fgp = self.omega, self.vec, self.fgp
-        for b in range(vec.dim):
-            v = unit_row(vec.dim, b)
-            for j in range(om.dim):
-                xi = unit_row(om.dim, j)
-                lhs = self.d.apply(fgp.pair_apply(v, xi))
-                rhs = [ZERO] * om.dim
-                boxv = self.OV1.lift(self.box_vec.apply(v))
-                for idx, c in enumerate(boxv):
-                    if not c:
-                        continue
-                    r, s = divmod(idx, vec.dim)
-                    a_val = fgp.pair_apply(unit_row(vec.dim, s), xi)
-                    term = om.right_apply(unit_row(om.dim, r), a_val)
-                    rhs = [x + c * y for x, y in zip(rhs, term)]
-                boxxi = self.W2.lift(self.box_form.apply(xi))
-                for idx, c in enumerate(boxxi):
-                    if not c:
-                        continue
-                    r, s = divmod(idx, om.dim)
-                    a_val = fgp.pair_apply(v, unit_row(om.dim, r))
-                    term = om.left_apply(a_val, unit_row(om.dim, s))
-                    rhs = [x + c * y for x, y in zip(rhs, term)]
-                if lhs != rhs:
-                    return (b, j)
-        return None
 
     # -- towers --------------------------------------------------------------
 
@@ -497,25 +440,20 @@ class Geometry:
             pv, pw = self.pair_V(n), self.pair_W(n)
             prev = self.ev_pow(n - 1)
             dA = self.algebra.dim
-            Vp_dim, Wp_dim = self.V(n - 1).dim, self.W(n - 1).dim
+            Vp_dim = self.V(n - 1).dim
             out = Mat.zeros(dA, Vn.dim * Wn.dim)
             for b in range(Vn.dim):
-                vlift = pv.lift(unit_row(Vn.dim, b))
+                vlift = pv.section.column(b)
                 for c in range(Wn.dim):
-                    wlift = pw.lift(unit_row(Wn.dim, c))
+                    wlift = pw.section.column(c)
                     col = [ZERO] * dA
                     for iv, cv in enumerate(vlift):
                         if not cv:
                             continue
                         u, rest_v = divmod(iv, Vp_dim)
-                        for iw, cw in enumerate(wlift):
-                            if not cw:
-                                continue
-                            rest_w, alpha = divmod(iw, self.omega.dim)
-                            inner = prev.column(rest_v * Wp_dim + rest_w)
-                            moved = self.omega.left_apply(inner, unit_row(self.omega.dim, alpha))
-                            val = self.fgp.pair_apply(unit_row(self.vec.dim, u), moved)
-                            col = [x + cv * cw * y for x, y in zip(col, val)]
+                        moved = self.omega.ev_left(prev, rest_v, wlift)
+                        val = self.fgp.pair_apply(unit_row(self.vec.dim, u), moved)
+                        col = [x + cv * y for x, y in zip(col, val)]
                     for k, v in enumerate(col):
                         if v:
                             out.data[k][b * Wn.dim + c] = v
@@ -559,36 +497,19 @@ class Geometry:
         coev = self.coev_pow(n)
         ev = self.ev_pow(n)
         for b in range(Vn.dim):
-            acc = [ZERO] * Vn.dim
-            for idx, c in enumerate(coev):
-                if not c:
-                    continue
-                r, s = divmod(idx, Vn.dim)
-                term = Vn.left_apply(ev.column(b * Wn.dim + r), unit_row(Vn.dim, s))
-                for k, y in enumerate(term):
-                    if y:
-                        acc[k] = acc[k] + c * y
-            if acc != unit_row(Vn.dim, b):
+            if Vn.ev_left(ev, b, coev) != unit_row(Vn.dim, b):
                 return ("fields", n, b)
         for j in range(Wn.dim):
-            acc = [ZERO] * Wn.dim
-            for idx, c in enumerate(coev):
-                if not c:
-                    continue
-                r, s = divmod(idx, Vn.dim)
-                term = Wn.right_apply(unit_row(Wn.dim, r), ev.column(s * Wn.dim + j))
-                for k, y in enumerate(term):
-                    if y:
-                        acc[k] = acc[k] + c * y
-            if acc != unit_row(Wn.dim, j):
+            if Wn.ev_right(coev, ev, j) != unit_row(Wn.dim, j):
                 return ("forms", n, j)
         return None
 
     def ev_duality_defect(self, n: int):
-        """Prop-level identity: d o ev<n> = (id (x) ev<n>)(box<n> (x) id) + (ev<n> (x) id)(id (x) box<n>)."""
-        if n == 1:
-            return self._duality_defect()
-        Vn, Wn = self.V(n), self.W(n)
+        """Prop-level identity: d o ev<n> = (id (x) ev<n>)(box<n> (x) id) + (ev<n> (x) id)(id (x) box<n>).
+
+        The witness is ``(b, j)`` at n = 1 and ``(n, b, j)`` above it.
+        """
+        om, Vn, Wn = self.omega, self.V(n), self.W(n)
         ev = self.ev_pow(n)
         box_v = self.box_vec_pow(n)
         box_w = self.box_form_pow(n)
@@ -598,22 +519,8 @@ class Geometry:
             boxv = OVn.lift(box_v.column(b))
             for j in range(Wn.dim):
                 lhs = self.d.apply(ev.column(b * Wn.dim + j))
-                rhs = [ZERO] * self.omega.dim
-                for idx, c in enumerate(boxv):
-                    if not c:
-                        continue
-                    r, s = divmod(idx, Vn.dim)
-                    a_val = ev.column(s * Wn.dim + j)
-                    term = self.omega.right_apply(unit_row(self.omega.dim, r), a_val)
-                    rhs = [x + c * y for x, y in zip(rhs, term)]
-                boxw = pw_next.lift(box_w.column(j))
-                for idx, c in enumerate(boxw):
-                    if not c:
-                        continue
-                    r, s = divmod(idx, self.omega.dim)
-                    a_val = ev.column(b * Wn.dim + r)
-                    term = self.omega.left_apply(a_val, unit_row(self.omega.dim, s))
-                    rhs = [x + c * y for x, y in zip(rhs, term)]
-                if lhs != rhs:
-                    return (n, b, j)
+                rhs_v = om.ev_right(boxv, ev, j)
+                rhs_w = om.ev_left(ev, b, pw_next.lift(box_w.column(j)))
+                if lhs != [x + y for x, y in zip(rhs_v, rhs_w)]:
+                    return (b, j) if n == 1 else (n, b, j)
         return None

@@ -6,13 +6,15 @@ is integral, otherwise an arbitrary-precision rational (gmpy2 ``mpq`` when
 available, ``fractions.Fraction`` otherwise).  Almost every entry of the
 shipped bundles is an integer, so most arithmetic runs on plain ints; division
 always goes through the rational type, so no part is ever a float.  Results,
-``str``, ``==`` and ``hash`` are identical under both backends.  Conjugation
-flips the sign of the imaginary part, so on the rational subfield it is the
-identity.
+``str``, ``==`` and ``hash`` are identical under both backends; a real
+``Scalar`` equals, and hashes like, the int or rational of the same value.
+Conjugation flips the sign of the imaginary part, so on the rational subfield
+it is the identity.
 """
 
 from __future__ import annotations
 
+import numbers
 import re as _re
 
 try:
@@ -148,13 +150,15 @@ class Scalar:
         return not self.im and self.re >= 0
 
     def __eq__(self, other):
-        if not isinstance(other, (Scalar, int)):
-            return NotImplemented
-        other = _coerce(other)
-        return self.re == other.re and self.im == other.im
+        if type(other) is Scalar:
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (numbers.Rational, _RAT)):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real Scalar hashes like its rational value, since the two compare equal
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     # -- formatting --------------------------------------------------------
 

@@ -116,10 +116,10 @@ def tensor_inner_product(ip_e: InnerProduct, ip_f: InnerProduct, pair: TensorPai
     dim = pair.dim
     values = []
     for a in range(dim):
-        xa = pair.lift(unit_row(dim, a))
+        xa = pair.section.column(a)
         row = []
         for b in range(dim):
-            yb = pair.lift(unit_row(dim, b))
+            yb = pair.section.column(b)
             acc = [ZERO] * ip_e.algebra.dim
             for p, c in enumerate(xa):
                 if not c:

@@ -26,7 +26,7 @@ from .crossing import (
 )
 from .diffop import BulletTable, GradedOperator
 from .hopf import standard_candidate
-from .linalg import Mat, kron_vec, vec_is_zero
+from .linalg import Mat, vec_is_zero
 from .report import CheckResult, ValidationError, _jsonable
 from .scalars import ZERO, sc
 from .sobolev import SobolevPairings, gram_increment_certificate, sobolev_gram
@@ -266,29 +266,14 @@ def suite_ev_duality(ctx: VerifyContext) -> list[CheckResult]:
         defect = g.ev_duality_defect(n)
         out.append(CheckResult(f"ev-duality-{n}", defect is None, witness=defect))
     # the mixed relation (id (x) ev)(sigma (x) id) = (ev (x) id)(id (x) sigma-inverse)
-    om, vec = g.omega, g.vec
+    om, ev = g.omega, g.fgp.apply_mat
     fail = None
-    for b in range(vec.dim):
-        v = unit_row(vec.dim, b)
+    for b in range(g.vec.dim):
         for j in range(om.dim):
+            crossed = g.OV1.lift(g.sigma_vec_plain.column(b * om.dim + j))
             for k in range(om.dim):
-                xi, eta = unit_row(om.dim, j), unit_row(om.dim, k)
-                lhs = [ZERO] * om.dim
-                for idx, c in enumerate(g.OV1.lift(g.sigma_vec_plain.apply(kron_vec(v, xi)))):
-                    if not c:
-                        continue
-                    r, s = divmod(idx, vec.dim)
-                    a_val = g.fgp.pair_apply(unit_row(vec.dim, s), eta)
-                    term = om.right_apply(unit_row(om.dim, r), a_val)
-                    lhs = [x + c * y for x, y in zip(lhs, term)]
-                rhs = [ZERO] * om.dim
-                for idx, c in enumerate(g.W2.lift(g.sigma_inv_form.apply(g.W2.push(kron_vec(xi, eta))))):
-                    if not c:
-                        continue
-                    r, s = divmod(idx, om.dim)
-                    a_val = g.fgp.pair_apply(v, unit_row(om.dim, r))
-                    term = om.left_apply(a_val, unit_row(om.dim, s))
-                    rhs = [x + c * y for x, y in zip(rhs, term)]
+                lhs = om.ev_right(crossed, ev, k)
+                rhs = om.ev_left(ev, b, g.W2.lift(g.sigma_inv_form.apply(g.W2.project.column(j * om.dim + k))))
                 if lhs != rhs and fail is None:
                     fail = (b, j, k)
     out.append(CheckResult("mixed-sigma-relation", fail is None, witness=fail))

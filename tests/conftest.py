@@ -2,12 +2,20 @@
 and the cyclic-group function algebra, built directly from structure constants.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
 from ncdiffop.algebra import Algebra
 from ncdiffop.bimodule import Bimodule
 from ncdiffop.linalg import Mat
 from ncdiffop.scalars import sc
+
+# pytest puts src/ on sys.path (pyproject's `pythonpath`); tests that start
+# `python -m ncdiffop.cli` in a subprocess need it on PYTHONPATH as well
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture

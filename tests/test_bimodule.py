@@ -193,3 +193,82 @@ def test_dualize_rejects_non_dual_basis(two_point_omega, two_point_dual_basis):
     forms, functionals = two_point_dual_basis
     with pytest.raises(NotProjective):
         dualize_right_module(two_point_omega, [[sc(2), sc(0)], [sc(0), sc(1)]], functionals)
+
+
+# -- ev contractions -------------------------------------------------------------
+# Oracles: the explicit loops that every contraction site used to carry, with the
+# tensor-factor sizes passed in rather than derived from the vector length.
+
+
+def explicit_ev_left(M, ev, b, x, w_dim):
+    """(ev (x) id)(v_b (x) x) for x in Kron(W, M), one basis term at a time."""
+    acc = [ZERO] * M.dim
+    for idx, c in enumerate(x):
+        if not c:
+            continue
+        r, s = divmod(idx, M.dim)
+        a_val = ev.apply(kron_vec(unit_row(ev.cols // w_dim, b), unit_row(w_dim, r)))
+        term = M.left_apply(a_val, unit_row(M.dim, s))
+        acc = [y + c * t for y, t in zip(acc, term)]
+    return acc
+
+
+def explicit_ev_right(M, x, ev, j, v_dim):
+    """(id (x) ev)(x (x) w_j) for x in Kron(M, V), one basis term at a time."""
+    acc = [ZERO] * M.dim
+    for idx, c in enumerate(x):
+        if not c:
+            continue
+        r, s = divmod(idx, v_dim)
+        a_val = ev.apply(kron_vec(unit_row(v_dim, s), unit_row(ev.cols // v_dim, j)))
+        term = M.right_apply(unit_row(M.dim, r), a_val)
+        acc = [y + c * t for y, t in zip(acc, term)]
+    return acc
+
+
+@pytest.fixture(
+    scope="module", params=[("two-point-universal", 3), ("z3-function-calculus", 2)], ids=["two-point", "z3"]
+)
+def ev_geometry(request):
+    from ncdiffop.bundle import load_builtin
+
+    name, max_n = request.param
+    return load_builtin(name).geometry, max_n
+
+
+def test_ev_helpers_match_explicit_loops_on_coev(ev_geometry):
+    g, max_n = ev_geometry
+    for n in range(1, max_n + 1):
+        Vn, Wn, ev, coev = g.V(n), g.W(n), g.ev_pow(n), g.coev_pow(n)
+        assert any(coev)
+        for b in range(Vn.dim):
+            got = Vn.ev_left(ev, b, coev)
+            assert got == explicit_ev_left(Vn, ev, b, coev, Wn.dim)
+            assert got == unit_row(Vn.dim, b)  # zig-zag on fields
+        for j in range(Wn.dim):
+            got = Wn.ev_right(coev, ev, j)
+            assert got == explicit_ev_right(Wn, coev, ev, j, Vn.dim)
+            assert got == unit_row(Wn.dim, j)  # zig-zag on forms
+
+
+def test_ev_helpers_match_explicit_loops_on_lifted_box(ev_geometry):
+    g, max_n = ev_geometry
+    om, ev1 = g.omega, g.fgp.apply_mat
+    for n in range(1, max_n + 1):
+        Vn, Wn, ev = g.V(n), g.W(n), g.ev_pow(n)
+        box_v, box_w = g.box_vec_pow(n), g.box_form_pow(n)
+        for b in range(Vn.dim):
+            x = g.OV(n).lift(box_v.column(b))  # in Kron(Omega, V(n))
+            for j in range(Wn.dim):
+                assert om.ev_right(x, ev, j) == explicit_ev_right(om, x, ev, j, Vn.dim)
+        for j in range(Wn.dim):
+            x = g.pair_W(n + 1).lift(box_w.column(j))  # in Kron(W(n), Omega)
+            for b in range(Vn.dim):
+                assert om.ev_left(ev, b, x) == explicit_ev_left(om, ev, b, x, Wn.dim)
+    # the degree-1 bullet shape: ev on Vec (x) Omega, acting on V(m) with m = 0 included
+    for m in range(0, max_n):
+        Vm = g.V(m)
+        for c in range(Vm.dim):
+            x = g.OV(m).lift(g.box_vec_pow(m).column(c))  # in Kron(Omega, V(m))
+            for b in range(g.vec.dim):
+                assert Vm.ev_left(ev1, b, x) == explicit_ev_left(Vm, ev1, b, x, om.dim)

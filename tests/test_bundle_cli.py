@@ -70,6 +70,38 @@ def test_missing_required_keys_named(tmp_path, capsys, two_point_doc, keys):
     assert "error: missing required key(s): " + ", ".join(keys) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path,expected",
+    [
+        (("algebra",), ["algebra.basis", "algebra.mul", "algebra.unit"]),
+        (("algebra", "unit"), ["algebra.unit"]),
+        (("omega", "left"), ["omega.left"]),
+        (("dual_basis",), ["dual_basis.forms", "dual_basis.functionals"]),
+        (("dual_basis", "functionals"), ["dual_basis.functionals"]),
+        (("modules", "omega1", "sigma"), ["modules.omega1.sigma"]),
+    ],
+    ids=["algebra-empty", "algebra.unit", "omega.left", "dual_basis-empty", "dual_basis.functionals", "module.sigma"],
+)
+def test_missing_nested_keys_named(tmp_path, capsys, two_point_doc, path, expected):
+    doc = copy.deepcopy(two_point_doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if len(path) == 1:
+        parent[path[0]] = {}
+    else:
+        del parent[path[-1]]
+    with pytest.raises(ParseError) as err:
+        load_bundle_dict(doc)
+    assert str(err.value) == "missing required key(s): " + ", ".join(expected)
+    file = tmp_path / "nested.json"
+    file.write_text(json.dumps(doc))
+    assert main(["validate", str(file)]) == 2
+    captured = capsys.readouterr()
+    assert "error: missing required key(s): " + ", ".join(expected) in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_field_q_rejects_gaussian_scalars(two_point_doc):
     doc = copy.deepcopy(two_point_doc)
     doc["states"]["uniform"] = ["1/2+1i", "1/2-1i"]
@@ -339,3 +371,28 @@ def test_cli_apply_and_gram_values_pinned(capsys):
     assert main(["gram", "z3-function-calculus", "A", "uniform", "2", "--json"]) == 0
     gram = json.loads(capsys.readouterr().out)["gram"]
     assert gram == [["11", "-16/3", "-16/3"], ["-16/3", "11", "-16/3"], ["-16/3", "-16/3", "11"]]
+
+
+# sha256 of `verify_all(load_bundle_dict(doc, validate=False), seed=7).body_json()` for
+# two corruptions of two-point-universal that fail several checks.  These pin which
+# checks fail, their witnesses and which lazily built structure reports a
+# ValidationError first, so a change to the order of the lazy builds shows here.
+SWAPPED_BRAIDING = [["0", "0", "0", "0"], ["0", "3", "0", "0"], ["0", "0", "2", "0"], ["0", "0", "0", "0"]]
+PINNED_FAILING_BODIES = [
+    (("sigma_inv",), SWAPPED_BRAIDING, "4fe58a040c14ccdb6c30061143cf4715878c7cec21c6213e793bcc6fa7511048"),
+    (("box", 1, 0), "5", "b712d39e4dfca8c0592bd374808d703e2081fc4da805e36244b4e6b988ccaf12"),
+]
+
+
+@pytest.mark.parametrize("path,value,digest", PINNED_FAILING_BODIES, ids=["swapped-braiding", "corrupt-box"])
+def test_failing_body_digest_pinned(two_point_doc, path, value, digest):
+    from ncdiffop.verify import verify_all
+
+    doc = copy.deepcopy(two_point_doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    report = verify_all(load_bundle_dict(doc, validate=False), seed=7)
+    assert not report.ok
+    assert hashlib.sha256(report.body_json().encode()).hexdigest() == digest

@@ -184,3 +184,15 @@ def test_arithmetic_matches_fraction_oracle(a, b, c, d, gaussian, op):
     assert (Fraction(got.re), Fraction(got.im)) == (re_, im_)
     assert got == Scalar(re_, im_)
     assert str(got) == str(Scalar(re_, im_))
+
+
+@given(st.one_of(st.integers(-10**6, 10**6), rationals))
+def test_real_scalar_equals_and_hashes_like_its_rational(x):
+    s = Scalar(x)
+    for other in (x, Fraction(x), _RAT(x)):
+        assert s == other and other == s
+        assert not s != other
+        assert hash(s) == hash(other)
+    assert s != x + 1 and s != Fraction(x) + Fraction(1, 3)
+    assert Scalar(x, 1) != x and Scalar(x, 1) != Fraction(x)
+    assert len({s, Fraction(x), x, sc(str(s))}) == 1
