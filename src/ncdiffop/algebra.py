@@ -35,11 +35,11 @@ class Algebra:
         self.basis_names = basis_names or [f"a{i}" for i in range(dim)]
         # left/right multiplication matrices per basis element
         self.left_mult = [
-            Mat(dim, dim, [[self.mul_tensor[i][j][k] for j in range(dim)] for k in range(dim)])
+            Mat.from_rows([[self.mul_tensor[i][j][k] for j in range(dim)] for k in range(dim)], dim)
             for i in range(dim)
         ]
         self.right_mult = [
-            Mat(dim, dim, [[self.mul_tensor[i][j][k] for i in range(dim)] for k in range(dim)])
+            Mat.from_rows([[self.mul_tensor[i][j][k] for i in range(dim)] for k in range(dim)], dim)
             for j in range(dim)
         ]
 
@@ -102,7 +102,7 @@ class Algebra:
                 break
         results.append(CheckResult("unit-laws", unit_fail is None, witness=unit_fail))
         if self.star is not None:
-            star2 = self.star @ Mat(d, d, [[x.conj() for x in row] for row in self.star.data])
+            star2 = self.star @ self.star.conj()
             results.append(CheckResult("star-involution", star2 == Mat.identity(d)))
             anti_fail = None
             for i in range(d):
@@ -142,12 +142,8 @@ class State:
 
     def gram(self, algebra: Algebra) -> Mat:
         d = algebra.dim
-        g = Mat.zeros(d, d)
-        for i in range(d):
-            star_i = algebra.apply_star(unit_row(d, i))
-            for j in range(d):
-                g.data[i][j] = self(algebra.mul(star_i, unit_row(d, j)))
-        return g
+        stars = [algebra.apply_star(unit_row(d, i)) for i in range(d)]
+        return Mat.from_rows([[self(algebra.mul(star_i, unit_row(d, j))) for j in range(d)] for star_i in stars], d)
 
     def validate(self, algebra: Algebra) -> list[CheckResult]:
         if algebra.star is None:
@@ -157,9 +153,7 @@ class State:
             CheckResult("state-unital", self(algebra.unit) == ONE, witness=str(self(algebra.unit)))
         )
         gram = self.gram(algebra)
-        hermitian = all(
-            gram.data[i][j] == gram.data[j][i].conj() for i in range(algebra.dim) for j in range(algebra.dim)
-        )
+        hermitian = gram == gram.conj_transpose()
         results.append(CheckResult("state-hermitian", hermitian))
         if hermitian:
             cert = ldl_certify_psd(gram)

@@ -79,24 +79,25 @@ class Bimodule:
         """(ev (x) id)(v_b (x) x) = sum x[r*dim+s] ev(v_b (x) w_r) |> m_s, x in Kron(W, self)."""
         n = self.dim
         W = len(x) // n if n else 0
-        return self._act_sum(self.left, ev, [(c, b * W + idx // n, idx % n) for idx, c in enumerate(x) if c])
+        terms = [(c, b * W + idx // n, idx % n) for idx, c in enumerate(x) if c is not ZERO and c]
+        return self._act_sum(self.left, ev, terms)
 
     def ev_right(self, x: Sequence[Scalar], ev: Mat, j: int) -> list[Scalar]:
         """(id (x) ev)(x (x) w_j) = sum x[r*V+s] m_r <| ev(v_s (x) w_j), x in Kron(self, V)."""
         V = len(x) // self.dim if self.dim else 0
         W = ev.cols // V if V else 0
-        return self._act_sum(self.right, ev, [(c, (idx % V) * W + j, idx // V) for idx, c in enumerate(x) if c])
+        terms = [(c, (idx % V) * W + j, idx // V) for idx, c in enumerate(x) if c is not ZERO and c]
+        return self._act_sum(self.right, ev, terms)
 
     def _act_sum(self, acts: list[Mat], ev: Mat, terms) -> list[Scalar]:
         """Sum of c * (column ``col`` of ev acting on basis element s) over (c, col, s)."""
         out = [ZERO] * self.dim
+        ev_cols = ev.cols_sparse()
         for c, col, s in terms:
-            for i, row in enumerate(ev.data):
-                a = row[col]
-                if a:
-                    ca = c * a
-                    for k, v in acts[i].cols_sparse()[s]:
-                        out[k] = out[k] + ca * v
+            for i, a in ev_cols[col]:
+                ca = c * a
+                for k, v in acts[i].cols_sparse()[s]:
+                    out[k] = out[k] + ca * v
         return out
 
     def validate(self) -> list[CheckResult]:
@@ -210,22 +211,22 @@ class TensorPair:
         self.relations = ech.to_subspace()
         self.project, self.section = quotient(plain_dim, self.relations)
         dim = self.project.rows
-        left = [self.project @ (e.left[i].kron(Mat.identity(f.dim))) @ self.section for i in range(A.dim)]
-        right = [self.project @ (Mat.identity(e.dim).kron(f.right[i])) @ self.section for i in range(A.dim)]
+        # the actions on plain tensors, pushed down: a.(e (x) f) and (e (x) f).a
+        lplain = [self.project @ e.left[i].kron(Mat.identity(f.dim)) for i in range(A.dim)]
+        rplain = [self.project @ Mat.identity(e.dim).kron(f.right[i]) for i in range(A.dim)]
+        left = [m @ self.section for m in lplain]
+        right = [m @ self.section for m in rplain]
         self.space = Bimodule(A, dim, left, right, f"({e.name}(x){f.name})")
         if check:
-            self._check_induced_actions()
+            self._check_induced_actions(lplain, rplain)
 
-    def _check_induced_actions(self):
+    def _check_induced_actions(self, lplain: list[Mat], rplain: list[Mat]):
         """Induced actions must kill the relation span (well-definedness)."""
-        A = self.e.algebra
-        for i in range(A.dim):
-            lplain = self.project @ self.e.left[i].kron(Mat.identity(self.f.dim))
-            rplain = self.project @ Mat.identity(self.e.dim).kron(self.f.right[i])
+        for i, (lmat, rmat) in enumerate(zip(lplain, rplain)):
             for rel in self.relations.basis:
-                if not vec_is_zero(lplain.apply(rel)):
+                if not vec_is_zero(lmat.apply(rel)):
                     raise ValidationError("tensor-left-action", witness=(self.space.name, i))
-                if not vec_is_zero(rplain.apply(rel)):
+                if not vec_is_zero(rmat.apply(rel)):
                     raise ValidationError("tensor-right-action", witness=(self.space.name, i))
 
     @property
@@ -264,9 +265,6 @@ def conjugate_bimodule(e: Bimodule, name: Optional[str] = None) -> Bimodule:
         raise ValidationError("conjugate-needs-star", witness=e.name)
     star_cols = A.star.cols_sparse()
 
-    def conj_mat(m: Mat) -> Mat:
-        return Mat(m.rows, m.cols, [[x.conj() for x in row] for row in m.data])
-
     left = []
     right = []
     for i in range(A.dim):
@@ -276,8 +274,8 @@ def conjugate_bimodule(e: Bimodule, name: Optional[str] = None) -> Bimodule:
         for k, v in star_cols[i]:
             acc_l = acc_l + e.right[k].scale(v)
             acc_r = acc_r + e.left[k].scale(v)
-        left.append(conj_mat(acc_l))
-        right.append(conj_mat(acc_r))
+        left.append(acc_l.conj())
+        right.append(acc_r.conj())
     return Bimodule(A, e.dim, left, right, name or f"conj({e.name})")
 
 
@@ -377,10 +375,10 @@ def dualize_right_module(
                         row[m * dO + j] = row[m * dO + j] - coeff
                 if any(row):
                     rows.append(row)
-    constraint = Mat(len(rows), dA * dO, rows) if rows else Mat.zeros(0, dA * dO)
+    constraint = Mat.from_rows(rows, dA * dO)
     sol = kernel(constraint)
     dual_dim = sol.dim
-    dual_maps = [Mat(dA, dO, [vecrow[i * dO : (i + 1) * dO] for i in range(dA)]) for vecrow in sol.basis]
+    dual_maps = [Mat.from_rows([vecrow[i * dO : (i + 1) * dO] for i in range(dA)], dO) for vecrow in sol.basis]
 
     def coords_of_map(m: Mat) -> list[Scalar]:
         flat = [x for row in m.data for x in row]
@@ -408,13 +406,7 @@ def dualize_right_module(
     dual = Bimodule(A, dual_dim, left, right, f"dual({omega.name})")
 
     # pairing dual (x) module -> A on plain tensor coordinates
-    apply_mat = Mat.zeros(dA, dual_dim * dO)
-    for b in range(dual_dim):
-        for j in range(dO):
-            col = dual_maps[b].column(j)
-            for k, v in enumerate(col):
-                if v:
-                    apply_mat.data[k][b * dO + j] = v
+    apply_mat = Mat.from_cols([m.column(j) for m in dual_maps for j in range(dO)], dA)
 
     pair_dual_module = TensorPair(dual, omega)
     pair_module_dual = TensorPair(omega, dual)

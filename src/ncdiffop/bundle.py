@@ -40,18 +40,25 @@ class ParseError(ValueError):
     pass
 
 
+def _list(x, what: str, n: int | None = None) -> list:
+    """A JSON array (of n entries, if given), or a ParseError naming the key."""
+    if not isinstance(x, list):
+        raise ParseError(f"{what}: expected a list, got {type(x).__name__}")
+    if n is not None and len(x) != n:
+        raise ParseError(f"{what}: expected {n} entries, got {len(x)}")
+    return x
+
+
+def _scalars(x, n: int, what: str) -> list:
+    try:
+        return [sc(v) for v in _list(x, what, n)]
+    except (ScalarParseError, TypeError) as err:
+        raise ParseError(f"{what}: {err}") from None
+
+
 def _mat(rows, nrows: int, ncols: int, what: str) -> Mat:
-    if len(rows) != nrows:
-        raise ParseError(f"{what}: expected {nrows} rows, got {len(rows)}")
-    data = []
-    for r, row in enumerate(rows):
-        if len(row) != ncols:
-            raise ParseError(f"{what}: row {r} has {len(row)} entries, expected {ncols}")
-        try:
-            data.append([sc(x) for x in row])
-        except ScalarParseError as err:
-            raise ParseError(f"{what}: row {r}: {err}") from None
-    return Mat(nrows, ncols, data)
+    rows = _list(rows, what, nrows)
+    return Mat.from_rows([_scalars(row, ncols, f"{what}: row {r}") for r, row in enumerate(rows)], ncols)
 
 
 def _mat_out(m: Mat) -> list[list[str]]:
@@ -164,17 +171,20 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
     field = doc.get("field", "Q")
     if field not in ("Q", "Q(i)"):
         raise ParseError(f"unknown field {field!r}")
-    truncation = int(doc.get("truncation_degree", 3))
+    try:
+        truncation = int(doc.get("truncation_degree", 3))
+    except (TypeError, ValueError):
+        raise ParseError(f"truncation_degree: expected an integer, got {doc['truncation_degree']!r}") from None
     notes = doc.get("notes", "")
 
     alg = doc["algebra"]
-    names = list(alg["basis"])
+    names = _list(alg["basis"], "algebra.basis")
     dA = len(names)
-    try:
-        mul = [[[sc(x) for x in alg["mul"][i][j]] for j in range(dA)] for i in range(dA)]
-        unit = [sc(x) for x in alg["unit"]]
-    except (ScalarParseError, IndexError, KeyError) as err:
-        raise ParseError(f"algebra: {err}") from None
+    mul = [
+        [_scalars(x, dA, f"algebra.mul[{i}][{j}]") for j, x in enumerate(_list(row, f"algebra.mul[{i}]", dA))]
+        for i, row in enumerate(_list(alg["mul"], "algebra.mul", dA))
+    ]
+    unit = _scalars(alg["unit"], dA, "algebra.unit")
     star = _mat(alg["star"], dA, dA, "star") if "star" in alg else None
     algebra = Algebra(dA, mul, unit, star=star, basis_names=names)
     if field == "Q":
@@ -185,17 +195,19 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
                 raise ValidationError(r.name, witness=r.witness)
 
     om = doc["omega"]
-    dO = len(om["basis"])
-    left = [_mat(m, dO, dO, f"omega.left[{i}]") for i, m in enumerate(om["left"])]
-    right = [_mat(m, dO, dO, f"omega.right[{i}]") for i, m in enumerate(om["right"])]
+    dO = len(_list(om["basis"], "omega.basis"))
+    left = [_mat(m, dO, dO, f"omega.left[{i}]") for i, m in enumerate(_list(om["left"], "omega.left"))]
+    right = [_mat(m, dO, dO, f"omega.right[{i}]") for i, m in enumerate(_list(om["right"], "omega.right"))]
     if len(left) != dA or len(right) != dA:
         raise ParseError("omega actions must list one matrix per algebra basis element")
     omega = Bimodule(algebra, dO, left, right, "omega1")
 
     d = _mat(doc["d"], dO, dA, "d")
     db = doc["dual_basis"]
-    forms = [[sc(x) for x in f] for f in db["forms"]]
-    functionals = [_mat(m, dA, dO, f"functional[{i}]") for i, m in enumerate(db["functionals"])]
+    forms = [_scalars(f, dO, f"dual_basis.forms[{i}]") for i, f in enumerate(_list(db["forms"], "dual_basis.forms"))]
+    functionals = [
+        _mat(m, dA, dO, f"functional[{i}]") for i, m in enumerate(_list(db["functionals"], "dual_basis.functionals"))
+    ]
     box_plain = _mat(doc["box"], dO * dO, dO, "box")
     sigma_inv_plain = _mat(doc["sigma_inv"], dO * dO, dO * dO, "sigma_inv")
 
@@ -204,8 +216,8 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
     )
 
     states: dict[str, State] = {}
-    for sname, coords in sorted(doc.get("states", {}).items()):
-        state = State([sc(x) for x in coords], sname)
+    for sname, coords in sorted(_object(doc, "states").items()):
+        state = State(_scalars(coords, dA, f"states.{sname}"), sname)
         if validate and algebra.star is not None:
             report = {r.name: r for r in state.validate(algebra)}
             for check in ("state-unital", "state-hermitian", "state-positive"):
@@ -218,7 +230,7 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
         "vec": vec_module(geometry, "vec", validate=validate),
     }
     module_decls = {}
-    for mname, decl in sorted(doc.get("modules", {}).items()):
+    for mname, decl in sorted(_object(doc, "modules").items()):
         space = decl.get("space", "omega")
         if space != "omega":
             raise ParseError(f"module {mname}: only the 1-form space can be declared externally")
@@ -229,7 +241,7 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
 
     inner_products: dict[str, InnerProduct] = {}
     state_list = list(states.values())
-    for iname, spec in sorted(doc.get("inner_products", {}).items()):
+    for iname, spec in sorted(_object(doc, "inner_products").items()):
         if iname == "A" and spec == "canonical":
             ip = canonical_algebra_ip(algebra, modules["A"].space)
         else:
@@ -237,8 +249,9 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
             if target is None:
                 raise ParseError(f"inner product for undeclared module {iname!r}")
             dim = target.space.dim
-            if len(spec) != dim or any(len(row) != dim for row in spec):
-                raise ParseError(f"inner product {iname}: wrong shape")
+            what = f"inner_products.{iname}"
+            for row in _list(spec, what, dim):
+                _list(row, what, dim)
             ip = InnerProduct(target.space, spec, f"ip-{iname}")
         if validate:
             for r in ip.validate(state_list):
@@ -263,6 +276,14 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
     )
     bundle._raw_functionals = functionals
     return bundle
+
+
+def _object(doc: dict, key: str) -> dict:
+    """An optional JSON object, or a ParseError naming the key that holds something else."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ParseError(f"{key}: expected an object, got {type(value).__name__}")
+    return value
 
 
 def _missing_keys(doc: dict) -> list[str]:

@@ -143,19 +143,18 @@ class ConnectionModule:
             for i in range(g.algebra.dim):
                 for j in range(E.dim):
                     cols.append(E.left[i].column(j))
-            out = Mat.from_cols(cols) if cols else Mat.zeros(E.dim, 0)
+            out = Mat.from_cols(cols, E.dim)
         else:
             Vn = g.V(n)
             ev = g.ev_pow(n)
             WEn = self.WE(n)
             npow = self.nabla_pow(n)
-            out = Mat.zeros(E.dim, Vn.dim * E.dim)
+            cols = [None] * (Vn.dim * E.dim)
             for j in range(E.dim):
                 lifted = WEn.lift(npow.column(j))
                 for b in range(Vn.dim):
-                    for k, v in enumerate(E.ev_left(ev, b, lifted)):
-                        if v:
-                            out.data[k][b * E.dim + j] = v
+                    cols[b * E.dim + j] = E.ev_left(ev, b, lifted)
+            out = Mat.from_cols(cols, E.dim)
         self._act[n] = out
         return out
 

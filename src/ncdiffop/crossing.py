@@ -26,7 +26,7 @@ class SigmaNotInvertible(ValidationError):
 
 
 def _entries(vec):
-    return [(i, c) for i, c in enumerate(vec) if c]
+    return [(i, c) for i, c in enumerate(vec) if c is not ZERO and c]
 
 
 def sigma_hat(table: BulletTable, module: ConnectionModule) -> Mat:
@@ -37,7 +37,7 @@ def sigma_hat(table: BulletTable, module: ConnectionModule) -> Mat:
     g = table.geometry
     E, ev = module.space, g.fgp.apply_mat
     EV1 = g.pair(E, g.vec)
-    out = Mat.zeros(EV1.dim, g.vec.dim * E.dim)
+    cols = [None] * (g.vec.dim * E.dim)
     coev = _entries(g.fgp.coev_one_plain)
     for j in range(E.dim):
         # sigma_E(e_j (x) xi_p) lifted to Kron(Omega, E), per coev(1) term xi_p (x) w_q
@@ -50,11 +50,10 @@ def sigma_hat(table: BulletTable, module: ConnectionModule) -> Mat:
             col = [ZERO] * EV1.dim
             for c, q, lifted in crossed:
                 term = EV1.push(kron_vec(E.ev_left(ev, b, lifted), unit_row(g.vec.dim, q)))
-                col = [x + c * y for x, y in zip(col, term)]
-            for k, val in enumerate(col):
-                if val:
-                    out.data[k][b * E.dim + j] = val
-    return out
+                for k, y in _entries(term):
+                    col[k] = col[k] + c * y
+            cols[b * E.dim + j] = col
+    return Mat.from_cols(cols, EV1.dim)
 
 
 class CrossingMap:
@@ -90,7 +89,7 @@ class CrossingMap:
         g, E = self.geometry, self.module.space
         EV0 = self.EV[0]
         cols = [EV0.push(kron_vec(unit_row(E.dim, j), g.algebra.unit)) for j in range(E.dim)]
-        return Mat.from_cols(cols) if cols else Mat.zeros(EV0.dim, 0)
+        return Mat.from_cols(cols, EV0.dim)
 
     def _build_blocks(self, validate: bool):
         g, E = self.geometry, self.module.space
@@ -101,7 +100,7 @@ class CrossingMap:
         for i in range(g.algebra.dim):
             for j in range(E.dim):
                 cols.append(EV0.push(kron_vec(E.left[i].column(j), g.algebra.unit)))
-        self.theta[0] = {0: Mat.from_cols(cols) if cols else Mat.zeros(EV0.dim, 0)}
+        self.theta[0] = {0: Mat.from_cols(cols, EV0.dim)}
         if self.max_degree == 0:
             return
         embed0 = self._embed_into_EV0()
@@ -258,7 +257,7 @@ class CrossingMap:
                 term = EVk.push(kron_vec(unit_row(E.dim, i), moved))
                 out = [x + c * y for x, y in zip(out, term)]
             cols.append(out)
-        return Mat.from_cols(cols) if cols else Mat.zeros(EVk.dim, 0)
+        return Mat.from_cols(cols, EVk.dim)
 
     def check_right_module(self) -> list[CheckResult]:
         """Property 4: theta intertwines the product-twisted right actions."""
@@ -349,7 +348,7 @@ class CrossingMap:
                         term = FVm.push(kron_vec(t.column(i), unit_row(g.V(m).dim, j)))
                         out = [x + c * y for x, y in zip(out, term)]
                     push_t.append(out)
-                tmat = Mat.from_cols(push_t) if push_t else Mat.zeros(FVm.dim, 0)
+                tmat = Mat.from_cols(push_t, FVm.dim)
                 lhs = tmat @ lhs_mat
                 rhs = rhs_mat @ Mat.identity(g.V(n).dim).kron(t)
                 if lhs != rhs:
@@ -378,23 +377,21 @@ class CrossingMap:
                 contrib = kron_vec(g.algebra.unit, moved)
                 out = [x + c * y for x, y in zip(out, contrib)]
             cols.append(out)
-        inv[0] = {0: Mat.from_cols(cols) if cols else Mat.zeros(g.algebra.dim * E.dim, 0)}
+        inv[0] = {0: Mat.from_cols(cols, g.algebra.dim * E.dim)}
 
         if self.max_degree >= 1:
             lift_ve = self.VE.section @ self.sigma_hat_inv
             block1 = lift_ve
-            block0 = Mat.zeros(g.algebra.dim * E.dim, self.EV[1].dim)
             acted = act1 @ lift_ve
-            for col in range(self.EV[1].dim):
-                contrib = kron_vec(g.algebra.unit, acted.column(col))
-                for r, v in enumerate(contrib):
-                    if v:
-                        block0.data[r][col] = block0.data[r][col] - v
+            block0 = Mat.from_cols(
+                [[-x for x in kron_vec(g.algebra.unit, acted.column(col))] for col in range(self.EV[1].dim)],
+                g.algebra.dim * E.dim,
+            )
             inv[1] = {1: block1, 0: block0}
 
         for n in range(1, self.max_degree):
-            target = {m: Mat.zeros(g.V(m).dim * E.dim, self.EV[n + 1].dim) for m in range(n + 2)}
             EVn1 = self.EV[n + 1]
+            entries: dict[int, list] = {m: [] for m in range(n + 2)}
             pv = g.pair_V(n + 1)
             for idx in range(EVn1.dim):
                 lifted = EVn1.section.column(idx)
@@ -446,9 +443,8 @@ class CrossingMap:
                             for m, coords in innerC.items():
                                 add(m, [-cc * x for x in coords])
                 for m, coords in acc.items():
-                    for r, v in enumerate(coords):
-                        if v:
-                            target[m].data[r][idx] = target[m].data[r][idx] + v
+                    entries[m].extend((r, idx, v) for r, v in _entries(coords))
+            target = {m: Mat.from_entries(g.V(m).dim * E.dim, EVn1.dim, ents) for m, ents in entries.items()}
             inv[n + 1] = {m: mat for m, mat in target.items() if not mat.is_zero() or m <= n + 1}
         self.inverse_blocks = inv
         return inv
@@ -550,7 +546,7 @@ def check_theta_on_algebra(cm: CrossingMap) -> list[CheckResult]:
             embed = []
             for c in range(g.V(k).dim):
                 embed.append(AV[k].push(kron_vec(g.algebra.unit, unit_row(g.V(k).dim, c))))
-            emb = Mat.from_cols(embed) if embed else Mat.zeros(AV[k].dim, 0)
+            emb = Mat.from_cols(embed, AV[k].dim)
             expected = emb @ bt
             got = cm.theta[n].get(k, Mat.zeros(expected.rows, expected.cols))
             if got != expected:
@@ -697,8 +693,7 @@ class OperatorConnection:
             Vn = g.V(n)
             # the degree-raising block is kept even at the truncation top so the
             # right-module identity can be compared without losing terms
-            up = Mat.zeros(g.OV(n + 1).dim, Vn.dim)
-            same = Mat.zeros(g.OV(n).dim, Vn.dim)
+            up, same = [], []
             for b in range(Vn.dim):
                 v = unit_row(Vn.dim, b)
                 for idx, c in _entries(coev):
@@ -707,14 +702,15 @@ class OperatorConnection:
                     u = unit_row(g.vec.dim, q)
                     top = g.merge_vec(1, n).apply(kron_vec(u, v))
                     term = g.OV(n + 1).push(kron_vec(xi, top))
-                    for r, val in _entries(term):
-                        up.data[r][b] = up.data[r][b] + c * val
+                    up.extend((r, b, c * val) for r, val in _entries(term))
                     low = table.table(1, n, n).apply(kron_vec(u, v))
                     if not vec_is_zero(low):
                         term = g.OV(n).push(kron_vec(xi, low))
-                        for r, val in _entries(term):
-                            same.data[r][b] = same.data[r][b] + c * val
-            self.blocks[n] = {n: same, n + 1: up}
+                        same.extend((r, b, c * val) for r, val in _entries(term))
+            self.blocks[n] = {
+                n: Mat.from_entries(g.OV(n).dim, Vn.dim, same),
+                n + 1: Mat.from_entries(g.OV(n + 1).dim, Vn.dim, up),
+            }
 
     def check_left_leibniz(self) -> list[CheckResult]:
         g = self.geometry

@@ -55,13 +55,12 @@ class BulletTable:
             # (ev (x) id^m)(u (x) box<m> w)
             OVm = g.OV(m)
             box = g.box_vec_pow(m)
-            out = Mat.zeros(rows, cols)
+            out_cols = [None] * cols
             for c in range(Vm.dim):
                 lifted = OVm.lift(box.column(c))
                 for b in range(g.vec.dim):
-                    for t, v in enumerate(Vm.ev_left(g.fgp.apply_mat, b, lifted)):
-                        if v:
-                            out.data[t][b * Vm.dim + c] = v
+                    out_cols[b * Vm.dim + c] = Vm.ev_left(g.fgp.apply_mat, b, lifted)
+            out = Mat.from_cols(out_cols, rows)
         else:
             out = self._step_table(n, m, k)
         self._tables[key] = out

@@ -441,7 +441,7 @@ class Geometry:
             prev = self.ev_pow(n - 1)
             dA = self.algebra.dim
             Vp_dim = self.V(n - 1).dim
-            out = Mat.zeros(dA, Vn.dim * Wn.dim)
+            cols = []
             for b in range(Vn.dim):
                 vlift = pv.section.column(b)
                 for c in range(Wn.dim):
@@ -454,9 +454,8 @@ class Geometry:
                         moved = self.omega.ev_left(prev, rest_v, wlift)
                         val = self.fgp.pair_apply(unit_row(self.vec.dim, u), moved)
                         col = [x + cv * y for x, y in zip(col, val)]
-                    for k, v in enumerate(col):
-                        if v:
-                            out.data[k][b * Wn.dim + c] = v
+                    cols.append(col)
+            out = Mat.from_cols(cols, dA)
         self._ev_pow[n] = out
         return out
 

@@ -86,22 +86,17 @@ def trivial_module(group: Group) -> HModule:
 
 
 def regular_module(group: Group) -> HModule:
-    mats = []
-    for i in range(group.order):
-        m = Mat.zeros(group.order, group.order)
-        for j in range(group.order):
-            m.data[group.imul(i, j)][j] = ONE
-        mats.append(m)
+    n = group.order
+    mats = [Mat.from_entries(n, n, ((group.imul(i, j), j, ONE) for j in range(n))) for i in range(n)]
     return HModule(group, mats, "regular")
 
 
 def adjoint_module(group: Group) -> HModule:
-    mats = []
-    for i in range(group.order):
-        m = Mat.zeros(group.order, group.order)
-        for j in range(group.order):
-            m.data[group.imul(group.imul(i, j), group.iinv(i))][j] = ONE
-        mats.append(m)
+    n = group.order
+    mats = [
+        Mat.from_entries(n, n, ((group.imul(group.imul(i, j), group.iinv(i)), j, ONE) for j in range(n)))
+        for i in range(n)
+    ]
     return HModule(group, mats, "adjoint")
 
 
@@ -111,12 +106,7 @@ def sign_module_z2(group: Group) -> HModule:
 
 
 def permutation_module_s3(group: Group) -> HModule:
-    mats = []
-    for p in group.elements:
-        m = Mat.zeros(3, 3)
-        for j in range(3):
-            m.data[p[j]][j] = ONE
-        mats.append(m)
+    mats = [Mat.from_entries(3, 3, ((p[j], j, ONE) for j in range(3))) for p in group.elements]
     return HModule(group, mats, "permutation")
 
 
@@ -128,29 +118,25 @@ def tensor_module(v: HModule, w: HModule, name=None) -> HModule:
 def phi_matrix(group: Group, module: HModule) -> Mat:
     """phi_V(g (x) v) = g.v (x) g on basis coordinates."""
     n, dv = group.order, module.dim
-    out = Mat.zeros(dv * n, n * dv)
-    for i in range(n):
-        col_block = module.mats[i]
-        for j in range(dv):
-            for k in range(dv):
-                val = col_block.data[k][j]
-                if val:
-                    out.data[k * n + i][i * dv + j] = val
-    return out
+    entries = (
+        (k * n + i, i * dv + j, val)
+        for i in range(n)
+        for j, col in enumerate(module.mats[i].cols_sparse())
+        for k, val in col
+    )
+    return Mat.from_entries(dv * n, n * dv, entries)
 
 
 def phi_inverse_formula(group: Group, module: HModule) -> Mat:
     """phi_V^{-1}(v (x) h) = h_(2) (x) S^{-1}(h_(1)).v; grouplike: h (x) h^{-1}v."""
     n, dv = group.order, module.dim
-    out = Mat.zeros(n * dv, dv * n)
-    for i in range(n):
-        inv_mat = module.mats[group.iinv(i)]
-        for j in range(dv):
-            for k in range(dv):
-                val = inv_mat.data[k][j]
-                if val:
-                    out.data[i * dv + k][j * n + i] = val
-    return out
+    entries = (
+        (i * dv + k, j * n + i, val)
+        for i in range(n)
+        for j, col in enumerate(module.mats[group.iinv(i)].cols_sparse())
+        for k, val in col
+    )
+    return Mat.from_entries(n * dv, dv * n, entries)
 
 
 class HopfCentreCandidate:
@@ -209,11 +195,7 @@ class HopfCentreCandidate:
 
     def _mu(self) -> Mat:
         n = self.group.order
-        mu = Mat.zeros(n, n * n)
-        for i in range(n):
-            for j in range(n):
-                mu.data[self.group.imul(i, j)][i * n + j] = ONE
-        return mu
+        return Mat.from_entries(n, n * n, ((self.group.imul(i, j), i * n + j, ONE) for i in range(n) for j in range(n)))
 
     def check_product_morphism(self) -> CheckResult:
         mu = self._mu()

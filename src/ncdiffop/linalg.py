@@ -1,4 +1,9 @@
-"""Dense exact matrices, row reduction, kernels, quotients and PSD certificates.
+"""Sparse exact matrices, row reduction, kernels, quotients and PSD certificates.
+
+A ``Mat`` stores only its nonzero entries, column by column (compressed
+sparse columns, as in T. A. Davis, *Direct Methods for Sparse Linear Systems*,
+SIAM 2006).  Products, Kronecker products, sums and transposes touch only
+those nonzeros; row reduction and the PSD certificate work on a dense copy.
 
 Everything here is deterministic: row reduction always picks the leftmost
 pivot column and the first usable row, so echelon bases (and hence all
@@ -17,18 +22,20 @@ class NotHermitian(ValueError):
 
 
 class Mat:
-    """A dense matrix of Scalars with a cached sparse-column view."""
+    """An immutable matrix of Scalars, stored as sparse columns.
 
-    __slots__ = ("rows", "cols", "data", "_cols_sparse")
+    ``_cols_sparse[j]`` lists the nonzero entries of column ``j`` as
+    ``(row, value)`` pairs sorted by row; a zero is never stored.  Columns are
+    never mutated once built, so results may share them.  ``data`` is a dense
+    read-only view (a tuple of row tuples), built on each access.
+    """
 
-    def __init__(self, rows: int, cols: int, data=None):
+    __slots__ = ("rows", "cols", "_cols_sparse")
+
+    def __init__(self, rows: int, cols: int, columns=None):
         self.rows = rows
         self.cols = cols
-        if data is None:
-            self.data = [[ZERO] * cols for _ in range(rows)]
-        else:
-            self.data = data
-        self._cols_sparse = None
+        self._cols_sparse = [[] for _ in range(cols)] if columns is None else columns
 
     # -- constructors ------------------------------------------------------
 
@@ -38,90 +45,130 @@ class Mat:
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        m = Mat(n, n)
-        for i in range(n):
-            m.data[i][i] = ONE
-        return m
+        return Mat(n, n, [[(i, ONE)] for i in range(n)])
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "Mat":
-        data = [[sc(x) for x in row] for row in rows]
-        ncols = len(data[0]) if data else 0
-        for row in data:
-            if len(row) != ncols:
+    def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Mat":
+        """From dense rows of anything ``sc`` accepts; ``cols`` is needed only
+        when there are no rows."""
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        columns = [[] for _ in range(cols)]
+        for i, row in enumerate(rows):
+            if len(row) != cols:
                 raise ValueError("ragged rows")
-        return Mat(len(data), ncols, data)
+            for j, x in enumerate(row):
+                if x is not ZERO:
+                    x = sc(x)
+                    if x:
+                        columns[j].append((i, x))
+        return Mat(len(rows), cols, columns)
 
     @staticmethod
-    def from_cols(cols: Sequence[Sequence]) -> "Mat":
-        return Mat.from_rows(cols).transpose()
+    def from_cols(cols: Sequence[Sequence], rows: int | None = None) -> "Mat":
+        """From dense columns of anything ``sc`` accepts; ``rows`` is needed only
+        when there are no columns."""
+        if rows is None:
+            rows = len(cols[0]) if cols else 0
+        columns = []
+        for col in cols:
+            if len(col) != rows:
+                raise ValueError("ragged columns")
+            columns.append([(i, x) for i, x in enumerate(map(sc, col)) if x])
+        return Mat(rows, len(cols), columns)
 
-    def copy(self) -> "Mat":
-        return Mat(self.rows, self.cols, [row[:] for row in self.data])
+    @staticmethod
+    def from_entries(rows: int, cols: int, entries: Iterable[tuple[int, int, Scalar]]) -> "Mat":
+        """From ``(row, col, value)`` triples; values at the same place add up."""
+        acc: list[dict[int, Scalar]] = [{} for _ in range(cols)]
+        for i, j, v in entries:
+            col = acc[j]
+            col[i] = col[i] + v if i in col else v
+        return Mat(rows, cols, [[(i, v) for i, v in sorted(col.items()) if v] for col in acc])
+
+    # -- dense views -----------------------------------------------------------
+
+    def _dense(self) -> list[list[Scalar]]:
+        out = [[ZERO] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self._cols_sparse):
+            for i, v in col:
+                out[i][j] = v
+        return out
+
+    @property
+    def data(self) -> tuple[tuple[Scalar, ...], ...]:
+        return tuple(map(tuple, self._dense()))
+
+    def column(self, j: int) -> list[Scalar]:
+        out = [ZERO] * self.rows
+        for i, v in self._cols_sparse[j]:
+            out[i] = v
+        return out
+
+    def cols_sparse(self) -> list[list[tuple[int, Scalar]]]:
+        return self._cols_sparse
 
     # -- basic ops ----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb))
-        )
+        return self.rows == other.rows and self.cols == other.cols and self._cols_sparse == other._cols_sparse
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)
-        return Mat(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-        )
+        return Mat(self.rows, self.cols, [_merge(a, b) for a, b in zip(self._cols_sparse, other._cols_sparse)])
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        return Mat(
-            self.rows,
-            self.cols,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-        )
+        return self + -other
 
     def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [[-a for a in row] for row in self.data])
+        return Mat(self.rows, self.cols, [[(i, -v) for i, v in col] for col in self._cols_sparse])
 
     def scale(self, s) -> "Mat":
         s = sc(s)
-        return Mat(self.rows, self.cols, [[s * a for a in row] for row in self.data])
+        if not s:
+            return Mat(self.rows, self.cols)
+        return Mat(self.rows, self.cols, [[(i, s * v) for i, v in col] for col in self._cols_sparse])
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        """Column gather: column j of A @ B is the sum of v * A[:, k] over (k, v) in B[:, j]."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = Mat(self.rows, other.cols)
-        ocols = other.cols_sparse()
-        for j, col in enumerate(ocols):
-            if not col:
+        acols = self._cols_sparse
+        out = []
+        for col in other._cols_sparse:
+            if len(col) == 1:
+                k, v = col[0]
+                # a product of two nonzeros is nonzero: nothing to test
+                out.append(acols[k] if v is ONE else [(i, x * v) for i, x in acols[k]])
                 continue
-            for i in range(self.rows):
-                row = self.data[i]
-                acc = ZERO
-                for k, v in col:
-                    x = row[k]
-                    if x:
-                        acc = acc + x * v
-                if acc:
-                    out.data[i][j] = acc
-        return out
+            acc: dict[int, Scalar] = {}
+            for k, v in col:
+                for i, x in acols[k]:
+                    if v is not ONE:
+                        x = x * v
+                    s = acc.get(i)
+                    acc[i] = x if s is None else s + x
+            out.append([(i, s) for i, s in sorted(acc.items()) if s])
+        return Mat(self.rows, other.cols, out)
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, [list(col) for col in zip(*self.data)] if self.rows else [[] for _ in range(self.cols)])
+        out = [[] for _ in range(self.rows)]
+        for j, col in enumerate(self._cols_sparse):
+            for i, v in col:
+                out[i].append((j, v))
+        return Mat(self.cols, self.rows, out)
+
+    def conj(self) -> "Mat":
+        """Entrywise conjugate."""
+        return Mat(self.rows, self.cols, [[(i, v.conj()) for i, v in col] for col in self._cols_sparse])
 
     def conj_transpose(self) -> "Mat":
-        t = self.transpose()
-        t.data = [[a.conj() for a in row] for row in t.data]
-        return t
+        return self.transpose().conj()
 
     def is_zero(self) -> bool:
-        return all(not a for row in self.data for a in row)
+        return not any(self._cols_sparse)
 
     def _check_same_shape(self, other: "Mat"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -129,66 +176,74 @@ class Mat:
 
     # -- application to vectors ---------------------------------------------
 
-    def cols_sparse(self):
-        if self._cols_sparse is None:
-            cols = [[] for _ in range(self.cols)]
-            for i, row in enumerate(self.data):
-                for j, v in enumerate(row):
-                    if v is not ZERO and v:
-                        cols[j].append((i, v))
-            self._cols_sparse = cols
-        return self._cols_sparse
-
     def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
         out = [ZERO] * self.rows
-        cols = self.cols_sparse()
-        for j, x in enumerate(vec):
-            if x is ZERO or not x:
+        for x, col in zip(vec, self._cols_sparse):
+            if x is ZERO or not col or not x:
                 continue
-            for i, v in cols[j]:
+            for i, v in col:
                 out[i] = out[i] + v * x
         return out
 
-    def column(self, j: int) -> list[Scalar]:
-        return [row[j] for row in self.data]
-
     def kron(self, other: "Mat") -> "Mat":
-        out = Mat(self.rows * other.rows, self.cols * other.cols)
-        for i, row in enumerate(self.data):
-            for j, a in enumerate(row):
-                if not a:
-                    continue
-                for k, orow in enumerate(other.data):
-                    tgt = out.data[i * other.rows + k]
-                    base = j * other.cols
-                    for l, b in enumerate(orow):
-                        if b:
-                            tgt[base + l] = a * b
-        return out
+        """Column j*q + l of A (x) B holds a * b at row i*p + k for (i, a) in
+        A[:, j] and (k, b) in B[:, l], where B is p x q."""
+        p = other.rows
+        out = []
+        for col in self._cols_sparse:
+            for ocol in other._cols_sparse:
+                out.append(
+                    [
+                        (i * p + k, b if a is ONE else a if b is ONE else a * b)
+                        for i, a in col
+                        for k, b in ocol
+                    ]
+                )
+        return Mat(self.rows * p, self.cols * other.cols, out)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in row) for row in self.data)
         return f"Mat({self.rows}x{self.cols}: {body})"
 
 
+def _merge(a: list, b: list) -> list:
+    """The sparse column a + b."""
+    if not b:
+        return a
+    if not a:
+        return b
+    acc = dict(a)
+    for i, v in b:
+        s = acc.get(i)
+        if s is None:
+            acc[i] = v
+        else:
+            s = s + v
+            if s:
+                acc[i] = s
+            else:
+                del acc[i]
+    return sorted(acc.items())
+
+
 # -- vectors ---------------------------------------------------------------
 
 
 def vec_is_zero(x) -> bool:
-    return all(not a for a in x)
+    return all(a is ZERO or not a for a in x)
 
 
 def kron_vec(x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
     ny = len(y)
     out = [ZERO] * (len(x) * ny)
     for i, a in enumerate(x):
-        if not a:
+        if a is ZERO or not a:
             continue
         base = i * ny
         for j, b in enumerate(y):
-            if b:
+            if b is not ZERO and b:
                 out[base + j] = a * b
     return out
 
@@ -198,7 +253,7 @@ def kron_vec(x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row-echelon form with deterministic leftmost-pivot choice."""
-    a = [row[:] for row in m.data]
+    a = m._dense()
     rows, cols = m.rows, m.cols
     pivots = []
     r = 0
@@ -221,7 +276,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         r += 1
         if r == rows:
             break
-    return Mat(rows, cols, a), tuple(pivots)
+    return Mat.from_rows(a, cols), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -356,21 +411,21 @@ def kernel(m: Mat) -> Subspace:
     for f in free:
         v = [ZERO] * m.cols
         v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -r.data[i][f]
+        for i, x in r._cols_sparse[f]:
+            v[pivots[i]] = -x
         vecs.append(v)
     return Subspace.from_vectors(m.cols, vecs)
 
 
 def solve(m: Mat, b: Sequence[Scalar]):
     """One solution of m x = b, or None if inconsistent (deterministic)."""
-    aug = Mat(m.rows, m.cols + 1, [row[:] + [sc(bb)] for row, bb in zip(m.data, b)])
+    aug = Mat(m.rows, m.cols + 1, m._cols_sparse + Mat.from_cols([b], m.rows)._cols_sparse)
     r, pivots = rref(aug)
     if m.cols in pivots:
         return None
     x = [ZERO] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = r.data[i][m.cols]
+    for i, v in r._cols_sparse[m.cols]:
+        x[pivots[i]] = v
     return x
 
 
@@ -378,11 +433,11 @@ def inverse(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise ValueError("only square matrices invert")
     n = m.rows
-    aug = Mat(n, 2 * n, [row[:] + list(Mat.identity(n).data[i]) for i, row in enumerate(m.data)])
+    aug = Mat(n, 2 * n, m._cols_sparse + Mat.identity(n)._cols_sparse)
     r, pivots = rref(aug)
     if tuple(range(n)) != pivots[:n] or len(pivots) != n:
         raise ValueError("matrix is singular")
-    return Mat(n, n, [row[n:] for row in r.data])
+    return Mat(n, n, r._cols_sparse[n:])
 
 
 def quotient(ambient_dim: int, relations: Subspace) -> tuple[Mat, Mat]:
@@ -396,20 +451,16 @@ def quotient(ambient_dim: int, relations: Subspace) -> tuple[Mat, Mat]:
     if relations.ambient_dim != ambient_dim:
         raise ValueError("relations live in a different ambient space")
     pivots = relations.pivots
-    free = [c for c in range(ambient_dim) if c not in pivots]
-    q = len(free)
-    proj = Mat(q, ambient_dim)
+    pivot_set = set(pivots)
+    free = [c for c in range(ambient_dim) if c not in pivot_set]
+    proj_cols = [None] * ambient_dim
     for k, f in enumerate(free):
-        proj.data[k][f] = ONE
+        proj_cols[f] = [(k, ONE)]
     for row, p in zip(relations.basis, pivots):
         # e_p == -sum_{free f} row[f] e_f modulo relations
-        for k, f in enumerate(free):
-            if row[f]:
-                proj.data[k][p] = -row[f]
-    sect = Mat(ambient_dim, q)
-    for k, f in enumerate(free):
-        sect.data[f][k] = ONE
-    return proj, sect
+        proj_cols[p] = [(k, -row[f]) for k, f in enumerate(free) if row[f]]
+    sect_cols = [[(f, ONE)] for f in free]
+    return Mat(len(free), ambient_dim, proj_cols), Mat(ambient_dim, len(free), sect_cols)
 
 
 # -- exact PSD certification --------------------------------------------------
@@ -432,15 +483,10 @@ class PsdCertificate:
 
     def reconstruct(self) -> Mat:
         n = len(self.diag)
-        d = Mat(n, n)
-        for i, x in enumerate(self.diag):
-            d.data[i][i] = x
+        d = Mat.from_entries(n, n, ((i, i, x) for i, x in enumerate(self.diag)))
         m = self.lower @ d @ self.lower.conj_transpose()
-        out = Mat(n, n)
-        for i in range(n):
-            for j in range(n):
-                out.data[self.perm[i]][self.perm[j]] = m.data[i][j]
-        return out
+        perm = self.perm
+        return Mat.from_entries(n, n, ((perm[i], perm[j], v) for j, col in enumerate(m._cols_sparse) for i, v in col))
 
 
 class PsdCounterexample:
@@ -457,13 +503,13 @@ class PsdCounterexample:
 
 def quadratic_form(g: Mat, v: Sequence[Scalar]) -> Scalar:
     acc = ZERO
-    for i, a in enumerate(v):
-        if not a:
+    for j, b in enumerate(v):
+        if not b:
             continue
-        row = g.data[i]
-        for j, b in enumerate(v):
-            if b:
-                acc = acc + a.conj() * row[j] * b
+        for i, x in g._cols_sparse[j]:
+            a = v[i]
+            if a:
+                acc = acc + a.conj() * x * b
     return acc
 
 
@@ -478,17 +524,17 @@ def ldl_certify_psd(g: Mat):
     if g.rows != g.cols:
         raise NotHermitian("matrix is not square")
     n = g.rows
+    a = g._dense()
     for i in range(n):
         for j in range(n):
-            if g.data[i][j] != g.data[j][i].conj():
+            if a[i][j] != a[j][i].conj():
                 raise NotHermitian(f"entry ({i},{j}) breaks conjugate symmetry")
-    a = [row[:] for row in g.data]
     perm = list(range(n))
     # trans[k] expresses current coordinate k in terms of original coordinates
     trans = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         trans[i][i] = ONE
-    lower = Mat.identity(n)
+    lower = Mat.identity(n)._dense()
     diag: list[Scalar] = [ZERO] * n
 
     def counterexample_from(vec_current):
@@ -544,16 +590,13 @@ def ldl_certify_psd(g: Mat):
             perm[step], perm[pivot] = perm[pivot], perm[step]
             # swap the already-written part of L (columns before this step)
             for j in range(step):
-                lower.data[step][j], lower.data[pivot][j] = (
-                    lower.data[pivot][j],
-                    lower.data[step][j],
-                )
+                lower[step][j], lower[pivot][j] = lower[pivot][j], lower[step][j]
         d = a[step][step]
         diag[step] = d
         for i in range(step + 1, n):
             f = a[i][step] / d
             if f:
-                lower.data[i][step] = f
+                lower[i][step] = f
                 for j in range(step, n):
                     a[i][j] = a[i][j] - f * a[step][j]
                 for j in range(n):
@@ -564,6 +607,6 @@ def ldl_certify_psd(g: Mat):
                 for j in range(n):
                     if trans[step][j]:
                         trans[i][j] = trans[i][j] - fc * trans[step][j]
-    cert = PsdCertificate(perm, Mat(n, n, [row[:] for row in lower.data]), diag)
+    cert = PsdCertificate(perm, Mat.from_rows(lower, n), diag)
     assert cert.reconstruct() == g, "internal certificate check failed"
     return cert

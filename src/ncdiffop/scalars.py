@@ -19,7 +19,7 @@ import re as _re
 
 try:
     from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional `ncdiffop[gmpy2]` extra
     from fractions import Fraction as _mpq
 
 _RAT = type(_mpq(0))

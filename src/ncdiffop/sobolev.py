@@ -68,12 +68,7 @@ class InnerProduct:
 
         conj = conjugate_bimodule(E)
         pair = TensorPair(E, conj)
-        plain = Mat.zeros(A.dim, E.dim * E.dim)
-        for i in range(E.dim):
-            for j in range(E.dim):
-                for k, v in enumerate(self.values[i][j]):
-                    if v:
-                        plain.data[k][i * E.dim + j] = v
+        plain = Mat.from_cols([self.values[i][j] for i in range(E.dim) for j in range(E.dim)], A.dim)
         try:
             mat = pair.induce(plain, f"{self.name}-pairing")
             BimoduleMap(pair.space, algebra_as_bimodule(A), mat, f"{self.name}-pairing")
@@ -82,11 +77,7 @@ class InnerProduct:
             results.append(CheckResult(f"{self.name}:bimodule-map", False, detail=str(err)))
 
         for state in states or []:
-            gram = Mat.zeros(E.dim, E.dim)
-            for i in range(E.dim):
-                for j in range(E.dim):
-                    gram.data[i][j] = state(self.values[i][j])
-            cert = ldl_certify_psd(gram)
+            cert = ldl_certify_psd(_state_gram(self.values, state, E.dim))
             results.append(
                 CheckResult(
                     f"{self.name}:positive[{state.name}]",
@@ -214,10 +205,7 @@ def sobolev_gram(
     E = pairings.module.space
     gram = Mat.zeros(E.dim, E.dim)
     for m in range(order + 1):
-        vals = pairings.iterated(m)
-        for i in range(E.dim):
-            for j in range(E.dim):
-                gram.data[i][j] = gram.data[i][j] + state(vals[i][j])
+        gram = gram + _state_gram(pairings.iterated(m), state, E.dim)
     cert = ldl_certify_psd(gram)
     if require_psd and not cert.is_psd:
         raise PositivityFailure(
@@ -231,9 +219,9 @@ def sobolev_gram(
 def gram_increment_certificate(pairings: SobolevPairings, state: State, order: int):
     """Certificate that Gram(order) - Gram(order-1) is PSD (it is the order-n term)."""
     E = pairings.module.space
-    vals = pairings.iterated(order)
-    inc = Mat.zeros(E.dim, E.dim)
-    for i in range(E.dim):
-        for j in range(E.dim):
-            inc.data[i][j] = state(vals[i][j])
-    return ldl_certify_psd(inc)
+    return ldl_certify_psd(_state_gram(pairings.iterated(order), state, E.dim))
+
+
+def _state_gram(values, state: State, dim: int) -> Mat:
+    """The matrix state(values[i][j]) of A-valued pairings."""
+    return Mat.from_rows([[state(v) for v in row] for row in values], dim)

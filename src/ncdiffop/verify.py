@@ -174,7 +174,7 @@ def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
         for rel in relation_vectors(Vn, Wn):
             acc = [ZERO] * g.algebra.dim
             for idx, c in rel.items():
-                col = [row[idx] for row in ev.data]
+                col = ev.column(idx)
                 acc = [x + c * y for x, y in zip(acc, col)]
             if not vec_is_zero(acc):
                 fail = n

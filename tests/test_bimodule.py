@@ -53,12 +53,8 @@ def test_unit_object_left(two_point_algebra, two_point_omega):
     A = algebra_as_bimodule(two_point_algebra)
     pair = TensorPair(A, two_point_omega)
     assert pair.dim == two_point_omega.dim
-    mult_plain = Mat.zeros(two_point_omega.dim, A.dim * two_point_omega.dim)
-    for i in range(A.dim):
-        for j in range(two_point_omega.dim):
-            col = two_point_omega.left[i].column(j)
-            for k, v in enumerate(col):
-                mult_plain.data[k][i * two_point_omega.dim + j] = v
+    cols = [two_point_omega.left[i].column(j) for i in range(A.dim) for j in range(two_point_omega.dim)]
+    mult_plain = Mat.from_cols(cols, two_point_omega.dim)
     iso = pair.induce(mult_plain, "left-unitor")
     m = BimoduleMap(pair.space, two_point_omega, iso, "left-unitor")  # verifies equivariance
     inverse(m.mat)  # invertible
@@ -68,12 +64,8 @@ def test_unit_object_right(two_point_algebra, two_point_omega):
     A = algebra_as_bimodule(two_point_algebra)
     pair = TensorPair(two_point_omega, A)
     assert pair.dim == two_point_omega.dim
-    mult_plain = Mat.zeros(two_point_omega.dim, two_point_omega.dim * A.dim)
-    for j in range(two_point_omega.dim):
-        for i in range(A.dim):
-            col = two_point_omega.right[i].column(j)
-            for k, v in enumerate(col):
-                mult_plain.data[k][j * A.dim + i] = v
+    cols = [two_point_omega.right[i].column(j) for j in range(two_point_omega.dim) for i in range(A.dim)]
+    mult_plain = Mat.from_cols(cols, two_point_omega.dim)
     iso = pair.induce(mult_plain, "right-unitor")
     BimoduleMap(pair.space, two_point_omega, iso, "right-unitor")
     inverse(iso)

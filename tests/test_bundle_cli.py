@@ -102,6 +102,33 @@ def test_missing_nested_keys_named(tmp_path, capsys, two_point_doc, path, expect
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "path,value,key",
+    [
+        (("algebra", "basis"), 5, "algebra.basis"),
+        (("modules",), [1], "modules"),
+        (("algebra", "unit"), "1", "algebra.unit"),
+        (("truncation_degree",), "x", "truncation_degree"),
+    ],
+    ids=["algebra.basis-int", "modules-list", "algebra.unit-string", "truncation_degree-string"],
+)
+def test_malformed_nested_values_named(tmp_path, capsys, two_point_doc, path, value, key):
+    doc = copy.deepcopy(two_point_doc)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    with pytest.raises(ParseError) as err:
+        load_bundle_dict(doc)
+    assert str(err.value).startswith(f"{key}: ")
+    file = tmp_path / "malformed.json"
+    file.write_text(json.dumps(doc))
+    assert main(["validate", str(file)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {key}: " in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_field_q_rejects_gaussian_scalars(two_point_doc):
     doc = copy.deepcopy(two_point_doc)
     doc["states"]["uniform"] = ["1/2+1i", "1/2-1i"]
@@ -349,10 +376,22 @@ PINNED_BODIES = [
         ["z3-function-calculus", "--suites", "fgp-zigzag,connections,ev-duality,bullet,sobolev"],
         "5057b90a9ded5a703869ec1a46a3edbeccf7dd63ef13ccdcadd8886cc14b533a",
     ),
+    (
+        ["z3-function-calculus", "--suites", "theta", "--degree", "2"],
+        "629d67e702d69e48beaba7bcfa5a493f47eb7bf6ae930a5ae511b69ea1b47f58",
+    ),
+    (
+        ["z3-function-calculus", "--suites", "centre", "--degree", "1"],
+        "7545248c365530567292c1c769c029ab515120f2c30537e984bfa640da9cad0c",
+    ),
 ]
 
 
-@pytest.mark.parametrize("args,digest", PINNED_BODIES, ids=["two-point-universal", "zero-form-smoke", "z3-subset"])
+@pytest.mark.parametrize(
+    "args,digest",
+    PINNED_BODIES,
+    ids=["two-point-universal", "zero-form-smoke", "z3-subset", "z3-theta-deg2", "z3-centre-deg1"],
+)
 def test_cli_verify_body_digest_pinned(capsys, args, digest):
     assert main(["verify", args[0], "--json", "--seed", "7", *args[1:]]) == 0
     body = capsys.readouterr().out

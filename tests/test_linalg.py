@@ -211,15 +211,15 @@ NON_SINGLETON_ZEROS = [Scalar(0), sc("0/5"), Scalar(0, 0), ONE - ONE]
 
 @pytest.mark.parametrize("z", NON_SINGLETON_ZEROS, ids=["Scalar(0)", "0/5", "Scalar(0,0)", "ONE-ONE"])
 def test_apply_matmul_cols_sparse_treat_any_zero_as_zero(z):
-    m = Mat(2, 3, [[z, sc(2), z], [sc(3), z, sc(-1)]])
+    m = Mat.from_rows([[z, sc(2), z], [sc(3), z, sc(-1)]])
     assert m.cols_sparse() == [[(1, sc(3))], [(0, sc(2))], [(1, sc(-1))]]
     assert m.apply([z, sc(1), z]) == [sc(2), ZERO]
     assert m.apply([sc(1), z, sc(1)]) == [ZERO, sc(2)]
-    n = Mat(3, 2, [[z, sc(1)], [sc(1), z], [z, z]])
+    n = Mat.from_rows([[z, sc(1)], [sc(1), z], [z, z]])
     prod = m @ n
     assert prod == Mat.from_rows([[2, 0], [0, 3]])
     assert prod.cols_sparse() == [[(0, sc(2))], [(1, sc(3))]]
-    assert (Mat(2, 2, [[z, z], [z, z]]) @ n.transpose()).is_zero()
+    assert (Mat.from_rows([[z, z], [z, z]]) @ n.transpose()).is_zero()
 
 
 def test_column_read_matches_kron_apply_on_z3():
@@ -295,8 +295,7 @@ def test_psd_gaussian_counterexample():
 @given(small_mats(max_dim=4))
 @settings(max_examples=80, deadline=None)
 def test_psd_single_outcome_and_witness(m):
-    g_rows = (m @ m.transpose()).data  # symmetric by construction
-    g = Mat(m.rows, m.rows, [row[:] for row in g_rows])
+    g = m @ m.transpose()  # symmetric by construction
     res = ldl_certify_psd(g)
     # m m^T is PSD over the rationals, so certification must succeed
     assert isinstance(res, PsdCertificate)
@@ -308,3 +307,156 @@ def test_psd_single_outcome_and_witness(m):
         assert val == res2.value and val.re < 0
     else:
         assert res2.reconstruct() == shifted
+
+
+# -- the sparse Mat against a dense oracle -----------------------------------------
+# The oracle holds a matrix as dense rows of (re, im) Fraction pairs and knows
+# nothing of the package; every Mat result is read back through its raw sparse
+# columns, which must be sorted by row and hold no zero.
+
+ZERO_FORMS = [lambda: ZERO, lambda: Scalar(0), lambda: sc("0/5"), lambda: Scalar(0, 0), lambda: ONE - ONE]
+
+
+def g_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def g_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def g_div(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
+
+
+G0, G1 = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+
+
+def o_matmul(a, b, inner, ncols):
+    return [[_g_sum(g_mul(row[k], b[k][j]) for k in range(inner)) for j in range(ncols)] for row in a]
+
+
+def _g_sum(terms):
+    acc = G0
+    for t in terms:
+        acc = g_add(acc, t)
+    return acc
+
+
+def o_rref(a, ncols):
+    a = [row[:] for row in a]
+    r, pivots = 0, []
+    for c in range(ncols):
+        p = next((i for i in range(r, len(a)) if a[i][c] != G0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [g_div(x, a[r][c]) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != G0:
+                f = a[i][c]
+                a[i] = [g_add(x, g_mul((-f[0], -f[1]), y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots)
+
+
+def read_back(m: Mat):
+    """Dense oracle rows of a Mat, read from its sparse columns (checking their invariants)."""
+    cols = m.cols_sparse()
+    assert len(cols) == m.cols
+    dense = [[G0] * m.cols for _ in range(m.rows)]
+    for j, col in enumerate(cols):
+        assert isinstance(col, list)
+        rows = [i for i, _ in col]
+        assert rows == sorted(set(rows)) and all(0 <= i < m.rows for i in rows)
+        for i, v in col:
+            assert isinstance(v, Scalar) and v, f"zero stored at ({i}, {j})"
+            dense[i][j] = (Fraction(v.re), Fraction(v.im))
+    assert m.data == tuple(tuple(Scalar(re, im) for re, im in row) for row in dense)
+    return dense
+
+
+@st.composite
+def entries(draw, kind):
+    """A (value, Scalar) pair; zeros come in every form, not only the ZERO singleton."""
+    if draw(st.integers(0, 2)) == 0:
+        return G0, draw(st.sampled_from(ZERO_FORMS))()
+    if kind == "int":
+        re, im = Fraction(draw(st.integers(-4, 4))), Fraction(0)
+    else:
+        re = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        im = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3))) if kind == "gaussian" else Fraction(0)
+    return (re, im), Scalar(re, im)
+
+
+@st.composite
+def oracle_mats(draw, kind, rows, cols):
+    """(dense oracle rows, Mat) built through one of the three public constructors."""
+    cells = [[draw(entries(kind)) for _ in range(cols)] for _ in range(rows)]
+    dense = [[v for v, _ in row] for row in cells]
+    how = draw(st.sampled_from(["rows", "cols", "entries"]))
+    if how == "rows":
+        m = Mat.from_rows([[s for _, s in row] for row in cells], cols)
+    elif how == "cols":
+        m = Mat.from_cols([[cells[i][j][1] for i in range(rows)] for j in range(cols)], rows)
+    else:
+        # every entry split into two summands, plus a cancelling pair, all at one place
+        triples = []
+        for i, row in enumerate(cells):
+            for j, (_, s) in enumerate(row):
+                triples += [(i, j, s - ONE), (i, j, ONE), (i, j, sc(2)), (i, j, -sc(2))]
+        m = Mat.from_entries(rows, cols, draw(st.permutations(triples)))
+    return dense, m
+
+
+@st.composite
+def mat_cases(draw):
+    kind = draw(st.sampled_from(["int", "rational", "gaussian"]))
+    r, k, c, p, q = (draw(st.integers(0, 3)) for _ in range(5))
+    return (
+        kind,
+        draw(oracle_mats(kind, r, k)),
+        draw(oracle_mats(kind, r, k)),
+        draw(oracle_mats(kind, k, c)),
+        draw(oracle_mats(kind, p, q)),
+        draw(st.lists(entries(kind), min_size=k, max_size=k)),
+        draw(entries(kind)),
+    )
+
+
+@given(mat_cases())
+@settings(max_examples=300, deadline=None)
+def test_mat_matches_dense_oracle(case):
+    kind, (a, A), (c, C), (b, B), (d, D), vec, (s, S) = case
+    r, k, ncols = A.rows, A.cols, B.cols
+    assert read_back(A) == a and read_back(B) == b and read_back(C) == c
+    assert read_back(A @ B) == o_matmul(a, b, k, ncols)
+    assert read_back(A.kron(D)) == [
+        [g_mul(a[i][j], d[p][q]) for j in range(k) for q in range(D.cols)] for i in range(r) for p in range(D.rows)
+    ]
+    assert read_back(A + C) == [[g_add(x, y) for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
+    assert read_back(A - C) == [[g_add(x, (-y[0], -y[1])) for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
+    assert read_back(A.scale(S)) == [[g_mul(s, x) for x in row] for row in a]
+    assert read_back(A.transpose()) == [[a[i][j] for i in range(r)] for j in range(k)]
+    assert read_back(A.conj_transpose()) == [[(a[i][j][0], -a[i][j][1]) for i in range(r)] for j in range(k)]
+    v = [x for x, _ in vec]
+    got = A.apply([y for _, y in vec])
+    expected = [_g_sum(g_mul(row[j], v[j]) for j in range(k)) for row in a]
+    assert [(Fraction(x.re), Fraction(x.im)) for x in got] == expected
+    for j in range(k):
+        assert [(Fraction(x.re), Fraction(x.im)) for x in A.column(j)] == [row[j] for row in a]
+    assert (A == C) == (a == c)
+    assert A == Mat.from_rows(A.data, k) and A.is_zero() == all(x == G0 for row in a for x in row)
+    red, pivots = rref(A)
+    assert (read_back(red), pivots) == o_rref(a, k)
+    if r == k:
+        full_rank = len(o_rref(a, k)[1]) == k
+        if full_rank:
+            inv = inverse(A)
+            ident = [[G1 if i == j else G0 for j in range(k)] for i in range(k)]
+            assert o_matmul(read_back(inv), a, k, k) == ident
+        else:
+            with pytest.raises(ValueError):
+                inverse(A)
