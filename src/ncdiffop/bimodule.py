@@ -75,6 +75,15 @@ class Bimodule:
                         out[k] = out[k] + c * v
         return out
 
+    def left_action(self) -> Mat:
+        """The left action as a matrix Kron(A, self) -> self: column i*dim + j is a_i . m_j."""
+        return Mat(self.dim, self.algebra.dim * self.dim, [col for mat in self.left for col in mat.cols_sparse()])
+
+    def right_action(self) -> Mat:
+        """The right action as a matrix Kron(self, A) -> self: column j*dim(A) + i is m_j . a_i."""
+        cols = [mat.cols_sparse()[j] for j in range(self.dim) for mat in self.right]
+        return Mat(self.dim, self.dim * self.algebra.dim, cols)
+
     def ev_left(self, ev: Mat, b: int, x: Sequence[Scalar]) -> list[Scalar]:
         """(ev (x) id)(v_b (x) x) = sum x[r*dim+s] ev(v_b (x) w_r) |> m_s, x in Kron(W, self)."""
         n = self.dim

@@ -17,6 +17,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from . import builtin_data
 from .algebra import Algebra, State
 from .bimodule import Bimodule
 from .calculus import ConnectionModule, omega_module, trivial_module, vec_module
@@ -334,12 +335,10 @@ BUILTIN_NAMES = ("two-point-universal", "z3-function-calculus", "zero-form-smoke
 
 
 def builtin_bundle_dict(name: str) -> dict:
+    """A fresh document of a built-in bundle, from its generator in ``builtin_data``."""
     if name not in BUILTIN_NAMES:
         raise ParseError(f"unknown builtin bundle {name!r}; available: {', '.join(BUILTIN_NAMES)}")
-    from importlib import resources
-
-    ref = resources.files("ncdiffop").joinpath("bundles", f"{name}.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
+    return getattr(builtin_data, name.replace("-", "_"))()
 
 
 def load_builtin(name: str, validate: bool = True) -> Bundle:

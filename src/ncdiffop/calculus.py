@@ -139,11 +139,7 @@ class ConnectionModule:
         g = self.geometry
         E = self.space
         if n == 0:
-            cols = []
-            for i in range(g.algebra.dim):
-                for j in range(E.dim):
-                    cols.append(E.left[i].column(j))
-            out = Mat.from_cols(cols, E.dim)
+            out = E.left_action()
         else:
             Vn = g.V(n)
             ev = g.ev_pow(n)

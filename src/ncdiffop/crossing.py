@@ -3,9 +3,17 @@ bimodule-connection category.
 
 ``CrossingMap`` stores, per input degree n, the blocks
 ``theta[n][m] : Kron(V(n), E) -> E (x)_A V(m)`` for m <= n.  The recursion
-runs once at build time; every subsequent axiom check is an exact matrix
-identity.  The domain is plain (the map is only balanced for the
-product-twisted right action, which is what property checks 2 and 4 verify).
+runs once at build time.  The domain is plain (the map is only balanced for
+the product-twisted right action, which is what property checks 2 and 4
+verify).
+
+Every axiom check is one sparse matrix identity per degree, ``lhs == rhs``
+between compositions of the blocks with the bullet tables, the action tables
+and the tensor quotients, each on a Kronecker domain such as
+``Kron(V(n), E, F)`` (the left inverse holds modulo a relation span, tested
+column by column).  ``linalg.first_mismatch`` turns the first column where
+the two sides differ back into the basis tuple that is the check's witness.
+Only the inverse blocks are still built one basis vector at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from .algebra import unit_row
 from .bimodule import TensorPair
 from .calculus import ConnectionModule, tensor_connection
 from .diffop import BulletTable
-from .linalg import Mat, SparseEchelon, inverse, kron_vec, vec_is_zero
+from .linalg import Mat, SparseEchelon, first_mismatch, inverse, kron_vec, vec_is_zero
 from .report import CheckResult, ValidationError
 from .scalars import ONE, ZERO, Scalar
 
@@ -29,31 +37,31 @@ def _entries(vec):
     return [(i, c) for i, c in enumerate(vec) if c is not ZERO and c]
 
 
+def _add(acc: dict, m: int, mat: Mat):
+    acc[m] = acc[m] + mat if m in acc else mat
+
+
+def _at(prefix: tuple, fail: Optional[tuple]):
+    """A witness: the fixed indices of a check followed by its mismatch, or None."""
+    return None if fail is None else (*prefix, *fail)
+
+
 def sigma_hat(table: BulletTable, module: ConnectionModule) -> Mat:
     """The braiding of vector fields over E derived from sigma_E:
     (ev (x) id (x) id)(id (x) sigma_E (x) id)(id (x) id (x) coev(1)),
     as a matrix Kron(Vec, E) -> E (x)_A Vec.
     """
     g = table.geometry
-    E, ev = module.space, g.fgp.apply_mat
-    EV1 = g.pair(E, g.vec)
-    cols = [None] * (g.vec.dim * E.dim)
-    coev = _entries(g.fgp.coev_one_plain)
-    for j in range(E.dim):
-        # sigma_E(e_j (x) xi_p) lifted to Kron(Omega, E), per coev(1) term xi_p (x) w_q
-        crossed = []
-        for idx, c in coev:
-            p, q = divmod(idx, g.vec.dim)
-            sig = module.sigma.apply(module.EO.project.column(j * g.omega.dim + p))
-            crossed.append((c, q, module.OE.lift(sig)))
-        for b in range(g.vec.dim):
-            col = [ZERO] * EV1.dim
-            for c, q, lifted in crossed:
-                term = EV1.push(kron_vec(E.ev_left(ev, b, lifted), unit_row(g.vec.dim, q)))
-                for k, y in _entries(term):
-                    col[k] = col[k] + c * y
-            cols[b * E.dim + j] = col
-    return Mat.from_cols(cols, EV1.dim)
+    E, dvec = module.space, g.vec.dim
+    coev = Mat.from_cols([g.fgp.coev_one_plain], g.omega.dim * dvec)
+    crossed = module.OE.section @ module.sigma @ module.EO.project  # Kron(E, Omega) -> Kron(Omega, E)
+    ev = E.left_action() @ g.fgp.apply_mat.kron(Mat.identity(E.dim))  # Kron(Vec, Omega, E) -> E
+    return (
+        g.pair(E, g.vec).project
+        @ ev.kron(Mat.identity(dvec))
+        @ Mat.identity(dvec).kron(crossed).kron(Mat.identity(dvec))
+        @ Mat.identity(dvec * E.dim).kron(coev)
+    )
 
 
 class CrossingMap:
@@ -85,25 +93,14 @@ class CrossingMap:
 
     # -- construction -----------------------------------------------------------
 
-    def _embed_into_EV0(self) -> Mat:
-        g, E = self.geometry, self.module.space
-        EV0 = self.EV[0]
-        cols = [EV0.push(kron_vec(unit_row(E.dim, j), g.algebra.unit)) for j in range(E.dim)]
-        return Mat.from_cols(cols, EV0.dim)
-
     def _build_blocks(self, validate: bool):
         g, E = self.geometry, self.module.space
         act1 = self.module.act_table(1)
         # degree 0: a (x) e -> [a.e (x) 1]
-        EV0 = self.EV[0]
-        cols = []
-        for i in range(g.algebra.dim):
-            for j in range(E.dim):
-                cols.append(EV0.push(kron_vec(E.left[i].column(j), g.algebra.unit)))
-        self.theta[0] = {0: Mat.from_cols(cols, EV0.dim)}
+        embed0 = self.EV[0].project @ Mat.identity(E.dim).kron(Mat.from_cols([g.algebra.unit], g.algebra.dim))
+        self.theta[0] = {0: embed0 @ E.left_action()}
         if self.max_degree == 0:
             return
-        embed0 = self._embed_into_EV0()
         self.theta[1] = {0: embed0 @ act1, 1: self.sigma_hat}
         self.braid_blocks[1] = self.sigma_hat
 
@@ -112,52 +109,26 @@ class CrossingMap:
             Vn = g.V(n)
             dvec, dE = g.vec.dim, E.dim
             blocks_plain: dict[int, Mat] = {}
-
-            def add(m, mat):
-                if m in blocks_plain:
-                    blocks_plain[m] = blocks_plain[m] + mat
-                else:
-                    blocks_plain[m] = mat
-
             for m, th in self.theta[n].items():
-                EVm = self.EV[m]
-                lifted = Mat.identity(dvec).kron(EVm.section @ th)  # Kron(vec, Vn, E) -> Kron(vec, E, Vm)
+                Im = Mat.identity(g.V(m).dim)
+                lifted = Mat.identity(dvec).kron(self.EV[m].section @ th)  # Kron(vec, Vn, E) -> Kron(vec, E, Vm)
                 # term 1: act on the crossing result
-                t1 = self.EV[m].project @ act1.kron(Mat.identity(g.V(m).dim)) @ lifted
-                add(m, t1)
-                # terms 2 and 3 share the sigma-hat crossing
-                crossed = (
-                    self.EV[1].section.kron(Mat.identity(g.V(m).dim))
-                    @ self.sigma_hat.kron(Mat.identity(g.V(m).dim))
-                    @ lifted
-                )  # -> Kron(E, vec, Vm)
-                t2 = (
-                    self.EV[m + 1].project
-                    @ Mat.identity(dE).kron(g.merge_vec(1, m))
-                    @ crossed
-                )
-                add(m + 1, t2)
-                t3 = (
-                    self.EV[m].project
-                    @ Mat.identity(dE).kron(self.table.table(1, m, m))
-                    @ crossed
-                )
-                add(m, t3)
+                _add(blocks_plain, m, self.EV[m].project @ act1.kron(Im) @ lifted)
+                # terms 2 and 3 share the sigma-hat crossing, -> Kron(E, vec, Vm)
+                crossed = self.EV[1].section.kron(Im) @ self.sigma_hat.kron(Im) @ lifted
+                _add(blocks_plain, m + 1, self.EV[m + 1].project @ Mat.identity(dE).kron(g.merge_vec(1, m)) @ crossed)
+                _add(blocks_plain, m, self.EV[m].project @ Mat.identity(dE).kron(self.table.table(1, m, m)) @ crossed)
             # term 4: -theta_n((w bullet_n v) (x) e)
             down = self.table.table(1, n, n).kron(Mat.identity(dE))
             for m, th in self.theta[n].items():
-                add(m, Mat.zeros(self.EV[m].dim, down.cols) - th @ down)
+                _add(blocks_plain, m, -(th @ down))
 
             # well-definedness over Vec (x)_A V(n) (property 1)
             if validate:
-                for rel in pv.relations.basis:
-                    for j in range(dE):
-                        probe = kron_vec(rel, unit_row(dE, j))
-                        for m, mat in blocks_plain.items():
-                            if not vec_is_zero(mat.apply(probe)):
-                                raise ValidationError(
-                                    "theta-not-well-defined", witness=(self.module.name, n + 1, m)
-                                )
+                rels = Mat.from_cols(pv.relations.basis, pv.relations.ambient_dim).kron(Mat.identity(dE))
+                fail = first_mismatch({m: mat @ rels for m, mat in blocks_plain.items()}, {}, (rels.cols,))
+                if fail is not None:
+                    raise ValidationError("theta-not-well-defined", witness=(self.module.name, n + 1, fail[-1]))
             lift = pv.section.kron(Mat.identity(dE))
             self.theta[n + 1] = {m: mat @ lift for m, mat in blocks_plain.items()}
 
@@ -187,36 +158,14 @@ class CrossingMap:
         results = []
         for n in range(0, self.max_degree + 1):
             Vn = g.V(n)
-            fail = None
-            for b in range(Vn.dim):
-                v = unit_row(Vn.dim, b)
-                for i in range(g.algebra.dim):
-                    a = unit_row(g.algebra.dim, i)
-                    for j in range(E.dim):
-                        e = unit_row(E.dim, j)
-                        rhs = self.apply(n, v, E.left_apply(a, e))
-                        lhs: dict[int, list[Scalar]] = {}
-                        for k in range(n, -1, -1):
-                            vk = self.table.table(n, 0, k).apply(kron_vec(v, a))
-                            if vec_is_zero(vk):
-                                continue
-                            for m, coords in self.apply(k, vk, e).items():
-                                if m in lhs:
-                                    lhs[m] = [x + y for x, y in zip(lhs[m], coords)]
-                                else:
-                                    lhs[m] = coords
-                        for m in range(0, n + 1):
-                            l = lhs.get(m, [ZERO] * self.EV[m].dim)
-                            r = rhs.get(m, [ZERO] * self.EV[m].dim)
-                            if l != r:
-                                fail = (n, b, i, j, m)
-                                break
-                        if fail:
-                            break
-                    if fail:
-                        break
-                if fail:
-                    break
+            lhs: dict[int, Mat] = {}
+            for k in range(n, -1, -1):
+                moved = self.table.table(n, 0, k).kron(Mat.identity(E.dim))
+                for m, th in self.theta[k].items():
+                    _add(lhs, m, th @ moved)
+            acted = Mat.identity(Vn.dim).kron(E.left_action())
+            rhs = {m: th @ acted for m, th in self.theta[n].items()}
+            fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, g.algebra.dim, E.dim)))
             results.append(CheckResult(f"theta-bullet-balance-deg{n}", fail is None, witness=fail))
         return results
 
@@ -243,21 +192,9 @@ class CrossingMap:
     def _right_bullet_on_EV(self, m: int, k: int, a_index: int) -> Mat:
         """Right action by bullet on E (x)_A V(m), the degree-k component."""
         g, E = self.geometry, self.module.space
-        EVm, EVk = self.EV[m], self.EV[k]
-        bt = self.table.table(m, 0, k)
-        a = unit_row(g.algebra.dim, a_index)
-        cols = []
-        for idx in range(EVm.dim):
-            out = [ZERO] * EVk.dim
-            for p, c in _entries(EVm.section.column(idx)):
-                i, j = divmod(p, g.V(m).dim)
-                moved = bt.apply(kron_vec(unit_row(g.V(m).dim, j), a))
-                if vec_is_zero(moved):
-                    continue
-                term = EVk.push(kron_vec(unit_row(E.dim, i), moved))
-                out = [x + c * y for x, y in zip(out, term)]
-            cols.append(out)
-        return Mat.from_cols(cols, EVk.dim)
+        a = Mat(g.algebra.dim, 1, [[(a_index, ONE)]])
+        moved = self.table.table(m, 0, k) @ Mat.identity(g.V(m).dim).kron(a)
+        return self.EV[k].project @ Mat.identity(E.dim).kron(moved) @ self.EV[m].section
 
     def check_right_module(self) -> list[CheckResult]:
         """Property 4: theta intertwines the product-twisted right actions."""
@@ -268,19 +205,13 @@ class CrossingMap:
             fail = None
             for i in range(g.algebra.dim):
                 ract = Mat.identity(Vn.dim).kron(E.right[i])
-                lhs: dict[int, Mat] = {m: th @ ract for m, th in self.theta[n].items()}
-                rhs: dict[int, Mat] = {}
+                diff = {m: th @ ract for m, th in self.theta[n].items()}
                 for m, th in self.theta[n].items():
                     for k in range(m, -1, -1):
-                        mat = self._right_bullet_on_EV(m, k, i) @ th
-                        rhs[k] = rhs.get(k, Mat.zeros(mat.rows, mat.cols)) + mat
-                for m in range(0, n + 1):
-                    l = lhs.get(m, Mat.zeros(self.EV[m].dim, Vn.dim * E.dim))
-                    r = rhs.get(m, Mat.zeros(self.EV[m].dim, Vn.dim * E.dim))
-                    if l != r:
-                        fail = (n, i, m)
-                        break
-                if fail:
+                        _add(diff, k, -(self._right_bullet_on_EV(m, k, i) @ th))
+                bad = [m for m in sorted(diff) if not diff[m].is_zero()]
+                if bad:
+                    fail = (n, i, bad[0])
                     break
             results.append(CheckResult(f"theta-right-module-deg{n}", fail is None, witness=fail))
         return results
@@ -293,28 +224,12 @@ class CrossingMap:
         results = []
         for n in range(0, self.max_degree + 1):
             Vn = g.V(n)
-            fail = None
-            for b in range(Vn.dim):
-                v = unit_row(Vn.dim, b)
-                for j in range(E.dim):
-                    e = unit_row(E.dim, j)
-                    for k in range(F.dim):
-                        f = unit_row(F.dim, k)
-                        lhs = tensor_mod.act(n, v, pair_ef.push(kron_vec(e, f)))
-                        rhs = [ZERO] * pair_ef.dim
-                        for m, coords in self.apply(n, v, e).items():
-                            for p, c in _entries(self.EV[m].lift(coords)):
-                                i2, j2 = divmod(p, g.V(m).dim)
-                                acted = fm.act(m, unit_row(g.V(m).dim, j2), f)
-                                term = pair_ef.push(kron_vec(unit_row(E.dim, i2), acted))
-                                rhs = [x + c * y for x, y in zip(rhs, term)]
-                        if lhs != rhs:
-                            fail = (n, b, j, k)
-                            break
-                    if fail:
-                        break
-                if fail:
-                    break
+            lhs = tensor_mod.act_table(n) @ Mat.identity(Vn.dim).kron(pair_ef.project)
+            rhs = Mat.zeros(lhs.rows, lhs.cols)
+            for m, th in self.theta[n].items():
+                acted = pair_ef.project @ Mat.identity(E.dim).kron(fm.act_table(m))
+                rhs = rhs + acted @ (self.EV[m].section @ th).kron(Mat.identity(F.dim))
+            fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, E.dim, F.dim)))
             results.append(CheckResult(f"theta-action-deg{n}", fail is None, witness=fail))
         return results
 
@@ -330,7 +245,6 @@ class CrossingMap:
     def check_naturality(self, other: "CrossingMap", t: Mat) -> list[CheckResult]:
         """(T (x) id) theta_E = theta_F (id (x) T) for a connection morphism T."""
         g = self.geometry
-        E, F = self.module.space, other.module.space
         results = []
         for n in range(0, self.max_degree + 1):
             fail = None
@@ -339,19 +253,8 @@ class CrossingMap:
                 rhs_mat = other.theta[n].get(m)
                 if lhs_mat is None and rhs_mat is None:
                     continue
-                EVm, FVm = self.EV[m], other.EV[m]
-                push_t = []
-                for idx in range(EVm.dim):
-                    out = [ZERO] * FVm.dim
-                    for p, c in _entries(EVm.section.column(idx)):
-                        i, j = divmod(p, g.V(m).dim)
-                        term = FVm.push(kron_vec(t.column(i), unit_row(g.V(m).dim, j)))
-                        out = [x + c * y for x, y in zip(out, term)]
-                    push_t.append(out)
-                tmat = Mat.from_cols(push_t, FVm.dim)
-                lhs = tmat @ lhs_mat
-                rhs = rhs_mat @ Mat.identity(g.V(n).dim).kron(t)
-                if lhs != rhs:
+                tmat = other.EV[m].project @ t.kron(Mat.identity(g.V(m).dim)) @ self.EV[m].section
+                if tmat @ lhs_mat != rhs_mat @ Mat.identity(g.V(n).dim).kron(t):
                     fail = (n, m)
                     break
             results.append(CheckResult(f"theta-naturality-deg{n}", fail is None, witness=fail))
@@ -463,70 +366,48 @@ class CrossingMap:
         inv = self.build_inverse()
         results = []
         for n in range(0, self.max_degree + 1):
-            # composite theta(theta_inv(.)) per degree block
-            total: dict[int, Mat] = {}
+            # composite theta(theta_inv(.)) - id per degree block
+            comp = {n: -Mat.identity(self.EV[n].dim)}
             for m, invmat in inv[n].items():
                 for mm, th in self.theta[m].items():
-                    prod = th @ invmat
-                    total[mm] = total.get(mm, Mat.zeros(prod.rows, prod.cols)) + prod
-            ok = True
-            for mm, mat in total.items():
-                expected = Mat.identity(self.EV[n].dim) if mm == n else Mat.zeros(mat.rows, mat.cols)
-                if mat != expected:
-                    ok = False
+                    _add(comp, mm, th @ invmat)
+            ok = all(mat.is_zero() for mat in comp.values())
             results.append(CheckResult(f"theta-right-inverse-deg{n}", ok, witness=None if ok else n))
 
-        # theta_inv o theta = id in the quotient by (x bullet a (x) e - x (x) a.e)
-        offsets = {}
-        total_dim = 0
+        # theta_inv o theta = id in the quotient by (x bullet a (x) e - x (x) a.e),
+        # on the sum of the Kron(V(m), E), block m at row offsets[m]
+        offsets, total_dim = {}, 0
         for m in range(0, self.max_degree + 1):
             offsets[m] = total_dim
             total_dim += g.V(m).dim * E.dim
         rel_span = SparseEchelon(total_dim)
         for m in range(0, self.max_degree + 1):
             Vm = g.V(m)
-            for b in range(Vm.dim):
-                v = unit_row(Vm.dim, b)
-                for i in range(g.algebra.dim):
-                    a = unit_row(g.algebra.dim, i)
-                    for j in range(E.dim):
-                        e = unit_row(E.dim, j)
-                        row: dict[int, Scalar] = {}
-                        top = kron_vec(Vm.right[i].column(b), e)
-                        for r, val in _entries(top):
-                            row[offsets[m] + r] = row.get(offsets[m] + r, ZERO) + val
-                        ae = kron_vec(v, E.left_apply(a, e))
-                        for r, val in _entries(ae):
-                            key = offsets[m] + r
-                            row[key] = row.get(key, ZERO) - val
-                        for k in range(m):
-                            low = self.table.table(m, 0, k).apply(kron_vec(v, a))
-                            for r, val in _entries(kron_vec(low, e)):
-                                key = offsets[k] + r
-                                row[key] = row.get(key, ZERO) + val
-                        rel_span.add_sparse({k2: v2 for k2, v2 in row.items() if v2})
+            rels = {k: self.table.table(m, 0, k).kron(Mat.identity(E.dim)) for k in range(m)}
+            rels[m] = Vm.right_action().kron(Mat.identity(E.dim)) - Mat.identity(Vm.dim).kron(E.left_action())
+            for row in _stacked_columns(rels, offsets):
+                rel_span.add_sparse(row)
         for n in range(0, self.max_degree + 1):
-            Vn = g.V(n)
+            comp = {n: -Mat.identity(g.V(n).dim * E.dim)}
+            for m, th in self.theta[n].items():
+                for mm, invmat in inv[m].items():
+                    _add(comp, mm, invmat @ th)
             fail = None
-            for b in range(Vn.dim):
-                for j in range(E.dim):
-                    v, e = unit_row(Vn.dim, b), unit_row(E.dim, j)
-                    outs = self.apply(n, v, e)
-                    acc = [ZERO] * total_dim
-                    for m, coords in outs.items():
-                        for mm, mat in inv[m].items():
-                            part = mat.apply(coords)
-                            for r, val in _entries(part):
-                                acc[offsets[mm] + r] = acc[offsets[mm] + r] + val
-                    expect_idx = offsets[n] + (b * E.dim + j)
-                    acc[expect_idx] = acc[expect_idx] - ONE
-                    if not rel_span.contains_dense(acc):
-                        fail = (n, b, j)
-                        break
-                if fail:
+            for c, row in enumerate(_stacked_columns(comp, offsets)):
+                if not rel_span.contains_sparse(row):
+                    fail = (n, *divmod(c, E.dim))
                     break
             results.append(CheckResult(f"theta-left-inverse-deg{n}", fail is None, witness=fail))
         return results
+
+
+def _stacked_columns(blocks: dict[int, Mat], offsets: dict[int, int]) -> list[dict[int, Scalar]]:
+    """The columns of the matrix with block m at row offsets[m], as sparse dicts."""
+    cols = [{} for _ in range(next(iter(blocks.values())).cols)]
+    for m, mat in blocks.items():
+        for col, out in zip(mat.cols_sparse(), cols):
+            out.update((offsets[m] + i, v) for i, v in col)
+    return cols
 
 
 # -- theta on the unit object and compatibility with the product -------------------
@@ -537,17 +418,12 @@ def check_theta_on_algebra(cm: CrossingMap) -> list[CheckResult]:
     g = cm.geometry
     if cm.module.space is not g.A_bim:
         raise ValueError("check_theta_on_algebra expects the crossing on A")
+    unit = Mat.from_cols([g.algebra.unit], g.algebra.dim)
     results = []
-    AV = cm.EV
     for n in range(0, cm.max_degree + 1):
         fail = None
         for k in range(0, n + 1):
-            bt = cm.table.table(n, 0, k)
-            embed = []
-            for c in range(g.V(k).dim):
-                embed.append(AV[k].push(kron_vec(g.algebra.unit, unit_row(g.V(k).dim, c))))
-            emb = Mat.from_cols(embed, AV[k].dim)
-            expected = emb @ bt
+            expected = cm.EV[k].project @ unit.kron(Mat.identity(g.V(k).dim)) @ cm.table.table(n, 0, k)
             got = cm.theta[n].get(k, Mat.zeros(expected.rows, expected.cols))
             if got != expected:
                 fail = (n, k)
@@ -565,57 +441,19 @@ def theta_product_compat(cm: CrossingMap) -> list[CheckResult]:
     for p in range(0, D + 1):
         for q in range(0, D + 1 - p):
             Vp, Vq = g.V(p), g.V(q)
-            fail = None
-            for bu in range(Vp.dim):
-                u = unit_row(Vp.dim, bu)
-                for bv in range(Vq.dim):
-                    v = unit_row(Vq.dim, bv)
-                    for j in range(E.dim):
-                        e = unit_row(E.dim, j)
-                        lhs: dict[int, list[Scalar]] = {}
-                        for k in range(0, p + q + 1):
-                            uv = table.table(p, q, k).apply(kron_vec(u, v))
-                            if vec_is_zero(uv):
-                                continue
-                            for m, coords in cm.apply(k, uv, e).items():
-                                lhs[m] = (
-                                    [x + y for x, y in zip(lhs[m], coords)] if m in lhs else coords
-                                )
-                        rhs: dict[int, list[Scalar]] = {}
-                        for m, coords in cm.apply(q, v, e).items():
-                            for r, c in _entries(cm.EV[m].lift(coords)):
-                                f_i, w_i = divmod(r, g.V(m).dim)
-                                f = unit_row(E.dim, f_i)
-                                w = unit_row(g.V(m).dim, w_i)
-                                for mp, coords2 in cm.apply(p, u, f).items():
-                                    for r2, c2 in _entries(cm.EV[mp].lift(coords2)):
-                                        f2_i, x_i = divmod(r2, g.V(mp).dim)
-                                        f2 = unit_row(E.dim, f2_i)
-                                        x = unit_row(g.V(mp).dim, x_i)
-                                        for k in range(0, mp + m + 1):
-                                            moved = table.table(mp, m, k).apply(kron_vec(x, w))
-                                            if vec_is_zero(moved):
-                                                continue
-                                            term = cm.EV[k].push(kron_vec(f2, moved))
-                                            term = [c * c2 * t for t in term]
-                                            rhs[k] = (
-                                                [xx + y for xx, y in zip(rhs[k], term)]
-                                                if k in rhs
-                                                else term
-                                            )
-                        degs = set(lhs) | set(rhs)
-                        for m in sorted(degs):
-                            l = lhs.get(m, [ZERO] * cm.EV[m].dim)
-                            r = rhs.get(m, [ZERO] * cm.EV[m].dim)
-                            if l != r:
-                                fail = (p, q, bu, bv, j, m)
-                                break
-                        if fail:
-                            break
-                    if fail:
-                        break
-                if fail:
-                    break
+            lhs: dict[int, Mat] = {}
+            for k in range(0, p + q + 1):
+                moved = table.table(p, q, k).kron(Mat.identity(E.dim))
+                for m, th in cm.theta[k].items():
+                    _add(lhs, m, th @ moved)
+            rhs: dict[int, Mat] = {}
+            for m, th_q in cm.theta[q].items():
+                inner = Mat.identity(Vp.dim).kron(cm.EV[m].section @ th_q)  # -> Kron(V(p), E, V(m))
+                for mp, th_p in cm.theta[p].items():
+                    outer = (cm.EV[mp].section @ th_p).kron(Mat.identity(g.V(m).dim)) @ inner  # -> Kron(E, V(mp), V(m))
+                    for k in range(0, mp + m + 1):
+                        _add(rhs, k, cm.EV[k].project @ Mat.identity(E.dim).kron(table.table(mp, m, k)) @ outer)
+            fail = _at((p, q), first_mismatch(lhs, rhs, (Vp.dim, Vq.dim, E.dim)))
             results.append(CheckResult(f"theta-product-compat-{p}-{q}", fail is None, witness=fail))
     return results
 
@@ -630,44 +468,14 @@ def theta_tensor_factorization(
     results = []
     for n in range(0, cm_e.max_degree + 1):
         Vn = g.V(n)
-        fail = None
-        for b in range(Vn.dim):
-            v = unit_row(Vn.dim, b)
-            for j in range(E.dim):
-                e = unit_row(E.dim, j)
-                for k in range(F.dim):
-                    f = unit_row(F.dim, k)
-                    ef = pair_ef.push(kron_vec(e, f))
-                    lhs = cm_ef.apply(n, v, ef)
-                    rhs: dict[int, list[Scalar]] = {}
-                    for m, coords in cm_e.apply(n, v, e).items():
-                        for r, c in _entries(cm_e.EV[m].lift(coords)):
-                            e_i, w_i = divmod(r, g.V(m).dim)
-                            for mp, coords2 in cm_f.apply(m, unit_row(g.V(m).dim, w_i), f).items():
-                                for r2, c2 in _entries(cm_f.EV[mp].lift(coords2)):
-                                    f_i, x_i = divmod(r2, g.V(mp).dim)
-                                    contrib = cm_ef.EV[mp].push(
-                                        kron_vec(pair_ef.project.column(e_i * F.dim + f_i), unit_row(g.V(mp).dim, x_i))
-                                    )
-                                    contrib = [c * c2 * t for t in contrib]
-                                    rhs[mp] = (
-                                        [x + y for x, y in zip(rhs[mp], contrib)]
-                                        if mp in rhs
-                                        else contrib
-                                    )
-                    degs = set(lhs) | set(rhs)
-                    for m in sorted(degs):
-                        l = lhs.get(m, [ZERO] * cm_ef.EV[m].dim)
-                        r_ = rhs.get(m, [ZERO] * cm_ef.EV[m].dim)
-                        if l != r_:
-                            fail = (n, b, j, k, m)
-                            break
-                    if fail:
-                        break
-                if fail:
-                    break
-            if fail:
-                break
+        lhs = {m: th @ Mat.identity(Vn.dim).kron(pair_ef.project) for m, th in cm_ef.theta[n].items()}
+        rhs: dict[int, Mat] = {}
+        for m, th_e in cm_e.theta[n].items():
+            inner = (cm_e.EV[m].section @ th_e).kron(Mat.identity(F.dim))  # -> Kron(E, V(m), F)
+            for mp, th_f in cm_f.theta[m].items():
+                outer = Mat.identity(E.dim).kron(cm_f.EV[mp].section @ th_f) @ inner  # -> Kron(E, F, V(mp))
+                _add(rhs, mp, cm_ef.EV[mp].project @ pair_ef.project.kron(Mat.identity(g.V(mp).dim)) @ outer)
+        fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, E.dim, F.dim)))
         results.append(CheckResult(f"theta-tensor-factorization-deg{n}", fail is None, witness=fail))
     return results
 
@@ -687,53 +495,31 @@ class OperatorConnection:
         self.max_degree = max_degree
         g = table.geometry
         self.geometry = g
-        self.blocks: dict[int, dict[int, Mat]] = {}
-        coev = g.fgp.coev_one_plain
-        for n in range(0, max_degree + 1):
-            Vn = g.V(n)
-            # the degree-raising block is kept even at the truncation top so the
-            # right-module identity can be compared without losing terms
-            up, same = [], []
-            for b in range(Vn.dim):
-                v = unit_row(Vn.dim, b)
-                for idx, c in _entries(coev):
-                    p, q = divmod(idx, g.vec.dim)
-                    xi = unit_row(g.omega.dim, p)
-                    u = unit_row(g.vec.dim, q)
-                    top = g.merge_vec(1, n).apply(kron_vec(u, v))
-                    term = g.OV(n + 1).push(kron_vec(xi, top))
-                    up.extend((r, b, c * val) for r, val in _entries(term))
-                    low = table.table(1, n, n).apply(kron_vec(u, v))
-                    if not vec_is_zero(low):
-                        term = g.OV(n).push(kron_vec(xi, low))
-                        same.extend((r, b, c * val) for r, val in _entries(term))
-            self.blocks[n] = {
-                n: Mat.from_entries(g.OV(n).dim, Vn.dim, same),
-                n + 1: Mat.from_entries(g.OV(n + 1).dim, Vn.dim, up),
-            }
+        # the degree-raising block is kept even at the truncation top so the
+        # right-module identity can be compared without losing terms
+        self.blocks: dict[int, dict[int, Mat]] = {
+            n: {k: g.OV(k).project @ plain for k, plain in self._coev_bullet(n).items()}
+            for n in range(0, max_degree + 1)
+        }
+
+    def _coev_bullet(self, n: int) -> dict[int, Mat]:
+        """v -> coev(1) bullet v on plain coordinates, V(n) -> Kron(Omega1, V(k)) for k = n, n+1."""
+        g = self.geometry
+        coev = Mat.from_cols([g.fgp.coev_one_plain], g.omega.dim * g.vec.dim).kron(Mat.identity(g.V(n).dim))
+        return {k: Mat.identity(g.omega.dim).kron(self.table.table(1, n, k)) @ coev for k in (n, n + 1)}
 
     def check_left_leibniz(self) -> list[CheckResult]:
+        """nabla(a.v) = a.nabla(v) + da (x) v."""
         g = self.geometry
         results = []
         for n in range(0, self.max_degree + 1):
             Vn = g.V(n)
-            fail = None
-            for i in range(g.algebra.dim):
-                ai = unit_row(g.algebra.dim, i)
-                da = g.d.column(i)
-                for b in range(Vn.dim):
-                    v = unit_row(Vn.dim, b)
-                    lhs = {m: mat.apply(Vn.left[i].column(b)) for m, mat in self.blocks[n].items()}
-                    rhs = {
-                        m: g.OV(m).space.left_apply(ai, mat.apply(v)) for m, mat in self.blocks[n].items()
-                    }
-                    extra = g.OV(n).push(kron_vec(da, v))
-                    rhs[n] = [x + y for x, y in zip(rhs[n], extra)]
-                    if any(lhs[m] != rhs[m] for m in lhs):
-                        fail = (n, i, b)
-                        break
-                if fail:
-                    break
+            blocks = self.blocks[n]
+            lhs = {m: mat @ Vn.left_action() for m, mat in blocks.items()}
+            rhs = {m: g.OV(m).space.left_action() @ Mat.identity(g.algebra.dim).kron(mat) for m, mat in blocks.items()}
+            rhs[n] = rhs[n] + g.OV(n).project @ g.d.kron(Mat.identity(Vn.dim))
+            fail = first_mismatch(lhs, rhs, (g.algebra.dim, Vn.dim))  # (a, v, degree)
+            fail = None if fail is None else (n, *fail[:-1])
             results.append(CheckResult(f"operator-connection-leibniz-deg{n}", fail is None, witness=fail))
         return results
 
@@ -741,146 +527,53 @@ class OperatorConnection:
         """nabla(v bullet a) = nabla(v) bullet a: the zero-braiding property."""
         g = self.geometry
         table = self.table
+        dA = g.algebra.dim
         results = []
         for n in range(0, self.max_degree + 1):
             Vn = g.V(n)
-            fail = None
-            for i in range(g.algebra.dim):
-                a = unit_row(g.algebra.dim, i)
-                for b in range(Vn.dim):
-                    v = unit_row(Vn.dim, b)
-                    lhs: dict[int, list[Scalar]] = {}
-                    for k in range(n, -1, -1):
-                        vk = table.table(n, 0, k).apply(kron_vec(v, a))
-                        if vec_is_zero(vk):
-                            continue
-                        for m, mat in self.blocks[k].items():
-                            part = mat.apply(vk)
-                            lhs[m] = [x + y for x, y in zip(lhs[m], part)] if m in lhs else part
-                    rhs: dict[int, list[Scalar]] = {}
-                    for m, mat in self.blocks[n].items():
-                        for r, c in _entries(g.OV(m).lift(mat.apply(v))):
-                            xi_i, w_i = divmod(r, g.V(m).dim)
-                            xi = unit_row(g.omega.dim, xi_i)
-                            w = unit_row(g.V(m).dim, w_i)
-                            for k in range(m, -1, -1):
-                                moved = table.table(m, 0, k).apply(kron_vec(w, a))
-                                if vec_is_zero(moved):
-                                    continue
-                                term = g.OV(k).push(kron_vec(xi, moved))
-                                term = [c * t for t in term]
-                                rhs[k] = [x + y for x, y in zip(rhs[k], term)] if k in rhs else term
-                    degs = set(lhs) | set(rhs)
-                    for m in sorted(degs):
-                        dim = g.OV(m).dim
-                        l = lhs.get(m, [ZERO] * dim)
-                        r_ = rhs.get(m, [ZERO] * dim)
-                        if l != r_:
-                            fail = (n, i, b, m)
-                            break
-                    if fail:
-                        break
-                if fail:
-                    break
+            swap = Mat.swap(dA, Vn.dim)  # witnesses run over a before v
+            lhs: dict[int, Mat] = {}
+            for k in range(n, -1, -1):
+                moved = table.table(n, 0, k) @ swap
+                for m, mat in self.blocks[k].items():
+                    _add(lhs, m, mat @ moved)
+            rhs: dict[int, Mat] = {}
+            for m, mat in self.blocks[n].items():
+                lifted = (g.OV(m).section @ mat).kron(Mat.identity(dA)) @ swap  # -> Kron(Omega1, V(m), A)
+                for k in range(m, -1, -1):
+                    _add(rhs, k, g.OV(k).project @ Mat.identity(g.omega.dim).kron(table.table(m, 0, k)) @ lifted)
+            fail = _at((n,), first_mismatch(lhs, rhs, (dA, Vn.dim)))
             results.append(CheckResult(f"operator-connection-right-deg{n}", fail is None, witness=fail))
         return results
 
     def check_crossing_is_morphism(self, cm: CrossingMap) -> list[CheckResult]:
         """(id (x) theta) nabla_{T (x) E} = nabla_{E (x) T} theta, degree by degree."""
-        g = self.geometry
-        E = cm.module.space
-        em = cm.module
-        table = self.table
-        coev = g.fgp.coev_one_plain
+        g, em = self.geometry, cm.module
+        E, dO = em.space, g.omega.dim
+        nabla = em.OE.section @ em.nabla  # E -> Kron(Omega1, E)
+        crossed = em.OE.section @ em.sigma @ em.EO.project  # Kron(E, Omega1) -> Kron(Omega1, E)
+
+        def target(m):  # Omega1 (x)_A (E (x)_A V(m))
+            return g.pair(g.omega, cm.EV[m].space).project
+
         results = []
-        max_in = cm.max_degree - 1  # the left side raises degree by one
-        for n in range(0, max_in + 1):
+        for n in range(0, cm.max_degree):  # the left side raises degree by one
             Vn = g.V(n)
-            fail = None
-            for b in range(Vn.dim):
-                v = unit_row(Vn.dim, b)
-                for j in range(E.dim):
-                    e = unit_row(E.dim, j)
-                    lhs: dict[int, dict] = {}
-                    # nabla_{T (x) E}(v (x) e) = xi (x) (u bullet v) (x) e, then id (x) theta
-                    for idx, c in _entries(coev):
-                        p, q = divmod(idx, g.vec.dim)
-                        xi = unit_row(g.omega.dim, p)
-                        u = unit_row(g.vec.dim, q)
-                        pieces = {n + 1: g.merge_vec(1, n).apply(kron_vec(u, v))}
-                        low = table.table(1, n, n).apply(kron_vec(u, v))
-                        if not vec_is_zero(low):
-                            pieces[n] = low
-                        for k, coords in pieces.items():
-                            for m, out in cm.apply(k, coords, e).items():
-                                tgt = g.pair(g.omega, cm.EV[m].space)
-                                term = tgt.push(kron_vec(xi, out))
-                                term = [c * t for t in term]
-                                lhs[m] = (
-                                    [x + y for x, y in zip(lhs[m], term)] if m in lhs else term
-                                )
-                    rhs: dict[int, dict] = {}
-                    for m, coords in cm.apply(n, v, e).items():
-                        tgt = g.pair(g.omega, cm.EV[m].space)
-                        for r, c in _entries(cm.EV[m].lift(coords)):
-                            f_i, w_i = divmod(r, g.V(m).dim)
-                            f = unit_row(E.dim, f_i)
-                            w = unit_row(g.V(m).dim, w_i)
-                            # nabla_E(f) (x) w
-                            for r2, c2 in _entries(em.OE.lift(em.nabla.apply(f))):
-                                om_i, e2_i = divmod(r2, E.dim)
-                                inner = cm.EV[m].push(
-                                    kron_vec(unit_row(E.dim, e2_i), w)
-                                )
-                                term = tgt.push(kron_vec(unit_row(g.omega.dim, om_i), inner))
-                                term = [c * c2 * t for t in term]
-                                rhs[m] = (
-                                    [x + y for x, y in zip(rhs[m], term)] if m in rhs else term
-                                )
-                            # sigma_E(f (x) xi) (x) (u bullet w)
-                            for idx, c0 in _entries(coev):
-                                p, q = divmod(idx, g.vec.dim)
-                                crossed = em.sigma.apply(
-                                    em.EO.push(kron_vec(f, unit_row(g.omega.dim, p)))
-                                )
-                                for r2, c2 in _entries(em.OE.lift(crossed)):
-                                    om_i, e2_i = divmod(r2, E.dim)
-                                    pieces = {
-                                        m + 1: g.merge_vec(1, m).apply(
-                                            kron_vec(unit_row(g.vec.dim, q), w)
-                                        )
-                                    }
-                                    low = table.table(1, m, m).apply(
-                                        kron_vec(unit_row(g.vec.dim, q), w)
-                                    )
-                                    if not vec_is_zero(low):
-                                        pieces[m] = low
-                                    for k, moved in pieces.items():
-                                        tgt2 = g.pair(g.omega, cm.EV[k].space)
-                                        inner = cm.EV[k].push(
-                                            kron_vec(unit_row(E.dim, e2_i), moved)
-                                        )
-                                        term = tgt2.push(
-                                            kron_vec(unit_row(g.omega.dim, om_i), inner)
-                                        )
-                                        term = [c * c0 * c2 * t for t in term]
-                                        rhs[k] = (
-                                            [x + y for x, y in zip(rhs[k], term)]
-                                            if k in rhs
-                                            else term
-                                        )
-                    degs = set(lhs) | set(rhs)
-                    for m in sorted(degs):
-                        dim = self.geometry.pair(g.omega, cm.EV[m].space).dim
-                        l = lhs.get(m, [ZERO] * dim)
-                        r_ = rhs.get(m, [ZERO] * dim)
-                        if l != r_:
-                            fail = (n, b, j, m)
-                            break
-                    if fail:
-                        break
-                if fail:
-                    break
+            # nabla_{T (x) E}(v (x) e) = xi (x) (u bullet v) (x) e, then id (x) theta
+            lhs: dict[int, Mat] = {}
+            for k, up in self._coev_bullet(n).items():
+                for m, th in cm.theta[k].items():
+                    _add(lhs, m, target(m) @ Mat.identity(dO).kron(th) @ up.kron(Mat.identity(E.dim)))
+            # nabla_E(f) (x) w + sigma_E(f (x) xi) (x) (u bullet w) on theta(v (x) e) = f (x) w
+            rhs: dict[int, Mat] = {}
+            for m, th in cm.theta[n].items():
+                lifted = cm.EV[m].section @ th  # -> Kron(E, V(m))
+                push = target(m) @ Mat.identity(dO).kron(cm.EV[m].project)
+                _add(rhs, m, push @ nabla.kron(Mat.identity(g.V(m).dim)) @ lifted)
+                for k, up in self._coev_bullet(m).items():
+                    push = target(k) @ Mat.identity(dO).kron(cm.EV[k].project)
+                    _add(rhs, k, push @ crossed.kron(Mat.identity(g.V(k).dim)) @ Mat.identity(E.dim).kron(up) @ lifted)
+            fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, E.dim)))
             results.append(CheckResult(f"operator-connection-morphism-deg{n}", fail is None, witness=fail))
         return results
 
@@ -890,61 +583,20 @@ class OperatorConnection:
         table = self.table
         results = []
         D = self.max_degree
-        coev = g.fgp.coev_one_plain
         for p in range(0, D):
             for q in range(0, D - p):
                 Vp, Vq = g.V(p), g.V(q)
-                fail = None
-                for bx in range(Vp.dim):
-                    x = unit_row(Vp.dim, bx)
-                    for by in range(Vq.dim):
-                        y = unit_row(Vq.dim, by)
-                        lhs: dict[int, list[Scalar]] = {}
-                        for k in range(0, p + q + 1):
-                            xy = table.table(p, q, k).apply(kron_vec(x, y))
-                            if vec_is_zero(xy):
-                                continue
-                            for m, mat in self.blocks[k].items():
-                                part = mat.apply(xy)
-                                lhs[m] = (
-                                    [a + b2 for a, b2 in zip(lhs[m], part)] if m in lhs else part
-                                )
-                        rhs: dict[int, list[Scalar]] = {}
-                        for idx, c in _entries(coev):
-                            pp, qq = divmod(idx, g.vec.dim)
-                            xi = unit_row(g.omega.dim, pp)
-                            u = unit_row(g.vec.dim, qq)
-                            pieces = {p + 1: g.merge_vec(1, p).apply(kron_vec(u, x))}
-                            low = table.table(1, p, p).apply(kron_vec(u, x))
-                            if not vec_is_zero(low):
-                                pieces[p] = low
-                            for k, ux in pieces.items():
-                                for k2 in range(0, k + q + 1):
-                                    moved = table.table(k, q, k2).apply(kron_vec(ux, y))
-                                    if vec_is_zero(moved):
-                                        continue
-                                    term = g.OV(k2).push(kron_vec(xi, moved))
-                                    term = [c * t for t in term]
-                                    rhs[k2] = (
-                                        [a + b2 for a, b2 in zip(rhs[k2], term)]
-                                        if k2 in rhs
-                                        else term
-                                    )
-                        degs = set(lhs) | set(rhs)
-                        for m in sorted(degs):
-                            dim = g.OV(m).dim
-                            l = lhs.get(m, [ZERO] * dim)
-                            r_ = rhs.get(m, [ZERO] * dim)
-                            if l != r_:
-                                fail = (p, q, bx, by, m)
-                                break
-                        if fail:
-                            break
-                    if fail:
-                        break
-                results.append(
-                    CheckResult(f"operator-product-morphism-{p}-{q}", fail is None, witness=fail)
-                )
+                lhs: dict[int, Mat] = {}
+                for k in range(0, p + q + 1):
+                    for m, mat in self.blocks[k].items():
+                        _add(lhs, m, mat @ table.table(p, q, k))
+                rhs: dict[int, Mat] = {}
+                for k, up in self._coev_bullet(p).items():
+                    lifted = up.kron(Mat.identity(Vq.dim))  # -> Kron(Omega1, V(k), V(q))
+                    for k2 in range(0, k + q + 1):
+                        _add(rhs, k2, g.OV(k2).project @ Mat.identity(g.omega.dim).kron(table.table(k, q, k2)) @ lifted)
+                fail = _at((p, q), first_mismatch(lhs, rhs, (Vp.dim, Vq.dim)))
+                results.append(CheckResult(f"operator-product-morphism-{p}-{q}", fail is None, witness=fail))
         return results
 
 

@@ -3,19 +3,23 @@ vector fields with rational coefficients.
 
 Grammar (whitespace ignored)::
 
-    expr  := ['+'|'-'] term (('+'|'-') term)*
-    term  := coeff ['*' word] | word
+    expr  := sign* term (sign+ term)*
+    sign  := '+' | '-'
+    term  := coeff [['*'] word] | word
     word  := name ('@' name)*
     name  := v1 | v2 | ... (the derived vector-field basis)
     coeff := rational literal like 3, -1/2
 
 ``1`` (or any bare coefficient) denotes a multiple of the unit operator.
+Anything else, such as two terms with no sign between them or an operator
+where a term or a name belongs, is an ``ExprError``.
 """
 
 from __future__ import annotations
 
 import re
 
+from .algebra import unit_row
 from .diffop import GradedOperator
 from .geometry import Geometry
 from .linalg import kron_vec
@@ -67,69 +71,63 @@ def parse_operator(geometry: Geometry, text: str, truncation: int) -> GradedOper
         raise ExprError("empty expression")
     result = GradedOperator(geometry, {}, truncation)
     i = 0
-    sign = ONE
-    expect_term = True
-    while i < len(tokens):
-        kind, val = tokens[i]
-        if kind == "op" and val in "+-":
-            if expect_term and val == "-":
+
+    def at(kind: str, val=None) -> bool:
+        return i < len(tokens) and tokens[i][0] == kind and (val is None or tokens[i][1] in val)
+
+    def field() -> int:
+        nonlocal i
+        if not at("name"):
+            raise ExprError(f"expected a vector field after {tokens[i - 1][1]!r}")
+        name = tokens[i][1]
+        if name not in names:
+            raise UnknownName(f"unknown vector field {name!r}; basis is {sorted(names)}")
+        i += 1
+        return names[name]
+
+    while True:
+        # one signed term: signs, then coeff ['*' word] | word
+        sign = ONE
+        while at("op", "+-"):
+            if tokens[i][1] == "-":
                 sign = -sign
-                i += 1
-                continue
-            if expect_term:
-                i += 1
-                continue
-            sign = ONE if val == "+" else -ONE
-            expect_term = True
             i += 1
-            continue
+        if not at("num") and not at("name"):
+            found = repr(tokens[i][1]) if i < len(tokens) else "the end"
+            raise ExprError(f"expected a term, found {found}")
         coeff = ONE
         word: list[int] = []
-        if kind == "num":
+        if at("num"):
             try:
-                coeff = sc(val)
+                coeff = sc(tokens[i][1])
             except ScalarParseError as err:
                 raise ExprError(str(err)) from None
             i += 1
-            if i < len(tokens) and tokens[i] == ("op", "*"):
+            if at("op", "*"):
                 i += 1
-            if i < len(tokens) and tokens[i][0] == "name":
-                kind = "name"
-        if i < len(tokens) and tokens[i][0] == "name":
-            while i < len(tokens) and tokens[i][0] == "name":
-                name = tokens[i][1]
-                if name not in names:
-                    raise UnknownName(f"unknown vector field {name!r}; basis is {sorted(names)}")
-                word.append(names[name])
+                word.append(field())
+            elif at("name"):
+                word.append(field())
+        else:
+            word.append(field())
+        if word:
+            while at("op", "@"):
                 i += 1
-                if i < len(tokens) and tokens[i] == ("op", "@"):
-                    i += 1
-                else:
-                    break
+                word.append(field())
         degree = len(word)
         if degree > truncation:
             raise DegreeExceeded(f"word of degree {degree} exceeds truncation {truncation}")
         if degree == 0:
-            comp = [coeff * sign * x for x in geometry.algebra.unit]
-            term = GradedOperator(geometry, {0: comp}, truncation)
+            coords = geometry.algebra.unit
         else:
-            coords = None
-            from .algebra import unit_row
-
-            for idx in reversed(word):
-                base = unit_row(geometry.vec.dim, idx)
-                if coords is None:
-                    coords = base
-                    deg = 1
-                else:
-                    coords = geometry.merge_vec(1, deg).apply(kron_vec(base, coords))
-                    deg += 1
-            comp = [coeff * sign * x for x in coords]
-            term = GradedOperator(geometry, {degree: comp}, truncation)
-        result = result + term
-        sign = ONE
-        expect_term = False
-    return result
+            coords = unit_row(geometry.vec.dim, word[-1])
+            for deg, idx in enumerate(reversed(word[:-1]), start=1):
+                coords = geometry.merge_vec(1, deg).apply(kron_vec(unit_row(geometry.vec.dim, idx), coords))
+        result = result + GradedOperator(geometry, {degree: [coeff * sign * x for x in coords]}, truncation)
+        if i == len(tokens):
+            return result
+        if not at("op", "+-"):
+            raise ExprError(f"expected '+' or '-' before {tokens[i][1]!r}")
 
 
 def parse_element(dim: int, text: str) -> list[Scalar]:

@@ -274,17 +274,9 @@ class Geometry:
             return self._merge_vec[key]
         Vn, Vm = self.V(n), self.V(m)
         if n == 0:
-            cols = []
-            for i in range(self.algebra.dim):
-                for j in range(Vm.dim):
-                    cols.append(Vm.left[i].column(j))
-            out = Mat.from_cols(cols)
+            out = Vm.left_action()
         elif m == 0:
-            cols = []
-            for j in range(Vn.dim):
-                for i in range(self.algebra.dim):
-                    cols.append(Vn.right[i].column(j))
-            out = Mat.from_cols(cols)
+            out = Vn.right_action()
         elif n == 1:
             out = self.pair(self.vec, Vm).project
             self.V(m + 1)  # ensure tower bimodule is registered
@@ -303,17 +295,9 @@ class Geometry:
             return self._merge_om[key]
         Wn, Wm = self.W(n), self.W(m)
         if m == 0:
-            cols = []
-            for j in range(Wn.dim):
-                for i in range(self.algebra.dim):
-                    cols.append(Wn.right[i].column(j))
-            out = Mat.from_cols(cols)
+            out = Wn.right_action()
         elif n == 0:
-            cols = []
-            for i in range(self.algebra.dim):
-                for j in range(Wm.dim):
-                    cols.append(Wm.left[i].column(j))
-            out = Mat.from_cols(cols)
+            out = Wm.left_action()
         elif m == 1:
             out = self.pair(Wn, self.omega).project
             self.W(n + 1)

@@ -48,6 +48,11 @@ class Mat:
         return Mat(n, n, [[(i, ONE)] for i in range(n)])
 
     @staticmethod
+    def swap(p: int, q: int) -> "Mat":
+        """The flip Kron(P, Q) -> Kron(Q, P), where |P| = p and |Q| = q."""
+        return Mat(p * q, p * q, [[(j * p + i, ONE)] for i in range(p) for j in range(q)])
+
+    @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Mat":
         """From dense rows of anything ``sc`` accepts; ``cols`` is needed only
         when there are no rows."""
@@ -228,6 +233,39 @@ def _merge(a: list, b: list) -> list:
     return sorted(acc.items())
 
 
+def first_mismatch(lhs, rhs, shape: Sequence[int]):
+    """Where the identity ``lhs == rhs`` first fails, or None if it holds.
+
+    ``lhs`` and ``rhs`` are matrices on one Kronecker domain Kron(X1, ..., Xr)
+    with ``shape = (|X1|, ..., |Xr|)``, or dicts of them keyed by degree, a
+    missing degree reading as zero.  The witness is the first column that
+    differs, split back into basis indices ``(x1, ..., xr)``: the first failure
+    of nested loops over X1, ..., Xr.  For dicts the degree follows the
+    indices, the smallest degree on a tie.
+    """
+    keyed = isinstance(lhs, dict)
+    if not keyed:
+        lhs, rhs = {0: lhs}, {0: rhs}
+    best = None
+    for m in sorted(set(lhs) | set(rhs)):
+        left, right = lhs.get(m), rhs.get(m)
+        lcols = left.cols_sparse() if left is not None else [[]] * right.cols
+        rcols = right.cols_sparse() if right is not None else [[]] * left.cols
+        stop = len(lcols) if best is None else best[0]
+        c = next((c for c in range(stop) if lcols[c] != rcols[c]), None)
+        if c is not None:
+            best = (c, m)
+    if best is None:
+        return None
+    c, m = best
+    indices = []
+    for size in reversed(shape):
+        c, i = divmod(c, size)
+        indices.append(i)
+    indices.reverse()
+    return (*indices, m) if keyed else tuple(indices)
+
+
 # -- vectors ---------------------------------------------------------------
 
 
@@ -380,17 +418,8 @@ class SparseEchelon:
     def add_dense(self, vec: Sequence[Scalar]) -> bool:
         return self.add_sparse({i: v for i, v in enumerate(vec) if v})
 
-    def reduce_dense(self, vec: Sequence[Scalar]) -> list[Scalar]:
-        v = list(vec)
-        for p in sorted(self.pivot_rows):
-            x = v[p]
-            if x:
-                for cc, w in self.pivot_rows[p].items():
-                    v[cc] = v[cc] - x * w
-        return v
-
-    def contains_dense(self, vec: Sequence[Scalar]) -> bool:
-        return vec_is_zero(self.reduce_dense(vec))
+    def contains_sparse(self, row: dict[int, Scalar]) -> bool:
+        return not self._reduce({c: v for c, v in row.items() if v})
 
     def to_subspace(self) -> Subspace:
         pivots = tuple(sorted(self.pivot_rows))

@@ -46,7 +46,10 @@ def _parse_rat(text: str):
     text = text.lstrip("+")
     if not _RAT_RE.match(text):
         raise ScalarParseError(f"bad rational {text!r}")
-    return _rat(text)
+    try:
+        return _rat(text)
+    except ZeroDivisionError:
+        raise ScalarParseError(f"zero denominator in {text!r}") from None
 
 
 class Scalar:

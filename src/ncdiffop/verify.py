@@ -26,7 +26,7 @@ from .crossing import (
 )
 from .diffop import BulletTable, GradedOperator
 from .hopf import standard_candidate
-from .linalg import Mat, vec_is_zero
+from .linalg import Mat, first_mismatch
 from .report import CheckResult, ValidationError, _jsonable
 from .scalars import ZERO, sc
 from .sobolev import SobolevPairings, gram_increment_certificate, sobolev_gram
@@ -170,16 +170,9 @@ def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
     for n in range(1, maxn + 1):
         ev = g.ev_pow(n)
         Vn, Wn = g.V(n), g.W(n)
-        fail = None
-        for rel in relation_vectors(Vn, Wn):
-            acc = [ZERO] * g.algebra.dim
-            for idx, c in rel.items():
-                col = ev.column(idx)
-                acc = [x + c * y for x, y in zip(acc, col)]
-            if not vec_is_zero(acc):
-                fail = n
-                break
-        out.append(CheckResult(f"ev-balanced-{n}", fail is None, witness=fail))
+        rels = [sorted(rel.items()) for rel in relation_vectors(Vn, Wn)]
+        balanced = (ev @ Mat(ev.cols, len(rels), rels)).is_zero()
+        out.append(CheckResult(f"ev-balanced-{n}", balanced, witness=None if balanced else n))
         eq_fail = None
         for i in range(g.algebra.dim):
             lhs = ev @ Vn.left[i].kron(Mat.identity(Wn.dim))
@@ -197,14 +190,12 @@ def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
         rel_span = SparseEchelon(Wn.dim * Vn.dim)
         for rel in relation_vectors(Wn, Vn):
             rel_span.add_sparse(dict(rel))
-        coev = g.coev_pow(n)
-        cen_fail = None
-        for i in range(g.algebra.dim):
-            la = Wn.left[i].kron(Mat.identity(Vn.dim)).apply(coev)
-            ra = Mat.identity(Wn.dim).kron(Vn.right[i]).apply(coev)
-            if not rel_span.contains_dense([x - y for x, y in zip(la, ra)]):
-                cen_fail = (n, i)
-                break
+        coev = Mat.from_cols([g.coev_pow(n)], Wn.dim * Vn.dim)
+        dA = g.algebra.dim
+        la = Wn.left_action().kron(Mat.identity(Vn.dim)) @ Mat.identity(dA).kron(coev)  # column i: a_i.coev(1)
+        ra = Mat.identity(Wn.dim).kron(Vn.right_action()) @ coev.kron(Mat.identity(dA))  # column i: coev(1).a_i
+        cols = (la - ra).cols_sparse()
+        cen_fail = next(((n, i) for i in range(dA) if not rel_span.contains_sparse(dict(cols[i]))), None)
         out.append(CheckResult(f"coev-central-{n}", cen_fail is None, witness=cen_fail))
     return out
 
@@ -266,16 +257,13 @@ def suite_ev_duality(ctx: VerifyContext) -> list[CheckResult]:
         defect = g.ev_duality_defect(n)
         out.append(CheckResult(f"ev-duality-{n}", defect is None, witness=defect))
     # the mixed relation (id (x) ev)(sigma (x) id) = (ev (x) id)(id (x) sigma-inverse)
+    # on Kron(Vec, Omega1, Omega1)
     om, ev = g.omega, g.fgp.apply_mat
-    fail = None
-    for b in range(g.vec.dim):
-        for j in range(om.dim):
-            crossed = g.OV1.lift(g.sigma_vec_plain.column(b * om.dim + j))
-            for k in range(om.dim):
-                lhs = om.ev_right(crossed, ev, k)
-                rhs = om.ev_left(ev, b, g.W2.lift(g.sigma_inv_form.apply(g.W2.project.column(j * om.dim + k))))
-                if lhs != rhs and fail is None:
-                    fail = (b, j, k)
+    crossed = g.OV1.section @ g.sigma_vec_plain  # Kron(Vec, Omega1) -> Kron(Omega1, Vec)
+    crossed_inv = g.W2.section @ g.sigma_inv_form @ g.W2.project  # Kron(Omega1, Omega1) -> itself
+    lhs = om.right_action() @ Mat.identity(om.dim).kron(ev) @ crossed.kron(Mat.identity(om.dim))
+    rhs = om.left_action() @ ev.kron(Mat.identity(om.dim)) @ Mat.identity(g.vec.dim).kron(crossed_inv)
+    fail = first_mismatch(lhs, rhs, (g.vec.dim, om.dim, om.dim))
     out.append(CheckResult("mixed-sigma-relation", fail is None, witness=fail))
     return out
 
@@ -297,24 +285,19 @@ def suite_bullet(ctx: VerifyContext) -> list[CheckResult]:
     one = GradedOperator.unit(g, ctx.bundle.truncation)
     x = _random_operator(ctx, random.Random(ctx.seed), min(2, D))
     out.append(CheckResult("bullet-unit", one.bullet(x, table) == x and x.bullet(one, table) == x))
-    # left A-linearity on homogeneous bases
+    # left A-linearity: o_k(a.v, w) = a.o_k(v, w) on homogeneous bases
     lin_fail = None
     for n in range(0, D + 1):
         Vn = g.V(n)
         for m in range(0, D + 1 - n):
             Vm = g.V(m)
             for k in range(0, n + m + 1):
-                for i in range(g.algebra.dim):
-                    for b in range(Vn.dim):
-                        av = Vn.left[i].column(b)
-                        for c in range(Vm.dim):
-                            lhs = table.bullet_k(av, n, unit_row(Vm.dim, c), m, k)
-                            rhs = g.V(k).left_apply(
-                                unit_row(g.algebra.dim, i),
-                                table.bullet_k(unit_row(Vn.dim, b), n, unit_row(Vm.dim, c), m, k),
-                            )
-                            if lhs != rhs and lin_fail is None:
-                                lin_fail = (n, m, k, i, b, c)
+                bt = table.table(n, m, k)
+                lhs = bt @ Vn.left_action().kron(Mat.identity(Vm.dim))
+                rhs = g.V(k).left_action() @ Mat.identity(g.algebra.dim).kron(bt)
+                fail = first_mismatch(lhs, rhs, (g.algebra.dim, Vn.dim, Vm.dim))
+                if fail is not None and lin_fail is None:
+                    lin_fail = (n, m, k, *fail)
     out.append(CheckResult("bullet-left-linearity", lin_fail is None, witness=lin_fail))
     # associativity on all homogeneous triples of total degree <= 3
     assoc_fail = None
@@ -355,33 +338,23 @@ def suite_action(ctx: VerifyContext) -> list[CheckResult]:
     maxdeg = min(2, ctx.degree)
     for name, module in sorted(ctx.bundle.modules.items()):
         E = module.space
-        unit_fail = None
-        one = GradedOperator.unit(g, ctx.bundle.truncation)
-        for j in range(E.dim):
-            e = unit_row(E.dim, j)
-            if one.act_on(module, e) != e and unit_fail is None:
-                unit_fail = j
-        out.append(CheckResult(f"action-unit-{name}", unit_fail is None, witness=unit_fail))
+        one = module.act_table(0) @ Mat.from_cols([g.algebra.unit], g.algebra.dim).kron(Mat.identity(E.dim))
+        found = first_mismatch(one, Mat.identity(E.dim), (E.dim,))  # 1 |> e = e
+        out.append(CheckResult(f"action-unit-{name}", found is None, witness=None if found is None else found[0]))
+        # act(n) o (id (x) act(m)) == sum_k act(k) o (bullet_k (x) id) on Kron(V(n), V(m), E)
         fail = None
         for n in range(0, maxdeg + 1):
-            Vn = g.V(n)
             for m in range(0, maxdeg + 1):
-                Vm = g.V(m)
-                for bv in range(Vn.dim):
-                    v = unit_row(Vn.dim, bv)
-                    for bw in range(Vm.dim):
-                        w = unit_row(Vm.dim, bw)
-                        for j in range(E.dim):
-                            e = unit_row(E.dim, j)
-                            lhs = module.act(n, v, module.act(m, w, e))
-                            rhs = [ZERO] * E.dim
-                            for k in range(0, n + m + 1):
-                                vk = table.bullet_k(v, n, w, m, k)
-                                if vec_is_zero(vk):
-                                    continue
-                                rhs = [x + y for x, y in zip(rhs, module.act(k, vk, e))]
-                            if lhs != rhs and fail is None:
-                                fail = (n, m, bv, bw, j)
+                Vn, Vm = g.V(n), g.V(m)
+                lhs = module.act_table(n) @ Mat.identity(Vn.dim).kron(module.act_table(m))
+                rhs = Mat.zeros(lhs.rows, lhs.cols)
+                for k in range(0, n + m + 1):
+                    bt = table.table(n, m, k)
+                    if not bt.is_zero():
+                        rhs = rhs + module.act_table(k) @ bt.kron(Mat.identity(E.dim))
+                found = first_mismatch(lhs, rhs, (Vn.dim, Vm.dim, E.dim))
+                if found is not None and fail is None:
+                    fail = (n, m, *found)
         out.append(CheckResult(f"action-property-{name}", fail is None, witness=fail))
     return out
 

@@ -3,13 +3,14 @@
 import copy
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
 from ncdiffop import builtin_data
 from ncdiffop.bundle import (
     ParseError,
-    builtin_bundle_dict,
     canonical_json,
     load_builtin,
     load_bundle,
@@ -23,15 +24,6 @@ from ncdiffop.report import ValidationError
 @pytest.fixture(scope="module")
 def two_point_doc():
     return builtin_data.two_point_universal()
-
-
-def test_shipped_files_match_generators():
-    for name, fn in [
-        ("two-point-universal", builtin_data.two_point_universal),
-        ("z3-function-calculus", builtin_data.z3_function_calculus),
-        ("zero-form-smoke", builtin_data.zero_form_smoke),
-    ]:
-        assert builtin_bundle_dict(name) == fn()
 
 
 def test_round_trip_digest_stable(two_point_doc):
@@ -304,6 +296,45 @@ def test_cli_apply_and_errors(capsys):
     assert main(["apply", "two-point-universal", "A", "v1@v1@v1@v1", "1,0"]) == 2
 
 
+@pytest.mark.parametrize("expr", ["@v1", "*v1", "2**v1", "v1@@v2", "v1 + @v2", "v1@", "v1 v2", "2 3"])
+def test_cli_apply_malformed_expression_is_input_error(expr):
+    # a subprocess with a timeout: a parser that stops advancing fails here instead of hanging
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncdiffop.cli", "apply", "two-point-universal", "A", expr, "1,0"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["apply", "two-point-universal", "A", "1/0*v1", "1,0"],
+        ["apply", "two-point-universal", "A", "v1", "1/0,0"],
+    ],
+    ids=["coefficient", "element"],
+)
+def test_cli_apply_zero_denominator_is_input_error(capsys, args):
+    assert main(args) == 2
+    assert "error: zero denominator in '1/0'" in capsys.readouterr().err
+
+
+def test_cli_validate_zero_denominator_is_input_error(tmp_path, capsys, two_point_doc):
+    doc = copy.deepcopy(two_point_doc)
+    doc["states"]["uniform"] = ["1/0", "1"]
+    path = tmp_path / "zero-denominator.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error: states.uniform: zero denominator in '1/0'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_apply_unit_is_identity(capsys):
     assert main(["apply", "two-point-universal", "omega1", "1", "1/2,-3", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -384,13 +415,17 @@ PINNED_BODIES = [
         ["z3-function-calculus", "--suites", "centre", "--degree", "1"],
         "7545248c365530567292c1c769c029ab515120f2c30537e984bfa640da9cad0c",
     ),
+    (
+        ["z3-function-calculus", "--suites", "action"],
+        "a41494d5c312720b42d681ba3c53215176848ff13043b3dbca8a92417f35f9e4",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "args,digest",
     PINNED_BODIES,
-    ids=["two-point-universal", "zero-form-smoke", "z3-subset", "z3-theta-deg2", "z3-centre-deg1"],
+    ids=["two-point-universal", "zero-form-smoke", "z3-subset", "z3-theta-deg2", "z3-centre-deg1", "z3-action"],
 )
 def test_cli_verify_body_digest_pinned(capsys, args, digest):
     assert main(["verify", args[0], "--json", "--seed", "7", *args[1:]]) == 0
