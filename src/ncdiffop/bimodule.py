@@ -218,6 +218,7 @@ class TensorPair:
         for row in relation_vectors(e, f):
             ech.add_sparse(dict(row))
         self.relations = ech.to_subspace()
+        self.relation_mat = Mat.from_cols(self.relations.basis, plain_dim)  # column r: relation r
         self.project, self.section = quotient(plain_dim, self.relations)
         dim = self.project.rows
         # the actions on plain tensors, pushed down: a.(e (x) f) and (e (x) f).a
@@ -232,11 +233,10 @@ class TensorPair:
     def _check_induced_actions(self, lplain: list[Mat], rplain: list[Mat]):
         """Induced actions must kill the relation span (well-definedness)."""
         for i, (lmat, rmat) in enumerate(zip(lplain, rplain)):
-            for rel in self.relations.basis:
-                if not vec_is_zero(lmat.apply(rel)):
-                    raise ValidationError("tensor-left-action", witness=(self.space.name, i))
-                if not vec_is_zero(rmat.apply(rel)):
-                    raise ValidationError("tensor-right-action", witness=(self.space.name, i))
+            if not self.descends(lmat):
+                raise ValidationError("tensor-left-action", witness=(self.space.name, i))
+            if not self.descends(rmat):
+                raise ValidationError("tensor-right-action", witness=(self.space.name, i))
 
     @property
     def dim(self) -> int:
@@ -251,7 +251,7 @@ class TensorPair:
 
     def descends(self, plain_map: Mat) -> bool:
         """Whether a map defined on plain tensors kills every relation."""
-        return all(vec_is_zero(plain_map.apply(rel)) for rel in self.relations.basis)
+        return (plain_map @ self.relation_mat).is_zero()
 
     def induce(self, plain_map: Mat, name: str = "map") -> Mat:
         """Push a plain-tensor-level map to the quotient, verifying descent."""

@@ -13,28 +13,22 @@ and the tensor quotients, each on a Kronecker domain such as
 ``Kron(V(n), E, F)`` (the left inverse holds modulo a relation span, tested
 column by column).  ``linalg.first_mismatch`` turns the first column where
 the two sides differ back into the basis tuple that is the check's witness.
-Only the inverse blocks are still built one basis vector at a time.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .algebra import unit_row
 from .bimodule import TensorPair
 from .calculus import ConnectionModule, tensor_connection
 from .diffop import BulletTable
-from .linalg import Mat, SparseEchelon, first_mismatch, inverse, kron_vec, vec_is_zero
+from .linalg import Mat, SparseEchelon, first_mismatch, inverse, kron_vec
 from .report import CheckResult, ValidationError
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 
 
 class SigmaNotInvertible(ValidationError):
     pass
-
-
-def _entries(vec):
-    return [(i, c) for i, c in enumerate(vec) if c is not ZERO and c]
 
 
 def _add(acc: dict, m: int, mat: Mat):
@@ -51,17 +45,8 @@ def sigma_hat(table: BulletTable, module: ConnectionModule) -> Mat:
     (ev (x) id (x) id)(id (x) sigma_E (x) id)(id (x) id (x) coev(1)),
     as a matrix Kron(Vec, E) -> E (x)_A Vec.
     """
-    g = table.geometry
-    E, dvec = module.space, g.vec.dim
-    coev = Mat.from_cols([g.fgp.coev_one_plain], g.omega.dim * dvec)
     crossed = module.OE.section @ module.sigma @ module.EO.project  # Kron(E, Omega) -> Kron(Omega, E)
-    ev = E.left_action() @ g.fgp.apply_mat.kron(Mat.identity(E.dim))  # Kron(Vec, Omega, E) -> E
-    return (
-        g.pair(E, g.vec).project
-        @ ev.kron(Mat.identity(dvec))
-        @ Mat.identity(dvec).kron(crossed).kron(Mat.identity(dvec))
-        @ Mat.identity(dvec * E.dim).kron(coev)
-    )
+    return table.geometry.cross_fields(module.space, crossed)
 
 
 class CrossingMap:
@@ -97,7 +82,7 @@ class CrossingMap:
         g, E = self.geometry, self.module.space
         act1 = self.module.act_table(1)
         # degree 0: a (x) e -> [a.e (x) 1]
-        embed0 = self.EV[0].project @ Mat.identity(E.dim).kron(Mat.from_cols([g.algebra.unit], g.algebra.dim))
+        embed0 = self.EV[0].project @ Mat.identity(E.dim).kron(g.one)
         self.theta[0] = {0: embed0 @ E.left_action()}
         if self.max_degree == 0:
             return
@@ -125,7 +110,7 @@ class CrossingMap:
 
             # well-definedness over Vec (x)_A V(n) (property 1)
             if validate:
-                rels = Mat.from_cols(pv.relations.basis, pv.relations.ambient_dim).kron(Mat.identity(dE))
+                rels = pv.relation_mat.kron(Mat.identity(dE))
                 fail = first_mismatch({m: mat @ rels for m, mat in blocks_plain.items()}, {}, (rels.cols,))
                 if fail is not None:
                     raise ValidationError("theta-not-well-defined", witness=(self.module.name, n + 1, fail[-1]))
@@ -263,101 +248,38 @@ class CrossingMap:
     # -- inverse -------------------------------------------------------------------
 
     def build_inverse(self) -> dict[int, dict[int, Mat]]:
-        """Per-degree inverse maps E (x)_A V(n) -> Kron(V(m), E), by the recursion."""
+        """Per-degree inverse maps E (x)_A V(n) -> Kron(V(m), E), by the recursion
+
+        theta_inv(f (x) u (x) v) = u' bullet theta_inv(f' (x) v) - theta_inv((u' |> f') (x) v)
+                                   - theta_inv(f (x) (u bullet_n v)),  u' (x) f' = sigma_hat^-1(f (x) u),
+
+        where u' bullet y = u' (x) y + u' bullet_m y for y of degree m.
+        """
         if self.inverse_blocks is not None:
             return self.inverse_blocks
         g, E = self.geometry, self.module.space
         act1 = self.module.act_table(1)
-        inv: dict[int, dict[int, Mat]] = {}
-
-        EV0 = self.EV[0]
-        cols = []
-        for idx in range(EV0.dim):
-            out = [ZERO] * (g.algebra.dim * E.dim)
-            for p, c in _entries(EV0.section.column(idx)):
-                j, i = divmod(p, g.algebra.dim)
-                moved = E.right[i].column(j)
-                contrib = kron_vec(g.algebra.unit, moved)
-                out = [x + c * y for x, y in zip(out, contrib)]
-            cols.append(out)
-        inv[0] = {0: Mat.from_cols(cols, g.algebra.dim * E.dim)}
-
+        IE, Ivec = Mat.identity(E.dim), Mat.identity(g.vec.dim)
+        # degree 0: e . a -> 1 (x) e.a
+        inv = {0: {0: g.one.kron(E.right_action()) @ self.EV[0].section}}
         if self.max_degree >= 1:
-            lift_ve = self.VE.section @ self.sigma_hat_inv
-            block1 = lift_ve
-            acted = act1 @ lift_ve
-            block0 = Mat.from_cols(
-                [[-x for x in kron_vec(g.algebra.unit, acted.column(col))] for col in range(self.EV[1].dim)],
-                g.algebra.dim * E.dim,
-            )
-            inv[1] = {1: block1, 0: block0}
-
+            lift_ve = self.VE.section @ self.sigma_hat_inv  # E (x)_A Vec -> Kron(Vec, E)
+            inv[1] = {1: lift_ve, 0: -g.one.kron(act1 @ lift_ve)}
+            cross = lift_ve @ self.EV[1].project  # Kron(E, Vec) -> Kron(Vec, E)
         for n in range(1, self.max_degree):
-            EVn1 = self.EV[n + 1]
-            entries: dict[int, list] = {m: [] for m in range(n + 2)}
-            pv = g.pair_V(n + 1)
-            for idx in range(EVn1.dim):
-                lifted = EVn1.section.column(idx)
-                acc: dict[int, list[Scalar]] = {}
-
-                def add(m, coords):
-                    if m in acc:
-                        acc[m] = [x + y for x, y in zip(acc[m], coords)]
-                    else:
-                        acc[m] = coords
-
-                for p, c in _entries(lifted):
-                    j, big = divmod(p, g.V(n + 1).dim)
-                    f = unit_row(E.dim, j)
-                    for q, c2 in _entries(pv.section.column(big)):
-                        u_i, v_i = divmod(q, g.V(n).dim)
-                        u = unit_row(g.vec.dim, u_i)
-                        v = unit_row(g.V(n).dim, v_i)
-                        cc = c * c2
-                        # theta_inv(f (x) (u (x) v)) = theta_inv(f (x) u bullet v)
-                        #                            - theta_inv(f (x) (u bullet_n v))
-                        crossed = self.VE.lift(self.sigma_hat_inv.apply(self.EV[1].push(kron_vec(f, u))))
-                        for r, c3 in _entries(crossed):
-                            up_i, fp_i = divmod(r, E.dim)
-                            up = unit_row(g.vec.dim, up_i)
-                            fp = unit_row(E.dim, fp_i)
-                            c4 = cc * c3
-                            # term A: up bullet theta_inv(fp (x) v)
-                            innerA = self._apply_inverse_prev(inv, n, fp, v)
-                            for m, coords in innerA.items():
-                                for s, c5 in _entries(coords):
-                                    y_i, e_i = divmod(s, E.dim)
-                                    y = unit_row(g.V(m).dim, y_i)
-                                    ee = unit_row(E.dim, e_i)
-                                    top = g.merge_vec(1, m).apply(kron_vec(up, y))
-                                    add(m + 1, [c4 * c5 * x for x in kron_vec(top, ee)])
-                                    low = self.table.table(1, m, m).apply(kron_vec(up, y))
-                                    if not vec_is_zero(low):
-                                        add(m, [c4 * c5 * x for x in kron_vec(low, ee)])
-                            # term B: - theta_inv((up |> fp) (x) v)
-                            acted2 = act1.apply(kron_vec(up, fp))
-                            innerB = self._apply_inverse_prev(inv, n, acted2, v)
-                            for m, coords in innerB.items():
-                                add(m, [-c4 * x for x in coords])
-                        # lower correction: - theta_inv(f (x) (u bullet_n v))
-                        low_v = self.table.table(1, n, n).apply(kron_vec(u, v))
-                        if not vec_is_zero(low_v):
-                            innerC = self._apply_inverse_prev(inv, n, f, low_v)
-                            for m, coords in innerC.items():
-                                add(m, [-cc * x for x in coords])
-                for m, coords in acc.items():
-                    entries[m].extend((r, idx, v) for r, v in _entries(coords))
-            target = {m: Mat.from_entries(g.V(m).dim * E.dim, EVn1.dim, ents) for m, ents in entries.items()}
-            inv[n + 1] = {m: mat for m, mat in target.items() if not mat.is_zero() or m <= n + 1}
+            In = Mat.identity(g.V(n).dim)
+            split = IE.kron(g.pair_V(n + 1).section) @ self.EV[n + 1].section  # -> Kron(E, Vec, V(n))
+            crossed = cross.kron(In) @ split  # -> Kron(Vec, E, V(n))
+            lower = act1.kron(In) @ crossed + IE.kron(self.table.table(1, n, n)) @ split  # -> Kron(E, V(n))
+            blocks = {m: Mat.zeros(g.V(m).dim * E.dim, self.EV[n + 1].dim) for m in range(n + 2)}
+            for m, prev in inv[n].items():
+                prev = prev @ self.EV[n].project  # Kron(E, V(n)) -> Kron(V(m), E)
+                acted = Ivec.kron(prev) @ crossed  # -> Kron(Vec, V(m), E)
+                blocks[m + 1] = blocks[m + 1] + g.merge_vec(1, m).kron(IE) @ acted
+                blocks[m] = blocks[m] + self.table.table(1, m, m).kron(IE) @ acted - prev @ lower
+            inv[n + 1] = blocks
         self.inverse_blocks = inv
         return inv
-
-    def _apply_inverse_prev(self, inv, n_max: int, e_coords, v_coords) -> dict[int, list[Scalar]]:
-        """Apply already-built inverse blocks to the class of e (x) v, deg(v) <= n_max."""
-        n = n_max
-        EVn = self.EV[n]
-        cls = EVn.push(kron_vec(e_coords, v_coords))
-        return {m: mat.apply(cls) for m, mat in inv[n].items()}
 
     def check_inverse(self) -> list[CheckResult]:
         """theta o theta_inv = id exactly; theta_inv o theta = id modulo the
@@ -418,12 +340,11 @@ def check_theta_on_algebra(cm: CrossingMap) -> list[CheckResult]:
     g = cm.geometry
     if cm.module.space is not g.A_bim:
         raise ValueError("check_theta_on_algebra expects the crossing on A")
-    unit = Mat.from_cols([g.algebra.unit], g.algebra.dim)
     results = []
     for n in range(0, cm.max_degree + 1):
         fail = None
         for k in range(0, n + 1):
-            expected = cm.EV[k].project @ unit.kron(Mat.identity(g.V(k).dim)) @ cm.table.table(n, 0, k)
+            expected = cm.EV[k].project @ g.one.kron(Mat.identity(g.V(k).dim)) @ cm.table.table(n, 0, k)
             got = cm.theta[n].get(k, Mat.zeros(expected.rows, expected.cols))
             if got != expected:
                 fail = (n, k)
@@ -505,7 +426,7 @@ class OperatorConnection:
     def _coev_bullet(self, n: int) -> dict[int, Mat]:
         """v -> coev(1) bullet v on plain coordinates, V(n) -> Kron(Omega1, V(k)) for k = n, n+1."""
         g = self.geometry
-        coev = Mat.from_cols([g.fgp.coev_one_plain], g.omega.dim * g.vec.dim).kron(Mat.identity(g.V(n).dim))
+        coev = g.coev_one.kron(Mat.identity(g.V(n).dim))
         return {k: Mat.identity(g.omega.dim).kron(self.table.table(1, n, k)) @ coev for k in (n, n + 1)}
 
     def check_left_leibniz(self) -> list[CheckResult]:

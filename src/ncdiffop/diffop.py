@@ -17,10 +17,9 @@ is checked exactly at table-build time.
 
 from __future__ import annotations
 
-from .algebra import unit_row
 from .calculus import ConnectionModule
 from .geometry import Geometry
-from .linalg import Mat, kron_vec, vec_is_zero
+from .linalg import Mat, first_mismatch, kron_vec, vec_is_zero
 from .report import CheckResult, ValidationError
 from .scalars import ZERO, Scalar, sc
 
@@ -86,12 +85,11 @@ class BulletTable:
         # term 3: (u o_{n-1} v) o_k w
         t3 = self.table(n - 1, m, k) @ self.table(1, n - 1, n - 1).kron(Mat.identity(Vm.dim))
         plain = t1 + t2 - t3  # on Kron(vec, V(n-1), V(m))
-        # well-definedness over Vec (x)_A V(n-1) against every relation generator
-        for rel in pv.relations.basis:
-            for c in range(Vm.dim):
-                probe = kron_vec(rel, unit_row(Vm.dim, c))
-                if not vec_is_zero(plain.apply(probe)):
-                    raise ValidationError("bullet-not-well-defined", witness=(n, m, k, c))
+        # well-definedness over Vec (x)_A V(n-1): plain kills (relation (x) w) for every relation
+        probe = plain @ pv.relation_mat.kron(Mat.identity(Vm.dim))
+        fail = first_mismatch(probe, Mat.zeros(probe.rows, probe.cols), (pv.relation_mat.cols, Vm.dim))
+        if fail is not None:
+            raise ValidationError("bullet-not-well-defined", witness=(n, m, k, fail[1]))
         return plain @ pv.section.kron(Mat.identity(Vm.dim))
 
     def bullet_k(self, v_coords, n: int, w_coords, m: int, k: int) -> list[Scalar]:
@@ -220,17 +218,8 @@ def morphism_equivariance_report(
     results = []
     for n in range(0, max_degree + 1):
         Vn = g.V(n)
-        fail = None
-        for b in range(Vn.dim):
-            v = unit_row(Vn.dim, b)
-            for j in range(em.space.dim):
-                e = unit_row(em.space.dim, j)
-                lhs = fm.act(n, v, t.apply(e))
-                rhs = t.apply(em.act(n, v, e))
-                if lhs != rhs:
-                    fail = (n, b, j)
-                    break
-            if fail:
-                break
+        lhs = fm.act_table(n) @ Mat.identity(Vn.dim).kron(t)
+        fail = first_mismatch(lhs, t @ em.act_table(n), (Vn.dim, em.space.dim))
+        fail = None if fail is None else (n, *fail)
         results.append(CheckResult(f"equivariance-deg{n}", fail is None, witness=fail))
     return results

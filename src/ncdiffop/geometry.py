@@ -24,8 +24,8 @@ from .bimodule import (
     dualize_right_module,
     intertwining_failure,
 )
-from .linalg import Mat, inverse, kron_vec, vec_is_zero
-from .report import ValidationError
+from .linalg import Mat, first_mismatch, inverse, kron_vec, rank
+from .report import ValidationError, raise_first_failure
 from .scalars import ZERO, Scalar
 
 
@@ -53,6 +53,7 @@ class Geometry:
         self.d = d
         self.name = name
         self.A_bim = algebra_as_bimodule(algebra)
+        self.one = Mat.from_cols([algebra.unit], algebra.dim)  # the unit as a map from the ground field
         self._pairs: dict[tuple[int, int], TensorPair] = {}
         self._V: dict[int, Bimodule] = {}
         self._W: dict[int, Bimodule] = {}
@@ -71,6 +72,7 @@ class Geometry:
 
         self.fgp: FGPStructure = dualize_right_module(omega, dual_basis_forms, dual_basis_functionals)
         self.vec = self.fgp.dual
+        self.coev_one = Mat.from_cols([self.fgp.coev_one_plain], omega.dim * self.vec.dim)  # coev(1), plain
         self._pairs[(id(self.vec), id(omega))] = self.fgp.pair_dual_module
         self._pairs[(id(omega), id(self.vec))] = self.fgp.pair_module_dual
 
@@ -116,81 +118,68 @@ class Geometry:
         A, om, d = self.algebra, self.omega, self.d
         if d.rows != om.dim or d.cols != A.dim:
             raise ValidationError("d-shape")
-        for i in range(A.dim):
-            for j in range(A.dim):
-                lhs = d.apply(A.mul_tensor[i][j])
-                ei, ej = unit_row(A.dim, i), unit_row(A.dim, j)
-                rhs_a = om.right_apply(d.column(i), ej)
-                rhs_b = om.left_apply(ei, d.column(j))
-                if lhs != [x + y for x, y in zip(rhs_a, rhs_b)]:
-                    raise ValidationError("leibniz", witness=(i, j))
-        if not vec_is_zero(d.apply(self.algebra.unit)):
+        # d(ab) = da.b + a.db on Kron(A, A)
+        IA = Mat.identity(A.dim)
+        lhs = d @ self.A_bim.left_action()
+        rhs = om.right_action() @ d.kron(IA) + om.left_action() @ IA.kron(d)
+        fail = first_mismatch(lhs, rhs, (A.dim, A.dim))
+        if fail is not None:
+            raise ValidationError("leibniz", witness=fail)
+        if not (d @ self.one).is_zero():
             raise ValidationError("d-of-unit")
         # surjectivity: span{a.db} = Omega1
-        from .linalg import SparseEchelon
-
-        ech = SparseEchelon(om.dim)
-        for i in range(A.dim):
-            for j in range(A.dim):
-                ech.add_dense(om.left_apply(unit_row(A.dim, i), d.column(j)))
-        if ech.dim != om.dim:
-            raise ValidationError("surjectivity", witness=ech.dim)
+        spanned = rank(om.left_action() @ IA.kron(d))
+        if spanned != om.dim:
+            raise ValidationError("surjectivity", witness=spanned)
 
     def _validate_right_connection(self):
-        A, om = self.algebra, self.omega
-        W2 = self.W2
-        for i in range(A.dim):
-            ai = unit_row(A.dim, i)
-            for j in range(om.dim):
-                xi = unit_row(om.dim, j)
-                # box(xi.a) = box(xi).a + xi (x) da
-                lhs = self.box_form.apply(om.right[i].column(j))
-                rhs = W2.space.right_apply(self.box_form.apply(xi), ai)
-                rhs = [x + y for x, y in zip(rhs, W2.push(kron_vec(xi, self.d.column(i))))]
-                if lhs != rhs:
-                    raise ValidationError("box-right-leibniz", witness=(i, j))
-                # box(a.xi) = a.box(xi) + sigma_inv(da (x) xi)
-                lhs = self.box_form.apply(om.left[i].column(j))
-                rhs = W2.space.left_apply(ai, self.box_form.apply(xi))
-                sig_term = self.sigma_inv_form.apply(W2.push(kron_vec(self.d.column(i), xi)))
-                rhs = [x + y for x, y in zip(rhs, sig_term)]
-                if lhs != rhs:
-                    raise ValidationError("box-left-leibniz", witness=(i, j))
+        """box(xi.a) = box(xi).a + xi (x) da and box(a.xi) = a.box(xi) + sigma_inv(da (x) xi),
+        each on Kron(A, Omega1); the right actions are reordered from Kron(Omega1, A)."""
+        A, om, box, W2 = self.algebra, self.omega, self.box_form, self.W2
+        IA, Iom = Mat.identity(A.dim), Mat.identity(om.dim)
+        flip = Mat.swap(A.dim, om.dim)
+        right = box @ om.right_action()
+        right_rhs = W2.space.right_action() @ box.kron(IA) + W2.project @ Iom.kron(self.d)
+        left = box @ om.left_action()
+        left_rhs = W2.space.left_action() @ IA.kron(box) + self.sigma_inv_form @ W2.project @ self.d.kron(Iom)
+        shape = (A.dim, om.dim)
+        raise_first_failure(
+            {
+                "box-right-leibniz": first_mismatch(right @ flip, right_rhs @ flip, shape),
+                "box-left-leibniz": first_mismatch(left, left_rhs, shape),
+            }
+        )
 
     # -- dual connection on vector fields ------------------------------------
 
+    def cross_fields(self, E: Bimodule, crossed: Mat) -> Mat:
+        """(ev (x) id (x) id)(id (x) crossed (x) id)(id (x) id (x) coev(1)): the braiding
+        Kron(Vec, E) -> E (x)_A Vec of vector fields past E derived from a plain
+        crossing ``crossed: Kron(E, Omega1) -> Kron(Omega1, E)``."""
+        dvec = self.vec.dim
+        Ivec = Mat.identity(dvec)
+        ev = E.left_action() @ self.fgp.apply_mat.kron(Mat.identity(E.dim))  # Kron(Vec, Omega1, E) -> E
+        return (
+            self.pair(E, self.vec).project
+            @ ev.kron(Ivec)
+            @ Ivec.kron(crossed).kron(Ivec)
+            @ Mat.identity(dvec * E.dim).kron(self.coev_one)
+        )
+
     def _build_dual_connection(self, check: bool = True):
-        """box(v) = d(v(alpha)) (x) w - (ev (x) id (x) id)(v (x) box(alpha) (x) w)."""
-        om, vec, ev = self.omega, self.vec, self.fgp.apply_mat
+        """box(v) = d(v(alpha)) (x) w - (ev (x) id (x) id)(v (x) box(alpha) (x) w) over coev(1) = alpha (x) w."""
+        om, vec, ev, W2 = self.omega, self.vec, self.fgp.apply_mat, self.W2
+        Ivec = Mat.identity(vec.dim)
         OV1 = self.pair(om, vec)
         self.OV1 = OV1
-        coev = [(idx, c) for idx, c in enumerate(self.fgp.coev_one_plain) if c]
-        cols = []
-        for b in range(vec.dim):
-            out = [ZERO] * OV1.dim
-            for idx, c in coev:
-                p, q = divmod(idx, vec.dim)
-                d_val = self.d.apply(ev.column(b * om.dim + p))
-                moved = om.ev_left(ev, b, self.W2.lift(self.box_form.column(p)))
-                term = OV1.push(kron_vec([x - y for x, y in zip(d_val, moved)], unit_row(vec.dim, q)))
-                out = [x + c * y for x, y in zip(out, term)]
-            cols.append(out)
-        self.box_vec = Mat.from_cols(cols)
+        # Kron(Vec, Omega1) -> Omega1: v (x) alpha -> d(v(alpha)) - (ev (x) id)(v (x) box(alpha))
+        inner = self.d @ ev - om.left_action() @ ev.kron(Mat.identity(om.dim)) @ Ivec.kron(W2.section @ self.box_form)
+        self.box_vec = OV1.project @ inner.kron(Ivec) @ Ivec.kron(self.coev_one)
 
-        # sigma on fields: (ev (x) id (x) id)(id (x) sigma_inv (x) id)(id (x) id (x) coev(1))
+        # sigma on fields, Kron(Vec, Omega1) -> OV1: (ev (x) id (x) id)(id (x) sigma_inv (x) id)(id (x) id (x) coev(1))
         VO1 = self.pair(vec, om)
         self.VO1 = VO1
-        scols = []
-        for b in range(vec.dim):
-            for j in range(om.dim):
-                out = [ZERO] * OV1.dim
-                for idx, c in coev:
-                    p, q = divmod(idx, vec.dim)
-                    mid = self.sigma_inv_form.apply(self.W2.project.column(j * om.dim + p))
-                    moved = om.ev_left(ev, b, self.W2.lift(mid))
-                    out = [x + c * y for x, y in zip(out, OV1.push(kron_vec(moved, unit_row(vec.dim, q))))]
-                scols.append(out)
-        self.sigma_vec_plain = Mat.from_cols(scols)  # Kron(vec, omega) -> OV1
+        self.sigma_vec_plain = self.cross_fields(om, W2.section @ self.sigma_inv_form @ W2.project)
         if not VO1.descends(self.sigma_vec_plain):
             raise ValidationError("sigma-vec-not-well-defined")
         self.sigma_vec = self.sigma_vec_plain @ VO1.section
@@ -206,26 +195,22 @@ class Geometry:
             self._validate_dual_connection()
 
     def _validate_dual_connection(self):
-        A, om, vec = self.algebra, self.omega, self.vec
-        OV1, VO1 = self.OV1, self.VO1
-        for i in range(A.dim):
-            ai = unit_row(A.dim, i)
-            da = self.d.column(i)
-            for b in range(vec.dim):
-                v = unit_row(vec.dim, b)
-                # box(v.a) = box(v).a + sigma(v (x) da)
-                lhs = self.box_vec.apply(vec.right[i].column(b))
-                rhs = OV1.space.right_apply(self.box_vec.apply(v), ai)
-                sig = self.sigma_vec_plain.apply(kron_vec(v, da))
-                rhs = [x + y for x, y in zip(rhs, sig)]
-                if lhs != rhs:
-                    raise ValidationError("box-vec-right-leibniz", witness=(i, b))
-                # box(a.v) = a.box(v) + da (x) v
-                lhs = self.box_vec.apply(vec.left[i].column(b))
-                rhs = OV1.space.left_apply(ai, self.box_vec.apply(v))
-                rhs = [x + y for x, y in zip(rhs, OV1.push(kron_vec(da, v)))]
-                if lhs != rhs:
-                    raise ValidationError("box-vec-left-leibniz", witness=(i, b))
+        """box(v.a) = box(v).a + sigma(v (x) da) and box(a.v) = a.box(v) + da (x) v, each
+        on Kron(A, Vec), then the duality with the right connection on forms."""
+        A, vec, box, OV1 = self.algebra, self.vec, self.box_vec, self.OV1
+        IA, Ivec = Mat.identity(A.dim), Mat.identity(vec.dim)
+        flip = Mat.swap(A.dim, vec.dim)
+        right = box @ vec.right_action()
+        right_rhs = OV1.space.right_action() @ box.kron(IA) + self.sigma_vec_plain @ Ivec.kron(self.d)
+        left = box @ vec.left_action()
+        left_rhs = OV1.space.left_action() @ IA.kron(box) + OV1.project @ self.d.kron(Ivec)
+        shape = (A.dim, vec.dim)
+        raise_first_failure(
+            {
+                "box-vec-right-leibniz": first_mismatch(right @ flip, right_rhs @ flip, shape),
+                "box-vec-left-leibniz": first_mismatch(left, left_rhs, shape),
+            }
+        )
         # duality: d o ev = (id (x) ev)(box (x) id) + (ev (x) id)(id (x) box)
         lhs_fail = self.ev_duality_defect(1)
         if lhs_fail is not None:
@@ -336,9 +321,8 @@ class Geometry:
             m1 = self.merge_om(k, 2) @ Mat.identity(Wk.dim).kron(self.box_form)
             m2 = self.sigma_inv_last(n) @ self.box_form_pow(k).kron(Mat.identity(self.omega.dim))
             total = m1 + m2
-            for rel in domain_pair.relations.basis:
-                if not vec_is_zero(total.apply(rel)):
-                    raise ValidationError("box-form-pow-not-well-defined", witness=n)
+            if not domain_pair.descends(total):
+                raise ValidationError("box-form-pow-not-well-defined", witness=n)
             out = total @ domain_pair.section
         self._box_form_pow[n] = out
         return out
@@ -348,9 +332,7 @@ class Geometry:
         if n in self._box_vec_pow:
             return self._box_vec_pow[n]
         if n == 0:
-            ov0 = self.OV(0)
-            cols = [ov0.push(kron_vec(self.d.column(i), self.algebra.unit)) for i in range(self.algebra.dim)]
-            out = Mat.from_cols(cols)
+            out = self.OV(0).project @ self.d.kron(self.one)
         elif n == 1:
             out = self.box_vec
         else:
@@ -367,9 +349,8 @@ class Geometry:
                 @ Mat.identity(self.vec.dim).kron(self.OV(k).section @ self.box_vec_pow(k))
             )
             total = m1 + m2
-            for rel in domain_pair.relations.basis:
-                if not vec_is_zero(total.apply(rel)):
-                    raise ValidationError("box-vec-pow-not-well-defined", witness=n)
+            if not domain_pair.descends(total):
+                raise ValidationError("box-vec-pow-not-well-defined", witness=n)
             out = total @ domain_pair.section
         self._box_vec_pow[n] = out
         return out

@@ -56,3 +56,16 @@ class ValidationError(ValueError):
         if witness is not None:
             msg += f" witness={witness}"
         super().__init__(msg)
+
+
+def raise_first_failure(checks: dict) -> None:
+    """Raise for the check that fails at the earliest witness, if any fails.
+
+    ``checks`` maps check names to the witness of their first failure (or
+    None), for checks that one loop over basis tuples used to run in turn at
+    each tuple: the smallest witness wins, and on a tie the check listed first.
+    """
+    fails = [(witness, k, name) for k, (name, witness) in enumerate(checks.items()) if witness is not None]
+    if fails:
+        witness, _, name = min(fails)
+        raise ValidationError(name, witness=witness)

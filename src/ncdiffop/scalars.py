@@ -149,9 +149,6 @@ class Scalar:
     def is_real(self) -> bool:
         return not self.im
 
-    def is_rational_nonneg(self) -> bool:
-        return not self.im and self.re >= 0
-
     def __eq__(self, other):
         if type(other) is Scalar:
             return self.re == other.re and self.im == other.im

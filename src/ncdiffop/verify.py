@@ -12,7 +12,6 @@ import random
 import time
 from typing import Optional
 
-from .algebra import unit_row
 from .bundle import Bundle, canonical_json
 from .calculus import connection_morphism_defect, sigma_compat_defect, tensor_connection
 from .centre import verify_centre
@@ -154,6 +153,9 @@ def suite_fgp_zigzag(ctx: VerifyContext) -> list[CheckResult]:
                 acc = [x + y for x, y in zip(acc, term)]
             if acc != P[q][j]:
                 idem_fail = (q, j)
+                break
+        if idem_fail:
+            break
     out.append(CheckResult("idempotent-squared", idem_fail is None, witness=idem_fail))
     return out
 
@@ -299,22 +301,27 @@ def suite_bullet(ctx: VerifyContext) -> list[CheckResult]:
                 if fail is not None and lin_fail is None:
                     lin_fail = (n, m, k, *fail)
     out.append(CheckResult("bullet-left-linearity", lin_fail is None, witness=lin_fail))
-    # associativity on all homogeneous triples of total degree <= 3
+    # associativity on all homogeneous triples of total degree <= 3, per output degree j:
+    # sum_k o_j(o_k(u, v), w) == sum_k o_j(u, o_k(v, w)) on Kron(V(n), V(m), V(l))
     assoc_fail = None
     for n in range(0, D + 1):
         for m in range(0, D + 1 - n):
             for l in range(0, D + 1 - n - m):
-                for b in range(g.V(n).dim):
-                    for c in range(g.V(m).dim):
-                        for e in range(g.V(l).dim):
-                            xo = GradedOperator.homogeneous(g, n, unit_row(g.V(n).dim, b), ctx.bundle.truncation)
-                            yo = GradedOperator.homogeneous(g, m, unit_row(g.V(m).dim, c), ctx.bundle.truncation)
-                            zo = GradedOperator.homogeneous(g, l, unit_row(g.V(l).dim, e), ctx.bundle.truncation)
-                            if xo.bullet(yo, table).bullet(zo, table) != xo.bullet(
-                                yo.bullet(zo, table), table
-                            ):
-                                if assoc_fail is None:
-                                    assoc_fail = (n, m, l, b, c, e)
+                Vn, Vm, Vl = g.V(n), g.V(m), g.V(l)
+                cols = Vn.dim * Vm.dim * Vl.dim
+                lhs = {j: Mat.zeros(g.V(j).dim, cols) for j in range(n + m + l + 1)}
+                rhs = dict(lhs)
+                for k in range(0, n + m + 1):
+                    moved = table.table(n, m, k).kron(Mat.identity(Vl.dim))
+                    for j in range(0, k + l + 1):
+                        lhs[j] = lhs[j] + table.table(k, l, j) @ moved
+                for k in range(0, m + l + 1):
+                    moved = Mat.identity(Vn.dim).kron(table.table(m, l, k))
+                    for j in range(0, n + k + 1):
+                        rhs[j] = rhs[j] + table.table(n, k, j) @ moved
+                fail = first_mismatch(lhs, rhs, (Vn.dim, Vm.dim, Vl.dim))
+                if fail is not None and assoc_fail is None:
+                    assoc_fail = (n, m, l, *fail[:-1])
     out.append(CheckResult("bullet-associativity-homogeneous", assoc_fail is None, witness=assoc_fail))
     # seeded random mixed-degree triples
     rng = random.Random(ctx.seed)
@@ -338,7 +345,7 @@ def suite_action(ctx: VerifyContext) -> list[CheckResult]:
     maxdeg = min(2, ctx.degree)
     for name, module in sorted(ctx.bundle.modules.items()):
         E = module.space
-        one = module.act_table(0) @ Mat.from_cols([g.algebra.unit], g.algebra.dim).kron(Mat.identity(E.dim))
+        one = module.act_table(0) @ g.one.kron(Mat.identity(E.dim))
         found = first_mismatch(one, Mat.identity(E.dim), (E.dim,))  # 1 |> e = e
         out.append(CheckResult(f"action-unit-{name}", found is None, witness=None if found is None else found[0]))
         # act(n) o (id (x) act(m)) == sum_k act(k) o (bullet_k (x) id) on Kron(V(n), V(m), E)

@@ -348,4 +348,5 @@ def test_non_morphism_detected(two_point_geometry):
     g = two_point_geometry
     am = trivial_module(g)
     t = Mat.from_rows([[0, 1], [1, 0]])  # swaps the idempotents: not a module map here
-    assert connection_morphism_defect(am, am, t) is not None
+    assert connection_morphism_defect(am, am, t) == 0
+    assert sigma_compat_defect(am, am, t) is None

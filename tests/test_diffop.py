@@ -257,5 +257,7 @@ def test_equivariance_violation_witnessed(two_point_geometry, table):
     am = trivial_module(g)
     t = g.algebra.left_mult_matrix([sc(1), sc(0)])  # d p1 != 0: not a morphism
     report = morphism_equivariance_report(table, am, am, t, 2)
-    bad = [r for r in report if not r.ok]
-    assert bad and bad[0].witness is not None
+    assert [r.witness for r in report] == [None, (1, 0, 1), (2, 0, 1)]
+    swap = Mat.from_rows([[0, 1], [1, 0]])
+    report = morphism_equivariance_report(table, am, am, swap, 2)
+    assert [r.witness for r in report] == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]

@@ -1,12 +1,13 @@
-"""Witness oracle for the crossing, centre and action checks.
+"""Witness oracle for the crossing, centre, action and load-time checks.
 
 Each test corrupts one entry of a built block (a crossing block, sigma-hat,
 an operator-connection block, an action table, a bullet table, an input of
-the ev-duality suite) and pins the
-exact witness of every check that then fails.  A witness names the first
+the ev-duality suite, an input of a load-time connection validator) and pins
+the exact witness of every check that then fails.  A witness names the first
 failing basis tuple in the order the checks have always reported, so these
 pins hold the check order fixed while the checks themselves change form.
-The digests pin the blocks that the corrupted tests start from.
+The digests pin the blocks that the corrupted tests start from, and the
+crossing inverse and the dual connection on vector fields.
 """
 
 import hashlib
@@ -14,8 +15,9 @@ import hashlib
 import pytest
 
 from ncdiffop import crossing
-from ncdiffop.bundle import load_builtin
-from ncdiffop.calculus import tensor_connection
+from ncdiffop.bimodule import Bimodule, TensorPair
+from ncdiffop.bundle import BUILTIN_NAMES, load_builtin
+from ncdiffop.calculus import connection_morphism_defect, sigma_compat_defect, tensor_connection
 from ncdiffop.crossing import (
     CrossingMap,
     OperatorConnection,
@@ -23,11 +25,11 @@ from ncdiffop.crossing import (
     theta_product_compat,
     theta_tensor_factorization,
 )
-from ncdiffop.diffop import BulletTable
+from ncdiffop.diffop import BulletTable, morphism_equivariance_report
 from ncdiffop.linalg import Mat
 from ncdiffop.report import ValidationError
 from ncdiffop.scalars import sc
-from ncdiffop.verify import VerifyContext, suite_action, suite_bullet, suite_ev_duality
+from ncdiffop.verify import VerifyContext, suite_action, suite_bullet, suite_ev_duality, suite_fgp_zigzag
 
 Z3 = "z3-function-calculus"
 D = 2
@@ -188,6 +190,132 @@ def corrupt_duality_inputs(bundle, what):
     return failing(suite_ev_duality(ctx))
 
 
+@pytest.mark.parametrize("name", ["two-point-universal", Z3])
+def test_inverse_blocks_digest_pinned(name):
+    bundle = load_builtin(name)
+    table = BulletTable(bundle.geometry)
+    got = {}
+    for mname, module in sorted(bundle.modules.items()):
+        inv = CrossingMap(table, module, 3).build_inverse()
+        assert all(sorted(inv[n]) == list(range(n + 1)) for n in range(4))
+        got[mname] = digest([inv[n][m] for n in sorted(inv) for m in sorted(inv[n])])
+    assert got == INVERSE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_dual_connection_digest_pinned(name):
+    g = load_builtin(name).geometry
+    assert (digest([g.box_vec]), digest([g.sigma_vec_plain])) == DUAL_CONNECTION_DIGESTS[name]
+
+
+def raised(check):
+    """The (name, witness) of the ValidationError a validator raises, or None."""
+    try:
+        check()
+    except ValidationError as err:
+        return (err.name, err.witness)
+    return None
+
+
+LOAD_VALIDATORS = ("_validate_calculus", "_validate_right_connection", "_validate_dual_connection")
+
+
+@pytest.mark.parametrize(
+    "attr,r,c",
+    [
+        ("d", 0, 0),
+        ("d", 4, 0),
+        ("d", 1, 1),
+        ("box_form", 0, 0),
+        ("box_form", 3, 0),
+        ("sigma_inv_form", 1, 6),
+        ("box_vec", 1, 3),
+        ("box_vec", 6, 0),
+        ("sigma_vec_plain", 1, 18),
+    ],
+)
+def test_corrupt_geometry_input(attr, r, c):
+    g = load_builtin(Z3).geometry
+    setattr(g, attr, bump(getattr(g, attr), r, c))
+    got = {name: raised(getattr(g, name)) for name in LOAD_VALIDATORS}
+    assert {name: w for name, w in got.items() if w is not None} == GEOMETRY_WITNESSES[(attr, r, c)]
+
+
+@pytest.mark.parametrize(
+    "module,attr,r,c",
+    [
+        ("A", "nabla", 0, 0),
+        ("A", "nabla", 1, 2),
+        ("omega1", "nabla", 0, 0),
+        ("omega1", "nabla", 0, 4),
+        ("omega1", "sigma", 0, 10),
+        ("vec", "nabla", 0, 3),
+        ("vec", "sigma", 0, 1),
+    ],
+)
+def test_corrupt_module_connection(module, attr, r, c):
+    m = load_builtin(Z3).modules[module]
+    setattr(m, attr, bump(getattr(m, attr), r, c))
+    assert raised(m._validate_leibniz) == MODULE_WITNESSES[(module, attr, r, c)]
+
+
+@pytest.mark.parametrize("left,right", [(1, None), (None, 2), (2, 1), (1, 1), (1, 2)])
+def test_corrupt_tensor_factor_action(left, right):
+    """omega1 (x) vec with a bumped left action of omega1 and right action of vec."""
+    g = load_builtin(Z3).geometry
+    om, vec = g.omega, g.vec
+    om_left, vec_right = list(om.left), list(vec.right)
+    if left is not None:
+        om_left[left] = bump(om_left[left], 0, 1)
+    if right is not None:
+        vec_right[right] = bump(vec_right[right], 0, 2)
+    e = Bimodule(g.algebra, om.dim, om_left, list(om.right), om.name)
+    f = Bimodule(g.algebra, vec.dim, list(vec.left), vec_right, vec.name)
+    assert raised(lambda: TensorPair(e, f)) == TENSOR_ACTION_WITNESSES[(left, right)]
+
+
+@pytest.mark.parametrize("r,c", [(0, 0), (0, 12), (2, 18)])
+def test_corrupt_bullet_step_input(z3, r, c):
+    """A bumped bullet table (1,1,1) makes the degree-2 tables built from it ill defined."""
+    table = z3[1]
+    table._tables[(1, 1, 1)] = bump(table.table(1, 1, 1), r, c)
+    keys = [(2, 0, 0), (2, 0, 1), (2, 0, 2), (2, 1, 0), (2, 1, 1), (2, 1, 2), (2, 1, 3)]
+    assert [raised(lambda: table.table(*key)) for key in keys] == BULLET_STEP_WITNESSES[(r, c)]
+
+
+@pytest.mark.parametrize("r,c", [(0, 0), (2, 18), (4, 18)])
+def test_corrupt_bullet_table_111(z3, r, c):
+    bundle = z3[0]
+    ctx = VerifyContext(bundle, D, seed=7)
+    for n in range(4):  # the random triples reach total degree 3
+        for m in range(4 - n):
+            for k in range(n + m + 1):
+                ctx.table.table(n, m, k)
+    ctx.table._tables[(1, 1, 1)] = bump(ctx.table.table(1, 1, 1), r, c)
+    assert failing(suite_bullet(ctx)) == BULLET_111_WITNESSES[(r, c)]
+
+
+def test_corrupt_idempotent_reports_first_failure():
+    bundle = load_builtin("two-point-universal")
+    fgp = bundle.geometry.fgp
+    P = [[list(x) for x in row] for row in fgp.idempotent]
+    P[0][1][0] += sc(1)  # P = diag(p2, p1): now P o P differs from P at (0, 0) and (1, 1)
+    P[1][0][0] += sc(1)
+    fgp.idempotent = P
+    assert failing(suite_fgp_zigzag(VerifyContext(bundle, 1, seed=7))) == {"idempotent-squared": (0, 0)}
+
+
+@pytest.mark.parametrize("module,r,c", [("A", 2, 1), ("A", 2, 2), ("omega1", 0, 3), ("vec", 0, 1)])
+def test_non_morphism_witnesses(z3, module, r, c):
+    """t = identity + e_rc is not a connection morphism of the module."""
+    bundle, table = z3
+    m = bundle.modules[module]
+    t = bump(Mat.identity(m.space.dim), r, c)
+    report = morphism_equivariance_report(table, m, m, t, D)
+    got = (connection_morphism_defect(m, m, t), sigma_compat_defect(m, m, t), [x.witness for x in report])
+    assert got == NON_MORPHISM_WITNESSES[(module, r, c)]
+
+
 # -- pins ---------------------------------------------------------------------------
 
 # recorded with the per-basis-tuple loop versions of the checks
@@ -295,4 +423,91 @@ DUALITY_WITNESSES = {
     "sigma_vec_plain": {"mixed-sigma-relation": (3, 2, 3)},
     "ev_pow": {"ev-balanced-2": 2, "ev-bimodule-2": ("right", 2, 0), "ev-duality-2": (2, 0, 2)},
     "coev_pow": {"coev-central-2": (2, 1)},
+}
+INVERSE_DIGESTS = {
+    "two-point-universal": {
+        "A": "c83d3fc70574aef6fc59b6a906a5e71b073c8a6a6233ab33e4fef32166ce2203",
+        "omega1": "a31ac35956836b9459f287597d91ecf9edc487e1ae4ae71d844b9758a6574731",
+        "vec": "45c0c1cb01da4bf9c5923453706e386b76b16dd38fd35bc6ef752edf4a361263",
+    },
+    Z3: {
+        "A": "f199b6197c56f53f20c51e9a13086b22ca8c0bb1f2b7987759c6ae24240348cd",
+        "omega1": "3cca09dcf779e55b77dd34e58bed19d24f28537e6c66eeeccb58e522c42a7858",
+        "vec": "5be82ed1c854d247d1bffe78cb4038c2a3c5a5cbcd5248e95b3b6f8b5358e663",
+    },
+}
+DUAL_CONNECTION_DIGESTS = {  # (box_vec, sigma_vec_plain)
+    "two-point-universal": (
+        "74e3f78242101308c22755c7d2dccdb0cefdd41a8047868054dc997a8aa1af61",
+        "2b2f64c2ce68cb0f930daa0f20d985f96e2a6d5119baddf00d279ad22173bd2f",
+    ),
+    Z3: (
+        "99f7338457a54bc1ed48d2b159ff39258cfa8dc4f59acc92f9d1272dd202332a",
+        "fcdbf61053d38cb50f2b900a8812e20884a0fb3e6eb47b7a8bc8c88d539d8544",
+    ),
+    "zero-form-smoke": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+GEOMETRY_WITNESSES = {
+    ("d", 0, 0): {
+        "_validate_calculus": ("leibniz", (0, 1)),
+        "_validate_right_connection": ("box-left-leibniz", (0, 1)),
+        "_validate_dual_connection": ("box-vec-right-leibniz", (0, 2)),
+    },
+    ("d", 4, 0): {
+        "_validate_calculus": ("leibniz", (1, 0)),
+        "_validate_right_connection": ("box-right-leibniz", (0, 0)),
+        "_validate_dual_connection": ("box-vec-left-leibniz", (0, 0)),
+    },
+    ("d", 1, 1): {
+        "_validate_calculus": ("leibniz", (1, 2)),
+        "_validate_right_connection": ("box-right-leibniz", (1, 0)),
+        "_validate_dual_connection": ("box-vec-right-leibniz", (1, 1)),
+    },
+    ("box_form", 0, 0): {"_validate_right_connection": ("box-right-leibniz", (1, 0))},
+    ("box_form", 3, 0): {"_validate_right_connection": ("box-left-leibniz", (0, 0))},
+    ("sigma_inv_form", 1, 6): {"_validate_right_connection": ("box-left-leibniz", (0, 2))},
+    ("box_vec", 1, 3): {"_validate_dual_connection": ("box-vec-left-leibniz", (0, 3))},
+    ("box_vec", 6, 0): {"_validate_dual_connection": ("box-vec-right-leibniz", (1, 0))},
+    ("sigma_vec_plain", 1, 18): {"_validate_dual_connection": ("box-vec-right-leibniz", (0, 3))},
+}
+MODULE_WITNESSES = {
+    ("A", "nabla", 0, 0): ("right-leibniz", ("A", 0, 0)),
+    ("A", "nabla", 1, 2): ("left-leibniz", ("A", 1, 2)),
+    ("omega1", "nabla", 0, 0): ("right-leibniz", ("omega1", 1, 0)),
+    ("omega1", "nabla", 0, 4): ("left-leibniz", ("omega1", 0, 4)),
+    ("omega1", "sigma", 0, 10): ("right-leibniz", ("omega1", 1, 5)),
+    ("vec", "nabla", 0, 3): ("left-leibniz", ("vec", 0, 3)),
+    ("vec", "sigma", 0, 1): ("right-leibniz", ("vec", 1, 0)),
+}
+_OV = "(omega1(x)dual(omega1))"
+TENSOR_ACTION_WITNESSES = {
+    (1, None): ("tensor-left-action", (_OV, 1)),
+    (None, 2): ("tensor-right-action", (_OV, 2)),
+    (2, 1): ("tensor-right-action", (_OV, 1)),
+    (1, 1): ("tensor-left-action", (_OV, 1)),
+    (1, 2): ("tensor-left-action", (_OV, 1)),
+}
+_BND = "bullet-not-well-defined"
+BULLET_STEP_WITNESSES = {  # tables (2,0,0..2) and (2,1,0..3)
+    (0, 0): [(_BND, (2, 0, 0, 0)), None, None, None, (_BND, (2, 1, 1, 1)), (_BND, (2, 1, 2, 4)), None],
+    (0, 12): [None, None, None, None, (_BND, (2, 1, 1, 0)), (_BND, (2, 1, 2, 0)), None],
+    (2, 18): [(_BND, (2, 0, 0, 0)), (_BND, (2, 0, 1, 0)), None, None, (_BND, (2, 1, 1, 0)), (_BND, (2, 1, 2, 0)), None],
+}
+BULLET_111_WITNESSES = {
+    (0, 0): {"bullet-associativity-homogeneous": (1, 0, 1, 0, 0, 0), "bullet-associativity-random": 2},
+    (2, 18): {"bullet-associativity-homogeneous": (1, 0, 1, 3, 0, 0), "bullet-associativity-random": 2},
+    (4, 18): {
+        "bullet-associativity-homogeneous": (0, 1, 1, 1, 3, 0),
+        "bullet-associativity-random": 2,
+        "bullet-left-linearity": (1, 1, 1, 1, 3, 0),
+    },
+}
+NON_MORPHISM_WITNESSES = {  # (connection defect, sigma defect, equivariance per degree)
+    ("A", 2, 1): (1, None, [(0, 1, 1), (1, 0, 1), (2, 0, 1)]),
+    ("A", 2, 2): (0, 1, [None, (1, 0, 2), (2, 0, 2)]),
+    ("omega1", 0, 3): (3, 9, [None, (1, 0, 5), (2, 0, 5)]),
+    ("vec", 0, 1): (1, 7, [None, (1, 0, 4), (2, 0, 2)]),
 }
