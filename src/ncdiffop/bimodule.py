@@ -6,20 +6,25 @@ Tensor products over the algebra are realized as explicit quotients of the
 plain tensor space by the span of ``e.a (x) f - e (x) a.f``.  Quotient
 coordinates come from the deterministic echelon complement in
 :mod:`ncdiffop.linalg`, so every derived object is reproducible.  Operators
-that are only well defined as sums follow one discipline throughout: lift to
-the plain tensor space through ``TensorPair.lift``, apply, check that the sum
-kills the relation span, then ``TensorPair.push`` back down.
+that are only well defined as sums follow one discipline throughout: build
+the map on the plain tensor space, check with ``TensorPair.descends`` that it
+kills the relation span, then compose with ``TensorPair.section``.
 
 Contractions against a pairing ``ev: Kron(V, W) -> A`` go through two
-``Bimodule`` methods, which read only the nonzero coordinates of their plain
-tensor argument:
+``Bimodule`` methods.  Each takes a map ``x`` into plain tensors and returns
+the contracted map as one sparse product:
 
-* ``M.ev_left(ev, b, x) = (ev (x) id_M)(v_b (x) x)`` for ``x`` in ``Kron(W, M)``;
-* ``M.ev_right(x, ev, j) = (id_M (x) ev)(x (x) w_j)`` for ``x`` in ``Kron(M, V)``.
+* ``M.ev_left(ev, x) = (ev (x) id_M)(id_V (x) x): Kron(V, X) -> M`` for
+  ``x: X -> Kron(W, M)``; column ``b*|X| + c`` contracts ``v_b`` against
+  column ``c`` of ``x``;
+* ``M.ev_right(x, ev) = (id_M (x) ev)(x (x) id_W): Kron(X, W) -> M`` for
+  ``x: X -> Kron(M, V)``; column ``c*|W| + j`` contracts column ``c`` of
+  ``x`` against ``w_j``.
 
 Every construction that evaluates a vector field against a form (the dual
-connection, the zig-zag and duality identities, the degree-1 bullet product,
-the module action and the crossing) is written in terms of these two.
+connection, the n-fold evaluation, the zig-zag and duality identities, the
+degree-1 bullet product, the module action and the crossing) is written in
+terms of these two.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .algebra import Algebra, unit_row
 from .linalg import (
     Mat,
     SparseEchelon,
+    first_mismatch,
     kernel,
     kron_vec,
     quotient,
@@ -84,30 +90,20 @@ class Bimodule:
         cols = [mat.cols_sparse()[j] for j in range(self.dim) for mat in self.right]
         return Mat(self.dim, self.dim * self.algebra.dim, cols)
 
-    def ev_left(self, ev: Mat, b: int, x: Sequence[Scalar]) -> list[Scalar]:
-        """(ev (x) id)(v_b (x) x) = sum x[r*dim+s] ev(v_b (x) w_r) |> m_s, x in Kron(W, self)."""
-        n = self.dim
-        W = len(x) // n if n else 0
-        terms = [(c, b * W + idx // n, idx % n) for idx, c in enumerate(x) if c is not ZERO and c]
-        return self._act_sum(self.left, ev, terms)
+    def ev_left(self, ev: Mat, x: Mat) -> Mat:
+        """(ev (x) id)(id_V (x) x): Kron(V, X) -> self, for ev: Kron(V, W) -> A and
+        x: X -> Kron(W, self).  V and W are a dual pair, so they vanish together."""
+        w = x.rows // self.dim if self.dim else 0
+        v = ev.cols // w if w else 0
+        # contract first: the action applied to ev (x) id alone would gather all |V||W||self| columns
+        return self.left_action() @ (ev.kron(Mat.identity(self.dim)) @ Mat.identity(v).kron(x))
 
-    def ev_right(self, x: Sequence[Scalar], ev: Mat, j: int) -> list[Scalar]:
-        """(id (x) ev)(x (x) w_j) = sum x[r*V+s] m_r <| ev(v_s (x) w_j), x in Kron(self, V)."""
-        V = len(x) // self.dim if self.dim else 0
-        W = ev.cols // V if V else 0
-        terms = [(c, (idx % V) * W + j, idx // V) for idx, c in enumerate(x) if c is not ZERO and c]
-        return self._act_sum(self.right, ev, terms)
-
-    def _act_sum(self, acts: list[Mat], ev: Mat, terms) -> list[Scalar]:
-        """Sum of c * (column ``col`` of ev acting on basis element s) over (c, col, s)."""
-        out = [ZERO] * self.dim
-        ev_cols = ev.cols_sparse()
-        for c, col, s in terms:
-            for i, a in ev_cols[col]:
-                ca = c * a
-                for k, v in acts[i].cols_sparse()[s]:
-                    out[k] = out[k] + ca * v
-        return out
+    def ev_right(self, x: Mat, ev: Mat) -> Mat:
+        """(id (x) ev)(x (x) id_W): Kron(X, W) -> self, for x: X -> Kron(self, V) and
+        ev: Kron(V, W) -> A.  V and W are a dual pair, so they vanish together."""
+        v = x.rows // self.dim if self.dim else 0
+        w = ev.cols // v if v else 0
+        return self.right_action() @ (Mat.identity(self.dim).kron(ev) @ x.kron(Mat.identity(w)))
 
     def validate(self) -> list[CheckResult]:
         A = self.algebra
@@ -172,6 +168,32 @@ class BimoduleMap:
         return self.mat.apply(vec)
 
 
+def zigzag_failure(V: Bimodule, W: Bimodule, ev: Mat, coev: Mat):
+    """Where the zig-zag identities of ev: Kron(V, W) -> A and a plain coev(1) in
+    Kron(W, V) first fail: ``("fields", b)``, ``("forms", j)`` or None.
+
+    Fields: (ev (x) id)(id (x) coev(1)) = id on V; forms: (id (x) ev)(coev(1) (x) id) = id on W.
+    """
+    fail = first_mismatch(V.ev_left(ev, coev), Mat.identity(V.dim), (V.dim,))
+    if fail is not None:
+        return ("fields", *fail)
+    fail = first_mismatch(W.ev_right(coev, ev), Mat.identity(W.dim), (W.dim,))
+    return None if fail is None else ("forms", *fail)
+
+
+def idempotent_failure(algebra: Algebra, P) -> Optional[tuple[int, int]]:
+    """The first ``(q, j)`` where P o P differs from P in M_n(A), or None."""
+    n = len(P)
+    for q in range(n):
+        for j in range(n):
+            acc = [ZERO] * algebra.dim
+            for k in range(n):
+                acc = [x + y for x, y in zip(acc, algebra.mul(P[q][k], P[k][j]))]
+            if acc != P[q][j]:
+                return (q, j)
+    return None
+
+
 def intertwining_failure(src: Bimodule, dst: Bimodule, mat: Mat):
     for i in range(src.algebra.dim):
         if mat @ src.left[i] != dst.left[i] @ mat:
@@ -217,9 +239,10 @@ class TensorPair:
         ech = SparseEchelon(plain_dim)
         for row in relation_vectors(e, f):
             ech.add_sparse(dict(row))
-        self.relations = ech.to_subspace()
-        self.relation_mat = Mat.from_cols(self.relations.basis, plain_dim)  # column r: relation r
-        self.project, self.section = quotient(plain_dim, self.relations)
+        # column r: the reduced echelon relation with the r-th smallest pivot
+        rels = [sorted(ech.pivot_rows[p].items()) for p in sorted(ech.pivot_rows)]
+        self.relation_mat = Mat(plain_dim, len(rels), rels)
+        self.project, self.section = quotient(self.relation_mat)
         dim = self.project.rows
         # the actions on plain tensors, pushed down: a.(e (x) f) and (e (x) f).a
         lplain = [self.project @ e.left[i].kron(Mat.identity(f.dim)) for i in range(A.dim)]
@@ -436,27 +459,17 @@ def dualize_right_module(
     coev = BimoduleMap(algebra_as_bimodule(A), pair_module_dual.space, coev_mat, "coev")
 
     # zig-zag identities (exact, on every basis element)
-    coev_q = pair_module_dual.push(coev_one_plain)
-    coev_rep = pair_module_dual.lift(coev_q)
-    for b in range(dual_dim):
-        # (ev (x) id)(id (x) coev(1)) = id on the dual
-        if dual.ev_left(apply_mat, b, coev_rep) != unit_row(dual_dim, b):
-            raise ValidationError("zigzag-dual", witness=(omega.name, b))
-    for j in range(dO):
-        # (id (x) ev)(coev(1) (x) id) = id on the module
-        if omega.ev_right(coev_rep, apply_mat, j) != unit_row(dO, j):
-            raise ValidationError("zigzag-module", witness=(omega.name, j))
+    coev_rep = pair_module_dual.section @ pair_module_dual.project @ Mat.from_cols([coev_one_plain], dO * dual_dim)
+    fail = zigzag_failure(dual, omega, apply_mat, coev_rep)
+    if fail is not None:
+        side, idx = fail
+        raise ValidationError("zigzag-dual" if side == "fields" else "zigzag-module", witness=(omega.name, idx))
 
     # idempotent P[q][j] = f_q(f^j), P o P = P in M_n(A)
     P = [[dual_basis_functionals[q].apply(dual_basis_forms[j]) for j in range(n)] for q in range(n)]
-    for q in range(n):
-        for j in range(n):
-            acc = [ZERO] * dA
-            for k in range(n):
-                prod = A.mul(P[q][k], P[k][j])
-                acc = [x + y for x, y in zip(acc, prod)]
-            if acc != P[q][j]:
-                raise ValidationError("idempotent", witness=(q, j))
+    fail = idempotent_failure(A, P)
+    if fail is not None:
+        raise ValidationError("idempotent", witness=fail)
 
     return FGPStructure(
         module=omega,

@@ -135,16 +135,7 @@ class ConnectionModule:
         if n == 0:
             out = E.left_action()
         else:
-            Vn = g.V(n)
-            ev = g.ev_pow(n)
-            WEn = self.WE(n)
-            npow = self.nabla_pow(n)
-            cols = [None] * (Vn.dim * E.dim)
-            for j in range(E.dim):
-                lifted = WEn.lift(npow.column(j))
-                for b in range(Vn.dim):
-                    cols[b * E.dim + j] = E.ev_left(ev, b, lifted)
-            out = Mat.from_cols(cols, E.dim)
+            out = E.ev_left(g.ev_pow(n), self.WE(n).section @ self.nabla_pow(n))
         self._act[n] = out
         return out
 

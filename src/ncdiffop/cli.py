@@ -13,7 +13,7 @@ import sys
 from .bundle import BUILTIN_NAMES, ParseError, resolve_bundle
 from .exprs import DegreeExceeded, ExprError, UnknownName, parse_element, parse_operator
 from .report import ValidationError, _jsonable
-from .sobolev import PositivityFailure, SobolevPairings, sobolev_gram
+from .sobolev import InnerProduct, PositivityFailure, SobolevPairings, sobolev_gram
 from .verify import SUITE_NAMES, UnknownSuite, verify_all
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -151,8 +151,6 @@ def cmd_gram(args) -> int:
         if ip_om is None:
             raise ExprError("no inner product declared for omega1")
     else:
-        from .sobolev import InnerProduct
-
         ip_om = InnerProduct(bundle.geometry.omega, [], "ip-omega-zero")
     pairings = SobolevPairings(module, ip_om, ip_e)
     try:

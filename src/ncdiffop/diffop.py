@@ -52,14 +52,7 @@ class BulletTable:
             out = g.merge_vec(1, m)
         elif n == 1 and k == m:
             # (ev (x) id^m)(u (x) box<m> w)
-            OVm = g.OV(m)
-            box = g.box_vec_pow(m)
-            out_cols = [None] * cols
-            for c in range(Vm.dim):
-                lifted = OVm.lift(box.column(c))
-                for b in range(g.vec.dim):
-                    out_cols[b * Vm.dim + c] = Vm.ev_left(g.fgp.apply_mat, b, lifted)
-            out = Mat.from_cols(out_cols, rows)
+            out = Vm.ev_left(g.fgp.apply_mat, g.OV(m).section @ g.box_vec_pow(m))
         else:
             out = self._step_table(n, m, k)
         self._tables[key] = out

@@ -15,7 +15,7 @@ construction, so concurrent readers (e.g. parallel test workers) are safe.
 
 from __future__ import annotations
 
-from .algebra import Algebra, unit_row
+from .algebra import Algebra
 from .bimodule import (
     Bimodule,
     FGPStructure,
@@ -23,10 +23,10 @@ from .bimodule import (
     algebra_as_bimodule,
     dualize_right_module,
     intertwining_failure,
+    zigzag_failure,
 )
-from .linalg import Mat, first_mismatch, inverse, kron_vec, rank
+from .linalg import Mat, first_mismatch, inverse, rank
 from .report import ValidationError, raise_first_failure
-from .scalars import ZERO, Scalar
 
 
 class DualityFailure(ValidationError):
@@ -62,7 +62,7 @@ class Geometry:
         self._box_form_pow: dict[int, Mat] = {}
         self._box_vec_pow: dict[int, Mat] = {}
         self._ev_pow: dict[int, Mat] = {}
-        self._coev_pow: dict[int, list[Scalar]] = {}
+        self._coev_pow: dict[int, Mat] = {}
         self._braid_form: dict[int, Mat] = {}
         self._braid_vec: dict[int, Mat] = {}
 
@@ -157,12 +157,9 @@ class Geometry:
         Kron(Vec, E) -> E (x)_A Vec of vector fields past E derived from a plain
         crossing ``crossed: Kron(E, Omega1) -> Kron(Omega1, E)``."""
         dvec = self.vec.dim
-        Ivec = Mat.identity(dvec)
-        ev = E.left_action() @ self.fgp.apply_mat.kron(Mat.identity(E.dim))  # Kron(Vec, Omega1, E) -> E
         return (
             self.pair(E, self.vec).project
-            @ ev.kron(Ivec)
-            @ Ivec.kron(crossed).kron(Ivec)
+            @ E.ev_left(self.fgp.apply_mat, crossed).kron(Mat.identity(dvec))
             @ Mat.identity(dvec * E.dim).kron(self.coev_one)
         )
 
@@ -173,7 +170,7 @@ class Geometry:
         OV1 = self.pair(om, vec)
         self.OV1 = OV1
         # Kron(Vec, Omega1) -> Omega1: v (x) alpha -> d(v(alpha)) - (ev (x) id)(v (x) box(alpha))
-        inner = self.d @ ev - om.left_action() @ ev.kron(Mat.identity(om.dim)) @ Ivec.kron(W2.section @ self.box_form)
+        inner = self.d @ ev - om.ev_left(ev, W2.section @ self.box_form)
         self.box_vec = OV1.project @ inner.kron(Ivec) @ Ivec.kron(self.coev_one)
 
         # sigma on fields, Kron(Vec, Omega1) -> OV1: (ev (x) id (x) id)(id (x) sigma_inv (x) id)(id (x) id (x) coev(1))
@@ -395,96 +392,52 @@ class Geometry:
     # -- n-fold evaluation and coevaluation -------------------------------------
 
     def ev_pow(self, n: int) -> Mat:
-        """ev<n>: Kron(V(n), W(n)) -> A (well defined over all middle tensors)."""
+        """ev<n>: Kron(V(n), W(n)) -> A, ev<n>(v (x) v' (x) w' (x) w) = ev(v (x) ev<n-1>(v' (x) w').w)
+        (well defined over all middle tensors)."""
         if n in self._ev_pow:
             return self._ev_pow[n]
         if n == 1:
             out = self.fgp.apply_mat
         else:
-            Vn, Wn = self.V(n), self.W(n)
-            pv, pw = self.pair_V(n), self.pair_W(n)
-            prev = self.ev_pow(n - 1)
-            dA = self.algebra.dim
-            Vp_dim = self.V(n - 1).dim
-            cols = []
-            for b in range(Vn.dim):
-                vlift = pv.section.column(b)
-                for c in range(Wn.dim):
-                    wlift = pw.section.column(c)
-                    col = [ZERO] * dA
-                    for iv, cv in enumerate(vlift):
-                        if not cv:
-                            continue
-                        u, rest_v = divmod(iv, Vp_dim)
-                        moved = self.omega.ev_left(prev, rest_v, wlift)
-                        val = self.fgp.pair_apply(unit_row(self.vec.dim, u), moved)
-                        col = [x + cv * y for x, y in zip(col, val)]
-                    cols.append(col)
-            out = Mat.from_cols(cols, dA)
+            inner = self.omega.ev_left(self.ev_pow(n - 1), self.pair_W(n).section)  # Kron(V(n-1), W(n)) -> Omega1
+            out = (
+                self.fgp.apply_mat
+                @ Mat.identity(self.vec.dim).kron(inner)
+                @ self.pair_V(n).section.kron(Mat.identity(self.W(n).dim))
+            )
         self._ev_pow[n] = out
         return out
 
-    def coev_pow(self, n: int) -> list[Scalar]:
-        """A plain representative of coev<n>(1) in Kron(W(n), V(n))."""
+    def coev_pow(self, n: int) -> Mat:
+        """A plain representative of coev<n>(1) in Kron(W(n), V(n)), as a one-column matrix:
+        coev(1) with coev<n-1>(1) nested inside it, merged leg by leg."""
         if n in self._coev_pow:
             return self._coev_pow[n]
         if n == 1:
-            out = list(self.fgp.coev_one_plain)
+            out = self.coev_one
         else:
-            prev = self.coev_pow(n - 1)
-            Wn, Vn = self.W(n), self.V(n)
-            Wp, Vp = self.W(n - 1), self.V(n - 1)
-            out = [ZERO] * (Wn.dim * Vn.dim)
-            mo = self.merge_om(1, n - 1)
-            mv = self.merge_vec(n - 1, 1)
-            for idx, c in enumerate(self.fgp.coev_one_plain):
-                if not c:
-                    continue
-                p, q = divmod(idx, self.vec.dim)
-                for idx2, c2 in enumerate(prev):
-                    if not c2:
-                        continue
-                    r, s = divmod(idx2, Vp.dim)
-                    w_part = mo.column(p * Wp.dim + r)
-                    v_part = mv.column(s * self.vec.dim + q)
-                    contrib = kron_vec(w_part, v_part)
-                    cc = c * c2
-                    for k, v in enumerate(contrib):
-                        if v:
-                            out[k] = out[k] + cc * v
+            # Kron(Omega1, Vec, W(n-1), V(n-1)) -> Kron(Omega1, W(n-1), V(n-1), Vec)
+            nest = Mat.identity(self.omega.dim).kron(Mat.swap(self.vec.dim, self.W(n - 1).dim * self.V(n - 1).dim))
+            out = (
+                self.merge_om(1, n - 1).kron(self.merge_vec(n - 1, 1))
+                @ nest
+                @ self.coev_one.kron(self.coev_pow(n - 1))
+            )
         self._coev_pow[n] = out
         return out
 
     def zigzag_defect(self, n: int):
         """Check the n-fold zig-zag identities; returns a witness or None."""
-        Vn, Wn = self.V(n), self.W(n)
-        coev = self.coev_pow(n)
-        ev = self.ev_pow(n)
-        for b in range(Vn.dim):
-            if Vn.ev_left(ev, b, coev) != unit_row(Vn.dim, b):
-                return ("fields", n, b)
-        for j in range(Wn.dim):
-            if Wn.ev_right(coev, ev, j) != unit_row(Wn.dim, j):
-                return ("forms", n, j)
-        return None
+        fail = zigzag_failure(self.V(n), self.W(n), self.ev_pow(n), self.coev_pow(n))
+        return None if fail is None else (fail[0], n, fail[1])
 
     def ev_duality_defect(self, n: int):
         """Prop-level identity: d o ev<n> = (id (x) ev<n>)(box<n> (x) id) + (ev<n> (x) id)(id (x) box<n>).
 
         The witness is ``(b, j)`` at n = 1 and ``(n, b, j)`` above it.
         """
-        om, Vn, Wn = self.omega, self.V(n), self.W(n)
-        ev = self.ev_pow(n)
-        box_v = self.box_vec_pow(n)
-        box_w = self.box_form_pow(n)
-        OVn = self.OV(n)
-        pw_next = self.pair_W(n + 1)
-        for b in range(Vn.dim):
-            boxv = OVn.lift(box_v.column(b))
-            for j in range(Wn.dim):
-                lhs = self.d.apply(ev.column(b * Wn.dim + j))
-                rhs_v = om.ev_right(boxv, ev, j)
-                rhs_w = om.ev_left(ev, b, pw_next.lift(box_w.column(j)))
-                if lhs != [x + y for x, y in zip(rhs_v, rhs_w)]:
-                    return (b, j) if n == 1 else (n, b, j)
-        return None
+        om, ev = self.omega, self.ev_pow(n)
+        via_fields = om.ev_right(self.OV(n).section @ self.box_vec_pow(n), ev)
+        via_forms = om.ev_left(ev, self.pair_W(n + 1).section @ self.box_form_pow(n))
+        fail = first_mismatch(self.d @ ev, via_fields + via_forms, (self.V(n).dim, self.W(n).dim))
+        return fail if fail is None or n == 1 else (n, *fail)

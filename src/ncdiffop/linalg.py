@@ -469,27 +469,27 @@ def inverse(m: Mat) -> Mat:
     return Mat(n, n, r._cols_sparse[n:])
 
 
-def quotient(ambient_dim: int, relations: Subspace) -> tuple[Mat, Mat]:
-    """Quotient of a coordinate space by a relation subspace.
+def quotient(relations: Mat) -> tuple[Mat, Mat]:
+    """Quotient of a coordinate space by the span of the columns of ``relations``.
 
+    The columns must be a reduced echelon basis: the first entry of each column
+    is its pivot, equal to 1, and no column has an entry in another's pivot row.
     Returns (projection, section) with projection @ section == identity on the
-    quotient and kernel(projection) == relations.  Representatives are the
-    non-pivot coordinates of the relation echelon, so the choice is
-    deterministic.
+    quotient and kernel(projection) == the relation span.  Representatives
+    are the non-pivot coordinates, so the choice is deterministic.
     """
-    if relations.ambient_dim != ambient_dim:
-        raise ValueError("relations live in a different ambient space")
-    pivots = relations.pivots
-    pivot_set = set(pivots)
-    free = [c for c in range(ambient_dim) if c not in pivot_set]
-    proj_cols = [None] * ambient_dim
-    for k, f in enumerate(free):
+    cols = relations.cols_sparse()
+    pivot_set = {col[0][0] for col in cols}
+    free = [c for c in range(relations.rows) if c not in pivot_set]
+    index = {f: k for k, f in enumerate(free)}
+    proj_cols = [None] * relations.rows
+    for f, k in index.items():
         proj_cols[f] = [(k, ONE)]
-    for row, p in zip(relations.basis, pivots):
-        # e_p == -sum_{free f} row[f] e_f modulo relations
-        proj_cols[p] = [(k, -row[f]) for k, f in enumerate(free) if row[f]]
+    for col in cols:
+        # e_p == -sum_{free f} col[f] e_f modulo relations
+        proj_cols[col[0][0]] = [(index[f], -v) for f, v in col[1:]]
     sect_cols = [[(f, ONE)] for f in free]
-    return Mat(len(free), ambient_dim, proj_cols), Mat(ambient_dim, len(free), sect_cols)
+    return Mat(len(free), relations.rows, proj_cols), Mat(relations.rows, len(free), sect_cols)
 
 
 # -- exact PSD certification --------------------------------------------------

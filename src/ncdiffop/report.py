@@ -6,6 +6,8 @@ the coordinate data needed to re-evaluate the violated identity.
 
 from __future__ import annotations
 
+from .scalars import Scalar
+
 
 class CheckResult:
     def __init__(self, name: str, ok: bool, witness=None, detail: str = ""):
@@ -32,8 +34,6 @@ class CheckResult:
 
 
 def _jsonable(obj):
-    from .scalars import Scalar
-
     if isinstance(obj, Scalar):
         return str(obj)
     if isinstance(obj, (list, tuple)):

@@ -12,6 +12,7 @@ import random
 import time
 from typing import Optional
 
+from .bimodule import idempotent_failure, relation_vectors
 from .bundle import Bundle, canonical_json
 from .calculus import connection_morphism_defect, sigma_compat_defect, tensor_connection
 from .centre import verify_centre
@@ -25,10 +26,10 @@ from .crossing import (
 )
 from .diffop import BulletTable, GradedOperator
 from .hopf import standard_candidate
-from .linalg import Mat, first_mismatch
+from .linalg import Mat, SparseEchelon, first_mismatch
 from .report import CheckResult, ValidationError, _jsonable
-from .scalars import ZERO, sc
-from .sobolev import SobolevPairings, gram_increment_certificate, sobolev_gram
+from .scalars import sc
+from .sobolev import InnerProduct, SobolevPairings, gram_increment_certificate, sobolev_gram
 
 SUITE_NAMES = (
     "fgp-zigzag",
@@ -142,20 +143,7 @@ def suite_fgp_zigzag(ctx: VerifyContext) -> list[CheckResult]:
     for n in range(1, min(ctx.degree, 3) + 1):
         defect = g.zigzag_defect(n)
         out.append(CheckResult(f"zigzag-{n}", defect is None, witness=defect))
-    P = g.fgp.idempotent
-    dA = g.algebra.dim
-    idem_fail = None
-    for q in range(len(P)):
-        for j in range(len(P)):
-            acc = [ZERO] * dA
-            for k in range(len(P)):
-                term = g.algebra.mul(P[q][k], P[k][j])
-                acc = [x + y for x, y in zip(acc, term)]
-            if acc != P[q][j]:
-                idem_fail = (q, j)
-                break
-        if idem_fail:
-            break
+    idem_fail = idempotent_failure(g.algebra, g.fgp.idempotent)
     out.append(CheckResult("idempotent-squared", idem_fail is None, witness=idem_fail))
     return out
 
@@ -163,9 +151,6 @@ def suite_fgp_zigzag(ctx: VerifyContext) -> list[CheckResult]:
 def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
     """ev<n> must balance over the middle tensor and intertwine both actions;
     coev<n>(1) must be central."""
-    from .bimodule import relation_vectors
-    from .linalg import SparseEchelon
-
     g = ctx.geometry
     out = []
     maxn = min(ctx.degree, 3)
@@ -192,10 +177,10 @@ def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
         rel_span = SparseEchelon(Wn.dim * Vn.dim)
         for rel in relation_vectors(Wn, Vn):
             rel_span.add_sparse(dict(rel))
-        coev = Mat.from_cols([g.coev_pow(n)], Wn.dim * Vn.dim)
+        coev1 = g.coev_pow(n)
         dA = g.algebra.dim
-        la = Wn.left_action().kron(Mat.identity(Vn.dim)) @ Mat.identity(dA).kron(coev)  # column i: a_i.coev(1)
-        ra = Mat.identity(Wn.dim).kron(Vn.right_action()) @ coev.kron(Mat.identity(dA))  # column i: coev(1).a_i
+        la = Wn.left_action().kron(Mat.identity(Vn.dim)) @ Mat.identity(dA).kron(coev1)  # column i: a_i.coev(1)
+        ra = Mat.identity(Wn.dim).kron(Vn.right_action()) @ coev1.kron(Mat.identity(dA))  # column i: coev(1).a_i
         cols = (la - ra).cols_sparse()
         cen_fail = next(((n, i) for i in range(dA) if not rel_span.contains_sparse(dict(cols[i]))), None)
         out.append(CheckResult(f"coev-central-{n}", cen_fail is None, witness=cen_fail))
@@ -263,9 +248,7 @@ def suite_ev_duality(ctx: VerifyContext) -> list[CheckResult]:
     om, ev = g.omega, g.fgp.apply_mat
     crossed = g.OV1.section @ g.sigma_vec_plain  # Kron(Vec, Omega1) -> Kron(Omega1, Vec)
     crossed_inv = g.W2.section @ g.sigma_inv_form @ g.W2.project  # Kron(Omega1, Omega1) -> itself
-    lhs = om.right_action() @ Mat.identity(om.dim).kron(ev) @ crossed.kron(Mat.identity(om.dim))
-    rhs = om.left_action() @ ev.kron(Mat.identity(om.dim)) @ Mat.identity(g.vec.dim).kron(crossed_inv)
-    fail = first_mismatch(lhs, rhs, (g.vec.dim, om.dim, om.dim))
+    fail = first_mismatch(om.ev_right(crossed, ev), om.ev_left(ev, crossed_inv), (g.vec.dim, om.dim, om.dim))
     out.append(CheckResult("mixed-sigma-relation", fail is None, witness=fail))
     return out
 
@@ -439,8 +422,6 @@ def suite_sobolev(ctx: VerifyContext) -> list[CheckResult]:
     if bundle.geometry.omega.dim:
         ip_om = bundle.inner_products["omega1"]
     else:
-        from .sobolev import InnerProduct
-
         ip_om = InnerProduct(bundle.geometry.omega, [], "ip-omega-zero")
     for name, ip_e in sorted(bundle.inner_products.items()):
         module = bundle.modules.get(name)

@@ -20,6 +20,7 @@ from ncdiffop.bimodule import (
     dualize_right_module,
     intertwining_failure,
     relation_vectors,
+    zigzag_failure,
 )
 from ncdiffop.linalg import Mat, inverse, kron_vec
 from ncdiffop.scalars import ONE, ZERO, sc
@@ -85,8 +86,8 @@ def test_omega_tensor_omega_dim_two(two_point_omega):
 def test_tensor_projection_section_contract(two_point_omega):
     pair = TensorPair(two_point_omega, two_point_omega)
     assert (pair.project @ pair.section) == Mat.identity(pair.dim)
-    for rel in pair.relations.basis:
-        assert pair.push(rel) == [ZERO] * pair.dim
+    for c in range(pair.relation_mat.cols):
+        assert pair.push(pair.relation_mat.column(c)) == [ZERO] * pair.dim
 
 
 def test_tensor_associativity_rebracketing(two_point_algebra, two_point_omega):
@@ -232,15 +233,16 @@ def test_ev_helpers_match_explicit_loops_on_coev(ev_geometry):
     g, max_n = ev_geometry
     for n in range(1, max_n + 1):
         Vn, Wn, ev, coev = g.V(n), g.W(n), g.ev_pow(n), g.coev_pow(n)
-        assert any(coev)
+        assert not coev.is_zero()
+        x = coev.column(0)
+        fields = Vn.ev_left(ev, coev)  # Kron(V(n), 1) -> V(n)
         for b in range(Vn.dim):
-            got = Vn.ev_left(ev, b, coev)
-            assert got == explicit_ev_left(Vn, ev, b, coev, Wn.dim)
-            assert got == unit_row(Vn.dim, b)  # zig-zag on fields
+            assert fields.column(b) == explicit_ev_left(Vn, ev, b, x, Wn.dim)
+        assert fields == Mat.identity(Vn.dim)  # zig-zag on fields
+        forms = Wn.ev_right(coev, ev)  # Kron(1, W(n)) -> W(n)
         for j in range(Wn.dim):
-            got = Wn.ev_right(coev, ev, j)
-            assert got == explicit_ev_right(Wn, coev, ev, j, Vn.dim)
-            assert got == unit_row(Wn.dim, j)  # zig-zag on forms
+            assert forms.column(j) == explicit_ev_right(Wn, x, ev, j, Vn.dim)
+        assert forms == Mat.identity(Wn.dim)  # zig-zag on forms
 
 
 def test_ev_helpers_match_explicit_loops_on_lifted_box(ev_geometry):
@@ -248,19 +250,33 @@ def test_ev_helpers_match_explicit_loops_on_lifted_box(ev_geometry):
     om, ev1 = g.omega, g.fgp.apply_mat
     for n in range(1, max_n + 1):
         Vn, Wn, ev = g.V(n), g.W(n), g.ev_pow(n)
-        box_v, box_w = g.box_vec_pow(n), g.box_form_pow(n)
+        xv = g.OV(n).section @ g.box_vec_pow(n)  # V(n) -> Kron(Omega, V(n))
+        got = om.ev_right(xv, ev)  # Kron(V(n), W(n)) -> Omega
         for b in range(Vn.dim):
-            x = g.OV(n).lift(box_v.column(b))  # in Kron(Omega, V(n))
             for j in range(Wn.dim):
-                assert om.ev_right(x, ev, j) == explicit_ev_right(om, x, ev, j, Vn.dim)
-        for j in range(Wn.dim):
-            x = g.pair_W(n + 1).lift(box_w.column(j))  # in Kron(W(n), Omega)
-            for b in range(Vn.dim):
-                assert om.ev_left(ev, b, x) == explicit_ev_left(om, ev, b, x, Wn.dim)
+                assert got.column(b * Wn.dim + j) == explicit_ev_right(om, xv.column(b), ev, j, Vn.dim)
+        xw = g.pair_W(n + 1).section @ g.box_form_pow(n)  # W(n) -> Kron(W(n), Omega)
+        got = om.ev_left(ev, xw)  # Kron(V(n), W(n)) -> Omega
+        for b in range(Vn.dim):
+            for j in range(Wn.dim):
+                assert got.column(b * Wn.dim + j) == explicit_ev_left(om, ev, b, xw.column(j), Wn.dim)
     # the degree-1 bullet shape: ev on Vec (x) Omega, acting on V(m) with m = 0 included
     for m in range(0, max_n):
         Vm = g.V(m)
-        for c in range(Vm.dim):
-            x = g.OV(m).lift(g.box_vec_pow(m).column(c))  # in Kron(Omega, V(m))
-            for b in range(g.vec.dim):
-                assert Vm.ev_left(ev1, b, x) == explicit_ev_left(Vm, ev1, b, x, om.dim)
+        x = g.OV(m).section @ g.box_vec_pow(m)  # V(m) -> Kron(Omega, V(m))
+        got = Vm.ev_left(ev1, x)  # Kron(Vec, V(m)) -> V(m)
+        for b in range(g.vec.dim):
+            for c in range(Vm.dim):
+                assert got.column(b * Vm.dim + c) == explicit_ev_left(Vm, ev1, b, x.column(c), om.dim)
+
+
+@pytest.mark.parametrize("r,c,witness", [(0, 0, ("forms", 0)), (1, 2, ("fields", 1)), (1, 3, ("forms", 1))])
+def test_zigzag_failure_witness(r, c, witness):
+    """ev with 1 added at (r, c) against coev(1) on the two-point bundle."""
+    from ncdiffop.bundle import load_builtin
+
+    g = load_builtin("two-point-universal").geometry
+    ev = g.fgp.apply_mat
+    assert zigzag_failure(g.vec, g.omega, ev, g.coev_one) is None
+    bumped = ev + Mat.from_entries(ev.rows, ev.cols, [(r, c, ONE)])
+    assert zigzag_failure(g.vec, g.omega, bumped, g.coev_one) == witness

@@ -1,8 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every package-relative import sits at module level.
 
 A deletion that leaves an import behind (say ``kron_vec`` after the last
-per-basis-vector loop using it is gone) fails here.  Only the stdlib ``ast``
-is used, so the check needs no linter.
+per-basis-vector loop using it is gone) fails here, and so does an import of
+a sibling module hidden inside a function body, where it runs on every call
+and hides the module's dependencies.  Only the stdlib ``ast`` is used, so the
+check needs no linter.
 """
 
 import ast
@@ -31,9 +34,30 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
+def function_body_imports(source: str) -> list[str]:
+    """Package-relative imports (``from .x import y``) inside a function body."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    found.append(f"{func.name} (line {node.lineno})")
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_body_imports(path):
+    assert function_body_imports(path.read_text()) == []
+
+
+def test_function_body_import_is_found():
+    source = "import os\n\ndef f():\n    from .scalars import ZERO\n    import json\n    return ZERO, json, os\n"
+    assert function_body_imports(source) == ["f (line 4)"]
 
 
 def test_unused_import_is_found():

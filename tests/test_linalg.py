@@ -151,21 +151,26 @@ def test_kernel_vectors_annihilate_and_rank_nullity(m):
 # -- quotient -----------------------------------------------------------------
 
 
+def echelon_columns(rels: Subspace) -> Mat:
+    """The canonical RREF basis of a relation span, one relation per column."""
+    return Mat.from_cols(rels.basis, rels.ambient_dim)
+
+
 def test_quotient_trivial_relations():
-    proj, sect = quotient(3, Subspace.from_vectors(3, []))
+    proj, sect = quotient(echelon_columns(Subspace.from_vectors(3, [])))
     assert proj == Mat.identity(3)
     assert sect == Mat.identity(3)
 
 
 def test_quotient_full_relations():
     rels = Subspace.from_vectors(2, [[1, 0], [0, 1]])
-    proj, sect = quotient(2, rels)
+    proj, sect = quotient(echelon_columns(rels))
     assert proj.rows == 0 and sect.cols == 0
 
 
 def test_quotient_line_example():
     rels = Subspace.from_vectors(2, [[1, -1]])
-    proj, sect = quotient(2, rels)
+    proj, sect = quotient(echelon_columns(rels))
     assert proj.rows == 1
     assert linalg.vec_is_zero(proj.apply([sc(1), sc(-1)]))
     assert (proj @ sect) == Mat.identity(1)
@@ -177,7 +182,7 @@ def test_quotient_line_example():
 @settings(max_examples=60, deadline=None)
 def test_quotient_contract(rel_rows):
     rels = Subspace.from_vectors(4, [[sc(x) for x in row] for row in rel_rows])
-    proj, sect = quotient(4, rels)
+    proj, sect = quotient(echelon_columns(rels))
     assert (proj @ sect) == Mat.identity(proj.rows)
     for row in rels.basis:
         assert linalg.vec_is_zero(proj.apply(row))

@@ -184,10 +184,48 @@ def corrupt_duality_inputs(bundle, what):
     elif what == "ev_pow":
         g._ev_pow[2] = bump(g.ev_pow(2), 1, 50)
     else:
-        coev = list(g.coev_pow(2))
-        coev[40] = coev[40] + sc(1)
-        g._coev_pow[2] = coev
+        g._coev_pow[2] = bump(g.coev_pow(2), 40, 0)
     return failing(suite_ev_duality(ctx))
+
+
+@pytest.mark.parametrize("name", ["two-point-universal", Z3])
+def test_tower_and_table_digests_pinned(name):
+    bundle = load_builtin(name)
+    g = bundle.geometry
+    table = BulletTable(g)
+    got = {
+        "ev_pow": digest([g.ev_pow(n) for n in (1, 2, 3)]),
+        "coev_pow": digest([g.coev_pow(n) for n in (1, 2, 3)]),
+        "table_1mm": digest([table.table(1, m, m) for m in range(4)]),
+    }
+    for mname, module in sorted(bundle.modules.items()):
+        got[f"act_table:{mname}"] = digest([module.act_table(n) for n in (1, 2, 3)])
+    assert got == TOWER_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "name,what,n,r,c",
+    [
+        (Z3, "ev_pow", 2, 1, 53),
+        (Z3, "ev_pow", 3, 1, 229),
+        (Z3, "coev_pow", 2, 117, 0),
+        (Z3, "coev_pow", 3, 210, 0),
+        (Z3, "box_vec_pow", 2, 13, 5),
+        (Z3, "box_vec_pow", 3, 20, 13),
+        (Z3, "box_form_pow", 2, 12, 3),
+        (Z3, "box_form_pow", 3, 12, 19),
+        ("two-point-universal", "ev_pow", 2, 0, 1),
+        ("two-point-universal", "ev_pow", 3, 1, 3),
+    ],
+)
+def test_corrupt_tower(name, what, n, r, c):
+    """One bumped entry of a degree-n tower map, seen by the zig-zag and duality suites."""
+    bundle = load_builtin(name)
+    g = bundle.geometry
+    ctx = VerifyContext(bundle, 3, seed=7)
+    assert not failing(suite_fgp_zigzag(ctx) + suite_ev_duality(ctx))  # builds the towers from the sound inputs first
+    getattr(g, f"_{what}")[n] = bump(getattr(g, what)(n), r, c)
+    assert failing(suite_fgp_zigzag(ctx) + suite_ev_duality(ctx)) == TOWER_WITNESSES[(name, what, n, r, c)]
 
 
 @pytest.mark.parametrize("name", ["two-point-universal", Z3])
@@ -423,6 +461,55 @@ DUALITY_WITNESSES = {
     "sigma_vec_plain": {"mixed-sigma-relation": (3, 2, 3)},
     "ev_pow": {"ev-balanced-2": 2, "ev-bimodule-2": ("right", 2, 0), "ev-duality-2": (2, 0, 2)},
     "coev_pow": {"coev-central-2": (2, 1)},
+}
+TOWER_DIGESTS = {  # ev_pow and coev_pow at n = 1..3, table(1, m, m) at m = 0..3, act_table(1..3)
+    "two-point-universal": {
+        "act_table:A": "6879ded9c03442469f6f0094254b952ca0601f7be99aa167c2ebfcd46a71591e",
+        "act_table:omega1": "c5070df78ae6e282d945d677428b9a7cdd7244d74b63243b2e550494420d8256",
+        "act_table:vec": "570ee15890408a02cab935b77289db89bf372e6a6d05bbaf96cef336830dd17f",
+        "coev_pow": "90b09769af3f330f884f9179f27cca8f00e867178bcbe9a9430602ad41025787",
+        "ev_pow": "b0c160ebeff99929cdad32898177d11574aaf38f7360d7ce94eb2df119a60090",
+        "table_1mm": "24029dfe397397ee908694c96e307dfdf302d325eb0e2dc19e7a93cd6d688709",
+    },
+    Z3: {
+        "act_table:A": "caa727b387016c08ba29fa68ed7d0e6e67a127753cc03b83d9db0763e5da087a",
+        "act_table:omega1": "2532e63329c2ef4f8a3023e8c3079af6978ae58faa2c992faa9be31acbd807d6",
+        "act_table:vec": "5a624f410516ba99bb897c8937935cd6a1d89957a3fc52129b703579fa1751d7",
+        "coev_pow": "1d44a5f57a58f45812d7e4e61bb37c6bbd3344081a2b971ea92a52c82432de16",
+        "ev_pow": "6293136bb4c1360b1ed6c52b3b5485d63b2ac53c6419a307ac88efcb4f2c3f44",
+        "table_1mm": "b6c766db6af1ac299af20feba70dff14440409f0805f9f81a451afa9c80c7917",
+    },
+}
+TOWER_WITNESSES = {  # recorded with the per-basis-vector tower builders and checks
+    (Z3, "ev_pow", 2, 1, 53): {
+        "ev-bimodule-2": ("right", 2, 1),
+        "ev-duality-2": (2, 0, 5),
+        "zigzag-2": ("fields", 2, 4),
+    },
+    (Z3, "ev_pow", 3, 1, 229): {
+        "ev-bimodule-3": ("right", 3, 1),
+        "ev-duality-3": (3, 0, 13),
+        "zigzag-3": ("fields", 3, 9),
+    },
+    (Z3, "coev_pow", 2, 117, 0): {"coev-central-2": (2, 1), "zigzag-2": ("fields", 2, 11)},
+    (Z3, "coev_pow", 3, 210, 0): {"coev-central-3": (3, 1), "zigzag-3": ("fields", 3, 16)},
+    (Z3, "box_vec_pow", 2, 13, 5): {"ev-duality-2": (2, 5, 10)},
+    (Z3, "box_vec_pow", 3, 20, 13): {"ev-duality-3": (3, 13, 9)},
+    (Z3, "box_form_pow", 2, 12, 3): {"ev-duality-2": (2, 1, 3)},
+    (Z3, "box_form_pow", 3, 12, 19): {"ev-duality-3": (3, 18, 19)},
+    # no single bumped entry on z3 breaks the forms side alone; the two-point bundle shows it
+    ("two-point-universal", "ev_pow", 2, 0, 1): {
+        "ev-balanced-2": 2,
+        "ev-bimodule-2": ("right", 2, 0),
+        "ev-duality-2": (2, 0, 1),
+        "zigzag-2": ("forms", 2, 1),
+    },
+    ("two-point-universal", "ev_pow", 3, 1, 3): {
+        "ev-balanced-3": 3,
+        "ev-bimodule-3": ("right", 3, 0),
+        "ev-duality-3": (3, 0, 1),
+        "zigzag-3": ("forms", 3, 1),
+    },
 }
 INVERSE_DIGESTS = {
     "two-point-universal": {
