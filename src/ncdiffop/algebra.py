@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .linalg import Mat, ldl_certify_psd
+from .linalg import Mat, first_mismatch, ldl_certify_psd
 from .report import CheckResult
 from .scalars import ONE, ZERO, Scalar, sc
 
@@ -73,19 +73,18 @@ class Algebra:
             raise NoStar("algebra has no star structure")
         return self.star.apply([a.conj() for a in x])
 
+    def mul_mat(self) -> Mat:
+        """The product as a matrix Kron(A, A) -> A: column i*dim + j is a_i a_j."""
+        return Mat(self.dim, self.dim * self.dim, [col for m in self.left_mult for col in m.cols_sparse()])
+
     def validate(self) -> list[CheckResult]:
         """Run all algebra invariants; the report lists every failed triple."""
         results = []
         d = self.dim
-        assoc_failures = []
-        for i in range(d):
-            for j in range(d):
-                ij = self.mul_tensor[i][j]
-                for k in range(d):
-                    lhs = self.mul(ij, unit_row(d, k))
-                    rhs = self.mul(unit_row(d, i), self.mul_tensor[j][k])
-                    if lhs != rhs:
-                        assoc_failures.append((i, j, k))
+        mul, I = self.mul_mat(), Mat.identity(d)
+        # column (i*d + j)*d + k compares (a_i a_j) a_k with a_i (a_j a_k)
+        defect = mul @ mul.kron(I) - mul @ I.kron(mul)
+        assoc_failures = [(c // (d * d), c // d % d, c % d) for c, col in enumerate(defect.cols_sparse()) if col]
         results.append(
             CheckResult(
                 "associativity",
@@ -94,26 +93,15 @@ class Algebra:
                 detail=f"{len(assoc_failures)} failing triples: {assoc_failures}" if assoc_failures else "",
             )
         )
-        unit_fail = None
-        for i in range(d):
-            e = unit_row(d, i)
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                unit_fail = i
-                break
-        results.append(CheckResult("unit-laws", unit_fail is None, witness=unit_fail))
+        unit = Mat.from_cols([self.unit], d)
+        # u a_i = a_i (key 0) and a_i u = a_i (key 1): the witness is the first failing i
+        unit_fail = first_mismatch({0: mul @ unit.kron(I), 1: mul @ I.kron(unit)}, {0: I, 1: I}, (d,))
+        results.append(CheckResult("unit-laws", unit_fail is None, witness=None if unit_fail is None else unit_fail[0]))
         if self.star is not None:
             star2 = self.star @ self.star.conj()
-            results.append(CheckResult("star-involution", star2 == Mat.identity(d)))
-            anti_fail = None
-            for i in range(d):
-                for j in range(d):
-                    lhs = self.apply_star(self.mul(unit_row(d, i), unit_row(d, j)))
-                    rhs = self.mul(self.apply_star(unit_row(d, j)), self.apply_star(unit_row(d, i)))
-                    if lhs != rhs:
-                        anti_fail = (i, j)
-                        break
-                if anti_fail:
-                    break
+            results.append(CheckResult("star-involution", star2 == I))
+            # column i*d + j compares (a_i a_j)* with a_j* a_i*
+            anti_fail = first_mismatch(self.star @ mul.conj(), mul @ self.star.kron(self.star) @ Mat.swap(d, d), (d, d))
             results.append(CheckResult("star-antimultiplicative", anti_fail is None, witness=anti_fail))
             results.append(CheckResult("star-fixes-unit", self.apply_star(self.unit) == self.unit))
         return results

@@ -3,9 +3,12 @@ and finitely-generated-projective structure (dual basis, evaluation and
 coevaluation).
 
 Tensor products over the algebra are realized as explicit quotients of the
-plain tensor space by the span of ``e.a (x) f - e (x) a.f``.  Quotient
-coordinates come from the deterministic echelon complement in
-:mod:`ncdiffop.linalg`, so every derived object is reproducible.  Operators
+plain tensor space by the span of ``e.a (x) f - e (x) a.f``.  Every subspace
+here has the one form :mod:`ncdiffop.linalg` gives it, the canonical echelon
+basis as the columns of a ``Mat``: the relation span
+(``TensorPair.relation_mat``, from ``span``) and the dual of a module (the
+``kernel`` of right-linearity).  Quotient coordinates are the non-pivot
+coordinates of that basis, so every derived object is reproducible.  Operators
 that are only well defined as sums follow one discipline throughout: build
 the map on the plain tensor space, check with ``TensorPair.descends`` that it
 kills the relation span, then compose with ``TensorPair.section``.
@@ -31,26 +34,20 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import Algebra, unit_row
-from .linalg import (
-    Mat,
-    SparseEchelon,
-    first_mismatch,
-    kernel,
-    kron_vec,
-    quotient,
-    vec_is_zero,
-)
-from .report import CheckResult, ValidationError
-from .scalars import ZERO, Scalar
+from .algebra import Algebra
+from .linalg import Mat, first_mismatch, kernel, kron_vec, quotient, span
+from .report import CheckResult, ValidationError, first_failure
+from .scalars import ONE, ZERO, Scalar
 
 
 class BimoduleMapError(ValueError):
     pass
 
 
-class NotProjective(ValueError):
-    pass
+class NotProjective(ValidationError):
+    """A dual basis that does not present the module as a projective right module:
+    ``dual-basis`` (witness: the module element it fails on) or
+    ``dual-right-linear`` (witness: the functional that is not right-A-linear)."""
 
 
 class Bimodule:
@@ -108,28 +105,23 @@ class Bimodule:
     def validate(self) -> list[CheckResult]:
         A = self.algebra
         d, n = A.dim, self.dim
-        results = []
-        unit_left = sum((self.left[i].scale(c) for i, c in enumerate(A.unit) if c), Mat.zeros(n, n))
-        unit_right = sum((self.right[i].scale(c) for i, c in enumerate(A.unit) if c), Mat.zeros(n, n))
-        results.append(CheckResult(f"{self.name}:left-unital", unit_left == Mat.identity(n)))
-        results.append(CheckResult(f"{self.name}:right-unital", unit_right == Mat.identity(n)))
-        fail = None
-        for i in range(d):
-            for j in range(d):
-                prod = A.mul_tensor[i][j]
-                lhs = sum((self.left[k].scale(c) for k, c in enumerate(prod) if c), Mat.zeros(n, n))
-                if self.left[i] @ self.left[j] != lhs:
-                    fail = ("left", i, j)
-                    break
-                rhs = sum((self.right[k].scale(c) for k, c in enumerate(prod) if c), Mat.zeros(n, n))
-                if self.right[j] @ self.right[i] != rhs:
-                    fail = ("right", i, j)
-                    break
-                if self.right[j] @ self.left[i] != self.left[i] @ self.right[j]:
-                    fail = ("commute", i, j)
-                    break
-            if fail:
-                break
+        L, R, mul = self.left_action(), self.right_action(), A.mul_mat()
+        Id, In, unit = Mat.identity(d), Mat.identity(n), Mat.from_cols([A.unit], d)
+        results = [
+            CheckResult(f"{self.name}:left-unital", L @ unit.kron(In) == In),
+            CheckResult(f"{self.name}:right-unital", R @ In.kron(unit) == In),
+        ]
+        # each axiom on Kron(A_i, A_j, M): the first failing (i, j), ties in the order listed
+        to_right = Mat.swap(d * d, n)  # Kron(A_i, A_j, M) -> Kron(M, A_i, A_j)
+        to_middle = Id.kron(Mat.swap(d, n))  # Kron(A_i, A_j, M) -> Kron(A_i, M, A_j)
+        axioms = {
+            "left": (L @ Id.kron(L), L @ mul.kron(In)),  # a_i.(a_j.m) = (a_i a_j).m
+            "right": (R @ R.kron(Id) @ to_right, R @ In.kron(mul) @ to_right),  # (m.a_i).a_j = m.(a_i a_j)
+            "commute": (R @ L.kron(Id) @ to_middle, L @ Id.kron(R) @ to_middle),  # (a_i.m).a_j = a_i.(m.a_j)
+        }
+        fails = {side: first_mismatch(lhs, rhs, (d, d, n)) for side, (lhs, rhs) in axioms.items()}
+        fail = first_failure({side: w and w[:2] for side, w in fails.items()})  # the first failing (i, j)
+        fail = None if fail is None else (fail[0], *fail[1])
         results.append(CheckResult(f"{self.name}:action-axioms", fail is None, witness=fail))
         return results
 
@@ -235,13 +227,7 @@ class TensorPair:
         self.e = e
         self.f = f
         A = e.algebra
-        plain_dim = e.dim * f.dim
-        ech = SparseEchelon(plain_dim)
-        for row in relation_vectors(e, f):
-            ech.add_sparse(dict(row))
-        # column r: the reduced echelon relation with the r-th smallest pivot
-        rels = [sorted(ech.pivot_rows[p].items()) for p in sorted(ech.pivot_rows)]
-        self.relation_mat = Mat(plain_dim, len(rels), rels)
+        self.relation_mat = span(e.dim * f.dim, relation_vectors(e, f))
         self.project, self.section = quotient(self.relation_mat)
         dim = self.project.rows
         # the actions on plain tensors, pushed down: a.(e (x) f) and (e (x) f).a
@@ -323,33 +309,32 @@ class FGPStructure:
     """Dual basis presentation of a right-FGP bimodule and its dual.
 
     ``module`` plays the 1-forms, ``dual`` the vector fields; ``apply_mat`` is
-    the pairing dual x module -> A on plain tensor coordinates.
+    the pairing dual x module -> A on plain tensor coordinates, and
+    ``coev_one`` is coev(1) in plain Kron(module, dual) coordinates, one column.
     """
 
     def __init__(
         self,
         module: Bimodule,
         dual: Bimodule,
-        dual_maps: list[Mat],
         basis_forms: list[list[Scalar]],
         basis_functionals: list[list[Scalar]],
         apply_mat: Mat,
         ev: BimoduleMap,
         coev: BimoduleMap,
-        coev_one_plain: list[Scalar],
+        coev_one: Mat,
         pair_dual_module: "TensorPair",
         pair_module_dual: "TensorPair",
         idempotent: list[list[list[Scalar]]],
     ):
         self.module = module
         self.dual = dual
-        self.dual_maps = dual_maps
         self.basis_forms = basis_forms
         self.basis_functionals = basis_functionals
         self.apply_mat = apply_mat
         self.ev = ev
         self.coev = coev
-        self.coev_one_plain = coev_one_plain
+        self.coev_one = coev_one
         self.pair_dual_module = pair_dual_module
         self.pair_module_dual = pair_module_dual
         self.idempotent = idempotent
@@ -366,79 +351,57 @@ def dualize_right_module(
 ) -> FGPStructure:
     """Realize the right dual of an FGP right module from a dual basis.
 
-    The dual is cut out of Hom(module, A) by right-A-linearity; ev and coev
-    are assembled as bimodule maps and the zig-zag identities plus the
-    idempotency of ``P[q][j] = f_q(f^j)`` are all verified exactly.
+    The dual is cut out of Hom(module, A) by right-A-linearity, as the kernel
+    of a constraint on the row-major ``vec(M)`` in Kron(A, module) of a map M;
+    a right-linear map has coordinates ``pick @ vec(M)`` in its echelon basis.
+    ev and coev are assembled as bimodule maps and the zig-zag identities plus
+    the idempotency of ``P[q][j] = f_q(f^j)`` are all verified exactly.
     """
     A = omega.algebra
     dA, dO = A.dim, omega.dim
     n = len(dual_basis_forms)
     if n != len(dual_basis_functionals):
-        raise NotProjective("dual basis forms/functionals length mismatch")
+        raise NotProjective("dual-basis", detail="forms/functionals length mismatch")
+    IA, IO = Mat.identity(dA), Mat.identity(dO)
+    forms = Mat.from_cols(dual_basis_forms, dO)  # column i: f^i
+    # Kron(n, module) -> A: column i*dO + j is f_i(xi_j)
+    functionals = Mat(dA, n * dO, [col for f in dual_basis_functionals for col in f.cols_sparse()])
+    diag = Mat(n * n, 1, [[(i * (n + 1), ONE) for i in range(n)]])  # sum_i e_i (x) e_i
 
     # dual basis property: xi = sum_i f^i . f_i(xi) for every basis xi
-    for j in range(dO):
-        xi = unit_row(dO, j)
-        acc = [ZERO] * dO
-        for fi_form, fi_map in zip(dual_basis_forms, dual_basis_functionals):
-            val = fi_map.apply(xi)  # in A
-            term = omega.right_apply(fi_form, val)
-            acc = [x + y for x, y in zip(acc, term)]
-        if acc != xi:
-            raise NotProjective(f"dual basis fails on module basis element {j}")
+    fail = first_mismatch(omega.right_action() @ forms.kron(functionals) @ diag.kron(IO), IO, (dO,))
+    if fail is not None:
+        raise NotProjective("dual-basis", witness=(omega.name, *fail))
 
-    # right-A-linearity cuts the dual out of all linear maps module -> A.
-    # unknown: matrix M (dA x dO) flattened row-major; constraints:
-    # M(xi . a) = M(xi) . a for all basis xi, a
-    rows = []
-    for j in range(dO):
-        for a in range(dA):
-            # lhs: M applied to (e_j . a); rhs: M(e_j) . a
-            lhs_cols = omega.right[a].column(j)  # coords of e_j . a
-            for out_k in range(dA):
-                row = [ZERO] * (dA * dO)
-                for l, c in enumerate(lhs_cols):
-                    if c:
-                        row[out_k * dO + l] = row[out_k * dO + l] + c
-                # rhs: (M e_j) . a, component out_k = sum_m M[m][j] (a_m a_a)_k
-                for m in range(dA):
-                    coeff = A.mul_tensor[m][a][out_k]
-                    if coeff:
-                        row[m * dO + j] = row[m * dO + j] - coeff
-                if any(row):
-                    rows.append(row)
-    constraint = Mat.from_rows(rows, dA * dO)
-    sol = kernel(constraint)
-    dual_dim = sol.dim
-    dual_maps = [Mat.from_rows([vecrow[i * dO : (i + 1) * dO] for i in range(dA)], dO) for vecrow in sol.basis]
-
-    def coords_of_map(m: Mat) -> list[Scalar]:
-        flat = [x for row in m.data for x in row]
-        # echelon basis: coordinates are read off at the pivot positions
-        coords = [flat[p] for p in sol.pivots]
-        residual = sol.reduce(flat)
-        if not vec_is_zero(residual):
-            raise NotProjective("functional is not right-A-linear")
-        return coords
+    # right-A-linearity M(xi . a) = M(xi) . a, one block of constraints per a
+    constraint = sum(
+        (
+            Mat(dA, 1, [[(a, ONE)]]).kron(IA.kron(omega.right[a].transpose()) - A.right_mult[a].kron(IO))
+            for a in range(dA)
+        ),
+        Mat.zeros(dA * dA * dO, dA * dO),
+    )
+    maps = kernel(constraint)  # column b: vec of the b-th dual basis element
+    pivot_of = {col[0][0]: b for b, col in enumerate(maps.cols_sparse())}
+    pick = Mat(maps.cols, dA * dO, [[(pivot_of[r], ONE)] if r in pivot_of else [] for r in range(dA * dO)])
+    vecs = Mat(dA * dO, n, [_vec(f) for f in dual_basis_functionals])
+    coords = pick @ vecs  # column i: f_i in the dual
+    fail = first_mismatch(maps @ coords, vecs, (n,))
+    if fail is not None:
+        raise NotProjective("dual-right-linear", witness=(omega.name, *fail), detail="functional is not right-A-linear")
 
     # bimodule structure on the dual: (a.al)(xi) = a.al(xi), (al.a)(xi) = al(a.xi)
-    left = []
-    right = []
-    for a in range(dA):
-        lcols = []
-        rcols = []
-        for b in range(dual_dim):
-            m = dual_maps[b]
-            lm = A.left_mult[a] @ m
-            rm = m @ omega.left[a]
-            lcols.append(coords_of_map(lm))
-            rcols.append(coords_of_map(rm))
-        left.append(Mat.from_cols(lcols))
-        right.append(Mat.from_cols(rcols))
-    dual = Bimodule(A, dual_dim, left, right, f"dual({omega.name})")
+    left = [pick @ A.left_mult[a].kron(IO) @ maps for a in range(dA)]
+    right = [pick @ IA.kron(omega.left[a].transpose()) @ maps for a in range(dA)]
+    dual = Bimodule(A, maps.cols, left, right, f"dual({omega.name})")
 
-    # pairing dual (x) module -> A on plain tensor coordinates
-    apply_mat = Mat.from_cols([m.column(j) for m in dual_maps for j in range(dO)], dA)
+    # pairing dual (x) module -> A on plain tensor coordinates: column b*dO + j is M_b(xi_j)
+    apply_cols = [[] for _ in range(maps.cols * dO)]
+    for b, col in enumerate(maps.cols_sparse()):
+        for r, v in col:
+            k, j = divmod(r, dO)
+            apply_cols[b * dO + j].append((k, v))
+    apply_mat = Mat(dA, maps.cols * dO, apply_cols)
 
     pair_dual_module = TensorPair(dual, omega)
     pair_module_dual = TensorPair(omega, dual)
@@ -446,20 +409,12 @@ def dualize_right_module(
     ev_mat = pair_dual_module.induce(apply_mat, "ev")
     ev = BimoduleMap(pair_dual_module.space, algebra_as_bimodule(A), ev_mat, "ev")
 
-    functional_coords = [coords_of_map(m) for m in dual_basis_functionals]
-    coev_one_plain = [ZERO] * (dO * dual_dim)
-    for form, fcoords in zip(dual_basis_forms, functional_coords):
-        plain = kron_vec(form, fcoords)
-        coev_one_plain = [x + y for x, y in zip(coev_one_plain, plain)]
-    coev_cols = []
-    for a in range(dA):
-        plain = (omega.left[a].kron(Mat.identity(dual_dim))).apply(coev_one_plain)
-        coev_cols.append(pair_module_dual.push(plain))
-    coev_mat = Mat.from_cols(coev_cols)
+    coev_one = forms.kron(coords) @ diag  # sum_i f^i (x) f_i
+    coev_mat = pair_module_dual.project @ omega.left_action().kron(Mat.identity(dual.dim)) @ IA.kron(coev_one)
     coev = BimoduleMap(algebra_as_bimodule(A), pair_module_dual.space, coev_mat, "coev")
 
     # zig-zag identities (exact, on every basis element)
-    coev_rep = pair_module_dual.section @ pair_module_dual.project @ Mat.from_cols([coev_one_plain], dO * dual_dim)
+    coev_rep = pair_module_dual.section @ pair_module_dual.project @ coev_one
     fail = zigzag_failure(dual, omega, apply_mat, coev_rep)
     if fail is not None:
         side, idx = fail
@@ -474,14 +429,18 @@ def dualize_right_module(
     return FGPStructure(
         module=omega,
         dual=dual,
-        dual_maps=dual_maps,
         basis_forms=[list(f) for f in dual_basis_forms],
-        basis_functionals=functional_coords,
+        basis_functionals=[coords.column(i) for i in range(n)],
         apply_mat=apply_mat,
         ev=ev,
         coev=coev,
-        coev_one_plain=coev_one_plain,
+        coev_one=coev_one,
         pair_dual_module=pair_dual_module,
         pair_module_dual=pair_module_dual,
         idempotent=P,
     )
+
+
+def _vec(m: Mat) -> list:
+    """Row-major vec(m) as a sparse column: entry (k, l) at row k*m.cols + l."""
+    return sorted((k * m.cols + l, v) for l, col in enumerate(m.cols_sparse()) for k, v in col)

@@ -209,6 +209,8 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
     functionals = [
         _mat(m, dA, dO, f"functional[{i}]") for i, m in enumerate(_list(db["functionals"], "dual_basis.functionals"))
     ]
+    if len(forms) != len(functionals):
+        raise ParseError(f"dual_basis: {len(forms)} forms but {len(functionals)} functionals")
     box_plain = _mat(doc["box"], dO * dO, dO, "box")
     sigma_inv_plain = _mat(doc["sigma_inv"], dO * dO, dO * dO, "sigma_inv")
 
@@ -319,7 +321,10 @@ def _reject_imaginary(doc):
 
     for key in ("algebra", "omega", "d", "dual_basis", "box", "sigma_inv", "modules", "inner_products", "states"):
         if key in doc:
-            walk(doc[key])
+            value = doc[key]
+            if key in ("algebra", "omega") and isinstance(value, dict):
+                value = {k: v for k, v in value.items() if k != "basis"}  # basis names, not scalars
+            walk(value)
 
 
 def load_bundle(path, validate: bool = True) -> Bundle:

@@ -22,7 +22,7 @@ from typing import Optional
 from .bimodule import TensorPair
 from .calculus import ConnectionModule, tensor_connection
 from .diffop import BulletTable
-from .linalg import Mat, SparseEchelon, first_mismatch, inverse, kron_vec
+from .linalg import Mat, first_mismatch, inverse, kron_vec, quotient, span
 from .report import CheckResult, ValidationError
 from .scalars import ONE, Scalar
 
@@ -302,34 +302,32 @@ class CrossingMap:
         for m in range(0, self.max_degree + 1):
             offsets[m] = total_dim
             total_dim += g.V(m).dim * E.dim
-        rel_span = SparseEchelon(total_dim)
+        rels = []
         for m in range(0, self.max_degree + 1):
             Vm = g.V(m)
-            rels = {k: self.table.table(m, 0, k).kron(Mat.identity(E.dim)) for k in range(m)}
-            rels[m] = Vm.right_action().kron(Mat.identity(E.dim)) - Mat.identity(Vm.dim).kron(E.left_action())
-            for row in _stacked_columns(rels, offsets):
-                rel_span.add_sparse(row)
+            blocks = {k: self.table.table(m, 0, k).kron(Mat.identity(E.dim)) for k in range(m)}
+            blocks[m] = Vm.right_action().kron(Mat.identity(E.dim)) - Mat.identity(Vm.dim).kron(E.left_action())
+            rels += _stacked(blocks, offsets, total_dim).cols_sparse()
+        project, _ = quotient(span(total_dim, rels))
         for n in range(0, self.max_degree + 1):
             comp = {n: -Mat.identity(g.V(n).dim * E.dim)}
             for m, th in self.theta[n].items():
                 for mm, invmat in inv[m].items():
                     _add(comp, mm, invmat @ th)
-            fail = None
-            for c, row in enumerate(_stacked_columns(comp, offsets)):
-                if not rel_span.contains_sparse(row):
-                    fail = (n, *divmod(c, E.dim))
-                    break
+            stacked = project @ _stacked(comp, offsets, total_dim)
+            fail = first_mismatch(stacked, Mat.zeros(stacked.rows, stacked.cols), (g.V(n).dim, E.dim))
+            fail = None if fail is None else (n, *fail)
             results.append(CheckResult(f"theta-left-inverse-deg{n}", fail is None, witness=fail))
         return results
 
 
-def _stacked_columns(blocks: dict[int, Mat], offsets: dict[int, int]) -> list[dict[int, Scalar]]:
-    """The columns of the matrix with block m at row offsets[m], as sparse dicts."""
-    cols = [{} for _ in range(next(iter(blocks.values())).cols)]
-    for m, mat in blocks.items():
-        for col, out in zip(mat.cols_sparse(), cols):
-            out.update((offsets[m] + i, v) for i, v in col)
-    return cols
+def _stacked(blocks: dict[int, Mat], offsets: dict[int, int], rows: int) -> Mat:
+    """The matrix with block m at row offsets[m] (offsets increasing with m)."""
+    cols = [[] for _ in range(next(iter(blocks.values())).cols)]
+    for m in sorted(blocks):
+        for col, out in zip(blocks[m].cols_sparse(), cols):
+            out.extend((offsets[m] + i, v) for i, v in col)
+    return Mat(rows, len(cols), cols)
 
 
 # -- theta on the unit object and compatibility with the product -------------------

@@ -72,7 +72,7 @@ class Geometry:
 
         self.fgp: FGPStructure = dualize_right_module(omega, dual_basis_forms, dual_basis_functionals)
         self.vec = self.fgp.dual
-        self.coev_one = Mat.from_cols([self.fgp.coev_one_plain], omega.dim * self.vec.dim)  # coev(1), plain
+        self.coev_one = self.fgp.coev_one  # coev(1), plain
         self._pairs[(id(self.vec), id(omega))] = self.fgp.pair_dual_module
         self._pairs[(id(omega), id(self.vec))] = self.fgp.pair_module_dual
 

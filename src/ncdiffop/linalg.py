@@ -5,6 +5,10 @@ sparse columns, as in T. A. Davis, *Direct Methods for Sparse Linear Systems*,
 SIAM 2006).  Products, Kronecker products, sums and transposes touch only
 those nonzeros; row reduction and the PSD certificate work on a dense copy.
 
+A subspace has one form: its canonical reduced echelon basis as the columns
+of a ``Mat`` (``span``, ``kernel``).  ``quotient`` turns it into a projection
+whose kernel is the subspace, so membership is a product that must vanish.
+
 Everything here is deterministic: row reduction always picks the leftmost
 pivot column and the first usable row, so echelon bases (and hence all
 quotient coordinates built on top of them) are reproducible across runs.
@@ -321,62 +325,16 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-class Subspace:
-    """A subspace of a coordinate space, stored as canonical RREF row basis."""
-
-    def __init__(self, ambient_dim: int, basis_rows: list[list[Scalar]], pivots: tuple[int, ...]):
-        self.ambient_dim = ambient_dim
-        self.basis = basis_rows
-        self.pivots = pivots
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @staticmethod
-    def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
-        ech = SparseEchelon(ambient_dim)
-        for v in vectors:
-            ech.add_dense(v)
-        return ech.to_subspace()
-
-    def contains(self, vec: Sequence[Scalar]) -> bool:
-        return vec_is_zero(self.reduce(vec))
-
-    def reduce(self, vec: Sequence[Scalar]) -> list[Scalar]:
-        """Residual of vec after eliminating all pivot coordinates."""
-        v = list(vec)
-        for row, p in zip(self.basis, self.pivots):
-            x = v[p]
-            if x:
-                v = [a - x * b for a, b in zip(v, row)]
-        return v
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.pivots == other.pivots
-            and self.basis == other.basis
-        )
-
-
 class SparseEchelon:
-    """Incremental reduced echelon basis built from sparse or dense vectors.
+    """Incremental reduced echelon basis built from sparse vectors.
 
     Rows are kept as dicts.  Insertion keeps the set fully reduced, so the
     final basis equals the canonical RREF basis of the span regardless of
     insertion order.
     """
 
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
+    def __init__(self):
         self.pivot_rows: dict[int, dict[int, Scalar]] = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivot_rows)
 
     def _reduce(self, row: dict[int, Scalar]) -> dict[int, Scalar]:
         changed = True
@@ -396,11 +354,11 @@ class SparseEchelon:
                     break
         return row
 
-    def add_sparse(self, row: dict[int, Scalar]) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
+    def add_sparse(self, row: dict[int, Scalar]) -> None:
+        """Insert a vector."""
         row = self._reduce({c: v for c, v in row.items() if v})
         if not row:
-            return False
+            return
         p = min(row)
         inv = ONE / row[p]
         row = {c: v * inv for c, v in row.items()}
@@ -413,49 +371,25 @@ class SparseEchelon:
                     if not existing[cc]:
                         del existing[cc]
         self.pivot_rows[p] = row
-        return True
-
-    def add_dense(self, vec: Sequence[Scalar]) -> bool:
-        return self.add_sparse({i: v for i, v in enumerate(vec) if v})
-
-    def contains_sparse(self, row: dict[int, Scalar]) -> bool:
-        return not self._reduce({c: v for c, v in row.items() if v})
-
-    def to_subspace(self) -> Subspace:
-        pivots = tuple(sorted(self.pivot_rows))
-        basis = []
-        for p in pivots:
-            row = [ZERO] * self.ambient_dim
-            for c, v in self.pivot_rows[p].items():
-                row[c] = v
-            basis.append(row)
-        return Subspace(self.ambient_dim, basis, pivots)
 
 
-def kernel(m: Mat) -> Subspace:
-    """Canonical basis of the null space of m (RREF of the solution space)."""
+def span(ambient_dim: int, sparse_vectors: Iterable) -> Mat:
+    """The canonical RREF basis of the span of some vectors, one per column in
+    pivot order: the first entry of each column is its pivot, equal to 1, and no
+    column has an entry in another's pivot row.  A vector is a dict or a list of
+    ``(index, value)`` pairs; this is the form :func:`quotient` takes."""
+    ech = SparseEchelon()
+    for vec in sparse_vectors:
+        ech.add_sparse(dict(vec))
+    return Mat(ambient_dim, len(ech.pivot_rows), [sorted(ech.pivot_rows[p].items()) for p in sorted(ech.pivot_rows)])
+
+
+def kernel(m: Mat) -> Mat:
+    """Canonical basis of the null space of m, as columns (see :func:`span`)."""
     r, pivots = rref(m)
     free = [c for c in range(m.cols) if c not in pivots]
-    vecs = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for i, x in r._cols_sparse[f]:
-            v[pivots[i]] = -x
-        vecs.append(v)
-    return Subspace.from_vectors(m.cols, vecs)
-
-
-def solve(m: Mat, b: Sequence[Scalar]):
-    """One solution of m x = b, or None if inconsistent (deterministic)."""
-    aug = Mat(m.rows, m.cols + 1, m._cols_sparse + Mat.from_cols([b], m.rows)._cols_sparse)
-    r, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [ZERO] * m.cols
-    for i, v in r._cols_sparse[m.cols]:
-        x[pivots[i]] = v
-    return x
+    cols = r.cols_sparse()
+    return span(m.cols, ([(pivots[i], -x) for i, x in cols[f]] + [(f, ONE)] for f in free))
 
 
 def inverse(m: Mat) -> Mat:
@@ -472,11 +406,11 @@ def inverse(m: Mat) -> Mat:
 def quotient(relations: Mat) -> tuple[Mat, Mat]:
     """Quotient of a coordinate space by the span of the columns of ``relations``.
 
-    The columns must be a reduced echelon basis: the first entry of each column
-    is its pivot, equal to 1, and no column has an entry in another's pivot row.
+    The columns must be a reduced echelon basis, as :func:`span` returns it.
     Returns (projection, section) with projection @ section == identity on the
-    quotient and kernel(projection) == the relation span.  Representatives
-    are the non-pivot coordinates, so the choice is deterministic.
+    quotient and kernel(projection) == the relation span, so a vector lies in
+    the span exactly when the projection kills it.  Representatives are the
+    non-pivot coordinates, so the choice is deterministic.
     """
     cols = relations.cols_sparse()
     pivot_set = {col[0][0] for col in cols}

@@ -58,14 +58,23 @@ class ValidationError(ValueError):
         super().__init__(msg)
 
 
-def raise_first_failure(checks: dict) -> None:
-    """Raise for the check that fails at the earliest witness, if any fails.
+def first_failure(checks: dict):
+    """The ``(name, witness)`` of the check that fails at the earliest witness,
+    or None if none fails.
 
     ``checks`` maps check names to the witness of their first failure (or
     None), for checks that one loop over basis tuples used to run in turn at
     each tuple: the smallest witness wins, and on a tie the check listed first.
     """
     fails = [(witness, k, name) for k, (name, witness) in enumerate(checks.items()) if witness is not None]
-    if fails:
-        witness, _, name = min(fails)
-        raise ValidationError(name, witness=witness)
+    if not fails:
+        return None
+    witness, _, name = min(fails)
+    return name, witness
+
+
+def raise_first_failure(checks: dict) -> None:
+    """Raise for the check that :func:`first_failure` picks, if any fails."""
+    fail = first_failure(checks)
+    if fail is not None:
+        raise ValidationError(fail[0], witness=fail[1])

@@ -26,8 +26,8 @@ from .crossing import (
 )
 from .diffop import BulletTable, GradedOperator
 from .hopf import standard_candidate
-from .linalg import Mat, SparseEchelon, first_mismatch
-from .report import CheckResult, ValidationError, _jsonable
+from .linalg import Mat, first_mismatch, quotient, span
+from .report import CheckResult, ValidationError, _jsonable, first_failure
 from .scalars import sc
 from .sobolev import InnerProduct, SobolevPairings, gram_increment_certificate, sobolev_gram
 
@@ -160,29 +160,23 @@ def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
         rels = [sorted(rel.items()) for rel in relation_vectors(Vn, Wn)]
         balanced = (ev @ Mat(ev.cols, len(rels), rels)).is_zero()
         out.append(CheckResult(f"ev-balanced-{n}", balanced, witness=None if balanced else n))
-        eq_fail = None
-        for i in range(g.algebra.dim):
-            lhs = ev @ Vn.left[i].kron(Mat.identity(Wn.dim))
-            rhs = g.algebra.left_mult[i] @ ev
-            if lhs != rhs:
-                eq_fail = ("left", n, i)
-                break
-            lhs = ev @ Mat.identity(Vn.dim).kron(Wn.right[i])
-            rhs = g.algebra.right_mult[i] @ ev
-            if lhs != rhs:
-                eq_fail = ("right", n, i)
-                break
+        # ev(a.v (x) w) = a.ev(v (x) w) and ev(v (x) w.a) = ev(v (x) w).a on Kron(A, V(n), W(n))
+        dA, mul = g.algebra.dim, g.algebra.mul_mat()
+        IA, IV, IW = Mat.identity(dA), Mat.identity(Vn.dim), Mat.identity(Wn.dim)
+        to_right = Mat.swap(dA, Vn.dim * Wn.dim)  # Kron(A, V(n), W(n)) -> Kron(V(n), W(n), A)
+        shape = (dA, Vn.dim, Wn.dim)
+        left = first_mismatch(ev @ Vn.left_action().kron(IW), mul @ IA.kron(ev), shape)
+        right = first_mismatch(ev @ IV.kron(Wn.right_action()) @ to_right, mul @ ev.kron(IA) @ to_right, shape)
+        fail = first_failure({"left": left and left[:1], "right": right and right[:1]})  # the first failing a_i
+        eq_fail = None if fail is None else (fail[0], n, *fail[1])
         out.append(CheckResult(f"ev-bimodule-{n}", eq_fail is None, witness=eq_fail))
-        # coev<n>(1) central: a.coev(1) - coev(1).a lies in the relation span
-        rel_span = SparseEchelon(Wn.dim * Vn.dim)
-        for rel in relation_vectors(Wn, Vn):
-            rel_span.add_sparse(dict(rel))
+        # coev<n>(1) central: a.coev(1) - coev(1).a lies in the relation span, which the projection kills
+        project, _ = quotient(span(Wn.dim * Vn.dim, relation_vectors(Wn, Vn)))
         coev1 = g.coev_pow(n)
-        dA = g.algebra.dim
-        la = Wn.left_action().kron(Mat.identity(Vn.dim)) @ Mat.identity(dA).kron(coev1)  # column i: a_i.coev(1)
-        ra = Mat.identity(Wn.dim).kron(Vn.right_action()) @ coev1.kron(Mat.identity(dA))  # column i: coev(1).a_i
-        cols = (la - ra).cols_sparse()
-        cen_fail = next(((n, i) for i in range(dA) if not rel_span.contains_sparse(dict(cols[i]))), None)
+        la = Wn.left_action().kron(IV) @ IA.kron(coev1)  # column i: a_i.coev(1)
+        ra = IW.kron(Vn.right_action()) @ coev1.kron(IA)  # column i: coev(1).a_i
+        fail = first_mismatch(project @ la, project @ ra, (dA,))
+        cen_fail = None if fail is None else (n, *fail)
         out.append(CheckResult(f"coev-central-{n}", cen_fail is None, witness=cen_fail))
     return out
 

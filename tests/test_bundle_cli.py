@@ -1,6 +1,7 @@
 """Bundle round-trips, fault injection, CLI behaviour and determinism."""
 
 import copy
+from fractions import Fraction
 import hashlib
 import json
 import subprocess
@@ -126,6 +127,73 @@ def test_field_q_rejects_gaussian_scalars(two_point_doc):
     doc["states"]["uniform"] = ["1/2+1i", "1/2-1i"]
     with pytest.raises(ParseError):
         load_bundle_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["algebra", "omega"])
+def test_field_q_reads_basis_names_as_names(two_point_doc, key):
+    """A basis name that parses as a Gaussian scalar is still only a name."""
+    doc = copy.deepcopy(two_point_doc)
+    doc[key]["basis"][1] = "2i"
+    bundle = load_bundle_dict(doc)
+    assert bundle.field == "Q"
+    assert "2i" in (bundle.algebra.basis_names if key == "algebra" else bundle.omega_basis)
+    doc["states"]["uniform"] = ["1/2+1i", "1/2-1i"]
+    with pytest.raises(ParseError, match="cannot carry the scalar '1/2\\+1i'"):
+        load_bundle_dict(doc)
+
+
+def dual_basis_bumps(doc):
+    """Every document with 1 added to one entry of its dual basis."""
+    db = doc["dual_basis"]
+    sites = [("forms", i, j) for i, f in enumerate(db["forms"]) for j in range(len(f))]
+    sites += [
+        ("functionals", q, r, c)
+        for q, m in enumerate(db["functionals"])
+        for r in range(len(m))
+        for c in range(len(m[r]))
+    ]
+    for part, *where, last in sites:
+        bumped = copy.deepcopy(doc)
+        target = bumped["dual_basis"][part]
+        for k in where:
+            target = target[k]
+        target[last] = str(Fraction(target[last]) + 1)
+        yield (part, *where, last), bumped
+
+
+@pytest.mark.parametrize("name", ["two_point_universal", "z3_function_calculus"])
+def test_cli_validate_bumped_dual_basis_never_raises(tmp_path, capsys, name):
+    """A bad dual basis is a failed check (exit 1, named) or a valid bundle (exit 0), never a traceback."""
+    path = tmp_path / "bumped.json"
+    names = set()
+    for site, doc in dual_basis_bumps(getattr(builtin_data, name)()):
+        path.write_text(json.dumps(doc))
+        code = main(["validate", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1), site
+        if code == 1:
+            names.add(err.splitlines()[0])
+    assert "validation failed: dual-basis" in names
+
+
+def test_cli_validate_bad_dual_basis_witness(tmp_path, capsys, two_point_doc):
+    doc = copy.deepcopy(two_point_doc)
+    doc["dual_basis"]["forms"][0] = ["2", "0"]
+    path = tmp_path / "bad-dual.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[:2] == ["validation failed: dual-basis", "  witness: ['omega1', 0]"]
+
+
+def test_cli_validate_dual_basis_length_mismatch_is_input_error(tmp_path, capsys, two_point_doc):
+    doc = copy.deepcopy(two_point_doc)
+    doc["dual_basis"]["forms"].pop()
+    path = tmp_path / "short-dual.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dual_basis: 1 forms but 2 functionals")
 
 
 # -- the five documented fault injections ----------------------------------------

@@ -122,7 +122,7 @@ def test_operator_connection_on_unit(table):
     g = table.geometry
     oc = OperatorConnection(table, D)
     got = oc.blocks[0][1].apply(g.algebra.unit)
-    expected = g.OV(1).push(g.fgp.coev_one_plain)
+    expected = g.OV(1).push(g.coev_one.column(0))
     assert got == expected
 
 
@@ -134,7 +134,7 @@ def test_operator_connection_on_algebra_elements(table):
         a = unit_row(g.algebra.dim, i)
         same = [ZERO] * g.OV(0).dim
         up = [ZERO] * g.OV(1).dim
-        for idx, c in enumerate(g.fgp.coev_one_plain):
+        for idx, c in enumerate(g.coev_one.column(0)):
             if not c:
                 continue
             p, q = divmod(idx, g.vec.dim)

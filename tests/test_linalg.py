@@ -18,15 +18,15 @@ from ncdiffop.linalg import (
     NotHermitian,
     PsdCertificate,
     PsdCounterexample,
-    Subspace,
     inverse,
     kernel,
     kron_vec,
     ldl_certify_psd,
     quadratic_form,
     quotient,
+    rank,
     rref,
-    solve,
+    span,
 )
 from ncdiffop.scalars import ONE, ZERO, Scalar, sc
 
@@ -107,98 +107,122 @@ def test_rref_rank_matches_minor_oracle(m):
     assert len(pivots) == frac_minor_rank(to_int_grid(m))
 
 
+def sparse(vec) -> dict:
+    return {i: sc(x) for i, x in enumerate(vec) if x}
+
+
+def in_span(basis: Mat, vec) -> bool:
+    """Membership by projection: the projection's kernel is the span."""
+    return quotient(basis)[0].apply([sc(x) for x in vec]) == [ZERO] * (basis.rows - basis.cols)
+
+
 @given(small_mats())
 @settings(max_examples=60, deadline=None)
 def test_rref_preserves_row_space(m):
     r, _ = rref(m)
-    rows_m = Subspace.from_vectors(m.cols, m.data)
-    rows_r = Subspace.from_vectors(m.cols, r.data)
-    # mutual containment
+    rows_m = span(m.cols, map(sparse, m.data))
+    rows_r = span(m.cols, map(sparse, r.data))
+    # equal spans give equal canonical bases
+    assert rows_m == rows_r
     for row in m.data:
-        assert rows_r.contains(row)
-    for row in r.data:
-        assert rows_m.contains(row)
+        assert in_span(rows_r, row)
+
+
+# -- span ---------------------------------------------------------------------
+
+
+def test_span_canonical_columns():
+    basis = span(3, [{0: sc(2), 1: sc(4)}, [(1, sc(1)), (2, sc(1))], {0: sc(1), 1: sc(3), 2: sc(1)}])
+    # the third vector is the sum of the first two halves: rank 2, pivots 0 and 1
+    assert basis == Mat.from_cols([[1, 0, -2], [0, 1, 1]], 3)
+    for col in basis.cols_sparse():
+        assert col[0][1] == ONE
+    assert span(3, []) == Mat.zeros(3, 0)
+
+
+@given(
+    st.lists(st.lists(mat_entries, min_size=3, max_size=3), min_size=0, max_size=4),
+    st.lists(mat_entries, min_size=3, max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_membership_by_projection_matches_rank_oracle(rel_rows, x):
+    """quotient(span(R))[0] @ x vanishes exactly when rank(R + [x]) == rank(R)."""
+    basis = span(3, map(sparse, rel_rows))
+    assert basis.cols == frac_minor_rank(rel_rows)
+    assert in_span(basis, x) == (frac_minor_rank(rel_rows + [x]) == frac_minor_rank(rel_rows))
+    # the span is also what rref sees
+    assert basis.cols == rank(Mat.from_rows(rel_rows, 3))
 
 
 # -- kernel -------------------------------------------------------------------
 
 
 def test_kernel_identity_and_zero():
-    assert kernel(Mat.identity(3)).dim == 0
-    assert kernel(Mat.zeros(2, 2)).dim == 2
+    assert kernel(Mat.identity(3)).cols == 0
+    assert kernel(Mat.zeros(2, 2)) == Mat.identity(2)
 
 
 def test_kernel_example():
     m = Mat.from_rows([[1, 1]])
     ker = kernel(m)
-    assert ker.dim == 1
-    (v,) = ker.basis
-    assert linalg.vec_is_zero(m.apply(v))
+    assert ker == Mat.from_cols([[1, -1]], 2)
+    assert (m @ ker).is_zero()
     # rank-nullity against the oracle
-    assert frac_minor_rank([[1, 1]]) + ker.dim == 2
-    assert ker.contains([sc(1), sc(-1)])
+    assert frac_minor_rank([[1, 1]]) + ker.cols == 2
+    assert in_span(ker, [sc(-2), sc(2)])
 
 
 @given(small_mats())
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate_and_rank_nullity(m):
     ker = kernel(m)
-    for v in ker.basis:
-        assert linalg.vec_is_zero(m.apply(v))
-    assert len(rref(m)[1]) + ker.dim == m.cols
+    assert (m @ ker).is_zero()
+    assert len(rref(m)[1]) + ker.cols == m.cols
+    assert ker == span(m.cols, ker.cols_sparse())  # already canonical
 
 
 # -- quotient -----------------------------------------------------------------
 
 
-def echelon_columns(rels: Subspace) -> Mat:
-    """The canonical RREF basis of a relation span, one relation per column."""
-    return Mat.from_cols(rels.basis, rels.ambient_dim)
-
-
 def test_quotient_trivial_relations():
-    proj, sect = quotient(echelon_columns(Subspace.from_vectors(3, [])))
+    proj, sect = quotient(span(3, []))
     assert proj == Mat.identity(3)
     assert sect == Mat.identity(3)
 
 
 def test_quotient_full_relations():
-    rels = Subspace.from_vectors(2, [[1, 0], [0, 1]])
-    proj, sect = quotient(echelon_columns(rels))
+    rels = span(2, [{0: sc(1)}, {1: sc(1)}])
+    proj, sect = quotient(rels)
     assert proj.rows == 0 and sect.cols == 0
 
 
 def test_quotient_line_example():
-    rels = Subspace.from_vectors(2, [[1, -1]])
-    proj, sect = quotient(echelon_columns(rels))
+    rels = span(2, [{0: sc(1), 1: sc(-1)}])
+    proj, sect = quotient(rels)
     assert proj.rows == 1
     assert linalg.vec_is_zero(proj.apply([sc(1), sc(-1)]))
     assert (proj @ sect) == Mat.identity(1)
     # rank-nullity: quotient dim + relation dim = ambient dim
-    assert proj.rows + rels.dim == 2
+    assert proj.rows + rels.cols == 2
 
 
 @given(st.lists(st.lists(mat_entries, min_size=4, max_size=4), min_size=0, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_quotient_contract(rel_rows):
-    rels = Subspace.from_vectors(4, [[sc(x) for x in row] for row in rel_rows])
-    proj, sect = quotient(echelon_columns(rels))
+    rels = span(4, map(sparse, rel_rows))
+    proj, sect = quotient(rels)
     assert (proj @ sect) == Mat.identity(proj.rows)
-    for row in rels.basis:
-        assert linalg.vec_is_zero(proj.apply(row))
+    assert (proj @ rels).is_zero()
     assert kernel(proj) == rels
 
 
-# -- solve / inverse ----------------------------------------------------------
+# -- inverse ------------------------------------------------------------------
 
 
-def test_solve_and_inverse():
+def test_inverse():
     m = Mat.from_rows([[2, 1], [1, 1]])
-    x = solve(m, [sc(3), sc(2)])
-    assert m.apply(x) == [sc(3), sc(2)]
     inv = inverse(m)
     assert inv @ m == Mat.identity(2)
-    assert solve(Mat.from_rows([[1, 1], [1, 1]]), [sc(0), sc(1)]) is None
     with pytest.raises(ValueError):
         inverse(Mat.from_rows([[1, 1], [1, 1]]))
 

@@ -6,16 +6,20 @@ the ev-duality suite, an input of a load-time connection validator) and pins
 the exact witness of every check that then fails.  A witness names the first
 failing basis tuple in the order the checks have always reported, so these
 pins hold the check order fixed while the checks themselves change form.
-The digests pin the blocks that the corrupted tests start from, and the
-crossing inverse and the dual connection on vector fields.
+The digests pin the blocks that the corrupted tests start from, the
+crossing inverse, the dual connection on vector fields and the dual of the
+1-forms.  The load-path pins hold the results of ``Algebra.validate`` and
+``Bimodule.validate`` and the element a bad dual basis fails on.
 """
 
+import functools
 import hashlib
 
 import pytest
 
 from ncdiffop import crossing
-from ncdiffop.bimodule import Bimodule, TensorPair
+from ncdiffop.algebra import Algebra
+from ncdiffop.bimodule import Bimodule, NotProjective, TensorPair, dualize_right_module
 from ncdiffop.bundle import BUILTIN_NAMES, load_builtin
 from ncdiffop.calculus import connection_morphism_defect, sigma_compat_defect, tensor_connection
 from ncdiffop.crossing import (
@@ -206,6 +210,8 @@ def test_tower_and_table_digests_pinned(name):
 @pytest.mark.parametrize(
     "name,what,n,r,c",
     [
+        (Z3, "ev_pow", 1, 0, 12),
+        (Z3, "ev_pow", 1, 2, 12),
         (Z3, "ev_pow", 2, 1, 53),
         (Z3, "ev_pow", 3, 1, 229),
         (Z3, "coev_pow", 2, 117, 0),
@@ -354,6 +360,123 @@ def test_non_morphism_witnesses(z3, module, r, c):
     assert got == NON_MORPHISM_WITNESSES[(module, r, c)]
 
 
+def vec_digest(vecs) -> str:
+    return hashlib.sha256("|".join(",".join(map(str, v)) for v in vecs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_fgp_digests_pinned(name):
+    fgp = load_builtin(name).geometry.fgp
+    got = {
+        "left": digest(fgp.dual.left),
+        "right": digest(fgp.dual.right),
+        "apply_mat": digest([fgp.apply_mat]),
+        "coev": digest([fgp.coev.mat]),
+        "basis_functionals": vec_digest(fgp.basis_functionals),
+    }
+    assert got == FGP_DIGESTS[name]
+
+
+def algebra_case(case) -> Algebra:
+    tp = load_builtin("two-point-universal").algebra
+    z3 = load_builtin(Z3).algebra
+    if case == "assoc-two-point":  # p1 p1 = p1 + p2
+        mul = [[list(tp.mul_tensor[i][j]) for j in range(2)] for i in range(2)]
+        mul[0][0][1] += sc(1)
+        return Algebra(2, mul, unit=tp.unit)
+    if case == "assoc-z3":
+        mul = [[list(z3.mul_tensor[i][j]) for j in range(3)] for i in range(3)]
+        mul[1][1][0] += sc(1)
+        mul[2][2][1] += sc(1)
+        return Algebra(3, mul, unit=z3.unit, star=z3.star)
+    if case == "unit-left-first":  # a_i a_j = a_i, unit a1: a1 a0 = a1 fails on the left at 0
+        return Algebra(2, [[[1, 0]] * 2, [[0, 1]] * 2], unit=[0, 1])
+    if case == "unit-right-first":  # unit a0; a0 a2 = 0 fails on the left at 2, a1 a0 = 0 on the right at 1
+        mul = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        for j in (0, 1):
+            mul[0][j][j] = 1
+        for j in (0, 2):
+            mul[j][0][j] = 1
+        return Algebra(3, mul, unit=[1, 0, 0])
+    if case == "star-two-point":  # Q(i): star(p2) = i p1 + p2
+        mul = [[list(tp.mul_tensor[i][j]) for j in range(2)] for i in range(2)]
+        return Algebra(2, mul, unit=tp.unit, star=Mat.from_rows([[1, "i"], [0, 1]]))
+    assert case == "star-gaussian-constants"  # Q(i): a0 a0 = i a0, unit -i a0 + a1
+    mul = [[["i", 0], [0, 0]], [[0, 0], [0, 1]]]
+    return Algebra(2, mul, unit=["-i", 1], star=Mat.from_rows([[-1, 0], [1, 1]]))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "assoc-two-point",
+        "assoc-z3",
+        "unit-left-first",
+        "unit-right-first",
+        "star-two-point",
+        "star-gaussian-constants",
+    ],
+)
+def test_algebra_validate_pinned(case):
+    got = {r.name: (r.witness, r.detail) for r in algebra_case(case).validate() if not r.ok}
+    assert got == ALGEBRA_RESULTS[case]
+
+
+@functools.lru_cache(maxsize=None)
+def z3_omega() -> Bimodule:
+    return load_builtin(Z3).geometry.omega
+
+
+def bumped_omega(bumps) -> Bimodule:
+    """The z3 1-forms with 1 added to entry (r, c) of left[a] or right[a] for each (side, a, r, c)."""
+    om = z3_omega()
+    acts = {"left": list(om.left), "right": list(om.right)}
+    for side, a, r, c in bumps:
+        acts[side][a] = bump(acts[side][a], r, c)
+    return Bimodule(om.algebra, om.dim, acts["left"], acts["right"], om.name)
+
+
+@pytest.mark.parametrize(
+    "bumps",
+    [
+        (("left", 1, 2, 2),),
+        (("right", 1, 0, 3),),
+        (("left", 1, 5, 1),),
+        (("right", 2, 5, 1),),
+        (("left", 1, 2, 4), ("right", 1, 0, 3)),
+        (("left", 0, 0, 0), ("right", 0, 0, 1)),
+        (("left", 1, 1, 1), ("right", 0, 0, 1)),
+    ],
+    ids=["left", "right", "commute-from-left", "commute-from-right", "tie-21", "tie-00", "right-first"],
+)
+def test_bimodule_validate_witnesses(bumps):
+    got = {r.name: r.witness for r in bumped_omega(bumps).validate() if not r.ok}
+    assert got == BIMODULE_WITNESSES[bumps]
+
+
+def test_bimodule_validate_single_bump_sweep_pinned():
+    """Every single-entry bump of every action matrix of the z3 1-forms."""
+    sweep = [
+        ((side, a, r, c), {x.name: x.witness for x in bumped_omega([(side, a, r, c)]).validate() if not x.ok})
+        for side in ("left", "right")
+        for a in range(3)
+        for r in range(6)
+        for c in range(6)
+    ]
+    assert hashlib.sha256(repr(sweep).encode()).hexdigest() == BIMODULE_SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("i,j", [(0, 0), (1, 1)])
+def test_not_projective_names_failing_element(i, j):
+    """Two-point forms with one bumped entry: the dual basis property fails on element j."""
+    bundle = load_builtin("two-point-universal")
+    forms = [list(f) for f in bundle.geometry.fgp.basis_forms]
+    forms[i][j] += sc(1)
+    with pytest.raises(NotProjective) as err:
+        dualize_right_module(bundle.geometry.omega, forms, bundle._raw_functionals)
+    assert (err.value.name, err.value.witness) == ("dual-basis", ("omega1", NOT_PROJECTIVE_ELEMENT[(i, j)]))
+
+
 # -- pins ---------------------------------------------------------------------------
 
 # recorded with the per-basis-tuple loop versions of the checks
@@ -481,6 +604,9 @@ TOWER_DIGESTS = {  # ev_pow and coev_pow at n = 1..3, table(1, m, m) at m = 0..3
     },
 }
 TOWER_WITNESSES = {  # recorded with the per-basis-vector tower builders and checks
+    # both sides of ev-bimodule-1 fail at the same a_i: the left side is reported
+    (Z3, "ev_pow", 1, 0, 12): {"zigzag-1": ("fields", 1, 2), "ev-bimodule-1": ("left", 1, 0), "ev-duality-1": (2, 0)},
+    (Z3, "ev_pow", 1, 2, 12): {"zigzag-1": ("fields", 1, 2), "ev-bimodule-1": ("left", 1, 1), "ev-duality-1": (2, 0)},
     (Z3, "ev_pow", 2, 1, 53): {
         "ev-bimodule-2": ("right", 2, 1),
         "ev-duality-2": (2, 0, 5),
@@ -598,3 +724,53 @@ NON_MORPHISM_WITNESSES = {  # (connection defect, sigma defect, equivariance per
     ("omega1", 0, 3): (3, 9, [None, (1, 0, 5), (2, 0, 5)]),
     ("vec", 0, 1): (1, 7, [None, (1, 0, 4), (2, 0, 2)]),
 }
+_EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()  # no 1-forms: every block is empty
+FGP_DIGESTS = {  # dual.left, dual.right, apply_mat, coev.mat, basis_functionals
+    "two-point-universal": {
+        "left": "9b221bf73c40e7b89e4b2bf9767a23bf71d3a94a51a8a1138c7fc11c7d2ef7bb",
+        "right": "6028ffaf902f150769e25fa6c18330a789fdb0e22aa3036fb2b8e810da8e43fd",
+        "apply_mat": "080ad7627c3b6967d7e5e16c55489534e906c8ba882a5f2ac638ba107f474e9a",
+        "coev": "fe651f17438c1bb71cdf7d4904c07f7e69ef5cf7c6fa606dad1baeaa7f4489ea",
+        "basis_functionals": "2eeced99e1013d7eca22cd50f08bc3f95b33248c84a5dcd1efcb2e2b2ac44317",
+    },
+    Z3: {
+        "left": "66748aedbee44953b839cdf7a1d702381f79379d56dfef01def838b3aa158609",
+        "right": "964f3e4e4bc6d436c3c5ac0567344d9d82e6d0d8b63160b7bf96c9a35e08933a",
+        "apply_mat": "54cff853e32b1994da3fbdcb9c237e8d8903362ca6c4508afad661cbcde1041b",
+        "coev": "24cab9d6020959a94b92ea0bf986c5e555fecd63009000b449fb97b5a284d421",
+        "basis_functionals": "ebf467c1f75fcc6958aea8009823d83a1496ebe695df35589eb3e6ebfce7f5d6",
+    },
+    "zero-form-smoke": {
+        "left": _EMPTY_DIGEST,
+        "right": _EMPTY_DIGEST,
+        "apply_mat": _EMPTY_DIGEST,
+        "coev": _EMPTY_DIGEST,
+        "basis_functionals": _EMPTY_DIGEST,
+    },
+}
+ALGEBRA_RESULTS = {  # failing checks as (witness, detail)
+    "assoc-two-point": {
+        "associativity": ((0, 0, 1), "2 failing triples: [(0, 0, 1), (1, 0, 0)]"),
+        "unit-laws": (0, ""),
+    },
+    "assoc-z3": {
+        "associativity": ((0, 1, 1), "4 failing triples: [(0, 1, 1), (1, 1, 0), (1, 2, 2), (2, 2, 1)]"),
+        "unit-laws": (1, ""),
+    },
+    "unit-left-first": {"unit-laws": (0, "")},
+    "unit-right-first": {"unit-laws": (1, "")},
+    "star-two-point": {"star-antimultiplicative": ((0, 1), ""), "star-fixes-unit": (None, "")},
+    "star-gaussian-constants": {"star-antimultiplicative": ((0, 0), ""), "star-fixes-unit": (None, "")},
+}
+_UNITAL = {"omega1:left-unital": None, "omega1:right-unital": None}
+BIMODULE_WITNESSES = {
+    (("left", 1, 2, 2),): {"omega1:left-unital": None, "omega1:action-axioms": ("left", 1, 2)},
+    (("right", 1, 0, 3),): {"omega1:right-unital": None, "omega1:action-axioms": ("right", 2, 1)},
+    (("left", 1, 5, 1),): {"omega1:left-unital": None, "omega1:action-axioms": ("commute", 1, 1)},
+    (("right", 2, 5, 1),): {"omega1:right-unital": None, "omega1:action-axioms": ("commute", 1, 2)},
+    (("left", 1, 2, 4), ("right", 1, 0, 3)): {**_UNITAL, "omega1:action-axioms": ("left", 2, 1)},
+    (("left", 0, 0, 0), ("right", 0, 0, 1)): {**_UNITAL, "omega1:action-axioms": ("left", 0, 0)},
+    (("left", 1, 1, 1), ("right", 0, 0, 1)): {**_UNITAL, "omega1:action-axioms": ("right", 0, 0)},
+}
+BIMODULE_SWEEP_DIGEST = "5eccb722a038ae6ec2407ef56de78016e8701de479453204acfde602dba5a719"
+NOT_PROJECTIVE_ELEMENT = {(0, 0): 0, (1, 1): 1}  # recorded from the error message
