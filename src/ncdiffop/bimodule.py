@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .algebra import Algebra
-from .linalg import Mat, first_mismatch, kernel, kron_vec, quotient, span
+from .linalg import Mat, first_mismatch, kernel, quotient, span
 from .report import CheckResult, ValidationError, first_failure
 from .scalars import ONE, ZERO, Scalar
 
@@ -251,13 +251,6 @@ class TensorPair:
     def dim(self) -> int:
         return self.space.dim
 
-    def lift(self, vec: Sequence[Scalar]) -> list[Scalar]:
-        """Canonical plain-tensor representative of a quotient element."""
-        return self.section.apply(vec)
-
-    def push(self, plain: Sequence[Scalar]) -> list[Scalar]:
-        return self.project.apply(plain)
-
     def descends(self, plain_map: Mat) -> bool:
         """Whether a map defined on plain tensors kills every relation."""
         return (plain_map @ self.relation_mat).is_zero()
@@ -338,10 +331,6 @@ class FGPStructure:
         self.pair_dual_module = pair_dual_module
         self.pair_module_dual = pair_module_dual
         self.idempotent = idempotent
-
-    def pair_apply(self, alpha: Sequence[Scalar], xi: Sequence[Scalar]) -> list[Scalar]:
-        """Evaluate a dual element on a module element, landing in A."""
-        return self.apply_mat.apply(kron_vec(alpha, xi))
 
 
 def dualize_right_module(

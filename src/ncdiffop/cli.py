@@ -32,7 +32,13 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run verification suites over a bundle")
     p_verify.add_argument("bundle")
     p_verify.add_argument("--suites", help=f"comma-separated subset of: {', '.join(SUITE_NAMES)}")
-    p_verify.add_argument("--degree", type=int, default=None, help="maximum operator degree")
+    p_verify.add_argument(
+        "--degree",
+        type=int,
+        default=None,
+        help="maximum operator degree (default: the bundle's truncation); the action suite, "
+        "the centre suite's operator algebra and bullet's random operator stop at degree 2",
+    )
     p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized element checks")
     p_verify.add_argument("--json", action="store_true", help="emit the canonical JSON report body")
 

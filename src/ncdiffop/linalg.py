@@ -3,7 +3,9 @@
 A ``Mat`` stores only its nonzero entries, column by column (compressed
 sparse columns, as in T. A. Davis, *Direct Methods for Sparse Linear Systems*,
 SIAM 2006).  Products, Kronecker products, sums and transposes touch only
-those nonzeros; row reduction and the PSD certificate work on a dense copy.
+those nonzeros: an empty column of a product's right factor, or of either
+Kronecker factor, costs one append to the result and no other work.  Row
+reduction and the PSD certificate work on a dense copy.
 
 A subspace has one form: its canonical reduced echelon basis as the columns
 of a ``Mat`` (``span``, ``kernel``).  ``quotient`` turns it into a projection
@@ -147,6 +149,9 @@ class Mat:
         acols = self._cols_sparse
         out = []
         for col in other._cols_sparse:
+            if not col:
+                out.append([])
+                continue
             if len(col) == 1:
                 k, v = col[0]
                 # a product of two nonzeros is nonzero: nothing to test
@@ -154,11 +159,15 @@ class Mat:
                 continue
             acc: dict[int, Scalar] = {}
             for k, v in col:
-                for i, x in acols[k]:
-                    if v is not ONE:
+                if v is ONE:
+                    for i, x in acols[k]:
+                        s = acc.get(i)
+                        acc[i] = x if s is None else s + x
+                else:
+                    for i, x in acols[k]:
                         x = x * v
-                    s = acc.get(i)
-                    acc[i] = x if s is None else s + x
+                        s = acc.get(i)
+                        acc[i] = x if s is None else s + x
             out.append([(i, s) for i, s in sorted(acc.items()) if s])
         return Mat(self.rows, other.cols, out)
 
@@ -199,10 +208,16 @@ class Mat:
     def kron(self, other: "Mat") -> "Mat":
         """Column j*q + l of A (x) B holds a * b at row i*p + k for (i, a) in
         A[:, j] and (k, b) in B[:, l], where B is p x q."""
-        p = other.rows
+        p, ocols = other.rows, other._cols_sparse
         out = []
         for col in self._cols_sparse:
-            for ocol in other._cols_sparse:
+            if not col:
+                out += [[]] * len(ocols)
+                continue
+            for ocol in ocols:
+                if not ocol:
+                    out.append([])
+                    continue
                 out.append(
                     [
                         (i * p + k, b if a is ONE else a if b is ONE else a * b)
@@ -337,21 +352,17 @@ class SparseEchelon:
         self.pivot_rows: dict[int, dict[int, Scalar]] = {}
 
     def _reduce(self, row: dict[int, Scalar]) -> dict[int, Scalar]:
-        changed = True
-        while changed:
-            changed = False
-            for c in sorted(row):
-                if not row[c]:
-                    del row[c]
-                    continue
-                if c in self.pivot_rows:
-                    f = row[c]
-                    for cc, v in self.pivot_rows[c].items():
-                        row[cc] = row.get(cc, ZERO) - f * v
-                        if not row[cc]:
-                            del row[cc]
-                    changed = True
-                    break
+        """Subtract from ``row`` the multiple of each pivot row that clears its
+        pivot column.  A pivot row has no entry in another pivot column, so one
+        pass over the pivot columns ``row`` holds at the start clears them all."""
+        for c in [c for c in row if c in self.pivot_rows]:
+            f = row[c]
+            for cc, v in self.pivot_rows[c].items():
+                x = row.get(cc, ZERO) - f * v
+                if x:
+                    row[cc] = x
+                else:
+                    del row[cc]
         return row
 
     def add_sparse(self, row: dict[int, Scalar]) -> None:

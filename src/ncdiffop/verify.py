@@ -140,7 +140,7 @@ class VerifyContext:
 def suite_fgp_zigzag(ctx: VerifyContext) -> list[CheckResult]:
     g = ctx.geometry
     out = []
-    for n in range(1, min(ctx.degree, 3) + 1):
+    for n in range(1, ctx.degree + 1):
         defect = g.zigzag_defect(n)
         out.append(CheckResult(f"zigzag-{n}", defect is None, witness=defect))
     idem_fail = idempotent_failure(g.algebra, g.fgp.idempotent)
@@ -153,8 +153,7 @@ def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
     coev<n>(1) must be central."""
     g = ctx.geometry
     out = []
-    maxn = min(ctx.degree, 3)
-    for n in range(1, maxn + 1):
+    for n in range(1, ctx.degree + 1):
         ev = g.ev_pow(n)
         Vn, Wn = g.V(n), g.W(n)
         rels = [sorted(rel.items()) for rel in relation_vectors(Vn, Wn)]
@@ -234,7 +233,7 @@ def suite_connections(ctx: VerifyContext) -> list[CheckResult]:
 def suite_ev_duality(ctx: VerifyContext) -> list[CheckResult]:
     g = ctx.geometry
     out = _ev_coev_bimodule_checks(ctx)
-    for n in range(1, min(ctx.degree, 3) + 1):
+    for n in range(1, ctx.degree + 1):
         defect = g.ev_duality_defect(n)
         out.append(CheckResult(f"ev-duality-{n}", defect is None, witness=defect))
     # the mixed relation (id (x) ev)(sigma (x) id) = (ev (x) id)(id (x) sigma-inverse)
@@ -259,7 +258,7 @@ def suite_bullet(ctx: VerifyContext) -> list[CheckResult]:
     g = ctx.geometry
     table = ctx.table
     out = []
-    D = min(ctx.degree, 3)
+    D = ctx.degree
     # unit laws and the degree-zero action
     one = GradedOperator.unit(g, ctx.bundle.truncation)
     x = _random_operator(ctx, random.Random(ctx.seed), min(2, D))
@@ -346,7 +345,7 @@ def suite_action(ctx: VerifyContext) -> list[CheckResult]:
 def suite_theta(ctx: VerifyContext) -> list[CheckResult]:
     g = ctx.geometry
     out = []
-    D = min(ctx.degree, 3)
+    D = ctx.degree
     sigma_mods = ctx.sigma_modules()
     for name in sigma_mods:
         cm = ctx.crossing(name, D)
@@ -390,7 +389,7 @@ def suite_centre(ctx: VerifyContext) -> list[CheckResult]:
     candidate = OperatorAlgebraCandidate(ctx.table, dict(ctx.sigma_modules()) | {"A": ctx.bundle.modules["A"]}, degree)
     out = verify_centre(candidate)
     # the coevaluation connection's right-module identity at the full degree
-    oc = OperatorConnection(ctx.table, min(ctx.degree, 3))
+    oc = OperatorConnection(ctx.table, ctx.degree)
     out += oc.check_right_module_map()
     out += oc.check_left_leibniz()
     return out
@@ -410,7 +409,7 @@ def suite_sobolev(ctx: VerifyContext) -> list[CheckResult]:
     if "omega1" not in bundle.inner_products and bundle.geometry.omega.dim:
         out.append(CheckResult("sobolev-skipped-no-form-pairing", True, detail="no inner product on omega1"))
         return out
-    maxn = min(ctx.degree, 3)
+    maxn = ctx.degree
     for name, ip in sorted(bundle.inner_products.items()):
         out += ip.validate(list(bundle.states.values()))
     if bundle.geometry.omega.dim:

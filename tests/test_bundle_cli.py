@@ -337,6 +337,16 @@ def test_cli_verify_negative_degree_is_input_error(capsys):
     assert not captured.out
 
 
+def test_verify_runs_the_requested_degree():
+    # a degree above 3 is checked, not capped, so the reported degree is the one run
+    from ncdiffop.verify import verify_all
+
+    report = verify_all(load_builtin("z3-function-calculus"), suites=["fgp-zigzag"], degree=4)
+    names = [c.name for c in report.suites["fgp-zigzag"].checks]
+    assert names == ["zigzag-1", "zigzag-2", "zigzag-3", "zigzag-4", "idempotent-squared"]
+    assert report.ok and report.body_dict()["degree"] == 4
+
+
 def test_cli_gram_negative_order_is_input_error(capsys):
     assert main(["gram", "two-point-universal", "A", "uniform", "-1"]) == 2
     captured = capsys.readouterr()
@@ -424,6 +434,7 @@ def test_tensor_rebracketing_all_builtin_bundles():
     from ncdiffop.bimodule import BimoduleMap, TensorPair
     from ncdiffop.linalg import Mat, inverse, kron_vec
     from ncdiffop.scalars import ZERO
+    from oracles import lift, push
 
     for name in ("two-point-universal", "z3-function-calculus"):
         g = load_builtin(name).geometry
@@ -436,16 +447,16 @@ def test_tensor_rebracketing_all_builtin_bundles():
         cols = []
         for idx in range(ef_h.dim):
             out = [ZERO] * e_fh.dim
-            for p, c in enumerate(ef_h.lift(unit_row(ef_h.dim, idx))):
+            for p, c in enumerate(lift(ef_h, unit_row(ef_h.dim, idx))):
                 if not c:
                     continue
                 ij, k = divmod(p, h.dim)
-                for q, cc in enumerate(ef.lift(unit_row(ef.dim, ij))):
+                for q, cc in enumerate(lift(ef, unit_row(ef.dim, ij))):
                     if not cc:
                         continue
                     i, j = divmod(q, f.dim)
-                    inner = fh.push(kron_vec(unit_row(f.dim, j), unit_row(h.dim, k)))
-                    term = e_fh.push(kron_vec(unit_row(e.dim, i), inner))
+                    inner = push(fh, kron_vec(unit_row(f.dim, j), unit_row(h.dim, k)))
+                    term = push(e_fh, kron_vec(unit_row(e.dim, i), inner))
                     out = [x + c * cc * y for x, y in zip(out, term)]
             cols.append(out)
         rebracket = Mat.from_cols(cols)

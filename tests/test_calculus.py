@@ -18,6 +18,7 @@ from ncdiffop.geometry import Geometry
 from ncdiffop.linalg import Mat, inverse, kron_vec
 from ncdiffop.report import ValidationError
 from ncdiffop.scalars import ZERO, sc
+from oracles import lift, pair_apply, push
 
 
 def test_geometry_builds_and_validates(two_point_geometry):
@@ -142,7 +143,7 @@ def test_box_vec_pow_left_leibniz_degree2(two_point_geometry):
             v = unit_row(V2.dim, b)
             lhs = box2.apply(V2.left[i].column(b))
             rhs = OV2.space.left_apply(ai, box2.apply(v))
-            extra = OV2.push(kron_vec(g.d.column(i), v))
+            extra = push(OV2, kron_vec(g.d.column(i), v))
             rhs = [x + y for x, y in zip(rhs, extra)]
             assert lhs == rhs, (i, b)
 
@@ -188,21 +189,21 @@ def test_mixed_sigma_relation(two_point_geometry):
             for k in range(om.dim):
                 xi, eta = unit_row(om.dim, j), unit_row(om.dim, k)
                 lhs = [ZERO] * om.dim
-                sv = g.OV1.lift(g.sigma_vec_plain.apply(kron_vec(v, xi)))
+                sv = lift(g.OV1, g.sigma_vec_plain.apply(kron_vec(v, xi)))
                 for idx, c in enumerate(sv):
                     if not c:
                         continue
                     r, s = divmod(idx, vec.dim)
-                    a_val = g.fgp.pair_apply(unit_row(vec.dim, s), eta)
+                    a_val = pair_apply(g.fgp, unit_row(vec.dim, s), eta)
                     term = om.right_apply(unit_row(om.dim, r), a_val)
                     lhs = [x + c * y for x, y in zip(lhs, term)]
                 rhs = [ZERO] * om.dim
-                si = g.W2.lift(g.sigma_inv_form.apply(g.W2.push(kron_vec(xi, eta))))
+                si = lift(g.W2, g.sigma_inv_form.apply(push(g.W2, kron_vec(xi, eta))))
                 for idx, c in enumerate(si):
                     if not c:
                         continue
                     r, s = divmod(idx, om.dim)
-                    a_val = g.fgp.pair_apply(v, unit_row(om.dim, r))
+                    a_val = pair_apply(g.fgp, v, unit_row(om.dim, r))
                     term = om.left_apply(a_val, unit_row(om.dim, s))
                     rhs = [x + c * y for x, y in zip(rhs, term)]
                 assert lhs == rhs, (b, j, k)
@@ -223,9 +224,9 @@ def test_ev_pow_two_formula(two_point_geometry):
                 for ja in range(om.dim):
                     w2 = mo.apply(kron_vec(unit_row(om.dim, jb), unit_row(om.dim, ja)))
                     got = ev2.apply(kron_vec(v2, w2))
-                    inner = g.fgp.pair_apply(unit_row(vec.dim, bw), unit_row(om.dim, jb))
+                    inner = pair_apply(g.fgp, unit_row(vec.dim, bw), unit_row(om.dim, jb))
                     moved = om.left_apply(inner, unit_row(om.dim, ja))
-                    expected = g.fgp.pair_apply(unit_row(vec.dim, bv), moved)
+                    expected = pair_apply(g.fgp, unit_row(vec.dim, bv), moved)
                     assert got == expected
 
 
@@ -239,7 +240,7 @@ def test_trivial_module_act_is_pairing_with_d(two_point_geometry):
     for b in range(g.vec.dim):
         for i in range(g.algebra.dim):
             got = am.act(1, unit_row(g.vec.dim, b), unit_row(g.algebra.dim, i))
-            expected = g.fgp.pair_apply(unit_row(g.vec.dim, b), g.d.column(i))
+            expected = pair_apply(g.fgp, unit_row(g.vec.dim, b), g.d.column(i))
             assert got == expected
 
 
@@ -285,7 +286,7 @@ def test_nabla_pow_degree2_leibniz_expansion(two_point_geometry, two_point_omega
             rhs = WE2.space.left_apply(ai, n2.apply(e))
             lifted = kron_vec(da, e)
             rhs = [x + y + z for x, y, z in zip(rhs, m1.apply(lifted), m2.apply(lifted))]
-            crossed = braid.apply(kron_vec(da, em.OE.lift(em.nabla.apply(e))))
+            crossed = braid.apply(kron_vec(da, lift(em.OE, em.nabla.apply(e))))
             rhs = [x + y for x, y in zip(rhs, crossed)]
             assert lhs == rhs, (i, j)
 
@@ -302,7 +303,7 @@ def test_tensor_connection_unit_factors(two_point_geometry, two_point_omega_conn
         # unitor iso: [x (x) y] -> x.y  (multiplication by the structure maps)
         cols = []
         for idx in range(pair.dim):
-            plain = pair.lift(unit_row(pair.dim, idx))
+            plain = lift(pair, unit_row(pair.dim, idx))
             out = [ZERO] * target.space.dim
             for p, c in enumerate(plain):
                 if not c:

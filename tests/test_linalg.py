@@ -408,9 +408,10 @@ def read_back(m: Mat):
 
 
 @st.composite
-def entries(draw, kind):
-    """A (value, Scalar) pair; zeros come in every form, not only the ZERO singleton."""
-    if draw(st.integers(0, 2)) == 0:
+def entries(draw, kind, zero=False):
+    """A (value, Scalar) pair, a zero when ``zero`` is set and otherwise one time
+    in three; zeros come in every form, not only the ZERO singleton."""
+    if zero or draw(st.integers(0, 2)) == 0:
         return G0, draw(st.sampled_from(ZERO_FORMS))()
     if kind == "int":
         re, im = Fraction(draw(st.integers(-4, 4))), Fraction(0)
@@ -422,8 +423,13 @@ def entries(draw, kind):
 
 @st.composite
 def oracle_mats(draw, kind, rows, cols):
-    """(dense oracle rows, Mat) built through one of the three public constructors."""
-    cells = [[draw(entries(kind)) for _ in range(cols)] for _ in range(rows)]
+    """(dense oracle rows, Mat) built through one of the three public constructors.
+    Whole zero columns are common, and so is an all-zero matrix."""
+    blank = draw(st.sampled_from(["none", "some", "all"]))
+    zero_cols = range(cols) if blank == "all" else ()
+    if blank == "some" and cols:
+        zero_cols = draw(st.sets(st.integers(0, cols - 1), min_size=1, max_size=max(1, cols - 1)))
+    cells = [[draw(entries(kind, j in zero_cols)) for j in range(cols)] for _ in range(rows)]
     dense = [[v for v, _ in row] for row in cells]
     how = draw(st.sampled_from(["rows", "cols", "entries"]))
     if how == "rows":

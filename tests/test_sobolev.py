@@ -21,6 +21,7 @@ from ncdiffop.sobolev import (
     sobolev_gram,
     tensor_inner_product,
 )
+from oracles import lift
 
 
 @pytest.fixture
@@ -94,7 +95,7 @@ def test_tensor_ip_with_unit_factor_reduces(two_point_geometry, omega_ip):
     prod = tensor_inner_product(omega_ip, ip_a, pair)
     # transport the pairing along [xi (x) a] -> xi.a
     for a in range(pair.dim):
-        xa = pair.lift(unit_row(pair.dim, a))
+        xa = lift(pair, unit_row(pair.dim, a))
         ea = [ZERO] * g.omega.dim
         for p, c in enumerate(xa):
             if not c:
@@ -103,7 +104,7 @@ def test_tensor_ip_with_unit_factor_reduces(two_point_geometry, omega_ip):
             term = g.omega.right_apply(unit_row(g.omega.dim, i), unit_row(g.algebra.dim, j))
             ea = [x + c * y for x, y in zip(ea, term)]
         for b in range(pair.dim):
-            xb = pair.lift(unit_row(pair.dim, b))
+            xb = lift(pair, unit_row(pair.dim, b))
             eb = [ZERO] * g.omega.dim
             for p, c in enumerate(xb):
                 if not c:
