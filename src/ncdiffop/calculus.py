@@ -9,9 +9,8 @@ from typing import Optional
 
 from .bimodule import Bimodule, TensorPair, intertwining_failure
 from .geometry import Geometry
-from .linalg import Mat, first_mismatch, inverse, kron_vec
+from .linalg import Mat, first_mismatch, inverse
 from .report import ValidationError, raise_first_failure
-from .scalars import Scalar
 
 
 class SigmaRequired(ValueError):
@@ -139,8 +138,9 @@ class ConnectionModule:
         self._act[n] = out
         return out
 
-    def act(self, n: int, v_coords, e_coords) -> list[Scalar]:
-        return self.act_table(n).apply(kron_vec(v_coords, e_coords))
+    def act(self, n: int, v: Mat, e: Mat) -> Mat:
+        """v |> e for one-column coordinates v in V(n) and e in E."""
+        return self.act_table(n) @ v.kron(e)
 
 
 def trivial_module(geometry: Geometry, name: str = "A", validate: bool = True) -> ConnectionModule:

@@ -36,8 +36,8 @@ def main(argv=None) -> int:
         "--degree",
         type=int,
         default=None,
-        help="maximum operator degree (default: the bundle's truncation); the action suite, "
-        "the centre suite's operator algebra and bullet's random operator stop at degree 2",
+        help="maximum operator degree (default: the bundle's truncation); the action suite "
+        "and the centre suite's operator algebra stop at degree 2",
     )
     p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized element checks")
     p_verify.add_argument("--json", action="store_true", help="emit the canonical JSON report body")

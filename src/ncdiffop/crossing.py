@@ -22,9 +22,9 @@ from typing import Optional
 from .bimodule import TensorPair
 from .calculus import ConnectionModule, tensor_connection
 from .diffop import BulletTable
-from .linalg import Mat, first_mismatch, inverse, kron_vec, quotient, span
+from .linalg import Mat, first_mismatch, inverse, quotient, span
 from .report import CheckResult, ValidationError
-from .scalars import ONE, Scalar
+from .scalars import ONE
 
 
 class SigmaNotInvertible(ValidationError):
@@ -127,13 +127,6 @@ class CrossingMap:
             self.braid_blocks[n + 1] = (
                 self.EV[n + 1].project @ Mat.identity(dE).kron(g.merge_vec(1, n)) @ crossed @ lift
             )
-
-    # -- elementwise application --------------------------------------------------
-
-    def apply(self, n: int, v_coords, e_coords) -> dict[int, list[Scalar]]:
-        """theta on a degree-n tensor; returns quotient coordinates per degree."""
-        x = kron_vec(v_coords, e_coords)
-        return {m: mat.apply(x) for m, mat in self.theta[n].items()}
 
     # -- property checks (the numbered list of the construction) -------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .calculus import ConnectionModule
 from .geometry import Geometry
-from .linalg import Mat, first_mismatch, kron_vec, vec_is_zero
+from .linalg import Mat, first_mismatch
 from .report import CheckResult, ValidationError
 from .scalars import ZERO, Scalar, sc
 
@@ -85,61 +85,62 @@ class BulletTable:
             raise ValidationError("bullet-not-well-defined", witness=(n, m, k, fail[1]))
         return plain @ pv.section.kron(Mat.identity(Vm.dim))
 
-    def bullet_k(self, v_coords, n: int, w_coords, m: int, k: int) -> list[Scalar]:
-        return self.table(n, m, k).apply(kron_vec(v_coords, w_coords))
+    def bullet_k(self, v: Mat, n: int, w: Mat, m: int, k: int) -> Mat:
+        """v o_k w for one-column coordinates v in V(n) and w in V(m)."""
+        return self.table(n, m, k) @ v.kron(w)
 
 
 class GradedOperator:
     """An element of the degree-truncated operator algebra.
 
-    Components are concrete quotient coordinates per degree; arithmetic that
+    Each nonzero component is a one-column ``Mat`` of quotient coordinates in
+    V(degree); a zero component is not stored.  The constructor also takes
+    dense coordinate lists, and ``component`` returns one.  Arithmetic that
     would need components beyond the truncation degree raises rather than
     silently dropping terms.
     """
 
-    def __init__(self, geometry: Geometry, components: dict[int, list[Scalar]], truncation: int):
+    def __init__(self, geometry: Geometry, components: dict[int, Mat | list], truncation: int):
         self.geometry = geometry
         self.truncation = truncation
         comps = {}
-        for deg, coords in components.items():
+        for deg, col in components.items():
             if deg > truncation:
                 raise TruncationExceeded(f"degree {deg} exceeds truncation {truncation}")
-            if any(coords):
-                comps[deg] = list(coords)
+            if not isinstance(col, Mat):
+                col = Mat.from_cols([col])
+            if not col.is_zero():
+                comps[deg] = col
         self.components = comps
 
     @staticmethod
     def unit(geometry: Geometry, truncation: int) -> "GradedOperator":
-        return GradedOperator(geometry, {0: list(geometry.algebra.unit)}, truncation)
+        return GradedOperator(geometry, {0: geometry.algebra.unit}, truncation)
 
     @staticmethod
     def homogeneous(geometry: Geometry, degree: int, coords, truncation: int) -> "GradedOperator":
-        return GradedOperator(geometry, {degree: [sc(x) for x in coords]}, truncation)
+        return GradedOperator(geometry, {degree: coords}, truncation)
 
     @property
     def degree(self) -> int:
         return max(self.components, default=0)
 
     def component(self, n: int) -> list[Scalar]:
-        return list(self.components.get(n, [ZERO] * self.geometry.V(n).dim))
+        """Dense quotient coordinates of the degree-n component."""
+        col = self.components.get(n)
+        return [ZERO] * self.geometry.V(n).dim if col is None else col.column(0)
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
         comps = dict(self.components)
-        for deg, coords in other.components.items():
-            if deg in comps:
-                comps[deg] = [x + y for x, y in zip(comps[deg], coords)]
-            else:
-                comps[deg] = list(coords)
+        for deg, col in other.components.items():
+            comps[deg] = comps[deg] + col if deg in comps else col
         return GradedOperator(self.geometry, comps, self.truncation)
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
         return self + other.scale(sc(-1))
 
     def scale(self, s) -> "GradedOperator":
-        s = sc(s)
-        return GradedOperator(
-            self.geometry, {d: [s * x for x in c] for d, c in self.components.items()}, self.truncation
-        )
+        return GradedOperator(self.geometry, {d: c.scale(s) for d, c in self.components.items()}, self.truncation)
 
     def __eq__(self, other):
         if not isinstance(other, GradedOperator):
@@ -155,44 +156,27 @@ class GradedOperator:
             raise TruncationExceeded(
                 f"product degree {self.degree}+{other.degree} exceeds truncation {self.truncation}"
             )
-        out: dict[int, list[Scalar]] = {}
-        for n, vc in self.components.items():
-            for m, wc in other.components.items():
+        out: dict[int, Mat] = {}
+        for n, v in self.components.items():
+            for m, w in other.components.items():
+                vw = v.kron(w)  # bullet_k for every k at once: the Kronecker column is shared
                 for k in range(0, n + m + 1):
-                    term = table.bullet_k(vc, n, wc, m, k)
-                    if vec_is_zero(term):
-                        continue
-                    if k in out:
-                        out[k] = [x + y for x, y in zip(out[k], term)]
-                    else:
-                        out[k] = term
+                    term = table.table(n, m, k) @ vw
+                    out[k] = out[k] + term if k in out else term
         return GradedOperator(self.geometry, out, self.truncation)
 
     def act_on(self, module: ConnectionModule, e_coords) -> list[Scalar]:
-        """Apply the operator to a module element via iterated derivatives."""
-        out = [ZERO] * module.space.dim
-        for n, vc in self.components.items():
-            term = module.act(n, vc, e_coords)
-            out = [x + y for x, y in zip(out, term)]
-        return out
+        """Apply the operator to a module element via iterated derivatives;
+        takes and returns dense coordinates."""
+        e = Mat.from_cols([e_coords], module.space.dim)
+        out = Mat.zeros(module.space.dim, 1)
+        for n, v in self.components.items():
+            out = out + module.act(n, v, e)
+        return out.column(0)
 
     def __repr__(self):
-        parts = ", ".join(f"deg{d}:{[str(x) for x in c]}" for d, c in sorted(self.components.items()))
+        parts = ", ".join(f"deg{d}:{[str(x) for x in self.component(d)]}" for d in sorted(self.components))
         return f"GradedOperator({parts or '0'})"
-
-
-def right_bullet_by_algebra(table: BulletTable, n: int, a_coords, v_coords) -> dict[int, list[Scalar]]:
-    """v bullet a for homogeneous v of degree n.
-
-    The top component is the plain right action; every lower degree picks up
-    an iterated-derivative term, all the way down to degree zero.
-    """
-    out: dict[int, list[Scalar]] = {}
-    for k in range(n, -1, -1):
-        term = table.table(n, 0, k).apply(kron_vec(v_coords, a_coords))
-        if any(term):
-            out[k] = term
-    return out
 
 
 def morphism_equivariance_report(

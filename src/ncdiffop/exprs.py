@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import re
 
-from .algebra import unit_row
 from .diffop import GradedOperator
 from .geometry import Geometry
-from .linalg import kron_vec
+from .linalg import Mat
 from .scalars import ONE, Scalar, ScalarParseError, sc
 
 
@@ -118,12 +117,13 @@ def parse_operator(geometry: Geometry, text: str, truncation: int) -> GradedOper
         if degree > truncation:
             raise DegreeExceeded(f"word of degree {degree} exceeds truncation {truncation}")
         if degree == 0:
-            coords = geometry.algebra.unit
+            col = Mat.from_cols([geometry.algebra.unit])
         else:
-            coords = unit_row(geometry.vec.dim, word[-1])
+            dvec = geometry.vec.dim
+            col = Mat(dvec, 1, [[(word[-1], ONE)]])
             for deg, idx in enumerate(reversed(word[:-1]), start=1):
-                coords = geometry.merge_vec(1, deg).apply(kron_vec(unit_row(geometry.vec.dim, idx), coords))
-        result = result + GradedOperator(geometry, {degree: [coeff * sign * x for x in coords]}, truncation)
+                col = geometry.merge_vec(1, deg) @ Mat(dvec, 1, [[(idx, ONE)]]).kron(col)
+        result = result + GradedOperator(geometry, {degree: col.scale(coeff * sign)}, truncation)
         if i == len(tokens):
             return result
         if not at("op", "+-"):

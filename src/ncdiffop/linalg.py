@@ -288,11 +288,10 @@ def first_mismatch(lhs, rhs, shape: Sequence[int]):
 # -- vectors ---------------------------------------------------------------
 
 
-def vec_is_zero(x) -> bool:
-    return all(a is ZERO or not a for a in x)
-
-
 def kron_vec(x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
+    """Dense Kronecker product of two coordinate lists.  The library takes
+    products of one-column ``Mat``s with ``Mat.kron`` instead; this stays for
+    the dense test oracles and as a name the benchmark's tracer wraps."""
     ny = len(y)
     out = [ZERO] * (len(x) * ny)
     for i, a in enumerate(x):

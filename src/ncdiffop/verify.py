@@ -246,11 +246,15 @@ def suite_ev_duality(ctx: VerifyContext) -> list[CheckResult]:
     return out
 
 
+# the values a random coefficient a/b takes, for -3 <= a <= 3 and 1 <= b <= 3
+_RANDOM_COEFFS = {(a, b): sc(f"{a}/{b}") for a in range(-3, 4) for b in range(1, 4)}
+
+
 def _random_operator(ctx: VerifyContext, rng: random.Random, max_deg: int) -> GradedOperator:
     g = ctx.geometry
     comps = {}
     for d in range(max_deg + 1):
-        comps[d] = [sc(f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}") for _ in range(g.V(d).dim)]
+        comps[d] = [_RANDOM_COEFFS[rng.randint(-3, 3), rng.randint(1, 3)] for _ in range(g.V(d).dim)]
     return GradedOperator(g, comps, ctx.bundle.truncation)
 
 
@@ -261,7 +265,7 @@ def suite_bullet(ctx: VerifyContext) -> list[CheckResult]:
     D = ctx.degree
     # unit laws and the degree-zero action
     one = GradedOperator.unit(g, ctx.bundle.truncation)
-    x = _random_operator(ctx, random.Random(ctx.seed), min(2, D))
+    x = _random_operator(ctx, random.Random(ctx.seed), min(D, ctx.bundle.truncation))
     out.append(CheckResult("bullet-unit", one.bullet(x, table) == x and x.bullet(one, table) == x))
     # left A-linearity: o_k(a.v, w) = a.o_k(v, w) on homogeneous bases
     lin_fail = None

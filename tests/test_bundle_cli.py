@@ -287,7 +287,8 @@ def test_parse_operator_expressions(two_point_doc):
     g = bundle.geometry
     op = parse_operator(g, "2*v1@v2 + 1/3*v1 - 1", 3)
     assert set(op.components) == {0, 1, 2}
-    assert parse_operator(g, "1", 3).components == {0: list(g.algebra.unit)}
+    unit = parse_operator(g, "1", 3)
+    assert set(unit.components) == {0} and unit.component(0) == list(g.algebra.unit)
     with pytest.raises(UnknownName):
         parse_operator(g, "v9", 3)
     with pytest.raises(DegreeExceeded):
@@ -524,6 +525,34 @@ def test_cli_apply_and_gram_values_pinned(capsys):
     assert main(["gram", "z3-function-calculus", "A", "uniform", "2", "--json"]) == 0
     gram = json.loads(capsys.readouterr().out)["gram"]
     assert gram == [["11", "-16/3", "-16/3"], ["-16/3", "11", "-16/3"], ["-16/3", "-16/3", "11"]]
+
+
+Z3_EXPR = "2/3*v1@v5@v3 - 3*v2@v3@v1 + 5/2*v1@v6 - 1/3*v4 + 7/5"  # degrees 3, 2, 1 and 0
+
+
+def test_cli_apply_z3_values_pinned(capsys):
+    # words of every degree up to the truncation, with fractional coefficients, on A and omega1
+    assert main(["apply", "z3-function-calculus", "A", Z3_EXPR, "1/2,-3,2", "--trace", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == ["-123/10", "-38/15", "14/5"]
+    assert doc["derivatives"] == {
+        "1": ["-7/2", "5", "-3/2", "3/2", "7/2", "-5"],
+        "2": ["10", "2", "-3", "-17/2", "-7", "13/2", "2", "-10", "-17/2", "3", "13/2", "7"],
+        "3": ["-9", "-17", "-41/2", "29/2", "-21", "13", "18", "15/2", "30", "4", "5/2", "-22"]
+        + ["-41/2", "29/2", "13", "21", "18", "15/2", "4", "-30", "5/2", "-22", "-17", "9"],
+    }
+    element = "1,-1/3,0,2,1/2,-1"
+    assert main(["apply", "z3-function-calculus", "omega1", Z3_EXPR, element, "--trace", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == ["-83/30", "-16/45", "0", "-19/20", "1/5", "-7/5"]
+    assert doc["derivatives"]["1"] == ["-4/3", "-3/2", "1/3", "-3/2", "1", "3", "-1", "-3", "4/3", "3/2", "-1/3", "3/2"]
+    assert doc["derivatives"]["2"][:12] == ["2/3", "-3", "7/3", "9/2", "2", "6", "-5/3", "0", "-8/3", "-3", "-2/3", "-9/2"]
+    assert doc["derivatives"]["3"][:12] == ["6", "18", "-10/3", "0", "-14/3", "-3/2", "-7/3", "-12", "-8", "-9", "-4/3", "-9"]
+    assert [len(doc["derivatives"][n]) for n in ("2", "3")] == [24, 48]
+    assert main(["apply", "z3-function-calculus", "A", "v3@v2@v4 - 1/2*v5", "1/2,-3,2"]) == 0
+    assert capsys.readouterr().out == "result: 0, -17, -5/2\n"
+    assert main(["apply", "z3-function-calculus", "omega1", "v3@v2@v4 - 1/2*v5", element]) == 0
+    assert capsys.readouterr().out == "result: 0, -10/3, -1/6, 0, 0, 3/4\n"
 
 
 # sha256 of `verify_all(load_bundle_dict(doc, validate=False), seed=7).body_json()` for

@@ -18,7 +18,7 @@ from ncdiffop.geometry import Geometry
 from ncdiffop.linalg import Mat, inverse, kron_vec
 from ncdiffop.report import ValidationError
 from ncdiffop.scalars import ZERO, sc
-from oracles import lift, pair_apply, push
+from oracles import col, lift, pair_apply, push
 
 
 def test_geometry_builds_and_validates(two_point_geometry):
@@ -239,7 +239,7 @@ def test_trivial_module_act_is_pairing_with_d(two_point_geometry):
     # v |> a = v(da) for vector fields
     for b in range(g.vec.dim):
         for i in range(g.algebra.dim):
-            got = am.act(1, unit_row(g.vec.dim, b), unit_row(g.algebra.dim, i))
+            got = am.act(1, col(unit_row(g.vec.dim, b)), col(unit_row(g.algebra.dim, i))).column(0)
             expected = pair_apply(g.fgp, unit_row(g.vec.dim, b), g.d.column(i))
             assert got == expected
 

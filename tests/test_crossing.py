@@ -16,7 +16,7 @@ from ncdiffop.crossing import (
 from ncdiffop.diffop import BulletTable
 from ncdiffop.linalg import Mat, kron_vec
 from ncdiffop.scalars import ZERO, sc
-from oracles import pair_apply, push
+from oracles import col, crossing_apply, pair_apply, push
 
 D = 3
 
@@ -46,8 +46,8 @@ def test_degree_one_formula(table, modules):
             v = unit_row(g.vec.dim, b)
             for j in range(E.dim):
                 e = unit_row(E.dim, j)
-                out = cm.apply(1, v, e)
-                acted = em.act(1, v, e)
+                out = crossing_apply(cm, 1, v, e)
+                acted = em.act(1, col(v), col(e)).column(0)
                 expected0 = push(cm.EV[0], kron_vec(acted, g.algebra.unit))
                 assert out[0] == expected0
                 assert out[1] == [x for x in cm.sigma_hat.apply(kron_vec(v, e))]

@@ -1,21 +1,25 @@
 """The bullet product and the operator action on modules with connection."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdiffop.algebra import unit_row
+from ncdiffop.bundle import resolve_bundle
 from ncdiffop.calculus import omega_module, trivial_module, vec_module
 from ncdiffop.diffop import (
     BulletTable,
     GradedOperator,
     TruncationExceeded,
     morphism_equivariance_report,
-    right_bullet_by_algebra,
 )
-from ncdiffop.linalg import Mat, kron_vec, vec_is_zero
+from ncdiffop.linalg import Mat, kron_vec
 from ncdiffop.scalars import ZERO, sc
-from oracles import lift, pair_apply
+import oracles
+from oracles import col, lift, pair_apply, right_bullet_by_algebra, vec_is_zero
 
 
 @pytest.fixture
@@ -33,11 +37,12 @@ def test_degree_zero_is_left_action(table, two_point_geometry):
         Vm = g.V(m)
         for i in range(g.algebra.dim):
             for c in range(Vm.dim):
-                got = table.bullet_k(unit_row(g.algebra.dim, i), 0, unit_row(Vm.dim, c), m, m)
+                a, w = col(unit_row(g.algebra.dim, i)), col(unit_row(Vm.dim, c))
+                got = table.bullet_k(a, 0, w, m, m).column(0)
                 assert got == Vm.left[i].column(c)
                 for k in range(0, m + 1):
                     if k != m:
-                        assert vec_is_zero(table.bullet_k(unit_row(g.algebra.dim, i), 0, unit_row(Vm.dim, c), m, k))
+                        assert vec_is_zero(table.bullet_k(a, 0, w, m, k).column(0))
 
 
 def test_degree_one_on_algebra_is_module_action_plus_derivative(table, two_point_geometry):
@@ -47,9 +52,9 @@ def test_degree_one_on_algebra_is_module_action_plus_derivative(table, two_point
         u = unit_row(g.vec.dim, b)
         for i in range(g.algebra.dim):
             a = unit_row(g.algebra.dim, i)
-            top = table.bullet_k(u, 1, a, 0, 1)
+            top = table.bullet_k(col(u), 1, col(a), 0, 1).column(0)
             assert top == g.vec.right[i].column(b)
-            low = table.bullet_k(u, 1, a, 0, 0)
+            low = table.bullet_k(col(u), 1, col(a), 0, 0).column(0)
             assert low == pair_apply(g.fgp, u, g.d.column(i))
 
 
@@ -63,7 +68,7 @@ def test_degree_one_same_degree_matches_plain_evaluation(table, two_point_geomet
         for b in range(g.vec.dim):
             u = unit_row(g.vec.dim, b)
             for c in range(Vm.dim):
-                got = table.bullet_k(u, 1, unit_row(Vm.dim, c), m, m)
+                got = table.bullet_k(col(u), 1, col(unit_row(Vm.dim, c)), m, m).column(0)
                 expected = [ZERO] * Vm.dim
                 for idx, cf in enumerate(lift(OVm, box.apply(unit_row(Vm.dim, c)))):
                     if not cf:
@@ -88,10 +93,11 @@ def test_bullet_left_linearity(table, two_point_geometry):
                     for b in range(Vn.dim):
                         av = Vn.left[i].column(b)
                         for c in range(Vm.dim):
-                            lhs = table.bullet_k(av, n, unit_row(Vm.dim, c), m, k)
+                            w = col(unit_row(Vm.dim, c))
+                            lhs = table.bullet_k(col(av), n, w, m, k).column(0)
                             rhs = Vk.left_apply(
                                 unit_row(g.algebra.dim, i),
-                                table.bullet_k(unit_row(Vn.dim, b), n, unit_row(Vm.dim, c), m, k),
+                                table.bullet_k(col(unit_row(Vn.dim, b)), n, w, m, k).column(0),
                             )
                             assert lhs == rhs, (n, m, k, i, b, c)
 
@@ -99,7 +105,7 @@ def test_bullet_left_linearity(table, two_point_geometry):
 def test_bullet_vanishes_out_of_range(table, two_point_geometry):
     g = two_point_geometry
     assert table.table(1, 1, 3).is_zero()
-    assert vec_is_zero(table.bullet_k(unit_row(2, 0), 1, unit_row(2, 0), 1, 3))
+    assert vec_is_zero(table.bullet_k(col(unit_row(2, 0)), 1, col(unit_row(2, 0)), 1, 3).column(0))
 
 
 def test_unit_operator(two_point_geometry, table):
@@ -115,7 +121,8 @@ def test_algebra_component_multiplies(two_point_geometry, table):
     a = GradedOperator.homogeneous(g, 0, [2, 0], 3)
     w = GradedOperator.homogeneous(g, 1, [1, 1], 3)
     prod = a.bullet(w, table)
-    assert prod.components == {1: g.vec.left_apply([sc(2), sc(0)], [sc(1), sc(1)])}
+    assert set(prod.components) == {1}
+    assert prod.component(1) == g.vec.left_apply([sc(2), sc(0)], [sc(1), sc(1)])
 
 
 def test_truncation_enforced(two_point_geometry, table):
@@ -163,6 +170,42 @@ def test_right_bullet_by_algebra(two_point_geometry, table):
     assert GradedOperator(g, comps, 3) == x.bullet(a, table)
 
 
+@functools.lru_cache(maxsize=None)
+def bundle_and_table(name):
+    bundle = resolve_bundle(name)
+    return bundle, BulletTable(bundle.geometry)
+
+
+# zero-heavy, so that components are sparse and some vanish altogether
+entries = st.sampled_from(["0", "0", "0", "1", "-1", "2", "1/2", "-2/3"]).map(sc)
+
+
+def operators(draw, g, truncation, top):
+    comps = {d: draw(st.lists(entries, min_size=g.V(d).dim, max_size=g.V(d).dim)) for d in range(top + 1)}
+    return GradedOperator(g, comps, truncation)
+
+
+@given(st.data(), st.sampled_from(["two-point-universal", "z3-function-calculus"]))
+@settings(max_examples=40, deadline=None)
+def test_sparse_operator_path_matches_dense_oracles(data, name):
+    bundle, table = bundle_and_table(name)
+    g, top = bundle.geometry, bundle.truncation
+    nx = data.draw(st.integers(0, top))
+    x = operators(data.draw, g, top, nx)
+    y = operators(data.draw, g, top, data.draw(st.integers(0, top - nx)))
+    for n, v in x.components.items():
+        for m, w in y.components.items():
+            for k in range(n + m + 1):
+                want = oracles.bullet_k(table, x.component(n), n, y.component(m), m, k)
+                assert table.bullet_k(v, n, w, m, k).column(0) == want, (n, m, k)
+    prod, want = x.bullet(y, table), oracles.bullet(x, y, table)
+    for k in range(top + 1):
+        assert prod.component(k) == want.get(k, [ZERO] * g.V(k).dim), k
+    module = bundle.modules[data.draw(st.sampled_from(bundle.module_names()))]
+    e = data.draw(st.lists(entries, min_size=module.space.dim, max_size=module.space.dim))
+    assert x.act_on(module, e) == oracles.act_on(x, module, e)
+
+
 # -- the action ------------------------------------------------------------------
 
 
@@ -192,8 +235,9 @@ def test_action_composition_lemma(two_point_geometry, table, two_point_omega_con
                     v = unit_row(Vn.dim, bv)
                     for j in range(module.space.dim):
                         e = unit_row(module.space.dim, j)
-                        lhs = module.act(1, w, module.act(n, v, e))
-                        tensor_part = module.act(n + 1, g.merge_vec(1, n).apply(kron_vec(w, v)), e)
+                        lhs = module.act(1, col(w), module.act(n, col(v), col(e))).column(0)
+                        wv = g.merge_vec(1, n).apply(kron_vec(w, v))
+                        tensor_part = module.act(n + 1, col(wv), col(e)).column(0)
                         correction = [ZERO] * Vn.dim
                         for idx, cf in enumerate(lift(OVn, box.apply(v))):
                             if not cf:
@@ -202,7 +246,7 @@ def test_action_composition_lemma(two_point_geometry, table, two_point_omega_con
                             a_val = pair_apply(g.fgp, w, unit_row(g.omega.dim, r))
                             term = Vn.left_apply(a_val, unit_row(Vn.dim, s))
                             correction = [x + cf * y for x, y in zip(correction, term)]
-                        rhs = [x + y for x, y in zip(tensor_part, module.act(n, correction, e))]
+                        rhs = [x + y for x, y in zip(tensor_part, module.act(n, col(correction), col(e)).column(0))]
                         assert lhs == rhs, (module.name, n, bw, bv, j)
 
 
@@ -221,13 +265,13 @@ def test_action_property_bullet_sum(two_point_geometry, table, two_point_omega_c
                         w = unit_row(Vm.dim, bw)
                         for j in range(module.space.dim):
                             e = unit_row(module.space.dim, j)
-                            lhs = module.act(n, v, module.act(m, w, e))
+                            lhs = module.act(n, col(v), module.act(m, col(w), col(e))).column(0)
                             rhs = [ZERO] * module.space.dim
                             for k in range(n + m + 1):
-                                vk = table.bullet_k(v, n, w, m, k)
-                                if vec_is_zero(vk):
+                                vk = table.bullet_k(col(v), n, col(w), m, k)
+                                if vec_is_zero(vk.column(0)):
                                     continue
-                                rhs = [x + y for x, y in zip(rhs, module.act(k, vk, e))]
+                                rhs = [x + y for x, y in zip(rhs, module.act(k, vk, col(e)).column(0))]
                             assert lhs == rhs, (module.name, n, m, bv, bw, j)
 
 
