@@ -140,21 +140,20 @@ def zero_bimodule(A: Algebra, name: str = "0") -> Bimodule:
 class BimoduleMap:
     """A linear map between bimodules that intertwines both actions.
 
-    Construction re-verifies the intertwining property exactly unless
-    ``verify=False``; a failed check is an error, not a warning.
+    Construction re-verifies the intertwining property exactly; a failed check
+    is an error, not a warning.
     """
 
-    def __init__(self, src: Bimodule, dst: Bimodule, mat: Mat, name: str = "map", verify: bool = True):
+    def __init__(self, src: Bimodule, dst: Bimodule, mat: Mat, name: str = "map"):
         if mat.rows != dst.dim or mat.cols != src.dim:
             raise BimoduleMapError(f"{name}: shape {mat.rows}x{mat.cols} does not match {dst.dim}x{src.dim}")
         self.src = src
         self.dst = dst
         self.mat = mat
         self.name = name
-        if verify:
-            witness = intertwining_failure(src, dst, mat)
-            if witness is not None:
-                raise BimoduleMapError(f"{name}: not a bimodule map at {witness}")
+        witness = intertwining_failure(src, dst, mat)
+        if witness is not None:
+            raise BimoduleMapError(f"{name}: not a bimodule map at {witness}")
 
     def __call__(self, vec: Sequence[Scalar]) -> list[Scalar]:
         return self.mat.apply(vec)
@@ -221,7 +220,7 @@ def relation_vectors(e: Bimodule, f: Bimodule):
 class TensorPair:
     """E (x)_A F: quotient bimodule together with project/section matrices."""
 
-    def __init__(self, e: Bimodule, f: Bimodule, check: bool = True):
+    def __init__(self, e: Bimodule, f: Bimodule):
         if e.algebra is not f.algebra:
             raise ValueError("tensor factors live over different algebras")
         self.e = e
@@ -236,8 +235,7 @@ class TensorPair:
         left = [m @ self.section for m in lplain]
         right = [m @ self.section for m in rplain]
         self.space = Bimodule(A, dim, left, right, f"({e.name}(x){f.name})")
-        if check:
-            self._check_induced_actions(lplain, rplain)
+        self._check_induced_actions(lplain, rplain)
 
     def _check_induced_actions(self, lplain: list[Mat], rplain: list[Mat]):
         """Induced actions must kill the relation span (well-definedness)."""

@@ -328,7 +328,12 @@ def _reject_imaginary(doc):
 
 
 def load_bundle(path, validate: bool = True) -> Bundle:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise ParseError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text ({err.reason} at byte {err.start})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

@@ -10,6 +10,7 @@ from typing import Optional
 from .bimodule import Bimodule, TensorPair, intertwining_failure
 from .geometry import Geometry
 from .linalg import Mat, first_mismatch, inverse
+from .memo import memo
 from .report import ValidationError, raise_first_failure
 
 
@@ -19,8 +20,9 @@ class SigmaRequired(ValueError):
 
 class ConnectionModule:
     """A bimodule E with a left covariant derivative, optionally a bimodule
-    connection (invertible generalised braiding sigma_E), plus cached iterated
-    derivatives and action tables.
+    connection (invertible generalised braiding sigma_E), plus the iterated
+    derivatives and action tables, each built once per degree by ``@memo`` and
+    kept on the module.
     """
 
     def __init__(
@@ -54,8 +56,6 @@ class ConnectionModule:
             except ValueError:
                 if sigma_invertible_required:
                     raise ValidationError("sigma-invertible", witness=name) from None
-        self._nabla_pow: dict[int, Mat] = {1: nabla}
-        self._act: dict[int, Mat] = {}
         if validate:
             self._validate_leibniz()
 
@@ -97,12 +97,13 @@ class ConnectionModule:
     def WE(self, n: int) -> TensorPair:
         return self.geometry.pair(self.geometry.W(n), self.space)
 
+    @memo
     def nabla_pow(self, n: int) -> Mat:
         """nabla^(n): E -> W(n) (x)_A E; nabla^(0) is the identity."""
         if n == 0:
             raise ValueError("nabla_pow starts at 1; degree 0 is the identity")
-        if n in self._nabla_pow:
-            return self._nabla_pow[n]
+        if n == 1:
+            return self.nabla
         g = self.geometry
         k = n - 1
         prev = self.nabla_pow(k)
@@ -119,24 +120,16 @@ class ConnectionModule:
         total = m1 + m2
         if not WEk.descends(total):
             raise ValidationError("nabla-pow-not-well-defined", witness=(self.name, n))
-        out = total @ WEk.section @ prev
-        self._nabla_pow[n] = out
-        return out
+        return total @ WEk.section @ prev
 
     # -- the action of tensor powers of vector fields ----------------------------
 
+    @memo
     def act_table(self, n: int) -> Mat:
         """degree-n action: Kron(V(n), E) -> E via ev<n> and nabla^(n)."""
-        if n in self._act:
-            return self._act[n]
-        g = self.geometry
-        E = self.space
         if n == 0:
-            out = E.left_action()
-        else:
-            out = E.ev_left(g.ev_pow(n), self.WE(n).section @ self.nabla_pow(n))
-        self._act[n] = out
-        return out
+            return self.space.left_action()
+        return self.space.ev_left(self.geometry.ev_pow(n), self.WE(n).section @ self.nabla_pow(n))
 
     def act(self, n: int, v: Mat, e: Mat) -> Mat:
         """v |> e for one-column coordinates v in V(n) and e in E."""

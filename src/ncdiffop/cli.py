@@ -72,7 +72,7 @@ def main(argv=None) -> int:
             return cmd_apply(args)
         if args.command == "gram":
             return cmd_gram(args)
-    except (ParseError, UnknownSuite, ExprError, UnknownName, DegreeExceeded, FileNotFoundError) as err:
+    except (ParseError, UnknownSuite, ExprError, UnknownName, DegreeExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     except ValidationError as err:

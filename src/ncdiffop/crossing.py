@@ -23,8 +23,8 @@ from .bimodule import TensorPair
 from .calculus import ConnectionModule, tensor_connection
 from .diffop import BulletTable
 from .linalg import Mat, first_mismatch, inverse, quotient, span
+from .memo import memo
 from .report import CheckResult, ValidationError
-from .scalars import ONE
 
 
 class SigmaNotInvertible(ValidationError):
@@ -38,6 +38,18 @@ def _add(acc: dict, m: int, mat: Mat):
 def _at(prefix: tuple, fail: Optional[tuple]):
     """A witness: the fixed indices of a check followed by its mismatch, or None."""
     return None if fail is None else (*prefix, *fail)
+
+
+def _first_by_block(lhs: dict[int, Mat], rhs: dict[int, Mat], shape) -> Optional[tuple[int, int]]:
+    """The smallest ``(x, m)`` such that degree m of ``lhs == rhs`` fails among the
+    domain columns whose first index is x (a missing degree reads as zero): the
+    first failure of loops over x, then over degrees."""
+    best = None
+    for m in set(lhs) | set(rhs):
+        fail = first_mismatch({m: lhs[m]} if m in lhs else {}, {m: rhs[m]} if m in rhs else {}, shape)
+        if fail is not None and (best is None or (fail[0], m) < best):
+            best = (fail[0], m)
+    return best
 
 
 def sigma_hat(table: BulletTable, module: ConnectionModule) -> Mat:
@@ -74,7 +86,6 @@ class CrossingMap:
         self.theta: dict[int, dict[int, Mat]] = {}
         self.braid_blocks: dict[int, Mat] = {}
         self._build_blocks(validate=validate)
-        self.inverse_blocks: Optional[dict[int, dict[int, Mat]]] = None
 
     # -- construction -----------------------------------------------------------
 
@@ -150,47 +161,34 @@ class CrossingMap:
     def check_left_module(self) -> list[CheckResult]:
         """Property 3: theta is a left module map."""
         g, E = self.geometry, self.module.space
+        IA, IE = Mat.identity(g.algebra.dim), Mat.identity(E.dim)
         results = []
         for n in range(0, self.max_degree + 1):
             Vn = g.V(n)
-            fail = None
-            for i in range(g.algebra.dim):
-                lact = Vn.left[i].kron(Mat.identity(E.dim))
-                for m, th in self.theta[n].items():
-                    lhs = th @ lact
-                    rhs = self.EV[m].space.left[i] @ th
-                    if lhs != rhs:
-                        fail = (n, i, m)
-                        break
-                if fail:
-                    break
+            lact = Vn.left_action().kron(IE)  # Kron(A, V(n), E) -> Kron(V(n), E)
+            lhs = {m: th @ lact for m, th in self.theta[n].items()}
+            rhs = {m: self.EV[m].space.left_action() @ IA.kron(th) for m, th in self.theta[n].items()}
+            fail = _at((n,), _first_by_block(lhs, rhs, (g.algebra.dim, Vn.dim * E.dim)))
             results.append(CheckResult(f"theta-left-module-deg{n}", fail is None, witness=fail))
         return results
 
-    def _right_bullet_on_EV(self, m: int, k: int, a_index: int) -> Mat:
-        """Right action by bullet on E (x)_A V(m), the degree-k component."""
-        g, E = self.geometry, self.module.space
-        a = Mat(g.algebra.dim, 1, [[(a_index, ONE)]])
-        moved = self.table.table(m, 0, k) @ Mat.identity(g.V(m).dim).kron(a)
-        return self.EV[k].project @ Mat.identity(E.dim).kron(moved) @ self.EV[m].section
-
     def check_right_module(self) -> list[CheckResult]:
-        """Property 4: theta intertwines the product-twisted right actions."""
+        """Property 4: theta intertwines the product-twisted right actions,
+        theta(v (x) e.a) = sum_m (id (x) bullet a)(theta_m(v (x) e))."""
         g, E = self.geometry, self.module.space
+        dA, IA, IE = g.algebra.dim, Mat.identity(g.algebra.dim), Mat.identity(E.dim)
         results = []
         for n in range(0, self.max_degree + 1):
             Vn = g.V(n)
-            fail = None
-            for i in range(g.algebra.dim):
-                ract = Mat.identity(Vn.dim).kron(E.right[i])
-                diff = {m: th @ ract for m, th in self.theta[n].items()}
-                for m, th in self.theta[n].items():
-                    for k in range(m, -1, -1):
-                        _add(diff, k, -(self._right_bullet_on_EV(m, k, i) @ th))
-                bad = [m for m in sorted(diff) if not diff[m].is_zero()]
-                if bad:
-                    fail = (n, i, bad[0])
-                    break
+            swap = Mat.swap(dA, Vn.dim * E.dim)  # witnesses run over a before v (x) e
+            ract = Mat.identity(Vn.dim).kron(E.right_action()) @ swap  # Kron(A, V(n), E) -> Kron(V(n), E)
+            lhs = {m: th @ ract for m, th in self.theta[n].items()}
+            rhs: dict[int, Mat] = {}
+            for m, th in self.theta[n].items():
+                lifted = (self.EV[m].section @ th).kron(IA) @ swap  # -> Kron(E, V(m), A)
+                for k in range(m, -1, -1):
+                    _add(rhs, k, self.EV[k].project @ IE.kron(self.table.table(m, 0, k)) @ lifted)
+            fail = _at((n,), _first_by_block(lhs, rhs, (dA, Vn.dim * E.dim)))
             results.append(CheckResult(f"theta-right-module-deg{n}", fail is None, witness=fail))
         return results
 
@@ -240,6 +238,7 @@ class CrossingMap:
 
     # -- inverse -------------------------------------------------------------------
 
+    @memo
     def build_inverse(self) -> dict[int, dict[int, Mat]]:
         """Per-degree inverse maps E (x)_A V(n) -> Kron(V(m), E), by the recursion
 
@@ -248,8 +247,6 @@ class CrossingMap:
 
         where u' bullet y = u' (x) y + u' bullet_m y for y of degree m.
         """
-        if self.inverse_blocks is not None:
-            return self.inverse_blocks
         g, E = self.geometry, self.module.space
         act1 = self.module.act_table(1)
         IE, Ivec = Mat.identity(E.dim), Mat.identity(g.vec.dim)
@@ -271,7 +268,6 @@ class CrossingMap:
                 blocks[m + 1] = blocks[m + 1] + g.merge_vec(1, m).kron(IE) @ acted
                 blocks[m] = blocks[m] + self.table.table(1, m, m).kron(IE) @ acted - prev @ lower
             inv[n + 1] = blocks
-        self.inverse_blocks = inv
         return inv
 
     def check_inverse(self) -> list[CheckResult]:
@@ -523,9 +519,6 @@ class OperatorAlgebraCandidate:
         self.max_degree = max_degree
         self.modules = dict(modules)
         self.name = f"operator-algebra-{self.geometry.name}"
-        self._crossings: dict[str, CrossingMap] = {}
-        self._tensor_mods: dict[tuple[str, str], ConnectionModule] = {}
-        self._tensor_crossings: dict[tuple[str, str], CrossingMap] = {}
         self.operator_connection = OperatorConnection(table, max_degree)
         if "A" not in self.modules:
             raise ValueError("the unit object A must be among the test objects")
@@ -533,22 +526,17 @@ class OperatorAlgebraCandidate:
     def object_names(self) -> list[str]:
         return sorted(self.modules)
 
+    @memo
     def crossing(self, name: str) -> CrossingMap:
-        if name not in self._crossings:
-            self._crossings[name] = CrossingMap(self.table, self.modules[name], self.max_degree)
-        return self._crossings[name]
+        return CrossingMap(self.table, self.modules[name], self.max_degree)
 
+    @memo
     def tensor_module(self, a: str, b: str) -> ConnectionModule:
-        key = (a, b)
-        if key not in self._tensor_mods:
-            self._tensor_mods[key] = tensor_connection(self.modules[a], self.modules[b])
-        return self._tensor_mods[key]
+        return tensor_connection(self.modules[a], self.modules[b])
 
+    @memo
     def tensor_crossing(self, a: str, b: str) -> CrossingMap:
-        key = (a, b)
-        if key not in self._tensor_crossings:
-            self._tensor_crossings[key] = CrossingMap(self.table, self.tensor_module(a, b), self.max_degree)
-        return self._tensor_crossings[key]
+        return CrossingMap(self.table, self.tensor_module(a, b), self.max_degree)
 
     @staticmethod
     def _merge(name: str, results: list[CheckResult]) -> CheckResult:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from .calculus import ConnectionModule
 from .geometry import Geometry
 from .linalg import Mat, first_mismatch
+from .memo import memo
 from .report import CheckResult, ValidationError
 from .scalars import ZERO, Scalar, sc
 
@@ -29,34 +30,29 @@ class TruncationExceeded(ValueError):
 
 
 class BulletTable:
-    """Memoized matrices for the degree components of the bullet product."""
+    """The matrices of the degree components of the bullet product, each built
+    once by ``@memo`` and kept on the table."""
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
-        self._tables: dict[tuple[int, int, int], Mat] = {}
 
+    @memo
     def table(self, n: int, m: int, k: int) -> Mat:
         """Matrix of o_k : V(n) (x) V(m) -> V(k) on plain Kronecker coordinates."""
-        key = (n, m, k)
-        if key in self._tables:
-            return self._tables[key]
         g = self.geometry
         Vn, Vm = g.V(n), g.V(m)
         rows = g.V(k).dim if k >= 0 else 0
         cols = Vn.dim * Vm.dim
         if k < 0 or k > n + m or (n == 0 and k != m) or (n == 1 and k not in (m, m + 1)):
-            out = Mat.zeros(max(rows, 0), cols)
-        elif n == 0:
-            out = g.merge_vec(0, m)
-        elif n == 1 and k == m + 1:
-            out = g.merge_vec(1, m)
-        elif n == 1 and k == m:
+            return Mat.zeros(max(rows, 0), cols)
+        if n == 0:
+            return g.merge_vec(0, m)
+        if n == 1 and k == m + 1:
+            return g.merge_vec(1, m)
+        if n == 1 and k == m:
             # (ev (x) id^m)(u (x) box<m> w)
-            out = Vm.ev_left(g.fgp.apply_mat, g.OV(m).section @ g.box_vec_pow(m))
-        else:
-            out = self._step_table(n, m, k)
-        self._tables[key] = out
-        return out
+            return Vm.ev_left(g.fgp.apply_mat, g.OV(m).section @ g.box_vec_pow(m))
+        return self._step_table(n, m, k)
 
     def _step_table(self, n: int, m: int, k: int) -> Mat:
         """(u (x) v) o_k w via the recursion, including the well-definedness check."""

@@ -9,8 +9,9 @@ row-major, ``idx = i * dim_right + j``.  Every operator that the theory only
 defines as a sum of non-well-defined terms is assembled on plain coordinates
 and checked to kill the relation span before it is pushed to the quotient.
 
-All caches are write-once per key and everything is immutable after
-construction, so concurrent readers (e.g. parallel test workers) are safe.
+The tensor pairs, towers, merges and n-fold maps are built on first use by
+``@memo`` methods: once per argument tuple, kept on the ``Geometry`` and never
+changed afterwards, so they are freed with it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .bimodule import (
     zigzag_failure,
 )
 from .linalg import Mat, first_mismatch, inverse, rank
+from .memo import memo
 from .report import ValidationError, raise_first_failure
 
 
@@ -54,17 +56,6 @@ class Geometry:
         self.name = name
         self.A_bim = algebra_as_bimodule(algebra)
         self.one = Mat.from_cols([algebra.unit], algebra.dim)  # the unit as a map from the ground field
-        self._pairs: dict[tuple[int, int], TensorPair] = {}
-        self._V: dict[int, Bimodule] = {}
-        self._W: dict[int, Bimodule] = {}
-        self._merge_vec: dict[tuple[int, int], Mat] = {}
-        self._merge_om: dict[tuple[int, int], Mat] = {}
-        self._box_form_pow: dict[int, Mat] = {}
-        self._box_vec_pow: dict[int, Mat] = {}
-        self._ev_pow: dict[int, Mat] = {}
-        self._coev_pow: dict[int, Mat] = {}
-        self._braid_form: dict[int, Mat] = {}
-        self._braid_vec: dict[int, Mat] = {}
 
         if validate:
             self._validate_algebra_and_module()
@@ -73,8 +64,6 @@ class Geometry:
         self.fgp: FGPStructure = dualize_right_module(omega, dual_basis_forms, dual_basis_functionals)
         self.vec = self.fgp.dual
         self.coev_one = self.fgp.coev_one  # coev(1), plain
-        self._pairs[(id(self.vec), id(omega))] = self.fgp.pair_dual_module
-        self._pairs[(id(omega), id(self.vec))] = self.fgp.pair_module_dual
 
         self.W2 = self.pair(omega, omega)
         if box_plain.rows != omega.dim * omega.dim or box_plain.cols != omega.dim:
@@ -98,11 +87,13 @@ class Geometry:
 
     # -- small helpers -----------------------------------------------------
 
+    @memo
     def pair(self, e: Bimodule, f: Bimodule) -> TensorPair:
-        key = (id(e), id(f))
-        if key not in self._pairs:
-            self._pairs[key] = TensorPair(e, f)
-        return self._pairs[key]
+        if e is self.vec and f is self.omega:
+            return self.fgp.pair_dual_module
+        if e is self.omega and f is self.vec:
+            return self.fgp.pair_module_dual
+        return TensorPair(e, f)
 
     # -- validation of the raw inputs ---------------------------------------
 
@@ -215,25 +206,21 @@ class Geometry:
 
     # -- towers --------------------------------------------------------------
 
+    @memo
     def V(self, n: int) -> Bimodule:
-        if n not in self._V:
-            if n == 0:
-                self._V[0] = self.A_bim
-            elif n == 1:
-                self._V[1] = self.vec
-            else:
-                self._V[n] = self.pair(self.vec, self.V(n - 1)).space
-        return self._V[n]
+        if n == 0:
+            return self.A_bim
+        if n == 1:
+            return self.vec
+        return self.pair(self.vec, self.V(n - 1)).space
 
+    @memo
     def W(self, n: int) -> Bimodule:
-        if n not in self._W:
-            if n == 0:
-                self._W[0] = self.A_bim
-            elif n == 1:
-                self._W[1] = self.omega
-            else:
-                self._W[n] = self.pair(self.W(n - 1), self.omega).space
-        return self._W[n]
+        if n == 0:
+            return self.A_bim
+        if n == 1:
+            return self.omega
+        return self.pair(self.W(n - 1), self.omega).space
 
     def pair_V(self, n: int) -> TensorPair:
         """The pair presenting V(n) = Vec (x)_A V(n-1), n >= 2."""
@@ -249,48 +236,32 @@ class Geometry:
 
     # -- merges (canonical multiplication of tensor classes) ------------------
 
+    @memo
     def merge_vec(self, n: int, m: int) -> Mat:
         """V(n) (x) V(m) -> V(n+m) on plain Kronecker coordinates."""
-        key = (n, m)
-        if key in self._merge_vec:
-            return self._merge_vec[key]
         Vn, Vm = self.V(n), self.V(m)
         if n == 0:
-            out = Vm.left_action()
-        elif m == 0:
-            out = Vn.right_action()
-        elif n == 1:
-            out = self.pair(self.vec, Vm).project
-            self.V(m + 1)  # ensure tower bimodule is registered
-        else:
-            pv = self.pair_V(n)
-            inner = Mat.identity(self.vec.dim).kron(self.merge_vec(n - 1, m))
-            lifted = pv.section.kron(Mat.identity(Vm.dim))
-            out = self.pair(self.vec, self.V(n + m - 1)).project @ inner @ lifted
-            self.V(n + m)
-        self._merge_vec[key] = out
-        return out
+            return Vm.left_action()
+        if m == 0:
+            return Vn.right_action()
+        if n == 1:
+            return self.pair(self.vec, Vm).project
+        inner = Mat.identity(self.vec.dim).kron(self.merge_vec(n - 1, m))
+        lifted = self.pair_V(n).section.kron(Mat.identity(Vm.dim))
+        return self.pair(self.vec, self.V(n + m - 1)).project @ inner @ lifted
 
+    @memo
     def merge_om(self, n: int, m: int) -> Mat:
-        key = (n, m)
-        if key in self._merge_om:
-            return self._merge_om[key]
         Wn, Wm = self.W(n), self.W(m)
         if m == 0:
-            out = Wn.right_action()
-        elif n == 0:
-            out = Wm.left_action()
-        elif m == 1:
-            out = self.pair(Wn, self.omega).project
-            self.W(n + 1)
-        else:
-            pw = self.pair_W(m)
-            inner = self.merge_om(n, m - 1).kron(Mat.identity(self.omega.dim))
-            lifted = Mat.identity(Wn.dim).kron(pw.section)
-            out = self.pair(self.W(n + m - 1), self.omega).project @ inner @ lifted
-            self.W(n + m)
-        self._merge_om[key] = out
-        return out
+            return Wn.right_action()
+        if n == 0:
+            return Wm.left_action()
+        if m == 1:
+            return self.pair(Wn, self.omega).project
+        inner = self.merge_om(n, m - 1).kron(Mat.identity(self.omega.dim))
+        lifted = Mat.identity(Wn.dim).kron(self.pair_W(m).section)
+        return self.pair(self.W(n + m - 1), self.omega).project @ inner @ lifted
 
     # -- extended connections --------------------------------------------------
 
@@ -303,128 +274,94 @@ class Geometry:
         lifted = pw.section.kron(Mat.identity(self.omega.dim))
         return self.merge_om(k - 1, 2) @ to_inner @ lifted
 
+    @memo
     def box_form_pow(self, n: int) -> Mat:
         """box<n>: W(n) -> W(n+1); box<0> = d, box<1> = box."""
-        if n in self._box_form_pow:
-            return self._box_form_pow[n]
         if n == 0:
-            out = self.d
-        elif n == 1:
-            out = self.box_form
-        else:
-            k = n - 1  # recurse from box<k> with k >= 1
-            Wk = self.W(k)
-            domain_pair = self.pair_W(n)
-            m1 = self.merge_om(k, 2) @ Mat.identity(Wk.dim).kron(self.box_form)
-            m2 = self.sigma_inv_last(n) @ self.box_form_pow(k).kron(Mat.identity(self.omega.dim))
-            total = m1 + m2
-            if not domain_pair.descends(total):
-                raise ValidationError("box-form-pow-not-well-defined", witness=n)
-            out = total @ domain_pair.section
-        self._box_form_pow[n] = out
-        return out
+            return self.d
+        if n == 1:
+            return self.box_form
+        k = n - 1  # recurse from box<k> with k >= 1
+        domain_pair = self.pair_W(n)
+        m1 = self.merge_om(k, 2) @ Mat.identity(self.W(k).dim).kron(self.box_form)
+        m2 = self.sigma_inv_last(n) @ self.box_form_pow(k).kron(Mat.identity(self.omega.dim))
+        total = m1 + m2
+        if not domain_pair.descends(total):
+            raise ValidationError("box-form-pow-not-well-defined", witness=n)
+        return total @ domain_pair.section
 
+    @memo
     def box_vec_pow(self, n: int) -> Mat:
         """box<n>: V(n) -> Omega1 (x)_A V(n); box<0> = d into OV(0)."""
-        if n in self._box_vec_pow:
-            return self._box_vec_pow[n]
         if n == 0:
-            out = self.OV(0).project @ self.d.kron(self.one)
-        elif n == 1:
-            out = self.box_vec
-        else:
-            k = n - 1
-            Vk = self.V(k)
-            domain_pair = self.pair_V(n)
-            OVn = self.OV(n)
-            push_merge = OVn.project @ Mat.identity(self.omega.dim).kron(self.merge_vec(1, k))
-            m1 = push_merge @ (self.OV1.section @ self.box_vec).kron(Mat.identity(Vk.dim))
-            m2 = (
-                push_merge
-                @ self.OV1.section.kron(Mat.identity(Vk.dim))
-                @ self.sigma_vec_plain.kron(Mat.identity(Vk.dim))
-                @ Mat.identity(self.vec.dim).kron(self.OV(k).section @ self.box_vec_pow(k))
-            )
-            total = m1 + m2
-            if not domain_pair.descends(total):
-                raise ValidationError("box-vec-pow-not-well-defined", witness=n)
-            out = total @ domain_pair.section
-        self._box_vec_pow[n] = out
-        return out
+            return self.OV(0).project @ self.d.kron(self.one)
+        if n == 1:
+            return self.box_vec
+        k = n - 1
+        Ik = Mat.identity(self.V(k).dim)
+        domain_pair = self.pair_V(n)
+        push_merge = self.OV(n).project @ Mat.identity(self.omega.dim).kron(self.merge_vec(1, k))
+        m1 = push_merge @ (self.OV1.section @ self.box_vec).kron(Ik)
+        m2 = (
+            push_merge
+            @ self.OV1.section.kron(Ik)
+            @ self.sigma_vec_plain.kron(Ik)
+            @ Mat.identity(self.vec.dim).kron(self.OV(k).section @ self.box_vec_pow(k))
+        )
+        total = m1 + m2
+        if not domain_pair.descends(total):
+            raise ValidationError("box-vec-pow-not-well-defined", witness=n)
+        return total @ domain_pair.section
 
+    @memo
     def braid_form(self, n: int) -> Mat:
         """Iterated sigma-inverse crossing: Kron(Omega, W(n)) -> W(n+1)."""
-        if n in self._braid_form:
-            return self._braid_form[n]
         if n == 1:
-            out = self.sigma_inv_form @ self.W2.project
-        else:
-            pw = self.pair_W(n)
-            lifted = Mat.identity(self.omega.dim).kron(pw.section)
-            inner = self.braid_form(n - 1).kron(Mat.identity(self.omega.dim))
-            out = self.sigma_inv_last(n) @ inner @ lifted
-        self._braid_form[n] = out
-        return out
+            return self.sigma_inv_form @ self.W2.project
+        lifted = Mat.identity(self.omega.dim).kron(self.pair_W(n).section)
+        inner = self.braid_form(n - 1).kron(Mat.identity(self.omega.dim))
+        return self.sigma_inv_last(n) @ inner @ lifted
 
+    @memo
     def braid_vec(self, n: int) -> Mat:
         """Iterated sigma crossing: Kron(V(n), Omega) -> Omega (x)_A V(n)."""
-        if n in self._braid_vec:
-            return self._braid_vec[n]
         if n == 1:
-            out = self.sigma_vec_plain
-        else:
-            pv = self.pair_V(n)
-            lifted = pv.section.kron(Mat.identity(self.omega.dim))
-            inner = Mat.identity(self.vec.dim).kron(self.braid_vec(n - 1))
-            cross = self.sigma_vec_plain.kron(Mat.identity(self.V(n - 1).dim))
-            out = (
-                self.OV(n).project
-                @ Mat.identity(self.omega.dim).kron(self.merge_vec(1, n - 1))
-                @ self.OV1.section.kron(Mat.identity(self.V(n - 1).dim))
-                @ cross
-                @ Mat.identity(self.vec.dim).kron(self.OV(n - 1).section)
-                @ inner
-                @ lifted
-            )
-        self._braid_vec[n] = out
-        return out
+            return self.sigma_vec_plain
+        Iprev = Mat.identity(self.V(n - 1).dim)
+        return (
+            self.OV(n).project
+            @ Mat.identity(self.omega.dim).kron(self.merge_vec(1, n - 1))
+            @ self.OV1.section.kron(Iprev)
+            @ self.sigma_vec_plain.kron(Iprev)
+            @ Mat.identity(self.vec.dim).kron(self.OV(n - 1).section)
+            @ Mat.identity(self.vec.dim).kron(self.braid_vec(n - 1))
+            @ self.pair_V(n).section.kron(Mat.identity(self.omega.dim))
+        )
 
     # -- n-fold evaluation and coevaluation -------------------------------------
 
+    @memo
     def ev_pow(self, n: int) -> Mat:
         """ev<n>: Kron(V(n), W(n)) -> A, ev<n>(v (x) v' (x) w' (x) w) = ev(v (x) ev<n-1>(v' (x) w').w)
         (well defined over all middle tensors)."""
-        if n in self._ev_pow:
-            return self._ev_pow[n]
         if n == 1:
-            out = self.fgp.apply_mat
-        else:
-            inner = self.omega.ev_left(self.ev_pow(n - 1), self.pair_W(n).section)  # Kron(V(n-1), W(n)) -> Omega1
-            out = (
-                self.fgp.apply_mat
-                @ Mat.identity(self.vec.dim).kron(inner)
-                @ self.pair_V(n).section.kron(Mat.identity(self.W(n).dim))
-            )
-        self._ev_pow[n] = out
-        return out
+            return self.fgp.apply_mat
+        inner = self.omega.ev_left(self.ev_pow(n - 1), self.pair_W(n).section)  # Kron(V(n-1), W(n)) -> Omega1
+        return (
+            self.fgp.apply_mat
+            @ Mat.identity(self.vec.dim).kron(inner)
+            @ self.pair_V(n).section.kron(Mat.identity(self.W(n).dim))
+        )
 
+    @memo
     def coev_pow(self, n: int) -> Mat:
         """A plain representative of coev<n>(1) in Kron(W(n), V(n)), as a one-column matrix:
         coev(1) with coev<n-1>(1) nested inside it, merged leg by leg."""
-        if n in self._coev_pow:
-            return self._coev_pow[n]
         if n == 1:
-            out = self.coev_one
-        else:
-            # Kron(Omega1, Vec, W(n-1), V(n-1)) -> Kron(Omega1, W(n-1), V(n-1), Vec)
-            nest = Mat.identity(self.omega.dim).kron(Mat.swap(self.vec.dim, self.W(n - 1).dim * self.V(n - 1).dim))
-            out = (
-                self.merge_om(1, n - 1).kron(self.merge_vec(n - 1, 1))
-                @ nest
-                @ self.coev_one.kron(self.coev_pow(n - 1))
-            )
-        self._coev_pow[n] = out
-        return out
+            return self.coev_one
+        # Kron(Omega1, Vec, W(n-1), V(n-1)) -> Kron(Omega1, W(n-1), V(n-1), Vec)
+        nest = Mat.identity(self.omega.dim).kron(Mat.swap(self.vec.dim, self.W(n - 1).dim * self.V(n - 1).dim))
+        return self.merge_om(1, n - 1).kron(self.merge_vec(n - 1, 1)) @ nest @ self.coev_one.kron(self.coev_pow(n - 1))
 
     def zigzag_defect(self, n: int):
         """Check the n-fold zig-zag identities; returns a witness or None."""

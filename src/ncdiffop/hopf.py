@@ -147,7 +147,6 @@ class HopfCentreCandidate:
         self.name = f"group-algebra-{group.name}"
         self.adjoint = adjoint_module(group)
         self.modules = dict(modules)
-        self._phi_cache: dict[str, Mat] = {}
 
     def object_names(self) -> list[str]:
         return sorted(self.modules)

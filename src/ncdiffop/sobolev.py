@@ -14,6 +14,7 @@ from .algebra import Algebra, State, unit_row
 from .bimodule import BimoduleMap, BimoduleMapError, Bimodule, TensorPair, algebra_as_bimodule, conjugate_bimodule
 from .calculus import ConnectionModule
 from .linalg import Mat, ldl_certify_psd
+from .memo import memo
 from .report import CheckResult, ValidationError
 from .scalars import ZERO, Scalar, sc
 
@@ -135,7 +136,8 @@ def tensor_inner_product(ip_e: InnerProduct, ip_f: InnerProduct, pair: TensorPai
 
 
 class SobolevPairings:
-    """Iterated pairings <<e, conj(f)>>_n for a module with connection."""
+    """Iterated pairings <<e, conj(f)>>_n for a module with connection, each
+    built once per degree by ``@memo`` and kept on the instance."""
 
     def __init__(self, module: ConnectionModule, ip_omega: InnerProduct, ip_module: InnerProduct):
         self.module = module
@@ -146,37 +148,29 @@ class SobolevPairings:
             raise ValueError("ip_module must live on the module")
         self.ip_omega = ip_omega
         self.ip_module = ip_module
-        self._ip_W: dict[int, InnerProduct] = {1: ip_omega}
-        self._ip_WE: dict[int, InnerProduct] = {}
-        self._iterated: dict[int, list[list[list[Scalar]]]] = {}
 
+    @memo
     def ip_forms_power(self, n: int) -> InnerProduct:
-        if n not in self._ip_W:
-            prev = self.ip_forms_power(n - 1)
-            pair = self.geometry.pair_W(n)
-            self._ip_W[n] = tensor_inner_product(prev, self.ip_omega, pair, f"ip-W{n}")
-        return self._ip_W[n]
+        if n == 1:
+            return self.ip_omega
+        prev = self.ip_forms_power(n - 1)
+        return tensor_inner_product(prev, self.ip_omega, self.geometry.pair_W(n), f"ip-W{n}")
 
+    @memo
     def ip_derivative_target(self, n: int) -> InnerProduct:
-        if n not in self._ip_WE:
-            pair = self.geometry.pair(self.geometry.W(n), self.module.space)
-            self._ip_WE[n] = tensor_inner_product(self.ip_forms_power(n), self.ip_module, pair, f"ip-W{n}E")
-        return self._ip_WE[n]
+        pair = self.geometry.pair(self.geometry.W(n), self.module.space)
+        return tensor_inner_product(self.ip_forms_power(n), self.ip_module, pair, f"ip-W{n}E")
 
+    @memo
     def iterated(self, n: int) -> list[list[list[Scalar]]]:
         """values[i][j] = <<e_i, conj(e_j)>>_n in algebra coordinates."""
-        if n in self._iterated:
-            return self._iterated[n]
-        E = self.module.space
         if n == 0:
-            vals = self.ip_module.values
-        else:
-            ip = self.ip_derivative_target(n)
-            npow = self.module.nabla_pow(n)
-            cols = [npow.column(j) for j in range(E.dim)]
-            vals = [[ip.of_elements(cols[i], cols[j]) for j in range(E.dim)] for i in range(E.dim)]
-        self._iterated[n] = vals
-        return vals
+            return self.ip_module.values
+        E = self.module.space
+        ip = self.ip_derivative_target(n)
+        npow = self.module.nabla_pow(n)
+        cols = [npow.column(j) for j in range(E.dim)]
+        return [[ip.of_elements(cols[i], cols[j]) for j in range(E.dim)] for i in range(E.dim)]
 
 
 class SobolevGram:
@@ -195,19 +189,14 @@ class SobolevGram:
         return self.certificate.is_psd and self.certificate.strictly_positive()
 
 
-def sobolev_gram(
-    pairings: SobolevPairings,
-    state: State,
-    order: int,
-    require_psd: bool = True,
-) -> SobolevGram:
+def sobolev_gram(pairings: SobolevPairings, state: State, order: int) -> SobolevGram:
     """Gram matrix of the order-n Sobolev pairing, with an exact certificate."""
     E = pairings.module.space
     gram = Mat.zeros(E.dim, E.dim)
     for m in range(order + 1):
         gram = gram + _state_gram(pairings.iterated(m), state, E.dim)
     cert = ldl_certify_psd(gram)
-    if require_psd and not cert.is_psd:
+    if not cert.is_psd:
         raise PositivityFailure(
             "sobolev-positivity",
             witness=[str(x) for x in cert.vector],

@@ -27,6 +27,7 @@ from .crossing import (
 from .diffop import BulletTable, GradedOperator
 from .hopf import standard_candidate
 from .linalg import Mat, first_mismatch, quotient, span
+from .memo import memo
 from .report import CheckResult, ValidationError, _jsonable, first_failure
 from .scalars import sc
 from .sobolev import InnerProduct, SobolevPairings, gram_increment_certificate, sobolev_gram
@@ -109,7 +110,8 @@ class Report:
 
 
 class VerifyContext:
-    """Shared caches for one verification run over a bundle."""
+    """What the suites of one verification run share: the bullet table and the
+    crossing of each module up to the run's degree, built once by ``@memo``."""
 
     def __init__(self, bundle: Bundle, degree: int, seed: int):
         self.bundle = bundle
@@ -117,14 +119,10 @@ class VerifyContext:
         self.degree = degree
         self.seed = seed
         self.table = BulletTable(bundle.geometry)
-        self._crossings: dict[str, CrossingMap] = {}
 
-    def crossing(self, name: str, max_degree: Optional[int] = None) -> CrossingMap:
-        if name not in self._crossings:
-            self._crossings[name] = CrossingMap(
-                self.table, self.bundle.modules[name], max_degree or self.degree
-            )
-        return self._crossings[name]
+    @memo
+    def crossing(self, name: str) -> CrossingMap:
+        return CrossingMap(self.table, self.bundle.modules[name], self.degree)
 
     def sigma_modules(self) -> dict[str, object]:
         return {
@@ -352,7 +350,7 @@ def suite_theta(ctx: VerifyContext) -> list[CheckResult]:
     D = ctx.degree
     sigma_mods = ctx.sigma_modules()
     for name in sigma_mods:
-        cm = ctx.crossing(name, D)
+        cm = ctx.crossing(name)
         chunk = (
             cm.check_bullet_balance()
             + cm.check_left_module()
@@ -362,20 +360,20 @@ def suite_theta(ctx: VerifyContext) -> list[CheckResult]:
         )
         out += _prefix(chunk, f"{name}:")
     if "A" in ctx.bundle.modules:
-        out += _prefix(check_theta_on_algebra(ctx.crossing("A", D)), "A:")
-        out += _prefix(theta_product_compat(ctx.crossing("A", D)), "A:")
+        out += _prefix(check_theta_on_algebra(ctx.crossing("A")), "A:")
+        out += _prefix(theta_product_compat(ctx.crossing("A")), "A:")
     if "omega1" in sigma_mods:
-        out += _prefix(theta_product_compat(ctx.crossing("omega1", D)), "omega1:")
+        out += _prefix(theta_product_compat(ctx.crossing("omega1")), "omega1:")
         em = ctx.bundle.modules["omega1"]
         am = ctx.bundle.modules["A"]
         # property 5 with F = omega1 and the tensor factorization, both directions
         tm = tensor_connection(em, em)
-        cm_e = ctx.crossing("omega1", D)
+        cm_e = ctx.crossing("omega1")
         cm_ee = CrossingMap(ctx.table, tm, D)
         out += _prefix(cm_e.check_action_factorization(em, tm), "omega1:")
         out += _prefix(theta_tensor_factorization(cm_e, cm_e, cm_ee), "omega1xomega1:")
         ta = tensor_connection(em, am)
-        cm_a = ctx.crossing("A", D)
+        cm_a = ctx.crossing("A")
         cm_ea = CrossingMap(ctx.table, ta, D)
         out += _prefix(theta_tensor_factorization(cm_e, cm_a, cm_ea), "omega1xA:")
     return out

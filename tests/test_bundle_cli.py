@@ -310,6 +310,20 @@ def test_cli_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/bundle.json"]) == 2
 
 
+def test_cli_validate_directory_is_input_error(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "Traceback" not in err
+
+
+def test_cli_validate_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "café"}'.encode("latin-1"))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
 def test_cli_validate_invalid_bundle(tmp_path, capsys, two_point_doc):
     doc = copy.deepcopy(two_point_doc)
     doc["algebra"]["mul"][0][1] = ["1", "0"]

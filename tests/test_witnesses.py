@@ -156,7 +156,7 @@ def test_corrupt_act_table(z3):
 def corrupt_act_table(bundle):
     ctx = VerifyContext(bundle, D, seed=7)
     em = bundle.modules["omega1"]
-    em._act[1] = bump(em.act_table(1), 4, 9)
+    em._act_table[(1,)] = bump(em.act_table(1), 4, 9)
     return failing(suite_action(ctx))
 
 
@@ -170,7 +170,7 @@ def corrupt_bullet_table(bundle):
         for m in range(D + 1 - n):
             for k in range(n + m + 1):
                 ctx.table.table(n, m, k)
-    ctx.table._tables[(1, 0, 1)] = bump(ctx.table.table(1, 0, 1), 2, 3)
+    ctx.table._table[(1, 0, 1)] = bump(ctx.table.table(1, 0, 1), 2, 3)
     return failing(suite_bullet(ctx))
 
 
@@ -186,9 +186,9 @@ def corrupt_duality_inputs(bundle, what):
     if what == "sigma_vec_plain":
         g.sigma_vec_plain = bump(g.sigma_vec_plain, 3, 20)
     elif what == "ev_pow":
-        g._ev_pow[2] = bump(g.ev_pow(2), 1, 50)
+        g._ev_pow[(2,)] = bump(g.ev_pow(2), 1, 50)
     else:
-        g._coev_pow[2] = bump(g.coev_pow(2), 40, 0)
+        g._coev_pow[(2,)] = bump(g.coev_pow(2), 40, 0)
     return failing(suite_ev_duality(ctx))
 
 
@@ -230,7 +230,7 @@ def test_corrupt_tower(name, what, n, r, c):
     g = bundle.geometry
     ctx = VerifyContext(bundle, 3, seed=7)
     assert not failing(suite_fgp_zigzag(ctx) + suite_ev_duality(ctx))  # builds the towers from the sound inputs first
-    getattr(g, f"_{what}")[n] = bump(getattr(g, what)(n), r, c)
+    getattr(g, f"_{what}")[(n,)] = bump(getattr(g, what)(n), r, c)
     assert failing(suite_fgp_zigzag(ctx) + suite_ev_duality(ctx)) == TOWER_WITNESSES[(name, what, n, r, c)]
 
 
@@ -322,7 +322,7 @@ def test_corrupt_tensor_factor_action(left, right):
 def test_corrupt_bullet_step_input(z3, r, c):
     """A bumped bullet table (1,1,1) makes the degree-2 tables built from it ill defined."""
     table = z3[1]
-    table._tables[(1, 1, 1)] = bump(table.table(1, 1, 1), r, c)
+    table._table[(1, 1, 1)] = bump(table.table(1, 1, 1), r, c)
     keys = [(2, 0, 0), (2, 0, 1), (2, 0, 2), (2, 1, 0), (2, 1, 1), (2, 1, 2), (2, 1, 3)]
     assert [raised(lambda: table.table(*key)) for key in keys] == BULLET_STEP_WITNESSES[(r, c)]
 
@@ -335,7 +335,7 @@ def test_corrupt_bullet_table_111(z3, r, c):
         for m in range(4 - n):
             for k in range(n + m + 1):
                 ctx.table.table(n, m, k)
-    ctx.table._tables[(1, 1, 1)] = bump(ctx.table.table(1, 1, 1), r, c)
+    ctx.table._table[(1, 1, 1)] = bump(ctx.table.table(1, 1, 1), r, c)
     assert failing(suite_bullet(ctx)) == BULLET_111_WITNESSES[(r, c)]
 
 
