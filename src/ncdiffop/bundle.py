@@ -24,7 +24,7 @@ from .calculus import ConnectionModule, omega_module, trivial_module, vec_module
 from .geometry import Geometry
 from .linalg import Mat
 from .report import ValidationError
-from .scalars import ScalarParseError, sc
+from .scalars import ONE, ZERO, Scalar, ScalarParseError, sc
 from .sobolev import InnerProduct, canonical_algebra_ip
 
 FORMAT = "ncdiffop-bundle/1"
@@ -50,16 +50,34 @@ def _list(x, what: str, n: int | None = None) -> list:
     return x
 
 
-def _scalars(x, n: int, what: str) -> list:
-    try:
-        return [sc(v) for v in _list(x, what, n)]
-    except (ScalarParseError, TypeError) as err:
-        raise ParseError(f"{what}: {err}") from None
+class _Literals(dict):
+    """The scalar literals of one document, each parsed once: text -> value.
 
+    A document repeats a handful of literals thousands of times (z3 holds
+    3,459 literals with four distinct values), so each load keeps one of
+    these and reads every scalar through it.  0 and 1 come back as the
+    ``ZERO`` and ``ONE`` singletons, which the matrix kernels test by identity.
+    """
 
-def _mat(rows, nrows: int, ncols: int, what: str) -> Mat:
-    rows = _list(rows, what, nrows)
-    return Mat.from_rows([_scalars(row, ncols, f"{what}: row {r}") for r, row in enumerate(rows)], ncols)
+    def __missing__(self, text: str) -> Scalar:
+        value = Scalar.from_str(text)
+        if not value:
+            value = ZERO
+        elif value == ONE:
+            value = ONE
+        self[text] = value
+        return value
+
+    def scalars(self, x, n: int, what: str) -> list:
+        try:
+            # only text is memoised: 1, 1.0 and True are equal keys, and 1.0 must still fail in sc
+            return [self[v] if type(v) is str else sc(v) for v in _list(x, what, n)]
+        except (ScalarParseError, TypeError) as err:
+            raise ParseError(f"{what}: {err}") from None
+
+    def mat(self, rows, nrows: int, ncols: int, what: str) -> Mat:
+        rows = _list(rows, what, nrows)
+        return Mat.from_rows([self.scalars(row, ncols, f"{what}: row {r}") for r, row in enumerate(rows)], ncols)
 
 
 def _mat_out(m: Mat) -> list[list[str]]:
@@ -172,24 +190,27 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
     field = doc.get("field", "Q")
     if field not in ("Q", "Q(i)"):
         raise ParseError(f"unknown field {field!r}")
-    try:
-        truncation = int(doc.get("truncation_degree", 3))
-    except (TypeError, ValueError):
-        raise ParseError(f"truncation_degree: expected an integer, got {doc['truncation_degree']!r}") from None
+    truncation = doc.get("truncation_degree", 3)
+    if type(truncation) is not int or truncation < 0:
+        raise ParseError(f"truncation_degree: expected a non-negative integer, got {truncation!r}")
     notes = doc.get("notes", "")
+    literals = _Literals()
 
     alg = doc["algebra"]
     names = _list(alg["basis"], "algebra.basis")
     dA = len(names)
     mul = [
-        [_scalars(x, dA, f"algebra.mul[{i}][{j}]") for j, x in enumerate(_list(row, f"algebra.mul[{i}]", dA))]
+        [
+            literals.scalars(x, dA, f"algebra.mul[{i}][{j}]")
+            for j, x in enumerate(_list(row, f"algebra.mul[{i}]", dA))
+        ]
         for i, row in enumerate(_list(alg["mul"], "algebra.mul", dA))
     ]
-    unit = _scalars(alg["unit"], dA, "algebra.unit")
-    star = _mat(alg["star"], dA, dA, "star") if "star" in alg else None
+    unit = literals.scalars(alg["unit"], dA, "algebra.unit")
+    star = literals.mat(alg["star"], dA, dA, "star") if "star" in alg else None
     algebra = Algebra(dA, mul, unit, star=star, basis_names=names)
     if field == "Q":
-        _reject_imaginary(doc)
+        _reject_imaginary(doc, literals)
     if validate:
         for r in algebra.validate():
             if not r.ok:
@@ -197,22 +218,25 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
 
     om = doc["omega"]
     dO = len(_list(om["basis"], "omega.basis"))
-    left = [_mat(m, dO, dO, f"omega.left[{i}]") for i, m in enumerate(_list(om["left"], "omega.left"))]
-    right = [_mat(m, dO, dO, f"omega.right[{i}]") for i, m in enumerate(_list(om["right"], "omega.right"))]
+    left = [literals.mat(m, dO, dO, f"omega.left[{i}]") for i, m in enumerate(_list(om["left"], "omega.left"))]
+    right = [literals.mat(m, dO, dO, f"omega.right[{i}]") for i, m in enumerate(_list(om["right"], "omega.right"))]
     if len(left) != dA or len(right) != dA:
         raise ParseError("omega actions must list one matrix per algebra basis element")
     omega = Bimodule(algebra, dO, left, right, "omega1")
 
-    d = _mat(doc["d"], dO, dA, "d")
+    d = literals.mat(doc["d"], dO, dA, "d")
     db = doc["dual_basis"]
-    forms = [_scalars(f, dO, f"dual_basis.forms[{i}]") for i, f in enumerate(_list(db["forms"], "dual_basis.forms"))]
+    forms = [
+        literals.scalars(f, dO, f"dual_basis.forms[{i}]") for i, f in enumerate(_list(db["forms"], "dual_basis.forms"))
+    ]
     functionals = [
-        _mat(m, dA, dO, f"functional[{i}]") for i, m in enumerate(_list(db["functionals"], "dual_basis.functionals"))
+        literals.mat(m, dA, dO, f"functional[{i}]")
+        for i, m in enumerate(_list(db["functionals"], "dual_basis.functionals"))
     ]
     if len(forms) != len(functionals):
         raise ParseError(f"dual_basis: {len(forms)} forms but {len(functionals)} functionals")
-    box_plain = _mat(doc["box"], dO * dO, dO, "box")
-    sigma_inv_plain = _mat(doc["sigma_inv"], dO * dO, dO * dO, "sigma_inv")
+    box_plain = literals.mat(doc["box"], dO * dO, dO, "box")
+    sigma_inv_plain = literals.mat(doc["sigma_inv"], dO * dO, dO * dO, "sigma_inv")
 
     geometry = Geometry(
         algebra, omega, d, forms, functionals, box_plain, sigma_inv_plain, name=name, validate=validate
@@ -220,7 +244,7 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
 
     states: dict[str, State] = {}
     for sname, coords in sorted(_object(doc, "states").items()):
-        state = State(_scalars(coords, dA, f"states.{sname}"), sname)
+        state = State(literals.scalars(coords, dA, f"states.{sname}"), sname)
         if validate and algebra.star is not None:
             report = {r.name: r for r in state.validate(algebra)}
             for check in ("state-unital", "state-hermitian", "state-positive"):
@@ -237,8 +261,8 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
         space = decl.get("space", "omega")
         if space != "omega":
             raise ParseError(f"module {mname}: only the 1-form space can be declared externally")
-        nabla_plain = _mat(decl["nabla"], dO * dO, dO, f"{mname}.nabla")
-        sigma_plain = _mat(decl["sigma"], dO * dO, dO * dO, f"{mname}.sigma")
+        nabla_plain = literals.mat(decl["nabla"], dO * dO, dO, f"{mname}.nabla")
+        sigma_plain = literals.mat(decl["sigma"], dO * dO, dO * dO, f"{mname}.sigma")
         module_decls[mname] = (nabla_plain, sigma_plain)
         modules[mname] = omega_module(geometry, nabla_plain, sigma_plain, mname, validate=validate)
 
@@ -253,9 +277,11 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
                 raise ParseError(f"inner product for undeclared module {iname!r}")
             dim = target.space.dim
             what = f"inner_products.{iname}"
-            for row in _list(spec, what, dim):
-                _list(row, what, dim)
-            ip = InnerProduct(target.space, spec, f"ip-{iname}")
+            values = [
+                [literals.scalars(cell, dA, f"{what}[{i}][{j}]") for j, cell in enumerate(_list(row, what, dim))]
+                for i, row in enumerate(_list(spec, what, dim))
+            ]
+            ip = InnerProduct(target.space, values, f"ip-{iname}")
         if validate:
             for r in ip.validate(state_list):
                 if not r.ok:
@@ -303,11 +329,13 @@ def _missing_keys(doc: dict) -> list[str]:
     return missing
 
 
-def _reject_imaginary(doc):
+def _reject_imaginary(doc, literals: _Literals):
     def walk(x):
         if isinstance(x, str):
+            if not x.rstrip().endswith(("i", "I")):
+                return  # only a literal ending in i can parse to a non-real scalar
             try:
-                val = sc(x)
+                val = literals[x]
             except ScalarParseError:
                 return
             if not val.is_real():

@@ -115,6 +115,10 @@ def cmd_apply(args) -> int:
         raise ExprError(f"unknown module {args.module!r}; available: {', '.join(bundle.module_names())}")
     op = parse_operator(bundle.geometry, args.expr, bundle.truncation)
     element = parse_element(module.space.dim, args.element)
+    if bundle.field == "Q":
+        for x, text in zip(element, args.element.split(",")):
+            if not x.is_real():
+                raise ExprError(f"field Q cannot carry the scalar {text.strip()!r}")
     result = op.act_on(module, element)
     trace = {}
     if args.trace:

@@ -10,6 +10,14 @@ always goes through the rational type, so no part is ever a float.  Results,
 ``Scalar`` equals, and hashes like, the int or rational of the same value.
 Conjugation flips the sign of the imaginary part, so on the rational subfield
 it is the identity.
+
+A literal such as ``"-3"``, ``"1/2"`` or ``"1/2-1/3i"`` is parsed from the text
+that matched the literal pattern: an integer part becomes ``int(text)`` and
+``a/b`` becomes the rational ``a/b`` in the normal form above, so ``"4/2"``
+gives the int ``2`` and ``"2/4"`` the rational ``1/2``.  ``ZERO`` and ``ONE``
+are shared singletons; ``Mat.from_rows``, ``@`` and ``kron`` skip work on an
+entry that ``is`` one of them, so a caller that reads many literals (the
+bundle loader) hands those two values back as the singletons.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ except ImportError:  # gmpy2 is the optional `ncdiffop[gmpy2]` extra
 
 _RAT = type(_mpq(0))
 
-_RAT_RE = _re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RAT_RE = _re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 class ScalarParseError(ValueError):
@@ -44,12 +52,16 @@ def _rat(x):
 
 def _parse_rat(text: str):
     text = text.lstrip("+")
-    if not _RAT_RE.match(text):
+    m = _RAT_RE.match(text)
+    if not m:
         raise ScalarParseError(f"bad rational {text!r}")
-    try:
-        return _rat(text)
-    except ZeroDivisionError:
-        raise ScalarParseError(f"zero denominator in {text!r}") from None
+    num, den = m.groups()
+    if den is None:
+        return int(num)
+    den = int(den)
+    if not den:
+        raise ScalarParseError(f"zero denominator in {text!r}")
+    return _rat(_mpq(int(num), den))
 
 
 class Scalar:

@@ -9,12 +9,13 @@ import sys
 
 import pytest
 
-from ncdiffop import builtin_data
+from ncdiffop import builtin_data, scalars
 from ncdiffop.bundle import (
     ParseError,
     canonical_json,
     load_builtin,
     load_bundle,
+    load_builtin,
     load_bundle_dict,
 )
 from ncdiffop.cli import main
@@ -102,8 +103,29 @@ def test_missing_nested_keys_named(tmp_path, capsys, two_point_doc, path, expect
         (("modules",), [1], "modules"),
         (("algebra", "unit"), "1", "algebra.unit"),
         (("truncation_degree",), "x", "truncation_degree"),
+        # only a non-negative JSON integer is a degree; int() used to read these as -1, 3, 1, 10**9
+        (("truncation_degree",), -1, "truncation_degree"),
+        (("truncation_degree",), 3.7, "truncation_degree"),
+        (("truncation_degree",), True, "truncation_degree"),
+        (("truncation_degree",), 1e9, "truncation_degree"),
+        # inner product cells are scalar lists of the algebra's dimension, like every other coordinate list
+        (("inner_products", "omega1", 0, 0), ["x", "0"], "inner_products.omega1[0][0]"),
+        (("inner_products", "omega1", 0, 0), ["1"], "inner_products.omega1[0][0]"),
+        (("inner_products", "omega1", 0, 0), "10", "inner_products.omega1[0][0]"),
     ],
-    ids=["algebra.basis-int", "modules-list", "algebra.unit-string", "truncation_degree-string"],
+    ids=[
+        "algebra.basis-int",
+        "modules-list",
+        "algebra.unit-string",
+        "truncation_degree-string",
+        "truncation_degree-negative",
+        "truncation_degree-float",
+        "truncation_degree-bool",
+        "truncation_degree-1e9",
+        "inner_product-cell-scalar",
+        "inner_product-cell-length",
+        "inner_product-cell-string",
+    ],
 )
 def test_malformed_nested_values_named(tmp_path, capsys, two_point_doc, path, value, key):
     doc = copy.deepcopy(two_point_doc)
@@ -120,6 +142,59 @@ def test_malformed_nested_values_named(tmp_path, capsys, two_point_doc, path, va
     captured = capsys.readouterr()
     assert f"error: {key}: " in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_cli_verify_negative_truncation_is_input_error(tmp_path, capsys, two_point_doc):
+    doc = copy.deepcopy(two_point_doc)
+    doc["truncation_degree"] = -1
+    path = tmp_path / "negative-truncation.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error: truncation_degree: expected a non-negative integer, got -1" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_load_parses_each_distinct_literal_once(monkeypatch):
+    doc = builtin_data.z3_function_calculus()
+    literals = []
+
+    def walk(x):
+        if isinstance(x, str):
+            try:
+                scalars.sc(x)
+            except scalars.ScalarParseError:
+                return  # a name, such as "canonical"
+            literals.append(x)
+        elif isinstance(x, list):
+            for y in x:
+                walk(y)
+        elif isinstance(x, dict):
+            for k, y in x.items():
+                if k != "basis":
+                    walk(y)
+
+    walk(doc)
+    assert len(literals) > 3000 and sorted(set(literals)) == ["-1", "0", "1", "1/3"]
+    calls = []
+    parse_rat = scalars._parse_rat
+    monkeypatch.setattr(scalars, "_parse_rat", lambda text: calls.append(text) or parse_rat(text))
+    load_bundle_dict(doc)
+    assert sorted(calls) == sorted(set(calls)) and len(calls) <= 4
+
+
+# bundle.digest() of each built-in: the canonical serialization is read back from
+# the loaded scalars, so a change to how literals are parsed would move these
+PINNED_BUNDLE_DIGESTS = {
+    "z3-function-calculus": "5dbf42fcd4b7fbaa271f82774776857021752a74ce39b76dd7b7815ea6de8d0b",
+    "two-point-universal": "28e1ed3670c60188de5392508e42d600f399369e4b5a1e3a006fa01cd1c7bbca",
+    "zero-form-smoke": "d0600a4a5c53066953cf6de5c884db05d2fc0a609333089f8681a89ad62249dd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BUNDLE_DIGESTS))
+def test_builtin_bundle_digest_pinned(name):
+    assert load_builtin(name).digest() == PINNED_BUNDLE_DIGESTS[name]
 
 
 def test_field_q_rejects_gaussian_scalars(two_point_doc):
@@ -426,6 +501,19 @@ def test_cli_validate_zero_denominator_is_input_error(tmp_path, capsys, two_poin
     captured = capsys.readouterr()
     assert "error: states.uniform: zero denominator in '1/0'" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_cli_apply_field_q_rejects_gaussian_element(tmp_path, capsys, two_point_doc):
+    assert main(["apply", "z3-function-calculus", "A", "1", "1+2i,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: field Q cannot carry the scalar '1+2i'\n"
+    assert not captured.out
+    doc = copy.deepcopy(two_point_doc)
+    doc["field"] = "Q(i)"
+    path = tmp_path / "gaussian.json"
+    path.write_text(json.dumps(doc))
+    assert main(["apply", str(path), "A", "1", "1+2i,0"]) == 0
+    assert capsys.readouterr().out == "result: 1+2i, 0\n"
 
 
 def test_cli_apply_unit_is_identity(capsys):

@@ -1,11 +1,12 @@
 import operator
 from fractions import Fraction
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncdiffop.scalars import _RAT, ONE, ZERO, Scalar, ScalarParseError, sc
+from ncdiffop.scalars import _RAT, ONE, ZERO, Scalar, ScalarParseError, _parse_rat, sc
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
 scalars = st.builds(lambda a, b: Scalar(a, b), rationals, rationals)
@@ -196,3 +197,58 @@ def test_real_scalar_equals_and_hashes_like_its_rational(x):
     assert s != x + 1 and s != Fraction(x) + Fraction(1, 3)
     assert Scalar(x, 1) != x and Scalar(x, 1) != Fraction(x)
     assert len({s, Fraction(x), x, sc(str(s))}) == 1
+
+
+# -- the literal parser against a Fraction oracle ------------------------------------
+
+
+def _fraction_oracle(text):
+    """The literal rule as ``Fraction(str)`` reads it, in the int/_RAT normal form."""
+    text = text.lstrip("+")
+    if not re.match(r"^[+-]?\d+(?:/\d+)?$", text):
+        raise ScalarParseError(f"bad rational {text!r}")
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ScalarParseError(f"zero denominator in {text!r}") from None
+    return int(value) if value.denominator == 1 else value
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text), None
+    except ScalarParseError as err:
+        return None, str(err)
+
+
+_digits = st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(0, 2), st.integers(0, 10**20))
+rational_literals = st.builds(
+    lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+    st.sampled_from(["", "+", "-", "++", "+-", "-+", "--"]),
+    _digits,
+    st.none() | _digits | st.sampled_from(["0", "00"]),
+)
+non_literals = st.text(alphabet="0123456789+-/ .eE_xi", max_size=8)
+
+
+@given(rational_literals | non_literals)
+def test_parse_rat_matches_fraction_oracle(text):
+    got, got_err = _outcome(_parse_rat, text)
+    want, want_err = _outcome(_fraction_oracle, text)
+    assert got_err == want_err
+    if want_err is None:
+        assert got == want
+        assert type(got) is (int if type(want) is int else _RAT)
+
+
+@given(rational_literals, st.lists(st.sampled_from([" ", "\t", "\n"]), max_size=3), st.randoms())
+def test_from_str_ignores_inner_whitespace(text, spaces, rnd):
+    for space in spaces:
+        at = rnd.randint(0, len(text))
+        text = text[:at] + space + text[at:]
+    got, got_err = _outcome(sc, text)
+    want, want_err = _outcome(_fraction_oracle, "".join(text.split()))
+    assert got_err == want_err
+    if want_err is None:
+        assert got == Scalar(want)
+        _assert_normal(got)
