@@ -161,6 +161,3 @@ class State:
                     )
                 )
         return results
-
-    def is_valid(self, algebra: Algebra) -> bool:
-        return all(r.ok for r in self.validate(algebra) if r.name != "state-faithful")

@@ -60,15 +60,6 @@ class Bimodule:
         self.right = right
         self.name = name
 
-    def left_apply(self, a: Sequence[Scalar], e: Sequence[Scalar]) -> list[Scalar]:
-        out = [ZERO] * self.dim
-        for i, c in enumerate(a):
-            if c:
-                for k, v in enumerate(self.left[i].apply(e)):
-                    if v:
-                        out[k] = out[k] + c * v
-        return out
-
     def right_apply(self, e: Sequence[Scalar], a: Sequence[Scalar]) -> list[Scalar]:
         out = [ZERO] * self.dim
         for i, c in enumerate(a):
@@ -133,10 +124,6 @@ def algebra_as_bimodule(A: Algebra, name: str = "A") -> Bimodule:
     return Bimodule(A, A.dim, list(A.left_mult), list(A.right_mult), name)
 
 
-def zero_bimodule(A: Algebra, name: str = "0") -> Bimodule:
-    return Bimodule(A, 0, [Mat.zeros(0, 0) for _ in range(A.dim)], [Mat.zeros(0, 0) for _ in range(A.dim)], name)
-
-
 class BimoduleMap:
     """A linear map between bimodules that intertwines both actions.
 
@@ -154,9 +141,6 @@ class BimoduleMap:
         witness = intertwining_failure(src, dst, mat)
         if witness is not None:
             raise BimoduleMapError(f"{name}: not a bimodule map at {witness}")
-
-    def __call__(self, vec: Sequence[Scalar]) -> list[Scalar]:
-        return self.mat.apply(vec)
 
 
 def zigzag_failure(V: Bimodule, W: Bimodule, ev: Mat, coev: Mat):
@@ -286,11 +270,6 @@ def conjugate_bimodule(e: Bimodule, name: Optional[str] = None) -> Bimodule:
         left.append(acc_l.conj())
         right.append(acc_r.conj())
     return Bimodule(A, e.dim, left, right, name or f"conj({e.name})")
-
-
-def bar_coords(vec: Sequence[Scalar]) -> list[Scalar]:
-    """Coordinates of the image of a vector under the antilinear bar map."""
-    return [x.conj() for x in vec]
 
 
 # -- finitely generated projective structure ------------------------------------

@@ -71,13 +71,21 @@ class _Literals(dict):
     def scalars(self, x, n: int, what: str) -> list:
         try:
             # only text is memoised: 1, 1.0 and True are equal keys, and 1.0 must still fail in sc
-            return [self[v] if type(v) is str else sc(v) for v in _list(x, what, n)]
+            return [self[v] if type(v) is str else _number(v) for v in _list(x, what, n)]
         except (ScalarParseError, TypeError) as err:
             raise ParseError(f"{what}: {err}") from None
 
     def mat(self, rows, nrows: int, ncols: int, what: str) -> Mat:
         rows = _list(rows, what, nrows)
         return Mat.from_rows([self.scalars(row, ncols, f"{what}: row {r}") for r, row in enumerate(rows)], ncols)
+
+
+def _number(v) -> Scalar:
+    """A JSON number where a scalar belongs: an integer is read as itself, a float
+    fails in sc, and a boolean, which sc would read as 1 or 0, fails here."""
+    if type(v) is bool:
+        raise TypeError("a boolean is not a scalar")
+    return sc(v)
 
 
 def _mat_out(m: Mat) -> list[list[str]]:
@@ -95,6 +103,7 @@ class Bundle:
         modules: dict[str, ConnectionModule],
         inner_products: dict[str, InnerProduct],
         states: dict[str, State],
+        functionals: list[Mat],
         box_plain: Mat,
         sigma_inv_plain: Mat,
         module_decls: dict,
@@ -109,12 +118,12 @@ class Bundle:
         self.modules = modules
         self.inner_products = inner_products
         self.states = states
+        self.functionals = functionals
         self.box_plain = box_plain
         self.sigma_inv_plain = sigma_inv_plain
         self.module_decls = module_decls
         self.omega_basis = omega_basis
         self.notes = notes
-        self._raw_functionals: list[Mat] = []
 
     def digest(self) -> str:
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
@@ -142,7 +151,7 @@ class Bundle:
             "d": _mat_out(g.d),
             "dual_basis": {
                 "forms": [[str(x) for x in f] for f in g.fgp.basis_forms],
-                "functionals": [_mat_out(m) for m in self._functional_mats],
+                "functionals": [_mat_out(m) for m in self.functionals],
             },
             "box": _mat_out(self.box_plain),
             "sigma_inv": _mat_out(self.sigma_inv_plain),
@@ -167,10 +176,6 @@ class Bundle:
         if A.star is not None:
             out["algebra"]["star"] = _mat_out(A.star)
         return out
-
-    @property
-    def _functional_mats(self) -> list[Mat]:
-        return self._raw_functionals
 
     def module_names(self) -> list[str]:
         return sorted(self.modules)
@@ -288,7 +293,7 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
                     raise ValidationError(r.name, witness=r.witness)
         inner_products[iname] = ip
 
-    bundle = Bundle(
+    return Bundle(
         name=name,
         field=field,
         truncation=truncation,
@@ -297,14 +302,13 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
         modules=modules,
         inner_products=inner_products,
         states=states,
+        functionals=functionals,
         box_plain=box_plain,
         sigma_inv_plain=sigma_inv_plain,
         module_decls=module_decls,
         omega_basis=list(om["basis"]),
         notes=notes,
     )
-    bundle._raw_functionals = functionals
-    return bundle
 
 
 def _object(doc: dict, key: str) -> dict:

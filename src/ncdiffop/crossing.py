@@ -1,11 +1,15 @@
 """The crossing map placing the operator algebra in the centre of the
 bimodule-connection category.
 
-``CrossingMap`` stores, per input degree n, the blocks
-``theta[n][m] : Kron(V(n), E) -> E (x)_A V(m)`` for m <= n.  The recursion
-runs once at build time.  The domain is plain (the map is only balanced for
-the product-twisted right action, which is what property checks 2 and 4
-verify).
+``CrossingMap`` holds, per input degree n, the blocks
+``theta(n)[m] : Kron(V(n), E) -> E (x)_A V(m)`` for m <= n.  It has no
+degree of its own: each degree is built on first use from the degree below,
+like the geometry towers, and so are the braid, the inverse and the
+coevaluation-connection blocks; every check takes the degree it checks up
+to.  ``OperatorAlgebraCandidate`` holds the one crossing of each module (and
+of each tensor product of two) that a verification run builds.  The domain
+is plain (the map is only balanced for the product-twisted right action,
+which is what property checks 2 and 4 verify).
 
 Every axiom check is one sparse matrix identity per degree, ``lhs == rhs``
 between compositions of the blocks with the bullet tables, the action tables
@@ -62,174 +66,175 @@ def sigma_hat(table: BulletTable, module: ConnectionModule) -> Mat:
 
 
 class CrossingMap:
-    def __init__(self, table: BulletTable, module: ConnectionModule, max_degree: int, validate: bool = True):
+    def __init__(self, table: BulletTable, module: ConnectionModule, validate: bool = True):
         module.require_invertible_sigma()
         self.table = table
         self.module = module
-        self.max_degree = max_degree
+        self.validate = validate
         g = table.geometry
         self.geometry = g
-        E = module.space
-
-        self.EV: dict[int, TensorPair] = {m: g.pair(E, g.V(m)) for m in range(max_degree + 1)}
-        self.VE = g.pair(g.vec, E)
+        self.VE = g.pair(g.vec, module.space)
 
         self.sigma_hat = sigma_hat(table, module)
         if not self.VE.descends(self.sigma_hat):
             raise ValidationError("sigma-hat-not-well-defined", witness=module.name)
-        self.sigma_hat_q = self.sigma_hat @ self.VE.section
         try:
-            self.sigma_hat_inv = inverse(self.sigma_hat_q)
+            self.sigma_hat_inv = inverse(self.sigma_hat @ self.VE.section)
         except ValueError:
             raise SigmaNotInvertible("sigma-hat-invertible", witness=module.name) from None
 
-        self.theta: dict[int, dict[int, Mat]] = {}
-        self.braid_blocks: dict[int, Mat] = {}
-        self._build_blocks(validate=validate)
+    def EV(self, m: int) -> TensorPair:
+        return self.geometry.pair(self.module.space, self.geometry.V(m))
 
-    # -- construction -----------------------------------------------------------
+    # -- construction, one degree at a time from the degree below ------------------
 
-    def _build_blocks(self, validate: bool):
+    @memo
+    def theta(self, n: int) -> dict[int, Mat]:
+        """The blocks theta_n^m : Kron(V(n), E) -> E (x)_A V(m) for m <= n; from
+        degree 2 on, well-definedness over Vec (x)_A V(n-1) (property 1) is
+        checked as the degree is built, unless the map was made with validate=False."""
         g, E = self.geometry, self.module.space
+        if n <= 1:
+            embed0 = self.EV(0).project @ Mat.identity(E.dim).kron(g.one)  # a (x) e -> [a.e (x) 1]
+            if n == 0:
+                return {0: embed0 @ E.left_action()}
+            return {0: embed0 @ self.module.act_table(1), 1: self.sigma_hat}
         act1 = self.module.act_table(1)
-        # degree 0: a (x) e -> [a.e (x) 1]
-        embed0 = self.EV[0].project @ Mat.identity(E.dim).kron(g.one)
-        self.theta[0] = {0: embed0 @ E.left_action()}
-        if self.max_degree == 0:
-            return
-        self.theta[1] = {0: embed0 @ act1, 1: self.sigma_hat}
-        self.braid_blocks[1] = self.sigma_hat
+        p = n - 1
+        pv = g.pair_V(n)
+        dvec, dE = g.vec.dim, E.dim
+        blocks_plain: dict[int, Mat] = {}
+        for m, th in self.theta(p).items():
+            Im = Mat.identity(g.V(m).dim)
+            lifted = Mat.identity(dvec).kron(self.EV(m).section @ th)  # Kron(vec, V(p), E) -> Kron(vec, E, Vm)
+            # term 1: act on the crossing result
+            _add(blocks_plain, m, self.EV(m).project @ act1.kron(Im) @ lifted)
+            # terms 2 and 3 share the sigma-hat crossing, -> Kron(E, vec, Vm)
+            crossed = self.EV(1).section.kron(Im) @ self.sigma_hat.kron(Im) @ lifted
+            _add(blocks_plain, m + 1, self.EV(m + 1).project @ Mat.identity(dE).kron(g.merge_vec(1, m)) @ crossed)
+            _add(blocks_plain, m, self.EV(m).project @ Mat.identity(dE).kron(self.table.table(1, m, m)) @ crossed)
+        # term 4: -theta_p((w bullet_p v) (x) e)
+        down = self.table.table(1, p, p).kron(Mat.identity(dE))
+        for m, th in self.theta(p).items():
+            _add(blocks_plain, m, -(th @ down))
 
-        for n in range(1, self.max_degree):
-            pv = g.pair_V(n + 1)
-            Vn = g.V(n)
-            dvec, dE = g.vec.dim, E.dim
-            blocks_plain: dict[int, Mat] = {}
-            for m, th in self.theta[n].items():
-                Im = Mat.identity(g.V(m).dim)
-                lifted = Mat.identity(dvec).kron(self.EV[m].section @ th)  # Kron(vec, Vn, E) -> Kron(vec, E, Vm)
-                # term 1: act on the crossing result
-                _add(blocks_plain, m, self.EV[m].project @ act1.kron(Im) @ lifted)
-                # terms 2 and 3 share the sigma-hat crossing, -> Kron(E, vec, Vm)
-                crossed = self.EV[1].section.kron(Im) @ self.sigma_hat.kron(Im) @ lifted
-                _add(blocks_plain, m + 1, self.EV[m + 1].project @ Mat.identity(dE).kron(g.merge_vec(1, m)) @ crossed)
-                _add(blocks_plain, m, self.EV[m].project @ Mat.identity(dE).kron(self.table.table(1, m, m)) @ crossed)
-            # term 4: -theta_n((w bullet_n v) (x) e)
-            down = self.table.table(1, n, n).kron(Mat.identity(dE))
-            for m, th in self.theta[n].items():
-                _add(blocks_plain, m, -(th @ down))
+        if self.validate:
+            rels = pv.relation_mat.kron(Mat.identity(dE))
+            fail = first_mismatch({m: mat @ rels for m, mat in blocks_plain.items()}, {}, (rels.cols,))
+            if fail is not None:
+                raise ValidationError("theta-not-well-defined", witness=(self.module.name, n, fail[-1]))
+        lift = pv.section.kron(Mat.identity(dE))
+        return {m: mat @ lift for m, mat in blocks_plain.items()}
 
-            # well-definedness over Vec (x)_A V(n) (property 1)
-            if validate:
-                rels = pv.relation_mat.kron(Mat.identity(dE))
-                fail = first_mismatch({m: mat @ rels for m, mat in blocks_plain.items()}, {}, (rels.cols,))
-                if fail is not None:
-                    raise ValidationError("theta-not-well-defined", witness=(self.module.name, n + 1, fail[-1]))
-            lift = pv.section.kron(Mat.identity(dE))
-            self.theta[n + 1] = {m: mat @ lift for m, mat in blocks_plain.items()}
-
-            # independent top-degree braid block for the filtration invariant
-            prev_braid = self.braid_blocks[n]
-            crossed = (
-                self.EV[1].section.kron(Mat.identity(Vn.dim))
-                @ self.sigma_hat.kron(Mat.identity(Vn.dim))
-                @ Mat.identity(dvec).kron(self.EV[n].section @ prev_braid)
-            )
-            self.braid_blocks[n + 1] = (
-                self.EV[n + 1].project @ Mat.identity(dE).kron(g.merge_vec(1, n)) @ crossed @ lift
-            )
+    @memo
+    def braid(self, n: int) -> Mat:
+        """The top-degree block rebuilt from sigma-hat alone, the iterated braid
+        that theta_n^n must equal (the filtration invariant), n >= 1."""
+        if n == 1:
+            return self.sigma_hat
+        g, dE = self.geometry, self.module.space.dim
+        Ip = Mat.identity(g.V(n - 1).dim)
+        crossed = (
+            self.EV(1).section.kron(Ip)
+            @ self.sigma_hat.kron(Ip)
+            @ Mat.identity(g.vec.dim).kron(self.EV(n - 1).section @ self.braid(n - 1))
+        )
+        lift = g.pair_V(n).section.kron(Mat.identity(dE))
+        return self.EV(n).project @ Mat.identity(dE).kron(g.merge_vec(1, n - 1)) @ crossed @ lift
 
     # -- property checks (the numbered list of the construction) -------------------
 
-    def check_bullet_balance(self) -> list[CheckResult]:
+    def check_bullet_balance(self, degree: int) -> list[CheckResult]:
         """Property 2: theta(v bullet a (x) e) = theta(v (x) a.e)."""
         g, E = self.geometry, self.module.space
         results = []
-        for n in range(0, self.max_degree + 1):
+        for n in range(0, degree + 1):
             Vn = g.V(n)
             lhs: dict[int, Mat] = {}
             for k in range(n, -1, -1):
                 moved = self.table.table(n, 0, k).kron(Mat.identity(E.dim))
-                for m, th in self.theta[k].items():
+                for m, th in self.theta(k).items():
                     _add(lhs, m, th @ moved)
             acted = Mat.identity(Vn.dim).kron(E.left_action())
-            rhs = {m: th @ acted for m, th in self.theta[n].items()}
+            rhs = {m: th @ acted for m, th in self.theta(n).items()}
             fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, g.algebra.dim, E.dim)))
             results.append(CheckResult(f"theta-bullet-balance-deg{n}", fail is None, witness=fail))
         return results
 
-    def check_left_module(self) -> list[CheckResult]:
+    def check_left_module(self, degree: int) -> list[CheckResult]:
         """Property 3: theta is a left module map."""
         g, E = self.geometry, self.module.space
         IA, IE = Mat.identity(g.algebra.dim), Mat.identity(E.dim)
         results = []
-        for n in range(0, self.max_degree + 1):
+        for n in range(0, degree + 1):
             Vn = g.V(n)
             lact = Vn.left_action().kron(IE)  # Kron(A, V(n), E) -> Kron(V(n), E)
-            lhs = {m: th @ lact for m, th in self.theta[n].items()}
-            rhs = {m: self.EV[m].space.left_action() @ IA.kron(th) for m, th in self.theta[n].items()}
+            lhs = {m: th @ lact for m, th in self.theta(n).items()}
+            rhs = {m: self.EV(m).space.left_action() @ IA.kron(th) for m, th in self.theta(n).items()}
             fail = _at((n,), _first_by_block(lhs, rhs, (g.algebra.dim, Vn.dim * E.dim)))
             results.append(CheckResult(f"theta-left-module-deg{n}", fail is None, witness=fail))
         return results
 
-    def check_right_module(self) -> list[CheckResult]:
+    def check_right_module(self, degree: int) -> list[CheckResult]:
         """Property 4: theta intertwines the product-twisted right actions,
         theta(v (x) e.a) = sum_m (id (x) bullet a)(theta_m(v (x) e))."""
         g, E = self.geometry, self.module.space
         dA, IA, IE = g.algebra.dim, Mat.identity(g.algebra.dim), Mat.identity(E.dim)
         results = []
-        for n in range(0, self.max_degree + 1):
+        for n in range(0, degree + 1):
             Vn = g.V(n)
             swap = Mat.swap(dA, Vn.dim * E.dim)  # witnesses run over a before v (x) e
             ract = Mat.identity(Vn.dim).kron(E.right_action()) @ swap  # Kron(A, V(n), E) -> Kron(V(n), E)
-            lhs = {m: th @ ract for m, th in self.theta[n].items()}
+            lhs = {m: th @ ract for m, th in self.theta(n).items()}
             rhs: dict[int, Mat] = {}
-            for m, th in self.theta[n].items():
-                lifted = (self.EV[m].section @ th).kron(IA) @ swap  # -> Kron(E, V(m), A)
+            for m, th in self.theta(n).items():
+                lifted = (self.EV(m).section @ th).kron(IA) @ swap  # -> Kron(E, V(m), A)
                 for k in range(m, -1, -1):
-                    _add(rhs, k, self.EV[k].project @ IE.kron(self.table.table(m, 0, k)) @ lifted)
+                    _add(rhs, k, self.EV(k).project @ IE.kron(self.table.table(m, 0, k)) @ lifted)
             fail = _at((n,), _first_by_block(lhs, rhs, (dA, Vn.dim * E.dim)))
             results.append(CheckResult(f"theta-right-module-deg{n}", fail is None, witness=fail))
         return results
 
-    def check_action_factorization(self, fm: ConnectionModule, tensor_mod: ConnectionModule) -> list[CheckResult]:
+    def check_action_factorization(
+        self, fm: ConnectionModule, tensor_mod: ConnectionModule, degree: int
+    ) -> list[CheckResult]:
         """Property 5: v |> (e (x) f) = (id (x) |>)(theta (x) id)(v (x) e (x) f)."""
         g, E = self.geometry, self.module.space
         F = fm.space
         pair_ef = g.pair(E, F)
         results = []
-        for n in range(0, self.max_degree + 1):
+        for n in range(0, degree + 1):
             Vn = g.V(n)
             lhs = tensor_mod.act_table(n) @ Mat.identity(Vn.dim).kron(pair_ef.project)
             rhs = Mat.zeros(lhs.rows, lhs.cols)
-            for m, th in self.theta[n].items():
+            for m, th in self.theta(n).items():
                 acted = pair_ef.project @ Mat.identity(E.dim).kron(fm.act_table(m))
-                rhs = rhs + acted @ (self.EV[m].section @ th).kron(Mat.identity(F.dim))
+                rhs = rhs + acted @ (self.EV(m).section @ th).kron(Mat.identity(F.dim))
             fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, E.dim, F.dim)))
             results.append(CheckResult(f"theta-action-deg{n}", fail is None, witness=fail))
         return results
 
-    def check_filtration(self) -> list[CheckResult]:
+    def check_filtration(self, degree: int) -> list[CheckResult]:
         """Degree n -> n block equals the iterated sigma-hat braid; lower blocks only."""
         results = []
-        for n in range(1, self.max_degree + 1):
-            ok = self.theta[n][n] == self.braid_blocks[n]
-            extra = [m for m in self.theta[n] if m > n]
+        for n in range(1, degree + 1):
+            ok = self.theta(n)[n] == self.braid(n)
+            extra = [m for m in self.theta(n) if m > n]
             results.append(CheckResult(f"theta-filtration-deg{n}", ok and not extra, witness=None if ok else n))
         return results
 
-    def check_naturality(self, other: "CrossingMap", t: Mat) -> list[CheckResult]:
+    def check_naturality(self, other: "CrossingMap", t: Mat, degree: int) -> list[CheckResult]:
         """(T (x) id) theta_E = theta_F (id (x) T) for a connection morphism T."""
         g = self.geometry
         results = []
-        for n in range(0, self.max_degree + 1):
+        for n in range(0, degree + 1):
             fail = None
             for m in range(0, n + 1):
-                lhs_mat = self.theta[n].get(m)
-                rhs_mat = other.theta[n].get(m)
+                lhs_mat = self.theta(n).get(m)
+                rhs_mat = other.theta(n).get(m)
                 if lhs_mat is None and rhs_mat is None:
                     continue
-                tmat = other.EV[m].project @ t.kron(Mat.identity(g.V(m).dim)) @ self.EV[m].section
+                tmat = other.EV(m).project @ t.kron(Mat.identity(g.V(m).dim)) @ self.EV(m).section
                 if tmat @ lhs_mat != rhs_mat @ Mat.identity(g.V(n).dim).kron(t):
                     fail = (n, m)
                     break
@@ -239,48 +244,45 @@ class CrossingMap:
     # -- inverse -------------------------------------------------------------------
 
     @memo
-    def build_inverse(self) -> dict[int, dict[int, Mat]]:
-        """Per-degree inverse maps E (x)_A V(n) -> Kron(V(m), E), by the recursion
+    def build_inverse(self, n: int) -> dict[int, Mat]:
+        """The inverse blocks E (x)_A V(n) -> Kron(V(m), E) for m <= n, by the recursion
 
         theta_inv(f (x) u (x) v) = u' bullet theta_inv(f' (x) v) - theta_inv((u' |> f') (x) v)
-                                   - theta_inv(f (x) (u bullet_n v)),  u' (x) f' = sigma_hat^-1(f (x) u),
+                                   - theta_inv(f (x) (u bullet_p v)),  u' (x) f' = sigma_hat^-1(f (x) u),
 
-        where u' bullet y = u' (x) y + u' bullet_m y for y of degree m.
+        where v has degree p = n - 1 and u' bullet y = u' (x) y + u' bullet_m y for y of degree m.
         """
         g, E = self.geometry, self.module.space
+        if n == 0:  # e . a -> 1 (x) e.a
+            return {0: g.one.kron(E.right_action()) @ self.EV(0).section}
         act1 = self.module.act_table(1)
-        IE, Ivec = Mat.identity(E.dim), Mat.identity(g.vec.dim)
-        # degree 0: e . a -> 1 (x) e.a
-        inv = {0: {0: g.one.kron(E.right_action()) @ self.EV[0].section}}
-        if self.max_degree >= 1:
-            lift_ve = self.VE.section @ self.sigma_hat_inv  # E (x)_A Vec -> Kron(Vec, E)
-            inv[1] = {1: lift_ve, 0: -g.one.kron(act1 @ lift_ve)}
-            cross = lift_ve @ self.EV[1].project  # Kron(E, Vec) -> Kron(Vec, E)
-        for n in range(1, self.max_degree):
-            In = Mat.identity(g.V(n).dim)
-            split = IE.kron(g.pair_V(n + 1).section) @ self.EV[n + 1].section  # -> Kron(E, Vec, V(n))
-            crossed = cross.kron(In) @ split  # -> Kron(Vec, E, V(n))
-            lower = act1.kron(In) @ crossed + IE.kron(self.table.table(1, n, n)) @ split  # -> Kron(E, V(n))
-            blocks = {m: Mat.zeros(g.V(m).dim * E.dim, self.EV[n + 1].dim) for m in range(n + 2)}
-            for m, prev in inv[n].items():
-                prev = prev @ self.EV[n].project  # Kron(E, V(n)) -> Kron(V(m), E)
-                acted = Ivec.kron(prev) @ crossed  # -> Kron(Vec, V(m), E)
-                blocks[m + 1] = blocks[m + 1] + g.merge_vec(1, m).kron(IE) @ acted
-                blocks[m] = blocks[m] + self.table.table(1, m, m).kron(IE) @ acted - prev @ lower
-            inv[n + 1] = blocks
-        return inv
+        lift_ve = self.VE.section @ self.sigma_hat_inv  # E (x)_A Vec -> Kron(Vec, E)
+        if n == 1:
+            return {1: lift_ve, 0: -g.one.kron(act1 @ lift_ve)}
+        p = n - 1
+        IE, Ivec, Ip = Mat.identity(E.dim), Mat.identity(g.vec.dim), Mat.identity(g.V(p).dim)
+        cross = lift_ve @ self.EV(1).project  # Kron(E, Vec) -> Kron(Vec, E)
+        split = IE.kron(g.pair_V(n).section) @ self.EV(n).section  # -> Kron(E, Vec, V(p))
+        crossed = cross.kron(Ip) @ split  # -> Kron(Vec, E, V(p))
+        lower = act1.kron(Ip) @ crossed + IE.kron(self.table.table(1, p, p)) @ split  # -> Kron(E, V(p))
+        blocks = {m: Mat.zeros(g.V(m).dim * E.dim, self.EV(n).dim) for m in range(n + 1)}
+        for m, prev in self.build_inverse(p).items():
+            prev = prev @ self.EV(p).project  # Kron(E, V(p)) -> Kron(V(m), E)
+            acted = Ivec.kron(prev) @ crossed  # -> Kron(Vec, V(m), E)
+            blocks[m + 1] = blocks[m + 1] + g.merge_vec(1, m).kron(IE) @ acted
+            blocks[m] = blocks[m] + self.table.table(1, m, m).kron(IE) @ acted - prev @ lower
+        return blocks
 
-    def check_inverse(self) -> list[CheckResult]:
+    def check_inverse(self, degree: int) -> list[CheckResult]:
         """theta o theta_inv = id exactly; theta_inv o theta = id modulo the
         product-twisted relations of the filtered tensor product."""
         g, E = self.geometry, self.module.space
-        inv = self.build_inverse()
         results = []
-        for n in range(0, self.max_degree + 1):
+        for n in range(0, degree + 1):
             # composite theta(theta_inv(.)) - id per degree block
-            comp = {n: -Mat.identity(self.EV[n].dim)}
-            for m, invmat in inv[n].items():
-                for mm, th in self.theta[m].items():
+            comp = {n: -Mat.identity(self.EV(n).dim)}
+            for m, invmat in self.build_inverse(n).items():
+                for mm, th in self.theta(m).items():
                     _add(comp, mm, th @ invmat)
             ok = all(mat.is_zero() for mat in comp.values())
             results.append(CheckResult(f"theta-right-inverse-deg{n}", ok, witness=None if ok else n))
@@ -288,20 +290,20 @@ class CrossingMap:
         # theta_inv o theta = id in the quotient by (x bullet a (x) e - x (x) a.e),
         # on the sum of the Kron(V(m), E), block m at row offsets[m]
         offsets, total_dim = {}, 0
-        for m in range(0, self.max_degree + 1):
+        for m in range(0, degree + 1):
             offsets[m] = total_dim
             total_dim += g.V(m).dim * E.dim
         rels = []
-        for m in range(0, self.max_degree + 1):
+        for m in range(0, degree + 1):
             Vm = g.V(m)
             blocks = {k: self.table.table(m, 0, k).kron(Mat.identity(E.dim)) for k in range(m)}
             blocks[m] = Vm.right_action().kron(Mat.identity(E.dim)) - Mat.identity(Vm.dim).kron(E.left_action())
             rels += _stacked(blocks, offsets, total_dim).cols_sparse()
         project, _ = quotient(span(total_dim, rels))
-        for n in range(0, self.max_degree + 1):
+        for n in range(0, degree + 1):
             comp = {n: -Mat.identity(g.V(n).dim * E.dim)}
-            for m, th in self.theta[n].items():
-                for mm, invmat in inv[m].items():
+            for m, th in self.theta(n).items():
+                for mm, invmat in self.build_inverse(m).items():
                     _add(comp, mm, invmat @ th)
             stacked = project @ _stacked(comp, offsets, total_dim)
             fail = first_mismatch(stacked, Mat.zeros(stacked.rows, stacked.cols), (g.V(n).dim, E.dim))
@@ -322,17 +324,17 @@ def _stacked(blocks: dict[int, Mat], offsets: dict[int, int], rows: int) -> Mat:
 # -- theta on the unit object and compatibility with the product -------------------
 
 
-def check_theta_on_algebra(cm: CrossingMap) -> list[CheckResult]:
+def check_theta_on_algebra(cm: CrossingMap, degree: int) -> list[CheckResult]:
     """On E = A the crossing is the bullet product (unit-object axiom)."""
     g = cm.geometry
     if cm.module.space is not g.A_bim:
         raise ValueError("check_theta_on_algebra expects the crossing on A")
     results = []
-    for n in range(0, cm.max_degree + 1):
+    for n in range(0, degree + 1):
         fail = None
         for k in range(0, n + 1):
-            expected = cm.EV[k].project @ g.one.kron(Mat.identity(g.V(k).dim)) @ cm.table.table(n, 0, k)
-            got = cm.theta[n].get(k, Mat.zeros(expected.rows, expected.cols))
+            expected = cm.EV(k).project @ g.one.kron(Mat.identity(g.V(k).dim)) @ cm.table.table(n, 0, k)
+            got = cm.theta(n).get(k, Mat.zeros(expected.rows, expected.cols))
             if got != expected:
                 fail = (n, k)
                 break
@@ -340,49 +342,48 @@ def check_theta_on_algebra(cm: CrossingMap) -> list[CheckResult]:
     return results
 
 
-def theta_product_compat(cm: CrossingMap) -> list[CheckResult]:
+def theta_product_compat(cm: CrossingMap, degree: int) -> list[CheckResult]:
     """theta(u bullet v (x) e) = (id (x) bullet)(theta (x) id)(id (x) theta)."""
     g, E = cm.geometry, cm.module.space
     table = cm.table
     results = []
-    D = cm.max_degree
-    for p in range(0, D + 1):
-        for q in range(0, D + 1 - p):
+    for p in range(0, degree + 1):
+        for q in range(0, degree + 1 - p):
             Vp, Vq = g.V(p), g.V(q)
             lhs: dict[int, Mat] = {}
             for k in range(0, p + q + 1):
                 moved = table.table(p, q, k).kron(Mat.identity(E.dim))
-                for m, th in cm.theta[k].items():
+                for m, th in cm.theta(k).items():
                     _add(lhs, m, th @ moved)
             rhs: dict[int, Mat] = {}
-            for m, th_q in cm.theta[q].items():
-                inner = Mat.identity(Vp.dim).kron(cm.EV[m].section @ th_q)  # -> Kron(V(p), E, V(m))
-                for mp, th_p in cm.theta[p].items():
-                    outer = (cm.EV[mp].section @ th_p).kron(Mat.identity(g.V(m).dim)) @ inner  # -> Kron(E, V(mp), V(m))
+            for m, th_q in cm.theta(q).items():
+                inner = Mat.identity(Vp.dim).kron(cm.EV(m).section @ th_q)  # -> Kron(V(p), E, V(m))
+                for mp, th_p in cm.theta(p).items():
+                    outer = (cm.EV(mp).section @ th_p).kron(Mat.identity(g.V(m).dim)) @ inner  # -> Kron(E, V(mp), V(m))
                     for k in range(0, mp + m + 1):
-                        _add(rhs, k, cm.EV[k].project @ Mat.identity(E.dim).kron(table.table(mp, m, k)) @ outer)
+                        _add(rhs, k, cm.EV(k).project @ Mat.identity(E.dim).kron(table.table(mp, m, k)) @ outer)
             fail = _at((p, q), first_mismatch(lhs, rhs, (Vp.dim, Vq.dim, E.dim)))
             results.append(CheckResult(f"theta-product-compat-{p}-{q}", fail is None, witness=fail))
     return results
 
 
 def theta_tensor_factorization(
-    cm_e: CrossingMap, cm_f: CrossingMap, cm_ef: CrossingMap
+    cm_e: CrossingMap, cm_f: CrossingMap, cm_ef: CrossingMap, degree: int
 ) -> list[CheckResult]:
     """theta_{E (x) F} = (id_E (x) theta_F)(theta_E (x) id_F), degree by degree."""
     g = cm_e.geometry
     E, F = cm_e.module.space, cm_f.module.space
     pair_ef = g.pair(E, F)
     results = []
-    for n in range(0, cm_e.max_degree + 1):
+    for n in range(0, degree + 1):
         Vn = g.V(n)
-        lhs = {m: th @ Mat.identity(Vn.dim).kron(pair_ef.project) for m, th in cm_ef.theta[n].items()}
+        lhs = {m: th @ Mat.identity(Vn.dim).kron(pair_ef.project) for m, th in cm_ef.theta(n).items()}
         rhs: dict[int, Mat] = {}
-        for m, th_e in cm_e.theta[n].items():
-            inner = (cm_e.EV[m].section @ th_e).kron(Mat.identity(F.dim))  # -> Kron(E, V(m), F)
-            for mp, th_f in cm_f.theta[m].items():
-                outer = Mat.identity(E.dim).kron(cm_f.EV[mp].section @ th_f) @ inner  # -> Kron(E, F, V(mp))
-                _add(rhs, mp, cm_ef.EV[mp].project @ pair_ef.project.kron(Mat.identity(g.V(mp).dim)) @ outer)
+        for m, th_e in cm_e.theta(n).items():
+            inner = (cm_e.EV(m).section @ th_e).kron(Mat.identity(F.dim))  # -> Kron(E, V(m), F)
+            for mp, th_f in cm_f.theta(m).items():
+                outer = Mat.identity(E.dim).kron(cm_f.EV(mp).section @ th_f) @ inner  # -> Kron(E, F, V(mp))
+                _add(rhs, mp, cm_ef.EV(mp).project @ pair_ef.project.kron(Mat.identity(g.V(mp).dim)) @ outer)
         fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, E.dim, F.dim)))
         results.append(CheckResult(f"theta-tensor-factorization-deg{n}", fail is None, witness=fail))
     return results
@@ -394,21 +395,19 @@ def theta_tensor_factorization(
 class OperatorConnection:
     """nabla(v) = coev(1) bullet v on the truncated operator algebra.
 
-    Blocks nabla[n][m] : V(n) -> Omega1 (x)_A V(m) for m in {n, n+1}; the
-    braiding is zero, which is exactly the right-module-map property below.
+    The blocks of degree n are V(n) -> Omega1 (x)_A V(m) for m in {n, n+1};
+    the braiding is zero, which is exactly the right-module-map property below.
     """
 
-    def __init__(self, table: BulletTable, max_degree: int):
+    def __init__(self, table: BulletTable):
         self.table = table
-        self.max_degree = max_degree
-        g = table.geometry
-        self.geometry = g
-        # the degree-raising block is kept even at the truncation top so the
-        # right-module identity can be compared without losing terms
-        self.blocks: dict[int, dict[int, Mat]] = {
-            n: {k: g.OV(k).project @ plain for k, plain in self._coev_bullet(n).items()}
-            for n in range(0, max_degree + 1)
-        }
+        self.geometry = table.geometry
+
+    @memo
+    def blocks(self, n: int) -> dict[int, Mat]:
+        """nabla on V(n), one block per m in {n, n+1}: the degree-raising block is
+        kept at a check's top degree too, so the right-module identity loses no terms."""
+        return {k: self.geometry.OV(k).project @ plain for k, plain in self._coev_bullet(n).items()}
 
     def _coev_bullet(self, n: int) -> dict[int, Mat]:
         """v -> coev(1) bullet v on plain coordinates, V(n) -> Kron(Omega1, V(k)) for k = n, n+1."""
@@ -416,13 +415,13 @@ class OperatorConnection:
         coev = g.coev_one.kron(Mat.identity(g.V(n).dim))
         return {k: Mat.identity(g.omega.dim).kron(self.table.table(1, n, k)) @ coev for k in (n, n + 1)}
 
-    def check_left_leibniz(self) -> list[CheckResult]:
+    def check_left_leibniz(self, degree: int) -> list[CheckResult]:
         """nabla(a.v) = a.nabla(v) + da (x) v."""
         g = self.geometry
         results = []
-        for n in range(0, self.max_degree + 1):
+        for n in range(0, degree + 1):
             Vn = g.V(n)
-            blocks = self.blocks[n]
+            blocks = self.blocks(n)
             lhs = {m: mat @ Vn.left_action() for m, mat in blocks.items()}
             rhs = {m: g.OV(m).space.left_action() @ Mat.identity(g.algebra.dim).kron(mat) for m, mat in blocks.items()}
             rhs[n] = rhs[n] + g.OV(n).project @ g.d.kron(Mat.identity(Vn.dim))
@@ -431,22 +430,22 @@ class OperatorConnection:
             results.append(CheckResult(f"operator-connection-leibniz-deg{n}", fail is None, witness=fail))
         return results
 
-    def check_right_module_map(self) -> list[CheckResult]:
+    def check_right_module_map(self, degree: int) -> list[CheckResult]:
         """nabla(v bullet a) = nabla(v) bullet a: the zero-braiding property."""
         g = self.geometry
         table = self.table
         dA = g.algebra.dim
         results = []
-        for n in range(0, self.max_degree + 1):
+        for n in range(0, degree + 1):
             Vn = g.V(n)
             swap = Mat.swap(dA, Vn.dim)  # witnesses run over a before v
             lhs: dict[int, Mat] = {}
             for k in range(n, -1, -1):
                 moved = table.table(n, 0, k) @ swap
-                for m, mat in self.blocks[k].items():
+                for m, mat in self.blocks(k).items():
                     _add(lhs, m, mat @ moved)
             rhs: dict[int, Mat] = {}
-            for m, mat in self.blocks[n].items():
+            for m, mat in self.blocks(n).items():
                 lifted = (g.OV(m).section @ mat).kron(Mat.identity(dA)) @ swap  # -> Kron(Omega1, V(m), A)
                 for k in range(m, -1, -1):
                     _add(rhs, k, g.OV(k).project @ Mat.identity(g.omega.dim).kron(table.table(m, 0, k)) @ lifted)
@@ -454,7 +453,7 @@ class OperatorConnection:
             results.append(CheckResult(f"operator-connection-right-deg{n}", fail is None, witness=fail))
         return results
 
-    def check_crossing_is_morphism(self, cm: CrossingMap) -> list[CheckResult]:
+    def check_crossing_is_morphism(self, cm: CrossingMap, degree: int) -> list[CheckResult]:
         """(id (x) theta) nabla_{T (x) E} = nabla_{E (x) T} theta, degree by degree."""
         g, em = self.geometry, cm.module
         E, dO = em.space, g.omega.dim
@@ -462,41 +461,40 @@ class OperatorConnection:
         crossed = em.OE.section @ em.sigma @ em.EO.project  # Kron(E, Omega1) -> Kron(Omega1, E)
 
         def target(m):  # Omega1 (x)_A (E (x)_A V(m))
-            return g.pair(g.omega, cm.EV[m].space).project
+            return g.pair(g.omega, cm.EV(m).space).project
 
         results = []
-        for n in range(0, cm.max_degree):  # the left side raises degree by one
+        for n in range(0, degree):  # the left side raises degree by one
             Vn = g.V(n)
             # nabla_{T (x) E}(v (x) e) = xi (x) (u bullet v) (x) e, then id (x) theta
             lhs: dict[int, Mat] = {}
             for k, up in self._coev_bullet(n).items():
-                for m, th in cm.theta[k].items():
+                for m, th in cm.theta(k).items():
                     _add(lhs, m, target(m) @ Mat.identity(dO).kron(th) @ up.kron(Mat.identity(E.dim)))
             # nabla_E(f) (x) w + sigma_E(f (x) xi) (x) (u bullet w) on theta(v (x) e) = f (x) w
             rhs: dict[int, Mat] = {}
-            for m, th in cm.theta[n].items():
-                lifted = cm.EV[m].section @ th  # -> Kron(E, V(m))
-                push = target(m) @ Mat.identity(dO).kron(cm.EV[m].project)
+            for m, th in cm.theta(n).items():
+                lifted = cm.EV(m).section @ th  # -> Kron(E, V(m))
+                push = target(m) @ Mat.identity(dO).kron(cm.EV(m).project)
                 _add(rhs, m, push @ nabla.kron(Mat.identity(g.V(m).dim)) @ lifted)
                 for k, up in self._coev_bullet(m).items():
-                    push = target(k) @ Mat.identity(dO).kron(cm.EV[k].project)
+                    push = target(k) @ Mat.identity(dO).kron(cm.EV(k).project)
                     _add(rhs, k, push @ crossed.kron(Mat.identity(g.V(k).dim)) @ Mat.identity(E.dim).kron(up) @ lifted)
             fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, E.dim)))
             results.append(CheckResult(f"operator-connection-morphism-deg{n}", fail is None, witness=fail))
         return results
 
-    def check_product_is_morphism(self) -> list[CheckResult]:
+    def check_product_is_morphism(self, degree: int) -> list[CheckResult]:
         """(id (x) bullet) nabla_{T (x) T} = nabla o bullet (associativity in disguise)."""
         g = self.geometry
         table = self.table
         results = []
-        D = self.max_degree
-        for p in range(0, D):
-            for q in range(0, D - p):
+        for p in range(0, degree):
+            for q in range(0, degree - p):
                 Vp, Vq = g.V(p), g.V(q)
                 lhs: dict[int, Mat] = {}
                 for k in range(0, p + q + 1):
-                    for m, mat in self.blocks[k].items():
+                    for m, mat in self.blocks(k).items():
                         _add(lhs, m, mat @ table.table(p, q, k))
                 rhs: dict[int, Mat] = {}
                 for k, up in self._coev_bullet(p).items():
@@ -511,6 +509,11 @@ class OperatorConnection:
 class OperatorAlgebraCandidate:
     """The truncated operator algebra as a centre candidate for the category of
     bimodules with invertible-braiding connections over one bundle.
+
+    It holds the crossing of each test object and of each tensor product of
+    two, and the coevaluation connection, each built once on first use and
+    grown degree by degree as far as a check asks: its own checks go up to
+    ``max_degree``, and any other caller may read them to a higher degree.
     """
 
     def __init__(self, table: BulletTable, modules: dict[str, ConnectionModule], max_degree: int):
@@ -519,7 +522,7 @@ class OperatorAlgebraCandidate:
         self.max_degree = max_degree
         self.modules = dict(modules)
         self.name = f"operator-algebra-{self.geometry.name}"
-        self.operator_connection = OperatorConnection(table, max_degree)
+        self.operator_connection = OperatorConnection(table)
         if "A" not in self.modules:
             raise ValueError("the unit object A must be among the test objects")
 
@@ -528,7 +531,7 @@ class OperatorAlgebraCandidate:
 
     @memo
     def crossing(self, name: str) -> CrossingMap:
-        return CrossingMap(self.table, self.modules[name], self.max_degree)
+        return CrossingMap(self.table, self.modules[name])
 
     @memo
     def tensor_module(self, a: str, b: str) -> ConnectionModule:
@@ -536,7 +539,7 @@ class OperatorAlgebraCandidate:
 
     @memo
     def tensor_crossing(self, a: str, b: str) -> CrossingMap:
-        return CrossingMap(self.table, self.tensor_module(a, b), self.max_degree)
+        return CrossingMap(self.table, self.tensor_module(a, b))
 
     @staticmethod
     def _merge(name: str, results: list[CheckResult]) -> CheckResult:
@@ -544,39 +547,40 @@ class OperatorAlgebraCandidate:
         return CheckResult(name, not bad, witness=(bad[0].name, bad[0].witness) if bad else None)
 
     def check_unit(self) -> CheckResult:
-        return self._merge("centre-unit-object", check_theta_on_algebra(self.crossing("A")))
+        return self._merge("centre-unit-object", check_theta_on_algebra(self.crossing("A"), self.max_degree))
 
     def check_morphism(self, obj: str) -> CheckResult:
-        cm = self.crossing(obj)
+        cm, D = self.crossing(obj), self.max_degree
         results = []
-        results += cm.check_bullet_balance()
-        results += cm.check_left_module()
-        results += cm.check_right_module()
-        results += cm.check_filtration()
-        results += self.operator_connection.check_crossing_is_morphism(cm)
+        results += cm.check_bullet_balance(D)
+        results += cm.check_left_module(D)
+        results += cm.check_right_module(D)
+        results += cm.check_filtration(D)
+        results += self.operator_connection.check_crossing_is_morphism(cm, D)
         return self._merge(f"centre-morphism-{obj}", results)
 
     def check_tensor_compat(self, a: str, b: str) -> CheckResult:
-        results = theta_tensor_factorization(self.crossing(a), self.crossing(b), self.tensor_crossing(a, b))
+        crossings = self.crossing(a), self.crossing(b), self.tensor_crossing(a, b)
+        results = theta_tensor_factorization(*crossings, self.max_degree)
         return self._merge(f"centre-tensor-compat-{a}-{b}", results)
 
     def check_inverse(self, obj: str) -> CheckResult:
-        return self._merge(f"centre-inverse-{obj}", self.crossing(obj).check_inverse())
+        return self._merge(f"centre-inverse-{obj}", self.crossing(obj).check_inverse(self.max_degree))
 
     def check_product_morphism(self) -> CheckResult:
-        oc = self.operator_connection
-        results = oc.check_left_leibniz() + oc.check_right_module_map() + oc.check_product_is_morphism()
+        oc, D = self.operator_connection, self.max_degree
+        results = oc.check_left_leibniz(D) + oc.check_right_module_map(D) + oc.check_product_is_morphism(D)
         return self._merge("centre-product-morphism", results)
 
     def check_algebra_in_centre(self, obj: str) -> CheckResult:
-        return self._merge(f"centre-algebra-{obj}", theta_product_compat(self.crossing(obj)))
+        return self._merge(f"centre-algebra-{obj}", theta_product_compat(self.crossing(obj), self.max_degree))
 
     def check_naturality(self) -> list[CheckResult]:
         g = self.geometry
         cm = self.crossing("A")
         t = g.algebra.left_mult_matrix([x + x for x in g.algebra.unit])
-        results = cm.check_naturality(cm, t)
-        results += cm.check_naturality(cm, Mat.identity(g.algebra.dim))
+        results = cm.check_naturality(cm, t, self.max_degree)
+        results += cm.check_naturality(cm, Mat.identity(g.algebra.dim), self.max_degree)
         return [self._merge("centre-naturality", results)]
 
     def extra_checks(self) -> list[CheckResult]:

@@ -16,18 +16,10 @@ from .bimodule import idempotent_failure, relation_vectors
 from .bundle import Bundle, canonical_json
 from .calculus import connection_morphism_defect, sigma_compat_defect, tensor_connection
 from .centre import verify_centre
-from .crossing import (
-    CrossingMap,
-    OperatorAlgebraCandidate,
-    OperatorConnection,
-    check_theta_on_algebra,
-    theta_product_compat,
-    theta_tensor_factorization,
-)
+from .crossing import OperatorAlgebraCandidate, check_theta_on_algebra, theta_product_compat, theta_tensor_factorization
 from .diffop import BulletTable, GradedOperator
 from .hopf import standard_candidate
-from .linalg import Mat, first_mismatch, quotient, span
-from .memo import memo
+from .linalg import Mat, first_mismatch
 from .report import CheckResult, ValidationError, _jsonable, first_failure
 from .scalars import sc
 from .sobolev import InnerProduct, SobolevPairings, gram_increment_certificate, sobolev_gram
@@ -111,7 +103,10 @@ class Report:
 
 class VerifyContext:
     """What the suites of one verification run share: the bullet table and the
-    crossing of each module up to the run's degree, built once by ``@memo``."""
+    centre candidate, which holds the one crossing of each module, of each
+    tensor product of two, and the coevaluation connection.  Its own checks
+    stop at degree min(2, degree); the theta suite reads the same crossings up
+    to the run's degree."""
 
     def __init__(self, bundle: Bundle, degree: int, seed: int):
         self.bundle = bundle
@@ -119,10 +114,8 @@ class VerifyContext:
         self.degree = degree
         self.seed = seed
         self.table = BulletTable(bundle.geometry)
-
-    @memo
-    def crossing(self, name: str) -> CrossingMap:
-        return CrossingMap(self.table, self.bundle.modules[name], self.degree)
+        modules = dict(self.sigma_modules()) | {"A": bundle.modules["A"]}
+        self.candidate = OperatorAlgebraCandidate(self.table, modules, min(2, degree))
 
     def sigma_modules(self) -> dict[str, object]:
         return {
@@ -168,7 +161,7 @@ def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
         eq_fail = None if fail is None else (fail[0], n, *fail[1])
         out.append(CheckResult(f"ev-bimodule-{n}", eq_fail is None, witness=eq_fail))
         # coev<n>(1) central: a.coev(1) - coev(1).a lies in the relation span, which the projection kills
-        project, _ = quotient(span(Wn.dim * Vn.dim, relation_vectors(Wn, Vn)))
+        project = g.pair(Wn, Vn).project
         coev1 = g.coev_pow(n)
         la = Wn.left_action().kron(IV) @ IA.kron(coev1)  # column i: a_i.coev(1)
         ra = IW.kron(Vn.right_action()) @ coev1.kron(IA)  # column i: coev(1).a_i
@@ -345,37 +338,31 @@ def suite_action(ctx: VerifyContext) -> list[CheckResult]:
 
 
 def suite_theta(ctx: VerifyContext) -> list[CheckResult]:
-    g = ctx.geometry
+    cand = ctx.candidate
     out = []
     D = ctx.degree
     sigma_mods = ctx.sigma_modules()
     for name in sigma_mods:
-        cm = ctx.crossing(name)
+        cm = cand.crossing(name)
         chunk = (
-            cm.check_bullet_balance()
-            + cm.check_left_module()
-            + cm.check_right_module()
-            + cm.check_filtration()
-            + cm.check_inverse()
+            cm.check_bullet_balance(D)
+            + cm.check_left_module(D)
+            + cm.check_right_module(D)
+            + cm.check_filtration(D)
+            + cm.check_inverse(D)
         )
         out += _prefix(chunk, f"{name}:")
-    if "A" in ctx.bundle.modules:
-        out += _prefix(check_theta_on_algebra(ctx.crossing("A")), "A:")
-        out += _prefix(theta_product_compat(ctx.crossing("A")), "A:")
+    cm_a = cand.crossing("A")
+    out += _prefix(check_theta_on_algebra(cm_a, D), "A:")
+    out += _prefix(theta_product_compat(cm_a, D), "A:")
     if "omega1" in sigma_mods:
-        out += _prefix(theta_product_compat(ctx.crossing("omega1")), "omega1:")
-        em = ctx.bundle.modules["omega1"]
-        am = ctx.bundle.modules["A"]
+        cm_e = cand.crossing("omega1")
+        out += _prefix(theta_product_compat(cm_e, D), "omega1:")
         # property 5 with F = omega1 and the tensor factorization, both directions
-        tm = tensor_connection(em, em)
-        cm_e = ctx.crossing("omega1")
-        cm_ee = CrossingMap(ctx.table, tm, D)
-        out += _prefix(cm_e.check_action_factorization(em, tm), "omega1:")
-        out += _prefix(theta_tensor_factorization(cm_e, cm_e, cm_ee), "omega1xomega1:")
-        ta = tensor_connection(em, am)
-        cm_a = ctx.crossing("A")
-        cm_ea = CrossingMap(ctx.table, ta, D)
-        out += _prefix(theta_tensor_factorization(cm_e, cm_a, cm_ea), "omega1xA:")
+        cm_ee = cand.tensor_crossing("omega1", "omega1")
+        out += _prefix(cm_e.check_action_factorization(cm_e.module, cm_ee.module, D), "omega1:")
+        out += _prefix(theta_tensor_factorization(cm_e, cm_e, cm_ee, D), "omega1xomega1:")
+        out += _prefix(theta_tensor_factorization(cm_e, cm_a, cand.tensor_crossing("omega1", "A"), D), "omega1xA:")
     return out
 
 
@@ -387,13 +374,14 @@ def _prefix(results: list[CheckResult], prefix: str) -> list[CheckResult]:
 
 
 def suite_centre(ctx: VerifyContext) -> list[CheckResult]:
-    degree = min(2, ctx.degree)
-    candidate = OperatorAlgebraCandidate(ctx.table, dict(ctx.sigma_modules()) | {"A": ctx.bundle.modules["A"]}, degree)
-    out = verify_centre(candidate)
+    cand = ctx.candidate
+    oc = cand.operator_connection
+    for n in range(cand.max_degree + 1):  # built before any crossing, so a corrupt input fails here first
+        oc.blocks(n)
+    out = verify_centre(cand)
     # the coevaluation connection's right-module identity at the full degree
-    oc = OperatorConnection(ctx.table, ctx.degree)
-    out += oc.check_right_module_map()
-    out += oc.check_left_leibniz()
+    out += oc.check_right_module_map(ctx.degree)
+    out += oc.check_left_leibniz(ctx.degree)
     return out
 
 

@@ -25,6 +25,17 @@ def lift(pair, vec):
     return pair.section.apply(vec)
 
 
+def left_apply(M, a, e):
+    """a.e for dense coordinates a in A and e in the bimodule M."""
+    out = [ZERO] * M.dim
+    for i, c in enumerate(a):
+        if c:
+            for k, v in enumerate(M.left[i].apply(e)):
+                if v:
+                    out[k] = out[k] + c * v
+    return out
+
+
 def push(pair, plain):
     """The class in E (x)_A F of a plain tensor."""
     return pair.project.apply(plain)
@@ -78,4 +89,4 @@ def right_bullet_by_algebra(table, n, a_coords, v_coords) -> dict:
 def crossing_apply(cm, n, v_coords, e_coords) -> dict:
     """theta on a degree-n tensor v (x) e; dense quotient coordinates per degree."""
     x = kron_vec(v_coords, e_coords)
-    return {m: mat.apply(x) for m, mat in cm.theta[n].items()}
+    return {m: mat.apply(x) for m, mat in cm.theta(n).items()}

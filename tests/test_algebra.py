@@ -87,7 +87,7 @@ def test_dimension_mismatch(two_point_algebra):
 
 def test_uniform_state_valid_faithful(two_point_algebra):
     s = State([Fraction(1, 2), Fraction(1, 2)], "uniform")
-    assert s.is_valid(two_point_algebra)
+    assert all(r.ok for r in s.validate(two_point_algebra) if r.name != "state-faithful")
     assert s.faithful is True
     # Gram matrix oracle: diag(1/2, 1/2) in the idempotent basis
     g = s.gram(two_point_algebra)
@@ -96,7 +96,7 @@ def test_uniform_state_valid_faithful(two_point_algebra):
 
 def test_point_evaluation_state_valid_not_faithful(two_point_algebra):
     s = State([1, 0], "point1")
-    assert s.is_valid(two_point_algebra)
+    assert all(r.ok for r in s.validate(two_point_algebra) if r.name != "state-faithful")
     assert s.faithful is False
 
 

@@ -144,6 +144,29 @@ def test_malformed_nested_values_named(tmp_path, capsys, two_point_doc, path, va
     assert "Traceback" not in captured.err
 
 
+def test_boolean_scalar_is_input_error(two_point_doc):
+    # JSON integers are read as scalars, floats and booleans are not
+    doc = copy.deepcopy(two_point_doc)
+    doc["states"]["point1"] = [1, 0]
+    assert load_bundle_dict(doc).to_dict()["states"]["point1"] == ["1", "0"]
+    for bad, message in (([True, 0], "a boolean"), ([1, False], "a boolean"), ([1.0, 0], "inexact")):
+        doc["states"]["point1"] = bad
+        with pytest.raises(ParseError) as err:
+            load_bundle_dict(doc)
+        assert str(err.value).startswith(f"states.point1: {message}")
+
+
+def test_cli_validate_boolean_scalar_is_input_error(tmp_path, capsys, two_point_doc):
+    doc = copy.deepcopy(two_point_doc)
+    doc["states"]["uniform"] = [True, 0]
+    path = tmp_path / "boolean-scalar.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error: states.uniform: a boolean is not a scalar" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_verify_negative_truncation_is_input_error(tmp_path, capsys, two_point_doc):
     doc = copy.deepcopy(two_point_doc)
     doc["truncation_degree"] = -1
@@ -601,13 +624,25 @@ PINNED_BODIES = [
         ["z3-function-calculus", "--suites", "action"],
         "a41494d5c312720b42d681ba3c53215176848ff13043b3dbca8a92417f35f9e4",
     ),
+    (
+        ["z3-function-calculus", "--suites", "theta,centre"],
+        "7481f8357ad392c5178c6996ae7a7614fe53d010afb85d09ecf50d4c9917fc17",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "args,digest",
     PINNED_BODIES,
-    ids=["two-point-universal", "zero-form-smoke", "z3-subset", "z3-theta-deg2", "z3-centre-deg1", "z3-action"],
+    ids=[
+        "two-point-universal",
+        "zero-form-smoke",
+        "z3-subset",
+        "z3-theta-deg2",
+        "z3-centre-deg1",
+        "z3-action",
+        "z3-theta-centre",
+    ],
 )
 def test_cli_verify_body_digest_pinned(capsys, args, digest):
     assert main(["verify", args[0], "--json", "--seed", "7", *args[1:]]) == 0

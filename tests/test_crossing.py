@@ -4,7 +4,9 @@ tensor factorization, the two-sided inverse, and the coevaluation connection.
 
 import pytest
 
+from ncdiffop import crossing, verify
 from ncdiffop.algebra import unit_row
+from ncdiffop.bundle import load_builtin
 from ncdiffop.calculus import omega_module, tensor_connection, trivial_module, vec_module
 from ncdiffop.crossing import (
     CrossingMap,
@@ -40,7 +42,7 @@ def test_degree_one_formula(table, modules):
     # theta(v (x) e) = v |> e + sigma_hat(v (x) e)
     g = table.geometry
     for em in modules.values():
-        cm = CrossingMap(table, em, 1)
+        cm = CrossingMap(table, em)
         E = em.space
         for b in range(g.vec.dim):
             v = unit_row(g.vec.dim, b)
@@ -48,71 +50,71 @@ def test_degree_one_formula(table, modules):
                 e = unit_row(E.dim, j)
                 out = crossing_apply(cm, 1, v, e)
                 acted = em.act(1, col(v), col(e)).column(0)
-                expected0 = push(cm.EV[0], kron_vec(acted, g.algebra.unit))
+                expected0 = push(cm.EV(0), kron_vec(acted, g.algebra.unit))
                 assert out[0] == expected0
                 assert out[1] == [x for x in cm.sigma_hat.apply(kron_vec(v, e))]
 
 
 def test_theta_on_algebra_is_bullet(table, modules):
-    cm = CrossingMap(table, modules["A"], D)
-    assert all(r.ok for r in check_theta_on_algebra(cm))
+    cm = CrossingMap(table, modules["A"])
+    assert all(r.ok for r in check_theta_on_algebra(cm, D))
 
 
 def test_properties_all_modules(table, modules):
     for name, em in modules.items():
-        cm = CrossingMap(table, em, D)  # property 1 checked during build
-        assert all(r.ok for r in cm.check_bullet_balance()), name
-        assert all(r.ok for r in cm.check_left_module()), name
-        assert all(r.ok for r in cm.check_right_module()), name
-        assert all(r.ok for r in cm.check_filtration()), name
+        cm = CrossingMap(table, em)  # property 1 checked as each degree is built
+        assert all(r.ok for r in cm.check_bullet_balance(D)), name
+        assert all(r.ok for r in cm.check_left_module(D)), name
+        assert all(r.ok for r in cm.check_right_module(D)), name
+        assert all(r.ok for r in cm.check_filtration(D)), name
 
 
 def test_property_five_omega_pair(table, modules):
     em = modules["omega1"]
     fm = modules["omega1"]
     tm = tensor_connection(em, fm)
-    cm = CrossingMap(table, em, 2)
-    results = cm.check_action_factorization(fm, tm)
+    cm = CrossingMap(table, em)
+    results = cm.check_action_factorization(fm, tm, 2)
     assert all(r.ok for r in results)
 
 
 def test_product_compat(table, modules):
     for name in ("A", "omega1"):
-        cm = CrossingMap(table, modules[name], D)
-        assert all(r.ok for r in theta_product_compat(cm)), name
+        cm = CrossingMap(table, modules[name])
+        assert all(r.ok for r in theta_product_compat(cm, D)), name
 
 
 def test_tensor_factorization_with_unit(table, modules):
     em = modules["omega1"]
     am = modules["A"]
     tm = tensor_connection(em, am)
-    cm_e = CrossingMap(table, em, D)
-    cm_a = CrossingMap(table, am, D)
-    cm_ea = CrossingMap(table, tm, D)
-    assert all(r.ok for r in theta_tensor_factorization(cm_e, cm_a, cm_ea))
+    cm_e = CrossingMap(table, em)
+    cm_a = CrossingMap(table, am)
+    cm_ea = CrossingMap(table, tm)
+    assert all(r.ok for r in theta_tensor_factorization(cm_e, cm_a, cm_ea, D))
 
 
 def test_tensor_factorization_omega_omega(table, modules):
     em = modules["omega1"]
     tm = tensor_connection(em, em)
-    cm_e = CrossingMap(table, em, D)
-    cm_ee = CrossingMap(table, tm, D)
-    assert all(r.ok for r in theta_tensor_factorization(cm_e, cm_e, cm_ee))
+    cm_e = CrossingMap(table, em)
+    cm_ee = CrossingMap(table, tm)
+    assert all(r.ok for r in theta_tensor_factorization(cm_e, cm_e, cm_ee, D))
 
 
 def test_inverse_two_sided(table, modules):
     for name in ("A", "omega1", "vec"):
-        cm = CrossingMap(table, modules[name], D)
-        assert all(r.ok for r in cm.check_inverse()), name
+        cm = CrossingMap(table, modules[name])
+        assert all(r.ok for r in cm.check_inverse(D)), name
 
 
 def test_naturality_scalar_morphism(table, modules):
     g = table.geometry
     am = modules["A"]
-    cm = CrossingMap(table, am, D)
+    cm = CrossingMap(table, am)
     t = g.algebra.left_mult_matrix([sc(3), sc(3)])
-    assert all(r.ok for r in cm.check_naturality(cm, t))
-    assert all(r.ok for r in cm.check_naturality(cm, Mat.identity(2)))
+    assert all(r.ok for r in cm.check_naturality(cm, t, D))
+    assert all(r.ok for r in cm.check_naturality(cm, Mat.identity(2), D))
 
 
 # -- the coevaluation connection ----------------------------------------------------
@@ -121,8 +123,8 @@ def test_naturality_scalar_morphism(table, modules):
 def test_operator_connection_on_unit(table):
     # nabla(1) = coev(1) bullet 1 = coev(1)
     g = table.geometry
-    oc = OperatorConnection(table, D)
-    got = oc.blocks[0][1].apply(g.algebra.unit)
+    oc = OperatorConnection(table)
+    got = oc.blocks(0)[1].apply(g.algebra.unit)
     expected = push(g.OV(1), g.coev_one.column(0))
     assert got == expected
 
@@ -130,7 +132,7 @@ def test_operator_connection_on_unit(table):
 def test_operator_connection_on_algebra_elements(table):
     # nabla(a) has the degree-0 piece xi (x) u(da) and degree-1 piece xi (x) u.a
     g = table.geometry
-    oc = OperatorConnection(table, D)
+    oc = OperatorConnection(table)
     for i in range(g.algebra.dim):
         a = unit_row(g.algebra.dim, i)
         same = [ZERO] * g.OV(0).dim
@@ -147,23 +149,44 @@ def test_operator_connection_on_algebra_elements(table):
             ua = g.vec.right_apply(u, a)
             term = push(g.OV(1), kron_vec(xi, ua))
             up = [x + c * y for x, y in zip(up, term)]
-        assert oc.blocks[0][0].apply(a) == same
-        assert oc.blocks[0][1].apply(a) == up
+        assert oc.blocks(0)[0].apply(a) == same
+        assert oc.blocks(0)[1].apply(a) == up
 
 
 def test_operator_connection_leibniz_and_right_module(table):
-    oc = OperatorConnection(table, D)
-    assert all(r.ok for r in oc.check_left_leibniz())
-    assert all(r.ok for r in oc.check_right_module_map())
+    oc = OperatorConnection(table)
+    assert all(r.ok for r in oc.check_left_leibniz(D))
+    assert all(r.ok for r in oc.check_right_module_map(D))
 
 
 def test_operator_connection_morphism_property(table, modules):
-    oc = OperatorConnection(table, D)
+    oc = OperatorConnection(table)
     for name in ("A", "omega1"):
-        cm = CrossingMap(table, modules[name], D)
-        assert all(r.ok for r in oc.check_crossing_is_morphism(cm)), name
+        cm = CrossingMap(table, modules[name])
+        assert all(r.ok for r in oc.check_crossing_is_morphism(cm, D)), name
 
 
 def test_operator_product_is_morphism(table):
-    oc = OperatorConnection(table, D)
-    assert all(r.ok for r in oc.check_product_is_morphism())
+    oc = OperatorConnection(table)
+    assert all(r.ok for r in oc.check_product_is_morphism(D))
+
+
+def test_theta_and_centre_share_one_crossing_per_module(monkeypatch):
+    # three objects A, omega1, vec: one crossing each and one per ordered pair,
+    # one operator connection and one tensor connection per ordered pair
+    counts = {"CrossingMap": 0, "OperatorConnection": 0, "tensor_connection": 0}
+
+    def counted(name, build):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return build(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (crossing.CrossingMap, crossing.OperatorConnection):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    for owner in (crossing, verify):
+        monkeypatch.setattr(owner, "tensor_connection", counted("tensor_connection", owner.tensor_connection))
+    report = verify.verify_all(load_builtin("two-point-universal"), suites=["theta", "centre"], seed=7)
+    assert report.ok
+    assert counts == {"CrossingMap": 12, "OperatorConnection": 1, "tensor_connection": 9}

@@ -19,7 +19,7 @@ from ncdiffop.diffop import (
 from ncdiffop.linalg import Mat, kron_vec
 from ncdiffop.scalars import ZERO, sc
 import oracles
-from oracles import col, lift, pair_apply, right_bullet_by_algebra, vec_is_zero
+from oracles import col, left_apply, lift, pair_apply, right_bullet_by_algebra, vec_is_zero
 
 
 @pytest.fixture
@@ -75,7 +75,7 @@ def test_degree_one_same_degree_matches_plain_evaluation(table, two_point_geomet
                         continue
                     r, s = divmod(idx, Vm.dim)
                     a_val = pair_apply(g.fgp, u, unit_row(g.omega.dim, r))
-                    term = Vm.left_apply(a_val, unit_row(Vm.dim, s))
+                    term = left_apply(Vm, a_val, unit_row(Vm.dim, s))
                     expected = [x + cf * y for x, y in zip(expected, term)]
                 assert got == expected
 
@@ -95,7 +95,8 @@ def test_bullet_left_linearity(table, two_point_geometry):
                         for c in range(Vm.dim):
                             w = col(unit_row(Vm.dim, c))
                             lhs = table.bullet_k(col(av), n, w, m, k).column(0)
-                            rhs = Vk.left_apply(
+                            rhs = left_apply(
+                                Vk,
                                 unit_row(g.algebra.dim, i),
                                 table.bullet_k(col(unit_row(Vn.dim, b)), n, w, m, k).column(0),
                             )
@@ -122,7 +123,7 @@ def test_algebra_component_multiplies(two_point_geometry, table):
     w = GradedOperator.homogeneous(g, 1, [1, 1], 3)
     prod = a.bullet(w, table)
     assert set(prod.components) == {1}
-    assert prod.component(1) == g.vec.left_apply([sc(2), sc(0)], [sc(1), sc(1)])
+    assert prod.component(1) == left_apply(g.vec, [sc(2), sc(0)], [sc(1), sc(1)])
 
 
 def test_truncation_enforced(two_point_geometry, table):
@@ -244,7 +245,7 @@ def test_action_composition_lemma(two_point_geometry, table, two_point_omega_con
                                 continue
                             r, s = divmod(idx, Vn.dim)
                             a_val = pair_apply(g.fgp, w, unit_row(g.omega.dim, r))
-                            term = Vn.left_apply(a_val, unit_row(Vn.dim, s))
+                            term = left_apply(Vn, a_val, unit_row(Vn.dim, s))
                             correction = [x + cf * y for x, y in zip(correction, term)]
                         rhs = [x + y for x, y in zip(tensor_part, module.act(n, col(correction), col(e)).column(0))]
                         assert lhs == rhs, (module.name, n, bw, bv, j)

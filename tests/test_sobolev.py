@@ -27,14 +27,14 @@ from oracles import lift
 @pytest.fixture
 def uniform(two_point_algebra):
     s = State([Fraction(1, 2), Fraction(1, 2)], "uniform")
-    assert s.is_valid(two_point_algebra)
+    assert all(r.ok for r in s.validate(two_point_algebra) if r.name != "state-faithful")
     return s
 
 
 @pytest.fixture
 def point_state(two_point_algebra):
     s = State([1, 0], "point1")
-    assert s.is_valid(two_point_algebra)
+    assert all(r.ok for r in s.validate(two_point_algebra) if r.name != "state-faithful")
     return s
 
 

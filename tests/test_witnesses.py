@@ -63,27 +63,27 @@ def crossing_checks(bundle, table, cm):
     """Every check that reads the crossing of omega1, with cm standing for it."""
     em = bundle.modules["omega1"]
     tm = tensor_connection(em, em)
-    oc = OperatorConnection(table, D)
+    oc = OperatorConnection(table)
     return failing(
-        cm.check_bullet_balance()
-        + cm.check_left_module()
-        + cm.check_right_module()
-        + cm.check_filtration()
-        + cm.check_inverse()
-        + cm.check_action_factorization(em, tm)
-        + theta_product_compat(cm)
-        + theta_tensor_factorization(cm, cm, CrossingMap(table, tm, D))
-        + oc.check_crossing_is_morphism(cm)
+        cm.check_bullet_balance(D)
+        + cm.check_left_module(D)
+        + cm.check_right_module(D)
+        + cm.check_filtration(D)
+        + cm.check_inverse(D)
+        + cm.check_action_factorization(em, tm, D)
+        + theta_product_compat(cm, D)
+        + theta_tensor_factorization(cm, cm, CrossingMap(table, tm), D)
+        + oc.check_crossing_is_morphism(cm, D)
     )
 
 
 def test_blocks_digest_pinned(z3):
     bundle, table = z3
-    cm = CrossingMap(table, bundle.modules["omega1"], D)
+    cm = CrossingMap(table, bundle.modules["omega1"])
     assert digest([cm.sigma_hat]) == SIGMA_HAT_DIGEST
-    assert digest([cm.theta[n][m] for n in sorted(cm.theta) for m in sorted(cm.theta[n])]) == THETA_DIGEST
-    oc = OperatorConnection(table, D)
-    assert digest([oc.blocks[n][m] for n in sorted(oc.blocks) for m in sorted(oc.blocks[n])]) == OC_DIGEST
+    assert digest([cm.theta(n)[m] for n in range(D + 1) for m in sorted(cm.theta(n))]) == THETA_DIGEST
+    oc = OperatorConnection(table)
+    assert digest([oc.blocks(n)[m] for n in range(D + 1) for m in sorted(oc.blocks(n))]) == OC_DIGEST
 
 
 @pytest.mark.parametrize("n,m,r,c", [(1, 1, 0, 7), (2, 1, 3, 40), (1, 0, 2, 11)], ids=["theta11", "theta21", "theta10"])
@@ -92,8 +92,9 @@ def test_corrupt_theta_omega1(z3, n, m, r, c):
 
 
 def corrupt_theta_omega1(bundle, table, n, m, r, c):
-    cm = CrossingMap(table, bundle.modules["omega1"], D)
-    cm.theta[n][m] = bump(cm.theta[n][m], r, c)
+    cm = CrossingMap(table, bundle.modules["omega1"])
+    cm.theta(D)  # build every degree from the sound blocks first
+    cm._theta[(n,)][m] = bump(cm.theta(n)[m], r, c)
     return crossing_checks(bundle, table, cm)
 
 
@@ -103,16 +104,17 @@ def test_corrupt_theta_unit_object(z3):
 
 def corrupt_theta_unit_object(bundle, table):
     g = bundle.geometry
-    cm_a = CrossingMap(table, bundle.modules["A"], D)
-    cm_a.theta[2][1] = bump(cm_a.theta[2][1], 1, 5)
+    cm_a = CrossingMap(table, bundle.modules["A"])
+    cm_a.theta(D)  # build every degree from the sound blocks first
+    cm_a._theta[(2,)][1] = bump(cm_a.theta(2)[1], 1, 5)
     em = bundle.modules["omega1"]
-    cm_e = CrossingMap(table, em, D)
+    cm_e = CrossingMap(table, em)
     t = g.algebra.left_mult_matrix([x + x for x in g.algebra.unit])
     return failing(
-        check_theta_on_algebra(cm_a)
-        + theta_product_compat(cm_a)
-        + cm_a.check_naturality(cm_a, t)
-        + theta_tensor_factorization(cm_e, cm_a, CrossingMap(table, tensor_connection(em, bundle.modules["A"]), D))
+        check_theta_on_algebra(cm_a, D)
+        + theta_product_compat(cm_a, D)
+        + cm_a.check_naturality(cm_a, t, D)
+        + theta_tensor_factorization(cm_e, cm_a, CrossingMap(table, tensor_connection(em, bundle.modules["A"])), D)
     )
 
 
@@ -132,7 +134,7 @@ def test_corrupt_sigma_hat(z3, monkeypatch):
 
 def corrupt_sigma_hat(bundle, table):
     try:
-        cm = CrossingMap(table, bundle.modules["omega1"], D, validate=False)
+        cm = CrossingMap(table, bundle.modules["omega1"], validate=False)
     except ValidationError as err:
         return ("construction", err.name, err.witness)
     return crossing_checks(bundle, table, cm)
@@ -144,9 +146,11 @@ def test_corrupt_operator_connection(z3, n, m, r, c):
 
 
 def corrupt_operator_connection(bundle, table, n, m, r, c):
-    oc = OperatorConnection(table, D)
-    oc.blocks[n][m] = bump(oc.blocks[n][m], r, c)
-    return failing(oc.check_left_leibniz() + oc.check_right_module_map() + oc.check_product_is_morphism())
+    oc = OperatorConnection(table)
+    for k in range(D + 1):  # build every degree from the sound inputs first
+        oc.blocks(k)
+    oc._blocks[(n,)][m] = bump(oc.blocks(n)[m], r, c)
+    return failing(oc.check_left_leibniz(D) + oc.check_right_module_map(D) + oc.check_product_is_morphism(D))
 
 
 def test_corrupt_act_table(z3):
@@ -240,9 +244,10 @@ def test_inverse_blocks_digest_pinned(name):
     table = BulletTable(bundle.geometry)
     got = {}
     for mname, module in sorted(bundle.modules.items()):
-        inv = CrossingMap(table, module, 3).build_inverse()
+        cm = CrossingMap(table, module)
+        inv = [cm.build_inverse(n) for n in range(4)]
         assert all(sorted(inv[n]) == list(range(n + 1)) for n in range(4))
-        got[mname] = digest([inv[n][m] for n in sorted(inv) for m in sorted(inv[n])])
+        got[mname] = digest([inv[n][m] for n in range(4) for m in sorted(inv[n])])
     assert got == INVERSE_DIGESTS[name]
 
 
@@ -473,7 +478,7 @@ def test_not_projective_names_failing_element(i, j):
     forms = [list(f) for f in bundle.geometry.fgp.basis_forms]
     forms[i][j] += sc(1)
     with pytest.raises(NotProjective) as err:
-        dualize_right_module(bundle.geometry.omega, forms, bundle._raw_functionals)
+        dualize_right_module(bundle.geometry.omega, forms, bundle.functionals)
     assert (err.value.name, err.value.witness) == ("dual-basis", ("omega1", NOT_PROJECTIVE_ELEMENT[(i, j)]))
 
 
