@@ -32,7 +32,8 @@ terms of these two.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from math import isqrt
+from typing import Optional
 
 from .algebra import Algebra
 from .linalg import Mat, first_mismatch, kernel, quotient, span
@@ -59,15 +60,6 @@ class Bimodule:
         self.left = left
         self.right = right
         self.name = name
-
-    def right_apply(self, e: Sequence[Scalar], a: Sequence[Scalar]) -> list[Scalar]:
-        out = [ZERO] * self.dim
-        for i, c in enumerate(a):
-            if c:
-                for k, v in enumerate(self.right[i].apply(e)):
-                    if v:
-                        out[k] = out[k] + c * v
-        return out
 
     def left_action(self) -> Mat:
         """The left action as a matrix Kron(A, self) -> self: column i*dim + j is a_i . m_j."""
@@ -96,8 +88,8 @@ class Bimodule:
     def validate(self) -> list[CheckResult]:
         A = self.algebra
         d, n = A.dim, self.dim
-        L, R, mul = self.left_action(), self.right_action(), A.mul_mat()
-        Id, In, unit = Mat.identity(d), Mat.identity(n), Mat.from_cols([A.unit], d)
+        L, R, mul, unit = self.left_action(), self.right_action(), A.mul, A.one
+        Id, In = Mat.identity(d), Mat.identity(n)
         results = [
             CheckResult(f"{self.name}:left-unital", L @ unit.kron(In) == In),
             CheckResult(f"{self.name}:right-unital", R @ In.kron(unit) == In),
@@ -156,17 +148,17 @@ def zigzag_failure(V: Bimodule, W: Bimodule, ev: Mat, coev: Mat):
     return None if fail is None else ("forms", *fail)
 
 
-def idempotent_failure(algebra: Algebra, P) -> Optional[tuple[int, int]]:
-    """The first ``(q, j)`` where P o P differs from P in M_n(A), or None."""
-    n = len(P)
-    for q in range(n):
-        for j in range(n):
-            acc = [ZERO] * algebra.dim
-            for k in range(n):
-                acc = [x + y for x, y in zip(acc, algebra.mul(P[q][k], P[k][j]))]
-            if acc != P[q][j]:
-                return (q, j)
-    return None
+def idempotent_failure(algebra: Algebra, P: Mat) -> Optional[tuple[int, int]]:
+    """The first ``(q, j)`` where P o P differs from P in M_n(A), or None.
+
+    P is a matrix Kron(n, n) -> A with column q*n + j holding P[q][j]; the entry
+    (q, j) of P o P is sum_k P[q][k] P[k][j], the product on Kron(n, n) of
+    mul o (P (x) P) with id (x) sum_k e_k (x) e_k (x) id.
+    """
+    n = isqrt(P.cols)
+    In = Mat.identity(n)
+    diag = Mat(n * n, 1, [[(k * (n + 1), ONE) for k in range(n)]])
+    return first_mismatch(algebra.mul @ P.kron(P) @ In.kron(diag).kron(In), P, (n, n))
 
 
 def intertwining_failure(src: Bimodule, dst: Bimodule, mat: Mat):
@@ -280,7 +272,8 @@ class FGPStructure:
 
     ``module`` plays the 1-forms, ``dual`` the vector fields; ``apply_mat`` is
     the pairing dual x module -> A on plain tensor coordinates, and
-    ``coev_one`` is coev(1) in plain Kron(module, dual) coordinates, one column.
+    ``coev_one`` is coev(1) in plain Kron(module, dual) coordinates, one column;
+    ``idempotent`` is P: Kron(n, n) -> A, column q*n + j holding P[q][j] = f_q(f^j).
     """
 
     def __init__(
@@ -295,7 +288,7 @@ class FGPStructure:
         coev_one: Mat,
         pair_dual_module: "TensorPair",
         pair_module_dual: "TensorPair",
-        idempotent: list[list[list[Scalar]]],
+        idempotent: Mat,
     ):
         self.module = module
         self.dual = dual
@@ -386,8 +379,8 @@ def dualize_right_module(
         side, idx = fail
         raise ValidationError("zigzag-dual" if side == "fields" else "zigzag-module", witness=(omega.name, idx))
 
-    # idempotent P[q][j] = f_q(f^j), P o P = P in M_n(A)
-    P = [[dual_basis_functionals[q].apply(dual_basis_forms[j]) for j in range(n)] for q in range(n)]
+    # idempotent P[q][j] = f_q(f^j) as Kron(n, n) -> A, P o P = P in M_n(A)
+    P = functionals @ Mat.identity(n).kron(forms)
     fail = idempotent_failure(A, P)
     if fail is not None:
         raise ValidationError("idempotent", witness=fail)

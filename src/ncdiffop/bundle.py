@@ -140,7 +140,7 @@ class Bundle:
             "notes": self.notes,
             "algebra": {
                 "basis": list(A.basis_names),
-                "mul": [[[str(x) for x in A.mul_tensor[i][j]] for j in range(A.dim)] for i in range(A.dim)],
+                "mul": [[[str(x) for x in A.mul.column(i * A.dim + j)] for j in range(A.dim)] for i in range(A.dim)],
                 "unit": [str(x) for x in A.unit],
             },
             "omega": {
@@ -273,7 +273,10 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
 
     inner_products: dict[str, InnerProduct] = {}
     state_list = list(states.values())
-    for iname, spec in sorted(_object(doc, "inner_products").items()):
+    specs = _object(doc, "inner_products")
+    if specs and algebra.star is None:
+        raise ParseError(f"inner_products: {', '.join(sorted(specs))} need algebra.star")
+    for iname, spec in sorted(specs.items()):
         if iname == "A" and spec == "canonical":
             ip = canonical_algebra_ip(algebra, modules["A"].space)
         else:

@@ -20,7 +20,8 @@ class SigmaRequired(ValueError):
 
 class ConnectionModule:
     """A bimodule E with a left covariant derivative, optionally a bimodule
-    connection (invertible generalised braiding sigma_E), plus the iterated
+    connection (invertible generalised braiding sigma_E; a braiding that does
+    not invert is refused as ``sigma-invertible``), plus the iterated
     derivatives and action tables, each built once per degree by ``@memo`` and
     kept on the module.
     """
@@ -33,7 +34,6 @@ class ConnectionModule:
         sigma: Optional[Mat] = None,
         name: str = "E",
         validate: bool = True,
-        sigma_invertible_required: bool = False,
     ):
         self.geometry = geometry
         self.space = space
@@ -54,8 +54,7 @@ class ConnectionModule:
             try:
                 self.sigma_inv = inverse(sigma)
             except ValueError:
-                if sigma_invertible_required:
-                    raise ValidationError("sigma-invertible", witness=name) from None
+                raise ValidationError("sigma-invertible", witness=name) from None
         if validate:
             self._validate_leibniz()
 
@@ -85,8 +84,6 @@ class ConnectionModule:
     def require_invertible_sigma(self):
         if self.sigma is None:
             raise SigmaRequired(f"{self.name}: no generalised braiding")
-        if self.sigma_inv is None:
-            raise ValidationError("sigma-invertible", witness=self.name)
 
     def sigma_plain_dom(self) -> Mat:
         """sigma with plain Kron(E, Omega) domain."""
@@ -144,15 +141,13 @@ def trivial_module(geometry: Geometry, name: str = "A", validate: bool = True) -
     nabla = OA.project @ g.d.kron(g.one)
     # a (x) xi -> a.xi (x) 1
     sigma = g.pair(A, g.omega).induce(OA.project @ g.omega.left_action().kron(g.one), "sigma-A")
-    return ConnectionModule(g, A, nabla, sigma, name=name, validate=validate, sigma_invertible_required=True)
+    return ConnectionModule(g, A, nabla, sigma, name=name, validate=validate)
 
 
 def vec_module(geometry: Geometry, name: str = "vec", validate: bool = True) -> ConnectionModule:
     """Vector fields with the dual connection (box, sigma) derived in geometry."""
     g = geometry
-    return ConnectionModule(
-        g, g.vec, g.box_vec, g.sigma_vec, name=name, validate=validate, sigma_invertible_required=True
-    )
+    return ConnectionModule(g, g.vec, g.box_vec, g.sigma_vec, name=name, validate=validate)
 
 
 def omega_module(
@@ -163,9 +158,7 @@ def omega_module(
     W2 = g.W2
     nabla = W2.project @ nabla_plain
     sigma = W2.induce(W2.project @ sigma_plain, "sigma-omega")
-    return ConnectionModule(
-        g, g.omega, nabla, sigma, name=name, validate=validate, sigma_invertible_required=True
-    )
+    return ConnectionModule(g, g.omega, nabla, sigma, name=name, validate=validate)
 
 
 def tensor_connection(em: ConnectionModule, fm: ConnectionModule, name: Optional[str] = None) -> ConnectionModule:
@@ -211,14 +204,7 @@ def tensor_connection(em: ConnectionModule, fm: ConnectionModule, name: Optional
         )
         lift_both = pair_ef.section.kron(Mat.identity(g.omega.dim))
         sigma = EFO.induce(plain @ lift_both, "sigma-tensor")
-    return ConnectionModule(
-        g,
-        EF,
-        nabla,
-        sigma,
-        name=name or f"({em.name}(x){fm.name})",
-        sigma_invertible_required=fm.has_sigma,
-    )
+    return ConnectionModule(g, EF, nabla, sigma, name=name or f"({em.name}(x){fm.name})")
 
 
 def connection_morphism_defect(em: ConnectionModule, fm: ConnectionModule, t: Mat):

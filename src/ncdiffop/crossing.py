@@ -576,11 +576,11 @@ class OperatorAlgebraCandidate:
         return self._merge(f"centre-algebra-{obj}", theta_product_compat(self.crossing(obj), self.max_degree))
 
     def check_naturality(self) -> list[CheckResult]:
-        g = self.geometry
+        A = self.geometry.algebra
         cm = self.crossing("A")
-        t = g.algebra.left_mult_matrix([x + x for x in g.algebra.unit])
+        t = A.mul @ A.one.scale(2).kron(Mat.identity(A.dim))
         results = cm.check_naturality(cm, t, self.max_degree)
-        results += cm.check_naturality(cm, Mat.identity(g.algebra.dim), self.max_degree)
+        results += cm.check_naturality(cm, Mat.identity(A.dim), self.max_degree)
         return [self._merge("centre-naturality", results)]
 
     def extra_checks(self) -> list[CheckResult]:

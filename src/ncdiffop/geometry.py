@@ -55,7 +55,7 @@ class Geometry:
         self.d = d
         self.name = name
         self.A_bim = algebra_as_bimodule(algebra)
-        self.one = Mat.from_cols([algebra.unit], algebra.dim)  # the unit as a map from the ground field
+        self.one = algebra.one
 
         if validate:
             self._validate_algebra_and_module()

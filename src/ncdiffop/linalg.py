@@ -5,15 +5,18 @@ sparse columns, as in T. A. Davis, *Direct Methods for Sparse Linear Systems*,
 SIAM 2006).  Products, Kronecker products, sums and transposes touch only
 those nonzeros: an empty column of a product's right factor, or of either
 Kronecker factor, costs one append to the result and no other work.  Row
-reduction and the PSD certificate work on a dense copy.
+reduction has one routine, ``SparseEchelon``, which keeps each reduced row as a
+dict of its nonzeros; ``rref``, ``rank``, ``kernel``, ``inverse`` and ``span``
+all go through it.  Only the PSD certificate works on a dense copy.
 
 A subspace has one form: its canonical reduced echelon basis as the columns
 of a ``Mat`` (``span``, ``kernel``).  ``quotient`` turns it into a projection
 whose kernel is the subspace, so membership is a product that must vanish.
 
-Everything here is deterministic: row reduction always picks the leftmost
-pivot column and the first usable row, so echelon bases (and hence all
-quotient coordinates built on top of them) are reproducible across runs.
+Everything here is deterministic: row reduction keeps its rows fully reduced,
+so it ends in the unique reduced echelon form whatever the order of the rows,
+and echelon bases (and hence all quotient coordinates built on top of them)
+are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -308,31 +311,22 @@ def kron_vec(x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row-echelon form with deterministic leftmost-pivot choice."""
-    a = m._dense()
-    rows, cols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return Mat.from_rows(a, cols), tuple(pivots)
+    """Reduced row-echelon form and its pivot columns.
+
+    The rows of m go into a :class:`SparseEchelon`; its pivot rows, in pivot
+    order and padded with zero rows, are the result.  The reduced row-echelon
+    form of a matrix is unique, so this is the matrix Gauss-Jordan elimination
+    with leftmost pivots gives.
+    """
+    ech = SparseEchelon()
+    for row in m.transpose().cols_sparse():
+        ech.add_sparse(dict(row))
+    pivots = sorted(ech.pivot_rows)
+    cols = [[] for _ in range(m.cols)]
+    for r, p in enumerate(pivots):
+        for c, v in ech.pivot_rows[p].items():
+            cols[c].append((r, v))
+    return Mat(m.rows, m.cols, cols), tuple(pivots)
 
 
 def rank(m: Mat) -> int:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import Algebra, State, unit_row
+from .algebra import Algebra, State
 from .bimodule import BimoduleMap, BimoduleMapError, Bimodule, TensorPair, algebra_as_bimodule, conjugate_bimodule
 from .calculus import ConnectionModule
-from .linalg import Mat, ldl_certify_psd
+from .linalg import Mat, first_mismatch, ldl_certify_psd
 from .memo import memo
 from .report import CheckResult, ValidationError
 from .scalars import ZERO, Scalar, sc
@@ -56,20 +56,14 @@ class InnerProduct:
     def validate(self, states: Optional[list[State]] = None) -> list[CheckResult]:
         results = []
         A, E = self.algebra, self.module
-        sym_fail = None
-        for i in range(E.dim):
-            for j in range(E.dim):
-                flipped = A.apply_star(self.values[j][i])
-                if self.values[i][j] != flipped:
-                    sym_fail = (i, j)
-                    break
-            if sym_fail:
-                break
+        # the plain pairing Kron(E, E) -> A: column i*dim + j is <e_i, conj(e_j)>
+        plain = Mat.from_cols([self.values[i][j] for i in range(E.dim) for j in range(E.dim)], A.dim)
+        # <e_i, conj(e_j)> = <e_j, conj(e_i)>*, row-major: the witness is the first failing (i, j)
+        sym_fail = first_mismatch(plain, A.star @ plain.conj() @ Mat.swap(E.dim, E.dim), (E.dim, E.dim))
         results.append(CheckResult(f"{self.name}:symmetry", sym_fail is None, witness=sym_fail))
 
         conj = conjugate_bimodule(E)
         pair = TensorPair(E, conj)
-        plain = Mat.from_cols([self.values[i][j] for i in range(E.dim) for j in range(E.dim)], A.dim)
         try:
             mat = pair.induce(plain, f"{self.name}-pairing")
             BimoduleMap(pair.space, algebra_as_bimodule(A), mat, f"{self.name}-pairing")
@@ -90,13 +84,10 @@ class InnerProduct:
 
 
 def canonical_algebra_ip(algebra: Algebra, space: Optional[Bimodule] = None) -> InnerProduct:
-    """<a, conj(b)> = a b* on the algebra itself."""
-    values = []
-    for i in range(algebra.dim):
-        row = []
-        for j in range(algebra.dim):
-            row.append(algebra.mul(unit_row(algebra.dim, i), algebra.apply_star(unit_row(algebra.dim, j))))
-        values.append(row)
+    """<a, conj(b)> = a b* on the algebra itself: mul @ (id (x) star) on Kron(A, A)."""
+    d = algebra.dim
+    pairing = algebra.mul @ Mat.identity(d).kron(algebra.star)
+    values = [[pairing.column(i * d + j) for j in range(d)] for i in range(d)]
     return InnerProduct(space or algebra_as_bimodule(algebra), values, "ip-A")
 
 
@@ -105,14 +96,15 @@ def tensor_inner_product(ip_e: InnerProduct, ip_f: InnerProduct, pair: TensorPai
     E, F = ip_e.module, ip_f.module
     if pair.e is not E or pair.f is not F:
         raise ValueError("tensor pair does not match the inner product factors")
-    dim = pair.dim
+    dim, dA = pair.dim, ip_e.algebra.dim
+    right = E.right_action().cols_sparse()  # column i*dA + t is e_i . a_t
     values = []
     for a in range(dim):
         xa = pair.section.column(a)
         row = []
         for b in range(dim):
             yb = pair.section.column(b)
-            acc = [ZERO] * ip_e.algebra.dim
+            acc = [ZERO] * dA
             for p, c in enumerate(xa):
                 if not c:
                     continue
@@ -122,7 +114,11 @@ def tensor_inner_product(ip_e: InnerProduct, ip_f: InnerProduct, pair: TensorPai
                         continue
                     k, l = divmod(q, F.dim)
                     inner = ip_f.values[j][l]
-                    moved = E.right_apply(unit_row(E.dim, i), inner)
+                    moved = [ZERO] * E.dim  # e_i . inner
+                    for t, x in enumerate(inner):
+                        if x:
+                            for m, v in right[i * dA + t]:
+                                moved[m] = moved[m] + x * v
                     cc = c * c2.conj()
                     for m, cm in enumerate(moved):
                         if not cm:

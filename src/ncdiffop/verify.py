@@ -118,11 +118,7 @@ class VerifyContext:
         self.candidate = OperatorAlgebraCandidate(self.table, modules, min(2, degree))
 
     def sigma_modules(self) -> dict[str, object]:
-        return {
-            name: m
-            for name, m in sorted(self.bundle.modules.items())
-            if m.has_sigma and m.sigma_inv is not None
-        }
+        return {name: m for name, m in sorted(self.bundle.modules.items()) if m.has_sigma}
 
 
 # -- suites ---------------------------------------------------------------------
@@ -151,7 +147,7 @@ def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
         balanced = (ev @ Mat(ev.cols, len(rels), rels)).is_zero()
         out.append(CheckResult(f"ev-balanced-{n}", balanced, witness=None if balanced else n))
         # ev(a.v (x) w) = a.ev(v (x) w) and ev(v (x) w.a) = ev(v (x) w).a on Kron(A, V(n), W(n))
-        dA, mul = g.algebra.dim, g.algebra.mul_mat()
+        dA, mul = g.algebra.dim, g.algebra.mul
         IA, IV, IW = Mat.identity(dA), Mat.identity(Vn.dim), Mat.identity(Wn.dim)
         to_right = Mat.swap(dA, Vn.dim * Wn.dim)  # Kron(A, V(n), W(n)) -> Kron(V(n), W(n), A)
         shape = (dA, Vn.dim, Wn.dim)
@@ -215,7 +211,8 @@ def suite_connections(ctx: VerifyContext) -> list[CheckResult]:
     # morphism discipline: scalar multiples of the identity intertwine, and the
     # braiding compatibility follows (checked, not assumed)
     am = ctx.bundle.modules["A"]
-    t = ctx.geometry.algebra.left_mult_matrix([x + x for x in ctx.geometry.algebra.unit])
+    A = ctx.geometry.algebra
+    t = A.mul @ A.one.scale(2).kron(Mat.identity(A.dim))
     out.append(CheckResult("morphism-scalar", connection_morphism_defect(am, am, t) is None))
     out.append(CheckResult("morphism-sigma-compat", sigma_compat_defect(am, am, t) is None))
     return out

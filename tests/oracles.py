@@ -4,11 +4,14 @@ The library works with whole matrices and one-column sparse coordinates;
 these read one element at a time through dense coordinate lists: through a
 tensor pair's projection and section, the pairing of a dual basis, or a
 product table applied to a dense Kronecker vector, the way the library
-computed them before they became products.
+computed them before they became products.  The algebra's product, star and
+right action are read the same way, one dense coordinate list at a time, and
+row reduction is the dense Gauss-Jordan elimination the library ran before
+it reduced sparse rows.
 """
 
-from ncdiffop.linalg import Mat, kron_vec
-from ncdiffop.scalars import ZERO
+from ncdiffop.linalg import Mat, kron_vec, span
+from ncdiffop.scalars import ONE, ZERO
 
 
 def col(coords) -> Mat:
@@ -90,3 +93,117 @@ def crossing_apply(cm, n, v_coords, e_coords) -> dict:
     """theta on a degree-n tensor v (x) e; dense quotient coordinates per degree."""
     x = kron_vec(v_coords, e_coords)
     return {m: mat.apply(x) for m, mat in cm.theta(n).items()}
+
+
+# -- the algebra, one dense coordinate list at a time ----------------------------
+
+
+def unit_row(dim: int, i: int) -> list:
+    """The i-th basis vector as dense coordinates."""
+    v = [ZERO] * dim
+    v[i] = ONE
+    return v
+
+
+def mul_tensor(algebra) -> list:
+    """The structure tensor: ``mul_tensor(A)[i][j]`` lists the coordinates of a_i a_j."""
+    d = algebra.dim
+    return [[algebra.mul.column(i * d + j) for j in range(d)] for i in range(d)]
+
+
+def mul(algebra, x, y) -> list:
+    """The product of two dense coordinate lists, by the bilinear extension of the structure tensor."""
+    if len(x) != algebra.dim or len(y) != algebra.dim:
+        raise ValueError("coordinate vectors must have the algebra dimension")
+    table = mul_tensor(algebra)
+    out = [ZERO] * algebra.dim
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        for j, b in enumerate(y):
+            if not b:
+                continue
+            ab = a * b
+            for k, c in enumerate(table[i][j]):
+                if c:
+                    out[k] = out[k] + ab * c
+    return out
+
+
+def left_mult_matrix(algebra, x) -> Mat:
+    """Left multiplication by the element with dense coordinates x."""
+    out = Mat.zeros(algebra.dim, algebra.dim)
+    for i, a in enumerate(x):
+        if a:
+            out = out + algebra.left_mult[i].scale(a)
+    return out
+
+
+def apply_star(algebra, x) -> list:
+    """x* for dense coordinates x: the star is conjugate-linear."""
+    return algebra.star.apply([a.conj() for a in x])
+
+
+def right_apply(M, e, a) -> list:
+    """e.a for dense coordinates e in the bimodule M and a in A."""
+    out = [ZERO] * M.dim
+    for i, c in enumerate(a):
+        if c:
+            for k, v in enumerate(M.right[i].apply(e)):
+                if v:
+                    out[k] = out[k] + c * v
+    return out
+
+
+# -- dense Gauss-Jordan elimination -------------------------------------------
+
+
+def rref(m: Mat):
+    """Reduced row-echelon form on a dense copy, leftmost pivot column and first usable row."""
+    a = [list(row) for row in m.data]
+    rows, cols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if a[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = ONE / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return Mat.from_rows(a, cols), tuple(pivots)
+
+
+def rank(m: Mat) -> int:
+    return len(rref(m)[1])
+
+
+def kernel(m: Mat) -> Mat:
+    """Canonical basis of the null space, from the dense reduced form."""
+    r, pivots = rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    cols = r.cols_sparse()
+    return span(m.cols, ([(pivots[i], -x) for i, x in cols[f]] + [(f, ONE)] for f in free))
+
+
+def inverse(m: Mat) -> Mat:
+    """The inverse read off the dense reduced form of [m | I]; ValueError if m is singular."""
+    if m.rows != m.cols:
+        raise ValueError("only square matrices invert")
+    n = m.rows
+    r, pivots = rref(Mat(n, 2 * n, m.cols_sparse() + Mat.identity(n).cols_sparse()))
+    if tuple(range(n)) != pivots[:n] or len(pivots) != n:
+        raise ValueError("matrix is singular")
+    return Mat(n, n, r.cols_sparse()[n:])

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from ncdiffop.algebra import unit_row
 from ncdiffop.bimodule import (
     BimoduleMap,
     BimoduleMapError,
@@ -23,7 +22,7 @@ from ncdiffop.bimodule import (
 )
 from ncdiffop.linalg import Mat, inverse, kron_vec
 from ncdiffop.scalars import ONE, ZERO, sc
-from oracles import left_apply, lift, pair_apply, push
+from oracles import left_apply, lift, pair_apply, push, right_apply, unit_row
 
 
 def frac_span_dim(vectors, ambient):
@@ -177,9 +176,14 @@ def test_dualize_two_point_omega(two_point_omega, two_point_dual_basis):
     assert all(r.ok for r in fgp.dual.validate())
     # ev and coev passed bimodule-map verification during construction;
     # check the evaluation values against the dual basis
+    n = len(fgp.basis_forms)
     for i, (form, func) in enumerate(zip(fgp.basis_forms, fgp.basis_functionals)):
         applied = pair_apply(fgp, func, form)
-        assert applied == fgp.idempotent[i][i]
+        assert applied == fgp.idempotent.column(i * n + i)
+    # the idempotent P[q][j] = f_q(f^j), each entry one functional applied to one dense form
+    for q in range(n):
+        for j in range(n):
+            assert fgp.idempotent.column(q * n + j) == functionals[q].apply([sc(x) for x in forms[j]])
 
 
 def test_dualize_rejects_non_dual_basis(two_point_omega, two_point_dual_basis):
@@ -214,7 +218,7 @@ def explicit_ev_right(M, x, ev, j, v_dim):
             continue
         r, s = divmod(idx, v_dim)
         a_val = ev.apply(kron_vec(unit_row(v_dim, s), unit_row(ev.cols // v_dim, j)))
-        term = M.right_apply(unit_row(M.dim, r), a_val)
+        term = right_apply(M, unit_row(M.dim, r), a_val)
         acc = [y + c * t for y, t in zip(acc, term)]
     return acc
 

@@ -12,6 +12,7 @@ import pytest
 from ncdiffop import builtin_data, scalars
 from ncdiffop.bundle import (
     ParseError,
+    builtin_bundle_dict,
     canonical_json,
     load_builtin,
     load_bundle,
@@ -175,6 +176,21 @@ def test_cli_verify_negative_truncation_is_input_error(tmp_path, capsys, two_poi
     assert main(["verify", str(path)]) == 2
     captured = capsys.readouterr()
     assert "error: truncation_degree: expected a non-negative integer, got -1" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("which", ["A", "omega1"], ids=["canonical", "explicit"])
+def test_cli_validate_inner_product_without_star_is_input_error(tmp_path, capsys, two_point_doc, which):
+    # an inner product pairs with a conjugate, which needs the star; no state needs it here
+    doc = copy.deepcopy(two_point_doc)
+    del doc["algebra"]["star"]
+    doc["states"] = {}
+    doc["inner_products"] = {which: two_point_doc["inner_products"][which]}
+    path = tmp_path / "no-star.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: inner_products: {which} need algebra.star" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -556,7 +572,7 @@ def test_cli_gram(capsys):
 def test_tensor_rebracketing_all_builtin_bundles():
     # dimension equality and equivariant invertible re-bracketing for the
     # omega towers of every shipped bundle
-    from ncdiffop.algebra import unit_row
+    from oracles import unit_row
     from ncdiffop.bimodule import BimoduleMap, TensorPair
     from ncdiffop.linalg import Mat, inverse, kron_vec
     from ncdiffop.scalars import ZERO
@@ -693,21 +709,38 @@ def test_cli_apply_z3_values_pinned(capsys):
 
 
 # sha256 of `verify_all(load_bundle_dict(doc, validate=False), seed=7).body_json()` for
-# two corruptions of two-point-universal that fail several checks.  These pin which
+# corruptions of the built-in bundles that fail several checks.  These pin which
 # checks fail, their witnesses and which lazily built structure reports a
 # ValidationError first, so a change to the order of the lazy builds shows here.
+# The star entry and the inner-product cell reach the checks written on the
+# algebra's product and star (the inner-product symmetry, the canonical pairing
+# on A, the conjugate bimodule).  The two states of two-point-universal span the
+# dual of A, so any asymmetric cell there makes a state Gram matrix
+# non-Hermitian; the z3 cell changes by (0, 1, -1), which both z3 states kill.
 SWAPPED_BRAIDING = [["0", "0", "0", "0"], ["0", "3", "0", "0"], ["0", "0", "2", "0"], ["0", "0", "0", "0"]]
+TWO_POINT, Z3 = "two-point-universal", "z3-function-calculus"
 PINNED_FAILING_BODIES = [
-    (("sigma_inv",), SWAPPED_BRAIDING, "4fe58a040c14ccdb6c30061143cf4715878c7cec21c6213e793bcc6fa7511048"),
-    (("box", 1, 0), "5", "b712d39e4dfca8c0592bd374808d703e2081fc4da805e36244b4e6b988ccaf12"),
+    (TWO_POINT, ("sigma_inv",), SWAPPED_BRAIDING, "4fe58a040c14ccdb6c30061143cf4715878c7cec21c6213e793bcc6fa7511048"),
+    (TWO_POINT, ("box", 1, 0), "5", "b712d39e4dfca8c0592bd374808d703e2081fc4da805e36244b4e6b988ccaf12"),
+    (TWO_POINT, ("algebra", "star", 1, 1), "-1", "5d06237bdef3a6b780ee59926e4b238741601fb437158d739bfd15f9fb6a16a4"),
+    (
+        Z3,
+        ("inner_products", "omega1", 2, 5),
+        ["0", "1", "-1"],
+        "e5a10693f9e698fa63066235d9280c079aaa1e9cb2ccc98e3e44ce57708714e3",
+    ),
 ]
 
 
-@pytest.mark.parametrize("path,value,digest", PINNED_FAILING_BODIES, ids=["swapped-braiding", "corrupt-box"])
-def test_failing_body_digest_pinned(two_point_doc, path, value, digest):
+@pytest.mark.parametrize(
+    "name,path,value,digest",
+    PINNED_FAILING_BODIES,
+    ids=["swapped-braiding", "corrupt-box", "corrupt-star", "asymmetric-inner-product"],
+)
+def test_failing_body_digest_pinned(name, path, value, digest):
     from ncdiffop.verify import verify_all
 
-    doc = copy.deepcopy(two_point_doc)
+    doc = builtin_bundle_dict(name)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]

@@ -5,7 +5,6 @@ tensor factorization, the two-sided inverse, and the coevaluation connection.
 import pytest
 
 from ncdiffop import crossing, verify
-from ncdiffop.algebra import unit_row
 from ncdiffop.bundle import load_builtin
 from ncdiffop.calculus import omega_module, tensor_connection, trivial_module, vec_module
 from ncdiffop.crossing import (
@@ -18,7 +17,7 @@ from ncdiffop.crossing import (
 from ncdiffop.diffop import BulletTable
 from ncdiffop.linalg import Mat, kron_vec
 from ncdiffop.scalars import ZERO, sc
-from oracles import col, crossing_apply, pair_apply, push
+from oracles import col, crossing_apply, left_mult_matrix, pair_apply, push, right_apply, unit_row
 
 D = 3
 
@@ -112,7 +111,7 @@ def test_naturality_scalar_morphism(table, modules):
     g = table.geometry
     am = modules["A"]
     cm = CrossingMap(table, am)
-    t = g.algebra.left_mult_matrix([sc(3), sc(3)])
+    t = left_mult_matrix(g.algebra, [sc(3), sc(3)])
     assert all(r.ok for r in cm.check_naturality(cm, t, D))
     assert all(r.ok for r in cm.check_naturality(cm, Mat.identity(2), D))
 
@@ -146,7 +145,7 @@ def test_operator_connection_on_algebra_elements(table):
             val = pair_apply(g.fgp, u, g.d.column(i))
             term = push(g.OV(0), kron_vec(xi, val))
             same = [x + c * y for x, y in zip(same, term)]
-            ua = g.vec.right_apply(u, a)
+            ua = right_apply(g.vec, u, a)
             term = push(g.OV(1), kron_vec(xi, ua))
             up = [x + c * y for x, y in zip(up, term)]
         assert oc.blocks(0)[0].apply(a) == same

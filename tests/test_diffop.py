@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncdiffop.algebra import unit_row
 from ncdiffop.bundle import resolve_bundle
 from ncdiffop.calculus import omega_module, trivial_module, vec_module
 from ncdiffop.diffop import (
@@ -19,7 +18,7 @@ from ncdiffop.diffop import (
 from ncdiffop.linalg import Mat, kron_vec
 from ncdiffop.scalars import ZERO, sc
 import oracles
-from oracles import col, left_apply, lift, pair_apply, right_bullet_by_algebra, vec_is_zero
+from oracles import col, left_apply, left_mult_matrix, lift, pair_apply, right_bullet_by_algebra, unit_row, vec_is_zero
 
 
 @pytest.fixture
@@ -293,7 +292,7 @@ def test_action_is_bullet_action_of_operators(two_point_geometry, table, two_poi
 def test_equivariance_identity_and_scalar(two_point_geometry, table):
     g = two_point_geometry
     am = trivial_module(g)
-    for t in (Mat.identity(2), g.algebra.left_mult_matrix([sc(2), sc(2)])):
+    for t in (Mat.identity(2), left_mult_matrix(g.algebra, [sc(2), sc(2)])):
         report = morphism_equivariance_report(table, am, am, t, 2)
         assert all(r.ok for r in report)
 
@@ -301,7 +300,7 @@ def test_equivariance_identity_and_scalar(two_point_geometry, table):
 def test_equivariance_violation_witnessed(two_point_geometry, table):
     g = two_point_geometry
     am = trivial_module(g)
-    t = g.algebra.left_mult_matrix([sc(1), sc(0)])  # d p1 != 0: not a morphism
+    t = left_mult_matrix(g.algebra, [sc(1), sc(0)])  # d p1 != 0: not a morphism
     report = morphism_equivariance_report(table, am, am, t, 2)
     assert [r.witness for r in report] == [None, (1, 0, 1), (2, 0, 1)]
     swap = Mat.from_rows([[0, 1], [1, 0]])

@@ -28,7 +28,8 @@ from ncdiffop.linalg import (
     span,
 )
 from ncdiffop.scalars import ONE, ZERO, Scalar, sc
-from oracles import vec_is_zero
+import oracles
+from oracles import unit_row, vec_is_zero
 
 
 # -- independent oracles (plain Fractions, no package code) -------------------
@@ -253,7 +254,6 @@ def test_apply_matmul_cols_sparse_treat_any_zero_as_zero(z):
 
 def test_column_read_matches_kron_apply_on_z3():
     """ev<2> columns read directly equal the dense apply to e_b (x) e_r."""
-    from ncdiffop.algebra import unit_row
     from ncdiffop.bundle import load_builtin
 
     g = load_builtin("z3-function-calculus").geometry
@@ -495,3 +495,44 @@ def test_mat_matches_dense_oracle(case):
         else:
             with pytest.raises(ValueError):
                 inverse(A)
+
+
+# -- sparse row reduction against the dense Gauss-Jordan oracle -----------------
+
+
+@st.composite
+def reduction_cases(draw):
+    """Q and Q(i) matrices up to 4 x 4, square half the time; a row that is a
+    multiple of another and an all-zero row each come in half the cases, and so
+    do matrices with no rows or no columns."""
+    kind = draw(st.sampled_from(["int", "rational", "gaussian"]))
+    rows = draw(st.integers(0, 4))
+    cols = rows if draw(st.booleans()) else draw(st.integers(0, 4))
+    _, m = draw(oracle_mats(kind, rows, cols))
+    dense = [list(row) for row in m.data]
+    if rows >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(rows)))[:2]
+        s = draw(entries(kind))[1]
+        dense[i] = [s * x for x in dense[j]]
+    if rows and draw(st.booleans()):
+        dense[draw(st.integers(0, rows - 1))] = [ZERO] * cols
+    return Mat.from_rows(dense, cols)
+
+
+def inverse_or_error(invert, m):
+    try:
+        return invert(m)
+    except ValueError:
+        return ValueError
+
+
+@given(reduction_cases())
+@settings(max_examples=300, deadline=None)
+def test_row_reduction_matches_dense_oracle(m):
+    red, pivots = rref(m)
+    read_back(red)  # sorted columns, no stored zero
+    assert (red, pivots) == oracles.rref(m)
+    assert rank(m) == oracles.rank(m)
+    assert kernel(m) == oracles.kernel(m)
+    # ValueError exactly when the oracle raises it: a singular or a non-square m
+    assert inverse_or_error(inverse, m) == inverse_or_error(oracles.inverse, m)

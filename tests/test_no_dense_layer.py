@@ -1,0 +1,72 @@
+"""The package works on sparse ``Mat``s only: no module but the CLI applies a
+matrix to a dense coordinate list, and none brings back the dense algebra
+helpers or the braiding-invertibility option that the sparse identities
+replaced.
+
+Dense coordinate lists appear only where the CLI reads an element from the
+command line and prints one.  The retired helpers live on as the oracles in
+``tests/oracles.py``.  Only the stdlib ``ast`` is used, as in
+``test_imports.py``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ncdiffop"
+RETIRED = {"unit_row", "apply_star", "right_apply", "mul_tensor", "left_mult_matrix", "sigma_invertible_required"}
+APPLY_ALLOWED = {"cli.py"}
+
+
+def dense_layer_uses(source: str, allow_apply: bool = False) -> list[str]:
+    """Each definition or use of a retired name, and each ``.apply(`` call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.arg):
+            names = [node.arg]
+        elif isinstance(node, ast.keyword) and node.arg:
+            names = [node.arg]
+        elif isinstance(node, ast.alias):
+            names = [node.asname or node.name]
+        found += [f"{name} (line {node.lineno})" for name in names if name in RETIRED]
+        call = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        if call and node.func.attr == "apply" and not allow_apply:
+            found.append(f".apply( (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_dense_layer(path):
+    assert dense_layer_uses(path.read_text(), allow_apply=path.name in APPLY_ALLOWED) == []
+
+
+def test_dense_layer_use_is_found():
+    source = (
+        "from .algebra import unit_row\n"
+        "def apply_star(x):\n"
+        "    return x.star.apply(x)\n"
+        "def f(m, sigma_invertible_required=False):\n"
+        "    return m.right_apply(unit_row(2, 0), m.mul_tensor)\n"
+        "g = Module(sigma_invertible_required=True)\n"
+        "h = A.left_mult_matrix\n"
+    )
+    assert dense_layer_uses(source) == [
+        ".apply( (line 3)",
+        "apply_star (line 2)",
+        "left_mult_matrix (line 7)",
+        "mul_tensor (line 5)",
+        "right_apply (line 5)",
+        "sigma_invertible_required (line 4)",
+        "sigma_invertible_required (line 6)",
+        "unit_row (line 1)",
+        "unit_row (line 5)",
+    ]
+    assert dense_layer_uses("x = m.apply(v)\n", allow_apply=True) == []

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncdiffop.algebra import State, unit_row
+from ncdiffop.algebra import State
 from ncdiffop.calculus import omega_module, trivial_module
 from ncdiffop.linalg import Mat
 from ncdiffop.scalars import ZERO, sc as sc_
@@ -21,7 +21,7 @@ from ncdiffop.sobolev import (
     sobolev_gram,
     tensor_inner_product,
 )
-from oracles import lift
+from oracles import lift, right_apply, unit_row
 
 
 @pytest.fixture
@@ -101,7 +101,7 @@ def test_tensor_ip_with_unit_factor_reduces(two_point_geometry, omega_ip):
             if not c:
                 continue
             i, j = divmod(p, g.algebra.dim)
-            term = g.omega.right_apply(unit_row(g.omega.dim, i), unit_row(g.algebra.dim, j))
+            term = right_apply(g.omega, unit_row(g.omega.dim, i), unit_row(g.algebra.dim, j))
             ea = [x + c * y for x, y in zip(ea, term)]
         for b in range(pair.dim):
             xb = lift(pair, unit_row(pair.dim, b))
@@ -110,7 +110,7 @@ def test_tensor_ip_with_unit_factor_reduces(two_point_geometry, omega_ip):
                 if not c:
                     continue
                 i, j = divmod(p, g.algebra.dim)
-                term = g.omega.right_apply(unit_row(g.omega.dim, i), unit_row(g.algebra.dim, j))
+                term = right_apply(g.omega, unit_row(g.omega.dim, i), unit_row(g.algebra.dim, j))
                 eb = [x + c * y for x, y in zip(eb, term)]
             assert prod.values[a][b] == omega_ip.of_elements(ea, eb)
 

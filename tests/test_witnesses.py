@@ -34,6 +34,7 @@ from ncdiffop.linalg import Mat
 from ncdiffop.report import ValidationError
 from ncdiffop.scalars import sc
 from ncdiffop.verify import VerifyContext, suite_action, suite_bullet, suite_ev_duality, suite_fgp_zigzag
+from oracles import left_mult_matrix, mul_tensor
 
 Z3 = "z3-function-calculus"
 D = 2
@@ -109,7 +110,7 @@ def corrupt_theta_unit_object(bundle, table):
     cm_a._theta[(2,)][1] = bump(cm_a.theta(2)[1], 1, 5)
     em = bundle.modules["omega1"]
     cm_e = CrossingMap(table, em)
-    t = g.algebra.left_mult_matrix([x + x for x in g.algebra.unit])
+    t = left_mult_matrix(g.algebra, [x + x for x in g.algebra.unit])
     return failing(
         check_theta_on_algebra(cm_a, D)
         + theta_product_compat(cm_a, D)
@@ -347,10 +348,8 @@ def test_corrupt_bullet_table_111(z3, r, c):
 def test_corrupt_idempotent_reports_first_failure():
     bundle = load_builtin("two-point-universal")
     fgp = bundle.geometry.fgp
-    P = [[list(x) for x in row] for row in fgp.idempotent]
-    P[0][1][0] += sc(1)  # P = diag(p2, p1): now P o P differs from P at (0, 0) and (1, 1)
-    P[1][0][0] += sc(1)
-    fgp.idempotent = P
+    # P = diag(p2, p1): add p1 at (0, 1) and (1, 0), and P o P differs from P at (0, 0) and (1, 1)
+    fgp.idempotent = bump(bump(fgp.idempotent, 0, 1), 0, 2)
     assert failing(suite_fgp_zigzag(VerifyContext(bundle, 1, seed=7))) == {"idempotent-squared": (0, 0)}
 
 
@@ -386,11 +385,11 @@ def algebra_case(case) -> Algebra:
     tp = load_builtin("two-point-universal").algebra
     z3 = load_builtin(Z3).algebra
     if case == "assoc-two-point":  # p1 p1 = p1 + p2
-        mul = [[list(tp.mul_tensor[i][j]) for j in range(2)] for i in range(2)]
+        mul = [[list(mul_tensor(tp)[i][j]) for j in range(2)] for i in range(2)]
         mul[0][0][1] += sc(1)
         return Algebra(2, mul, unit=tp.unit)
     if case == "assoc-z3":
-        mul = [[list(z3.mul_tensor[i][j]) for j in range(3)] for i in range(3)]
+        mul = [[list(mul_tensor(z3)[i][j]) for j in range(3)] for i in range(3)]
         mul[1][1][0] += sc(1)
         mul[2][2][1] += sc(1)
         return Algebra(3, mul, unit=z3.unit, star=z3.star)
@@ -404,7 +403,7 @@ def algebra_case(case) -> Algebra:
             mul[j][0][j] = 1
         return Algebra(3, mul, unit=[1, 0, 0])
     if case == "star-two-point":  # Q(i): star(p2) = i p1 + p2
-        mul = [[list(tp.mul_tensor[i][j]) for j in range(2)] for i in range(2)]
+        mul = [[list(mul_tensor(tp)[i][j]) for j in range(2)] for i in range(2)]
         return Algebra(2, mul, unit=tp.unit, star=Mat.from_rows([[1, "i"], [0, 1]]))
     assert case == "star-gaussian-constants"  # Q(i): a0 a0 = i a0, unit -i a0 + a1
     mul = [[["i", 0], [0, 0]], [[0, 0], [0, 1]]]
