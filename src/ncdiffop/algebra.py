@@ -36,10 +36,6 @@ class Algebra:
         self.one = Mat.from_cols([self.unit], dim)  # the unit as a map from the ground field
         self.star = star
         self.basis_names = basis_names or [f"a{i}" for i in range(dim)]
-        # left/right multiplication by each basis element: the column blocks of mul
-        cols = self.mul.cols_sparse()
-        self.left_mult = [Mat(dim, dim, cols[i * dim : (i + 1) * dim]) for i in range(dim)]
-        self.right_mult = [Mat(dim, dim, cols[j::dim]) for j in range(dim)]
 
     def validate(self) -> list[CheckResult]:
         """Run all algebra invariants; the report lists every failed triple."""

@@ -2,11 +2,25 @@
 and finitely-generated-projective structure (dual basis, evaluation and
 coevaluation).
 
+A bimodule holds each action once, as one sparse ``Mat``:
+
+* ``left_action: Kron(A, M) -> M``, column ``i*dim + j`` holding ``a_i . m_j``;
+* ``right_action: Kron(M, A) -> M``, column ``j*dim(A) + i`` holding ``m_j . a_i``.
+
+The algebra acting on itself has ``mul`` for both.  The checks on actions are
+identities between products: a bimodule map ``T`` satisfies
+``T L_src = L_dst (id_A (x) T)`` and ``T R_src = R_dst (T (x) id_A)``, and the
+conjugate module's actions are the other side's, composed with the star.
+
 Tensor products over the algebra are realized as explicit quotients of the
-plain tensor space by the span of ``e.a (x) f - e (x) a.f``.  Every subspace
-here has the one form :mod:`ncdiffop.linalg` gives it, the canonical echelon
-basis as the columns of a ``Mat``: the relation span
-(``TensorPair.relation_mat``, from ``span``) and the dual of a module (the
+plain tensor space by the image of the balancing map
+``R_E (x) id_F - id_E (x) L_F: Kron(E, A, F) -> Kron(E, F)``, which sends
+``e (x) a (x) f`` to ``e.a (x) f - e (x) a.f``; the induced actions are
+``project (L_E (x) id_F)(id_A (x) section)`` and
+``project (id_E (x) R_F)(section (x) id_A)``.  Every subspace here has the
+one form :mod:`ncdiffop.linalg` gives it, the canonical echelon basis as the
+columns of a ``Mat``: the relation span (``TensorPair.relation_mat``, the
+``span`` of the balancing map's columns) and the dual of a module (the
 ``kernel`` of right-linearity).  Quotient coordinates are the non-pivot
 coordinates of that basis, so every derived object is reproducible.  Operators
 that are only well defined as sums follow one discipline throughout: build
@@ -38,7 +52,7 @@ from typing import Optional
 from .algebra import Algebra
 from .linalg import Mat, first_mismatch, kernel, quotient, span
 from .report import CheckResult, ValidationError, first_failure
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 
 
 class BimoduleMapError(ValueError):
@@ -52,23 +66,15 @@ class NotProjective(ValidationError):
 
 
 class Bimodule:
-    """A finite-dimensional A-bimodule: explicit left/right action matrices."""
+    """A finite-dimensional A-bimodule, given by its two action matrices
+    ``left_action: Kron(A, self) -> self`` and ``right_action: Kron(self, A) -> self``."""
 
-    def __init__(self, algebra: Algebra, dim: int, left: list[Mat], right: list[Mat], name: str):
+    def __init__(self, algebra: Algebra, dim: int, left_action: Mat, right_action: Mat, name: str):
         self.algebra = algebra
         self.dim = dim
-        self.left = left
-        self.right = right
+        self.left_action = left_action
+        self.right_action = right_action
         self.name = name
-
-    def left_action(self) -> Mat:
-        """The left action as a matrix Kron(A, self) -> self: column i*dim + j is a_i . m_j."""
-        return Mat(self.dim, self.algebra.dim * self.dim, [col for mat in self.left for col in mat.cols_sparse()])
-
-    def right_action(self) -> Mat:
-        """The right action as a matrix Kron(self, A) -> self: column j*dim(A) + i is m_j . a_i."""
-        cols = [mat.cols_sparse()[j] for j in range(self.dim) for mat in self.right]
-        return Mat(self.dim, self.dim * self.algebra.dim, cols)
 
     def ev_left(self, ev: Mat, x: Mat) -> Mat:
         """(ev (x) id)(id_V (x) x): Kron(V, X) -> self, for ev: Kron(V, W) -> A and
@@ -76,19 +82,19 @@ class Bimodule:
         w = x.rows // self.dim if self.dim else 0
         v = ev.cols // w if w else 0
         # contract first: the action applied to ev (x) id alone would gather all |V||W||self| columns
-        return self.left_action() @ (ev.kron(Mat.identity(self.dim)) @ Mat.identity(v).kron(x))
+        return self.left_action @ (ev.kron(Mat.identity(self.dim)) @ Mat.identity(v).kron(x))
 
     def ev_right(self, x: Mat, ev: Mat) -> Mat:
         """(id (x) ev)(x (x) id_W): Kron(X, W) -> self, for x: X -> Kron(self, V) and
         ev: Kron(V, W) -> A.  V and W are a dual pair, so they vanish together."""
         v = x.rows // self.dim if self.dim else 0
         w = ev.cols // v if v else 0
-        return self.right_action() @ (Mat.identity(self.dim).kron(ev) @ x.kron(Mat.identity(w)))
+        return self.right_action @ (Mat.identity(self.dim).kron(ev) @ x.kron(Mat.identity(w)))
 
     def validate(self) -> list[CheckResult]:
         A = self.algebra
         d, n = A.dim, self.dim
-        L, R, mul, unit = self.left_action(), self.right_action(), A.mul, A.one
+        L, R, mul, unit = self.left_action, self.right_action, A.mul, A.one
         Id, In = Mat.identity(d), Mat.identity(n)
         results = [
             CheckResult(f"{self.name}:left-unital", L @ unit.kron(In) == In),
@@ -113,7 +119,7 @@ class Bimodule:
 
 
 def algebra_as_bimodule(A: Algebra, name: str = "A") -> Bimodule:
-    return Bimodule(A, A.dim, list(A.left_mult), list(A.right_mult), name)
+    return Bimodule(A, A.dim, A.mul, A.mul, name)
 
 
 class BimoduleMap:
@@ -148,6 +154,11 @@ def zigzag_failure(V: Bimodule, W: Bimodule, ev: Mat, coev: Mat):
     return None if fail is None else ("forms", *fail)
 
 
+def _diagonal(n: int) -> Mat:
+    """sum_i e_i (x) e_i in Kron(n, n), as a one-column matrix."""
+    return Mat(n * n, 1, [[(i * (n + 1), ONE) for i in range(n)]])
+
+
 def idempotent_failure(algebra: Algebra, P: Mat) -> Optional[tuple[int, int]]:
     """The first ``(q, j)`` where P o P differs from P in M_n(A), or None.
 
@@ -157,40 +168,38 @@ def idempotent_failure(algebra: Algebra, P: Mat) -> Optional[tuple[int, int]]:
     """
     n = isqrt(P.cols)
     In = Mat.identity(n)
-    diag = Mat(n * n, 1, [[(k * (n + 1), ONE) for k in range(n)]])
-    return first_mismatch(algebra.mul @ P.kron(P) @ In.kron(diag).kron(In), P, (n, n))
+    return first_mismatch(algebra.mul @ P.kron(P) @ In.kron(_diagonal(n)).kron(In), P, (n, n))
+
+
+def _first_action_failure(left: tuple[Mat, Mat], right: tuple[Mat, Mat], shape: tuple[int, int]):
+    """``("left", i)`` or ``("right", i)`` for the smallest a_i at which one of two
+    identities ``lhs == rhs`` on Kron(A, X) fails, "left" on a tie; None if both hold."""
+    fails = {side: first_mismatch(lhs, rhs, shape) for side, (lhs, rhs) in (("left", left), ("right", right))}
+    return first_failure({side: w and w[0] for side, w in fails.items()})
 
 
 def intertwining_failure(src: Bimodule, dst: Bimodule, mat: Mat):
-    for i in range(src.algebra.dim):
-        if mat @ src.left[i] != dst.left[i] @ mat:
-            return ("left", i)
-        if mat @ src.right[i] != dst.right[i] @ mat:
-            return ("right", i)
-    return None
+    """Where ``mat`` first fails to commute with the actions, ``("left", i)`` or
+    ``("right", i)`` (see :func:`_first_action_failure`), or None for a bimodule map:
+    mat L_src = L_dst (id_A (x) mat) and mat R_src = R_dst (mat (x) id_A)."""
+    dA = src.algebra.dim
+    IA = Mat.identity(dA)
+    left = (mat @ src.left_action, dst.left_action @ IA.kron(mat))
+    right = (mat @ src.right_action, dst.right_action @ mat.kron(IA))
+    if left[0] == left[1] and right[0] == right[1]:
+        return None
+    to_right = Mat.swap(dA, src.dim)  # witnesses run over a before the element
+    return _first_action_failure(left, (right[0] @ to_right, right[1] @ to_right), (dA, src.dim))
 
 
 # -- tensor product over A -----------------------------------------------------
 
 
-def relation_vectors(e: Bimodule, f: Bimodule):
-    """Sparse generators of span{ e.a (x) f  -  e (x) a.f } in E (x) F."""
-    A = e.algebra
-    nf = f.dim
-    for a in range(A.dim):
-        right_cols = e.right[a].cols_sparse()
-        left_cols = f.left[a].cols_sparse()
-        for i in range(e.dim):
-            for j in range(f.dim):
-                row: dict[int, Scalar] = {}
-                for k, v in right_cols[i]:
-                    row[k * nf + j] = row.get(k * nf + j, ZERO) + v
-                for l, v in left_cols[j]:
-                    idx = i * nf + l
-                    row[idx] = row.get(idx, ZERO) - v
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    yield row
+def balance(e: Bimodule, f: Bimodule) -> Mat:
+    """The balancing map Kron(E, A, F) -> Kron(E, F), e (x) a (x) f -> e.a (x) f - e (x) a.f:
+    its image is what E (x)_A F divides out, and a map on Kron(E, F) is balanced when it kills it."""
+    # negating L_F before the Kronecker product, not after, negates |E| times fewer entries
+    return e.right_action.kron(Mat.identity(f.dim)) + Mat.identity(e.dim).kron(-f.left_action)
 
 
 class TensorPair:
@@ -202,24 +211,22 @@ class TensorPair:
         self.e = e
         self.f = f
         A = e.algebra
-        self.relation_mat = span(e.dim * f.dim, relation_vectors(e, f))
+        dA, IA, IF = A.dim, Mat.identity(A.dim), Mat.identity(f.dim)
+        self.relation_mat = span(e.dim * f.dim, balance(e, f).cols_sparse())
         self.project, self.section = quotient(self.relation_mat)
-        dim = self.project.rows
         # the actions on plain tensors, pushed down: a.(e (x) f) and (e (x) f).a
-        lplain = [self.project @ e.left[i].kron(Mat.identity(f.dim)) for i in range(A.dim)]
-        rplain = [self.project @ Mat.identity(e.dim).kron(f.right[i]) for i in range(A.dim)]
-        left = [m @ self.section for m in lplain]
-        right = [m @ self.section for m in rplain]
-        self.space = Bimodule(A, dim, left, right, f"({e.name}(x){f.name})")
-        self._check_induced_actions(lplain, rplain)
-
-    def _check_induced_actions(self, lplain: list[Mat], rplain: list[Mat]):
-        """Induced actions must kill the relation span (well-definedness)."""
-        for i, (lmat, rmat) in enumerate(zip(lplain, rplain)):
-            if not self.descends(lmat):
-                raise ValidationError("tensor-left-action", witness=(self.space.name, i))
-            if not self.descends(rmat):
-                raise ValidationError("tensor-right-action", witness=(self.space.name, i))
+        lplain = self.project @ e.left_action.kron(IF)  # Kron(A, E, F) -> quotient
+        rplain = self.project @ Mat.identity(e.dim).kron(f.right_action)  # Kron(E, F, A) -> quotient
+        left, right = lplain @ IA.kron(self.section), rplain @ self.section.kron(IA)
+        self.space = Bimodule(A, self.project.rows, left, right, f"({e.name}(x){f.name})")
+        # the induced actions are well defined: they kill the relation span
+        rels = self.relation_mat
+        on_left = lplain @ IA.kron(rels)  # Kron(A, relations)
+        on_right = rplain @ rels.kron(IA)  # Kron(relations, A)
+        if not (on_left.is_zero() and on_right.is_zero()):
+            zero, shape = Mat.zeros(self.space.dim, dA * rels.cols), (dA, rels.cols)
+            side, i = _first_action_failure((on_left, zero), (on_right @ Mat.swap(*shape), zero), shape)
+            raise ValidationError(f"tensor-{side}-action", witness=(self.space.name, i))
 
     @property
     def dim(self) -> int:
@@ -243,24 +250,15 @@ def conjugate_bimodule(e: Bimodule, name: Optional[str] = None) -> Bimodule:
     """The conjugate bimodule: a.conj(e) = conj(e.a*) and conj(e).a = conj(a*.e).
 
     Coordinates: the conjugate module reuses the basis symbols of ``e`` and the
-    antilinear bar map is entrywise conjugation of coordinates.
+    antilinear bar map is entrywise conjugation of coordinates, so each action
+    is the other action of ``e`` composed with the star, then conjugated.
     """
     A = e.algebra
     if A.star is None:
         raise ValidationError("conjugate-needs-star", witness=e.name)
-    star_cols = A.star.cols_sparse()
-
-    left = []
-    right = []
-    for i in range(A.dim):
-        # star(a_i) written in the basis (star is conjugate-linear; basis coords conjugate trivially)
-        acc_l = Mat.zeros(e.dim, e.dim)
-        acc_r = Mat.zeros(e.dim, e.dim)
-        for k, v in star_cols[i]:
-            acc_l = acc_l + e.right[k].scale(v)
-            acc_r = acc_r + e.left[k].scale(v)
-        left.append(acc_l.conj())
-        right.append(acc_r.conj())
+    IE = Mat.identity(e.dim)
+    left = (e.right_action @ IE.kron(A.star) @ Mat.swap(A.dim, e.dim)).conj()
+    right = (e.left_action @ A.star.kron(IE) @ Mat.swap(e.dim, A.dim)).conj()
     return Bimodule(A, e.dim, left, right, name or f"conj({e.name})")
 
 
@@ -321,46 +319,41 @@ def dualize_right_module(
     n = len(dual_basis_forms)
     if n != len(dual_basis_functionals):
         raise NotProjective("dual-basis", detail="forms/functionals length mismatch")
-    IA, IO = Mat.identity(dA), Mat.identity(dO)
+    IA, IO, cup, cup_O = Mat.identity(dA), Mat.identity(dO), _diagonal(dA), _diagonal(dO)
     forms = Mat.from_cols(dual_basis_forms, dO)  # column i: f^i
     # Kron(n, module) -> A: column i*dO + j is f_i(xi_j)
     functionals = Mat(dA, n * dO, [col for f in dual_basis_functionals for col in f.cols_sparse()])
-    diag = Mat(n * n, 1, [[(i * (n + 1), ONE) for i in range(n)]])  # sum_i e_i (x) e_i
+    diag = _diagonal(n)  # sum_i e_i (x) e_i
 
     # dual basis property: xi = sum_i f^i . f_i(xi) for every basis xi
-    fail = first_mismatch(omega.right_action() @ forms.kron(functionals) @ diag.kron(IO), IO, (dO,))
+    fail = first_mismatch(omega.right_action @ forms.kron(functionals) @ diag.kron(IO), IO, (dO,))
     if fail is not None:
         raise NotProjective("dual-basis", witness=(omega.name, *fail))
 
-    # right-A-linearity M(xi . a) = M(xi) . a, one block of constraints per a
-    constraint = sum(
-        (
-            Mat(dA, 1, [[(a, ONE)]]).kron(IA.kron(omega.right[a].transpose()) - A.right_mult[a].kron(IO))
-            for a in range(dA)
-        ),
-        Mat.zeros(dA * dA * dO, dA * dO),
-    )
-    maps = kernel(constraint)  # column b: vec of the b-th dual basis element
+    # right-A-linearity M o R = mul o (M (x) id_A) on Kron(module, A), on the row-major vec(M):
+    # vec(M R) = (id_A (x) R^T) vec(M) and vec(mul (M (x) id_A)) = (T (x) id) vec(M), with the
+    # rows of both read in Kron(A, A, module) order (the kernel does not depend on row order)
+    right_t = Mat.swap(dO, dA) @ omega.right_action.transpose()  # R^T, its legs read as Kron(A, module)
+    times = A.mul.kron(IA) @ IA.kron(cup)  # T: a_k -> sum_a a_k a_a (x) e_a
+    maps = kernel(IA.kron(right_t) - times.kron(IO))  # column b: vec of the b-th dual basis element
     pivot_of = {col[0][0]: b for b, col in enumerate(maps.cols_sparse())}
     pick = Mat(maps.cols, dA * dO, [[(pivot_of[r], ONE)] if r in pivot_of else [] for r in range(dA * dO)])
-    vecs = Mat(dA * dO, n, [_vec(f) for f in dual_basis_functionals])
+    vecs = functionals.kron(IO) @ Mat.identity(n).kron(cup_O)  # column i: vec(f_i)
     coords = pick @ vecs  # column i: f_i in the dual
     fail = first_mismatch(maps @ coords, vecs, (n,))
     if fail is not None:
         raise NotProjective("dual-right-linear", witness=(omega.name, *fail), detail="functional is not right-A-linear")
 
-    # bimodule structure on the dual: (a.al)(xi) = a.al(xi), (al.a)(xi) = al(a.xi)
-    left = [pick @ A.left_mult[a].kron(IO) @ maps for a in range(dA)]
-    right = [pick @ IA.kron(omega.left[a].transpose()) @ maps for a in range(dA)]
+    # bimodule structure on the dual: (a.al)(xi) = a.al(xi), vec(L_a M) = (L_a (x) id) vec(M), and
+    # (al.a)(xi) = al(a.xi), vec(M L_a) = (id_A (x) L_a^T) vec(M), every a at once through
+    # left_t: xi_k (x) a_a -> sum_j (coefficient of xi_k in a_a.xi_j) xi_j
+    left_t = cup.transpose().kron(IO) @ IA.kron(omega.left_action.transpose()) @ Mat.swap(dO, dA)
+    left = pick @ A.mul.kron(IO) @ IA.kron(maps)
+    right = pick @ IA.kron(left_t) @ maps.kron(IA)
     dual = Bimodule(A, maps.cols, left, right, f"dual({omega.name})")
 
     # pairing dual (x) module -> A on plain tensor coordinates: column b*dO + j is M_b(xi_j)
-    apply_cols = [[] for _ in range(maps.cols * dO)]
-    for b, col in enumerate(maps.cols_sparse()):
-        for r, v in col:
-            k, j = divmod(r, dO)
-            apply_cols[b * dO + j].append((k, v))
-    apply_mat = Mat(dA, maps.cols * dO, apply_cols)
+    apply_mat = IA.kron(cup_O.transpose()) @ maps.kron(IO)
 
     pair_dual_module = TensorPair(dual, omega)
     pair_module_dual = TensorPair(omega, dual)
@@ -369,7 +362,7 @@ def dualize_right_module(
     ev = BimoduleMap(pair_dual_module.space, algebra_as_bimodule(A), ev_mat, "ev")
 
     coev_one = forms.kron(coords) @ diag  # sum_i f^i (x) f_i
-    coev_mat = pair_module_dual.project @ omega.left_action().kron(Mat.identity(dual.dim)) @ IA.kron(coev_one)
+    coev_mat = pair_module_dual.project @ omega.left_action.kron(Mat.identity(dual.dim)) @ IA.kron(coev_one)
     coev = BimoduleMap(algebra_as_bimodule(A), pair_module_dual.space, coev_mat, "coev")
 
     # zig-zag identities (exact, on every basis element)
@@ -399,7 +392,3 @@ def dualize_right_module(
         idempotent=P,
     )
 
-
-def _vec(m: Mat) -> list:
-    """Row-major vec(m) as a sparse column: entry (k, l) at row k*m.cols + l."""
-    return sorted((k * m.cols + l, v) for l, col in enumerate(m.cols_sparse()) for k, v in col)

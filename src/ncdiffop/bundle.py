@@ -132,6 +132,8 @@ class Bundle:
         """Canonical serialization (normalized scalar strings)."""
         g = self.geometry
         A = self.algebra
+        # the file lists each a_i's action as a matrix: the column blocks of the action matrices
+        dO, lcols, rcols = g.omega.dim, g.omega.left_action.cols_sparse(), g.omega.right_action.cols_sparse()
         out = {
             "format": FORMAT,
             "name": self.name,
@@ -145,8 +147,8 @@ class Bundle:
             },
             "omega": {
                 "basis": list(self.omega_basis),
-                "left": [_mat_out(m) for m in g.omega.left],
-                "right": [_mat_out(m) for m in g.omega.right],
+                "left": [_mat_out(Mat(dO, dO, lcols[i * dO : (i + 1) * dO])) for i in range(A.dim)],
+                "right": [_mat_out(Mat(dO, dO, rcols[i :: A.dim])) for i in range(A.dim)],
             },
             "d": _mat_out(g.d),
             "dual_basis": {
@@ -223,11 +225,15 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
 
     om = doc["omega"]
     dO = len(_list(om["basis"], "omega.basis"))
-    left = [literals.mat(m, dO, dO, f"omega.left[{i}]") for i, m in enumerate(_list(om["left"], "omega.left"))]
-    right = [literals.mat(m, dO, dO, f"omega.right[{i}]") for i, m in enumerate(_list(om["right"], "omega.right"))]
+    left, right = (
+        [literals.mat(m, dO, dO, f"omega.{side}[{i}]") for i, m in enumerate(_list(om[side], f"omega.{side}"))]
+        for side in ("left", "right")
+    )
     if len(left) != dA or len(right) != dA:
         raise ParseError("omega actions must list one matrix per algebra basis element")
-    omega = Bimodule(algebra, dO, left, right, "omega1")
+    lcols = [col for m in left for col in m.cols_sparse()]  # column i*dO + j: a_i . xi_j
+    rcols = [m.cols_sparse()[j] for j in range(dO) for m in right]  # column j*dA + i: xi_j . a_i
+    omega = Bimodule(algebra, dO, Mat(dO, dA * dO, lcols), Mat(dO, dO * dA, rcols), "omega1")
 
     d = literals.mat(doc["d"], dO, dA, "d")
     db = doc["dual_basis"]

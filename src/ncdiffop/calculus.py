@@ -67,13 +67,13 @@ class ConnectionModule:
         A, E, nabla = g.algebra, self.space, self.nabla
         IA, IE = Mat.identity(A.dim), Mat.identity(E.dim)
         shape = (A.dim, E.dim)
-        left = nabla @ E.left_action()
-        left_rhs = self.OE.project @ g.d.kron(IE) + self.OE.space.left_action() @ IA.kron(nabla)
+        left = nabla @ E.left_action
+        left_rhs = self.OE.project @ g.d.kron(IE) + self.OE.space.left_action @ IA.kron(nabla)
         checks = {"left-leibniz": first_mismatch(left, left_rhs, shape)}
         if self.sigma is not None:
             flip = Mat.swap(A.dim, E.dim)
-            right = nabla @ E.right_action()
-            right_rhs = self.OE.space.right_action() @ nabla.kron(IA) + self.sigma @ self.EO.project @ IE.kron(g.d)
+            right = nabla @ E.right_action
+            right_rhs = self.OE.space.right_action @ nabla.kron(IA) + self.sigma @ self.EO.project @ IE.kron(g.d)
             checks["right-leibniz"] = first_mismatch(right @ flip, right_rhs @ flip, shape)
         raise_first_failure({name: None if w is None else (self.name, *w) for name, w in checks.items()})
 
@@ -125,7 +125,7 @@ class ConnectionModule:
     def act_table(self, n: int) -> Mat:
         """degree-n action: Kron(V(n), E) -> E via ev<n> and nabla^(n)."""
         if n == 0:
-            return self.space.left_action()
+            return self.space.left_action
         return self.space.ev_left(self.geometry.ev_pow(n), self.WE(n).section @ self.nabla_pow(n))
 
     def act(self, n: int, v: Mat, e: Mat) -> Mat:
@@ -140,7 +140,7 @@ def trivial_module(geometry: Geometry, name: str = "A", validate: bool = True) -
     OA = g.pair(g.omega, A)
     nabla = OA.project @ g.d.kron(g.one)
     # a (x) xi -> a.xi (x) 1
-    sigma = g.pair(A, g.omega).induce(OA.project @ g.omega.left_action().kron(g.one), "sigma-A")
+    sigma = g.pair(A, g.omega).induce(OA.project @ g.omega.left_action.kron(g.one), "sigma-A")
     return ConnectionModule(g, A, nabla, sigma, name=name, validate=validate)
 
 

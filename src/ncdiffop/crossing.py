@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .bimodule import TensorPair
+from .bimodule import TensorPair, balance
 from .calculus import ConnectionModule, tensor_connection
 from .diffop import BulletTable
 from .linalg import Mat, first_mismatch, inverse, quotient, span
@@ -97,7 +97,7 @@ class CrossingMap:
         if n <= 1:
             embed0 = self.EV(0).project @ Mat.identity(E.dim).kron(g.one)  # a (x) e -> [a.e (x) 1]
             if n == 0:
-                return {0: embed0 @ E.left_action()}
+                return {0: embed0 @ E.left_action}
             return {0: embed0 @ self.module.act_table(1), 1: self.sigma_hat}
         act1 = self.module.act_table(1)
         p = n - 1
@@ -155,7 +155,7 @@ class CrossingMap:
                 moved = self.table.table(n, 0, k).kron(Mat.identity(E.dim))
                 for m, th in self.theta(k).items():
                     _add(lhs, m, th @ moved)
-            acted = Mat.identity(Vn.dim).kron(E.left_action())
+            acted = Mat.identity(Vn.dim).kron(E.left_action)
             rhs = {m: th @ acted for m, th in self.theta(n).items()}
             fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, g.algebra.dim, E.dim)))
             results.append(CheckResult(f"theta-bullet-balance-deg{n}", fail is None, witness=fail))
@@ -168,9 +168,9 @@ class CrossingMap:
         results = []
         for n in range(0, degree + 1):
             Vn = g.V(n)
-            lact = Vn.left_action().kron(IE)  # Kron(A, V(n), E) -> Kron(V(n), E)
+            lact = Vn.left_action.kron(IE)  # Kron(A, V(n), E) -> Kron(V(n), E)
             lhs = {m: th @ lact for m, th in self.theta(n).items()}
-            rhs = {m: self.EV(m).space.left_action() @ IA.kron(th) for m, th in self.theta(n).items()}
+            rhs = {m: self.EV(m).space.left_action @ IA.kron(th) for m, th in self.theta(n).items()}
             fail = _at((n,), _first_by_block(lhs, rhs, (g.algebra.dim, Vn.dim * E.dim)))
             results.append(CheckResult(f"theta-left-module-deg{n}", fail is None, witness=fail))
         return results
@@ -184,7 +184,7 @@ class CrossingMap:
         for n in range(0, degree + 1):
             Vn = g.V(n)
             swap = Mat.swap(dA, Vn.dim * E.dim)  # witnesses run over a before v (x) e
-            ract = Mat.identity(Vn.dim).kron(E.right_action()) @ swap  # Kron(A, V(n), E) -> Kron(V(n), E)
+            ract = Mat.identity(Vn.dim).kron(E.right_action) @ swap  # Kron(A, V(n), E) -> Kron(V(n), E)
             lhs = {m: th @ ract for m, th in self.theta(n).items()}
             rhs: dict[int, Mat] = {}
             for m, th in self.theta(n).items():
@@ -254,7 +254,7 @@ class CrossingMap:
         """
         g, E = self.geometry, self.module.space
         if n == 0:  # e . a -> 1 (x) e.a
-            return {0: g.one.kron(E.right_action()) @ self.EV(0).section}
+            return {0: g.one.kron(E.right_action) @ self.EV(0).section}
         act1 = self.module.act_table(1)
         lift_ve = self.VE.section @ self.sigma_hat_inv  # E (x)_A Vec -> Kron(Vec, E)
         if n == 1:
@@ -295,9 +295,8 @@ class CrossingMap:
             total_dim += g.V(m).dim * E.dim
         rels = []
         for m in range(0, degree + 1):
-            Vm = g.V(m)
             blocks = {k: self.table.table(m, 0, k).kron(Mat.identity(E.dim)) for k in range(m)}
-            blocks[m] = Vm.right_action().kron(Mat.identity(E.dim)) - Mat.identity(Vm.dim).kron(E.left_action())
+            blocks[m] = balance(g.V(m), E)
             rels += _stacked(blocks, offsets, total_dim).cols_sparse()
         project, _ = quotient(span(total_dim, rels))
         for n in range(0, degree + 1):
@@ -422,8 +421,8 @@ class OperatorConnection:
         for n in range(0, degree + 1):
             Vn = g.V(n)
             blocks = self.blocks(n)
-            lhs = {m: mat @ Vn.left_action() for m, mat in blocks.items()}
-            rhs = {m: g.OV(m).space.left_action() @ Mat.identity(g.algebra.dim).kron(mat) for m, mat in blocks.items()}
+            lhs = {m: mat @ Vn.left_action for m, mat in blocks.items()}
+            rhs = {m: g.OV(m).space.left_action @ Mat.identity(g.algebra.dim).kron(mat) for m, mat in blocks.items()}
             rhs[n] = rhs[n] + g.OV(n).project @ g.d.kron(Mat.identity(Vn.dim))
             fail = first_mismatch(lhs, rhs, (g.algebra.dim, Vn.dim))  # (a, v, degree)
             fail = None if fail is None else (n, *fail[:-1])

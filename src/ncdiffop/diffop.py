@@ -21,7 +21,7 @@ from .calculus import ConnectionModule
 from .geometry import Geometry
 from .linalg import Mat, first_mismatch
 from .memo import memo
-from .report import CheckResult, ValidationError
+from .report import ValidationError
 from .scalars import ZERO, Scalar, sc
 
 
@@ -173,26 +173,3 @@ class GradedOperator:
     def __repr__(self):
         parts = ", ".join(f"deg{d}:{[str(x) for x in self.component(d)]}" for d in sorted(self.components))
         return f"GradedOperator({parts or '0'})"
-
-
-def morphism_equivariance_report(
-    table: BulletTable,
-    em: ConnectionModule,
-    fm: ConnectionModule,
-    t: Mat,
-    max_degree: int,
-) -> list[CheckResult]:
-    """Check v |> T(e) = T(v |> e) for all basis v up to max_degree, basis e.
-
-    Callers are expected to have verified that t intertwines the connections;
-    the report records the equivariance consequence degree by degree.
-    """
-    g = table.geometry
-    results = []
-    for n in range(0, max_degree + 1):
-        Vn = g.V(n)
-        lhs = fm.act_table(n) @ Mat.identity(Vn.dim).kron(t)
-        fail = first_mismatch(lhs, t @ em.act_table(n), (Vn.dim, em.space.dim))
-        fail = None if fail is None else (n, *fail)
-        results.append(CheckResult(f"equivariance-deg{n}", fail is None, witness=fail))
-    return results

@@ -111,15 +111,15 @@ class Geometry:
             raise ValidationError("d-shape")
         # d(ab) = da.b + a.db on Kron(A, A)
         IA = Mat.identity(A.dim)
-        lhs = d @ self.A_bim.left_action()
-        rhs = om.right_action() @ d.kron(IA) + om.left_action() @ IA.kron(d)
+        lhs = d @ self.A_bim.left_action
+        rhs = om.right_action @ d.kron(IA) + om.left_action @ IA.kron(d)
         fail = first_mismatch(lhs, rhs, (A.dim, A.dim))
         if fail is not None:
             raise ValidationError("leibniz", witness=fail)
         if not (d @ self.one).is_zero():
             raise ValidationError("d-of-unit")
         # surjectivity: span{a.db} = Omega1
-        spanned = rank(om.left_action() @ IA.kron(d))
+        spanned = rank(om.left_action @ IA.kron(d))
         if spanned != om.dim:
             raise ValidationError("surjectivity", witness=spanned)
 
@@ -129,10 +129,10 @@ class Geometry:
         A, om, box, W2 = self.algebra, self.omega, self.box_form, self.W2
         IA, Iom = Mat.identity(A.dim), Mat.identity(om.dim)
         flip = Mat.swap(A.dim, om.dim)
-        right = box @ om.right_action()
-        right_rhs = W2.space.right_action() @ box.kron(IA) + W2.project @ Iom.kron(self.d)
-        left = box @ om.left_action()
-        left_rhs = W2.space.left_action() @ IA.kron(box) + self.sigma_inv_form @ W2.project @ self.d.kron(Iom)
+        right = box @ om.right_action
+        right_rhs = W2.space.right_action @ box.kron(IA) + W2.project @ Iom.kron(self.d)
+        left = box @ om.left_action
+        left_rhs = W2.space.left_action @ IA.kron(box) + self.sigma_inv_form @ W2.project @ self.d.kron(Iom)
         shape = (A.dim, om.dim)
         raise_first_failure(
             {
@@ -175,7 +175,7 @@ class Geometry:
         if fail is not None:
             raise ValidationError("sigma-vec-bimodule-map", witness=fail)
         try:
-            self.sigma_vec_inv = inverse(self.sigma_vec)
+            inverse(self.sigma_vec)  # the braiding must invert; the inverse itself is not needed
         except ValueError:
             raise ValidationError("sigma-vec-invertible") from None
 
@@ -188,10 +188,10 @@ class Geometry:
         A, vec, box, OV1 = self.algebra, self.vec, self.box_vec, self.OV1
         IA, Ivec = Mat.identity(A.dim), Mat.identity(vec.dim)
         flip = Mat.swap(A.dim, vec.dim)
-        right = box @ vec.right_action()
-        right_rhs = OV1.space.right_action() @ box.kron(IA) + self.sigma_vec_plain @ Ivec.kron(self.d)
-        left = box @ vec.left_action()
-        left_rhs = OV1.space.left_action() @ IA.kron(box) + OV1.project @ self.d.kron(Ivec)
+        right = box @ vec.right_action
+        right_rhs = OV1.space.right_action @ box.kron(IA) + self.sigma_vec_plain @ Ivec.kron(self.d)
+        left = box @ vec.left_action
+        left_rhs = OV1.space.left_action @ IA.kron(box) + OV1.project @ self.d.kron(Ivec)
         shape = (A.dim, vec.dim)
         raise_first_failure(
             {
@@ -241,9 +241,9 @@ class Geometry:
         """V(n) (x) V(m) -> V(n+m) on plain Kronecker coordinates."""
         Vn, Vm = self.V(n), self.V(m)
         if n == 0:
-            return Vm.left_action()
+            return Vm.left_action
         if m == 0:
-            return Vn.right_action()
+            return Vn.right_action
         if n == 1:
             return self.pair(self.vec, Vm).project
         inner = Mat.identity(self.vec.dim).kron(self.merge_vec(n - 1, m))
@@ -254,9 +254,9 @@ class Geometry:
     def merge_om(self, n: int, m: int) -> Mat:
         Wn, Wm = self.W(n), self.W(m)
         if m == 0:
-            return Wn.right_action()
+            return Wn.right_action
         if n == 0:
-            return Wm.left_action()
+            return Wm.left_action
         if m == 1:
             return self.pair(Wn, self.omega).project
         inner = self.merge_om(n, m - 1).kron(Mat.identity(self.omega.dim))
@@ -312,31 +312,6 @@ class Geometry:
         if not domain_pair.descends(total):
             raise ValidationError("box-vec-pow-not-well-defined", witness=n)
         return total @ domain_pair.section
-
-    @memo
-    def braid_form(self, n: int) -> Mat:
-        """Iterated sigma-inverse crossing: Kron(Omega, W(n)) -> W(n+1)."""
-        if n == 1:
-            return self.sigma_inv_form @ self.W2.project
-        lifted = Mat.identity(self.omega.dim).kron(self.pair_W(n).section)
-        inner = self.braid_form(n - 1).kron(Mat.identity(self.omega.dim))
-        return self.sigma_inv_last(n) @ inner @ lifted
-
-    @memo
-    def braid_vec(self, n: int) -> Mat:
-        """Iterated sigma crossing: Kron(V(n), Omega) -> Omega (x)_A V(n)."""
-        if n == 1:
-            return self.sigma_vec_plain
-        Iprev = Mat.identity(self.V(n - 1).dim)
-        return (
-            self.OV(n).project
-            @ Mat.identity(self.omega.dim).kron(self.merge_vec(1, n - 1))
-            @ self.OV1.section.kron(Iprev)
-            @ self.sigma_vec_plain.kron(Iprev)
-            @ Mat.identity(self.vec.dim).kron(self.OV(n - 1).section)
-            @ Mat.identity(self.vec.dim).kron(self.braid_vec(n - 1))
-            @ self.pair_V(n).section.kron(Mat.identity(self.omega.dim))
-        )
 
     # -- n-fold evaluation and coevaluation -------------------------------------
 

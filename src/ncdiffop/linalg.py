@@ -384,7 +384,8 @@ def span(ambient_dim: int, sparse_vectors: Iterable) -> Mat:
     ``(index, value)`` pairs; this is the form :func:`quotient` takes."""
     ech = SparseEchelon()
     for vec in sparse_vectors:
-        ech.add_sparse(dict(vec))
+        if vec:
+            ech.add_sparse(dict(vec))
     return Mat(ambient_dim, len(ech.pivot_rows), [sorted(ech.pivot_rows[p].items()) for p in sorted(ech.pivot_rows)])
 
 

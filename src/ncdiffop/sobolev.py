@@ -72,7 +72,11 @@ class InnerProduct:
             results.append(CheckResult(f"{self.name}:bimodule-map", False, detail=str(err)))
 
         for state in states or []:
-            cert = ldl_certify_psd(_state_gram(self.values, state, E.dim))
+            gram = _state_gram(self.values, state, E.dim)
+            if gram != gram.conj_transpose():  # not Hermitian: neither certificate exists
+                results.append(CheckResult(f"{self.name}:positive[{state.name}]", False))
+                continue
+            cert = ldl_certify_psd(gram)
             results.append(
                 CheckResult(
                     f"{self.name}:positive[{state.name}]",
@@ -97,7 +101,7 @@ def tensor_inner_product(ip_e: InnerProduct, ip_f: InnerProduct, pair: TensorPai
     if pair.e is not E or pair.f is not F:
         raise ValueError("tensor pair does not match the inner product factors")
     dim, dA = pair.dim, ip_e.algebra.dim
-    right = E.right_action().cols_sparse()  # column i*dA + t is e_i . a_t
+    right = E.right_action.cols_sparse()  # column i*dA + t is e_i . a_t
     values = []
     for a in range(dim):
         xa = pair.section.column(a)

@@ -12,7 +12,7 @@ import random
 import time
 from typing import Optional
 
-from .bimodule import idempotent_failure, relation_vectors
+from .bimodule import balance, idempotent_failure
 from .bundle import Bundle, canonical_json
 from .calculus import connection_morphism_defect, sigma_compat_defect, tensor_connection
 from .centre import verify_centre
@@ -143,24 +143,23 @@ def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
     for n in range(1, ctx.degree + 1):
         ev = g.ev_pow(n)
         Vn, Wn = g.V(n), g.W(n)
-        rels = [sorted(rel.items()) for rel in relation_vectors(Vn, Wn)]
-        balanced = (ev @ Mat(ev.cols, len(rels), rels)).is_zero()
+        balanced = (ev @ balance(Vn, Wn)).is_zero()
         out.append(CheckResult(f"ev-balanced-{n}", balanced, witness=None if balanced else n))
         # ev(a.v (x) w) = a.ev(v (x) w) and ev(v (x) w.a) = ev(v (x) w).a on Kron(A, V(n), W(n))
         dA, mul = g.algebra.dim, g.algebra.mul
         IA, IV, IW = Mat.identity(dA), Mat.identity(Vn.dim), Mat.identity(Wn.dim)
         to_right = Mat.swap(dA, Vn.dim * Wn.dim)  # Kron(A, V(n), W(n)) -> Kron(V(n), W(n), A)
         shape = (dA, Vn.dim, Wn.dim)
-        left = first_mismatch(ev @ Vn.left_action().kron(IW), mul @ IA.kron(ev), shape)
-        right = first_mismatch(ev @ IV.kron(Wn.right_action()) @ to_right, mul @ ev.kron(IA) @ to_right, shape)
+        left = first_mismatch(ev @ Vn.left_action.kron(IW), mul @ IA.kron(ev), shape)
+        right = first_mismatch(ev @ IV.kron(Wn.right_action) @ to_right, mul @ ev.kron(IA) @ to_right, shape)
         fail = first_failure({"left": left and left[:1], "right": right and right[:1]})  # the first failing a_i
         eq_fail = None if fail is None else (fail[0], n, *fail[1])
         out.append(CheckResult(f"ev-bimodule-{n}", eq_fail is None, witness=eq_fail))
         # coev<n>(1) central: a.coev(1) - coev(1).a lies in the relation span, which the projection kills
         project = g.pair(Wn, Vn).project
         coev1 = g.coev_pow(n)
-        la = Wn.left_action().kron(IV) @ IA.kron(coev1)  # column i: a_i.coev(1)
-        ra = IW.kron(Vn.right_action()) @ coev1.kron(IA)  # column i: coev(1).a_i
+        la = Wn.left_action.kron(IV) @ IA.kron(coev1)  # column i: a_i.coev(1)
+        ra = IW.kron(Vn.right_action) @ coev1.kron(IA)  # column i: coev(1).a_i
         fail = first_mismatch(project @ la, project @ ra, (dA,))
         cen_fail = None if fail is None else (n, *fail)
         out.append(CheckResult(f"coev-central-{n}", cen_fail is None, witness=cen_fail))
@@ -263,8 +262,8 @@ def suite_bullet(ctx: VerifyContext) -> list[CheckResult]:
             Vm = g.V(m)
             for k in range(0, n + m + 1):
                 bt = table.table(n, m, k)
-                lhs = bt @ Vn.left_action().kron(Mat.identity(Vm.dim))
-                rhs = g.V(k).left_action() @ Mat.identity(g.algebra.dim).kron(bt)
+                lhs = bt @ Vn.left_action.kron(Mat.identity(Vm.dim))
+                rhs = g.V(k).left_action @ Mat.identity(g.algebra.dim).kron(bt)
                 fail = first_mismatch(lhs, rhs, (g.algebra.dim, Vn.dim, Vm.dim))
                 if fail is not None and lin_fail is None:
                     lin_fail = (n, m, k, *fail)

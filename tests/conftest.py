@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from ncdiffop.algebra import Algebra
-from ncdiffop.bimodule import Bimodule
 from ncdiffop.linalg import Mat
 from ncdiffop.scalars import sc
+from oracles import bimodule_from_blocks
 
 # pytest puts src/ on sys.path (pyproject's `pythonpath`); tests that start
 # `python -m ncdiffop.cli` in a subprocess need it on PYTHONPATH as well
@@ -33,7 +33,7 @@ def two_point_omega(two_point_algebra):
     # universal 1-forms: basis w12 = p1 (x) p2, w21 = p2 (x) p1
     left = [Mat.from_rows([[1, 0], [0, 0]]), Mat.from_rows([[0, 0], [0, 1]])]
     right = [Mat.from_rows([[0, 0], [0, 1]]), Mat.from_rows([[1, 0], [0, 0]])]
-    return Bimodule(two_point_algebra, 2, left, right, "omega1")
+    return bimodule_from_blocks(two_point_algebra, 2, left, right, "omega1")
 
 
 @pytest.fixture

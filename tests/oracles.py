@@ -7,11 +7,31 @@ product table applied to a dense Kronecker vector, the way the library
 computed them before they became products.  The algebra's product, star and
 right action are read the same way, one dense coordinate list at a time, and
 row reduction is the dense Gauss-Jordan elimination the library ran before
-it reduced sparse rows.
+it reduced sparse rows.  A bimodule's actions are read one basis element at a
+time, as the blocks ``left[i]`` and ``right[i]`` of its two action matrices:
+the tensor relations, bimodule-map checks and conjugate actions below loop
+over them the way the library did before it wrote them as identities.
 """
 
-from ncdiffop.linalg import Mat, kron_vec, span
+from ncdiffop.bimodule import Bimodule, algebra_as_bimodule
+from ncdiffop.linalg import Mat, first_mismatch, kron_vec, quotient, span
+from ncdiffop.report import CheckResult
 from ncdiffop.scalars import ONE, ZERO
+
+
+def action_blocks(M) -> tuple[list, list]:
+    """``(left, right)``: ``left[i]`` and ``right[i]`` are the actions of a_i on M as matrices."""
+    dA, n = M.algebra.dim, M.dim
+    lcols, rcols = M.left_action.cols_sparse(), M.right_action.cols_sparse()
+    left = [Mat(n, n, lcols[i * n : (i + 1) * n]) for i in range(dA)]
+    return left, [Mat(n, n, rcols[i::dA]) for i in range(dA)]
+
+
+def bimodule_from_blocks(algebra, dim, left, right, name) -> Bimodule:
+    """The bimodule whose a_i acts by ``left[i]`` and ``right[i]``."""
+    lcols = [c for m in left for c in m.cols_sparse()]
+    rcols = [m.cols_sparse()[j] for j in range(dim) for m in right]
+    return Bimodule(algebra, dim, Mat(dim, algebra.dim * dim, lcols), Mat(dim, dim * algebra.dim, rcols), name)
 
 
 def col(coords) -> Mat:
@@ -31,9 +51,10 @@ def lift(pair, vec):
 def left_apply(M, a, e):
     """a.e for dense coordinates a in A and e in the bimodule M."""
     out = [ZERO] * M.dim
+    left = action_blocks(M)[0]
     for i, c in enumerate(a):
         if c:
-            for k, v in enumerate(M.left[i].apply(e)):
+            for k, v in enumerate(left[i].apply(e)):
                 if v:
                     out[k] = out[k] + c * v
     return out
@@ -133,9 +154,10 @@ def mul(algebra, x, y) -> list:
 def left_mult_matrix(algebra, x) -> Mat:
     """Left multiplication by the element with dense coordinates x."""
     out = Mat.zeros(algebra.dim, algebra.dim)
+    left_mult = action_blocks(algebra_as_bimodule(algebra))[0]
     for i, a in enumerate(x):
         if a:
-            out = out + algebra.left_mult[i].scale(a)
+            out = out + left_mult[i].scale(a)
     return out
 
 
@@ -147,9 +169,10 @@ def apply_star(algebra, x) -> list:
 def right_apply(M, e, a) -> list:
     """e.a for dense coordinates e in the bimodule M and a in A."""
     out = [ZERO] * M.dim
+    right = action_blocks(M)[1]
     for i, c in enumerate(a):
         if c:
-            for k, v in enumerate(M.right[i].apply(e)):
+            for k, v in enumerate(right[i].apply(e)):
                 if v:
                     out[k] = out[k] + c * v
     return out
@@ -207,3 +230,109 @@ def inverse(m: Mat) -> Mat:
     if tuple(range(n)) != pivots[:n] or len(pivots) != n:
         raise ValueError("matrix is singular")
     return Mat(n, n, r.cols_sparse()[n:])
+
+
+# -- bimodule actions, one basis element at a time -----------------------------
+
+
+def intertwining_failure(src, dst, mat):
+    """The first a_i where mat fails to commute with an action, left before right."""
+    src_left, src_right = action_blocks(src)
+    dst_left, dst_right = action_blocks(dst)
+    for i in range(src.algebra.dim):
+        if mat @ src_left[i] != dst_left[i] @ mat:
+            return ("left", i)
+        if mat @ src_right[i] != dst_right[i] @ mat:
+            return ("right", i)
+    return None
+
+
+def relation_vectors(e, f):
+    """The nonzero generators e.a (x) f - e (x) a.f of the tensor relations, as dicts, a-major."""
+    e_right, f_left = action_blocks(e)[1], action_blocks(f)[0]
+    nf = f.dim
+    for a in range(e.algebra.dim):
+        right_cols, left_cols = e_right[a].cols_sparse(), f_left[a].cols_sparse()
+        for i in range(e.dim):
+            for j in range(f.dim):
+                row = {}
+                for k, v in right_cols[i]:
+                    row[k * nf + j] = row.get(k * nf + j, ZERO) + v
+                for l, v in left_cols[j]:
+                    row[i * nf + l] = row.get(i * nf + l, ZERO) - v
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    yield row
+
+
+def tensor_action_failure(e, f):
+    """The ``(name, (space, i))`` that building E (x)_A F raises when a_i does not act
+    on the quotient, or None: each a_i in turn, the left action before the right."""
+    relations = span(e.dim * f.dim, relation_vectors(e, f))
+    project, _ = quotient(relations)
+    e_left, f_right = action_blocks(e)[0], action_blocks(f)[1]
+    space = f"({e.name}(x){f.name})"
+    for i in range(e.algebra.dim):
+        if not (project @ e_left[i].kron(Mat.identity(f.dim)) @ relations).is_zero():
+            return ("tensor-left-action", (space, i))
+        if not (project @ Mat.identity(e.dim).kron(f_right[i]) @ relations).is_zero():
+            return ("tensor-right-action", (space, i))
+    return None
+
+
+def conjugate_blocks(e):
+    """The blocks of the conjugate bimodule: a_i acts on the left by conj(sum_k star(a_i)_k right[k])
+    and on the right by conj(sum_k star(a_i)_k left[k])."""
+    A = e.algebra
+    e_left, e_right = action_blocks(e)
+    left, right = [], []
+    for col in A.star.cols_sparse():
+        acc_l = acc_r = Mat.zeros(e.dim, e.dim)
+        for k, v in col:
+            acc_l = acc_l + e_right[k].scale(v)
+            acc_r = acc_r + e_left[k].scale(v)
+        left.append(acc_l.conj())
+        right.append(acc_r.conj())
+    return left, right
+
+
+# -- reference braidings and equivariance ---------------------------------------
+
+
+def braid_form(g, n: int) -> Mat:
+    """Iterated sigma-inverse crossing: Kron(Omega, W(n)) -> W(n+1)."""
+    if n == 1:
+        return g.sigma_inv_form @ g.W2.project
+    lifted = Mat.identity(g.omega.dim).kron(g.pair_W(n).section)
+    inner = braid_form(g, n - 1).kron(Mat.identity(g.omega.dim))
+    return g.sigma_inv_last(n) @ inner @ lifted
+
+
+def braid_vec(g, n: int) -> Mat:
+    """Iterated sigma crossing: Kron(V(n), Omega) -> Omega (x)_A V(n)."""
+    if n == 1:
+        return g.sigma_vec_plain
+    Iprev = Mat.identity(g.V(n - 1).dim)
+    return (
+        g.OV(n).project
+        @ Mat.identity(g.omega.dim).kron(g.merge_vec(1, n - 1))
+        @ g.OV1.section.kron(Iprev)
+        @ g.sigma_vec_plain.kron(Iprev)
+        @ Mat.identity(g.vec.dim).kron(g.OV(n - 1).section)
+        @ Mat.identity(g.vec.dim).kron(braid_vec(g, n - 1))
+        @ g.pair_V(n).section.kron(Mat.identity(g.omega.dim))
+    )
+
+
+def morphism_equivariance_report(table, em, fm, t: Mat, max_degree: int) -> list:
+    """Check v |> T(e) = T(v |> e) for all basis v up to max_degree, basis e: one
+    result per degree, with the first failing ``(n, v, e)`` as its witness."""
+    g = table.geometry
+    results = []
+    for n in range(0, max_degree + 1):
+        Vn = g.V(n)
+        lhs = fm.act_table(n) @ Mat.identity(Vn.dim).kron(t)
+        fail = first_mismatch(lhs, t @ em.act_table(n), (Vn.dim, em.space.dim))
+        fail = None if fail is None else (n, *fail)
+        results.append(CheckResult(f"equivariance-deg{n}", fail is None, witness=fail))
+    return results

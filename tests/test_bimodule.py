@@ -1,11 +1,16 @@
 """Tensor products over the algebra, conjugates and FGP structure.
 
 Independent oracles: tensor-quotient dimensions are cross-checked against a
-plain Fraction Gaussian elimination over the enumerated relation vectors.
+plain Fraction Gaussian elimination over the enumerated relation vectors, and
+the bimodule-map, tensor-action and conjugate identities against the loops over
+basis elements in ``oracles.py``, witnesses included.
 """
 
 from fractions import Fraction
+import functools
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import pytest
 
 from ncdiffop.bimodule import (
@@ -14,15 +19,27 @@ from ncdiffop.bimodule import (
     NotProjective,
     TensorPair,
     algebra_as_bimodule,
+    balance,
     conjugate_bimodule,
     dualize_right_module,
     intertwining_failure,
-    relation_vectors,
     zigzag_failure,
 )
-from ncdiffop.linalg import Mat, inverse, kron_vec
+from ncdiffop.linalg import Mat, inverse, kron_vec, span
+from ncdiffop.report import ValidationError
 from ncdiffop.scalars import ONE, ZERO, sc
-from oracles import left_apply, lift, pair_apply, push, right_apply, unit_row
+import oracles
+from oracles import (
+    action_blocks,
+    bimodule_from_blocks,
+    left_apply,
+    lift,
+    pair_apply,
+    push,
+    relation_vectors,
+    right_apply,
+    unit_row,
+)
 
 
 def frac_span_dim(vectors, ambient):
@@ -53,7 +70,8 @@ def test_unit_object_left(two_point_algebra, two_point_omega):
     A = algebra_as_bimodule(two_point_algebra)
     pair = TensorPair(A, two_point_omega)
     assert pair.dim == two_point_omega.dim
-    cols = [two_point_omega.left[i].column(j) for i in range(A.dim) for j in range(two_point_omega.dim)]
+    left = action_blocks(two_point_omega)[0]
+    cols = [left[i].column(j) for i in range(A.dim) for j in range(two_point_omega.dim)]
     mult_plain = Mat.from_cols(cols, two_point_omega.dim)
     iso = pair.induce(mult_plain, "left-unitor")
     m = BimoduleMap(pair.space, two_point_omega, iso, "left-unitor")  # verifies equivariance
@@ -64,7 +82,8 @@ def test_unit_object_right(two_point_algebra, two_point_omega):
     A = algebra_as_bimodule(two_point_algebra)
     pair = TensorPair(two_point_omega, A)
     assert pair.dim == two_point_omega.dim
-    cols = [two_point_omega.right[i].column(j) for j in range(two_point_omega.dim) for i in range(A.dim)]
+    right = action_blocks(two_point_omega)[1]
+    cols = [right[i].column(j) for j in range(two_point_omega.dim) for i in range(A.dim)]
     mult_plain = Mat.from_cols(cols, two_point_omega.dim)
     iso = pair.induce(mult_plain, "right-unitor")
     BimoduleMap(pair.space, two_point_omega, iso, "right-unitor")
@@ -77,6 +96,9 @@ def test_omega_tensor_omega_dim_two(two_point_omega):
     assert 4 - frac_span_dim(rels, 4) == 2
     pair = TensorPair(two_point_omega, two_point_omega)
     assert pair.dim == 2
+    # the relations are the columns of the balancing map, which span the generators' span
+    assert pair.relation_mat == span(4, relation_vectors(two_point_omega, two_point_omega))
+    assert span(4, balance(two_point_omega, two_point_omega).cols_sparse()) == pair.relation_mat
     # the diagonal plain tensors die in the quotient
     assert push(pair, kron_vec([ONE, ZERO], [ONE, ZERO])) == [ZERO, ZERO]
     assert push(pair, kron_vec([ZERO, ONE], [ZERO, ONE])) == [ZERO, ZERO]
@@ -127,22 +149,23 @@ def test_tensor_associativity_rebracketing(two_point_algebra, two_point_omega):
 
 def test_conjugate_two_point_omega(two_point_algebra, two_point_omega):
     conj = conjugate_bimodule(two_point_omega)
+    (left, right), (conj_left, conj_right) = action_blocks(two_point_omega), action_blocks(conj)
     # hand computation: conjugation swaps the roles of the two actions
-    assert conj.left[0] == two_point_omega.right[0]
-    assert conj.left[1] == two_point_omega.right[1]
-    assert conj.right[0] == two_point_omega.left[0]
+    assert conj_left[0] == right[0]
+    assert conj_left[1] == right[1]
+    assert conj_right[0] == left[0]
     assert all(r.ok for r in conj.validate())
-    double = conjugate_bimodule(conj)
-    assert all(double.left[i] == two_point_omega.left[i] for i in range(2))
-    assert all(double.right[i] == two_point_omega.right[i] for i in range(2))
+    double_left, double_right = action_blocks(conjugate_bimodule(conj))
+    assert all(double_left[i] == left[i] for i in range(2))
+    assert all(double_right[i] == right[i] for i in range(2))
 
 
 def test_conjugate_of_algebra(two_point_algebra):
     A = algebra_as_bimodule(two_point_algebra)
-    conj = conjugate_bimodule(A)
+    (conj_left, conj_right), (left, right) = action_blocks(conjugate_bimodule(A)), action_blocks(A)
     # commutative star-trivial algebra: conjugate actions coincide with the original
-    assert all(conj.left[i] == A.left[i] for i in range(2))
-    assert all(conj.right[i] == A.right[i] for i in range(2))
+    assert all(conj_left[i] == left[i] for i in range(2))
+    assert all(conj_right[i] == right[i] for i in range(2))
 
 
 def test_bar_coords_antilinear():
@@ -156,6 +179,81 @@ def test_bimodule_map_verification(two_point_omega):
     with pytest.raises(BimoduleMapError):
         BimoduleMap(two_point_omega, two_point_omega, bad, "bad")
     BimoduleMap(two_point_omega, two_point_omega, Mat.identity(2), "id")
+
+
+# -- the identities against the loops over basis elements --------------------------
+# The z3 1-forms and vector fields (both of dimension 6 over A of dimension 3) with
+# entries of their per-element action blocks bumped, some by Gaussian scalars.
+
+
+@functools.lru_cache(maxsize=None)
+def z3_forms_and_fields():
+    from ncdiffop.bundle import load_builtin
+
+    g = load_builtin("z3-function-calculus").geometry
+    assert (g.algebra.dim, g.omega.dim, g.vec.dim) == (3, 6, 6)
+    return g.omega, g.vec
+
+
+SCALARS = st.sampled_from(["1", "-1", "2", "1/2", "i", "1-i"]).map(sc)
+ENTRIES = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), SCALARS), max_size=3)
+BUMP = st.tuples(st.sampled_from(["left", "right"]), st.integers(0, 2), st.integers(0, 5), st.integers(0, 5), SCALARS)
+BUMPS = st.lists(BUMP, max_size=3)
+TIE = [("left", 1, 2, 2, ONE), ("right", 1, 0, 3, ONE)]  # both actions of a_1
+RIGHT_FIRST = [("left", 2, 0, 0, ONE), ("right", 1, 0, 0, ONE)]
+
+
+def bumped(M, bumps):
+    """M with value v added at (r, c) of the block of a_i on ``side``, for each (side, i, r, c, v)."""
+    blocks = dict(zip(("left", "right"), action_blocks(M)))
+    for side, i, r, c, v in bumps:
+        blocks[side][i] = blocks[side][i] + Mat.from_entries(M.dim, M.dim, [(r, c, v)])
+    return bimodule_from_blocks(M.algebra, M.dim, blocks["left"], blocks["right"], M.name)
+
+
+def test_intertwining_tie_order_pinned():
+    om = z3_forms_and_fields()[0]
+    I = Mat.identity(om.dim)
+    assert intertwining_failure(bumped(om, TIE), om, I) == ("left", 1)
+    assert intertwining_failure(om, bumped(om, RIGHT_FIRST), I) == ("right", 1)
+    assert intertwining_failure(bumped(om, TIE[1:]), om, I) == ("right", 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bumps=BUMPS, entries=ENTRIES)
+@example(bumps=TIE, entries=[])
+@example(bumps=RIGHT_FIRST, entries=[])
+def test_intertwining_witness_matches_oracle(bumps, entries):
+    om = z3_forms_and_fields()[0]
+    src = bumped(om, bumps)
+    mat = Mat.identity(om.dim) + Mat.from_entries(om.dim, om.dim, entries)
+    for a, b in ((src, om), (om, src), (src, src)):
+        assert intertwining_failure(a, b, mat) == oracles.intertwining_failure(a, b, mat)
+
+
+def tensor_failure(e, f):
+    try:
+        TensorPair(e, f)
+    except ValidationError as err:
+        return (err.name, err.witness)
+    return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(e_bumps=BUMPS, f_bumps=BUMPS)
+@example(e_bumps=[("left", 1, 0, 1, ONE)], f_bumps=[("right", 1, 0, 2, ONE)])  # a tie at a_1
+@example(e_bumps=[("left", 2, 0, 1, ONE)], f_bumps=[("right", 1, 0, 2, ONE)])
+def test_tensor_action_witness_matches_oracle(e_bumps, f_bumps):
+    om, vec = z3_forms_and_fields()
+    e, f = bumped(om, e_bumps), bumped(vec, f_bumps)
+    assert tensor_failure(e, f) == oracles.tensor_action_failure(e, f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bumps=BUMPS)
+def test_conjugate_matches_oracle(bumps):
+    e = bumped(z3_forms_and_fields()[0], bumps)
+    assert action_blocks(conjugate_bimodule(e)) == oracles.conjugate_blocks(e)
 
 
 # -- FGP / dualization ----------------------------------------------------------

@@ -310,6 +310,33 @@ def test_cli_validate_dual_basis_length_mismatch_is_input_error(tmp_path, capsys
     assert err.startswith("error: dual_basis: 1 forms but 2 functionals")
 
 
+def asymmetric_inner_product(doc) -> dict:
+    """The two-point bundle with <w12, conj(w21)> = p1 but <w21, conj(w12)> = 0.  Its two
+    states span the dual of A, so both state Gram matrices are non-Hermitian."""
+    doc = copy.deepcopy(doc)
+    doc["inner_products"]["omega1"][0][1] = ["1", "0"]
+    return doc
+
+
+def test_cli_validate_asymmetric_inner_product_witness(tmp_path, capsys, two_point_doc):
+    path = tmp_path / "asymmetric-ip.json"
+    path.write_text(json.dumps(asymmetric_inner_product(two_point_doc)))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["validation failed: ip-omega1:symmetry", "  witness: [0, 1]"]
+
+
+def test_unvalidated_asymmetric_inner_product_fails_report(two_point_doc):
+    """A non-Hermitian state Gram matrix fails positivity without a certificate, not with a traceback."""
+    from ncdiffop.verify import verify_all
+
+    report = verify_all(load_bundle_dict(asymmetric_inner_product(two_point_doc), validate=False), seed=7)
+    assert not report.ok
+    failed = {c.name: c.witness for c in report.suites["sobolev"].checks if not c.ok}
+    names = ("ip-omega1:symmetry", "ip-omega1:positive[point1]", "ip-omega1:positive[uniform]")
+    assert {name: failed.get(name, "passed") for name in names} == dict(zip(names, [(0, 1), None, None]))
+
+
 # -- the five documented fault injections ----------------------------------------
 
 

@@ -17,7 +17,19 @@ from ncdiffop.geometry import Geometry
 from ncdiffop.linalg import Mat, inverse, kron_vec
 from ncdiffop.report import ValidationError
 from ncdiffop.scalars import ZERO, sc
-from oracles import col, left_apply, left_mult_matrix, lift, pair_apply, push, right_apply, unit_row
+from oracles import (
+    action_blocks,
+    braid_form,
+    braid_vec,
+    col,
+    left_apply,
+    left_mult_matrix,
+    lift,
+    pair_apply,
+    push,
+    right_apply,
+    unit_row,
+)
 
 
 def test_geometry_builds_and_validates(two_point_geometry):
@@ -66,7 +78,7 @@ def test_geometry_rejects_singular_sigma(
 
 
 def test_degenerate_zero_calculus(two_point_algebra):
-    omega0_bim = Bimodule(two_point_algebra, 0, [Mat.zeros(0, 0)] * 2, [Mat.zeros(0, 0)] * 2, "omega0")
+    omega0_bim = Bimodule(two_point_algebra, 0, Mat.zeros(0, 0), Mat.zeros(0, 0), "omega0")
     g = Geometry(
         two_point_algebra,
         omega0_bim,
@@ -101,11 +113,12 @@ def test_box_form_pow_right_leibniz_degree2(two_point_geometry):
     g = two_point_geometry
     W2, W3 = g.W(2), g.W(3)
     box2 = g.box_form_pow(2)
+    right = action_blocks(W2)[1]
     for i in range(g.algebra.dim):
         ai = unit_row(g.algebra.dim, i)
         for j in range(W2.dim):
             xi = unit_row(W2.dim, j)
-            lhs = box2.apply(W2.right[i].column(j))
+            lhs = box2.apply(right[i].column(j))
             rhs = right_apply(W3, box2.apply(xi), ai)
             extra = g.merge_om(2, 1).apply(kron_vec(xi, g.d.column(i)))
             rhs = [x + y for x, y in zip(rhs, extra)]
@@ -118,12 +131,13 @@ def test_box_form_pow_braided_left_leibniz(two_point_geometry):
     for n in (2, 3):
         Wn, Wn1 = g.W(n), g.W(n + 1)
         box = g.box_form_pow(n)
-        braid = g.braid_form(n)
+        braid = braid_form(g, n)
+        left = action_blocks(Wn)[0]
         for i in range(g.algebra.dim):
             ai = unit_row(g.algebra.dim, i)
             for j in range(Wn.dim):
                 xi = unit_row(Wn.dim, j)
-                lhs = box.apply(Wn.left[i].column(j))
+                lhs = box.apply(left[i].column(j))
                 rhs = left_apply(Wn1, ai, box.apply(xi))
                 extra = braid.apply(kron_vec(g.d.column(i), xi))
                 rhs = [x + y for x, y in zip(rhs, extra)]
@@ -136,11 +150,12 @@ def test_box_vec_pow_left_leibniz_degree2(two_point_geometry):
     V2 = g.V(2)
     box2 = g.box_vec_pow(2)
     OV2 = g.OV(2)
+    left = action_blocks(V2)[0]
     for i in range(g.algebra.dim):
         ai = unit_row(g.algebra.dim, i)
         for b in range(V2.dim):
             v = unit_row(V2.dim, b)
-            lhs = box2.apply(V2.left[i].column(b))
+            lhs = box2.apply(left[i].column(b))
             rhs = left_apply(OV2.space, ai, box2.apply(v))
             extra = push(OV2, kron_vec(g.d.column(i), v))
             rhs = [x + y for x, y in zip(rhs, extra)]
@@ -153,13 +168,14 @@ def test_box_vec_pow_braided_right_leibniz(two_point_geometry):
     for n in (2, 3):
         Vn = g.V(n)
         box = g.box_vec_pow(n)
-        braid = g.braid_vec(n)
+        braid = braid_vec(g, n)
         OVn = g.OV(n)
+        right = action_blocks(Vn)[1]
         for i in range(g.algebra.dim):
             ai = unit_row(g.algebra.dim, i)
             for b in range(Vn.dim):
                 v = unit_row(Vn.dim, b)
-                lhs = box.apply(Vn.right[i].column(b))
+                lhs = box.apply(right[i].column(b))
                 rhs = right_apply(OVn.space, box.apply(v), ai)
                 extra = braid.apply(kron_vec(v, g.d.column(i)))
                 rhs = [x + y for x, y in zip(rhs, extra)]
@@ -273,13 +289,14 @@ def test_nabla_pow_degree2_leibniz_expansion(two_point_geometry, two_point_omega
         @ Mat.identity(g.W(1).dim).kron(em.OE.section @ em.nabla)
     )
     # crossing of da through the first leg of nabla(e)
-    braid = WE2.project @ g.braid_form(1).kron(Mat.identity(dE))
+    braid = WE2.project @ braid_form(g, 1).kron(Mat.identity(dE))
+    left = action_blocks(em.space)[0]
     for i in range(g.algebra.dim):
         ai = unit_row(g.algebra.dim, i)
         da = g.d.column(i)
         for j in range(dE):
             e = unit_row(dE, j)
-            lhs = n2.apply(em.space.left[i].column(j))
+            lhs = n2.apply(left[i].column(j))
             # symbolic expansion: a.nabla2(e) + (box (x) id + id (x) nabla)(da (x) e)
             #                     + (sigma_inv (x) id)(da (x) nabla e)
             rhs = left_apply(WE2.space, ai, n2.apply(e))

@@ -9,16 +9,22 @@ from hypothesis import strategies as st
 
 from ncdiffop.bundle import resolve_bundle
 from ncdiffop.calculus import omega_module, trivial_module, vec_module
-from ncdiffop.diffop import (
-    BulletTable,
-    GradedOperator,
-    TruncationExceeded,
-    morphism_equivariance_report,
-)
+from ncdiffop.diffop import BulletTable, GradedOperator, TruncationExceeded
 from ncdiffop.linalg import Mat, kron_vec
 from ncdiffop.scalars import ZERO, sc
 import oracles
-from oracles import col, left_apply, left_mult_matrix, lift, pair_apply, right_bullet_by_algebra, unit_row, vec_is_zero
+from oracles import (
+    action_blocks,
+    col,
+    left_apply,
+    left_mult_matrix,
+    lift,
+    morphism_equivariance_report,
+    pair_apply,
+    right_bullet_by_algebra,
+    unit_row,
+    vec_is_zero,
+)
 
 
 @pytest.fixture
@@ -34,11 +40,12 @@ def test_degree_zero_is_left_action(table, two_point_geometry):
     g = two_point_geometry
     for m in (0, 1, 2):
         Vm = g.V(m)
+        left = action_blocks(Vm)[0]
         for i in range(g.algebra.dim):
             for c in range(Vm.dim):
                 a, w = col(unit_row(g.algebra.dim, i)), col(unit_row(Vm.dim, c))
                 got = table.bullet_k(a, 0, w, m, m).column(0)
-                assert got == Vm.left[i].column(c)
+                assert got == left[i].column(c)
                 for k in range(0, m + 1):
                     if k != m:
                         assert vec_is_zero(table.bullet_k(a, 0, w, m, k).column(0))
@@ -47,12 +54,13 @@ def test_degree_zero_is_left_action(table, two_point_geometry):
 def test_degree_one_on_algebra_is_module_action_plus_derivative(table, two_point_geometry):
     # u bullet a = u.a + u(da): k=1 and k=0 parts
     g = two_point_geometry
+    right = action_blocks(g.vec)[1]
     for b in range(g.vec.dim):
         u = unit_row(g.vec.dim, b)
         for i in range(g.algebra.dim):
             a = unit_row(g.algebra.dim, i)
             top = table.bullet_k(col(u), 1, col(a), 0, 1).column(0)
-            assert top == g.vec.right[i].column(b)
+            assert top == right[i].column(b)
             low = table.bullet_k(col(u), 1, col(a), 0, 0).column(0)
             assert low == pair_apply(g.fgp, u, g.d.column(i))
 
@@ -84,13 +92,14 @@ def test_bullet_left_linearity(table, two_point_geometry):
     g = two_point_geometry
     for n in (1, 2):
         Vn = g.V(n)
+        left = action_blocks(Vn)[0]
         for m in (0, 1, 2):
             Vm = g.V(m)
             for k in range(n + m + 1):
                 Vk = g.V(k)
                 for i in range(g.algebra.dim):
                     for b in range(Vn.dim):
-                        av = Vn.left[i].column(b)
+                        av = left[i].column(b)
                         for c in range(Vm.dim):
                             w = col(unit_row(Vm.dim, c))
                             lhs = table.bullet_k(col(av), n, w, m, k).column(0)

@@ -1,12 +1,13 @@
 """The package works on sparse ``Mat``s only: no module but the CLI applies a
 matrix to a dense coordinate list, and none brings back the dense algebra
-helpers or the braiding-invertibility option that the sparse identities
-replaced.
+helpers, the per-element action lists (``M.left[i]``, ``M.right[i]``,
+``A.left_mult``, ``A.right_mult``) or the braiding-invertibility option that
+the sparse identities replaced.
 
 Dense coordinate lists appear only where the CLI reads an element from the
-command line and prints one.  The retired helpers live on as the oracles in
-``tests/oracles.py``.  Only the stdlib ``ast`` is used, as in
-``test_imports.py``.
+command line and prints one.  A bimodule holds each action once, as one
+matrix.  The retired helpers live on as the oracles in ``tests/oracles.py``.
+Only the stdlib ``ast`` is used, as in ``test_imports.py``.
 """
 
 import ast
@@ -15,12 +16,23 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ncdiffop"
-RETIRED = {"unit_row", "apply_star", "right_apply", "mul_tensor", "left_mult_matrix", "sigma_invertible_required"}
+RETIRED = {
+    "unit_row",
+    "apply_star",
+    "right_apply",
+    "mul_tensor",
+    "left_mult_matrix",
+    "sigma_invertible_required",
+    "left_mult",
+    "right_mult",
+}
+ACTION_LISTS = {"left", "right"}
 APPLY_ALLOWED = {"cli.py"}
 
 
 def dense_layer_uses(source: str, allow_apply: bool = False) -> list[str]:
-    """Each definition or use of a retired name, and each ``.apply(`` call."""
+    """Each definition or use of a retired name, each ``.apply(`` call and each
+    subscript of a ``.left`` or ``.right`` attribute."""
     found = []
     for node in ast.walk(ast.parse(source)):
         names = []
@@ -40,6 +52,9 @@ def dense_layer_uses(source: str, allow_apply: bool = False) -> list[str]:
         call = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         if call and node.func.attr == "apply" and not allow_apply:
             found.append(f".apply( (line {node.lineno})")
+        target = node.value if isinstance(node, ast.Subscript) else None
+        if isinstance(target, ast.Attribute) and target.attr in ACTION_LISTS:
+            found.append(f".{target.attr}[ (line {node.lineno})")
     return sorted(found)
 
 
@@ -70,3 +85,20 @@ def test_dense_layer_use_is_found():
         "unit_row (line 5)",
     ]
     assert dense_layer_uses("x = m.apply(v)\n", allow_apply=True) == []
+
+
+def test_action_list_use_is_found():
+    source = (
+        "def f(e, A, i):\n"
+        "    x = e.left[i] @ e.right[0]\n"
+        "    return A.left_mult[i], A.right_mult\n"
+        "y = [m for m in omega.left]\n"
+        "z = e.left_action @ e.right_action\n"
+        "w = pair.left\n"
+    )
+    assert dense_layer_uses(source) == [
+        ".left[ (line 2)",
+        ".right[ (line 2)",
+        "left_mult (line 3)",
+        "right_mult (line 3)",
+    ]

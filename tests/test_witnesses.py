@@ -29,12 +29,12 @@ from ncdiffop.crossing import (
     theta_product_compat,
     theta_tensor_factorization,
 )
-from ncdiffop.diffop import BulletTable, morphism_equivariance_report
+from ncdiffop.diffop import BulletTable
 from ncdiffop.linalg import Mat
 from ncdiffop.report import ValidationError
 from ncdiffop.scalars import sc
 from ncdiffop.verify import VerifyContext, suite_action, suite_bullet, suite_ev_duality, suite_fgp_zigzag
-from oracles import left_mult_matrix, mul_tensor
+from oracles import action_blocks, bimodule_from_blocks, left_mult_matrix, morphism_equivariance_report, mul_tensor
 
 Z3 = "z3-function-calculus"
 D = 2
@@ -314,13 +314,13 @@ def test_corrupt_tensor_factor_action(left, right):
     """omega1 (x) vec with a bumped left action of omega1 and right action of vec."""
     g = load_builtin(Z3).geometry
     om, vec = g.omega, g.vec
-    om_left, vec_right = list(om.left), list(vec.right)
+    (om_left, om_right), (vec_left, vec_right) = action_blocks(om), action_blocks(vec)
     if left is not None:
         om_left[left] = bump(om_left[left], 0, 1)
     if right is not None:
         vec_right[right] = bump(vec_right[right], 0, 2)
-    e = Bimodule(g.algebra, om.dim, om_left, list(om.right), om.name)
-    f = Bimodule(g.algebra, vec.dim, list(vec.left), vec_right, vec.name)
+    e = bimodule_from_blocks(g.algebra, om.dim, om_left, om_right, om.name)
+    f = bimodule_from_blocks(g.algebra, vec.dim, vec_left, vec_right, vec.name)
     assert raised(lambda: TensorPair(e, f)) == TENSOR_ACTION_WITNESSES[(left, right)]
 
 
@@ -371,9 +371,10 @@ def vec_digest(vecs) -> str:
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_fgp_digests_pinned(name):
     fgp = load_builtin(name).geometry.fgp
+    left, right = action_blocks(fgp.dual)
     got = {
-        "left": digest(fgp.dual.left),
-        "right": digest(fgp.dual.right),
+        "left": digest(left),
+        "right": digest(right),
         "apply_mat": digest([fgp.apply_mat]),
         "coev": digest([fgp.coev.mat]),
         "basis_functionals": vec_digest(fgp.basis_functionals),
@@ -434,10 +435,10 @@ def z3_omega() -> Bimodule:
 def bumped_omega(bumps) -> Bimodule:
     """The z3 1-forms with 1 added to entry (r, c) of left[a] or right[a] for each (side, a, r, c)."""
     om = z3_omega()
-    acts = {"left": list(om.left), "right": list(om.right)}
+    acts = dict(zip(("left", "right"), action_blocks(om)))
     for side, a, r, c in bumps:
         acts[side][a] = bump(acts[side][a], r, c)
-    return Bimodule(om.algebra, om.dim, acts["left"], acts["right"], om.name)
+    return bimodule_from_blocks(om.algebra, om.dim, acts["left"], acts["right"], om.name)
 
 
 @pytest.mark.parametrize(
