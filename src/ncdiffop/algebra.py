@@ -43,7 +43,7 @@ class Algebra:
         d = self.dim
         mul, one, I = self.mul, self.one, Mat.identity(d)
         # column (i*d + j)*d + k compares (a_i a_j) a_k with a_i (a_j a_k)
-        defect = mul @ mul.kron(I) - mul @ I.kron(mul)
+        defect = mul.mul_ikron(1, mul, d) - mul.mul_ikron(d, mul, 1)
         assoc_failures = [(c // (d * d), c // d % d, c % d) for c, col in enumerate(defect.cols_sparse()) if col]
         results.append(
             CheckResult(
@@ -54,7 +54,7 @@ class Algebra:
             )
         )
         # u a_i = a_i (key 0) and a_i u = a_i (key 1): the witness is the first failing i
-        unit_fail = first_mismatch({0: mul @ one.kron(I), 1: mul @ I.kron(one)}, {0: I, 1: I}, (d,))
+        unit_fail = first_mismatch({0: mul.mul_ikron(1, one, d), 1: mul.mul_ikron(d, one, 1)}, {0: I, 1: I}, (d,))
         results.append(CheckResult("unit-laws", unit_fail is None, witness=None if unit_fail is None else unit_fail[0]))
         if self.star is not None:
             star2 = self.star @ self.star.conj()
@@ -85,7 +85,7 @@ class State:
         """The matrix phi(a_i* a_j): phi @ mul @ (star (x) id) on Kron(A, A), regrouped."""
         d = algebra.dim
         phi = Mat.from_rows([self.functional], d)
-        flat = phi @ algebra.mul @ algebra.star.kron(Mat.identity(d))
+        flat = (phi @ algebra.mul).mul_ikron(1, algebra.star, d)
         return Mat.from_entries(d, d, ((c // d, c % d, v) for c, col in enumerate(flat.cols_sparse()) for _, v in col))
 
     def validate(self, algebra: Algebra) -> list[CheckResult]:

@@ -50,7 +50,7 @@ from math import isqrt
 from typing import Optional
 
 from .algebra import Algebra
-from .linalg import Mat, first_mismatch, kernel, quotient, span
+from .linalg import Mat, first_mismatch, ikron_mul, kernel, quotient, span
 from .report import CheckResult, ValidationError, first_failure
 from .scalars import ONE, Scalar
 
@@ -81,32 +81,36 @@ class Bimodule:
         x: X -> Kron(W, self).  V and W are a dual pair, so they vanish together."""
         w = x.rows // self.dim if self.dim else 0
         v = ev.cols // w if w else 0
-        # contract first: the action applied to ev (x) id alone would gather all |V||W||self| columns
-        return self.left_action @ (ev.kron(Mat.identity(self.dim)) @ Mat.identity(v).kron(x))
+        # contract first, applying ev (x) id to id_V (x) x, whose entries are as many as the
+        # contraction's terms: the action applied to ev (x) id alone would gather |V||W||self| columns
+        return self.left_action @ ikron_mul(1, ev, self.dim, Mat.identity(v).kron(x))
 
     def ev_right(self, x: Mat, ev: Mat) -> Mat:
         """(id (x) ev)(x (x) id_W): Kron(X, W) -> self, for x: X -> Kron(self, V) and
         ev: Kron(V, W) -> A.  V and W are a dual pair, so they vanish together."""
         v = x.rows // self.dim if self.dim else 0
         w = ev.cols // v if v else 0
-        return self.right_action @ (Mat.identity(self.dim).kron(ev) @ x.kron(Mat.identity(w)))
+        return self.right_action @ ikron_mul(self.dim, ev, 1, x.kron(Mat.identity(w)))
 
     def validate(self) -> list[CheckResult]:
         A = self.algebra
         d, n = A.dim, self.dim
         L, R, mul, unit = self.left_action, self.right_action, A.mul, A.one
-        Id, In = Mat.identity(d), Mat.identity(n)
+        In = Mat.identity(n)
         results = [
-            CheckResult(f"{self.name}:left-unital", L @ unit.kron(In) == In),
-            CheckResult(f"{self.name}:right-unital", R @ In.kron(unit) == In),
+            CheckResult(f"{self.name}:left-unital", L.mul_ikron(1, unit, n) == In),
+            CheckResult(f"{self.name}:right-unital", R.mul_ikron(n, unit, 1) == In),
         ]
         # each axiom on Kron(A_i, A_j, M): the first failing (i, j), ties in the order listed
         to_right = Mat.swap(d * d, n)  # Kron(A_i, A_j, M) -> Kron(M, A_i, A_j)
-        to_middle = Id.kron(Mat.swap(d, n))  # Kron(A_i, A_j, M) -> Kron(A_i, M, A_j)
+        to_middle = Mat.swap(d, n)  # on the last two legs: Kron(A_i, A_j, M) -> Kron(A_i, M, A_j)
         axioms = {
-            "left": (L @ Id.kron(L), L @ mul.kron(In)),  # a_i.(a_j.m) = (a_i a_j).m
-            "right": (R @ R.kron(Id) @ to_right, R @ In.kron(mul) @ to_right),  # (m.a_i).a_j = m.(a_i a_j)
-            "commute": (R @ L.kron(Id) @ to_middle, L @ Id.kron(R) @ to_middle),  # (a_i.m).a_j = a_i.(m.a_j)
+            "left": (L.mul_ikron(d, L, 1), L.mul_ikron(1, mul, n)),  # a_i.(a_j.m) = (a_i a_j).m
+            "right": (R.mul_ikron(1, R, d) @ to_right, R.mul_ikron(n, mul, 1) @ to_right),  # (m.a_i).a_j = m.(a_i a_j)
+            "commute": (  # (a_i.m).a_j = a_i.(m.a_j)
+                R.mul_ikron(1, L, d).mul_ikron(d, to_middle, 1),
+                L.mul_ikron(d, R, 1).mul_ikron(d, to_middle, 1),
+            ),
         }
         fails = {side: first_mismatch(lhs, rhs, (d, d, n)) for side, (lhs, rhs) in axioms.items()}
         fail = first_failure({side: w and w[:2] for side, w in fails.items()})  # the first failing (i, j)
@@ -167,8 +171,7 @@ def idempotent_failure(algebra: Algebra, P: Mat) -> Optional[tuple[int, int]]:
     mul o (P (x) P) with id (x) sum_k e_k (x) e_k (x) id.
     """
     n = isqrt(P.cols)
-    In = Mat.identity(n)
-    return first_mismatch(algebra.mul @ P.kron(P) @ In.kron(_diagonal(n)).kron(In), P, (n, n))
+    return first_mismatch((algebra.mul @ P.kron(P)).mul_ikron(n, _diagonal(n), n), P, (n, n))
 
 
 def _first_action_failure(left: tuple[Mat, Mat], right: tuple[Mat, Mat], shape: tuple[int, int]):
@@ -183,9 +186,8 @@ def intertwining_failure(src: Bimodule, dst: Bimodule, mat: Mat):
     ``("right", i)`` (see :func:`_first_action_failure`), or None for a bimodule map:
     mat L_src = L_dst (id_A (x) mat) and mat R_src = R_dst (mat (x) id_A)."""
     dA = src.algebra.dim
-    IA = Mat.identity(dA)
-    left = (mat @ src.left_action, dst.left_action @ IA.kron(mat))
-    right = (mat @ src.right_action, dst.right_action @ mat.kron(IA))
+    left = (mat @ src.left_action, dst.left_action.mul_ikron(dA, mat, 1))
+    right = (mat @ src.right_action, dst.right_action.mul_ikron(1, mat, dA))
     if left[0] == left[1] and right[0] == right[1]:
         return None
     to_right = Mat.swap(dA, src.dim)  # witnesses run over a before the element
@@ -211,18 +213,18 @@ class TensorPair:
         self.e = e
         self.f = f
         A = e.algebra
-        dA, IA, IF = A.dim, Mat.identity(A.dim), Mat.identity(f.dim)
+        dA = A.dim
         self.relation_mat = span(e.dim * f.dim, balance(e, f).cols_sparse())
         self.project, self.section = quotient(self.relation_mat)
         # the actions on plain tensors, pushed down: a.(e (x) f) and (e (x) f).a
-        lplain = self.project @ e.left_action.kron(IF)  # Kron(A, E, F) -> quotient
-        rplain = self.project @ Mat.identity(e.dim).kron(f.right_action)  # Kron(E, F, A) -> quotient
-        left, right = lplain @ IA.kron(self.section), rplain @ self.section.kron(IA)
+        lplain = self.project.mul_ikron(1, e.left_action, f.dim)  # Kron(A, E, F) -> quotient
+        rplain = self.project.mul_ikron(e.dim, f.right_action, 1)  # Kron(E, F, A) -> quotient
+        left, right = lplain.mul_ikron(dA, self.section, 1), rplain.mul_ikron(1, self.section, dA)
         self.space = Bimodule(A, self.project.rows, left, right, f"({e.name}(x){f.name})")
         # the induced actions are well defined: they kill the relation span
         rels = self.relation_mat
-        on_left = lplain @ IA.kron(rels)  # Kron(A, relations)
-        on_right = rplain @ rels.kron(IA)  # Kron(relations, A)
+        on_left = lplain.mul_ikron(dA, rels, 1)  # Kron(A, relations)
+        on_right = rplain.mul_ikron(1, rels, dA)  # Kron(relations, A)
         if not (on_left.is_zero() and on_right.is_zero()):
             zero, shape = Mat.zeros(self.space.dim, dA * rels.cols), (dA, rels.cols)
             side, i = _first_action_failure((on_left, zero), (on_right @ Mat.swap(*shape), zero), shape)
@@ -256,9 +258,8 @@ def conjugate_bimodule(e: Bimodule, name: Optional[str] = None) -> Bimodule:
     A = e.algebra
     if A.star is None:
         raise ValidationError("conjugate-needs-star", witness=e.name)
-    IE = Mat.identity(e.dim)
-    left = (e.right_action @ IE.kron(A.star) @ Mat.swap(A.dim, e.dim)).conj()
-    right = (e.left_action @ A.star.kron(IE) @ Mat.swap(e.dim, A.dim)).conj()
+    left = (e.right_action.mul_ikron(e.dim, A.star, 1) @ Mat.swap(A.dim, e.dim)).conj()
+    right = (e.left_action.mul_ikron(1, A.star, e.dim) @ Mat.swap(e.dim, A.dim)).conj()
     return Bimodule(A, e.dim, left, right, name or f"conj({e.name})")
 
 
@@ -326,7 +327,7 @@ def dualize_right_module(
     diag = _diagonal(n)  # sum_i e_i (x) e_i
 
     # dual basis property: xi = sum_i f^i . f_i(xi) for every basis xi
-    fail = first_mismatch(omega.right_action @ forms.kron(functionals) @ diag.kron(IO), IO, (dO,))
+    fail = first_mismatch((omega.right_action @ forms.kron(functionals)).mul_ikron(1, diag, dO), IO, (dO,))
     if fail is not None:
         raise NotProjective("dual-basis", witness=(omega.name, *fail))
 
@@ -334,11 +335,11 @@ def dualize_right_module(
     # vec(M R) = (id_A (x) R^T) vec(M) and vec(mul (M (x) id_A)) = (T (x) id) vec(M), with the
     # rows of both read in Kron(A, A, module) order (the kernel does not depend on row order)
     right_t = Mat.swap(dO, dA) @ omega.right_action.transpose()  # R^T, its legs read as Kron(A, module)
-    times = A.mul.kron(IA) @ IA.kron(cup)  # T: a_k -> sum_a a_k a_a (x) e_a
+    times = ikron_mul(1, A.mul, dA, IA.kron(cup))  # T: a_k -> sum_a a_k a_a (x) e_a
     maps = kernel(IA.kron(right_t) - times.kron(IO))  # column b: vec of the b-th dual basis element
     pivot_of = {col[0][0]: b for b, col in enumerate(maps.cols_sparse())}
     pick = Mat(maps.cols, dA * dO, [[(pivot_of[r], ONE)] if r in pivot_of else [] for r in range(dA * dO)])
-    vecs = functionals.kron(IO) @ Mat.identity(n).kron(cup_O)  # column i: vec(f_i)
+    vecs = ikron_mul(1, functionals, dO, Mat.identity(n).kron(cup_O))  # column i: vec(f_i)
     coords = pick @ vecs  # column i: f_i in the dual
     fail = first_mismatch(maps @ coords, vecs, (n,))
     if fail is not None:
@@ -347,13 +348,13 @@ def dualize_right_module(
     # bimodule structure on the dual: (a.al)(xi) = a.al(xi), vec(L_a M) = (L_a (x) id) vec(M), and
     # (al.a)(xi) = al(a.xi), vec(M L_a) = (id_A (x) L_a^T) vec(M), every a at once through
     # left_t: xi_k (x) a_a -> sum_j (coefficient of xi_k in a_a.xi_j) xi_j
-    left_t = cup.transpose().kron(IO) @ IA.kron(omega.left_action.transpose()) @ Mat.swap(dO, dA)
-    left = pick @ A.mul.kron(IO) @ IA.kron(maps)
-    right = pick @ IA.kron(left_t) @ maps.kron(IA)
+    left_t = ikron_mul(1, cup.transpose(), dO, IA.kron(omega.left_action.transpose())) @ Mat.swap(dO, dA)
+    left = pick.mul_ikron(1, A.mul, dO).mul_ikron(dA, maps, 1)
+    right = pick.mul_ikron(dA, left_t, 1).mul_ikron(1, maps, dA)
     dual = Bimodule(A, maps.cols, left, right, f"dual({omega.name})")
 
     # pairing dual (x) module -> A on plain tensor coordinates: column b*dO + j is M_b(xi_j)
-    apply_mat = IA.kron(cup_O.transpose()) @ maps.kron(IO)
+    apply_mat = ikron_mul(dA, cup_O.transpose(), 1, maps.kron(IO))
 
     pair_dual_module = TensorPair(dual, omega)
     pair_module_dual = TensorPair(omega, dual)
@@ -362,7 +363,7 @@ def dualize_right_module(
     ev = BimoduleMap(pair_dual_module.space, algebra_as_bimodule(A), ev_mat, "ev")
 
     coev_one = forms.kron(coords) @ diag  # sum_i f^i (x) f_i
-    coev_mat = pair_module_dual.project @ omega.left_action.kron(Mat.identity(dual.dim)) @ IA.kron(coev_one)
+    coev_mat = pair_module_dual.project.mul_ikron(1, omega.left_action, dual.dim).mul_ikron(dA, coev_one, 1)
     coev = BimoduleMap(algebra_as_bimodule(A), pair_module_dual.space, coev_mat, "coev")
 
     # zig-zag identities (exact, on every basis element)
@@ -373,7 +374,7 @@ def dualize_right_module(
         raise ValidationError("zigzag-dual" if side == "fields" else "zigzag-module", witness=(omega.name, idx))
 
     # idempotent P[q][j] = f_q(f^j) as Kron(n, n) -> A, P o P = P in M_n(A)
-    P = functionals @ Mat.identity(n).kron(forms)
+    P = functionals.mul_ikron(n, forms, 1)
     fail = idempotent_failure(A, P)
     if fail is not None:
         raise ValidationError("idempotent", witness=fail)

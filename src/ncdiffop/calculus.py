@@ -65,15 +65,15 @@ class ConnectionModule:
         nabla(e).a + sigma(e (x) da), each on Kron(A, E)."""
         g = self.geometry
         A, E, nabla = g.algebra, self.space, self.nabla
-        IA, IE = Mat.identity(A.dim), Mat.identity(E.dim)
         shape = (A.dim, E.dim)
         left = nabla @ E.left_action
-        left_rhs = self.OE.project @ g.d.kron(IE) + self.OE.space.left_action @ IA.kron(nabla)
+        left_rhs = self.OE.project.mul_ikron(1, g.d, E.dim) + self.OE.space.left_action.mul_ikron(A.dim, nabla, 1)
         checks = {"left-leibniz": first_mismatch(left, left_rhs, shape)}
         if self.sigma is not None:
             flip = Mat.swap(A.dim, E.dim)
             right = nabla @ E.right_action
-            right_rhs = self.OE.space.right_action @ nabla.kron(IA) + self.sigma @ self.EO.project @ IE.kron(g.d)
+            crossed = (self.sigma @ self.EO.project).mul_ikron(E.dim, g.d, 1)
+            right_rhs = self.OE.space.right_action.mul_ikron(1, nabla, A.dim) + crossed
             checks["right-leibniz"] = first_mismatch(right @ flip, right_rhs @ flip, shape)
         raise_first_failure({name: None if w is None else (self.name, *w) for name, w in checks.items()})
 
@@ -107,13 +107,8 @@ class ConnectionModule:
         Wk, E = g.W(k), self.space
         WEk = self.WE(k)
         WEn = self.WE(n)
-        m1 = WEn.project @ g.box_form_pow(k).kron(Mat.identity(E.dim))
-        m2 = (
-            WEn.project
-            @ g.merge_om(k, 1).kron(Mat.identity(E.dim))
-            @ Mat.identity(Wk.dim).kron(self.OE.section)
-            @ Mat.identity(Wk.dim).kron(self.nabla)
-        )
+        m1 = WEn.project.mul_ikron(1, g.box_form_pow(k), E.dim)
+        m2 = WEn.project.mul_ikron(1, g.merge_om(k, 1), E.dim).mul_ikron(Wk.dim, self.OE.section @ self.nabla, 1)
         total = m1 + m2
         if not WEk.descends(total):
             raise ValidationError("nabla-pow-not-well-defined", witness=(self.name, n))
@@ -176,15 +171,11 @@ def tensor_connection(em: ConnectionModule, fm: ConnectionModule, name: Optional
     pair_ef = g.pair(E, F)
     EF = pair_ef.space
     OEF = g.pair(g.omega, EF)
-    push_merge = OEF.project @ Mat.identity(g.omega.dim).kron(pair_ef.project)
-    m1 = push_merge @ em.OE.section.kron(Mat.identity(F.dim)) @ em.nabla.kron(Mat.identity(F.dim))
-    m2 = (
-        push_merge
-        @ em.OE.section.kron(Mat.identity(F.dim))
-        @ em.sigma_plain_dom().kron(Mat.identity(F.dim))
-        @ Mat.identity(E.dim).kron(fm.OE.section)
-        @ Mat.identity(E.dim).kron(fm.nabla)
-    )
+    push_merge = OEF.project.mul_ikron(g.omega.dim, pair_ef.project, 1)
+    m1 = push_merge.mul_ikron(1, em.OE.section @ em.nabla, F.dim)
+    # sigma_E (x) id_F, then id_E (x) nabla_F or id_E (x) sigma_F on plain coordinates
+    crossed = push_merge.mul_ikron(1, em.OE.section @ em.sigma_plain_dom(), F.dim)
+    m2 = crossed.mul_ikron(E.dim, fm.OE.section @ fm.nabla, 1)
     total = m1 + m2
     if not pair_ef.descends(total):
         raise ValidationError("tensor-connection-not-well-defined", witness=(em.name, fm.name))
@@ -195,15 +186,8 @@ def tensor_connection(em: ConnectionModule, fm: ConnectionModule, name: Optional
         fm.require_invertible_sigma()
         EFO = g.pair(EF, g.omega)
         # (sigma_E (x) id)(id (x) sigma_F) on plain E (x) F (x) Omega coordinates
-        plain = (
-            push_merge
-            @ em.OE.section.kron(Mat.identity(F.dim))
-            @ em.sigma_plain_dom().kron(Mat.identity(F.dim))
-            @ Mat.identity(E.dim).kron(fm.OE.section)
-            @ Mat.identity(E.dim).kron(fm.sigma_plain_dom())
-        )
-        lift_both = pair_ef.section.kron(Mat.identity(g.omega.dim))
-        sigma = EFO.induce(plain @ lift_both, "sigma-tensor")
+        plain = crossed.mul_ikron(E.dim, fm.OE.section @ fm.sigma_plain_dom(), 1)
+        sigma = EFO.induce(plain.mul_ikron(1, pair_ef.section, g.omega.dim), "sigma-tensor")
     return ConnectionModule(g, EF, nabla, sigma, name=name or f"({em.name}(x){fm.name})")
 
 
@@ -211,8 +195,7 @@ def connection_morphism_defect(em: ConnectionModule, fm: ConnectionModule, t: Ma
     """Whether T: E -> F intertwines the connections; returns a witness or None."""
     g = em.geometry
     lhs = fm.nabla @ t
-    rhs_plain = Mat.identity(g.omega.dim).kron(t)
-    rhs = fm.OE.project @ rhs_plain @ em.OE.section @ em.nabla
+    rhs = fm.OE.project.mul_ikron(g.omega.dim, t, 1) @ em.OE.section @ em.nabla
     fail = first_mismatch(lhs, rhs, (em.space.dim,))
     return None if fail is None else fail[0]
 
@@ -220,7 +203,7 @@ def connection_morphism_defect(em: ConnectionModule, fm: ConnectionModule, t: Ma
 def sigma_compat_defect(em: ConnectionModule, fm: ConnectionModule, t: Mat):
     """Check sigma_F(T (x) id) = (id (x) T) sigma_E (automatic for morphisms)."""
     g = em.geometry
-    lhs = fm.sigma @ fm.EO.project @ t.kron(Mat.identity(g.omega.dim)) @ em.EO.section
-    rhs = fm.OE.project @ Mat.identity(g.omega.dim).kron(t) @ em.OE.section @ em.sigma
+    lhs = (fm.sigma @ fm.EO.project).mul_ikron(1, t, g.omega.dim) @ em.EO.section
+    rhs = fm.OE.project.mul_ikron(g.omega.dim, t, 1) @ em.OE.section @ em.sigma
     fail = first_mismatch(lhs, rhs, (em.EO.dim,))
     return None if fail is None else fail[0]

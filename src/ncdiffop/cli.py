@@ -98,7 +98,8 @@ def cmd_validate(args) -> int:
 
 def cmd_verify(args) -> int:
     bundle = resolve_bundle(args.bundle)
-    suites = [s.strip() for s in args.suites.split(",")] if args.suites else None
+    # an empty --suites names one empty suite, an input error like "theta,", not every suite
+    suites = None if args.suites is None else [s.strip() for s in args.suites.split(",")]
     report = verify_all(bundle, suites=suites, degree=args.degree, seed=args.seed)
     if args.json:
         print(report.body_json())

@@ -26,7 +26,7 @@ from typing import Optional
 from .bimodule import TensorPair, balance
 from .calculus import ConnectionModule, tensor_connection
 from .diffop import BulletTable
-from .linalg import Mat, first_mismatch, inverse, quotient, span
+from .linalg import Mat, first_mismatch, ikron_mul, inverse, quotient, span
 from .memo import memo
 from .report import CheckResult, ValidationError
 
@@ -95,7 +95,7 @@ class CrossingMap:
         checked as the degree is built, unless the map was made with validate=False."""
         g, E = self.geometry, self.module.space
         if n <= 1:
-            embed0 = self.EV(0).project @ Mat.identity(E.dim).kron(g.one)  # a (x) e -> [a.e (x) 1]
+            embed0 = self.EV(0).project.mul_ikron(E.dim, g.one, 1)  # a (x) e -> [a.e (x) 1]
             if n == 0:
                 return {0: embed0 @ E.left_action}
             return {0: embed0 @ self.module.act_table(1), 1: self.sigma_hat}
@@ -103,28 +103,29 @@ class CrossingMap:
         p = n - 1
         pv = g.pair_V(n)
         dvec, dE = g.vec.dim, E.dim
+        cross = self.EV(1).section @ self.sigma_hat  # Kron(vec, E) -> Kron(E, vec)
         blocks_plain: dict[int, Mat] = {}
         for m, th in self.theta(p).items():
-            Im = Mat.identity(g.V(m).dim)
-            lifted = Mat.identity(dvec).kron(self.EV(m).section @ th)  # Kron(vec, V(p), E) -> Kron(vec, E, Vm)
-            # term 1: act on the crossing result
-            _add(blocks_plain, m, self.EV(m).project @ act1.kron(Im) @ lifted)
-            # terms 2 and 3 share the sigma-hat crossing, -> Kron(E, vec, Vm)
-            crossed = self.EV(1).section.kron(Im) @ self.sigma_hat.kron(Im) @ lifted
-            _add(blocks_plain, m + 1, self.EV(m + 1).project @ Mat.identity(dE).kron(g.merge_vec(1, m)) @ crossed)
-            _add(blocks_plain, m, self.EV(m).project @ Mat.identity(dE).kron(self.table.table(1, m, m)) @ crossed)
+            dm = g.V(m).dim
+            # on Kron(vec, E, Vm): term 1 acts on the crossing result; terms 2 and 3 share the
+            # sigma-hat crossing to Kron(E, vec, Vm) and merge or bullet vec into V(m)
+            same = self.EV(m).project.mul_ikron(1, act1, dm)
+            same = same + self.EV(m).project.mul_ikron(dE, self.table.table(1, m, m), 1).mul_ikron(1, cross, dm)
+            up = self.EV(m + 1).project.mul_ikron(dE, g.merge_vec(1, m), 1).mul_ikron(1, cross, dm)
+            lift = self.EV(m).section @ th  # Kron(V(p), E) -> Kron(E, Vm), under each vec
+            _add(blocks_plain, m, same.mul_ikron(dvec, lift, 1))
+            _add(blocks_plain, m + 1, up.mul_ikron(dvec, lift, 1))
         # term 4: -theta_p((w bullet_p v) (x) e)
-        down = self.table.table(1, p, p).kron(Mat.identity(dE))
         for m, th in self.theta(p).items():
-            _add(blocks_plain, m, -(th @ down))
+            _add(blocks_plain, m, -th.mul_ikron(1, self.table.table(1, p, p), dE))
 
         if self.validate:
-            rels = pv.relation_mat.kron(Mat.identity(dE))
-            fail = first_mismatch({m: mat @ rels for m, mat in blocks_plain.items()}, {}, (rels.cols,))
+            rels = pv.relation_mat
+            probe = {m: mat.mul_ikron(1, rels, dE) for m, mat in blocks_plain.items()}
+            fail = first_mismatch(probe, {}, (rels.cols * dE,))
             if fail is not None:
                 raise ValidationError("theta-not-well-defined", witness=(self.module.name, n, fail[-1]))
-        lift = pv.section.kron(Mat.identity(dE))
-        return {m: mat @ lift for m, mat in blocks_plain.items()}
+        return {m: mat.mul_ikron(1, pv.section, dE) for m, mat in blocks_plain.items()}
 
     @memo
     def braid(self, n: int) -> Mat:
@@ -133,14 +134,10 @@ class CrossingMap:
         if n == 1:
             return self.sigma_hat
         g, dE = self.geometry, self.module.space.dim
-        Ip = Mat.identity(g.V(n - 1).dim)
-        crossed = (
-            self.EV(1).section.kron(Ip)
-            @ self.sigma_hat.kron(Ip)
-            @ Mat.identity(g.vec.dim).kron(self.EV(n - 1).section @ self.braid(n - 1))
-        )
-        lift = g.pair_V(n).section.kron(Mat.identity(dE))
-        return self.EV(n).project @ Mat.identity(dE).kron(g.merge_vec(1, n - 1)) @ crossed @ lift
+        merged = self.EV(n).project.mul_ikron(dE, g.merge_vec(1, n - 1), 1)
+        crossed = merged.mul_ikron(1, self.EV(1).section @ self.sigma_hat, g.V(n - 1).dim)
+        lifted = crossed.mul_ikron(g.vec.dim, self.EV(n - 1).section @ self.braid(n - 1), 1)
+        return lifted.mul_ikron(1, g.pair_V(n).section, dE)
 
     # -- property checks (the numbered list of the construction) -------------------
 
@@ -152,11 +149,9 @@ class CrossingMap:
             Vn = g.V(n)
             lhs: dict[int, Mat] = {}
             for k in range(n, -1, -1):
-                moved = self.table.table(n, 0, k).kron(Mat.identity(E.dim))
                 for m, th in self.theta(k).items():
-                    _add(lhs, m, th @ moved)
-            acted = Mat.identity(Vn.dim).kron(E.left_action)
-            rhs = {m: th @ acted for m, th in self.theta(n).items()}
+                    _add(lhs, m, th.mul_ikron(1, self.table.table(n, 0, k), E.dim))
+            rhs = {m: th.mul_ikron(Vn.dim, E.left_action, 1) for m, th in self.theta(n).items()}
             fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, g.algebra.dim, E.dim)))
             results.append(CheckResult(f"theta-bullet-balance-deg{n}", fail is None, witness=fail))
         return results
@@ -164,13 +159,13 @@ class CrossingMap:
     def check_left_module(self, degree: int) -> list[CheckResult]:
         """Property 3: theta is a left module map."""
         g, E = self.geometry, self.module.space
-        IA, IE = Mat.identity(g.algebra.dim), Mat.identity(E.dim)
+        dA = g.algebra.dim
         results = []
         for n in range(0, degree + 1):
             Vn = g.V(n)
-            lact = Vn.left_action.kron(IE)  # Kron(A, V(n), E) -> Kron(V(n), E)
-            lhs = {m: th @ lact for m, th in self.theta(n).items()}
-            rhs = {m: self.EV(m).space.left_action @ IA.kron(th) for m, th in self.theta(n).items()}
+            # a.(v (x) e) on Kron(A, V(n), E)
+            lhs = {m: th.mul_ikron(1, Vn.left_action, E.dim) for m, th in self.theta(n).items()}
+            rhs = {m: self.EV(m).space.left_action.mul_ikron(dA, th, 1) for m, th in self.theta(n).items()}
             fail = _at((n,), _first_by_block(lhs, rhs, (g.algebra.dim, Vn.dim * E.dim)))
             results.append(CheckResult(f"theta-left-module-deg{n}", fail is None, witness=fail))
         return results
@@ -179,18 +174,19 @@ class CrossingMap:
         """Property 4: theta intertwines the product-twisted right actions,
         theta(v (x) e.a) = sum_m (id (x) bullet a)(theta_m(v (x) e))."""
         g, E = self.geometry, self.module.space
-        dA, IA, IE = g.algebra.dim, Mat.identity(g.algebra.dim), Mat.identity(E.dim)
+        dA = g.algebra.dim
         results = []
         for n in range(0, degree + 1):
             Vn = g.V(n)
             swap = Mat.swap(dA, Vn.dim * E.dim)  # witnesses run over a before v (x) e
-            ract = Mat.identity(Vn.dim).kron(E.right_action) @ swap  # Kron(A, V(n), E) -> Kron(V(n), E)
-            lhs = {m: th @ ract for m, th in self.theta(n).items()}
+            # (v (x) e).a on Kron(V(n), E, A)
+            lhs = {m: th.mul_ikron(Vn.dim, E.right_action, 1) @ swap for m, th in self.theta(n).items()}
             rhs: dict[int, Mat] = {}
             for m, th in self.theta(n).items():
-                lifted = (self.EV(m).section @ th).kron(IA) @ swap  # -> Kron(E, V(m), A)
+                lift = self.EV(m).section @ th  # -> Kron(E, V(m)), then bullet a into V(k)
                 for k in range(m, -1, -1):
-                    _add(rhs, k, self.EV(k).project @ IE.kron(self.table.table(m, 0, k)) @ lifted)
+                    acted = self.EV(k).project.mul_ikron(E.dim, self.table.table(m, 0, k), 1)
+                    _add(rhs, k, acted.mul_ikron(1, lift, dA) @ swap)
             fail = _at((n,), _first_by_block(lhs, rhs, (dA, Vn.dim * E.dim)))
             results.append(CheckResult(f"theta-right-module-deg{n}", fail is None, witness=fail))
         return results
@@ -205,11 +201,11 @@ class CrossingMap:
         results = []
         for n in range(0, degree + 1):
             Vn = g.V(n)
-            lhs = tensor_mod.act_table(n) @ Mat.identity(Vn.dim).kron(pair_ef.project)
+            lhs = tensor_mod.act_table(n).mul_ikron(Vn.dim, pair_ef.project, 1)
             rhs = Mat.zeros(lhs.rows, lhs.cols)
             for m, th in self.theta(n).items():
-                acted = pair_ef.project @ Mat.identity(E.dim).kron(fm.act_table(m))
-                rhs = rhs + acted @ (self.EV(m).section @ th).kron(Mat.identity(F.dim))
+                acted = pair_ef.project.mul_ikron(E.dim, fm.act_table(m), 1)
+                rhs = rhs + acted.mul_ikron(1, self.EV(m).section @ th, F.dim)
             fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, E.dim, F.dim)))
             results.append(CheckResult(f"theta-action-deg{n}", fail is None, witness=fail))
         return results
@@ -234,8 +230,8 @@ class CrossingMap:
                 rhs_mat = other.theta(n).get(m)
                 if lhs_mat is None and rhs_mat is None:
                     continue
-                tmat = other.EV(m).project @ t.kron(Mat.identity(g.V(m).dim)) @ self.EV(m).section
-                if tmat @ lhs_mat != rhs_mat @ Mat.identity(g.V(n).dim).kron(t):
+                tmat = other.EV(m).project.mul_ikron(1, t, g.V(m).dim) @ self.EV(m).section
+                if tmat @ lhs_mat != rhs_mat.mul_ikron(g.V(n).dim, t, 1):
                     fail = (n, m)
                     break
             results.append(CheckResult(f"theta-naturality-deg{n}", fail is None, witness=fail))
@@ -259,18 +255,18 @@ class CrossingMap:
         lift_ve = self.VE.section @ self.sigma_hat_inv  # E (x)_A Vec -> Kron(Vec, E)
         if n == 1:
             return {1: lift_ve, 0: -g.one.kron(act1 @ lift_ve)}
-        p = n - 1
-        IE, Ivec, Ip = Mat.identity(E.dim), Mat.identity(g.vec.dim), Mat.identity(g.V(p).dim)
+        p, dp = n - 1, g.V(n - 1).dim
         cross = lift_ve @ self.EV(1).project  # Kron(E, Vec) -> Kron(Vec, E)
-        split = IE.kron(g.pair_V(n).section) @ self.EV(n).section  # -> Kron(E, Vec, V(p))
-        crossed = cross.kron(Ip) @ split  # -> Kron(Vec, E, V(p))
-        lower = act1.kron(Ip) @ crossed + IE.kron(self.table.table(1, p, p)) @ split  # -> Kron(E, V(p))
+        split = ikron_mul(E.dim, g.pair_V(n).section, 1, self.EV(n).section)  # -> Kron(E, Vec, V(p))
+        crossed = ikron_mul(1, cross, dp, split)  # -> Kron(Vec, E, V(p))
+        # -> Kron(E, V(p))
+        lower = ikron_mul(1, act1, dp, crossed) + ikron_mul(E.dim, self.table.table(1, p, p), 1, split)
         blocks = {m: Mat.zeros(g.V(m).dim * E.dim, self.EV(n).dim) for m in range(n + 1)}
         for m, prev in self.build_inverse(p).items():
             prev = prev @ self.EV(p).project  # Kron(E, V(p)) -> Kron(V(m), E)
-            acted = Ivec.kron(prev) @ crossed  # -> Kron(Vec, V(m), E)
-            blocks[m + 1] = blocks[m + 1] + g.merge_vec(1, m).kron(IE) @ acted
-            blocks[m] = blocks[m] + self.table.table(1, m, m).kron(IE) @ acted - prev @ lower
+            acted = ikron_mul(g.vec.dim, prev, 1, crossed)  # -> Kron(Vec, V(m), E)
+            blocks[m + 1] = blocks[m + 1] + ikron_mul(1, g.merge_vec(1, m), E.dim, acted)
+            blocks[m] = blocks[m] + ikron_mul(1, self.table.table(1, m, m), E.dim, acted) - prev @ lower
         return blocks
 
     def check_inverse(self, degree: int) -> list[CheckResult]:
@@ -332,7 +328,7 @@ def check_theta_on_algebra(cm: CrossingMap, degree: int) -> list[CheckResult]:
     for n in range(0, degree + 1):
         fail = None
         for k in range(0, n + 1):
-            expected = cm.EV(k).project @ g.one.kron(Mat.identity(g.V(k).dim)) @ cm.table.table(n, 0, k)
+            expected = cm.EV(k).project.mul_ikron(1, g.one, g.V(k).dim) @ cm.table.table(n, 0, k)
             got = cm.theta(n).get(k, Mat.zeros(expected.rows, expected.cols))
             if got != expected:
                 fail = (n, k)
@@ -351,16 +347,21 @@ def theta_product_compat(cm: CrossingMap, degree: int) -> list[CheckResult]:
             Vp, Vq = g.V(p), g.V(q)
             lhs: dict[int, Mat] = {}
             for k in range(0, p + q + 1):
-                moved = table.table(p, q, k).kron(Mat.identity(E.dim))
                 for m, th in cm.theta(k).items():
-                    _add(lhs, m, th @ moved)
+                    _add(lhs, m, th.mul_ikron(1, table.table(p, q, k), E.dim))
+            # Kron(V(p), V(q), E) -> Kron(V(p), E, V(m)) -> Kron(E, V(mp), V(m)), then bullet into V(k)
             rhs: dict[int, Mat] = {}
             for m, th_q in cm.theta(q).items():
-                inner = Mat.identity(Vp.dim).kron(cm.EV(m).section @ th_q)  # -> Kron(V(p), E, V(m))
-                for mp, th_p in cm.theta(p).items():
-                    outer = (cm.EV(mp).section @ th_p).kron(Mat.identity(g.V(m).dim)) @ inner  # -> Kron(E, V(mp), V(m))
-                    for k in range(0, mp + m + 1):
-                        _add(rhs, k, cm.EV(k).project @ Mat.identity(E.dim).kron(table.table(mp, m, k)) @ outer)
+                dm = g.V(m).dim
+                for k in range(0, p + m + 1):
+                    outer = None  # every theta_p block that lands in V(k), crossed past E, summed
+                    for mp, th_p in cm.theta(p).items():
+                        if k <= mp + m:
+                            acted = cm.EV(k).project.mul_ikron(E.dim, table.table(mp, m, k), 1)
+                            term = acted.mul_ikron(1, cm.EV(mp).section @ th_p, dm)
+                            outer = term if outer is None else outer + term
+                    if outer is not None:
+                        _add(rhs, k, outer.mul_ikron(Vp.dim, cm.EV(m).section @ th_q, 1))
             fail = _at((p, q), first_mismatch(lhs, rhs, (Vp.dim, Vq.dim, E.dim)))
             results.append(CheckResult(f"theta-product-compat-{p}-{q}", fail is None, witness=fail))
     return results
@@ -376,13 +377,14 @@ def theta_tensor_factorization(
     results = []
     for n in range(0, degree + 1):
         Vn = g.V(n)
-        lhs = {m: th @ Mat.identity(Vn.dim).kron(pair_ef.project) for m, th in cm_ef.theta(n).items()}
+        lhs = {m: th.mul_ikron(Vn.dim, pair_ef.project, 1) for m, th in cm_ef.theta(n).items()}
+        # Kron(V(n), E, F) -> Kron(E, V(m), F) -> Kron(E, F, V(mp)), then into (E (x) F) (x) V(mp)
         rhs: dict[int, Mat] = {}
         for m, th_e in cm_e.theta(n).items():
-            inner = (cm_e.EV(m).section @ th_e).kron(Mat.identity(F.dim))  # -> Kron(E, V(m), F)
             for mp, th_f in cm_f.theta(m).items():
-                outer = Mat.identity(E.dim).kron(cm_f.EV(mp).section @ th_f) @ inner  # -> Kron(E, F, V(mp))
-                _add(rhs, mp, cm_ef.EV(mp).project @ pair_ef.project.kron(Mat.identity(g.V(mp).dim)) @ outer)
+                merged = cm_ef.EV(mp).project.mul_ikron(1, pair_ef.project, g.V(mp).dim)
+                outer = merged.mul_ikron(E.dim, cm_f.EV(mp).section @ th_f, 1)
+                _add(rhs, mp, outer.mul_ikron(1, cm_e.EV(m).section @ th_e, F.dim))
         fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, E.dim, F.dim)))
         results.append(CheckResult(f"theta-tensor-factorization-deg{n}", fail is None, witness=fail))
     return results
@@ -411,8 +413,9 @@ class OperatorConnection:
     def _coev_bullet(self, n: int) -> dict[int, Mat]:
         """v -> coev(1) bullet v on plain coordinates, V(n) -> Kron(Omega1, V(k)) for k = n, n+1."""
         g = self.geometry
+        # id (x) bullet applied to coev(1) (x) v, one column per basis v
         coev = g.coev_one.kron(Mat.identity(g.V(n).dim))
-        return {k: Mat.identity(g.omega.dim).kron(self.table.table(1, n, k)) @ coev for k in (n, n + 1)}
+        return {k: ikron_mul(g.omega.dim, self.table.table(1, n, k), 1, coev) for k in (n, n + 1)}
 
     def check_left_leibniz(self, degree: int) -> list[CheckResult]:
         """nabla(a.v) = a.nabla(v) + da (x) v."""
@@ -422,8 +425,8 @@ class OperatorConnection:
             Vn = g.V(n)
             blocks = self.blocks(n)
             lhs = {m: mat @ Vn.left_action for m, mat in blocks.items()}
-            rhs = {m: g.OV(m).space.left_action @ Mat.identity(g.algebra.dim).kron(mat) for m, mat in blocks.items()}
-            rhs[n] = rhs[n] + g.OV(n).project @ g.d.kron(Mat.identity(Vn.dim))
+            rhs = {m: g.OV(m).space.left_action.mul_ikron(g.algebra.dim, mat, 1) for m, mat in blocks.items()}
+            rhs[n] = rhs[n] + g.OV(n).project.mul_ikron(1, g.d, Vn.dim)
             fail = first_mismatch(lhs, rhs, (g.algebra.dim, Vn.dim))  # (a, v, degree)
             fail = None if fail is None else (n, *fail[:-1])
             results.append(CheckResult(f"operator-connection-leibniz-deg{n}", fail is None, witness=fail))
@@ -445,9 +448,10 @@ class OperatorConnection:
                     _add(lhs, m, mat @ moved)
             rhs: dict[int, Mat] = {}
             for m, mat in self.blocks(n).items():
-                lifted = (g.OV(m).section @ mat).kron(Mat.identity(dA)) @ swap  # -> Kron(Omega1, V(m), A)
+                lift = g.OV(m).section @ mat  # -> Kron(Omega1, V(m)), then bullet a into V(k)
                 for k in range(m, -1, -1):
-                    _add(rhs, k, g.OV(k).project @ Mat.identity(g.omega.dim).kron(table.table(m, 0, k)) @ lifted)
+                    acted = g.OV(k).project.mul_ikron(g.omega.dim, table.table(m, 0, k), 1)
+                    _add(rhs, k, acted.mul_ikron(1, lift, dA) @ swap)
             fail = _at((n,), first_mismatch(lhs, rhs, (dA, Vn.dim)))
             results.append(CheckResult(f"operator-connection-right-deg{n}", fail is None, witness=fail))
         return results
@@ -469,16 +473,16 @@ class OperatorConnection:
             lhs: dict[int, Mat] = {}
             for k, up in self._coev_bullet(n).items():
                 for m, th in cm.theta(k).items():
-                    _add(lhs, m, target(m) @ Mat.identity(dO).kron(th) @ up.kron(Mat.identity(E.dim)))
+                    _add(lhs, m, target(m).mul_ikron(dO, th, 1).mul_ikron(1, up, E.dim))
             # nabla_E(f) (x) w + sigma_E(f (x) xi) (x) (u bullet w) on theta(v (x) e) = f (x) w
             rhs: dict[int, Mat] = {}
             for m, th in cm.theta(n).items():
                 lifted = cm.EV(m).section @ th  # -> Kron(E, V(m))
-                push = target(m) @ Mat.identity(dO).kron(cm.EV(m).project)
-                _add(rhs, m, push @ nabla.kron(Mat.identity(g.V(m).dim)) @ lifted)
+                push = target(m).mul_ikron(dO, cm.EV(m).project, 1)
+                _add(rhs, m, push.mul_ikron(1, nabla, g.V(m).dim) @ lifted)
                 for k, up in self._coev_bullet(m).items():
-                    push = target(k) @ Mat.identity(dO).kron(cm.EV(k).project)
-                    _add(rhs, k, push @ crossed.kron(Mat.identity(g.V(k).dim)) @ Mat.identity(E.dim).kron(up) @ lifted)
+                    push = target(k).mul_ikron(dO, cm.EV(k).project, 1).mul_ikron(1, crossed, g.V(k).dim)
+                    _add(rhs, k, push.mul_ikron(E.dim, up, 1) @ lifted)
             fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, E.dim)))
             results.append(CheckResult(f"operator-connection-morphism-deg{n}", fail is None, witness=fail))
         return results
@@ -496,10 +500,10 @@ class OperatorConnection:
                     for m, mat in self.blocks(k).items():
                         _add(lhs, m, mat @ table.table(p, q, k))
                 rhs: dict[int, Mat] = {}
-                for k, up in self._coev_bullet(p).items():
-                    lifted = up.kron(Mat.identity(Vq.dim))  # -> Kron(Omega1, V(k), V(q))
+                for k, up in self._coev_bullet(p).items():  # up (x) id: -> Kron(Omega1, V(k), V(q))
                     for k2 in range(0, k + q + 1):
-                        _add(rhs, k2, g.OV(k2).project @ Mat.identity(g.omega.dim).kron(table.table(k, q, k2)) @ lifted)
+                        acted = g.OV(k2).project.mul_ikron(g.omega.dim, table.table(k, q, k2), 1)
+                        _add(rhs, k2, acted.mul_ikron(1, up, Vq.dim))
                 fail = _at((p, q), first_mismatch(lhs, rhs, (Vp.dim, Vq.dim)))
                 results.append(CheckResult(f"operator-product-morphism-{p}-{q}", fail is None, witness=fail))
         return results
@@ -577,7 +581,7 @@ class OperatorAlgebraCandidate:
     def check_naturality(self) -> list[CheckResult]:
         A = self.geometry.algebra
         cm = self.crossing("A")
-        t = A.mul @ A.one.scale(2).kron(Mat.identity(A.dim))
+        t = A.mul.mul_ikron(1, A.one.scale(2), A.dim)
         results = cm.check_naturality(cm, t, self.max_degree)
         results += cm.check_naturality(cm, Mat.identity(A.dim), self.max_degree)
         return [self._merge("centre-naturality", results)]

@@ -62,7 +62,7 @@ class BulletTable:
         dvec = g.vec.dim
         # term 1: u (x) (v o_{k-1} w)
         if k >= 1:
-            t1 = g.merge_vec(1, k - 1) @ Mat.identity(dvec).kron(self.table(n - 1, m, k - 1))
+            t1 = g.merge_vec(1, k - 1).mul_ikron(dvec, self.table(n - 1, m, k - 1), 1)
         else:
             t1 = Mat.zeros(g.V(k).dim, dvec * Vprev.dim * Vm.dim)
         # term 2: u o_k (v o_k w); skip entirely when the inner product vanishes
@@ -70,16 +70,16 @@ class BulletTable:
         if inner.is_zero():
             t2 = Mat.zeros(g.V(k).dim, dvec * Vprev.dim * Vm.dim)
         else:
-            t2 = self.table(1, k, k) @ Mat.identity(dvec).kron(inner)
+            t2 = self.table(1, k, k).mul_ikron(dvec, inner, 1)
         # term 3: (u o_{n-1} v) o_k w
-        t3 = self.table(n - 1, m, k) @ self.table(1, n - 1, n - 1).kron(Mat.identity(Vm.dim))
+        t3 = self.table(n - 1, m, k).mul_ikron(1, self.table(1, n - 1, n - 1), Vm.dim)
         plain = t1 + t2 - t3  # on Kron(vec, V(n-1), V(m))
         # well-definedness over Vec (x)_A V(n-1): plain kills (relation (x) w) for every relation
-        probe = plain @ pv.relation_mat.kron(Mat.identity(Vm.dim))
+        probe = plain.mul_ikron(1, pv.relation_mat, Vm.dim)
         fail = first_mismatch(probe, Mat.zeros(probe.rows, probe.cols), (pv.relation_mat.cols, Vm.dim))
         if fail is not None:
             raise ValidationError("bullet-not-well-defined", witness=(n, m, k, fail[1]))
-        return plain @ pv.section.kron(Mat.identity(Vm.dim))
+        return plain.mul_ikron(1, pv.section, Vm.dim)
 
     def bullet_k(self, v: Mat, n: int, w: Mat, m: int, k: int) -> Mat:
         """v o_k w for one-column coordinates v in V(n) and w in V(m)."""

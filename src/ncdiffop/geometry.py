@@ -26,7 +26,7 @@ from .bimodule import (
     intertwining_failure,
     zigzag_failure,
 )
-from .linalg import Mat, first_mismatch, inverse, rank
+from .linalg import Mat, first_mismatch, ikron_mul, inverse, rank
 from .memo import memo
 from .report import ValidationError, raise_first_failure
 
@@ -110,16 +110,15 @@ class Geometry:
         if d.rows != om.dim or d.cols != A.dim:
             raise ValidationError("d-shape")
         # d(ab) = da.b + a.db on Kron(A, A)
-        IA = Mat.identity(A.dim)
         lhs = d @ self.A_bim.left_action
-        rhs = om.right_action @ d.kron(IA) + om.left_action @ IA.kron(d)
+        rhs = om.right_action.mul_ikron(1, d, A.dim) + om.left_action.mul_ikron(A.dim, d, 1)
         fail = first_mismatch(lhs, rhs, (A.dim, A.dim))
         if fail is not None:
             raise ValidationError("leibniz", witness=fail)
         if not (d @ self.one).is_zero():
             raise ValidationError("d-of-unit")
         # surjectivity: span{a.db} = Omega1
-        spanned = rank(om.left_action @ IA.kron(d))
+        spanned = rank(om.left_action.mul_ikron(A.dim, d, 1))
         if spanned != om.dim:
             raise ValidationError("surjectivity", witness=spanned)
 
@@ -127,12 +126,13 @@ class Geometry:
         """box(xi.a) = box(xi).a + xi (x) da and box(a.xi) = a.box(xi) + sigma_inv(da (x) xi),
         each on Kron(A, Omega1); the right actions are reordered from Kron(Omega1, A)."""
         A, om, box, W2 = self.algebra, self.omega, self.box_form, self.W2
-        IA, Iom = Mat.identity(A.dim), Mat.identity(om.dim)
         flip = Mat.swap(A.dim, om.dim)
         right = box @ om.right_action
-        right_rhs = W2.space.right_action @ box.kron(IA) + W2.project @ Iom.kron(self.d)
+        right_rhs = W2.space.right_action.mul_ikron(1, box, A.dim) + W2.project.mul_ikron(om.dim, self.d, 1)
         left = box @ om.left_action
-        left_rhs = W2.space.left_action @ IA.kron(box) + self.sigma_inv_form @ W2.project @ self.d.kron(Iom)
+        left_rhs = W2.space.left_action.mul_ikron(A.dim, box, 1) + (self.sigma_inv_form @ W2.project).mul_ikron(
+            1, self.d, om.dim
+        )
         shape = (A.dim, om.dim)
         raise_first_failure(
             {
@@ -148,21 +148,19 @@ class Geometry:
         Kron(Vec, E) -> E (x)_A Vec of vector fields past E derived from a plain
         crossing ``crossed: Kron(E, Omega1) -> Kron(Omega1, E)``."""
         dvec = self.vec.dim
-        return (
-            self.pair(E, self.vec).project
-            @ E.ev_left(self.fgp.apply_mat, crossed).kron(Mat.identity(dvec))
-            @ Mat.identity(dvec * E.dim).kron(self.coev_one)
+        # ev_left (x) id applied to the |Vec||E| copies of coev(1), one per column
+        return self.pair(E, self.vec).project @ ikron_mul(
+            1, E.ev_left(self.fgp.apply_mat, crossed), dvec, Mat.identity(dvec * E.dim).kron(self.coev_one)
         )
 
     def _build_dual_connection(self, check: bool = True):
         """box(v) = d(v(alpha)) (x) w - (ev (x) id (x) id)(v (x) box(alpha) (x) w) over coev(1) = alpha (x) w."""
         om, vec, ev, W2 = self.omega, self.vec, self.fgp.apply_mat, self.W2
-        Ivec = Mat.identity(vec.dim)
         OV1 = self.pair(om, vec)
         self.OV1 = OV1
         # Kron(Vec, Omega1) -> Omega1: v (x) alpha -> d(v(alpha)) - (ev (x) id)(v (x) box(alpha))
         inner = self.d @ ev - om.ev_left(ev, W2.section @ self.box_form)
-        self.box_vec = OV1.project @ inner.kron(Ivec) @ Ivec.kron(self.coev_one)
+        self.box_vec = OV1.project @ ikron_mul(1, inner, vec.dim, Mat.identity(vec.dim).kron(self.coev_one))
 
         # sigma on fields, Kron(Vec, Omega1) -> OV1: (ev (x) id (x) id)(id (x) sigma_inv (x) id)(id (x) id (x) coev(1))
         VO1 = self.pair(vec, om)
@@ -186,12 +184,11 @@ class Geometry:
         """box(v.a) = box(v).a + sigma(v (x) da) and box(a.v) = a.box(v) + da (x) v, each
         on Kron(A, Vec), then the duality with the right connection on forms."""
         A, vec, box, OV1 = self.algebra, self.vec, self.box_vec, self.OV1
-        IA, Ivec = Mat.identity(A.dim), Mat.identity(vec.dim)
         flip = Mat.swap(A.dim, vec.dim)
         right = box @ vec.right_action
-        right_rhs = OV1.space.right_action @ box.kron(IA) + self.sigma_vec_plain @ Ivec.kron(self.d)
+        right_rhs = OV1.space.right_action.mul_ikron(1, box, A.dim) + self.sigma_vec_plain.mul_ikron(vec.dim, self.d, 1)
         left = box @ vec.left_action
-        left_rhs = OV1.space.left_action @ IA.kron(box) + OV1.project @ self.d.kron(Ivec)
+        left_rhs = OV1.space.left_action.mul_ikron(A.dim, box, 1) + OV1.project.mul_ikron(1, self.d, vec.dim)
         shape = (A.dim, vec.dim)
         raise_first_failure(
             {
@@ -246,9 +243,8 @@ class Geometry:
             return Vn.right_action
         if n == 1:
             return self.pair(self.vec, Vm).project
-        inner = Mat.identity(self.vec.dim).kron(self.merge_vec(n - 1, m))
-        lifted = self.pair_V(n).section.kron(Mat.identity(Vm.dim))
-        return self.pair(self.vec, self.V(n + m - 1)).project @ inner @ lifted
+        merged = self.pair(self.vec, self.V(n + m - 1)).project.mul_ikron(self.vec.dim, self.merge_vec(n - 1, m), 1)
+        return merged.mul_ikron(1, self.pair_V(n).section, Vm.dim)
 
     @memo
     def merge_om(self, n: int, m: int) -> Mat:
@@ -259,9 +255,8 @@ class Geometry:
             return Wm.left_action
         if m == 1:
             return self.pair(Wn, self.omega).project
-        inner = self.merge_om(n, m - 1).kron(Mat.identity(self.omega.dim))
-        lifted = Mat.identity(Wn.dim).kron(self.pair_W(m).section)
-        return self.pair(self.W(n + m - 1), self.omega).project @ inner @ lifted
+        merged = self.pair(self.W(n + m - 1), self.omega).project.mul_ikron(1, self.merge_om(n, m - 1), self.omega.dim)
+        return merged.mul_ikron(Wn.dim, self.pair_W(m).section, 1)
 
     # -- extended connections --------------------------------------------------
 
@@ -269,10 +264,8 @@ class Geometry:
         """Apply sigma-inverse to the last two legs: Kron(W(k), Omega) -> W(k+1), k >= 1."""
         if k == 1:
             return self.sigma_inv_form @ self.W2.project
-        pw = self.pair_W(k)
-        to_inner = Mat.identity(self.W(k - 1).dim).kron(self.sigma_inv_form @ self.W2.project)
-        lifted = pw.section.kron(Mat.identity(self.omega.dim))
-        return self.merge_om(k - 1, 2) @ to_inner @ lifted
+        crossed = self.merge_om(k - 1, 2).mul_ikron(self.W(k - 1).dim, self.sigma_inv_form @ self.W2.project, 1)
+        return crossed.mul_ikron(1, self.pair_W(k).section, self.omega.dim)
 
     @memo
     def box_form_pow(self, n: int) -> Mat:
@@ -283,8 +276,8 @@ class Geometry:
             return self.box_form
         k = n - 1  # recurse from box<k> with k >= 1
         domain_pair = self.pair_W(n)
-        m1 = self.merge_om(k, 2) @ Mat.identity(self.W(k).dim).kron(self.box_form)
-        m2 = self.sigma_inv_last(n) @ self.box_form_pow(k).kron(Mat.identity(self.omega.dim))
+        m1 = self.merge_om(k, 2).mul_ikron(self.W(k).dim, self.box_form, 1)
+        m2 = self.sigma_inv_last(n).mul_ikron(1, self.box_form_pow(k), self.omega.dim)
         total = m1 + m2
         if not domain_pair.descends(total):
             raise ValidationError("box-form-pow-not-well-defined", witness=n)
@@ -298,15 +291,12 @@ class Geometry:
         if n == 1:
             return self.box_vec
         k = n - 1
-        Ik = Mat.identity(self.V(k).dim)
+        dk = self.V(k).dim
         domain_pair = self.pair_V(n)
-        push_merge = self.OV(n).project @ Mat.identity(self.omega.dim).kron(self.merge_vec(1, k))
-        m1 = push_merge @ (self.OV1.section @ self.box_vec).kron(Ik)
-        m2 = (
-            push_merge
-            @ self.OV1.section.kron(Ik)
-            @ self.sigma_vec_plain.kron(Ik)
-            @ Mat.identity(self.vec.dim).kron(self.OV(k).section @ self.box_vec_pow(k))
+        push_merge = self.OV(n).project.mul_ikron(self.omega.dim, self.merge_vec(1, k), 1)
+        m1 = push_merge.mul_ikron(1, self.OV1.section @ self.box_vec, dk)
+        m2 = push_merge.mul_ikron(1, self.OV1.section @ self.sigma_vec_plain, dk).mul_ikron(
+            self.vec.dim, self.OV(k).section @ self.box_vec_pow(k), 1
         )
         total = m1 + m2
         if not domain_pair.descends(total):
@@ -322,11 +312,7 @@ class Geometry:
         if n == 1:
             return self.fgp.apply_mat
         inner = self.omega.ev_left(self.ev_pow(n - 1), self.pair_W(n).section)  # Kron(V(n-1), W(n)) -> Omega1
-        return (
-            self.fgp.apply_mat
-            @ Mat.identity(self.vec.dim).kron(inner)
-            @ self.pair_V(n).section.kron(Mat.identity(self.W(n).dim))
-        )
+        return self.fgp.apply_mat.mul_ikron(self.vec.dim, inner, 1).mul_ikron(1, self.pair_V(n).section, self.W(n).dim)
 
     @memo
     def coev_pow(self, n: int) -> Mat:
@@ -335,8 +321,11 @@ class Geometry:
         if n == 1:
             return self.coev_one
         # Kron(Omega1, Vec, W(n-1), V(n-1)) -> Kron(Omega1, W(n-1), V(n-1), Vec)
-        nest = Mat.identity(self.omega.dim).kron(Mat.swap(self.vec.dim, self.W(n - 1).dim * self.V(n - 1).dim))
-        return self.merge_om(1, n - 1).kron(self.merge_vec(n - 1, 1)) @ nest @ self.coev_one.kron(self.coev_pow(n - 1))
+        nest = Mat.swap(self.vec.dim, self.W(n - 1).dim * self.V(n - 1).dim)
+        nested = ikron_mul(self.omega.dim, nest, 1, self.coev_one.kron(self.coev_pow(n - 1)))
+        # merge_om (x) merge_vec = (merge_om (x) id)(id (x) merge_vec), applied a leg at a time
+        merge_w, merge_v = self.merge_om(1, n - 1), self.merge_vec(n - 1, 1)
+        return ikron_mul(1, merge_w, merge_v.rows, ikron_mul(merge_w.cols, merge_v, 1, nested))
 
     def zigzag_defect(self, n: int):
         """Check the n-fold zig-zag identities; returns a witness or None."""

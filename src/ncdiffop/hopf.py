@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .linalg import Mat, inverse
+from .linalg import Mat, ikron_mul, inverse
 from .report import CheckResult
 from .scalars import ONE
 
@@ -181,7 +181,7 @@ class HopfCentreCandidate:
         v, w = self.module(a), self.module(b)
         vw = tensor_module(v, w)
         lhs = self.phi(vw)
-        rhs = Mat.identity(v.dim).kron(self.phi(w)) @ self.phi(v).kron(Mat.identity(w.dim))
+        rhs = ikron_mul(v.dim, self.phi(w), 1, self.phi(v).kron(Mat.identity(w.dim)))
         return CheckResult(f"hopf-tensor-compat-{a}-{b}", lhs == rhs)
 
     def check_inverse(self, obj: str) -> CheckResult:
@@ -212,8 +212,8 @@ class HopfCentreCandidate:
         mu = self._mu()
         phi = self.phi(v)
         n, dv = self.group.order, v.dim
-        lhs = phi @ mu.kron(Mat.identity(dv))
-        rhs = Mat.identity(dv).kron(mu) @ phi.kron(Mat.identity(n)) @ Mat.identity(n).kron(phi)
+        lhs = phi.mul_ikron(1, mu, dv)
+        rhs = ikron_mul(dv, mu, 1, ikron_mul(1, phi, n, Mat.identity(n).kron(phi)))
         return CheckResult(f"hopf-algebra-in-centre-{obj}", lhs == rhs)
 
     def check_naturality(self) -> list[CheckResult]:
@@ -225,18 +225,12 @@ class HopfCentreCandidate:
             sym = Mat.from_cols([[ONE] * n])
             # be sure it is H-linear before using it
             linear = all(reg.mats[i] @ sym == sym @ triv.mats[i] for i in range(n))
-            nat = (
-                sym.kron(Mat.identity(n)) @ self.phi(triv)
-                == self.phi(reg) @ Mat.identity(n).kron(sym)
-            )
+            nat = ikron_mul(1, sym, n, self.phi(triv)) == self.phi(reg).mul_ikron(n, sym, 1)
             results.append(CheckResult("hopf-naturality-symmetrizer", linear and nat))
             # coefficient sum: regular -> trivial
             total = Mat.from_rows([[ONE] * n])
             linear = all(triv.mats[i] @ total == total @ reg.mats[i] for i in range(n))
-            nat = (
-                total.kron(Mat.identity(n)) @ self.phi(reg)
-                == self.phi(triv) @ Mat.identity(n).kron(total)
-            )
+            nat = ikron_mul(1, total, n, self.phi(reg)) == self.phi(triv).mul_ikron(n, total, 1)
             results.append(CheckResult("hopf-naturality-sum", linear and nat))
         return results
 

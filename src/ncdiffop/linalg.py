@@ -9,6 +9,21 @@ reduction has one routine, ``SparseEchelon``, which keeps each reduced row as a
 dict of its nonzeros; ``rref``, ``rank``, ``kernel``, ``inverse`` and ``span``
 all go through it.  Only the PSD certificate works on a dense copy.
 
+The kernel does not pay for the unit or for identity factors:
+
+* unit leads keep their singletons: a new pivot row whose lead is 1 is stored
+  as it is and one whose lead is -1 is negated; only other leads are divided
+  out.  Every pivot entry is ``ONE`` itself, so the ``is ONE`` skips of ``@``
+  and ``kron`` also fire on relation bases, kernels, inverses and quotients;
+* identity factors are applied, not built: ``A.mul_ikron(n, X, m)`` is
+  ``A @ (I_n (x) X (x) I_m)``, products of strided column slices of A with X,
+  and ``ikron_mul(n, X, m, B)`` is ``(I_n (x) X (x) I_m) @ B``, B's rows
+  relabelled through X.  By the mixed-product rule an identity factor only
+  relabels rows and columns.  ``kron`` with an identity stays only where a
+  matrix itself is needed: as the input of ``span`` or ``kernel``, or as the
+  operand of a kernel when both factors of a product carry an identity (the
+  smaller one, such as ``I (x) coev(1)``, is built).
+
 A subspace has one form: its canonical reduced echelon basis as the columns
 of a ``Mat`` (``span``, ``kernel``).  ``quotient`` turns it into a projection
 whose kernel is the subspace, so membership is a product that must vanish.
@@ -149,30 +164,31 @@ class Mat:
         """Column gather: column j of A @ B is the sum of v * A[:, k] over (k, v) in B[:, j]."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        acols = self._cols_sparse
-        out = []
-        for col in other._cols_sparse:
-            if not col:
-                out.append([])
-                continue
-            if len(col) == 1:
-                k, v = col[0]
-                # a product of two nonzeros is nonzero: nothing to test
-                out.append(acols[k] if v is ONE else [(i, x * v) for i, x in acols[k]])
-                continue
-            acc: dict[int, Scalar] = {}
-            for k, v in col:
-                if v is ONE:
-                    for i, x in acols[k]:
-                        s = acc.get(i)
-                        acc[i] = x if s is None else s + x
-                else:
-                    for i, x in acols[k]:
-                        x = x * v
-                        s = acc.get(i)
-                        acc[i] = x if s is None else s + x
-            out.append([(i, s) for i, s in sorted(acc.items()) if s])
-        return Mat(self.rows, other.cols, out)
+        return Mat(self.rows, other.cols, _gather(self._cols_sparse, other._cols_sparse))
+
+    def mul_ikron(self, n: int, x: "Mat", m: int) -> "Mat":
+        """``self @ (I_n (x) x (x) I_m)`` without building the Kronecker factor.
+
+        Output column ``(i*q + l)*m + k`` gathers column ``l`` of x from the
+        columns ``(i*p + j)*m + k`` of self, so each (i, k) block is one product
+        of a strided column slice of self with x (x is p x q)."""
+        p, q = x.rows, x.cols
+        if self.cols != n * p * m:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ (I_{n} (x) {p}x{q} (x) I_{m})")
+        if n == m == 1:
+            return self @ x
+        acols, xcols = self._cols_sparse, x._cols_sparse
+        if m == 1:
+            out = []
+            for i in range(n):
+                out += _gather(acols[i * p : (i + 1) * p], xcols)
+        else:
+            out = [None] * (n * q * m)
+            for i in range(n):
+                for k in range(m):
+                    block = acols[i * p * m + k : (i + 1) * p * m : m]
+                    out[i * q * m + k : (i + 1) * q * m : m] = _gather(block, xcols)
+        return Mat(self.rows, n * q * m, out)
 
     def transpose(self) -> "Mat":
         out = [[] for _ in range(self.rows)]
@@ -253,6 +269,57 @@ def _merge(a: list, b: list) -> list:
             else:
                 del acc[i]
     return sorted(acc.items())
+
+
+def _gather(acols, bcols) -> list:
+    """The sparse columns of A @ B from those of A (anything indexable by row of
+    B) and of B.  A one-entry column of B scaled by ``ONE`` shares A's column."""
+    out = []
+    for col in bcols:
+        if not col:
+            out.append([])
+            continue
+        if len(col) == 1:
+            k, v = col[0]
+            # a product of two nonzeros is nonzero: nothing to test
+            out.append(acols[k] if v is ONE else [(i, x * v) for i, x in acols[k]])
+            continue
+        acc: dict[int, Scalar] = {}
+        for k, v in col:
+            if v is ONE:
+                for i, x in acols[k]:
+                    s = acc.get(i)
+                    acc[i] = x if s is None else s + x
+            else:
+                for i, x in acols[k]:
+                    x = x * v
+                    s = acc.get(i)
+                    acc[i] = x if s is None else s + x
+        out.append([(i, s) for i, s in sorted(acc.items()) if s])
+    return out
+
+
+def ikron_mul(n: int, x: Mat, m: int, b: Mat) -> Mat:
+    """``(I_n (x) x (x) I_m) @ b`` without building the Kronecker factor.
+
+    Row ``(i*q + l)*m + k`` of b stands for column l of x moved to the rows
+    ``(i*p + j)*m + k``; only the rows b holds are relabelled, each once, and
+    the product gathers them (x is p x q)."""
+    p, q = x.rows, x.cols
+    if b.rows != n * q * m:
+        raise ValueError(f"shape mismatch (I_{n} (x) {p}x{q} (x) I_{m}) @ {b.rows}x{b.cols}")
+    if n == m == 1:
+        return x @ b
+    xcols, bcols = x._cols_sparse, b._cols_sparse
+    moved: dict[int, list] = {}
+    for col in bcols:
+        for r, _ in col:
+            if r not in moved:
+                i, l = divmod(r, q * m)
+                l, k = divmod(l, m)
+                base = i * p * m + k
+                moved[r] = [(base + j * m, v) for j, v in xcols[l]]
+    return Mat(n * p * m, b.cols, _gather(moved, bcols))
 
 
 def first_mismatch(lhs, rhs, shape: Sequence[int]):
@@ -351,7 +418,7 @@ class SparseEchelon:
         for c in [c for c in row if c in self.pivot_rows]:
             f = row[c]
             for cc, v in self.pivot_rows[c].items():
-                x = row.get(cc, ZERO) - f * v
+                x = row.get(cc, ZERO) - (f if v is ONE else f * v)
                 if x:
                     row[cc] = x
                 else:
@@ -364,14 +431,20 @@ class SparseEchelon:
         if not row:
             return
         p = min(row)
-        inv = ONE / row[p]
-        row = {c: v * inv for c, v in row.items()}
+        lead = row[p]
+        # a lead of 1 stays as it is and one of -1 is negated; only other leads are divided out
+        if lead.im or lead.re not in (1, -1):
+            inv = ONE / lead
+            row = {c: v * inv for c, v in row.items()}
+        elif lead.re == -1:
+            row = {c: -v for c, v in row.items()}
+        row[p] = ONE
         # back-substitute into existing rows to stay fully reduced
         for q, existing in self.pivot_rows.items():
             if p in existing:
                 f = existing[p]
                 for cc, v in row.items():
-                    existing[cc] = existing.get(cc, ZERO) - f * v
+                    existing[cc] = existing.get(cc, ZERO) - (f if v is ONE else f * v)
                     if not existing[cc]:
                         del existing[cc]
         self.pivot_rows[p] = row

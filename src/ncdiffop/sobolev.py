@@ -90,7 +90,7 @@ class InnerProduct:
 def canonical_algebra_ip(algebra: Algebra, space: Optional[Bimodule] = None) -> InnerProduct:
     """<a, conj(b)> = a b* on the algebra itself: mul @ (id (x) star) on Kron(A, A)."""
     d = algebra.dim
-    pairing = algebra.mul @ Mat.identity(d).kron(algebra.star)
+    pairing = algebra.mul.mul_ikron(d, algebra.star, 1)
     values = [[pairing.column(i * d + j) for j in range(d)] for i in range(d)]
     return InnerProduct(space or algebra_as_bimodule(algebra), values, "ip-A")
 

@@ -19,7 +19,7 @@ from .centre import verify_centre
 from .crossing import OperatorAlgebraCandidate, check_theta_on_algebra, theta_product_compat, theta_tensor_factorization
 from .diffop import BulletTable, GradedOperator
 from .hopf import standard_candidate
-from .linalg import Mat, first_mismatch
+from .linalg import Mat, first_mismatch, ikron_mul
 from .report import CheckResult, ValidationError, _jsonable, first_failure
 from .scalars import sc
 from .sobolev import InnerProduct, SobolevPairings, gram_increment_certificate, sobolev_gram
@@ -147,19 +147,21 @@ def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
         out.append(CheckResult(f"ev-balanced-{n}", balanced, witness=None if balanced else n))
         # ev(a.v (x) w) = a.ev(v (x) w) and ev(v (x) w.a) = ev(v (x) w).a on Kron(A, V(n), W(n))
         dA, mul = g.algebra.dim, g.algebra.mul
-        IA, IV, IW = Mat.identity(dA), Mat.identity(Vn.dim), Mat.identity(Wn.dim)
         to_right = Mat.swap(dA, Vn.dim * Wn.dim)  # Kron(A, V(n), W(n)) -> Kron(V(n), W(n), A)
         shape = (dA, Vn.dim, Wn.dim)
-        left = first_mismatch(ev @ Vn.left_action.kron(IW), mul @ IA.kron(ev), shape)
-        right = first_mismatch(ev @ IV.kron(Wn.right_action) @ to_right, mul @ ev.kron(IA) @ to_right, shape)
+        left = first_mismatch(ev.mul_ikron(1, Vn.left_action, Wn.dim), mul.mul_ikron(dA, ev, 1), shape)
+        right = first_mismatch(
+            ev.mul_ikron(Vn.dim, Wn.right_action, 1) @ to_right, mul.mul_ikron(1, ev, dA) @ to_right, shape
+        )
         fail = first_failure({"left": left and left[:1], "right": right and right[:1]})  # the first failing a_i
         eq_fail = None if fail is None else (fail[0], n, *fail[1])
         out.append(CheckResult(f"ev-bimodule-{n}", eq_fail is None, witness=eq_fail))
         # coev<n>(1) central: a.coev(1) - coev(1).a lies in the relation span, which the projection kills
         project = g.pair(Wn, Vn).project
         coev1 = g.coev_pow(n)
-        la = Wn.left_action.kron(IV) @ IA.kron(coev1)  # column i: a_i.coev(1)
-        ra = IW.kron(Vn.right_action) @ coev1.kron(IA)  # column i: coev(1).a_i
+        # column i: a_i.coev(1) and coev(1).a_i, the action applied to the dA copies of coev(1)
+        la = ikron_mul(1, Wn.left_action, Vn.dim, Mat.identity(dA).kron(coev1))
+        ra = ikron_mul(Wn.dim, Vn.right_action, 1, coev1.kron(Mat.identity(dA)))
         fail = first_mismatch(project @ la, project @ ra, (dA,))
         cen_fail = None if fail is None else (n, *fail)
         out.append(CheckResult(f"coev-central-{n}", cen_fail is None, witness=cen_fail))
@@ -211,7 +213,7 @@ def suite_connections(ctx: VerifyContext) -> list[CheckResult]:
     # braiding compatibility follows (checked, not assumed)
     am = ctx.bundle.modules["A"]
     A = ctx.geometry.algebra
-    t = A.mul @ A.one.scale(2).kron(Mat.identity(A.dim))
+    t = A.mul.mul_ikron(1, A.one.scale(2), A.dim)
     out.append(CheckResult("morphism-scalar", connection_morphism_defect(am, am, t) is None))
     out.append(CheckResult("morphism-sigma-compat", sigma_compat_defect(am, am, t) is None))
     return out
@@ -262,8 +264,8 @@ def suite_bullet(ctx: VerifyContext) -> list[CheckResult]:
             Vm = g.V(m)
             for k in range(0, n + m + 1):
                 bt = table.table(n, m, k)
-                lhs = bt @ Vn.left_action.kron(Mat.identity(Vm.dim))
-                rhs = g.V(k).left_action @ Mat.identity(g.algebra.dim).kron(bt)
+                lhs = bt.mul_ikron(1, Vn.left_action, Vm.dim)
+                rhs = g.V(k).left_action.mul_ikron(g.algebra.dim, bt, 1)
                 fail = first_mismatch(lhs, rhs, (g.algebra.dim, Vn.dim, Vm.dim))
                 if fail is not None and lin_fail is None:
                     lin_fail = (n, m, k, *fail)
@@ -279,13 +281,11 @@ def suite_bullet(ctx: VerifyContext) -> list[CheckResult]:
                 lhs = {j: Mat.zeros(g.V(j).dim, cols) for j in range(n + m + l + 1)}
                 rhs = dict(lhs)
                 for k in range(0, n + m + 1):
-                    moved = table.table(n, m, k).kron(Mat.identity(Vl.dim))
                     for j in range(0, k + l + 1):
-                        lhs[j] = lhs[j] + table.table(k, l, j) @ moved
+                        lhs[j] = lhs[j] + table.table(k, l, j).mul_ikron(1, table.table(n, m, k), Vl.dim)
                 for k in range(0, m + l + 1):
-                    moved = Mat.identity(Vn.dim).kron(table.table(m, l, k))
                     for j in range(0, n + k + 1):
-                        rhs[j] = rhs[j] + table.table(n, k, j) @ moved
+                        rhs[j] = rhs[j] + table.table(n, k, j).mul_ikron(Vn.dim, table.table(m, l, k), 1)
                 fail = first_mismatch(lhs, rhs, (Vn.dim, Vm.dim, Vl.dim))
                 if fail is not None and assoc_fail is None:
                     assoc_fail = (n, m, l, *fail[:-1])
@@ -312,7 +312,7 @@ def suite_action(ctx: VerifyContext) -> list[CheckResult]:
     maxdeg = min(2, ctx.degree)
     for name, module in sorted(ctx.bundle.modules.items()):
         E = module.space
-        one = module.act_table(0) @ g.one.kron(Mat.identity(E.dim))
+        one = module.act_table(0).mul_ikron(1, g.one, E.dim)
         found = first_mismatch(one, Mat.identity(E.dim), (E.dim,))  # 1 |> e = e
         out.append(CheckResult(f"action-unit-{name}", found is None, witness=None if found is None else found[0]))
         # act(n) o (id (x) act(m)) == sum_k act(k) o (bullet_k (x) id) on Kron(V(n), V(m), E)
@@ -320,12 +320,12 @@ def suite_action(ctx: VerifyContext) -> list[CheckResult]:
         for n in range(0, maxdeg + 1):
             for m in range(0, maxdeg + 1):
                 Vn, Vm = g.V(n), g.V(m)
-                lhs = module.act_table(n) @ Mat.identity(Vn.dim).kron(module.act_table(m))
+                lhs = module.act_table(n).mul_ikron(Vn.dim, module.act_table(m), 1)
                 rhs = Mat.zeros(lhs.rows, lhs.cols)
                 for k in range(0, n + m + 1):
                     bt = table.table(n, m, k)
                     if not bt.is_zero():
-                        rhs = rhs + module.act_table(k) @ bt.kron(Mat.identity(E.dim))
+                        rhs = rhs + module.act_table(k).mul_ikron(1, bt, E.dim)
                 found = first_mismatch(lhs, rhs, (Vn.dim, Vm.dim, E.dim))
                 if found is not None and fail is None:
                     fail = (n, m, *found)

@@ -486,6 +486,15 @@ def test_cli_verify_unknown_suite(capsys):
     assert main(["verify", "zero-form-smoke", "--suites", "nope"]) == 2
 
 
+@pytest.mark.parametrize("suites", ["", " ", "theta,"])
+def test_cli_verify_empty_suite_name_is_input_error(capsys, suites):
+    # an empty --suites is an empty suite name, as in "theta,", not a request for every suite
+    assert main(["verify", "zero-form-smoke", "--suites", suites]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown suite ''")
+    assert not captured.out
+
+
 def test_cli_verify_negative_degree_is_input_error(capsys):
     assert main(["verify", "two-point-universal", "--degree", "-1"]) == 2
     captured = capsys.readouterr()

@@ -17,6 +17,7 @@ from ncdiffop.linalg import (
     NotHermitian,
     PsdCertificate,
     PsdCounterexample,
+    ikron_mul,
     inverse,
     kernel,
     kron_vec,
@@ -226,6 +227,63 @@ def test_inverse():
     assert inv @ m == Mat.identity(2)
     with pytest.raises(ValueError):
         inverse(Mat.from_rows([[1, 1], [1, 1]]))
+
+
+# -- unit leads ---------------------------------------------------------------
+
+
+def test_unit_leads_keep_the_one_singleton():
+    """A lead of 1 is kept and one of -1 negated, not divided out, so the pivots
+    of an echelon basis (a span, a kernel, a relation basis) and the entries equal
+    to 1 of an inverse or a quotient built from such rows are ``ONE`` itself,
+    which ``@`` and ``kron`` skip multiplying by."""
+    basis = span(4, [[(0, ONE), (2, sc(3))], [(1, -ONE), (3, ONE)]])
+    assert basis == Mat.from_cols([[1, 0, 3, 0], [0, 1, 0, -1]], 4)
+    ker = kernel(Mat.from_rows([[ONE, ONE, ZERO], [ZERO, -ONE, ONE]]))
+    assert ker == Mat.from_cols([[1, -1, -1]], 3)
+    flip = inverse(Mat.swap(2, 3))
+    assert flip == Mat.swap(3, 2)
+    turn = inverse(Mat.from_rows([[ZERO, -ONE], [ONE, ZERO]]))
+    assert turn == Mat.from_rows([[0, 1], [-1, 0]])
+    rels = span(4, [[(0, ONE), (1, ONE)], [(2, -ONE), (3, -ONE)]])
+    proj, sect = quotient(rels)
+    assert proj == Mat.from_rows([[-1, 1, 0, 0], [0, 0, -1, 1]])
+    for m in (basis, ker, rels):
+        assert all(col[0][1] is ONE for col in m.cols_sparse())
+    for m in (flip, turn, proj, sect, proj @ sect):
+        units = [v for col in m.cols_sparse() for _, v in col if v == 1]
+        assert units and all(v is ONE for v in units)
+
+
+# -- identity Kronecker factors ---------------------------------------------------
+
+
+@st.composite
+def ikron_cases(draw):
+    """x with identity factors I_n and I_m (n, m in {0, 1, 3}) and a matrix on
+    either side of I_n (x) x (x) I_m; empty columns come from ``oracle_mats``."""
+    kind = draw(st.sampled_from(["rational", "gaussian"]))
+    n, m = draw(st.sampled_from([0, 1, 3])), draw(st.sampled_from([0, 1, 3]))
+    p, q, r = (draw(st.integers(0, 3)) for _ in range(3))
+    _, x = draw(oracle_mats(kind, p, q))
+    _, a = draw(oracle_mats(kind, r, n * p * m))
+    _, b = draw(oracle_mats(kind, n * q * m, r))
+    return n, x, m, a, b
+
+
+@given(ikron_cases())
+@settings(max_examples=200, deadline=None)
+def test_identity_kron_kernels_match_the_built_factor(case):
+    n, x, m, a, b = case
+    factor = Mat.identity(n).kron(x).kron(Mat.identity(m))
+    left, right = a.mul_ikron(n, x, m), ikron_mul(n, x, m, b)
+    assert read_back(left) == read_back(a @ factor)
+    assert read_back(right) == read_back(factor @ b)
+    assert (left.rows, left.cols, right.rows, right.cols) == (a.rows, factor.cols, factor.rows, b.cols)
+    with pytest.raises(ValueError):
+        Mat.zeros(a.rows, a.cols + 1).mul_ikron(n, x, m)
+    with pytest.raises(ValueError):
+        ikron_mul(n, x, m, Mat.zeros(b.rows + 1, b.cols))
 
 
 def test_kron_vec():

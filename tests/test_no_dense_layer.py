@@ -2,7 +2,9 @@
 matrix to a dense coordinate list, and none brings back the dense algebra
 helpers, the per-element action lists (``M.left[i]``, ``M.right[i]``,
 ``A.left_mult``, ``A.right_mult``) or the braiding-invertibility option that
-the sparse identities replaced.
+the sparse identities replaced.  No product builds an identity Kronecker
+factor: ``A @ (I (x) X (x) I)`` and ``(I (x) X (x) I) @ B`` go through
+``Mat.mul_ikron`` and ``linalg.ikron_mul``, which apply it without building it.
 
 Dense coordinate lists appear only where the CLI reads an element from the
 command line and prints one.  A bimodule holds each action once, as one
@@ -56,6 +58,103 @@ def dense_layer_uses(source: str, allow_apply: bool = False) -> list[str]:
         if isinstance(target, ast.Attribute) and target.attr in ACTION_LISTS:
             found.append(f".{target.attr}[ (line {node.lineno})")
     return sorted(found)
+
+
+def _is_identity(node, identities: set) -> bool:
+    """``Mat.identity(...)``, or a name bound to it."""
+    if isinstance(node, ast.Name):
+        return node.id in identities
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "identity"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "Mat"
+    )
+
+
+def _is_identity_kron(node, identities: set) -> bool:
+    """A ``.kron(...)`` with an identity factor: its receiver or its argument is
+    ``Mat.identity(...)``, a name bound to it, or such a ``.kron(...)`` itself."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "kron"):
+        return False
+    return any(_is_identity(f, identities) or _is_identity_kron(f, identities) for f in (node.func.value, *node.args))
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope) -> list:
+    """The nodes of a module or function body, not descending into nested functions."""
+    nodes, todo = [], list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        if not isinstance(node, FUNCTIONS):
+            todo += ast.iter_child_nodes(node)
+    return nodes
+
+
+def _bound(nodes, test) -> set:
+    """The names that an assignment among ``nodes`` binds to an expression passing
+    ``test``, tuple unpacking included."""
+    names = set()
+    for node in nodes:
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = list(zip(target.elts, node.value.elts))
+            names |= {t.id for t, v in pairs if isinstance(t, ast.Name) and test(v)}
+    return names
+
+
+def identity_kron_products(source: str) -> list[str]:
+    """Each operand of ``@`` that is a Kronecker product with an identity factor,
+    written out or through a name bound to one in the same function (or in an
+    enclosing one)."""
+    found = []
+
+    def visit(scope, identities: set, krons: set):
+        nodes = _own_nodes(scope)
+        identities = identities | _bound(nodes, lambda v: _is_identity(v, set()))
+        krons = krons | _bound(nodes, lambda v: _is_identity_kron(v, identities))
+        for node in nodes:
+            if isinstance(node, FUNCTIONS):
+                visit(node, identities, krons)
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                for operand in (node.left, node.right):
+                    named = isinstance(operand, ast.Name) and operand.id in krons
+                    if named or _is_identity_kron(operand, identities):
+                        found.append(f"{ast.unparse(operand)} (line {operand.lineno})")
+
+    visit(ast.parse(source), set(), set())
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_identity_kron_product(path):
+    assert identity_kron_products(path.read_text()) == []
+
+
+def test_identity_kron_product_use_is_found():
+    source = (
+        "def f(a, x, n):\n"
+        "    I, y = Mat.identity(n), x\n"
+        "    lifted = x.kron(I)\n"
+        "    b = a @ Mat.identity(n).kron(x)\n"
+        "    c = x.kron(I).kron(y) @ a\n"
+        "    return b @ lifted + a @ x.kron(y) + a.mul_ikron(n, x, 1)\n"
+        "def g(I, x):\n"
+        "    return x @ I.kron(x) @ x.kron(Mat.identity(2)) + balance(x.kron(Mat.identity(3)))\n"
+    )
+    assert identity_kron_products(source) == [
+        "Mat.identity(n).kron(x) (line 4)",
+        "lifted (line 6)",
+        "x.kron(I).kron(y) (line 5)",
+        "x.kron(Mat.identity(2)) (line 8)",
+    ]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
