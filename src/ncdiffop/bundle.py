@@ -21,8 +21,11 @@ from . import builtin_data
 from .algebra import Algebra, State
 from .bimodule import Bimodule
 from .calculus import ConnectionModule, omega_module, trivial_module, vec_module
+from .crossing import Crossings
+from .diffop import BulletTable
 from .geometry import Geometry
 from .linalg import Mat
+from .memo import memo
 from .report import ValidationError
 from .scalars import ONE, ZERO, Scalar, ScalarParseError, sc
 from .sobolev import InnerProduct, canonical_algebra_ip
@@ -181,6 +184,13 @@ class Bundle:
 
     def module_names(self) -> list[str]:
         return sorted(self.modules)
+
+    @memo
+    def crossings(self) -> Crossings:
+        """The bullet table and the crossings over the modules with a braiding (A
+        among them), built once per loaded bundle and shared by every verification run."""
+        modules = {name: m for name, m in self.modules.items() if m.has_sigma}
+        return Crossings(BulletTable(self.geometry), modules)
 
 
 def canonical_json(doc: dict) -> str:

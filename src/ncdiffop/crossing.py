@@ -4,12 +4,21 @@ bimodule-connection category.
 ``CrossingMap`` holds, per input degree n, the blocks
 ``theta(n)[m] : Kron(V(n), E) -> E (x)_A V(m)`` for m <= n.  It has no
 degree of its own: each degree is built on first use from the degree below,
-like the geometry towers, and so are the braid, the inverse and the
-coevaluation-connection blocks; every check takes the degree it checks up
-to.  ``OperatorAlgebraCandidate`` holds the one crossing of each module (and
-of each tensor product of two) that a verification run builds.  The domain
-is plain (the map is only balanced for the product-twisted right action,
-which is what property checks 2 and 4 verify).
+like the geometry towers, and so are the braid, the inverse, the relations
+its left inverse holds modulo and the coevaluation-connection blocks; every
+check takes the degree it checks up to.  The domain is plain (the map is
+only balanced for the product-twisted right action, which is what property
+checks 2 and 4 verify).
+
+What is shared and for how long:
+
+* per loaded bundle, ``Crossings`` holds the bullet table, the crossing of
+  each module with a braiding and of each tensor product of two, and the
+  coevaluation connection.  These depend on the geometry and the modules
+  only, so every verification run over the bundle reads the same ones
+  (``Bundle.crossings``), each grown as far as some check has asked;
+* per run, ``OperatorAlgebraCandidate`` holds those crossings and the degree
+  its centre checks go up to, nothing else.
 
 Every axiom check is one sparse matrix identity per degree, ``lhs == rhs``
 between compositions of the blocks with the bullet tables, the action tables
@@ -269,6 +278,32 @@ class CrossingMap:
             blocks[m] = blocks[m] + ikron_mul(1, self.table.table(1, m, m), E.dim, acted) - prev @ lower
         return blocks
 
+    @memo
+    def inverse_relations(self, n: int) -> Mat:
+        """The relations x bullet a (x) e - x (x) a.e of the filtered tensor product for x of
+        degree at most n, as a span on the stacked sum of the Kron(V(m), E), m <= n, in the
+        layout of ``_stacking(n)``: block n first.  It grows from the basis of degree n - 1,
+        moved past block n.  A relation of degree n leads in block n unless its top part
+        vanishes, and no row of the degree below has an entry there, so adding it leaves
+        those rows alone."""
+        g, E = self.geometry, self.module.space
+        offsets, total = self._stacking(n)
+        blocks = {k: self.table.table(n, 0, k).kron(Mat.identity(E.dim)) for k in range(n)}
+        blocks[n] = balance(g.V(n), E)
+        below = self.inverse_relations(n - 1).cols_sparse() if n else []
+        shift = offsets[n - 1] if n else 0  # the size of block n
+        moved = [[(shift + i, v) for i, v in col] for col in below]
+        return span(total, moved + _stacked(blocks, offsets, total).cols_sparse())
+
+    def _stacking(self, n: int) -> tuple[dict[int, int], int]:
+        """The row offset of each block Kron(V(m), E), m <= n, of the stacked sum, block n
+        first and block 0 last, and the sum's dimension."""
+        offsets, total = {}, 0
+        for m in range(n, -1, -1):
+            offsets[m] = total
+            total += self.geometry.V(m).dim * self.module.space.dim
+        return offsets, total
+
     def check_inverse(self, degree: int) -> list[CheckResult]:
         """theta o theta_inv = id exactly; theta_inv o theta = id modulo the
         product-twisted relations of the filtered tensor product."""
@@ -283,18 +318,9 @@ class CrossingMap:
             ok = all(mat.is_zero() for mat in comp.values())
             results.append(CheckResult(f"theta-right-inverse-deg{n}", ok, witness=None if ok else n))
 
-        # theta_inv o theta = id in the quotient by (x bullet a (x) e - x (x) a.e),
-        # on the sum of the Kron(V(m), E), block m at row offsets[m]
-        offsets, total_dim = {}, 0
-        for m in range(0, degree + 1):
-            offsets[m] = total_dim
-            total_dim += g.V(m).dim * E.dim
-        rels = []
-        for m in range(0, degree + 1):
-            blocks = {k: self.table.table(m, 0, k).kron(Mat.identity(E.dim)) for k in range(m)}
-            blocks[m] = balance(g.V(m), E)
-            rels += _stacked(blocks, offsets, total_dim).cols_sparse()
-        project, _ = quotient(span(total_dim, rels))
+        # theta_inv o theta = id in the quotient by the relations up to the check's degree
+        offsets, total_dim = self._stacking(degree)
+        project, _ = quotient(self.inverse_relations(degree))
         for n in range(0, degree + 1):
             comp = {n: -Mat.identity(g.V(n).dim * E.dim)}
             for m, th in self.theta(n).items():
@@ -308,9 +334,9 @@ class CrossingMap:
 
 
 def _stacked(blocks: dict[int, Mat], offsets: dict[int, int], rows: int) -> Mat:
-    """The matrix with block m at row offsets[m] (offsets increasing with m)."""
+    """The matrix with block m at row offsets[m] (the blocks do not overlap)."""
     cols = [[] for _ in range(next(iter(blocks.values())).cols)]
-    for m in sorted(blocks):
+    for m in sorted(blocks, key=offsets.__getitem__):
         for col, out in zip(blocks[m].cols_sparse(), cols):
             out.extend((offsets[m] + i, v) for i, v in col)
     return Mat(rows, len(cols), cols)
@@ -374,6 +400,8 @@ def theta_tensor_factorization(
     g = cm_e.geometry
     E, F = cm_e.module.space, cm_f.module.space
     pair_ef = g.pair(E, F)
+    # Kron(E, F, V(mp)) -> (E (x) F) (x) V(mp), whatever the degree it is reached from
+    merged = {mp: cm_ef.EV(mp).project.mul_ikron(1, pair_ef.project, g.V(mp).dim) for mp in range(degree + 1)}
     results = []
     for n in range(0, degree + 1):
         Vn = g.V(n)
@@ -382,8 +410,7 @@ def theta_tensor_factorization(
         rhs: dict[int, Mat] = {}
         for m, th_e in cm_e.theta(n).items():
             for mp, th_f in cm_f.theta(m).items():
-                merged = cm_ef.EV(mp).project.mul_ikron(1, pair_ef.project, g.V(mp).dim)
-                outer = merged.mul_ikron(E.dim, cm_f.EV(mp).section @ th_f, 1)
+                outer = merged[mp].mul_ikron(E.dim, cm_f.EV(mp).section @ th_f, 1)
                 _add(rhs, mp, outer.mul_ikron(1, cm_e.EV(m).section @ th_e, F.dim))
         fail = _at((n,), first_mismatch(lhs, rhs, (Vn.dim, E.dim, F.dim)))
         results.append(CheckResult(f"theta-tensor-factorization-deg{n}", fail is None, witness=fail))
@@ -509,25 +536,23 @@ class OperatorConnection:
         return results
 
 
-class OperatorAlgebraCandidate:
-    """The truncated operator algebra as a centre candidate for the category of
-    bimodules with invertible-braiding connections over one bundle.
+class Crossings:
+    """The crossings of one bundle: the bullet table, the crossing of each test
+    object and of each tensor product of two, and the coevaluation connection.
 
-    It holds the crossing of each test object and of each tensor product of
-    two, and the coevaluation connection, each built once on first use and
-    grown degree by degree as far as a check asks: its own checks go up to
-    ``max_degree``, and any other caller may read them to a higher degree.
+    They depend on the geometry and the modules only, so one ``Crossings`` per
+    loaded bundle (``Bundle.crossings``) serves every verification run over it:
+    each crossing is built once, on first use, and grows degree by degree as
+    far as any check asks.
     """
 
-    def __init__(self, table: BulletTable, modules: dict[str, ConnectionModule], max_degree: int):
+    def __init__(self, table: BulletTable, modules: dict[str, ConnectionModule]):
+        if "A" not in modules:
+            raise ValueError("the unit object A must be among the test objects")
         self.table = table
         self.geometry = table.geometry
-        self.max_degree = max_degree
         self.modules = dict(modules)
-        self.name = f"operator-algebra-{self.geometry.name}"
         self.operator_connection = OperatorConnection(table)
-        if "A" not in self.modules:
-            raise ValueError("the unit object A must be among the test objects")
 
     def object_names(self) -> list[str]:
         return sorted(self.modules)
@@ -544,43 +569,62 @@ class OperatorAlgebraCandidate:
     def tensor_crossing(self, a: str, b: str) -> CrossingMap:
         return CrossingMap(self.table, self.tensor_module(a, b))
 
+
+class OperatorAlgebraCandidate:
+    """The truncated operator algebra as a centre candidate for the category of
+    bimodules with invertible-braiding connections over one bundle.
+
+    A candidate belongs to one verification run: it holds the degree its checks
+    go up to, ``max_degree``, and reads the bundle's shared ``Crossings``, which
+    any other caller may read to a higher degree.
+    """
+
+    def __init__(self, crossings: Crossings, max_degree: int):
+        self.crossings = crossings
+        self.max_degree = max_degree
+        self.name = f"operator-algebra-{crossings.geometry.name}"
+
+    def object_names(self) -> list[str]:
+        return self.crossings.object_names()
+
     @staticmethod
     def _merge(name: str, results: list[CheckResult]) -> CheckResult:
         bad = [r for r in results if not r.ok]
         return CheckResult(name, not bad, witness=(bad[0].name, bad[0].witness) if bad else None)
 
     def check_unit(self) -> CheckResult:
-        return self._merge("centre-unit-object", check_theta_on_algebra(self.crossing("A"), self.max_degree))
+        return self._merge("centre-unit-object", check_theta_on_algebra(self.crossings.crossing("A"), self.max_degree))
 
     def check_morphism(self, obj: str) -> CheckResult:
-        cm, D = self.crossing(obj), self.max_degree
+        cm, D = self.crossings.crossing(obj), self.max_degree
         results = []
         results += cm.check_bullet_balance(D)
         results += cm.check_left_module(D)
         results += cm.check_right_module(D)
         results += cm.check_filtration(D)
-        results += self.operator_connection.check_crossing_is_morphism(cm, D)
+        results += self.crossings.operator_connection.check_crossing_is_morphism(cm, D)
         return self._merge(f"centre-morphism-{obj}", results)
 
     def check_tensor_compat(self, a: str, b: str) -> CheckResult:
-        crossings = self.crossing(a), self.crossing(b), self.tensor_crossing(a, b)
-        results = theta_tensor_factorization(*crossings, self.max_degree)
+        cx = self.crossings
+        results = theta_tensor_factorization(cx.crossing(a), cx.crossing(b), cx.tensor_crossing(a, b), self.max_degree)
         return self._merge(f"centre-tensor-compat-{a}-{b}", results)
 
     def check_inverse(self, obj: str) -> CheckResult:
-        return self._merge(f"centre-inverse-{obj}", self.crossing(obj).check_inverse(self.max_degree))
+        return self._merge(f"centre-inverse-{obj}", self.crossings.crossing(obj).check_inverse(self.max_degree))
 
     def check_product_morphism(self) -> CheckResult:
-        oc, D = self.operator_connection, self.max_degree
+        oc, D = self.crossings.operator_connection, self.max_degree
         results = oc.check_left_leibniz(D) + oc.check_right_module_map(D) + oc.check_product_is_morphism(D)
         return self._merge("centre-product-morphism", results)
 
     def check_algebra_in_centre(self, obj: str) -> CheckResult:
-        return self._merge(f"centre-algebra-{obj}", theta_product_compat(self.crossing(obj), self.max_degree))
+        cm = self.crossings.crossing(obj)
+        return self._merge(f"centre-algebra-{obj}", theta_product_compat(cm, self.max_degree))
 
     def check_naturality(self) -> list[CheckResult]:
-        A = self.geometry.algebra
-        cm = self.crossing("A")
+        A = self.crossings.geometry.algebra
+        cm = self.crossings.crossing("A")
         t = A.mul.mul_ikron(1, A.one.scale(2), A.dim)
         results = cm.check_naturality(cm, t, self.max_degree)
         results += cm.check_naturality(cm, Mat.identity(A.dim), self.max_degree)

@@ -146,12 +146,19 @@ class Geometry:
     def cross_fields(self, E: Bimodule, crossed: Mat) -> Mat:
         """(ev (x) id (x) id)(id (x) crossed (x) id)(id (x) id (x) coev(1)): the braiding
         Kron(Vec, E) -> E (x)_A Vec of vector fields past E derived from a plain
-        crossing ``crossed: Kron(E, Omega1) -> Kron(Omega1, E)``."""
-        dvec = self.vec.dim
-        # ev_left (x) id applied to the |Vec||E| copies of coev(1), one per column
-        return self.pair(E, self.vec).project @ ikron_mul(
-            1, E.ev_left(self.fgp.apply_mat, crossed), dvec, Mat.identity(dvec * E.dim).kron(self.coev_one)
-        )
+        crossing ``crossed: Kron(E, Omega1) -> Kron(Omega1, E)``.
+
+        It contracts before it expands: the crossing meets coev(1) once per basis
+        element of E, v is paired with the crossed form on those |E| columns, and the
+        left action of A on E comes last.  It runs once at load, for the braiding of
+        Vec, and once per ``CrossingMap``, for its sigma-hat; a loaded bundle shares
+        one crossing per module and per tensor product of two (``Bundle.crossings``)
+        among all its verification runs."""
+        dvec, dE = self.vec.dim, E.dim
+        crossed_coev = ikron_mul(1, crossed, dvec, Mat.identity(dE).kron(self.coev_one))  # E -> Kron(Omega1, E, Vec)
+        # Kron(Vec, E) -> Kron(A, E, Vec)
+        paired = ikron_mul(1, self.fgp.apply_mat, dE * dvec, Mat.identity(dvec).kron(crossed_coev))
+        return self.pair(E, self.vec).project.mul_ikron(1, E.left_action, dvec) @ paired
 
     def _build_dual_connection(self, check: bool = True):
         """box(v) = d(v(alpha)) (x) w - (ev (x) id (x) id)(v (x) box(alpha) (x) w) over coev(1) = alpha (x) w."""

@@ -17,7 +17,7 @@ from .bundle import Bundle, canonical_json
 from .calculus import connection_morphism_defect, sigma_compat_defect, tensor_connection
 from .centre import verify_centre
 from .crossing import OperatorAlgebraCandidate, check_theta_on_algebra, theta_product_compat, theta_tensor_factorization
-from .diffop import BulletTable, GradedOperator
+from .diffop import GradedOperator
 from .hopf import standard_candidate
 from .linalg import Mat, first_mismatch, ikron_mul
 from .report import CheckResult, ValidationError, _jsonable, first_failure
@@ -102,23 +102,23 @@ class Report:
 
 
 class VerifyContext:
-    """What the suites of one verification run share: the bullet table and the
-    centre candidate, which holds the one crossing of each module, of each
-    tensor product of two, and the coevaluation connection.  Its own checks
-    stop at degree min(2, degree); the theta suite reads the same crossings up
-    to the run's degree."""
+    """What the suites of one verification run share.
+
+    Per run: the degree, the seed and the centre candidate, whose own checks
+    stop at degree min(2, degree).  Per bundle, and so shared with every other
+    run over the same bundle (``Bundle.crossings``): the bullet table, the
+    crossing of each module and of each tensor product of two, and the
+    coevaluation connection.  The candidate reads them up to its degree, the
+    theta suite up to the run's."""
 
     def __init__(self, bundle: Bundle, degree: int, seed: int):
         self.bundle = bundle
         self.geometry = bundle.geometry
         self.degree = degree
         self.seed = seed
-        self.table = BulletTable(bundle.geometry)
-        modules = dict(self.sigma_modules()) | {"A": bundle.modules["A"]}
-        self.candidate = OperatorAlgebraCandidate(self.table, modules, min(2, degree))
-
-    def sigma_modules(self) -> dict[str, object]:
-        return {name: m for name, m in sorted(self.bundle.modules.items()) if m.has_sigma}
+        self.crossings = bundle.crossings()
+        self.table = self.crossings.table
+        self.candidate = OperatorAlgebraCandidate(self.crossings, min(2, degree))
 
 
 # -- suites ---------------------------------------------------------------------
@@ -334,12 +334,11 @@ def suite_action(ctx: VerifyContext) -> list[CheckResult]:
 
 
 def suite_theta(ctx: VerifyContext) -> list[CheckResult]:
-    cand = ctx.candidate
+    cx = ctx.crossings
     out = []
     D = ctx.degree
-    sigma_mods = ctx.sigma_modules()
-    for name in sigma_mods:
-        cm = cand.crossing(name)
+    for name in cx.object_names():
+        cm = cx.crossing(name)
         chunk = (
             cm.check_bullet_balance(D)
             + cm.check_left_module(D)
@@ -348,17 +347,17 @@ def suite_theta(ctx: VerifyContext) -> list[CheckResult]:
             + cm.check_inverse(D)
         )
         out += _prefix(chunk, f"{name}:")
-    cm_a = cand.crossing("A")
+    cm_a = cx.crossing("A")
     out += _prefix(check_theta_on_algebra(cm_a, D), "A:")
     out += _prefix(theta_product_compat(cm_a, D), "A:")
-    if "omega1" in sigma_mods:
-        cm_e = cand.crossing("omega1")
+    if "omega1" in cx.modules:
+        cm_e = cx.crossing("omega1")
         out += _prefix(theta_product_compat(cm_e, D), "omega1:")
         # property 5 with F = omega1 and the tensor factorization, both directions
-        cm_ee = cand.tensor_crossing("omega1", "omega1")
+        cm_ee = cx.tensor_crossing("omega1", "omega1")
         out += _prefix(cm_e.check_action_factorization(cm_e.module, cm_ee.module, D), "omega1:")
         out += _prefix(theta_tensor_factorization(cm_e, cm_e, cm_ee, D), "omega1xomega1:")
-        out += _prefix(theta_tensor_factorization(cm_e, cm_a, cand.tensor_crossing("omega1", "A"), D), "omega1xA:")
+        out += _prefix(theta_tensor_factorization(cm_e, cm_a, cx.tensor_crossing("omega1", "A"), D), "omega1xA:")
     return out
 
 
@@ -371,7 +370,7 @@ def _prefix(results: list[CheckResult], prefix: str) -> list[CheckResult]:
 
 def suite_centre(ctx: VerifyContext) -> list[CheckResult]:
     cand = ctx.candidate
-    oc = cand.operator_connection
+    oc = ctx.crossings.operator_connection
     for n in range(cand.max_degree + 1):  # built before any crossing, so a corrupt input fails here first
         oc.blocks(n)
     out = verify_centre(cand)
@@ -441,7 +440,9 @@ SUITES = {
 
 
 def verify_all(bundle: Bundle, suites=None, degree: Optional[int] = None, seed: int = 0) -> Report:
-    selected = list(suites) if suites else list(SUITE_NAMES)
+    selected = list(SUITE_NAMES) if suites is None else list(suites)
+    if not selected:
+        raise UnknownSuite(f"no suite selected; available: {', '.join(SUITE_NAMES)}")
     for s in selected:
         if s not in SUITES:
             raise UnknownSuite(f"unknown suite {s!r}; available: {', '.join(SUITE_NAMES)}")

@@ -13,8 +13,8 @@ the tensor relations, bimodule-map checks and conjugate actions below loop
 over them the way the library did before it wrote them as identities.
 """
 
-from ncdiffop.bimodule import Bimodule, algebra_as_bimodule
-from ncdiffop.linalg import Mat, first_mismatch, kron_vec, quotient, span
+from ncdiffop.bimodule import Bimodule, algebra_as_bimodule, balance
+from ncdiffop.linalg import Mat, first_mismatch, ikron_mul, kron_vec, quotient, span
 from ncdiffop.report import CheckResult
 from ncdiffop.scalars import ONE, ZERO
 
@@ -322,6 +322,31 @@ def braid_vec(g, n: int) -> Mat:
         @ Mat.identity(g.vec.dim).kron(braid_vec(g, n - 1))
         @ g.pair_V(n).section.kron(Mat.identity(g.omega.dim))
     )
+
+
+def cross_fields(g, E, crossed: Mat) -> Mat:
+    """``Geometry.cross_fields`` expanded before it contracts, the way it was first
+    written: ev_left (x) id applied to the |Vec||E| copies of coev(1), one per column."""
+    dvec = g.vec.dim
+    copies = Mat.identity(dvec * E.dim).kron(g.coev_one)
+    return g.pair(E, g.vec).project @ ikron_mul(1, E.ev_left(g.fgp.apply_mat, crossed), dvec, copies)
+
+
+def left_inverse_relations(cm, degree: int) -> Mat:
+    """The relations ``CrossingMap.check_inverse`` reduces modulo, all degrees at once
+    on the stacked sum of the Kron(V(m), E), m <= degree, block 0 first."""
+    g, E = cm.geometry, cm.module.space
+    offsets, total = {}, 0
+    for m in range(degree + 1):
+        offsets[m] = total
+        total += g.V(m).dim * E.dim
+    rels = []
+    for m in range(degree + 1):
+        blocks = {k: cm.table.table(m, 0, k).kron(Mat.identity(E.dim)) for k in range(m)}
+        blocks[m] = balance(g.V(m), E)
+        for c in range(blocks[m].cols):
+            rels.append([(offsets[k] + i, v) for k in sorted(blocks) for i, v in blocks[k].cols_sparse()[c]])
+    return span(total, rels)
 
 
 def morphism_equivariance_report(table, em, fm, t: Mat, max_degree: int) -> list:

@@ -495,6 +495,17 @@ def test_cli_verify_empty_suite_name_is_input_error(capsys, suites):
     assert not captured.out
 
 
+def test_verify_all_empty_suite_selection_is_an_error():
+    # the library twin of the CLI rule: None selects every suite, an empty selection none
+    from ncdiffop.verify import SUITE_NAMES, UnknownSuite, verify_all
+
+    bundle = load_builtin("zero-form-smoke")
+    for empty in ([], ()):
+        with pytest.raises(UnknownSuite):
+            verify_all(bundle, suites=empty)
+    assert sorted(verify_all(bundle, suites=None).suites) == sorted(SUITE_NAMES)
+
+
 def test_cli_verify_negative_degree_is_input_error(capsys):
     assert main(["verify", "two-point-universal", "--degree", "-1"]) == 2
     captured = capsys.readouterr()

@@ -2,7 +2,7 @@
 
 from ncdiffop.calculus import omega_module, trivial_module, vec_module
 from ncdiffop.centre import verify_centre
-from ncdiffop.crossing import OperatorAlgebraCandidate
+from ncdiffop.crossing import Crossings, OperatorAlgebraCandidate
 from ncdiffop.diffop import BulletTable
 from ncdiffop.hopf import (
     HopfCentreCandidate,
@@ -71,7 +71,7 @@ def test_operator_algebra_centre_two_point(two_point_geometry, two_point_omega_c
         "omega1": omega_module(g, nabla_plain, sigma_plain),
         "vec": vec_module(g),
     }
-    cand = OperatorAlgebraCandidate(table, modules, 2)
+    cand = OperatorAlgebraCandidate(Crossings(table, modules), 2)
     results = verify_centre(cand)
     for r in results:
         assert r.ok, (r.name, r.witness)

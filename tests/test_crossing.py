@@ -5,7 +5,7 @@ tensor factorization, the two-sided inverse, and the coevaluation connection.
 import pytest
 
 from ncdiffop import crossing, verify
-from ncdiffop.bundle import load_builtin
+from ncdiffop.bundle import BUILTIN_NAMES, load_builtin
 from ncdiffop.calculus import omega_module, tensor_connection, trivial_module, vec_module
 from ncdiffop.crossing import (
     CrossingMap,
@@ -15,9 +15,19 @@ from ncdiffop.crossing import (
     theta_tensor_factorization,
 )
 from ncdiffop.diffop import BulletTable
-from ncdiffop.linalg import Mat, kron_vec
+from ncdiffop.linalg import Mat, kernel, kron_vec, quotient, span
 from ncdiffop.scalars import ZERO, sc
-from oracles import col, crossing_apply, left_mult_matrix, pair_apply, push, right_apply, unit_row
+from oracles import (
+    col,
+    cross_fields,
+    crossing_apply,
+    left_inverse_relations,
+    left_mult_matrix,
+    pair_apply,
+    push,
+    right_apply,
+    unit_row,
+)
 
 D = 3
 
@@ -189,3 +199,60 @@ def test_theta_and_centre_share_one_crossing_per_module(monkeypatch):
     report = verify.verify_all(load_builtin("two-point-universal"), suites=["theta", "centre"], seed=7)
     assert report.ok
     assert counts == {"CrossingMap": 12, "OperatorConnection": 1, "tensor_connection": 9}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_cross_fields_equals_the_expanded_formula(name):
+    # sigma-hat of every module and of every tensor product of two, and the braiding of Vec
+    bundle = load_builtin(name)
+    g = bundle.geometry
+    modules = dict(bundle.modules)
+    for a, ma in bundle.modules.items():
+        modules |= {(a, b): tensor_connection(ma, mb) for b, mb in bundle.modules.items()}
+    for key, m in modules.items():
+        crossed = m.OE.section @ m.sigma @ m.EO.project
+        assert g.cross_fields(m.space, crossed) == cross_fields(g, m.space, crossed), key
+    sigma_inv = g.W2.section @ g.sigma_inv_form @ g.W2.project
+    assert g.sigma_vec_plain == cross_fields(g, g.omega, sigma_inv)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_left_inverse_projection_kills_the_stacked_span(name):
+    # grown degree by degree with block n first, the projection's kernel is the span of
+    # every relation up to degree n taken at once, block 0 first
+    bundle = load_builtin(name)
+    g = bundle.geometry
+    table = BulletTable(g)
+    for mname, module in sorted(bundle.modules.items()):
+        cm = CrossingMap(table, module)
+        for n in range(4):
+            offsets, total = cm._stacking(n)
+            to_old = {}  # with block 0 first, block m starts where it ends with block n first
+            for m, start in offsets.items():
+                size = g.V(m).dim * module.space.dim
+                to_old.update((start + i, total - start - size + i) for i in range(size))
+            project, _ = quotient(cm.inverse_relations(n))
+            moved = ([(to_old[i], v) for i, v in c] for c in kernel(project).cols_sparse())
+            assert span(total, moved) == left_inverse_relations(cm, n), (mname, n)
+
+
+@pytest.mark.parametrize("first", ["theta", "centre"])
+def test_runs_on_one_bundle_share_its_crossings(monkeypatch, first):
+    runs = {"theta": 2, "centre": 1}  # the suite and its degree
+    order = [first, *(s for s in runs if s != first)]
+    fresh = {s: verify.verify_all(load_builtin("z3-function-calculus"), [s], runs[s], seed=7).body_json() for s in runs}
+    built = []
+    init = crossing.CrossingMap.__init__
+
+    def counted(self, table, module, validate=True):
+        built.append(module.name)
+        init(self, table, module, validate)
+
+    monkeypatch.setattr(crossing.CrossingMap, "__init__", counted)
+    bundle = load_builtin("z3-function-calculus")
+    bodies = {s: verify.verify_all(bundle, [s], runs[s], seed=7).body_json() for s in order}
+    assert bodies == fresh
+    shared = bundle.crossings()
+    assert verify.VerifyContext(bundle, 2, seed=7).table is shared.table
+    # three objects: one crossing each and one per ordered pair, each built once
+    assert len(shared._crossing) + len(shared._tensor_crossing) == len(built) == 12

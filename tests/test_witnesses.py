@@ -141,6 +141,16 @@ def corrupt_sigma_hat(bundle, table):
     return crossing_checks(bundle, table, cm)
 
 
+@pytest.mark.parametrize("n,m,r,c", [(1, 1, 0, 0), (2, 2, 7, 11), (2, 1, 3, 16), (2, 0, 10, 20)])
+def test_corrupt_inverse_block(z3, n, m, r, c):
+    """A bumped inverse block, seen by both composites; the left one through the relation quotient."""
+    bundle, table = z3
+    cm = CrossingMap(table, bundle.modules["omega1"])
+    cm.build_inverse(D)  # build every degree from the sound blocks first
+    cm._build_inverse[(n,)][m] = bump(cm.build_inverse(n)[m], r, c)
+    assert failing(cm.check_inverse(D)) == INVERSE_BLOCK_WITNESSES[(n, m, r, c)]
+
+
 @pytest.mark.parametrize("n,m,r,c", [(1, 1, 2, 3), (2, 2, 3, 5), (0, 1, 4, 0)], ids=["oc11", "oc22", "oc01"])
 def test_corrupt_operator_connection(z3, n, m, r, c):
     assert corrupt_operator_connection(*z3, n, m, r, c) == OC_WITNESSES[(n, m, r, c)]
@@ -653,6 +663,16 @@ INVERSE_DIGESTS = {
         "omega1": "3cca09dcf779e55b77dd34e58bed19d24f28537e6c66eeeccb58e522c42a7858",
         "vec": "5be82ed1c854d247d1bffe78cb4038c2a3c5a5cbcd5248e95b3b6f8b5358e663",
     },
+}
+INVERSE_BLOCK_WITNESSES = {
+    (1, 1, 0, 0): {
+        "theta-right-inverse-deg1": 1,
+        "theta-left-inverse-deg1": (1, 0, 2),
+        "theta-left-inverse-deg2": (2, 0, 1),
+    },
+    (2, 2, 7, 11): {"theta-right-inverse-deg2": 2, "theta-left-inverse-deg2": (2, 11, 1)},
+    (2, 1, 3, 16): {"theta-right-inverse-deg2": 2, "theta-left-inverse-deg2": (2, 4, 5)},
+    (2, 0, 10, 20): {"theta-right-inverse-deg2": 2, "theta-left-inverse-deg2": (2, 8, 3)},
 }
 DUAL_CONNECTION_DIGESTS = {  # (box_vec, sigma_vec_plain)
     "two-point-universal": (
