@@ -185,6 +185,13 @@ class Bundle:
     def module_names(self) -> list[str]:
         return sorted(self.modules)
 
+    def form_pairing(self) -> InnerProduct | None:
+        """The pairing on Omega^1: the zero pairing when Omega^1 is 0-dimensional,
+        otherwise the declared ``omega1`` inner product, or None if there is none."""
+        if not self.geometry.omega.dim:
+            return InnerProduct(self.geometry.omega, [], "ip-omega-zero")
+        return self.inner_products.get("omega1")
+
     @memo
     def crossings(self) -> Crossings:
         """The bullet table and the crossings over the modules with a braiding (A

@@ -13,7 +13,7 @@ import sys
 from .bundle import BUILTIN_NAMES, ParseError, resolve_bundle
 from .exprs import DegreeExceeded, ExprError, UnknownName, parse_element, parse_operator
 from .report import ValidationError, _jsonable
-from .sobolev import InnerProduct, PositivityFailure, SobolevPairings, sobolev_gram
+from .sobolev import PositivityFailure, SobolevPairings, sobolev_gram
 from .verify import SUITE_NAMES, UnknownSuite, verify_all
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -157,12 +157,9 @@ def cmd_gram(args) -> int:
     ip_e = bundle.inner_products.get(args.module)
     if ip_e is None:
         raise ExprError(f"no inner product declared for module {args.module!r}")
-    if bundle.geometry.omega.dim:
-        ip_om = bundle.inner_products.get("omega1")
-        if ip_om is None:
-            raise ExprError("no inner product declared for omega1")
-    else:
-        ip_om = InnerProduct(bundle.geometry.omega, [], "ip-omega-zero")
+    ip_om = bundle.form_pairing()
+    if ip_om is None:
+        raise ExprError("no inner product declared for omega1")
     pairings = SobolevPairings(module, ip_om, ip_e)
     try:
         gram = sobolev_gram(pairings, state, args.order)

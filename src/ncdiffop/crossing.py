@@ -367,27 +367,34 @@ def theta_product_compat(cm: CrossingMap, degree: int) -> list[CheckResult]:
     """theta(u bullet v (x) e) = (id (x) bullet)(theta (x) id)(id (x) theta)."""
     g, E = cm.geometry, cm.module.space
     table = cm.table
+    # built once per call: each theta_n block into V(m), lifted to Kron(E, V(m)),
+    # and each projected bullet Kron(E, V(mp), V(m)) -> E (x) V(k)
+    lifted = {(n, m): cm.EV(m).section @ th for n in range(degree + 1) for m, th in cm.theta(n).items()}
+    acted: dict[tuple[int, int, int], Mat] = {}
     results = []
     for p in range(0, degree + 1):
+        # (m, k): every theta_p block that lands in V(k), crossed past E and summed;
+        # Kron(V(p), E, V(m)) -> Kron(E, V(mp), V(m)) -> E (x) V(k), the same for every q
+        crossed: dict[tuple[int, int], Mat] = {}
+        for m in sorted({m for q in range(degree + 1 - p) for m in cm.theta(q)}):
+            for k in range(0, p + m + 1):
+                for mp in cm.theta(p):
+                    if k <= mp + m:
+                        if (k, mp, m) not in acted:
+                            acted[k, mp, m] = cm.EV(k).project.mul_ikron(E.dim, table.table(mp, m, k), 1)
+                        _add(crossed, (m, k), acted[k, mp, m].mul_ikron(1, lifted[p, mp], g.V(m).dim))
         for q in range(0, degree + 1 - p):
             Vp, Vq = g.V(p), g.V(q)
             lhs: dict[int, Mat] = {}
             for k in range(0, p + q + 1):
                 for m, th in cm.theta(k).items():
                     _add(lhs, m, th.mul_ikron(1, table.table(p, q, k), E.dim))
-            # Kron(V(p), V(q), E) -> Kron(V(p), E, V(m)) -> Kron(E, V(mp), V(m)), then bullet into V(k)
+            # Kron(V(p), V(q), E) -> Kron(V(p), E, V(m)), then crossed into V(k)
             rhs: dict[int, Mat] = {}
-            for m, th_q in cm.theta(q).items():
-                dm = g.V(m).dim
+            for m in cm.theta(q):
                 for k in range(0, p + m + 1):
-                    outer = None  # every theta_p block that lands in V(k), crossed past E, summed
-                    for mp, th_p in cm.theta(p).items():
-                        if k <= mp + m:
-                            acted = cm.EV(k).project.mul_ikron(E.dim, table.table(mp, m, k), 1)
-                            term = acted.mul_ikron(1, cm.EV(mp).section @ th_p, dm)
-                            outer = term if outer is None else outer + term
-                    if outer is not None:
-                        _add(rhs, k, outer.mul_ikron(Vp.dim, cm.EV(m).section @ th_q, 1))
+                    if (m, k) in crossed:
+                        _add(rhs, k, crossed[m, k].mul_ikron(Vp.dim, lifted[q, m], 1))
             fail = _at((p, q), first_mismatch(lhs, rhs, (Vp.dim, Vq.dim, E.dim)))
             results.append(CheckResult(f"theta-product-compat-{p}-{q}", fail is None, witness=fail))
     return results

@@ -87,13 +87,16 @@ class BulletTable:
 
 
 class GradedOperator:
-    """An element of the degree-truncated operator algebra.
+    """A batch of elements of the degree-truncated operator algebra, one per column.
 
-    Each nonzero component is a one-column ``Mat`` of quotient coordinates in
-    V(degree); a zero component is not stored.  The constructor also takes
-    dense coordinate lists, and ``component`` returns one.  Arithmetic that
-    would need components beyond the truncation degree raises rather than
-    silently dropping terms.
+    Each nonzero component is a ``Mat`` of quotient coordinates in V(degree),
+    column t holding the t-th operator's; a zero component is not stored.  An
+    element is a batch of one: the constructor also takes one dense coordinate
+    list per degree, and ``component``, ``act_on`` and ``__repr__`` read
+    one-column operators.  ``bullet`` multiplies two batches of c operators
+    column by column, c products at once.  Arithmetic that would need
+    components beyond the truncation degree raises rather than silently
+    dropping terms.
     """
 
     def __init__(self, geometry: Geometry, components: dict[int, Mat | list], truncation: int):
@@ -147,7 +150,7 @@ class GradedOperator:
         return not self.components
 
     def bullet(self, other: "GradedOperator", table: BulletTable) -> "GradedOperator":
-        """The associative product; sums o_k over all degrees."""
+        """The associative product, column by column; sums o_k over all degrees."""
         if self.degree + other.degree > self.truncation:
             raise TruncationExceeded(
                 f"product degree {self.degree}+{other.degree} exceeds truncation {self.truncation}"
@@ -155,7 +158,7 @@ class GradedOperator:
         out: dict[int, Mat] = {}
         for n, v in self.components.items():
             for m, w in other.components.items():
-                vw = v.kron(w)  # bullet_k for every k at once: the Kronecker column is shared
+                vw = v.kron_cols(w)  # bullet_k for every k at once: the Kronecker columns are shared
                 for k in range(0, n + m + 1):
                     term = table.table(n, m, k) @ vw
                     out[k] = out[k] + term if k in out else term

@@ -246,6 +246,18 @@ class Mat:
                 )
         return Mat(self.rows * p, self.cols * other.cols, out)
 
+    def kron_cols(self, other: "Mat") -> "Mat":
+        """Column t is ``self[:, t] (x) other[:, t]``: ``kron`` column by column,
+        so on one-column matrices it is ``kron``."""
+        if self.cols != other.cols:
+            raise ValueError(f"column counts differ: {self.cols} and {other.cols}")
+        p = other.rows
+        out = [
+            [(i * p + k, b if a is ONE else a if b is ONE else a * b) for i, a in col for k, b in ocol]
+            for col, ocol in zip(self._cols_sparse, other._cols_sparse)
+        ]
+        return Mat(self.rows * p, self.cols, out)
+
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in row) for row in self.data)
         return f"Mat({self.rows}x{self.cols}: {body})"

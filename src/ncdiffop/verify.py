@@ -22,7 +22,7 @@ from .hopf import standard_candidate
 from .linalg import Mat, first_mismatch, ikron_mul
 from .report import CheckResult, ValidationError, _jsonable, first_failure
 from .scalars import sc
-from .sobolev import InnerProduct, SobolevPairings, gram_increment_certificate, sobolev_gram
+from .sobolev import SobolevPairings, gram_increment_certificate, sobolev_gram
 
 SUITE_NAMES = (
     "fgp-zigzag",
@@ -235,16 +235,50 @@ def suite_ev_duality(ctx: VerifyContext) -> list[CheckResult]:
     return out
 
 
-# the values a random coefficient a/b takes, for -3 <= a <= 3 and 1 <= b <= 3
-_RANDOM_COEFFS = {(a, b): sc(f"{a}/{b}") for a in range(-3, 4) for b in range(1, 4)}
+# A random coefficient a/b (-3 <= a <= 3, 1 <= b <= 3) is drawn as the integer
+# 6a/b.  The checks are multilinear in their random operators: bullet-unit is
+# linear in x, and bullet-associativity-random is trilinear in (x, y, z) because
+# the bullet product is bilinear for any tables, bumped ones included.  Scaling
+# each operator by 6 scales both sides of an identity alike, so every verdict
+# and witness is that of the rational draw, while the arithmetic runs on ints.
+_RANDOM_COEFFS = {(a, b): sc(6 * a // b) for a in range(-3, 4) for b in range(1, 4)}
 
 
-def _random_operator(ctx: VerifyContext, rng: random.Random, max_deg: int) -> GradedOperator:
+def _random_coords(ctx: VerifyContext, rng: random.Random, max_deg: int) -> dict[int, list]:
+    """Dense coordinates of one random operator, degree by degree up to max_deg."""
     g = ctx.geometry
-    comps = {}
-    for d in range(max_deg + 1):
-        comps[d] = [_RANDOM_COEFFS[rng.randint(-3, 3), rng.randint(1, 3)] for _ in range(g.V(d).dim)]
-    return GradedOperator(g, comps, ctx.bundle.truncation)
+    return {
+        d: [_RANDOM_COEFFS[rng.randint(-3, 3), rng.randint(1, 3)] for _ in range(g.V(d).dim)]
+        for d in range(max_deg + 1)
+    }
+
+
+def _operators(ctx: VerifyContext, draws: list[dict[int, list]]) -> GradedOperator:
+    """Random operators of one degree as one batch, the t-th in column t."""
+    comps = {d: Mat.from_cols([draw[d] for draw in draws]) for d in draws[0]}
+    return GradedOperator(ctx.geometry, comps, ctx.bundle.truncation)
+
+
+def bullet_associativity_random(ctx: VerifyContext) -> CheckResult:
+    """(x . y) . z == x . (y . z) on 100 seeded random triples of degree <= 1 each;
+    the witness is the first failing trial.  The trials are drawn in order and
+    checked as one batch per degree pattern, one trial per column."""
+    table = ctx.table
+    rng = random.Random(ctx.seed)
+    batches: dict[tuple, list] = {}
+    for trial in range(100):
+        degs = [rng.randint(0, 1) for _ in range(3)]
+        while sum(degs) > min(3, ctx.bundle.truncation):
+            degs[rng.randrange(3)] = 0
+        batches.setdefault(tuple(degs), []).append((trial, [_random_coords(ctx, rng, dd) for dd in degs]))
+    failed = []
+    for batch in batches.values():
+        x, y, z = (_operators(ctx, [draws[i] for _, draws in batch]) for i in range(3))
+        lhs, rhs = x.bullet(y, table).bullet(z, table), x.bullet(y.bullet(z, table), table)
+        fail = first_mismatch(lhs.components, rhs.components, (len(batch),))
+        if fail is not None:
+            failed.append(batch[fail[0]][0])
+    return CheckResult("bullet-associativity-random", not failed, witness=min(failed, default=None))
 
 
 def suite_bullet(ctx: VerifyContext) -> list[CheckResult]:
@@ -254,7 +288,7 @@ def suite_bullet(ctx: VerifyContext) -> list[CheckResult]:
     D = ctx.degree
     # unit laws and the degree-zero action
     one = GradedOperator.unit(g, ctx.bundle.truncation)
-    x = _random_operator(ctx, random.Random(ctx.seed), min(D, ctx.bundle.truncation))
+    x = _operators(ctx, [_random_coords(ctx, random.Random(ctx.seed), min(D, ctx.bundle.truncation))])
     out.append(CheckResult("bullet-unit", one.bullet(x, table) == x and x.bullet(one, table) == x))
     # left A-linearity: o_k(a.v, w) = a.o_k(v, w) on homogeneous bases
     lin_fail = None
@@ -290,18 +324,7 @@ def suite_bullet(ctx: VerifyContext) -> list[CheckResult]:
                 if fail is not None and assoc_fail is None:
                     assoc_fail = (n, m, l, *fail[:-1])
     out.append(CheckResult("bullet-associativity-homogeneous", assoc_fail is None, witness=assoc_fail))
-    # seeded random mixed-degree triples
-    rng = random.Random(ctx.seed)
-    rand_fail = None
-    for trial in range(100):
-        degs = [rng.randint(0, 1) for _ in range(3)]
-        while sum(degs) > min(3, ctx.bundle.truncation):
-            degs[rng.randrange(3)] = 0
-        xo, yo, zo = (_random_operator(ctx, rng, dd) for dd in degs)
-        if xo.bullet(yo, table).bullet(zo, table) != xo.bullet(yo.bullet(zo, table), table):
-            if rand_fail is None:
-                rand_fail = trial
-    out.append(CheckResult("bullet-associativity-random", rand_fail is None, witness=rand_fail))
+    out.append(bullet_associativity_random(ctx))
     return out
 
 
@@ -391,16 +414,13 @@ def suite_hopf(ctx: Optional[VerifyContext]) -> list[CheckResult]:
 def suite_sobolev(ctx: VerifyContext) -> list[CheckResult]:
     bundle = ctx.bundle
     out = []
-    if "omega1" not in bundle.inner_products and bundle.geometry.omega.dim:
+    ip_om = bundle.form_pairing()
+    if ip_om is None:
         out.append(CheckResult("sobolev-skipped-no-form-pairing", True, detail="no inner product on omega1"))
         return out
     maxn = ctx.degree
     for name, ip in sorted(bundle.inner_products.items()):
         out += ip.validate(list(bundle.states.values()))
-    if bundle.geometry.omega.dim:
-        ip_om = bundle.inner_products["omega1"]
-    else:
-        ip_om = InnerProduct(bundle.geometry.omega, [], "ip-omega-zero")
     for name, ip_e in sorted(bundle.inner_products.items()):
         module = bundle.modules.get(name)
         if module is None:

@@ -10,13 +10,18 @@ row reduction is the dense Gauss-Jordan elimination the library ran before
 it reduced sparse rows.  A bimodule's actions are read one basis element at a
 time, as the blocks ``left[i]`` and ``right[i]`` of its two action matrices:
 the tensor relations, bimodule-map checks and conjugate actions below loop
-over them the way the library did before it wrote them as identities.
+over them the way the library did before it wrote them as identities.  The
+bullet suite's random associativity check runs one rational triple at a time,
+as the suite did before it drew integer coefficients and batched the trials.
 """
 
+import random
+
 from ncdiffop.bimodule import Bimodule, algebra_as_bimodule, balance
+from ncdiffop.diffop import GradedOperator
 from ncdiffop.linalg import Mat, first_mismatch, ikron_mul, kron_vec, quotient, span
 from ncdiffop.report import CheckResult
-from ncdiffop.scalars import ONE, ZERO
+from ncdiffop.scalars import ONE, ZERO, sc
 
 
 def action_blocks(M) -> tuple[list, list]:
@@ -85,6 +90,28 @@ def bullet(x, y, table) -> dict:
                 if not vec_is_zero(term):
                     out[k] = [a + b for a, b in zip(out[k], term)] if k in out else term
     return out
+
+
+def rational_operator(g, rng, max_deg: int, truncation: int) -> GradedOperator:
+    """A random operator with coefficients a/b (-3 <= a <= 3, 1 <= b <= 3) in every degree up to max_deg."""
+    comps = {d: [sc(f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}") for _ in range(g.V(d).dim)] for d in range(max_deg + 1)}
+    return GradedOperator(g, comps, truncation)
+
+
+def bullet_associativity_random(ctx) -> tuple:
+    """``bullet-associativity-random`` as ``(ok, witness)``, checked the way the bullet
+    suite did before it drew integers and batched the trials: one triple of
+    one-column operators with rational coefficients at a time."""
+    g, table, trunc = ctx.geometry, ctx.table, ctx.bundle.truncation
+    rng = random.Random(ctx.seed)
+    for trial in range(100):
+        degs = [rng.randint(0, 1) for _ in range(3)]
+        while sum(degs) > min(3, trunc):
+            degs[rng.randrange(3)] = 0
+        x, y, z = (rational_operator(g, rng, dd, trunc) for dd in degs)
+        if x.bullet(y, table).bullet(z, table) != x.bullet(y.bullet(z, table), table):
+            return False, trial
+    return True, None
 
 
 def act_on(x, module, e):

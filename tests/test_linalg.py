@@ -286,6 +286,28 @@ def test_identity_kron_kernels_match_the_built_factor(case):
         ikron_mul(n, x, m, Mat.zeros(b.rows + 1, b.cols))
 
 
+@st.composite
+def kron_cols_cases(draw):
+    """Two Q or Q(i) matrices with the same number of columns, zero to three;
+    empty columns come from ``oracle_mats``."""
+    kind = draw(st.sampled_from(["rational", "gaussian"]))
+    c, p, q = (draw(st.integers(0, 3)) for _ in range(3))
+    return draw(oracle_mats(kind, p, c))[1], draw(oracle_mats(kind, q, c))[1]
+
+
+@given(kron_cols_cases())
+@settings(max_examples=200, deadline=None)
+def test_kron_cols_is_kron_of_the_column_slices(case):
+    x, y = case
+    out = x.kron_cols(y)
+    assert (out.rows, out.cols) == (x.rows * y.rows, x.cols)
+    for t in range(x.cols):
+        xt, yt, got = (Mat(m.rows, 1, [m.cols_sparse()[t]]) for m in (x, y, out))
+        assert read_back(got) == read_back(xt.kron(yt))
+    with pytest.raises(ValueError):
+        x.kron_cols(Mat.zeros(y.rows, y.cols + 1))
+
+
 def test_kron_vec():
     x = [sc(1), sc(2)]
     y = [sc(0), sc(3)]

@@ -33,7 +33,15 @@ from ncdiffop.diffop import BulletTable
 from ncdiffop.linalg import Mat
 from ncdiffop.report import ValidationError
 from ncdiffop.scalars import sc
-from ncdiffop.verify import VerifyContext, suite_action, suite_bullet, suite_ev_duality, suite_fgp_zigzag
+from ncdiffop.verify import (
+    VerifyContext,
+    bullet_associativity_random,
+    suite_action,
+    suite_bullet,
+    suite_ev_duality,
+    suite_fgp_zigzag,
+)
+import oracles
 from oracles import action_blocks, bimodule_from_blocks, left_mult_matrix, morphism_equivariance_report, mul_tensor
 
 Z3 = "z3-function-calculus"
@@ -180,13 +188,19 @@ def test_corrupt_bullet_table(z3):
 
 
 def corrupt_bullet_table(bundle):
+    return failing(suite_bullet(bumped_bullet_context(bundle, D, (1, 0, 1), 2, 3)))
+
+
+def bumped_bullet_context(bundle, built: int, key, r, c) -> VerifyContext:
+    """A seed-7 context whose bullet table ``key`` has 1 added at (r, c), bumped
+    after every table of total degree <= built was built from the true ones."""
     ctx = VerifyContext(bundle, D, seed=7)
-    for n in range(D + 1):  # build the tables the corrupted one would feed first
-        for m in range(D + 1 - n):
+    for n in range(built + 1):
+        for m in range(built + 1 - n):
             for k in range(n + m + 1):
                 ctx.table.table(n, m, k)
-    ctx.table._table[(1, 0, 1)] = bump(ctx.table.table(1, 0, 1), 2, 3)
-    return failing(suite_bullet(ctx))
+    ctx.table._table[key] = bump(ctx.table.table(*key), r, c)
+    return ctx
 
 
 @pytest.mark.parametrize("what", ["sigma_vec_plain", "ev_pow", "coev_pow"])
@@ -345,14 +359,40 @@ def test_corrupt_bullet_step_input(z3, r, c):
 
 @pytest.mark.parametrize("r,c", [(0, 0), (2, 18), (4, 18)])
 def test_corrupt_bullet_table_111(z3, r, c):
-    bundle = z3[0]
-    ctx = VerifyContext(bundle, D, seed=7)
-    for n in range(4):  # the random triples reach total degree 3
-        for m in range(4 - n):
-            for k in range(n + m + 1):
-                ctx.table.table(n, m, k)
-    ctx.table._table[(1, 1, 1)] = bump(ctx.table.table(1, 1, 1), r, c)
+    ctx = bumped_bullet_context(z3[0], 3, (1, 1, 1), r, c)  # the random triples reach total degree 3
     assert failing(suite_bullet(ctx)) == BULLET_111_WITNESSES[(r, c)]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_batched_random_trials_match_the_rational_loop(name):
+    """The random associativity trials, drawn as integers and checked one batch per
+    degree pattern, give the verdict and witness of the per-trial rational loop."""
+    bundle = load_builtin(name)
+    for seed in range(20):
+        ctx = VerifyContext(bundle, D, seed)
+        check = bullet_associativity_random(ctx)
+        assert (check.ok, check.witness) == oracles.bullet_associativity_random(ctx)
+
+
+@pytest.mark.parametrize(
+    "built,key,r,c,witness",
+    [
+        (D, (1, 0, 1), 2, 3, 0),  # the bump of test_corrupt_bullet_table
+        (3, (1, 1, 1), 0, 0, 2),  # the bumps of BULLET_111_WITNESSES
+        (3, (1, 1, 1), 2, 18, 2),
+        (3, (1, 1, 1), 4, 18, 2),
+        # bumps under which only some trials fail: 9 of the 19 degree-(1, 1, 1)
+        # trials, the first of them not its batch's first column
+        (3, (1, 2, 3), 0, 0, 7),
+        # 17 trials in two batches, the first failure in the batch begun later
+        (3, (0, 2, 2), 0, 0, 5),
+        (3, (2, 0, 2), 3, 1, 2),  # 14 trials in two batches
+    ],
+)
+def test_batched_random_trials_match_the_rational_loop_on_bumped_tables(z3, built, key, r, c, witness):
+    ctx = bumped_bullet_context(z3[0], built, key, r, c)
+    check = bullet_associativity_random(ctx)
+    assert (check.ok, check.witness) == oracles.bullet_associativity_random(ctx) == (False, witness)
 
 
 def test_corrupt_idempotent_reports_first_failure():
