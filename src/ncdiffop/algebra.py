@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .linalg import Mat, first_mismatch, ldl_certify_psd
+from .linalg import Graded, Mat, first_mismatch, ldl_certify_psd
 from .report import CheckResult
 from .scalars import ONE, ZERO, Scalar, sc
 
@@ -54,7 +54,8 @@ class Algebra:
             )
         )
         # u a_i = a_i (key 0) and a_i u = a_i (key 1): the witness is the first failing i
-        unit_fail = first_mismatch({0: mul.mul_ikron(1, one, d), 1: mul.mul_ikron(d, one, 1)}, {0: I, 1: I}, (d,))
+        units = Graded({0: mul.mul_ikron(1, one, d), 1: mul.mul_ikron(d, one, 1)})
+        unit_fail = units.first_mismatch(Graded({0: I, 1: I}), (d,))
         results.append(CheckResult("unit-laws", unit_fail is None, witness=None if unit_fail is None else unit_fail[0]))
         if self.star is not None:
             star2 = self.star @ self.star.conj()

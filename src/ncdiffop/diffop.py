@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .calculus import ConnectionModule
 from .geometry import Geometry
-from .linalg import Mat, first_mismatch
+from .linalg import Graded, Mat, first_mismatch
 from .memo import memo
 from .report import ValidationError
 from .scalars import ZERO, Scalar, sc
@@ -81,6 +81,15 @@ class BulletTable:
             raise ValidationError("bullet-not-well-defined", witness=(n, m, k, fail[1]))
         return plain.mul_ikron(1, pv.section, Vm.dim)
 
+    def graded(self, n: int, m: int) -> Graded:
+        """The whole product o : V(n) (x) V(m) -> V(k), one block per k <= n + m."""
+        return Graded({k: self.table(n, m, k) for k in range(n + m + 1)})
+
+    def graded_into(self, pair, n: int, m: int) -> Graded:
+        """id (x) o : Kron(X, V(n), V(m)) -> X (x)_A V(k), one block per k <= n + m,
+        where ``pair(k)`` is the tensor pair of X and V(k)."""
+        return Graded({k: pair(k).project.mul_ikron(pair(k).e.dim, b, 1) for k, b in self.graded(n, m).items()})
+
     def bullet_k(self, v: Mat, n: int, w: Mat, m: int, k: int) -> Mat:
         """v o_k w for one-column coordinates v in V(n) and w in V(m)."""
         return self.table(n, m, k) @ v.kron(w)
@@ -89,20 +98,20 @@ class BulletTable:
 class GradedOperator:
     """A batch of elements of the degree-truncated operator algebra, one per column.
 
-    Each nonzero component is a ``Mat`` of quotient coordinates in V(degree),
-    column t holding the t-th operator's; a zero component is not stored.  An
-    element is a batch of one: the constructor also takes one dense coordinate
-    list per degree, and ``component``, ``act_on`` and ``__repr__`` read
-    one-column operators.  ``bullet`` multiplies two batches of c operators
-    column by column, c products at once.  Arithmetic that would need
-    components beyond the truncation degree raises rather than silently
-    dropping terms.
+    ``components`` is a ``Graded``: each nonzero component is a ``Mat`` of
+    quotient coordinates in V(degree), column t holding the t-th operator's; a
+    zero component is not stored.  An element is a batch of one: the
+    constructor also takes one dense coordinate list per degree, and
+    ``component``, ``act_on`` and ``__repr__`` read one-column operators.
+    ``bullet`` multiplies two batches of c operators column by column, c
+    products at once.  Arithmetic that would need components beyond the
+    truncation degree raises rather than silently dropping terms.
     """
 
     def __init__(self, geometry: Geometry, components: dict[int, Mat | list], truncation: int):
         self.geometry = geometry
         self.truncation = truncation
-        comps = {}
+        comps = Graded()
         for deg, col in components.items():
             if deg > truncation:
                 raise TruncationExceeded(f"degree {deg} exceeds truncation {truncation}")
@@ -130,10 +139,7 @@ class GradedOperator:
         return [ZERO] * self.geometry.V(n).dim if col is None else col.column(0)
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
-        comps = dict(self.components)
-        for deg, col in other.components.items():
-            comps[deg] = comps[deg] + col if deg in comps else col
-        return GradedOperator(self.geometry, comps, self.truncation)
+        return GradedOperator(self.geometry, self.components + other.components, self.truncation)
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
         return self + other.scale(sc(-1))
@@ -155,13 +161,10 @@ class GradedOperator:
             raise TruncationExceeded(
                 f"product degree {self.degree}+{other.degree} exceeds truncation {self.truncation}"
             )
-        out: dict[int, Mat] = {}
-        for n, v in self.components.items():
-            for m, w in other.components.items():
-                vw = v.kron_cols(w)  # bullet_k for every k at once: the Kronecker columns are shared
-                for k in range(0, n + m + 1):
-                    term = table.table(n, m, k) @ vw
-                    out[k] = out[k] + term if k in out else term
+        # every o_k at once: the Kronecker columns are shared
+        out = Graded.sum(
+            table.graded(n, m) @ v.kron_cols(w) for n, v in self.components.items() for m, w in other.components.items()
+        )
         return GradedOperator(self.geometry, out, self.truncation)
 
     def act_on(self, module: ConnectionModule, e_coords) -> list[Scalar]:

@@ -24,6 +24,11 @@ The kernel does not pay for the unit or for identity factors:
   operand of a kernel when both factors of a product carry an identity (the
   smaller one, such as ``I (x) coev(1)``, is built).
 
+A map between graded sums is a ``Graded``: ``Mat`` blocks keyed by degree, or
+by (target, source) degrees; its products act block by block or sum over the
+middle degree, each sum sorting every output column once.
+``Graded.first_mismatch`` is the one witness rule; ``first_mismatch`` applies it to one matrix.
+
 A subspace has one form: its canonical reduced echelon basis as the columns
 of a ``Mat`` (``span``, ``kernel``).  ``quotient`` turns it into a projection
 whose kernel is the subspace, so membership is a product that must vanish.
@@ -36,6 +41,8 @@ are reproducible across runs.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
+from math import prod
 from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Scalar, sc
@@ -145,8 +152,7 @@ class Mat:
         return self.rows == other.rows and self.cols == other.cols and self._cols_sparse == other._cols_sparse
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        return Mat(self.rows, self.cols, [_merge(a, b) for a, b in zip(self._cols_sparse, other._cols_sparse)])
+        return _accumulate(((0, self), (0, other)))[0]
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + -other
@@ -263,26 +269,6 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}: {body})"
 
 
-def _merge(a: list, b: list) -> list:
-    """The sparse column a + b."""
-    if not b:
-        return a
-    if not a:
-        return b
-    acc = dict(a)
-    for i, v in b:
-        s = acc.get(i)
-        if s is None:
-            acc[i] = v
-        else:
-            s = s + v
-            if s:
-                acc[i] = s
-            else:
-                del acc[i]
-    return sorted(acc.items())
-
-
 def _gather(acols, bcols) -> list:
     """The sparse columns of A @ B from those of A (anything indexable by row of
     B) and of B.  A one-entry column of B scaled by ``ONE`` shares A's column."""
@@ -316,7 +302,9 @@ def ikron_mul(n: int, x: Mat, m: int, b: Mat) -> Mat:
 
     Row ``(i*q + l)*m + k`` of b stands for column l of x moved to the rows
     ``(i*p + j)*m + k``; only the rows b holds are relabelled, each once, and
-    the product gathers them (x is p x q)."""
+    the product gathers them (x is p x q).  A ``Graded`` x acts as ``Graded.mul_ikron`` does."""
+    if isinstance(x, Graded):
+        return _blockwise(x, b, lambda a, c: ikron_mul(n, a, m, c))
     p, q = x.rows, x.cols
     if b.rows != n * q * m:
         raise ValueError(f"shape mismatch (I_{n} (x) {p}x{q} (x) I_{m}) @ {b.rows}x{b.cols}")
@@ -334,37 +322,121 @@ def ikron_mul(n: int, x: Mat, m: int, b: Mat) -> Mat:
     return Mat(n * p * m, b.cols, _gather(moved, bcols))
 
 
-def first_mismatch(lhs, rhs, shape: Sequence[int]):
-    """Where the identity ``lhs == rhs`` first fails, or None if it holds.
+class Graded(dict):
+    """A linear map into a graded sum: block k, a ``Mat``, lands in degree k and a
+    missing degree reads as zero.  Block (k, j) of a map keyed by pairs takes
+    degree j to degree k; after a map keyed by j, ``@``, ``mul_ikron`` and
+    ``ikron_mul`` sum over the middle degree j, and after a ``Mat`` they act
+    block by block."""
 
-    ``lhs`` and ``rhs`` are matrices on one Kronecker domain Kron(X1, ..., Xr)
-    with ``shape = (|X1|, ..., |Xr|)``, or dicts of them keyed by degree, a
-    missing degree reading as zero.  The witness is the first column that
-    differs, split back into basis indices ``(x1, ..., xr)``: the first failure
-    of nested loops over X1, ..., Xr.  For dicts the degree follows the
-    indices, the smallest degree on a tie.
-    """
-    keyed = isinstance(lhs, dict)
-    if not keyed:
-        lhs, rhs = {0: lhs}, {0: rhs}
-    best = None
-    for m in sorted(set(lhs) | set(rhs)):
-        left, right = lhs.get(m), rhs.get(m)
-        lcols = left.cols_sparse() if left is not None else [[]] * right.cols
-        rcols = right.cols_sparse() if right is not None else [[]] * left.cols
-        stop = len(lcols) if best is None else best[0]
-        c = next((c for c in range(stop) if lcols[c] != rcols[c]), None)
-        if c is not None:
-            best = (c, m)
-    if best is None:
-        return None
-    c, m = best
-    indices = []
-    for size in reversed(shape):
-        c, i = divmod(c, size)
-        indices.append(i)
-    indices.reverse()
-    return (*indices, m) if keyed else tuple(indices)
+    @staticmethod
+    def over(family, degrees: Iterable[int]) -> "Graded":
+        """The map acting by ``family(j)``, itself ``Graded``, on source degree j."""
+        return Graded({(k, j): b for j in degrees for k, b in family(j).items()})
+
+    @staticmethod
+    def sum(terms: Iterable["Graded"]) -> "Graded":
+        return _accumulate(chain.from_iterable(map(dict.items, terms)))
+
+    def __add__(self, other: "Graded") -> "Graded":
+        return _accumulate(chain(self.items(), other.items()))
+
+    def __sub__(self, other: "Graded") -> "Graded":
+        return _accumulate(chain(self.items(), ((k, -b) for k, b in other.items())))
+
+    def __matmul__(self, other) -> "Graded":
+        return _blockwise(self, other, Mat.__matmul__)
+
+    def mul_ikron(self, n: int, x, m: int) -> "Graded":
+        return _blockwise(self, x, lambda a, b: a.mul_ikron(n, b, m))
+
+    def stacked(self, layout: dict[int, int]) -> Mat:
+        """The blocks one above another in the order of ``layout``, block k taking
+        ``layout[k]`` rows (a missing block reads as zero)."""
+        offsets = dict(zip(layout, accumulate(layout.values(), initial=0)))
+        cols = [[] for _ in range(next(iter(self.values())).cols)]
+        for k in sorted(self, key=offsets.__getitem__):  # a degree not in the layout raises KeyError
+            for col, out in zip(self[k]._cols_sparse, cols):
+                out.extend((offsets[k] + i, v) for i, v in col)
+        return Mat(sum(layout.values()), len(cols), cols)
+
+    def first_mismatch(self, other: "Graded", shape: Sequence[int], prefix: int | None = None):
+        """Where ``self == other`` first fails, or None if it holds.
+
+        The blocks are maps on one Kronecker domain Kron(X1, ..., Xr) with
+        ``shape = (|X1|, ..., |Xr|)``.  The witness is ``(x1, ..., xp, k)``: the
+        first ``prefix`` basis indices (all r by default) of a domain column
+        where degree k differs, the smallest such indices and then the smallest
+        degree, as nested loops over X1, ..., Xp and then over degrees find it.
+        """
+        p = len(shape) if prefix is None else prefix
+        stride = prod(shape[p:])
+        best = None
+        for k in sorted(self.keys() | other.keys()):
+            left, right = self.get(k), other.get(k)
+            lcols = left._cols_sparse if left is not None else [[]] * right.cols
+            rcols = right._cols_sparse if right is not None else [[]] * left.cols
+            stop = len(lcols) if best is None else best[0] * stride
+            c = next((c for c in range(stop) if lcols[c] != rcols[c]), None)
+            if c is not None:
+                best = (c // stride, k)
+        if best is None:
+            return None
+        x, k = best
+        indices = []
+        for size in reversed(shape[:p]):
+            x, i = divmod(x, size)
+            indices.append(i)
+        return (*reversed(indices), k)
+
+
+def _blockwise(a: Graded, b, product) -> Graded:
+    """``product`` of the blocks of a with b if b is a ``Mat``; if b is ``Graded``, a is
+    keyed by pairs and block k is the sum over j of the products of a[k, j] with b[j]."""
+    if not isinstance(b, Graded):
+        return Graded({k: product(x, b) for k, x in a.items()})
+    return _accumulate((k, product(x, b[j])) for (k, j), x in a.items() if j in b)
+
+
+def _accumulate(terms) -> Graded:
+    """The sum of ``(key, Mat)`` terms key by key, taken as they arrive.  A key's
+    first term is kept as it is.  A column that a later term adds to becomes a
+    dict of its nonzero entries, and each such column is sorted once, at the end."""
+    out, summed = Graded(), {}
+    for key, mat in terms:
+        if key in out:  # a second term: the first one's columns stay only where no term adds to them
+            summed[key] = (out[key].rows, out[key].cols, list(out.pop(key)._cols_sparse))
+        elif key not in summed:
+            out[key] = mat
+            continue
+        rows, ncols, cols = summed[key]
+        if (rows, ncols) != (mat.rows, mat.cols):
+            raise ValueError("shape mismatch")
+        for j, col in enumerate(mat._cols_sparse):
+            into = cols[j]
+            if not (col and into):
+                cols[j] = col or into
+                continue
+            if type(into) is list:
+                into = cols[j] = dict(into)
+            for i, v in col:
+                s = into.get(i)
+                if s is None:
+                    into[i] = v
+                elif s := s + v:
+                    into[i] = s
+                else:
+                    del into[i]
+    for key, (rows, ncols, cols) in summed.items():
+        out[key] = Mat(rows, ncols, [sorted(c.items()) if type(c) is dict else c for c in cols])
+    return out
+
+
+def first_mismatch(lhs: Mat, rhs: Mat, shape: Sequence[int]):
+    """Where ``lhs == rhs`` first fails, as basis indices ``(x1, ..., xr)``, or
+    None: the witness rule of ``Graded.first_mismatch`` on one degree."""
+    fail = Graded({0: lhs}).first_mismatch(Graded({0: rhs}), shape)
+    return None if fail is None else fail[:-1]
 
 
 # -- vectors ---------------------------------------------------------------
@@ -417,16 +489,20 @@ class SparseEchelon:
 
     Rows are kept as dicts.  Insertion keeps the set fully reduced, so the
     final basis equals the canonical RREF basis of the span regardless of
-    insertion order.
+    insertion order.  ``_holding[c]`` holds the pivot of every row with an entry
+    in column c (and maybe of rows that had one), so that a new pivot is
+    back-substituted only into the rows that may hold its column.
     """
 
     def __init__(self):
         self.pivot_rows: dict[int, dict[int, Scalar]] = {}
+        self._holding: dict[int, set[int]] = {}
 
-    def _reduce(self, row: dict[int, Scalar]) -> dict[int, Scalar]:
-        """Subtract from ``row`` the multiple of each pivot row that clears its
-        pivot column.  A pivot row has no entry in another pivot column, so one
-        pass over the pivot columns ``row`` holds at the start clears them all."""
+    def add_sparse(self, row: dict[int, Scalar]) -> None:
+        """Insert a vector."""
+        row = {c: v for c, v in row.items() if v}
+        # subtract the multiple of each pivot row that clears its pivot column: a pivot row has no
+        # entry in another pivot column, so one pass over the pivot columns row holds clears them all
         for c in [c for c in row if c in self.pivot_rows]:
             f = row[c]
             for cc, v in self.pivot_rows[c].items():
@@ -435,11 +511,6 @@ class SparseEchelon:
                     row[cc] = x
                 else:
                     del row[cc]
-        return row
-
-    def add_sparse(self, row: dict[int, Scalar]) -> None:
-        """Insert a vector."""
-        row = self._reduce({c: v for c, v in row.items() if v})
         if not row:
             return
         p = min(row)
@@ -451,14 +522,19 @@ class SparseEchelon:
         elif lead.re == -1:
             row = {c: -v for c, v in row.items()}
         row[p] = ONE
-        # back-substitute into existing rows to stay fully reduced
-        for q, existing in self.pivot_rows.items():
+        # back-substitute into the rows that may hold column p, to stay fully reduced
+        holding = self._holding
+        for q in holding.pop(p, ()):
+            existing = self.pivot_rows[q]
             if p in existing:
                 f = existing[p]
                 for cc, v in row.items():
                     existing[cc] = existing.get(cc, ZERO) - (f if v is ONE else f * v)
                     if not existing[cc]:
                         del existing[cc]
+                    holding.setdefault(cc, set()).add(q)
+        for c in row:
+            holding.setdefault(c, set()).add(p)
         self.pivot_rows[p] = row
 
 

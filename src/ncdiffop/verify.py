@@ -19,7 +19,7 @@ from .centre import verify_centre
 from .crossing import OperatorAlgebraCandidate, check_theta_on_algebra, theta_product_compat, theta_tensor_factorization
 from .diffop import GradedOperator
 from .hopf import standard_candidate
-from .linalg import Mat, first_mismatch, ikron_mul
+from .linalg import Graded, Mat, first_mismatch, ikron_mul
 from .report import CheckResult, ValidationError, _jsonable, first_failure
 from .scalars import sc
 from .sobolev import SobolevPairings, gram_increment_certificate, sobolev_gram
@@ -275,7 +275,7 @@ def bullet_associativity_random(ctx: VerifyContext) -> CheckResult:
     for batch in batches.values():
         x, y, z = (_operators(ctx, [draws[i] for _, draws in batch]) for i in range(3))
         lhs, rhs = x.bullet(y, table).bullet(z, table), x.bullet(y.bullet(z, table), table)
-        fail = first_mismatch(lhs.components, rhs.components, (len(batch),))
+        fail = lhs.components.first_mismatch(rhs.components, (len(batch),))
         if fail is not None:
             failed.append(batch[fail[0]][0])
     return CheckResult("bullet-associativity-random", not failed, witness=min(failed, default=None))
@@ -311,16 +311,10 @@ def suite_bullet(ctx: VerifyContext) -> list[CheckResult]:
         for m in range(0, D + 1 - n):
             for l in range(0, D + 1 - n - m):
                 Vn, Vm, Vl = g.V(n), g.V(m), g.V(l)
-                cols = Vn.dim * Vm.dim * Vl.dim
-                lhs = {j: Mat.zeros(g.V(j).dim, cols) for j in range(n + m + l + 1)}
-                rhs = dict(lhs)
-                for k in range(0, n + m + 1):
-                    for j in range(0, k + l + 1):
-                        lhs[j] = lhs[j] + table.table(k, l, j).mul_ikron(1, table.table(n, m, k), Vl.dim)
-                for k in range(0, m + l + 1):
-                    for j in range(0, n + k + 1):
-                        rhs[j] = rhs[j] + table.table(n, k, j).mul_ikron(Vn.dim, table.table(m, l, k), 1)
-                fail = first_mismatch(lhs, rhs, (Vn.dim, Vm.dim, Vl.dim))
+                left, right = table.graded(n, m), table.graded(m, l)
+                lhs = Graded.over(lambda k: table.graded(k, l), left).mul_ikron(1, left, Vl.dim)
+                rhs = Graded.over(lambda k: table.graded(n, k), right).mul_ikron(Vn.dim, right, 1)
+                fail = lhs.first_mismatch(rhs, (Vn.dim, Vm.dim, Vl.dim))
                 if fail is not None and assoc_fail is None:
                     assoc_fail = (n, m, l, *fail[:-1])
     out.append(CheckResult("bullet-associativity-homogeneous", assoc_fail is None, witness=assoc_fail))

@@ -13,13 +13,17 @@ the tensor relations, bimodule-map checks and conjugate actions below loop
 over them the way the library did before it wrote them as identities.  The
 bullet suite's random associativity check runs one rational triple at a time,
 as the suite did before it drew integer coefficients and batched the trials.
+Graded maps are read as the per-degree dicts of matrices they replaced:
+summed pairwise, stacked at row offsets and compared by the two witness
+rules the crossing checks used; and ``SparseEchelon`` back-substitutes by
+scanning every pivot row, as it did before it indexed the columns.
 """
 
 import random
 
 from ncdiffop.bimodule import Bimodule, algebra_as_bimodule, balance
 from ncdiffop.diffop import GradedOperator
-from ncdiffop.linalg import Mat, first_mismatch, ikron_mul, kron_vec, quotient, span
+from ncdiffop.linalg import Mat, ikron_mul, kron_vec, quotient, span
 from ncdiffop.report import CheckResult
 from ncdiffop.scalars import ONE, ZERO, sc
 
@@ -388,3 +392,104 @@ def morphism_equivariance_report(table, em, fm, t: Mat, max_degree: int) -> list
         fail = None if fail is None else (n, *fail)
         results.append(CheckResult(f"equivariance-deg{n}", fail is None, witness=fail))
     return results
+
+
+# -- per-degree dicts of matrices -------------------------------------------------
+
+
+def add(acc: dict, m, mat: Mat) -> None:
+    """``acc[m] += mat``: one pairwise sum, column by column, into a dict of matrices
+    keyed by degree."""
+    if m not in acc:
+        acc[m] = mat
+        return
+    a = acc[m]
+    if (a.rows, a.cols) != (mat.rows, mat.cols):
+        raise ValueError("shape mismatch")
+    cols = []
+    for x, y in zip(a.cols_sparse(), mat.cols_sparse()):
+        col = dict(x)
+        for i, v in y:
+            col[i] = col[i] + v if i in col else v
+        cols.append(sorted((i, v) for i, v in col.items() if v))
+    acc[m] = Mat(a.rows, a.cols, cols)
+
+
+def stacked(blocks: dict, offsets: dict, rows: int) -> Mat:
+    """The matrix with block m at row offsets[m] (the blocks do not overlap)."""
+    cols = [[] for _ in range(next(iter(blocks.values())).cols)]
+    for m in sorted(blocks, key=offsets.__getitem__):
+        for col, out in zip(blocks[m].cols_sparse(), cols):
+            out.extend((offsets[m] + i, v) for i, v in col)
+    return Mat(rows, len(cols), cols)
+
+
+def first_mismatch(lhs, rhs, shape):
+    """Where ``lhs == rhs`` first fails, or None: matrices on Kron(X1, ..., Xr) with
+    ``shape = (|X1|, ..., |Xr|)``, or dicts of them keyed by degree (a missing degree
+    reads as zero).  The first differing column split into basis indices, and for
+    dicts its degree after them, the smallest degree on a tie."""
+    keyed = isinstance(lhs, dict)
+    if not keyed:
+        lhs, rhs = {0: lhs}, {0: rhs}
+    best = None
+    for m in sorted(set(lhs) | set(rhs)):
+        left, right = lhs.get(m), rhs.get(m)
+        lcols = left.cols_sparse() if left is not None else [[]] * right.cols
+        rcols = right.cols_sparse() if right is not None else [[]] * left.cols
+        stop = len(lcols) if best is None else best[0]
+        c = next((c for c in range(stop) if lcols[c] != rcols[c]), None)
+        if c is not None:
+            best = (c, m)
+    if best is None:
+        return None
+    c, m = best
+    indices = []
+    for size in reversed(shape):
+        c, i = divmod(c, size)
+        indices.append(i)
+    indices.reverse()
+    return (*indices, m) if keyed else tuple(indices)
+
+
+def first_by_block(lhs: dict, rhs: dict, shape):
+    """The smallest ``(x, m)`` such that degree m of ``lhs == rhs`` fails among the
+    domain columns whose first index is x (a missing degree reads as zero)."""
+    best = None
+    for m in set(lhs) | set(rhs):
+        fail = first_mismatch({m: lhs[m]} if m in lhs else {}, {m: rhs[m]} if m in rhs else {}, shape)
+        if fail is not None and (best is None or (fail[0], m) < best):
+            best = (fail[0], m)
+    return best
+
+
+class SparseEchelon:
+    """Incremental reduced echelon basis that back-substitutes each new pivot
+    by scanning every pivot row."""
+
+    def __init__(self):
+        self.pivot_rows: dict = {}
+
+    def add_sparse(self, row: dict) -> None:
+        row = {c: v for c, v in row.items() if v}
+        for c in [c for c in row if c in self.pivot_rows]:
+            f = row[c]
+            for cc, v in self.pivot_rows[c].items():
+                x = row.get(cc, ZERO) - f * v
+                if x:
+                    row[cc] = x
+                else:
+                    del row[cc]
+        if not row:
+            return
+        p = min(row)
+        inv = ONE / row[p]
+        row = {c: v * inv for c, v in row.items()}
+        for existing in self.pivot_rows.values():
+            if p in existing:
+                f = existing[p]
+                for cc, v in row.items():
+                    existing[cc] = existing.get(cc, ZERO) - f * v
+                    if not existing[cc]:
+                        del existing[cc]
+        self.pivot_rows[p] = row

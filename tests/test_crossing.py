@@ -226,11 +226,13 @@ def test_left_inverse_projection_kills_the_stacked_span(name):
     for mname, module in sorted(bundle.modules.items()):
         cm = CrossingMap(table, module)
         for n in range(4):
-            offsets, total = cm._stacking(n)
+            layout = cm._layout(n)
+            total, start = sum(layout.values()), 0
             to_old = {}  # with block 0 first, block m starts where it ends with block n first
-            for m, start in offsets.items():
-                size = g.V(m).dim * module.space.dim
+            for m, size in layout.items():
+                assert size == g.V(m).dim * module.space.dim
                 to_old.update((start + i, total - start - size + i) for i in range(size))
+                start += size
             project, _ = quotient(cm.inverse_relations(n))
             moved = ([(to_old[i], v) for i, v in c] for c in kernel(project).cols_sparse())
             assert span(total, moved) == left_inverse_relations(cm, n), (mname, n)

@@ -7,16 +7,20 @@ quadratic-form evaluation for witnesses) and then frozen into the asserts.
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncdiffop.linalg import (
+    Graded,
     Mat,
     NotHermitian,
+    SparseEchelon,
     PsdCertificate,
     PsdCounterexample,
+    first_mismatch,
     ikron_mul,
     inverse,
     kernel,
@@ -616,3 +620,177 @@ def test_row_reduction_matches_dense_oracle(m):
     assert kernel(m) == oracles.kernel(m)
     # ValueError exactly when the oracle raises it: a singular or a non-square m
     assert inverse_or_error(inverse, m) == inverse_or_error(oracles.inverse, m)
+
+
+@st.composite
+def sparse_generators(draw):
+    """Sparse Q or Q(i) vectors in up to 8 coordinates, as dicts that may hold
+    zeros in any form; a repeated vector, a scaled copy and a zero vector each
+    come in some cases, and the vectors come with a drawn insertion order."""
+    kind = draw(st.sampled_from(["rational", "gaussian"]))
+    dim = draw(st.integers(1, 8))
+    vecs = [
+        {c: draw(entries(kind))[1] for c in draw(st.sets(st.integers(0, dim - 1), max_size=4))}
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    if vecs and draw(st.booleans()):
+        vecs.append(dict(draw(st.sampled_from(vecs))))
+    if vecs and draw(st.booleans()):
+        s = draw(entries(kind))[1]
+        vecs.append({c: s * v for c, v in draw(st.sampled_from(vecs)).items()})
+    if draw(st.booleans()):
+        vecs.append({})
+    return vecs, draw(st.permutations(range(len(vecs))))
+
+
+@given(sparse_generators())
+@settings(max_examples=300, deadline=None)
+def test_echelon_pivot_rows_match_the_scanning_oracle_in_any_order(case):
+    vecs, order = case
+    oracle = oracles.SparseEchelon()
+    for vec in vecs:
+        oracle.add_sparse(vec)
+    ech = SparseEchelon()
+    for i in order:
+        ech.add_sparse(vecs[i])
+    assert ech.pivot_rows == oracle.pivot_rows
+    assert all(row[p] is ONE for p, row in ech.pivot_rows.items())
+
+
+# -- graded maps against the per-degree dicts of matrices they replaced ----------
+
+
+@st.composite
+def graded_terms(draw):
+    """``(k, Mat)`` terms in up to three degrees, every term of a degree on one
+    shape, and in some cases the negative of one of them, so that entries cancel;
+    empty and all-zero blocks come from ``oracle_mats``."""
+    kind = draw(st.sampled_from(["int", "rational", "gaussian"]))
+    cols = draw(st.integers(0, 3))
+    rows = [draw(st.integers(0, 3)) for _ in range(draw(st.integers(1, 3)))]
+    keys = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6))
+    terms = [(k, draw(oracle_mats(kind, rows[k], cols))[1]) for k in keys]
+    if draw(st.booleans()):
+        k, mat = draw(st.sampled_from(terms))
+        terms.insert(draw(st.integers(0, len(terms))), (k, -mat))
+    return terms
+
+
+@given(graded_terms(), st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_graded_sums_match_the_dict_oracle(terms, cut):
+    summed, difference = {}, {}
+    for t, (k, mat) in enumerate(terms):
+        oracles.add(summed, k, mat)
+        oracles.add(difference, k, mat if t < cut else -mat)
+    total = Graded.sum(Graded({k: mat}) for k, mat in terms)
+    assert total == summed
+    for block in total.values():
+        read_back(block)
+    first, second = (Graded.sum(Graded({k: mat}) for k, mat in part) for part in (terms[:cut], terms[cut:]))
+    assert first + second == summed
+    assert first - second == difference
+
+
+@st.composite
+def graded_products(draw):
+    """Maps keyed by pairs (k, j), for each side of identity factors I_n and I_m
+    (n, m in {1, 2}), and maps keyed by j: each block present or not, of drawn sizes."""
+    kind = draw(st.sampled_from(["int", "rational", "gaussian"]))
+    n, m, cols = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2])), draw(st.integers(0, 3))
+    mid = [draw(st.integers(0, 3)) for _ in range(draw(st.integers(1, 3)))]
+    out = [draw(st.integers(0, 3)) for _ in range(draw(st.integers(1, 3)))]
+    pairs = [(k, j) for k in range(len(out)) for j in range(len(mid)) if draw(st.booleans())]
+    present = [j for j in range(len(mid)) if draw(st.booleans())]
+
+    def graded(rows, cols, keys):
+        return Graded({key: draw(oracle_mats(kind, rows(key), cols(key)))[1] for key in keys})
+
+    return (
+        n,
+        m,
+        graded(lambda kj: out[kj[0]], lambda kj: n * mid[kj[1]] * m, pairs),  # before I_n (x) x (x) I_m
+        graded(lambda kj: out[kj[0]], lambda kj: mid[kj[1]], pairs),
+        graded(lambda j: mid[j], lambda j: cols, present),
+        graded(lambda j: n * mid[j] * m, lambda j: cols, present),  # after I_n (x) x (x) I_m
+    )
+
+
+@given(graded_products())
+@settings(max_examples=200, deadline=None)
+def test_graded_products_sum_over_the_middle_degree(case):
+    n, m, wide, left, right, tall = case
+    kernel_sum, ikron_sum, product_sum = {}, {}, {}
+    for (k, j), block in left.items():
+        if j in right:
+            oracles.add(kernel_sum, k, wide[k, j].mul_ikron(n, right[j], m))
+            oracles.add(ikron_sum, k, ikron_mul(n, block, m, tall[j]))
+            oracles.add(product_sum, k, block @ right[j])
+    assert wide.mul_ikron(n, right, m) == kernel_sum
+    assert ikron_mul(n, left, m, tall) == ikron_sum
+    assert left @ right == product_sum
+    for block in (left @ right).values():
+        read_back(block)
+    cols = next(iter(right.values())).cols if right else 0
+    assert right @ Mat.identity(cols) == right and right.mul_ikron(1, Mat.identity(cols), 1) == right
+
+
+@st.composite
+def stacked_cases(draw):
+    """Blocks of up to four degrees on one domain, some degrees missing, and a
+    layout listing every degree in a drawn order."""
+    kind = draw(st.sampled_from(["int", "rational", "gaussian"]))
+    cols = draw(st.integers(0, 3))
+    sizes = [draw(st.integers(0, 3)) for _ in range(draw(st.integers(1, 4)))]
+    present = draw(st.sets(st.integers(0, len(sizes) - 1), min_size=1))
+    blocks = {k: draw(oracle_mats(kind, sizes[k], cols))[1] for k in sorted(present)}
+    return blocks, {k: sizes[k] for k in draw(st.permutations(range(len(sizes))))}
+
+
+@given(stacked_cases())
+@settings(max_examples=200, deadline=None)
+def test_graded_stacking_matches_the_offset_oracle(case):
+    blocks, layout = case
+    offsets, rows = {}, 0
+    for k, size in layout.items():
+        offsets[k], rows = rows, rows + size
+    assert Graded(blocks).stacked(layout) == oracles.stacked(blocks, offsets, rows)
+    with pytest.raises(KeyError):
+        Graded(blocks).stacked({k: s for k, s in layout.items() if k != max(blocks)})
+
+
+@st.composite
+def mismatch_cases(draw):
+    """Two maps on Kron(X1, X2, X3) in up to three degrees that agree but for a
+    few bumped entries and a degree missing on one side or the other."""
+    kind = draw(st.sampled_from(["int", "rational", "gaussian"]))
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    cols = prod(shape)
+    sizes = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(1, 3)))]
+    lhs = {k: draw(oracle_mats(kind, size, cols))[1] for k, size in enumerate(sizes)}
+    rhs = dict(lhs)
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(sizes) - 1))
+        i, j = draw(st.integers(0, sizes[k] - 1)), draw(st.integers(0, cols - 1))
+        bump = draw(entries(kind))[1] or ONE
+        rhs[k] = rhs[k] + Mat.from_entries(sizes[k], cols, [(i, j, bump)])
+    for side in (lhs, rhs):
+        if len(side) > 1 and draw(st.booleans()):
+            del side[draw(st.sampled_from(sorted(side)))]
+    return shape, lhs, rhs
+
+
+@given(mismatch_cases())
+@settings(max_examples=300, deadline=None)
+def test_graded_witness_matches_both_dict_rules(case):
+    shape, lhs, rhs = case
+    left, right = Graded(lhs), Graded(rhs)
+    assert left.first_mismatch(right, shape) == oracles.first_mismatch(lhs, rhs, shape)
+    blocks = (shape[0], shape[1] * shape[2])
+    assert left.first_mismatch(right, blocks, prefix=1) == oracles.first_by_block(lhs, rhs, blocks)
+    cols = {side: {k: b.cols_sparse() for k, b in blocks.items()} for side, blocks in (("l", lhs), ("r", rhs))}
+    empty = [[]] * prod(shape)
+    differ = sorted(k for k in lhs.keys() | rhs.keys() if cols["l"].get(k, empty) != cols["r"].get(k, empty))
+    assert left.first_mismatch(right, shape, prefix=0) == ((differ[0],) if differ else None)
+    for k in lhs.keys() & rhs.keys():
+        assert first_mismatch(lhs[k], rhs[k], shape) == oracles.first_mismatch(lhs[k], rhs[k], shape)

@@ -8,7 +8,11 @@ factor: ``A @ (I (x) X (x) I)`` and ``(I (x) X (x) I) @ B`` go through
 
 Dense coordinate lists appear only where the CLI reads an element from the
 command line and prints one.  A bimodule holds each action once, as one
-matrix.  The retired helpers live on as the oracles in ``tests/oracles.py``.
+matrix.  A map between graded sums is one ``linalg.Graded``: no module brings
+back the per-degree dicts of matrices it replaced, their pairwise sum
+(``_add``), their stacking (``_stacked``, ``_stacking``), their witness rule
+by first index (``_first_by_block``) or a ``first_mismatch`` on dicts.  The
+retired helpers live on as the oracles in ``tests/oracles.py``.
 Only the stdlib ``ast`` is used, as in ``test_imports.py``.
 """
 
@@ -27,6 +31,10 @@ RETIRED = {
     "sigma_invertible_required",
     "left_mult",
     "right_mult",
+    "_add",
+    "_stacked",
+    "_stacking",
+    "_first_by_block",
 }
 ACTION_LISTS = {"left", "right"}
 APPLY_ALLOWED = {"cli.py"}
@@ -201,3 +209,44 @@ def test_action_list_use_is_found():
         "left_mult (line 3)",
         "right_mult (line 3)",
     ]
+
+
+def dict_mismatch_uses(source: str) -> list[str]:
+    """Each ``first_mismatch`` call given a dict display or comprehension, and each
+    ``isinstance(..., dict)`` in a function named ``first_mismatch``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "first_mismatch" and any(isinstance(a, (ast.Dict, ast.DictComp)) for a in node.args):
+                found.append(f"first_mismatch on dicts (line {node.lineno})")
+        if isinstance(node, ast.FunctionDef) and node.name == "first_mismatch":
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "isinstance":
+                    if any(isinstance(a, ast.Name) and a.id == "dict" for a in inner.args):
+                        found.append(f"isinstance(..., dict) in first_mismatch (line {inner.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_per_degree_dict_witness(path):
+    assert dict_mismatch_uses(path.read_text()) == []
+
+
+def test_per_degree_dict_use_is_found():
+    source = (
+        "def first_mismatch(lhs, rhs, shape):\n"
+        "    keyed = isinstance(lhs, dict)\n"
+        "def f(a, b):\n"
+        "    _add(acc, 0, a)\n"
+        "    return first_mismatch({0: a}, {m: b for m in range(2)}, (2,)), linalg.first_mismatch({}, {}, ())\n"
+        "def _stacked(blocks, offsets, rows):\n"
+        "    return first_mismatch(a, b, (2,)), Graded({0: a}).first_mismatch(Graded(), (2,))\n"
+    )
+    assert dict_mismatch_uses(source) == [
+        "isinstance(..., dict) in first_mismatch (line 2)",
+        "first_mismatch on dicts (line 5)",
+        "first_mismatch on dicts (line 5)",
+    ]
+    assert dense_layer_uses(source) == ["_add (line 4)", "_stacked (line 6)"]
