@@ -199,9 +199,32 @@ def intertwining_failure(src: Bimodule, dst: Bimodule, mat: Mat):
 
 def balance(e: Bimodule, f: Bimodule) -> Mat:
     """The balancing map Kron(E, A, F) -> Kron(E, F), e (x) a (x) f -> e.a (x) f - e (x) a.f:
-    its image is what E (x)_A F divides out, and a map on Kron(E, F) is balanced when it kills it."""
-    # negating L_F before the Kronecker product, not after, negates |E| times fewer entries
-    return e.right_action.kron(Mat.identity(f.dim)) + Mat.identity(e.dim).kron(-f.left_action)
+    its image is what E (x)_A F divides out, and a map on Kron(E, F) is balanced when it kills it.
+
+    It is R_E (x) I_F - I_E (x) L_F, read straight from the actions: column (x*|A| + a)*|F| + y
+    merges column x*|A| + a of R_E, moved to the rows i*|F| + y, with column a*|F| + y of -L_F,
+    moved to the rows x*|F| + k."""
+    dA, m = e.algebra.dim, f.dim
+    right, left = e.right_action.cols_sparse(), (-f.left_action).cols_sparse()
+    cols = []
+    for x in range(e.dim):
+        for a in range(dA):
+            r, afs = right[x * dA + a], left[a * m : (a + 1) * m]
+            if not r:
+                cols += [[(x * m + k, w) for k, w in af] if af else [] for af in afs]
+                continue
+            for y, af in enumerate(afs):
+                col = [(i * m + y, v) for i, v in r]  # e_x.a_a (x) f_y
+                cols.append(_merge(col, [(x * m + k, w) for k, w in af]) if af else col)  # minus e_x (x) a_a.f_y
+    return Mat(e.dim * m, e.dim * dA * m, cols)
+
+
+def _merge(p: list, q: list) -> list:
+    """The sum of two sparse columns, sorted by row with zeros dropped."""
+    summed = dict(p)
+    for i, w in q:
+        summed[i] = summed[i] + w if i in summed else w
+    return [(i, v) for i, v in sorted(summed.items()) if v]
 
 
 class TensorPair:

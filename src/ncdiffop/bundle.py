@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 from . import builtin_data
@@ -27,7 +28,7 @@ from .geometry import Geometry
 from .linalg import Mat
 from .memo import memo
 from .report import ValidationError
-from .scalars import ONE, ZERO, Scalar, ScalarParseError, sc
+from .scalars import NEG_ONE, ONE, ZERO, Scalar, ScalarParseError, sc
 from .sobolev import InnerProduct, canonical_algebra_ip
 
 FORMAT = "ncdiffop-bundle/1"
@@ -58,8 +59,9 @@ class _Literals(dict):
 
     A document repeats a handful of literals thousands of times (z3 holds
     3,459 literals with four distinct values), so each load keeps one of
-    these and reads every scalar through it.  0 and 1 come back as the
-    ``ZERO`` and ``ONE`` singletons, which the matrix kernels test by identity.
+    these and reads every scalar through it.  0, 1 and -1 come back as the
+    ``ZERO``, ``ONE`` and ``NEG_ONE`` singletons, which the matrix kernels test
+    by identity.
     """
 
     def __missing__(self, text: str) -> Scalar:
@@ -68,6 +70,8 @@ class _Literals(dict):
             value = ZERO
         elif value == ONE:
             value = ONE
+        elif value == NEG_ONE:
+            value = NEG_ONE
         self[text] = value
         return value
 
@@ -359,23 +363,38 @@ def _missing_keys(doc: dict) -> list[str]:
     return missing
 
 
+# the end of a literal that ends in i (before any trailing space) in text joined by "\0"; a "\0" inside a
+# literal may match too, so a match is settled literal by literal
+_IMAGINARY_TAIL = re.compile(r"[iI]\s*(?:\0|\Z)")
+
+
 def _reject_imaginary(doc, literals: _Literals):
+    """Raise a ParseError at the first literal, in document order, that is not real.
+    A list of text is searched as one joined string, not called on literal by literal."""
+
     def walk(x):
-        if isinstance(x, str):
-            if not x.rstrip().endswith(("i", "I")):
-                return  # only a literal ending in i can parse to a non-real scalar
-            try:
-                val = literals[x]
-            except ScalarParseError:
-                return
-            if not val.is_real():
-                raise ParseError(f"field Q cannot carry the scalar {x!r}")
-        elif isinstance(x, list):
+        if isinstance(x, dict):
+            x = list(x.values())
+        elif isinstance(x, str):
+            x = [x]
+        elif not isinstance(x, list):
+            return
+        try:
+            joined = "\0".join(x)
+        except TypeError:  # not all text
             for y in x:
                 walk(y)
-        elif isinstance(x, dict):
-            for y in x.values():
-                walk(y)
+            return
+        if not _IMAGINARY_TAIL.search(joined):
+            return  # only a literal ending in i can parse to a non-real scalar
+        for text in x:
+            if text.rstrip().endswith(("i", "I")):
+                try:
+                    val = literals[text]
+                except ScalarParseError:
+                    continue
+                if not val.is_real():
+                    raise ParseError(f"field Q cannot carry the scalar {text!r}")
 
     for key in ("algebra", "omega", "d", "dual_basis", "box", "sigma_inv", "modules", "inner_products", "states"):
         if key in doc:

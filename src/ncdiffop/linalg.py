@@ -9,12 +9,17 @@ reduction has one routine, ``SparseEchelon``, which keeps each reduced row as a
 dict of its nonzeros; ``rref``, ``rank``, ``kernel``, ``inverse`` and ``span``
 all go through it.  Only the PSD certificate works on a dense copy.
 
-The kernel does not pay for the unit or for identity factors:
+The kernel does not pay for the units or for identity factors:
 
+* a product with ``ONE`` on either side is the other factor, in ``@`` (and so
+  in ``mul_ikron`` and ``ikron_mul``), ``kron``, ``kron_cols`` and row
+  reduction; in the first three a product with ``NEG_ONE`` on either side is
+  the other factor's negation, and negation maps the two singletons onto each
+  other;
 * unit leads keep their singletons: a new pivot row whose lead is 1 is stored
   as it is and one whose lead is -1 is negated; only other leads are divided
-  out.  Every pivot entry is ``ONE`` itself, so the ``is ONE`` skips of ``@``
-  and ``kron`` also fire on relation bases, kernels, inverses and quotients;
+  out.  Every pivot entry is ``ONE`` itself, so the unit skips also fire on
+  relation bases, kernels, inverses and quotients;
 * identity factors are applied, not built: ``A.mul_ikron(n, X, m)`` is
   ``A @ (I_n (x) X (x) I_m)``, products of strided column slices of A with X,
   and ``ikron_mul(n, X, m, B)`` is ``(I_n (x) X (x) I_m) @ B``, B's rows
@@ -45,7 +50,7 @@ from itertools import accumulate, chain
 from math import prod
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, Scalar, sc
+from .scalars import NEG_ONE, ONE, ZERO, Scalar, sc
 
 
 class NotHermitian(ValueError):
@@ -245,7 +250,10 @@ class Mat:
                     continue
                 out.append(
                     [
-                        (i * p + k, b if a is ONE else a if b is ONE else a * b)
+                        (
+                            i * p + k,
+                            b if a is ONE else a if b is ONE else -b if a is NEG_ONE else -a if b is NEG_ONE else a * b,
+                        )
                         for i, a in col
                         for k, b in ocol
                     ]
@@ -259,7 +267,11 @@ class Mat:
             raise ValueError(f"column counts differ: {self.cols} and {other.cols}")
         p = other.rows
         out = [
-            [(i * p + k, b if a is ONE else a if b is ONE else a * b) for i, a in col for k, b in ocol]
+            [
+                (i * p + k, b if a is ONE else a if b is ONE else -b if a is NEG_ONE else -a if b is NEG_ONE else a * b)
+                for i, a in col
+                for k, b in ocol
+            ]
             for col, ocol in zip(self._cols_sparse, other._cols_sparse)
         ]
         return Mat(self.rows * p, self.cols, out)
@@ -271,7 +283,9 @@ class Mat:
 
 def _gather(acols, bcols) -> list:
     """The sparse columns of A @ B from those of A (anything indexable by row of
-    B) and of B.  A one-entry column of B scaled by ``ONE`` shares A's column."""
+    B) and of B.  A one-entry column of B scaled by ``ONE`` shares A's column; a
+    product with ``ONE`` on either side is the other factor, and one with
+    ``NEG_ONE`` its negation."""
     out = []
     for col in bcols:
         if not col:
@@ -280,7 +294,12 @@ def _gather(acols, bcols) -> list:
         if len(col) == 1:
             k, v = col[0]
             # a product of two nonzeros is nonzero: nothing to test
-            out.append(acols[k] if v is ONE else [(i, x * v) for i, x in acols[k]])
+            if v is ONE:
+                out.append(acols[k])
+            elif v is NEG_ONE:
+                out.append([(i, -x) for i, x in acols[k]])
+            else:
+                out.append([(i, v if x is ONE else -v if x is NEG_ONE else x * v) for i, x in acols[k]])
             continue
         acc: dict[int, Scalar] = {}
         for k, v in col:
@@ -288,9 +307,13 @@ def _gather(acols, bcols) -> list:
                 for i, x in acols[k]:
                     s = acc.get(i)
                     acc[i] = x if s is None else s + x
+            elif v is NEG_ONE:
+                for i, x in acols[k]:
+                    s = acc.get(i)
+                    acc[i] = -x if s is None else s - x
             else:
                 for i, x in acols[k]:
-                    x = x * v
+                    x = v if x is ONE else -v if x is NEG_ONE else x * v
                     s = acc.get(i)
                     acc[i] = x if s is None else s + x
         out.append([(i, s) for i, s in sorted(acc.items()) if s])
@@ -506,7 +529,8 @@ class SparseEchelon:
         for c in [c for c in row if c in self.pivot_rows]:
             f = row[c]
             for cc, v in self.pivot_rows[c].items():
-                x = row.get(cc, ZERO) - (f if v is ONE else f * v)
+                fv = f if v is ONE else v if f is ONE else f * v
+                x = row[cc] - fv if cc in row else -fv
                 if x:
                     row[cc] = x
                 else:
@@ -529,7 +553,8 @@ class SparseEchelon:
             if p in existing:
                 f = existing[p]
                 for cc, v in row.items():
-                    existing[cc] = existing.get(cc, ZERO) - (f if v is ONE else f * v)
+                    fv = f if v is ONE else v if f is ONE else f * v
+                    existing[cc] = existing[cc] - fv if cc in existing else -fv
                     if not existing[cc]:
                         del existing[cc]
                     holding.setdefault(cc, set()).add(q)

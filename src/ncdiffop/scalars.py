@@ -14,10 +14,12 @@ it is the identity.
 A literal such as ``"-3"``, ``"1/2"`` or ``"1/2-1/3i"`` is parsed from the text
 that matched the literal pattern: an integer part becomes ``int(text)`` and
 ``a/b`` becomes the rational ``a/b`` in the normal form above, so ``"4/2"``
-gives the int ``2`` and ``"2/4"`` the rational ``1/2``.  ``ZERO`` and ``ONE``
-are shared singletons; ``Mat.from_rows``, ``@`` and ``kron`` skip work on an
-entry that ``is`` one of them, so a caller that reads many literals (the
-bundle loader) hands those two values back as the singletons.
+gives the int ``2`` and ``"2/4"`` the rational ``1/2``.  ``ZERO``, ``ONE`` and
+``NEG_ONE`` are shared singletons: ``Mat.from_rows`` skips an entry that
+``is`` ``ZERO``, and the matrix kernels skip a product with ``ONE`` or
+``NEG_ONE`` (the latter becomes a negation), so a caller that reads many
+literals (the bundle loader) hands 0, 1 and -1 back as the singletons.
+Negation maps ``ONE`` and ``NEG_ONE`` onto each other.
 """
 
 from __future__ import annotations
@@ -142,6 +144,10 @@ class Scalar:
         return _coerce(other) / self
 
     def __neg__(self):
+        if self is ONE:
+            return NEG_ONE
+        if self is NEG_ONE:
+            return ONE
         return Scalar(-self.re, -self.im)
 
     def conj(self) -> "Scalar":
@@ -196,6 +202,7 @@ def _coerce(x) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+NEG_ONE = Scalar(-1)
 I = Scalar(0, 1)
 
 

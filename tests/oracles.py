@@ -16,11 +16,17 @@ as the suite did before it drew integer coefficients and batched the trials.
 Graded maps are read as the per-degree dicts of matrices they replaced:
 summed pairwise, stacked at row offsets and compared by the two witness
 rules the crossing checks used; and ``SparseEchelon`` back-substitutes by
-scanning every pivot row, as it did before it indexed the columns.
+scanning every pivot row, as it did before it indexed the columns.  Products,
+Kronecker products, sums and spans are also taken entry by entry on dense
+copies, every product computed, with no unit skipped; the balancing map is
+the Kronecker formula it was before it was read straight from the actions;
+and the field-Q literal check walks a document recursively, one call a node.
 """
 
 import random
 
+from ncdiffop.bundle import ParseError
+from ncdiffop.scalars import ScalarParseError
 from ncdiffop.bimodule import Bimodule, algebra_as_bimodule, balance
 from ncdiffop.diffop import GradedOperator
 from ncdiffop.linalg import Mat, ikron_mul, kron_vec, quotient, span
@@ -263,6 +269,60 @@ def inverse(m: Mat) -> Mat:
     return Mat(n, n, r.cols_sparse()[n:])
 
 
+# -- dense products, every term taken ------------------------------------------
+
+
+def matmul(a: Mat, b: Mat) -> Mat:
+    """a @ b, each entry the sum over the inner index of every product."""
+    x, y = a.data, b.data
+    return Mat.from_rows(
+        [[sum((x[i][k] * y[k][j] for k in range(a.cols)), ZERO) for j in range(b.cols)] for i in range(a.rows)],
+        b.cols,
+    )
+
+
+def kron(a: Mat, b: Mat) -> Mat:
+    """a (x) b, entry (i*p + k, j*q + l) the product of a[i][j] and b[k][l]."""
+    x, y = a.data, b.data
+    rows = [[x[i][j] * y[k][l] for j in range(a.cols) for l in range(b.cols)] for i in range(a.rows) for k in range(b.rows)]
+    return Mat.from_rows(rows, a.cols * b.cols)
+
+
+def kron_cols(a: Mat, b: Mat) -> Mat:
+    """Column t is the Kronecker product of column t of a with column t of b."""
+    x, y = a.data, b.data
+    return Mat.from_rows([[x[i][t] * y[k][t] for t in range(a.cols)] for i in range(a.rows) for k in range(b.rows)], a.cols)
+
+
+def add_mats(a: Mat, b: Mat, sign=ONE) -> Mat:
+    """a + sign * b, entry by entry."""
+    return Mat.from_rows([[u + sign * v for u, v in zip(x, y)] for x, y in zip(a.data, b.data)], a.cols)
+
+
+def ikron(n: int, x: Mat, m: int) -> Mat:
+    """I_n (x) x (x) I_m, built."""
+    return kron(kron(Mat.identity(n), x), Mat.identity(m))
+
+
+def dense_span(ambient_dim: int, vectors) -> Mat:
+    """The reduced echelon basis of the span of sparse vectors, one per column,
+    from the dense Gauss-Jordan form of the matrix whose rows they are."""
+    rows = []
+    for vec in vectors:
+        row = [ZERO] * ambient_dim
+        for i, v in dict(vec).items():
+            row[i] = v
+        rows.append(row)
+    r, pivots = rref(Mat.from_rows(rows, ambient_dim))
+    return Mat(ambient_dim, len(pivots), r.transpose().cols_sparse()[: len(pivots)])
+
+
+def kron_balance(e, f) -> Mat:
+    """The balancing map as the Kronecker formula R_E (x) I_F - I_E (x) L_F."""
+    return e.right_action.kron(Mat.identity(f.dim)) - Mat.identity(e.dim).kron(f.left_action)
+
+
+# -- bimodule actions, one basis element at a time -----------------------------
 # -- bimodule actions, one basis element at a time -----------------------------
 
 
@@ -493,3 +553,35 @@ class SparseEchelon:
                     if not existing[cc]:
                         del existing[cc]
         self.pivot_rows[p] = row
+
+
+# -- the field-Q literal check, one call a node ----------------------------------
+
+
+def reject_imaginary(doc, literals) -> None:
+    """Raise a ParseError at the first literal of the scalar sections, in document
+    order, that is not real; basis names under algebra and omega are skipped."""
+
+    def walk(x):
+        if isinstance(x, str):
+            if not x.rstrip().endswith(("i", "I")):
+                return  # only a literal ending in i can parse to a non-real scalar
+            try:
+                val = literals[x]
+            except ScalarParseError:
+                return
+            if not val.is_real():
+                raise ParseError(f"field Q cannot carry the scalar {x!r}")
+        elif isinstance(x, list):
+            for y in x:
+                walk(y)
+        elif isinstance(x, dict):
+            for y in x.values():
+                walk(y)
+
+    for key in ("algebra", "omega", "d", "dual_basis", "box", "sigma_inv", "modules", "inner_products", "states"):
+        if key in doc:
+            value = doc[key]
+            if key in ("algebra", "omega") and isinstance(value, dict):
+                value = {k: v for k, v in value.items() if k != "basis"}
+            walk(value)

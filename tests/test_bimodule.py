@@ -104,6 +104,41 @@ def test_omega_tensor_omega_dim_two(two_point_omega):
     assert push(pair, kron_vec([ZERO, ONE], [ZERO, ONE])) == [ZERO, ZERO]
 
 
+@pytest.mark.parametrize("name", ["two-point-universal", "z3-function-calculus", "zero-form-smoke"])
+def test_balance_is_the_kronecker_formula_on_every_crossing_module(name):
+    """The balancing map read from the actions equals R_E (x) I_F - I_E (x) L_F,
+    entry for entry, on every ordered pair of the test objects (A, the 1-forms,
+    the vector fields) and the tensor products of two that the crossings build."""
+    from ncdiffop.bundle import load_builtin
+
+    bundle = load_builtin(name)
+    crossings = bundle.crossings()
+    names = crossings.object_names()
+    spaces = [crossings.modules[a].space for a in names] + [bundle.geometry.omega]
+    spaces += [crossings.tensor_module(a, b).space for a in names for b in names]
+    for e in spaces:
+        for f in spaces:
+            assert balance(e, f) == oracles.kron_balance(e, f), (e.name, f.name)
+
+
+def test_balance_is_the_kronecker_formula_over_gaussian_rationals(two_point_omega):
+    """The same on a Q(i) bimodule: the two-point 1-forms in the basis changed by
+    S = [[1, i], [0, 1]], so that both actions have non-real entries."""
+    s, s_inv = Mat.from_rows([["1", "i"], ["0", "1"]]), Mat.from_rows([["1", "-i"], ["0", "1"]])
+    left, right = action_blocks(two_point_omega)
+    twisted = bimodule_from_blocks(
+        two_point_omega.algebra, 2, [s @ x @ s_inv for x in left], [s @ x @ s_inv for x in right], "twisted"
+    )
+    assert all(r.ok for r in twisted.validate())
+    assert any(not v.is_real() for col in twisted.right_action.cols_sparse() for _, v in col)
+    a = algebra_as_bimodule(two_point_omega.algebra)
+    for e in (twisted, a):
+        for f in (twisted, a, two_point_omega):
+            assert balance(e, f) == oracles.kron_balance(e, f), (e.name, f.name)
+            assert balance(f, e) == oracles.kron_balance(f, e), (f.name, e.name)
+    assert TensorPair(twisted, twisted).dim == TensorPair(two_point_omega, two_point_omega).dim
+
+
 def test_tensor_projection_section_contract(two_point_omega):
     pair = TensorPair(two_point_omega, two_point_omega)
     assert (pair.project @ pair.section) == Mat.identity(pair.dim)

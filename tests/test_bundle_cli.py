@@ -8,10 +8,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdiffop import builtin_data, scalars
 from ncdiffop.bundle import (
     ParseError,
+    _Literals,
+    _reject_imaginary,
     builtin_bundle_dict,
     canonical_json,
     load_builtin,
@@ -22,6 +26,7 @@ from ncdiffop.bundle import (
 from ncdiffop.cli import main
 from ncdiffop.exprs import DegreeExceeded, ExprError, UnknownName, parse_operator
 from ncdiffop.report import ValidationError
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +259,59 @@ def test_field_q_reads_basis_names_as_names(two_point_doc, key):
     doc["states"]["uniform"] = ["1/2+1i", "1/2-1i"]
     with pytest.raises(ParseError, match="cannot carry the scalar '1/2\\+1i'"):
         load_bundle_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "where",
+    [("modules", "omega1", "nabla", 1, 0), ("inner_products", "omega1", 1, 1, 1), ("states", "point1", 1)],
+    ids=["modules", "inner_products", "states"],
+)
+def test_cli_field_q_rejects_nested_imaginary_literal(tmp_path, capsys, two_point_doc, where):
+    """An imaginary literal deep under modules, inner products or states is an
+    input error on field Q, reported with its text; the same document with the
+    literal as a name under algebra.basis loads."""
+    doc = copy.deepcopy(two_point_doc)
+    *path, last = where
+    holder = doc
+    for key in path:
+        holder = holder[key]
+    original, holder[last] = holder[last], "1/2-3i "
+    target = tmp_path / "imaginary.json"
+    target.write_text(json.dumps(doc))
+    assert main(["validate", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: field Q cannot carry the scalar '1/2-3i '\n"
+    assert "Traceback" not in captured.err
+    holder[last] = original
+    doc["algebra"]["basis"][0] = "1/2-3i "
+    target.write_text(json.dumps(doc))
+    assert main(["validate", str(target)]) == 0
+    capsys.readouterr()
+
+
+literal_texts = st.sampled_from(["0", "1", "-1/2", "2i", "1/2-1i", "3I ", "1i\n", "i", "x\0i", "1i\0", "", " ", "bad i"])
+json_leaves = literal_texts | st.integers(-2, 2) | st.booleans() | st.none()
+json_keys = literal_texts | st.just("basis")
+json_values = st.recursive(
+    json_leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_keys, inner, max_size=3), max_leaves=24
+)
+
+
+@given(st.dictionaries(st.sampled_from(["algebra", "omega", "d", "modules", "states", "notes", "name"]), json_values))
+@settings(max_examples=300, deadline=None)
+def test_field_q_walk_matches_the_recursive_walk(doc):
+    """The walk accepts and rejects what the recursive walk it replaced does, and
+    names the same literal: the first non-real one in document order."""
+    expected = got = None
+    try:
+        oracles.reject_imaginary(doc, _Literals())
+    except ParseError as err:
+        expected = str(err)
+    try:
+        _reject_imaginary(doc, _Literals())
+    except ParseError as err:
+        got = str(err)
+    assert got == expected
 
 
 def dual_basis_bumps(doc):

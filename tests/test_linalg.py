@@ -32,7 +32,8 @@ from ncdiffop.linalg import (
     rref,
     span,
 )
-from ncdiffop.scalars import ONE, ZERO, Scalar, sc
+from ncdiffop.bundle import _Literals
+from ncdiffop.scalars import NEG_ONE, ONE, ZERO, Scalar, sc
 import oracles
 from oracles import unit_row, vec_is_zero
 
@@ -257,6 +258,77 @@ def test_unit_leads_keep_the_one_singleton():
     for m in (flip, turn, proj, sect, proj @ sect):
         units = [v for col in m.cols_sparse() for _, v in col if v == 1]
         assert units and all(v is ONE for v in units)
+
+
+# -- the unit singletons in the kernels ---------------------------------------------
+# Every kernel that skips a product with ONE or NEG_ONE (on either side) must give
+# what the oracles give taking every product, also where an entry equals +-1
+# without being the singleton.
+
+UNIT_FORMS = [lambda: ONE, lambda: NEG_ONE, lambda: Scalar(1), lambda: Scalar(-1), lambda: sc("2/2"), lambda: sc("-3/3")]
+
+
+@st.composite
+def unit_entries(draw, gaussian):
+    """A unit in one of its forms half the time, otherwise a zero in any form or
+    another value, non-real for Q(i)."""
+    pick = draw(st.integers(0, 5))
+    if pick < 3:
+        return draw(st.sampled_from(UNIT_FORMS))()
+    if pick == 3:
+        return draw(st.sampled_from(ZERO_FORMS))()
+    re = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+    im = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2))) if gaussian else 0
+    return Scalar(re, im)
+
+
+@st.composite
+def unit_mats(draw, gaussian, rows, cols):
+    """A matrix of ``unit_entries`` with some columns left empty."""
+    empty = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
+    cells = [[ZERO if j in empty else draw(unit_entries(gaussian)) for j in range(cols)] for _ in range(rows)]
+    return Mat.from_rows(cells, cols)
+
+
+@st.composite
+def unit_cases(draw):
+    gaussian = draw(st.booleans())
+    r, k, c, p, q = (draw(st.integers(0, 3)) for _ in range(5))
+    n, m = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    mats = (draw(unit_mats(gaussian, *shape)) for shape in [(r, k), (r, k), (k, c), (p, q), (p, k)])
+    a, a2, b, x, y = mats
+    return a, a2, b, x, y, n, m, draw(unit_mats(gaussian, c, n * p * m)), draw(unit_mats(gaussian, n * q * m, c))
+
+
+@given(unit_cases())
+@settings(max_examples=300, deadline=None)
+def test_unit_singletons_in_the_kernels_match_the_oracles(case):
+    a, a2, b, x, y, n, m, left, right = case
+    assert a @ b == oracles.matmul(a, b)
+    assert left.mul_ikron(n, x, m) == oracles.matmul(left, oracles.ikron(n, x, m))
+    assert ikron_mul(n, x, m, right) == oracles.matmul(oracles.ikron(n, x, m), right)
+    assert a.kron(x) == oracles.kron(a, x) and x.kron(a) == oracles.kron(x, a)
+    assert a.kron_cols(y) == oracles.kron_cols(a, y)
+    assert a + a2 == oracles.add_mats(a, a2)
+    assert a - a2 == oracles.add_mats(a, a2, NEG_ONE)
+    for vectors, dim in ((a.cols_sparse(), a.rows), (a.transpose().cols_sparse(), a.cols)):
+        basis = span(dim, vectors)
+        assert basis == oracles.dense_span(dim, vectors)
+        assert all(col[0][1] is ONE for col in basis.cols_sparse())
+    for out in (a @ b, left.mul_ikron(n, x, m), a.kron(x), a - a2, -a):
+        read_back(out)
+
+
+def test_neg_one_singleton():
+    """NEG_ONE is -1 in every way a caller can see, and negation swaps it with ONE."""
+    assert NEG_ONE == -1 and NEG_ONE == Scalar(-1) and NEG_ONE == Fraction(-1)
+    assert hash(NEG_ONE) == hash(-1) == hash(Scalar(-1))
+    assert str(NEG_ONE) == "-1" and repr(NEG_ONE) == "Scalar(-1)"
+    assert -ONE is NEG_ONE and -NEG_ONE is ONE
+    assert -Scalar(1) is not NEG_ONE and -Scalar(-1) is not ONE
+    literals = _Literals()
+    assert literals["-1"] is NEG_ONE and literals["1"] is ONE and literals["0"] is ZERO
+    assert literals["-2/2"] is NEG_ONE and literals["-1+0i"] is NEG_ONE
 
 
 # -- identity Kronecker factors ---------------------------------------------------
