@@ -52,7 +52,7 @@ from typing import Optional
 from .algebra import Algebra
 from .linalg import Mat, first_mismatch, ikron_mul, kernel, quotient, span
 from .report import CheckResult, ValidationError, first_failure
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 class BimoduleMapError(ValueError):
@@ -224,7 +224,7 @@ def _merge(p: list, q: list) -> list:
     summed = dict(p)
     for i, w in q:
         summed[i] = summed[i] + w if i in summed else w
-    return [(i, v) for i, v in sorted(summed.items()) if v]
+    return [(i, v) for i, v in sorted(summed.items()) if v is not ZERO]
 
 
 class TensorPair:

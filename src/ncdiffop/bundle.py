@@ -28,7 +28,7 @@ from .geometry import Geometry
 from .linalg import Mat
 from .memo import memo
 from .report import ValidationError
-from .scalars import NEG_ONE, ONE, ZERO, Scalar, ScalarParseError, sc
+from .scalars import Scalar, ScalarParseError, sc
 from .sobolev import InnerProduct, canonical_algebra_ip
 
 FORMAT = "ncdiffop-bundle/1"
@@ -59,20 +59,11 @@ class _Literals(dict):
 
     A document repeats a handful of literals thousands of times (z3 holds
     3,459 literals with four distinct values), so each load keeps one of
-    these and reads every scalar through it.  0, 1 and -1 come back as the
-    ``ZERO``, ``ONE`` and ``NEG_ONE`` singletons, which the matrix kernels test
-    by identity.
+    these and reads every scalar through it.
     """
 
     def __missing__(self, text: str) -> Scalar:
-        value = Scalar.from_str(text)
-        if not value:
-            value = ZERO
-        elif value == ONE:
-            value = ONE
-        elif value == NEG_ONE:
-            value = NEG_ONE
-        self[text] = value
+        value = self[text] = Scalar.from_str(text)
         return value
 
     def scalars(self, x, n: int, what: str) -> list:

@@ -14,12 +14,9 @@ The kernel does not pay for the units or for identity factors:
 * a product with ``ONE`` on either side is the other factor, in ``@`` (and so
   in ``mul_ikron`` and ``ikron_mul``), ``kron``, ``kron_cols`` and row
   reduction; in the first three a product with ``NEG_ONE`` on either side is
-  the other factor's negation, and negation maps the two singletons onto each
-  other;
-* unit leads keep their singletons: a new pivot row whose lead is 1 is stored
-  as it is and one whose lead is -1 is negated; only other leads are divided
-  out.  Every pivot entry is ``ONE`` itself, so the unit skips also fire on
-  relation bases, kernels, inverses and quotients;
+  the other factor's negation.  Scalars are canonical (``scalars``), so every
+  zero is ``ZERO`` and every unit one of the two objects: each of these tests
+  is an identity test;
 * identity factors are applied, not built: ``A.mul_ikron(n, X, m)`` is
   ``A @ (I_n (x) X (x) I_m)``, products of strided column slices of A with X,
   and ``ikron_mul(n, X, m, B)`` is ``(I_n (x) X (x) I_m) @ B``, B's rows
@@ -98,11 +95,9 @@ class Mat:
         for i, row in enumerate(rows):
             if len(row) != cols:
                 raise ValueError("ragged rows")
-            for j, x in enumerate(row):
+            for j, x in enumerate(map(sc, row)):
                 if x is not ZERO:
-                    x = sc(x)
-                    if x:
-                        columns[j].append((i, x))
+                    columns[j].append((i, x))
         return Mat(len(rows), cols, columns)
 
     @staticmethod
@@ -115,7 +110,7 @@ class Mat:
         for col in cols:
             if len(col) != rows:
                 raise ValueError("ragged columns")
-            columns.append([(i, x) for i, x in enumerate(map(sc, col)) if x])
+            columns.append([(i, x) for i, x in enumerate(map(sc, col)) if x is not ZERO])
         return Mat(rows, len(cols), columns)
 
     @staticmethod
@@ -125,7 +120,7 @@ class Mat:
         for i, j, v in entries:
             col = acc[j]
             col[i] = col[i] + v if i in col else v
-        return Mat(rows, cols, [[(i, v) for i, v in sorted(col.items()) if v] for col in acc])
+        return Mat(rows, cols, [[(i, v) for i, v in sorted(col.items()) if v is not ZERO] for col in acc])
 
     # -- dense views -----------------------------------------------------------
 
@@ -229,7 +224,7 @@ class Mat:
             raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
         out = [ZERO] * self.rows
         for x, col in zip(vec, self._cols_sparse):
-            if x is ZERO or not col or not x:
+            if x is ZERO or not col:
                 continue
             for i, v in col:
                 out[i] = out[i] + v * x
@@ -239,14 +234,14 @@ class Mat:
         """Column j*q + l of A (x) B holds a * b at row i*p + k for (i, a) in
         A[:, j] and (k, b) in B[:, l], where B is p x q."""
         p, ocols = other.rows, other._cols_sparse
-        out = []
+        out, empty = [], []
         for col in self._cols_sparse:
             if not col:
-                out += [[]] * len(ocols)
+                out += [empty] * len(ocols)
                 continue
             for ocol in ocols:
                 if not ocol:
-                    out.append([])
+                    out.append(empty)
                     continue
                 out.append(
                     [
@@ -283,40 +278,47 @@ class Mat:
 
 def _gather(acols, bcols) -> list:
     """The sparse columns of A @ B from those of A (anything indexable by row of
-    B) and of B.  A one-entry column of B scaled by ``ONE`` shares A's column; a
-    product with ``ONE`` on either side is the other factor, and one with
-    ``NEG_ONE`` its negation."""
+    B) and of B.  A column of B is read without its terms on empty columns of A;
+    if one term is left and it is ``ONE``, the product shares A's column, and the
+    empty columns of the product share one list.  A product with ``ONE`` on either
+    side is the other factor, and one with ``NEG_ONE`` its negation."""
     out = []
+    append = out.append
+    empty = []
     for col in bcols:
         if not col:
-            out.append([])
+            append(empty)
             continue
-        if len(col) == 1:
-            k, v = col[0]
-            # a product of two nonzeros is nonzero: nothing to test
-            if v is ONE:
-                out.append(acols[k])
-            elif v is NEG_ONE:
-                out.append([(i, -x) for i, x in acols[k]])
-            else:
-                out.append([(i, v if x is ONE else -v if x is NEG_ONE else x * v) for i, x in acols[k]])
-            continue
-        acc: dict[int, Scalar] = {}
-        for k, v in col:
-            if v is ONE:
-                for i, x in acols[k]:
-                    s = acc.get(i)
-                    acc[i] = x if s is None else s + x
-            elif v is NEG_ONE:
-                for i, x in acols[k]:
-                    s = acc.get(i)
-                    acc[i] = -x if s is None else s - x
-            else:
-                for i, x in acols[k]:
-                    x = v if x is ONE else -v if x is NEG_ONE else x * v
-                    s = acc.get(i)
-                    acc[i] = x if s is None else s + x
-        out.append([(i, s) for i, s in sorted(acc.items()) if s])
+        if len(col) > 1:
+            col = [t for t in col if acols[t[0]]]
+            if not col:
+                append(empty)
+                continue
+            if len(col) > 1:
+                acc: dict[int, Scalar] = {}
+                for k, v in col:
+                    if v is ONE:
+                        for i, x in acols[k]:
+                            s = acc.get(i)
+                            acc[i] = x if s is None else s + x
+                    elif v is NEG_ONE:
+                        for i, x in acols[k]:
+                            s = acc.get(i)
+                            acc[i] = -x if s is None else s - x
+                    else:
+                        for i, x in acols[k]:
+                            x = v if x is ONE else -v if x is NEG_ONE else x * v
+                            s = acc.get(i)
+                            acc[i] = x if s is None else s + x
+                append([(i, s) for i, s in sorted(acc.items()) if s is not ZERO])
+                continue
+        (k, v), = col  # one term; a product of two nonzeros is nonzero: nothing to test
+        if v is ONE:
+            append(acols[k])
+        elif v is NEG_ONE:
+            append([(i, -x) for i, x in acols[k]])
+        else:
+            append([(i, v if x is ONE else -v if x is NEG_ONE else x * v) for i, x in acols[k]])
     return out
 
 
@@ -446,10 +448,10 @@ def _accumulate(terms) -> Graded:
                 s = into.get(i)
                 if s is None:
                     into[i] = v
-                elif s := s + v:
-                    into[i] = s
-                else:
+                elif (s := s + v) is ZERO:
                     del into[i]
+                else:
+                    into[i] = s
     for key, (rows, ncols, cols) in summed.items():
         out[key] = Mat(rows, ncols, [sorted(c.items()) if type(c) is dict else c for c in cols])
     return out
@@ -472,11 +474,11 @@ def kron_vec(x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
     ny = len(y)
     out = [ZERO] * (len(x) * ny)
     for i, a in enumerate(x):
-        if a is ZERO or not a:
+        if a is ZERO:
             continue
         base = i * ny
         for j, b in enumerate(y):
-            if b is not ZERO and b:
+            if b is not ZERO:
                 out[base + j] = a * b
     return out
 
@@ -522,52 +524,60 @@ class SparseEchelon:
         self._holding: dict[int, set[int]] = {}
 
     def add_sparse(self, row: dict[int, Scalar]) -> None:
-        """Insert a vector."""
-        row = {c: v for c, v in row.items() if v}
+        """Insert a vector given as a dict of its nonzero entries, which the echelon
+        takes over: it may keep the dict as a pivot row or change it."""
+        pivot_rows = self.pivot_rows
+        if len(row) == 1:
+            # a one-entry vector on the column of a one-entry pivot row is a multiple of it
+            for c in row:
+                if len(pivot_rows.get(c, ())) == 1:
+                    return
         # subtract the multiple of each pivot row that clears its pivot column: a pivot row has no
         # entry in another pivot column, so one pass over the pivot columns row holds clears them all
-        for c in [c for c in row if c in self.pivot_rows]:
+        for c in [c for c in row if c in pivot_rows]:
             f = row[c]
-            for cc, v in self.pivot_rows[c].items():
+            for cc, v in pivot_rows[c].items():
                 fv = f if v is ONE else v if f is ONE else f * v
                 x = row[cc] - fv if cc in row else -fv
-                if x:
-                    row[cc] = x
-                else:
+                if x is ZERO:
                     del row[cc]
+                else:
+                    row[cc] = x
         if not row:
             return
         p = min(row)
         lead = row[p]
         # a lead of 1 stays as it is and one of -1 is negated; only other leads are divided out
-        if lead.im or lead.re not in (1, -1):
+        if lead is NEG_ONE:
+            row = {c: -v for c, v in row.items()}
+        elif lead is not ONE:
             inv = ONE / lead
             row = {c: v * inv for c, v in row.items()}
-        elif lead.re == -1:
-            row = {c: -v for c, v in row.items()}
-        row[p] = ONE
         # back-substitute into the rows that may hold column p, to stay fully reduced
         holding = self._holding
         for q in holding.pop(p, ()):
-            existing = self.pivot_rows[q]
+            existing = pivot_rows[q]
             if p in existing:
                 f = existing[p]
                 for cc, v in row.items():
                     fv = f if v is ONE else v if f is ONE else f * v
-                    existing[cc] = existing[cc] - fv if cc in existing else -fv
-                    if not existing[cc]:
+                    x = existing[cc] - fv if cc in existing else -fv
+                    if x is ZERO:
                         del existing[cc]
+                    else:
+                        existing[cc] = x
                     holding.setdefault(cc, set()).add(q)
         for c in row:
             holding.setdefault(c, set()).add(p)
-        self.pivot_rows[p] = row
+        pivot_rows[p] = row
 
 
 def span(ambient_dim: int, sparse_vectors: Iterable) -> Mat:
     """The canonical RREF basis of the span of some vectors, one per column in
     pivot order: the first entry of each column is its pivot, equal to 1, and no
     column has an entry in another's pivot row.  A vector is a dict or a list of
-    ``(index, value)`` pairs; this is the form :func:`quotient` takes."""
+    ``(index, value)`` pairs with no zero value, as a column of a ``Mat``; this is
+    the form :func:`quotient` takes."""
     ech = SparseEchelon()
     for vec in sparse_vectors:
         if vec:

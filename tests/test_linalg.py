@@ -238,10 +238,9 @@ def test_inverse():
 
 
 def test_unit_leads_keep_the_one_singleton():
-    """A lead of 1 is kept and one of -1 negated, not divided out, so the pivots
-    of an echelon basis (a span, a kernel, a relation basis) and the entries equal
-    to 1 of an inverse or a quotient built from such rows are ``ONE`` itself,
-    which ``@`` and ``kron`` skip multiplying by."""
+    """The pivots of an echelon basis (a span, a kernel, a relation basis) and the
+    entries equal to 1 of an inverse or a quotient built from such rows are
+    ``ONE`` itself, which ``@`` and ``kron`` skip multiplying by."""
     basis = span(4, [[(0, ONE), (2, sc(3))], [(1, -ONE), (3, ONE)]])
     assert basis == Mat.from_cols([[1, 0, 3, 0], [0, 1, 0, -1]], 4)
     ker = kernel(Mat.from_rows([[ONE, ONE, ZERO], [ZERO, -ONE, ONE]]))
@@ -262,8 +261,8 @@ def test_unit_leads_keep_the_one_singleton():
 
 # -- the unit singletons in the kernels ---------------------------------------------
 # Every kernel that skips a product with ONE or NEG_ONE (on either side) must give
-# what the oracles give taking every product, also where an entry equals +-1
-# without being the singleton.
+# what the oracles give taking every product, whichever way an entry equal to +-1
+# was built.
 
 UNIT_FORMS = [lambda: ONE, lambda: NEG_ONE, lambda: Scalar(1), lambda: Scalar(-1), lambda: sc("2/2"), lambda: sc("-3/3")]
 
@@ -320,12 +319,12 @@ def test_unit_singletons_in_the_kernels_match_the_oracles(case):
 
 
 def test_neg_one_singleton():
-    """NEG_ONE is -1 in every way a caller can see, and negation swaps it with ONE."""
+    """NEG_ONE is -1 in every way a caller can see, and every -1 is NEG_ONE."""
     assert NEG_ONE == -1 and NEG_ONE == Scalar(-1) and NEG_ONE == Fraction(-1)
     assert hash(NEG_ONE) == hash(-1) == hash(Scalar(-1))
     assert str(NEG_ONE) == "-1" and repr(NEG_ONE) == "Scalar(-1)"
     assert -ONE is NEG_ONE and -NEG_ONE is ONE
-    assert -Scalar(1) is not NEG_ONE and -Scalar(-1) is not ONE
+    assert -Scalar(1) is NEG_ONE and -Scalar(-1) is ONE and ZERO - ONE is NEG_ONE and sc("-3/3") * -1 is ONE
     literals = _Literals()
     assert literals["-1"] is NEG_ONE and literals["1"] is ONE and literals["0"] is ZERO
     assert literals["-2/2"] is NEG_ONE and literals["-1+0i"] is NEG_ONE
@@ -390,12 +389,12 @@ def test_kron_vec():
     assert kron_vec(x, y) == [sc(0), sc(3), sc(0), sc(6)]
 
 
-# -- zeros that are not the ZERO singleton ---------------------------------------
+# -- zeros built in other ways than as ZERO ---------------------------------------
 
-NON_SINGLETON_ZEROS = [Scalar(0), sc("0/5"), Scalar(0, 0), ONE - ONE]
+OTHER_ZEROS = [Scalar(0), sc("0/5"), Scalar(0, 0), ONE - ONE]
 
 
-@pytest.mark.parametrize("z", NON_SINGLETON_ZEROS, ids=["Scalar(0)", "0/5", "Scalar(0,0)", "ONE-ONE"])
+@pytest.mark.parametrize("z", OTHER_ZEROS, ids=["Scalar(0)", "0/5", "Scalar(0,0)", "ONE-ONE"])
 def test_apply_matmul_cols_sparse_treat_any_zero_as_zero(z):
     m = Mat.from_rows([[z, sc(2), z], [sc(3), z, sc(-1)]])
     assert m.cols_sparse() == [[(1, sc(3))], [(0, sc(2))], [(1, sc(-1))]]
@@ -566,7 +565,7 @@ def read_back(m: Mat):
 @st.composite
 def entries(draw, kind, zero=False):
     """A (value, Scalar) pair, a zero when ``zero`` is set and otherwise one time
-    in three; zeros come in every form, not only the ZERO singleton."""
+    in three; zeros are built in every way, not only taken as ZERO."""
     if zero or draw(st.integers(0, 2)) == 0:
         return G0, draw(st.sampled_from(ZERO_FORMS))()
     if kind == "int":
@@ -697,8 +696,9 @@ def test_row_reduction_matches_dense_oracle(m):
 @st.composite
 def sparse_generators(draw):
     """Sparse Q or Q(i) vectors in up to 8 coordinates, as dicts that may hold
-    zeros in any form; a repeated vector, a scaled copy and a zero vector each
-    come in some cases, and the vectors come with a drawn insertion order."""
+    zeros; a repeated vector, a scaled copy, repeated one-entry vectors and a
+    zero vector each come in some cases, and the vectors come with a drawn
+    insertion order."""
     kind = draw(st.sampled_from(["rational", "gaussian"]))
     dim = draw(st.integers(1, 8))
     vecs = [
@@ -710,6 +710,9 @@ def sparse_generators(draw):
     if vecs and draw(st.booleans()):
         s = draw(entries(kind))[1]
         vecs.append({c: s * v for c, v in draw(st.sampled_from(vecs)).items()})
+    for _ in range(draw(st.integers(0, 3))):
+        c = draw(st.integers(0, dim - 1))
+        vecs += [{c: draw(entries(kind))[1]} for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
         vecs.append({})
     return vecs, draw(st.permutations(range(len(vecs))))
@@ -718,15 +721,19 @@ def sparse_generators(draw):
 @given(sparse_generators())
 @settings(max_examples=300, deadline=None)
 def test_echelon_pivot_rows_match_the_scanning_oracle_in_any_order(case):
+    """The echelon takes each vector as a fresh dict of its nonzero entries, the
+    form ``span``, ``rref`` and ``kernel`` hand over, with no copy or zero test."""
     vecs, order = case
     oracle = oracles.SparseEchelon()
     for vec in vecs:
         oracle.add_sparse(vec)
     ech = SparseEchelon()
     for i in order:
-        ech.add_sparse(vecs[i])
+        ech.add_sparse({c: v for c, v in vecs[i].items() if v})
     assert ech.pivot_rows == oracle.pivot_rows
     assert all(row[p] is ONE for p, row in ech.pivot_rows.items())
+    cols = [sorted((c, v) for c, v in vecs[i].items() if v) for i in order]
+    assert span(8, cols) == oracles.dense_span(8, cols)
 
 
 # -- graded maps against the per-degree dicts of matrices they replaced ----------

@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 from fractions import Fraction
 import re
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncdiffop.scalars import _RAT, ONE, ZERO, Scalar, ScalarParseError, _parse_rat, sc
+from ncdiffop.scalars import _RAT, NEG_ONE, ONE, SMALL, ZERO, Scalar, ScalarParseError, _parse_rat, sc
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
 scalars = st.builds(lambda a, b: Scalar(a, b), rationals, rationals)
@@ -79,14 +81,14 @@ def test_complex_division():
         a / ZERO
 
 
-# zero tests check identity with the ZERO singleton first; every other zero
-# must still take the exact rational test
-NON_SINGLETON_ZEROS = [Scalar(0), sc("0/5"), Scalar(0, 0), ONE - ONE]
+# construction is canonical: a zero built in any way is the ZERO object itself, so a
+# truth test is an identity test
+ZEROS = [Scalar(0), sc("0/5"), Scalar(0, 0), ONE - ONE]
 
 
-@pytest.mark.parametrize("zero", NON_SINGLETON_ZEROS, ids=["Scalar(0)", "0/5", "Scalar(0,0)", "ONE-ONE"])
-def test_zero_other_than_singleton_is_falsy(zero):
-    assert zero is not ZERO
+@pytest.mark.parametrize("zero", ZEROS, ids=["Scalar(0)", "0/5", "Scalar(0,0)", "ONE-ONE"])
+def test_every_zero_is_the_zero_singleton(zero):
+    assert zero is ZERO
     assert not zero
     assert zero == ZERO
 
@@ -172,6 +174,9 @@ def _oracle(op, x, y):
     return (a * c + b * d) / n, (b * c - a * d) / n
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 @given(parts, parts, parts, parts, st.booleans(), st.sampled_from("+-*/"))
 def test_arithmetic_matches_fraction_oracle(a, b, c, d, gaussian, op):
     if not gaussian:
@@ -179,7 +184,7 @@ def test_arithmetic_matches_fraction_oracle(a, b, c, d, gaussian, op):
     if op == "/" and not c and not d:
         return
     x, y = Scalar(a, b), Scalar(c, d)
-    got = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op](x, y)
+    got = _BINARY[op](x, y)
     re_, im_ = _oracle(op, (a, b), (c, d))
     _assert_normal(got)
     assert (Fraction(got.re), Fraction(got.im)) == (re_, im_)
@@ -252,3 +257,84 @@ def test_from_str_ignores_inner_whitespace(text, spaces, rnd):
     if want_err is None:
         assert got == Scalar(want)
         _assert_normal(got)
+
+
+# -- canonical construction against the Fraction oracle --------------------------------
+
+
+def _oracle_str(re_, im_):
+    if not im_:
+        return str(re_)
+    if not re_:
+        return f"{im_}i"
+    return f"{re_}{im_}i" if im_ < 0 else f"{re_}+{im_}i"
+
+
+def _check_canonical(x, value):
+    """x against its value, a pair of Fractions: str, ==, hash, and the shared objects."""
+    re_, im_ = value
+    assert (Fraction(x.re), Fraction(x.im)) == value
+    _assert_normal(x)
+    assert str(x) == _oracle_str(re_, im_)
+    assert hash(x) == (hash((re_, im_)) if im_ else hash(re_))
+    assert (x == re_) is (not im_)
+    assert x == Scalar(re_, im_) and not x != Scalar(re_, im_)
+    assert (x is ZERO) is (value == (0, 0)) is (not x)
+    assert (x is ONE) is (value == (1, 0)) and (x is NEG_ONE) is (value == (-1, 0))
+
+
+_CONSTRUCTORS = {
+    "Scalar": lambda re_, im_: Scalar(re_, im_),
+    "Scalar-int-parts": lambda re_, im_: Scalar(*(int(p) if p.denominator == 1 else p for p in (re_, im_))),
+    "sc-str": lambda re_, im_: sc(_oracle_str(re_, im_)),
+    "from_str": lambda re_, im_: Scalar.from_str(_oracle_str(re_, im_)),
+    "sc-rational": lambda re_, im_: sc(re_) + sc(im_) * sc("i"),
+    "pickle": lambda re_, im_: pickle.loads(pickle.dumps(Scalar(re_, im_))),
+}
+
+_UNARY = {
+    "neg": (operator.neg, lambda a, b: (-a, -b)),
+    "conj": (Scalar.conj, lambda a, b: (a, -b)),
+    "inv": (Scalar.inv, lambda a, b: _oracle("/", (Fraction(1), Fraction(0)), (a, b))),
+}
+
+# the integral parts come from a range that straddles the interned integers (|n| <= SMALL)
+small_parts = st.one_of(
+    st.builds(Fraction, st.integers(-3, 3)), st.builds(Fraction, st.integers(-SMALL - 50, SMALL + 50)), rationals
+)
+
+
+@given(*[small_parts] * 4, st.booleans(), *[st.sampled_from(sorted(_CONSTRUCTORS))] * 2)
+def test_every_construction_path_is_canonical(a, b, c, d, gaussian, make_x, make_y):
+    """Every constructor, operator and mixed int operand gives the oracle's str, ==
+    and hash, and a value is zero (or 1, or -1) exactly when it is the shared object."""
+    if not gaussian:
+        b = d = Fraction(0)
+    x, y = _CONSTRUCTORS[make_x](a, b), _CONSTRUCTORS[make_y](c, d)
+    _check_canonical(x, (a, b))
+    _check_canonical(y, (c, d))
+    for name, (op, oracle) in _UNARY.items():
+        if name == "inv" and not (a or b):
+            continue
+        _check_canonical(op(x), oracle(a, b))
+    for sym, op in _BINARY.items():
+        if sym == "/" and not (c or d):
+            continue
+        _check_canonical(op(x, y), _oracle(sym, (a, b), (c, d)))
+    if c.denominator == 1 and not d:
+        n = int(c)
+        for sym, op in _BINARY.items():
+            if sym == "/" and not n:
+                continue
+            _check_canonical(op(x, n), _oracle(sym, (a, b), (c, d)))
+            if not (sym == "/" and not (a or b)):
+                _check_canonical(op(n, x), _oracle(sym, (c, d), (a, b)))
+
+
+@pytest.mark.parametrize("x", [ZERO, ONE, sc(5), sc("1/2"), sc("1/2+i")], ids=["0", "1", "5", "1/2", "1/2+i"])
+def test_copy_and_pickle_keep_the_shared_objects(x):
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert twin == x and str(twin) == str(x) and hash(twin) == hash(x)
+    assert copy.copy(x) is x and copy.deepcopy([x])[0] is x
+    assert (ZERO.re, ZERO.im, ONE.re, ONE.im, NEG_ONE.re, NEG_ONE.im) == (0, 0, 1, 0, -1, 0)
+    assert pickle.loads(pickle.dumps(ZERO)) is ZERO and pickle.loads(pickle.dumps(NEG_ONE)) is NEG_ONE
