@@ -180,9 +180,11 @@ class Bundle:
     def module_names(self) -> list[str]:
         return sorted(self.modules)
 
+    @memo
     def form_pairing(self) -> InnerProduct | None:
         """The pairing on Omega^1: the zero pairing when Omega^1 is 0-dimensional,
-        otherwise the declared ``omega1`` inner product, or None if there is none."""
+        otherwise the declared ``omega1`` inner product, or None if there is none.
+        One object per loaded bundle, so its W(n) tables are built once."""
         if not self.geometry.omega.dim:
             return InnerProduct(self.geometry.omega, [], "ip-omega-zero")
         return self.inner_products.get("omega1")

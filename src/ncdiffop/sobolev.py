@@ -8,7 +8,7 @@ roots or completions are ever needed.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import Algebra, State
 from .bimodule import BimoduleMap, BimoduleMapError, Bimodule, TensorPair, algebra_as_bimodule, conjugate_bimodule
@@ -28,8 +28,15 @@ class InnerProduct:
 
     ``values[i][j]`` holds the algebra coordinates of the pairing of basis
     element i with the conjugate of basis element j.  The pairing is linear in
-    the first argument; conjugation of the second argument's coordinates is
-    the caller-facing convention (see ``of_elements``).
+    the first argument and conjugate-linear in the second: <x, conj(y)> is
+    ``matrix() @ (x (x) conj(y))`` on coordinate columns.
+
+    Two tables are built once and kept on the pairing, so they live and die
+    with the bundle that holds it: ``matrix()``, the pairing as one map, and,
+    for a pairing on the 1-forms, ``forms_power(geometry, n)``, the pairing it
+    induces on W(n).  Every ``SobolevPairings`` over one form pairing shares
+    these W(n) tables; the pairings on W(n) (x) E stay with each
+    ``SobolevPairings``.
     """
 
     def __init__(self, module: Bimodule, values, name: str = "ip"):
@@ -38,26 +45,24 @@ class InnerProduct:
         self.values = [[[sc(x) for x in values[i][j]] for j in range(module.dim)] for i in range(module.dim)]
         self.name = name
 
-    def of_elements(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
-        """<x, conj(y)> in algebra coordinates."""
-        out = [ZERO] * self.algebra.dim
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                c = a * b.conj()
-                for k, v in enumerate(self.values[i][j]):
-                    if v:
-                        out[k] = out[k] + c * v
-        return out
+    @memo
+    def matrix(self) -> Mat:
+        """The plain pairing Kron(E, conj E) -> A: column i*dim + j is <e_i, conj(e_j)>."""
+        d = self.module.dim
+        return Mat.from_cols([self.values[i][j] for i in range(d) for j in range(d)], self.algebra.dim)
+
+    @memo
+    def forms_power(self, geometry, n: int) -> "InnerProduct":
+        """The pairing on W(n) that this pairing on the 1-forms of ``geometry``
+        induces, W(n) = W(n-1) (x)_A Omega^1; W(1) is this pairing itself."""
+        if n == 1:
+            return self
+        return tensor_inner_product(self.forms_power(geometry, n - 1), self, geometry.pair_W(n), f"ip-W{n}")
 
     def validate(self, states: Optional[list[State]] = None) -> list[CheckResult]:
         results = []
         A, E = self.algebra, self.module
-        # the plain pairing Kron(E, E) -> A: column i*dim + j is <e_i, conj(e_j)>
-        plain = Mat.from_cols([self.values[i][j] for i in range(E.dim) for j in range(E.dim)], A.dim)
+        plain = self.matrix()
         # <e_i, conj(e_j)> = <e_j, conj(e_i)>*, row-major: the witness is the first failing (i, j)
         sym_fail = first_mismatch(plain, A.star @ plain.conj() @ Mat.swap(E.dim, E.dim), (E.dim, E.dim))
         results.append(CheckResult(f"{self.name}:symmetry", sym_fail is None, witness=sym_fail))
@@ -136,8 +141,12 @@ def tensor_inner_product(ip_e: InnerProduct, ip_f: InnerProduct, pair: TensorPai
 
 
 class SobolevPairings:
-    """Iterated pairings <<e, conj(f)>>_n for a module with connection, each
-    built once per degree by ``@memo`` and kept on the instance."""
+    """Iterated pairings <<e, conj(f)>>_n for a module with connection.
+
+    The pairing on W(n) comes from the form pairing's own table
+    (``InnerProduct.forms_power``), shared by every instance over that form
+    pairing; the pairing on W(n) (x) E and the iterated pairings are built once
+    per degree by ``@memo`` and kept on this instance."""
 
     def __init__(self, module: ConnectionModule, ip_omega: InnerProduct, ip_module: InnerProduct):
         self.module = module
@@ -149,12 +158,8 @@ class SobolevPairings:
         self.ip_omega = ip_omega
         self.ip_module = ip_module
 
-    @memo
     def ip_forms_power(self, n: int) -> InnerProduct:
-        if n == 1:
-            return self.ip_omega
-        prev = self.ip_forms_power(n - 1)
-        return tensor_inner_product(prev, self.ip_omega, self.geometry.pair_W(n), f"ip-W{n}")
+        return self.ip_omega.forms_power(self.geometry, n)
 
     @memo
     def ip_derivative_target(self, n: int) -> InnerProduct:
@@ -163,14 +168,18 @@ class SobolevPairings:
 
     @memo
     def iterated(self, n: int) -> list[list[list[Scalar]]]:
-        """values[i][j] = <<e_i, conj(e_j)>>_n in algebra coordinates."""
+        """values[i][j] = <<e_i, conj(e_j)>>_n in algebra coordinates.
+
+        It is <nabla^n e_i, conj(nabla^n e_j)> on W(n) (x) E, so the whole table
+        is the pairing's matrix P times nabla^n (x) conj(nabla^n), applied one
+        leg at a time and never formed: column i*dim + j of
+        P (I (x) conj(nabla^n)) (nabla^n (x) I)."""
         if n == 0:
             return self.ip_module.values
-        E = self.module.space
-        ip = self.ip_derivative_target(n)
+        d = self.module.space.dim
         npow = self.module.nabla_pow(n)
-        cols = [npow.column(j) for j in range(E.dim)]
-        return [[ip.of_elements(cols[i], cols[j]) for j in range(E.dim)] for i in range(E.dim)]
+        table = self.ip_derivative_target(n).matrix().mul_ikron(npow.rows, npow.conj(), 1).mul_ikron(1, npow, d)
+        return [[table.column(i * d + j) for j in range(d)] for i in range(d)]
 
 
 class SobolevGram:

@@ -21,6 +21,9 @@ Kronecker products, sums and spans are also taken entry by entry on dense
 copies, every product computed, with no unit skipped; the balancing map is
 the Kronecker formula it was before it was read straight from the actions;
 and the field-Q literal check walks a document recursively, one call a node.
+An inner product is evaluated on two dense coordinate lists, and the iterated
+Sobolev pairings pair every two columns of nabla^n that way, as the library
+did before it applied the pairing's matrix to nabla^n one leg at a time.
 """
 
 import random
@@ -83,6 +86,31 @@ def push(pair, plain):
 def pair_apply(fgp, alpha, xi):
     """A dual element evaluated on a module element, landing in A."""
     return fgp.apply_mat.apply(kron_vec(alpha, xi))
+
+
+def of_elements(ip, x, y) -> list:
+    """<x, conj(y)> in algebra coordinates, for dense coordinates x and y."""
+    out = [ZERO] * ip.algebra.dim
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        for j, b in enumerate(y):
+            if not b:
+                continue
+            c = a * b.conj()
+            for k, v in enumerate(ip.values[i][j]):
+                if v:
+                    out[k] = out[k] + c * v
+    return out
+
+
+def iterated(pairings, n: int) -> list:
+    """``values[i][j] = <nabla^n e_i, conj(nabla^n e_j)>``, one pair of dense columns at a time."""
+    if n == 0:
+        return pairings.ip_module.values
+    ip, npow = pairings.ip_derivative_target(n), pairings.module.nabla_pow(n)
+    cols = [npow.column(j) for j in range(npow.cols)]
+    return [[of_elements(ip, x, y) for y in cols] for x in cols]
 
 
 def bullet_k(table, v, n, w, m, k):

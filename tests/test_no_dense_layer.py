@@ -11,8 +11,9 @@ command line and prints one.  A bimodule holds each action once, as one
 matrix.  A map between graded sums is one ``linalg.Graded``: no module brings
 back the per-degree dicts of matrices it replaced, their pairwise sum
 (``_add``), their stacking (``_stacked``, ``_stacking``), their witness rule
-by first index (``_first_by_block``) or a ``first_mismatch`` on dicts.  The
-retired helpers live on as the oracles in ``tests/oracles.py``.
+by first index (``_first_by_block``) or a ``first_mismatch`` on dicts.  An
+inner product is not evaluated on dense coordinate lists (``of_elements``):
+Sobolev pairings are products with its matrix.  The retired helpers live on as the oracles in ``tests/oracles.py``.
 Only the stdlib ``ast`` is used, as in ``test_imports.py``.
 """
 
@@ -35,6 +36,7 @@ RETIRED = {
     "_stacked",
     "_stacking",
     "_first_by_block",
+    "of_elements",
 }
 ACTION_LISTS = {"left", "right"}
 APPLY_ALLOWED = {"cli.py"}

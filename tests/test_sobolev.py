@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from ncdiffop.algebra import State
+from ncdiffop.bundle import BUILTIN_NAMES, load_builtin
 from ncdiffop.calculus import omega_module, trivial_module
 from ncdiffop.linalg import Mat
 from ncdiffop.scalars import ZERO, sc as sc_
@@ -21,7 +22,7 @@ from ncdiffop.sobolev import (
     sobolev_gram,
     tensor_inner_product,
 )
-from oracles import lift, right_apply, unit_row
+from oracles import iterated as oracle_iterated, lift, of_elements, right_apply, unit_row
 
 
 @pytest.fixture
@@ -112,7 +113,7 @@ def test_tensor_ip_with_unit_factor_reduces(two_point_geometry, omega_ip):
                 i, j = divmod(p, g.algebra.dim)
                 term = right_apply(g.omega, unit_row(g.omega.dim, i), unit_row(g.algebra.dim, j))
                 eb = [x + c * y for x, y in zip(eb, term)]
-            assert prod.values[a][b] == omega_ip.of_elements(ea, eb)
+            assert prod.values[a][b] == of_elements(omega_ip, ea, eb)
 
 
 def test_order_zero_gram_uniform(two_point_geometry, omega_ip, uniform):
@@ -132,7 +133,7 @@ def test_iterated_pairing_order_one_is_d_pairing(two_point_geometry, omega_ip):
     vals = pairings.iterated(1)
     for i in range(2):
         for j in range(2):
-            assert vals[i][j] == omega_ip.of_elements(g.d.column(i), g.d.column(j))
+            assert vals[i][j] == of_elements(omega_ip, g.d.column(i), g.d.column(j))
 
 
 def test_gram_monotone_and_strict(two_point_geometry, omega_ip, uniform, point_state, two_point_omega_connection):
@@ -164,7 +165,7 @@ def test_zero_element_has_zero_norm(two_point_geometry, omega_ip, uniform):
     vals = pairings.iterated(2)
     zero = [ZERO, ZERO]
     ip = pairings.ip_module
-    assert ip.of_elements(zero, zero) == [ZERO, ZERO]
+    assert of_elements(ip, zero, zero) == [ZERO, ZERO]
     # quadratic form of the Gram at the zero vector vanishes
     gram = sobolev_gram(pairings, uniform, 2)
     from ncdiffop.linalg import quadratic_form
@@ -203,3 +204,77 @@ def test_order_two_values_frozen(two_point_geometry, omega_ip, uniform):
     assert gram.matrix == Mat.from_rows(
         [[27, Fraction(-53, 2)], [Fraction(-53, 2), 27]]
     )
+
+
+# -- iterated pairings as one product per degree, against the pairwise oracle ---------------
+
+
+def _declared_pairings(bundle):
+    """A SobolevPairings for every module of a bundle that declares an inner product."""
+    ip_om = bundle.form_pairing()
+    return [
+        (name, SobolevPairings(bundle.modules[name], ip_om, ip))
+        for name, ip in sorted(bundle.inner_products.items())
+        if name in bundle.modules
+    ]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_iterated_matches_oracle_on_builtins(name):
+    pairings = _declared_pairings(load_builtin(name))
+    assert pairings
+    for module, p in pairings:
+        for n in range(4):
+            assert p.iterated(n) == oracle_iterated(p, n), (module, n)
+
+
+def test_iterated_matches_oracle_on_gaussian_pairing(two_point_geometry):
+    """Non-real pairings, and a connection on the 1-forms with non-real entries, so
+    that the conjugate on the second leg of the product changes the answer.
+
+    Adding the left-module map w12 -> i q1 to the connection of the fixture
+    ``two_point_omega_connection`` keeps the right Leibniz rule once
+    sigma(q1) = 1/2 - i (w12 (x) dp2 = -q1, and q1 p2 = 0)."""
+    g = two_point_geometry
+    nabla_plain = Mat.from_rows([[0, 0], ["-1/2+i", 1], [1, -5], [0, 0]])
+    sigma_plain = Mat.from_rows([[0, 0, 0, 0], [0, "1/2-i", 0, 0], [0, 0, 5, 0], [0, 0, 0, 0]])
+    gaussian = omega_module(g, nabla_plain, sigma_plain)
+    ip_om = InnerProduct(g.omega, [[["1+i", 0], [0, 0]], [[0, 0], [0, "2-3i"]]], "ip-omega-gaussian")
+    ip_a = InnerProduct(g.A_bim, [[["i", 0], [0, 0]], [[0, 0], [0, "1/2+i"]]], "ip-A-gaussian")
+    for module, ip_e in ((gaussian, ip_om), (trivial_module(g), ip_a)):
+        p = SobolevPairings(module, ip_om, ip_e)
+        for n in range(4):
+            assert p.iterated(n) == oracle_iterated(p, n), (module.name, n)
+    p = SobolevPairings(gaussian, ip_om, ip_om)
+    for n in range(1, 4):
+        npow = gaussian.nabla_pow(n)
+        assert npow != npow.conj()
+        plain = p.ip_derivative_target(n).matrix().mul_ikron(npow.rows, npow, 1).mul_ikron(1, npow, 2)
+        assert [[plain.column(i * 2 + j) for j in range(2)] for i in range(2)] != p.iterated(n)
+
+
+def test_forms_power_tables_shared_per_bundle():
+    bundle = load_builtin("z3-function-calculus")
+    (_, a), (_, b) = _declared_pairings(bundle)
+    again = SobolevPairings(a.module, bundle.form_pairing(), a.ip_module)
+    for n in range(1, 4):
+        assert a.ip_forms_power(n) is b.ip_forms_power(n) is again.ip_forms_power(n)
+        assert a.ip_derivative_target(n) is not again.ip_derivative_target(n)
+    fresh = _declared_pairings(load_builtin("z3-function-calculus"))[0][1]
+    for n in range(1, 4):
+        assert fresh.ip_forms_power(n) is not a.ip_forms_power(n)
+        assert fresh.ip_forms_power(n).values == a.ip_forms_power(n).values
+
+
+def test_gram_independent_of_query_order():
+    def gram_text(bundle, module, state, order):
+        ip_e = bundle.inner_products[module]
+        gram = sobolev_gram(SobolevPairings(bundle.modules[module], bundle.form_pairing(), ip_e), bundle.states[state], order)
+        return [[str(x) for x in row] for row in gram.matrix.data]
+
+    first = gram_text(load_builtin("z3-function-calculus"), "omega1", "uniform", 3)
+    bundle = load_builtin("z3-function-calculus")
+    for module, state in (("A", "uniform"), ("omega1", "point0"), ("A", "point0")):
+        for order in range(4):
+            gram_text(bundle, module, state, order)
+    assert gram_text(bundle, "omega1", "uniform", 3) == first
