@@ -17,6 +17,12 @@ What is shared and for how long:
   coevaluation connection.  These depend on the geometry and the modules
   only, so every verification run over the bundle reads the same ones
   (``Bundle.crossings``), each grown as far as some check has asked;
+* with them, the witness of each identity per degree checked so far (None, a
+  tuple or a bool), memoised on the crossing or connection whose blocks it
+  reads and keyed by whatever else it reads, so the theta suite, the centre
+  candidate and later runs check each degree once.  Not kept: the filtration,
+  one comparison of built blocks; the left inverse, whose quotient depends on
+  the degree asked; and naturality, whose morphism each call brings;
 * per run, ``OperatorAlgebraCandidate`` holds those crossings and the degree
   its centre checks go up to, nothing else.
 
@@ -50,6 +56,11 @@ class SigmaNotInvertible(ValidationError):
 def _result(name: str, prefix: tuple, fail: Optional[tuple]) -> CheckResult:
     """A check's result; its witness is the check's fixed indices followed by the mismatch."""
     return CheckResult(name, fail is None, witness=None if fail is None else (*prefix, *fail))
+
+
+def _by_degree(name: str, fail, degree: int) -> list[CheckResult]:
+    """The results ``{name}-deg{n}`` for n <= degree, from the witnesses ``fail(n)``."""
+    return [_result(f"{name}-deg{n}", (n,), fail(n)) for n in range(degree + 1)]
 
 
 def sigma_hat(table: BulletTable, module: ConnectionModule) -> Mat:
@@ -136,68 +147,104 @@ class CrossingMap:
         return lifted.mul_ikron(1, g.pair_V(n).section, dE)
 
     # -- property checks (the numbered list of the construction) -------------------
+    #
+    # Each identity on one degree is a memoised witness, None where it holds; a
+    # check_* method builds fresh results from them, which its caller may rename.
+
+    @memo
+    def bullet_balance_fail(self, n: int) -> Optional[tuple]:
+        g, E = self.geometry, self.module.space
+        bullet = self.table.graded(n, 0)
+        lhs = Graded.over(self.theta, bullet).mul_ikron(1, bullet, E.dim)
+        rhs = self.theta(n).mul_ikron(g.V(n).dim, E.left_action, 1)
+        return lhs.first_mismatch(rhs, (g.V(n).dim, g.algebra.dim, E.dim))
 
     def check_bullet_balance(self, degree: int) -> list[CheckResult]:
         """Property 2: theta(v bullet a (x) e) = theta(v (x) a.e)."""
-        g, E = self.geometry, self.module.space
-        results = []
-        for n in range(0, degree + 1):
-            Vn = g.V(n)
-            bullet = self.table.graded(n, 0)
-            lhs = Graded.over(self.theta, bullet).mul_ikron(1, bullet, E.dim)
-            rhs = self.theta(n).mul_ikron(Vn.dim, E.left_action, 1)
-            fail = lhs.first_mismatch(rhs, (Vn.dim, g.algebra.dim, E.dim))
-            results.append(_result(f"theta-bullet-balance-deg{n}", (n,), fail))
-        return results
+        return _by_degree("theta-bullet-balance", self.bullet_balance_fail, degree)
+
+    @memo
+    def left_module_fail(self, n: int) -> Optional[tuple]:
+        g, E, th = self.geometry, self.module.space, self.theta(n)
+        dA, Vn = g.algebra.dim, g.V(n)
+        # a.(v (x) e) on Kron(A, V(n), E)
+        lhs = th.mul_ikron(1, Vn.left_action, E.dim)
+        rhs = Graded({m: self.EV(m).space.left_action.mul_ikron(dA, b, 1) for m, b in th.items()})
+        return lhs.first_mismatch(rhs, (dA, Vn.dim * E.dim), prefix=1)
 
     def check_left_module(self, degree: int) -> list[CheckResult]:
         """Property 3: theta is a left module map."""
-        g, E = self.geometry, self.module.space
-        dA = g.algebra.dim
-        results = []
-        for n in range(0, degree + 1):
-            Vn, th = g.V(n), self.theta(n)
-            # a.(v (x) e) on Kron(A, V(n), E)
-            lhs = th.mul_ikron(1, Vn.left_action, E.dim)
-            rhs = Graded({m: self.EV(m).space.left_action.mul_ikron(dA, b, 1) for m, b in th.items()})
-            fail = lhs.first_mismatch(rhs, (dA, Vn.dim * E.dim), prefix=1)
-            results.append(_result(f"theta-left-module-deg{n}", (n,), fail))
-        return results
+        return _by_degree("theta-left-module", self.left_module_fail, degree)
+
+    @memo
+    def right_module_fail(self, n: int) -> Optional[tuple]:
+        g, E, th = self.geometry, self.module.space, self.theta(n)
+        dA, Vn = g.algebra.dim, g.V(n)
+        swap = Mat.swap(dA, Vn.dim * E.dim)  # witnesses run over a before v (x) e
+        # (v (x) e).a on Kron(V(n), E, A)
+        lhs = th.mul_ikron(Vn.dim, E.right_action, 1) @ swap
+        # bullet a into V(k): Kron(E, V(m), A) -> E (x)_A V(k)
+        acted = (self.table.graded_into(self.EV, m, 0).mul_ikron(1, b, dA) @ swap for m, b in self.lift(th).items())
+        return lhs.first_mismatch(Graded.sum(acted), (dA, Vn.dim * E.dim), prefix=1)
 
     def check_right_module(self, degree: int) -> list[CheckResult]:
         """Property 4: theta intertwines the product-twisted right actions,
         theta(v (x) e.a) = sum_m (id (x) bullet a)(theta_m(v (x) e))."""
-        g, E = self.geometry, self.module.space
-        dA = g.algebra.dim
-        results = []
-        for n in range(0, degree + 1):
-            Vn, th = g.V(n), self.theta(n)
-            swap = Mat.swap(dA, Vn.dim * E.dim)  # witnesses run over a before v (x) e
-            # (v (x) e).a on Kron(V(n), E, A)
-            lhs = th.mul_ikron(Vn.dim, E.right_action, 1) @ swap
-            # bullet a into V(k): Kron(E, V(m), A) -> E (x)_A V(k)
-            acted = (self.table.graded_into(self.EV, m, 0).mul_ikron(1, b, dA) @ swap for m, b in self.lift(th).items())
-            rhs = Graded.sum(acted)
-            fail = lhs.first_mismatch(rhs, (dA, Vn.dim * E.dim), prefix=1)
-            results.append(_result(f"theta-right-module-deg{n}", (n,), fail))
-        return results
+        return _by_degree("theta-right-module", self.right_module_fail, degree)
+
+    @memo
+    def action_fail(self, fm: ConnectionModule, tensor_mod: ConnectionModule, n: int) -> Optional[tuple]:
+        g, E, F, th = self.geometry, self.module.space, fm.space, self.theta(n)
+        pair_ef, Vn = g.pair(E, F), g.V(n)
+        lhs = tensor_mod.act_table(n).mul_ikron(Vn.dim, pair_ef.project, 1)
+        # every degree m acts on F, into the one degree 0 of E (x)_A F
+        act = Graded({(0, m): pair_ef.project.mul_ikron(E.dim, fm.act_table(m), 1) for m in th})
+        rhs = act.mul_ikron(1, self.lift(th), F.dim)[0]
+        return first_mismatch(lhs, rhs, (Vn.dim, E.dim, F.dim))
 
     def check_action_factorization(
         self, fm: ConnectionModule, tensor_mod: ConnectionModule, degree: int
     ) -> list[CheckResult]:
         """Property 5: v |> (e (x) f) = (id (x) |>)(theta (x) id)(v (x) e (x) f)."""
+        return _by_degree("theta-action", functools.partial(self.action_fail, fm, tensor_mod), degree)
+
+    @memo
+    def on_algebra_fail(self, n: int) -> Optional[tuple]:
+        """Where theta_n on E = A differs from the bullet product (``check_theta_on_algebra``)."""
+        g = self.geometry
+        unit = Graded({(k, k): self.EV(k).project.mul_ikron(1, g.one, g.V(k).dim) for k in range(n + 1)})
+        expected = unit @ self.table.graded(n, 0)
+        return self.theta(n).first_mismatch(expected, (g.V(n).dim, g.algebra.dim), prefix=0)
+
+    @memo
+    def product_compat_fail(self, p: int, q: int, *, lifted, crossed) -> Optional[tuple]:
+        """The witness of ``theta_product_compat`` on Kron(V(p), V(q), E), from the blocks
+        its call shares: ``lifted(n)`` is theta_n lifted by the sections, and ``crossed()``
+        is (id (x) bullet)(theta_p (x) id) on Kron(V(p), E, V(m)) for every m reached."""
         g, E = self.geometry, self.module.space
-        F = fm.space
+        bullet = self.table.graded(p, q)
+        lhs = Graded.over(self.theta, bullet).mul_ikron(1, bullet, E.dim)
+        rhs = crossed().mul_ikron(g.V(p).dim, lifted(q), 1)
+        return lhs.first_mismatch(rhs, (g.V(p).dim, g.V(q).dim, E.dim))
+
+    @memo
+    def tensor_factorization_fail(self, cm_f: "CrossingMap", cm_ef: "CrossingMap", n: int) -> Optional[tuple]:
+        """The witness of ``theta_tensor_factorization`` on Kron(V(n), E, F), with this
+        map the crossing of E, ``cm_f`` that of F and ``cm_ef`` that of E (x) F."""
+        g, E, F = self.geometry, self.module.space, cm_f.module.space
         pair_ef = g.pair(E, F)
-        results = []
-        for n in range(0, degree + 1):
-            Vn, th = g.V(n), self.theta(n)
-            lhs = tensor_mod.act_table(n).mul_ikron(Vn.dim, pair_ef.project, 1)
-            # every degree m acts on F, into the one degree 0 of E (x)_A F
-            act = Graded({(0, m): pair_ef.project.mul_ikron(E.dim, fm.act_table(m), 1) for m in th})
-            rhs = act.mul_ikron(1, self.lift(th), F.dim)[0]
-            results.append(_result(f"theta-action-deg{n}", (n,), first_mismatch(lhs, rhs, (Vn.dim, E.dim, F.dim))))
-        return results
+        # Kron(E, F, V(mp)) -> (E (x) F) (x) V(mp), whatever the degree it is reached from
+        merged = functools.cache(lambda mp: cm_ef.EV(mp).project.mul_ikron(1, pair_ef.project, g.V(mp).dim))
+
+        def via(m: int, th_e: Mat):  # Kron(V(n), E, F) -> Kron(E, V(m), F) -> Kron(E, F, V(mp)) -> (E (x) F) (x) V(mp)
+            lifted = self.EV(m).section @ th_e
+            for mp, th_f in cm_f.theta(m).items():
+                outer = merged(mp).mul_ikron(E.dim, cm_f.EV(mp).section @ th_f, 1)
+                yield Graded({mp: outer.mul_ikron(1, lifted, F.dim)})
+
+        lhs = cm_ef.theta(n).mul_ikron(g.V(n).dim, pair_ef.project, 1)
+        rhs = Graded.sum(term for m, th_e in self.theta(n).items() for term in via(m, th_e))
+        return lhs.first_mismatch(rhs, (g.V(n).dim, E.dim, F.dim))
 
     def check_filtration(self, degree: int) -> list[CheckResult]:
         """Degree n -> n block equals the iterated sigma-hat braid; lower blocks only."""
@@ -272,18 +319,23 @@ class CrossingMap:
         stacked = blocks.stacked(layout)
         return span(stacked.rows, moved + stacked.cols_sparse())
 
+    @memo
+    def right_inverse_holds(self, n: int) -> bool:
+        inv = self.build_inverse(n)
+        identity = Graded({n: Mat.identity(self.EV(n).dim)})
+        return (Graded.over(self.theta, inv) @ inv).first_mismatch(identity, ()) is None
+
     def check_inverse(self, degree: int) -> list[CheckResult]:
         """theta o theta_inv = id exactly; theta_inv o theta = id modulo the
         product-twisted relations of the filtered tensor product."""
         g, E = self.geometry, self.module.space
         results = []
         for n in range(0, degree + 1):
-            inv = self.build_inverse(n)
-            identity = Graded({n: Mat.identity(self.EV(n).dim)})
-            ok = (Graded.over(self.theta, inv) @ inv).first_mismatch(identity, ()) is None
+            ok = self.right_inverse_holds(n)
             results.append(CheckResult(f"theta-right-inverse-deg{n}", ok, witness=None if ok else n))
 
-        # theta_inv o theta = id in the quotient by the relations up to the check's degree
+        # theta_inv o theta = id in the quotient by the relations up to the check's degree,
+        # so this half depends on the degree asked and is not kept
         layout = self._layout(degree)
         project, _ = quotient(self.inverse_relations(degree))
         for n in range(0, degree + 1):
@@ -304,40 +356,29 @@ def check_theta_on_algebra(cm: CrossingMap, degree: int) -> list[CheckResult]:
     g = cm.geometry
     if cm.module.space is not g.A_bim:
         raise ValueError("check_theta_on_algebra expects the crossing on A")
-    results = []
-    for n in range(0, degree + 1):
-        unit = Graded({(k, k): cm.EV(k).project.mul_ikron(1, g.one, g.V(k).dim) for k in range(n + 1)})
-        expected = unit @ cm.table.graded(n, 0)
-        fail = cm.theta(n).first_mismatch(expected, (g.V(n).dim, g.algebra.dim), prefix=0)
-        results.append(_result(f"theta-on-A-deg{n}", (n,), fail))
-    return results
+    return _by_degree("theta-on-A", cm.on_algebra_fail, degree)
 
 
 def theta_product_compat(cm: CrossingMap, degree: int) -> list[CheckResult]:
     """theta(u bullet v (x) e) = (id (x) bullet)(theta (x) id)(id (x) theta)."""
-    g, E = cm.geometry, cm.module.space
-    table = cm.table
-    # built once per call: each theta_n lifted to Kron(E, V(m)), and each bullet into E (x) V(k)
-    lifted = [cm.lift(cm.theta(n)) for n in range(degree + 1)]
-    bullet_into = functools.cache(lambda mp, m: table.graded_into(cm.EV, mp, m))
+    g = cm.geometry
+    # built once per call, and only for the (p, q) not checked yet: each theta_n lifted
+    # to Kron(E, V(m)), and each bullet into E (x) V(k)
+    lifted = functools.cache(lambda n: cm.lift(cm.theta(n)))
+    bullet_into = functools.cache(lambda mp, m: cm.table.graded_into(cm.EV, mp, m))
 
     def crossed(p: int, m: int) -> Graded:  # Kron(V(p), E, V(m)) -> E (x) V(k), via theta_p
-        return Graded.over(lambda mp: bullet_into(mp, m), lifted[p]).mul_ikron(1, lifted[p], g.V(m).dim)
+        return Graded.over(lambda mp: bullet_into(mp, m), lifted(p)).mul_ikron(1, lifted(p), g.V(m).dim)
 
     results = []
     for p in range(0, degree + 1):
         # (id (x) bullet)(theta_p (x) id) is the same for every q
-        reached = sorted({m for q in range(degree + 1 - p) for m in lifted[q]})
-        crossed_p = Graded.over(functools.partial(crossed, p), reached)
+        reached = sorted({m for q in range(degree + 1 - p) for m in cm.theta(q)})
+        crossed_p = functools.cache(lambda: Graded.over(functools.partial(crossed, p), reached))
         for q in range(0, degree + 1 - p):
-            Vp, Vq = g.V(p), g.V(q)
-            bullet = table.graded(p, q)
-            lhs = Graded.over(cm.theta, bullet).mul_ikron(1, bullet, E.dim)
-            rhs = crossed_p.mul_ikron(Vp.dim, lifted[q], 1)
-            fail = lhs.first_mismatch(rhs, (Vp.dim, Vq.dim, E.dim))
+            fail = cm.product_compat_fail(p, q, lifted=lifted, crossed=crossed_p)
             results.append(_result(f"theta-product-compat-{p}-{q}", (p, q), fail))
-            del lhs, rhs  # freed before the next sums are built, which set the peak memory
-        del crossed_p
+        del crossed_p  # freed before the next p's sums are built, which set the peak memory
     return results
 
 
@@ -345,27 +386,8 @@ def theta_tensor_factorization(
     cm_e: CrossingMap, cm_f: CrossingMap, cm_ef: CrossingMap, degree: int
 ) -> list[CheckResult]:
     """theta_{E (x) F} = (id_E (x) theta_F)(theta_E (x) id_F), degree by degree."""
-    g = cm_e.geometry
-    E, F = cm_e.module.space, cm_f.module.space
-    pair_ef = g.pair(E, F)
-    # Kron(E, F, V(mp)) -> (E (x) F) (x) V(mp), whatever the degree it is reached from
-    merged = {mp: cm_ef.EV(mp).project.mul_ikron(1, pair_ef.project, g.V(mp).dim) for mp in range(degree + 1)}
-
-    def via(m: int, th_e: Mat):  # Kron(V(n), E, F) -> Kron(E, V(m), F) -> Kron(E, F, V(mp)) -> (E (x) F) (x) V(mp)
-        lifted = cm_e.EV(m).section @ th_e
-        for mp, th_f in cm_f.theta(m).items():
-            outer = merged[mp].mul_ikron(E.dim, cm_f.EV(mp).section @ th_f, 1)
-            yield Graded({mp: outer.mul_ikron(1, lifted, F.dim)})
-
-    results = []
-    for n in range(0, degree + 1):
-        Vn = g.V(n)
-        lhs = cm_ef.theta(n).mul_ikron(Vn.dim, pair_ef.project, 1)
-        rhs = Graded.sum(term for m, th_e in cm_e.theta(n).items() for term in via(m, th_e))
-        fail = lhs.first_mismatch(rhs, (Vn.dim, E.dim, F.dim))
-        results.append(_result(f"theta-tensor-factorization-deg{n}", (n,), fail))
-        del lhs, rhs  # freed before the next degree's sums are built
-    return results
+    fail = functools.partial(cm_e.tensor_factorization_fail, cm_f, cm_ef)
+    return _by_degree("theta-tensor-factorization", fail, degree)
 
 
 # -- the coevaluation connection on the operator algebra ----------------------------
@@ -395,38 +417,39 @@ class OperatorConnection:
         coev = g.coev_one.kron(Mat.identity(g.V(n).dim))
         return Graded({k: ikron_mul(g.omega.dim, self.table.table(1, n, k), 1, coev) for k in (n, n + 1)})
 
+    # -- the identities, one memoised witness per degree as for the crossings --------
+
+    @memo
+    def leibniz_fail(self, n: int) -> Optional[tuple]:
+        g, Vn, blocks = self.geometry, self.geometry.V(n), self.blocks(n)
+        lhs = blocks @ Vn.left_action
+        rhs = Graded({m: g.OV(m).space.left_action.mul_ikron(g.algebra.dim, b, 1) for m, b in blocks.items()})
+        rhs = rhs + Graded({n: g.OV(n).project.mul_ikron(1, g.d, Vn.dim)})
+        fail = lhs.first_mismatch(rhs, (g.algebra.dim, Vn.dim))  # (a, v, degree)
+        return fail and fail[:-1]
+
     def check_left_leibniz(self, degree: int) -> list[CheckResult]:
         """nabla(a.v) = a.nabla(v) + da (x) v."""
-        g = self.geometry
-        results = []
-        for n in range(0, degree + 1):
-            Vn = g.V(n)
-            blocks = self.blocks(n)
-            lhs = blocks @ Vn.left_action
-            rhs = Graded({m: g.OV(m).space.left_action.mul_ikron(g.algebra.dim, b, 1) for m, b in blocks.items()})
-            rhs = rhs + Graded({n: g.OV(n).project.mul_ikron(1, g.d, Vn.dim)})
-            fail = lhs.first_mismatch(rhs, (g.algebra.dim, Vn.dim))  # (a, v, degree)
-            results.append(_result(f"operator-connection-leibniz-deg{n}", (n,), fail and fail[:-1]))
-        return results
+        return _by_degree("operator-connection-leibniz", self.leibniz_fail, degree)
+
+    @memo
+    def right_module_fail(self, n: int) -> Optional[tuple]:
+        g, Vn, blocks = self.geometry, self.geometry.V(n), self.blocks(n)
+        dA = g.algebra.dim
+        swap = Mat.swap(dA, Vn.dim)  # witnesses run over a before v
+        bullet = self.table.graded(n, 0) @ swap
+        lhs = Graded.over(self.blocks, bullet) @ bullet
+        lifted = Graded({m: g.OV(m).section @ b for m, b in blocks.items()})  # -> Kron(Omega1, V(m))
+        rhs = Graded.over(lambda m: self.table.graded_into(g.OV, m, 0), blocks).mul_ikron(1, lifted, dA) @ swap
+        return lhs.first_mismatch(rhs, (dA, Vn.dim))
 
     def check_right_module_map(self, degree: int) -> list[CheckResult]:
         """nabla(v bullet a) = nabla(v) bullet a: the zero-braiding property."""
-        g = self.geometry
-        dA = g.algebra.dim
-        results = []
-        for n in range(0, degree + 1):
-            Vn, blocks = g.V(n), self.blocks(n)
-            swap = Mat.swap(dA, Vn.dim)  # witnesses run over a before v
-            bullet = self.table.graded(n, 0) @ swap
-            lhs = Graded.over(self.blocks, bullet) @ bullet
-            lifted = Graded({m: g.OV(m).section @ b for m, b in blocks.items()})  # -> Kron(Omega1, V(m))
-            rhs = Graded.over(lambda m: self.table.graded_into(g.OV, m, 0), blocks).mul_ikron(1, lifted, dA) @ swap
-            results.append(_result(f"operator-connection-right-deg{n}", (n,), lhs.first_mismatch(rhs, (dA, Vn.dim))))
-        return results
+        return _by_degree("operator-connection-right", self.right_module_fail, degree)
 
-    def check_crossing_is_morphism(self, cm: CrossingMap, degree: int) -> list[CheckResult]:
-        """(id (x) theta) nabla_{T (x) E} = nabla_{E (x) T} theta, degree by degree."""
-        g, em = self.geometry, cm.module
+    @memo
+    def morphism_fail(self, cm: CrossingMap, n: int) -> Optional[tuple]:
+        g, em, th = self.geometry, cm.module, cm.theta(n)
         E, dO = em.space, g.omega.dim
         nabla = em.OE.section @ em.nabla  # E -> Kron(Omega1, E)
         crossed = em.OE.section @ em.sigma @ em.EO.project  # Kron(E, Omega1) -> Kron(Omega1, E)
@@ -437,35 +460,35 @@ class OperatorConnection:
         def push(m, x):  # x into Kron(Omega1, E, V(m)), then into Omega1 (x)_A (E (x)_A V(m))
             return target(m).mul_ikron(dO, cm.EV(m).project, 1).mul_ikron(1, x, g.V(m).dim)
 
-        results = []
-        for n in range(0, degree):  # the left side raises degree by one
-            Vn, th = g.V(n), cm.theta(n)
-            # nabla_{T (x) E}(v (x) e) = xi (x) (u bullet v) (x) e, then id (x) theta
-            up = self._coev_bullet(n)
-            theta_after = Graded({(m, k): target(m).mul_ikron(dO, b, 1) for k in up for m, b in cm.theta(k).items()})
-            lhs = theta_after.mul_ikron(1, up, E.dim)
-            # nabla_E(f) (x) w + sigma_E(f (x) xi) (x) (u bullet w) on theta(v (x) e) = f (x) w
-            ups = Graded.over(self._coev_bullet, th)  # (k, m): V(m) -> Kron(Omega1, V(k))
-            via_sigma = Graded({(k, m): push(k, crossed).mul_ikron(E.dim, b, 1) for (k, m), b in ups.items()})
-            rhs = (Graded({(m, m): push(m, nabla) for m in th}) + via_sigma) @ cm.lift(th)
-            fail = lhs.first_mismatch(rhs, (Vn.dim, E.dim))
-            results.append(_result(f"operator-connection-morphism-deg{n}", (n,), fail))
-        return results
+        # nabla_{T (x) E}(v (x) e) = xi (x) (u bullet v) (x) e, then id (x) theta
+        up = self._coev_bullet(n)
+        theta_after = Graded({(m, k): target(m).mul_ikron(dO, b, 1) for k in up for m, b in cm.theta(k).items()})
+        lhs = theta_after.mul_ikron(1, up, E.dim)
+        # nabla_E(f) (x) w + sigma_E(f (x) xi) (x) (u bullet w) on theta(v (x) e) = f (x) w
+        ups = Graded.over(self._coev_bullet, th)  # (k, m): V(m) -> Kron(Omega1, V(k))
+        via_sigma = Graded({(k, m): push(k, crossed).mul_ikron(E.dim, b, 1) for (k, m), b in ups.items()})
+        rhs = (Graded({(m, m): push(m, nabla) for m in th}) + via_sigma) @ cm.lift(th)
+        return lhs.first_mismatch(rhs, (g.V(n).dim, E.dim))
+
+    def check_crossing_is_morphism(self, cm: CrossingMap, degree: int) -> list[CheckResult]:
+        """(id (x) theta) nabla_{T (x) E} = nabla_{E (x) T} theta, degree by degree;
+        the left side raises degree by one, so degree n reads theta(n + 1)."""
+        return _by_degree("operator-connection-morphism", functools.partial(self.morphism_fail, cm), degree - 1)
+
+    @memo
+    def product_morphism_fail(self, p: int, q: int) -> Optional[tuple]:
+        g, Vp, Vq = self.geometry, self.geometry.V(p), self.geometry.V(q)
+        up = self._coev_bullet(p)  # up (x) id: -> Kron(Omega1, V(k), V(q))
+        bullet = self.table.graded(p, q)
+        lhs = Graded.over(self.blocks, bullet) @ bullet
+        rhs = Graded.over(lambda k: self.table.graded_into(g.OV, k, q), up).mul_ikron(1, up, Vq.dim)
+        return lhs.first_mismatch(rhs, (Vp.dim, Vq.dim))
 
     def check_product_is_morphism(self, degree: int) -> list[CheckResult]:
         """(id (x) bullet) nabla_{T (x) T} = nabla o bullet (associativity in disguise)."""
-        g = self.geometry
-        results = []
-        for p in range(0, degree):
-            up = self._coev_bullet(p)  # up (x) id: -> Kron(Omega1, V(k), V(q))
-            for q in range(0, degree - p):
-                Vp, Vq = g.V(p), g.V(q)
-                bullet = self.table.graded(p, q)
-                lhs = Graded.over(self.blocks, bullet) @ bullet
-                rhs = Graded.over(lambda k: self.table.graded_into(g.OV, k, q), up).mul_ikron(1, up, Vq.dim)
-                fail = lhs.first_mismatch(rhs, (Vp.dim, Vq.dim))
-                results.append(_result(f"operator-product-morphism-{p}-{q}", (p, q), fail))
-        return results
+        pairs = [(p, q) for p in range(degree) for q in range(degree - p)]
+        fails = (self.product_morphism_fail(p, q) for p, q in pairs)
+        return [_result(f"operator-product-morphism-{p}-{q}", (p, q), fail) for (p, q), fail in zip(pairs, fails)]
 
 
 class Crossings:

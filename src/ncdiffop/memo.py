@@ -1,11 +1,17 @@
-"""The one caching rule of the kernel: a lazily built structure is built once
-per argument tuple and kept on the instance that builds it.
+"""The one caching rule of the kernel: a lazily built structure, or the
+witness of an identity checked on one degree, is computed once per argument
+tuple and kept on the instance that computes it.
 
 ``@memo`` on a method stores its results in a dict held in the instance's
 ``__dict__`` under the method's name with a leading underscore (``ev_pow``
 caches in ``_ev_pow``, keyed by ``(n,)``).  The cache therefore lives and
 dies with its instance.  A build that raises stores nothing, so the same call
-raises again.
+raises again.  Keyword arguments are not part of the key: they hand the body
+blocks its caller holds already, and must not change what it returns.
+
+The crossing checks keep their per-degree witnesses by this rule too, so each
+identity reads its blocks once: a block must not be changed after a check has
+read it (the witness tests corrupt blocks before any check runs).
 """
 
 from __future__ import annotations
@@ -17,12 +23,12 @@ def memo(method):
     attr = "_" + method.__name__
 
     @functools.wraps(method)
-    def cached(self, *args):
+    def cached(self, *args, **shared):
         try:
             return self.__dict__[attr][args]
         except KeyError:
             pass
-        out = method(self, *args)
+        out = method(self, *args, **shared)
         self.__dict__.setdefault(attr, {})[args] = out
         return out
 

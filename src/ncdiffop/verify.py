@@ -108,8 +108,11 @@ class VerifyContext:
     stop at degree min(2, degree).  Per bundle, and so shared with every other
     run over the same bundle (``Bundle.crossings``): the bullet table, the
     crossing of each module and of each tensor product of two, and the
-    coevaluation connection.  The candidate reads them up to its degree, the
-    theta suite up to the run's."""
+    coevaluation connection, each with the witnesses of the identities checked
+    on it so far, one per degree.  The candidate reads them up to its degree,
+    the theta suite up to the run's; whichever asks a degree first computes
+    its witness, and every later check of it, in this run or another, reads
+    it."""
 
     def __init__(self, bundle: Bundle, degree: int, seed: int):
         self.bundle = bundle

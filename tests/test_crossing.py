@@ -2,6 +2,9 @@
 tensor factorization, the two-sided inverse, and the coevaluation connection.
 """
 
+import collections
+import functools
+
 import pytest
 
 from ncdiffop import crossing, verify
@@ -16,6 +19,7 @@ from ncdiffop.crossing import (
 )
 from ncdiffop.diffop import BulletTable
 from ncdiffop.linalg import Mat, kernel, kron_vec, quotient, span
+from ncdiffop.memo import memo
 from ncdiffop.scalars import ZERO, sc
 from oracles import (
     col,
@@ -28,6 +32,7 @@ from oracles import (
     right_apply,
     unit_row,
 )
+from test_witnesses import THETA_A_WITNESSES, THETA_OMEGA1_WITNESSES, bump, corrupt_theta_omega1
 
 D = 3
 
@@ -258,3 +263,128 @@ def test_runs_on_one_bundle_share_its_crossings(monkeypatch, first):
     assert verify.VerifyContext(bundle, 2, seed=7).table is shared.table
     # three objects: one crossing each and one per ordered pair, each built once
     assert len(shared._crossing) + len(shared._tensor_crossing) == len(built) == 12
+
+
+# -- each identity checked once per degree per loaded bundle ----------------------------
+
+
+def body(bundle, suite, degree):
+    return verify.verify_all(bundle, [suite], degree, seed=7).body_json()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_theta_and_centre_in_either_order_match_fresh_bundles(name):
+    fresh = {}
+    for theta_degree, centre_degree in [(1, 2), (2, 1), (2, 3), (3, 2)]:
+        runs = [("theta", theta_degree), ("centre", centre_degree)]
+        for order in (runs, runs[::-1]):
+            bundle = load_builtin(name)  # one loaded bundle for both runs
+            for suite, degree in order:
+                if (suite, degree) not in fresh:
+                    fresh[suite, degree] = body(load_builtin(name), suite, degree)
+                assert body(bundle, suite, degree) == fresh[suite, degree], (order, suite)
+
+
+def shared_checks(cx):
+    """Every check whose witnesses the crossings of one bundle keep, by name."""
+    oc, cm_a = cx.operator_connection, cx.crossing("A")
+    checks = {"theta-on-A": lambda d: check_theta_on_algebra(cm_a, d)}
+    for name in cx.object_names():
+        cm = cx.crossing(name)
+        checks |= {
+            f"bullet-balance-{name}": cm.check_bullet_balance,
+            f"left-module-{name}": cm.check_left_module,
+            f"right-module-{name}": cm.check_right_module,
+            f"inverse-{name}": cm.check_inverse,
+            f"product-compat-{name}": functools.partial(theta_product_compat, cm),
+            f"morphism-{name}": functools.partial(oc.check_crossing_is_morphism, cm),
+        }
+        for other in cx.object_names():
+            cm_f, cm_ef = cx.crossing(other), cx.tensor_crossing(name, other)
+            action = functools.partial(cm.check_action_factorization, cm_f.module, cm_ef.module)
+            checks |= {
+                f"action-{name}-{other}": action,
+                f"tensor-{name}-{other}": functools.partial(theta_tensor_factorization, cm, cm_f, cm_ef),
+            }
+    checks |= {"leibniz": oc.check_left_leibniz, "right-module-map": oc.check_right_module_map}
+    checks["product-morphism"] = oc.check_product_is_morphism
+    return checks
+
+
+def listed(results):
+    return [(r.name, r.ok, r.witness) for r in results]
+
+
+@pytest.mark.parametrize("name", ["two-point-universal", "z3-function-calculus"])
+def test_a_degree_asked_after_another_reads_its_witnesses(name):
+    # degree D asked after D + 1 gives the D + 1 results of the same names, in order: the
+    # prefix of the D + 1 list where the results are one per degree; D + 1 asked after D
+    # gives what a fresh bundle gives
+    D = 2
+    down, up, fresh = (shared_checks(load_builtin(name).crossings()) for _ in range(3))
+    for key in fresh:
+        high = listed(down[key](D + 1))
+        low = listed(down[key](D))
+        assert low == [r for r in high if r[0] in {n for n, _, _ in low}], key
+        if not key.startswith(("inverse", "product")):  # the pair checks and the two inverse halves interleave
+            assert low == high[: len(low)], key
+        assert listed(up[key](D)) == low, key
+        assert listed(up[key](D + 1)) == listed(fresh[key](D + 1)) == high, key
+
+
+@pytest.mark.parametrize("n,m,r,c", [(1, 1, 0, 7), (2, 1, 3, 40), (1, 0, 2, 11)], ids=["theta11", "theta21", "theta10"])
+def test_a_corrupt_block_asked_at_degree_one_then_two_keeps_its_witnesses(n, m, r, c):
+    bundle = load_builtin("z3-function-calculus")
+    got = corrupt_theta_omega1(bundle, BulletTable(bundle.geometry), n, m, r, c, degrees=(1, 2))
+    assert got == THETA_OMEGA1_WITNESSES[(n, m, r, c)]
+
+
+def test_tensor_witnesses_are_kept_per_pair_of_crossings():
+    # the crossing of omega1 keeps one witness per degree for each F it is factorized with:
+    # F = omega1 passes, and F = A, corrupted as in the unit-object pins, still fails after it
+    bundle = load_builtin("z3-function-calculus")
+    cx = bundle.crossings()
+    cm_a, cm_e = cx.crossing("A"), cx.crossing("omega1")
+    cm_a.theta(2)  # build every degree from the sound blocks first
+    cm_a._theta[(2,)][1] = bump(cm_a.theta(2)[1], 1, 5)
+    assert all(r.ok for r in theta_tensor_factorization(cm_e, cm_e, cx.tensor_crossing("omega1", "omega1"), 2))
+    results = theta_tensor_factorization(cm_e, cm_a, cx.tensor_crossing("omega1", "A"), 2)
+    pinned = {k: w for k, w in THETA_A_WITNESSES.items() if k.startswith("theta-tensor")}
+    assert {r.name: r.witness for r in results if not r.ok} == pinned
+
+
+WITNESSES = {
+    crossing.CrossingMap: (
+        "bullet_balance_fail",
+        "left_module_fail",
+        "right_module_fail",
+        "action_fail",
+        "on_algebra_fail",
+        "product_compat_fail",
+        "tensor_factorization_fail",
+        "right_inverse_holds",
+    ),
+    crossing.OperatorConnection: ("leibniz_fail", "right_module_fail", "morphism_fail", "product_morphism_fail"),
+}
+
+
+def test_each_identity_is_evaluated_once_per_run(monkeypatch):
+    computed = collections.Counter()
+
+    def counted(method):
+        @functools.wraps(method)
+        def body(self, *args, **shared):
+            computed[type(self).__name__, method.__name__, id(self), args] += 1
+            return method(self, *args, **shared)
+
+        return memo(body)
+
+    for cls, names in WITNESSES.items():
+        for attr in names:
+            monkeypatch.setattr(cls, attr, counted(vars(cls)[attr].__wrapped__))
+    assert verify.verify_all(load_builtin("z3-function-calculus"), degree=3, seed=7).ok
+    every = {(cls.__name__, attr) for cls, names in WITNESSES.items() for attr in names}
+    assert {(cls, attr) for cls, attr, _, _ in computed} == every
+    assert set(computed.values()) == {1}
+    # the centre suite asks Leibniz at the candidate's degree 2 and again at the run's 3
+    assert sorted(args for _, attr, _, args in computed if attr == "leibniz_fail") == [(0,), (1,), (2,), (3,)]

@@ -68,22 +68,26 @@ def z3():
     return bundle, BulletTable(bundle.geometry)
 
 
-def crossing_checks(bundle, table, cm):
-    """Every check that reads the crossing of omega1, with cm standing for it."""
+def crossing_checks(bundle, table, cm, degrees=(D,)):
+    """Every check that reads the crossing of omega1, with cm standing for it, asked
+    at each of ``degrees`` in turn over the same objects: the failures of the last."""
     em = bundle.modules["omega1"]
     tm = tensor_connection(em, em)
+    cm_ee = CrossingMap(table, tm)
     oc = OperatorConnection(table)
-    return failing(
-        cm.check_bullet_balance(D)
-        + cm.check_left_module(D)
-        + cm.check_right_module(D)
-        + cm.check_filtration(D)
-        + cm.check_inverse(D)
-        + cm.check_action_factorization(em, tm, D)
-        + theta_product_compat(cm, D)
-        + theta_tensor_factorization(cm, cm, CrossingMap(table, tm), D)
-        + oc.check_crossing_is_morphism(cm, D)
-    )
+    for degree in degrees:
+        found = failing(
+            cm.check_bullet_balance(degree)
+            + cm.check_left_module(degree)
+            + cm.check_right_module(degree)
+            + cm.check_filtration(degree)
+            + cm.check_inverse(degree)
+            + cm.check_action_factorization(em, tm, degree)
+            + theta_product_compat(cm, degree)
+            + theta_tensor_factorization(cm, cm, cm_ee, degree)
+            + oc.check_crossing_is_morphism(cm, degree)
+        )
+    return found
 
 
 def test_blocks_digest_pinned(z3):
@@ -100,11 +104,11 @@ def test_corrupt_theta_omega1(z3, n, m, r, c):
     assert corrupt_theta_omega1(*z3, n, m, r, c) == THETA_OMEGA1_WITNESSES[(n, m, r, c)]
 
 
-def corrupt_theta_omega1(bundle, table, n, m, r, c):
+def corrupt_theta_omega1(bundle, table, n, m, r, c, degrees=(D,)):
     cm = CrossingMap(table, bundle.modules["omega1"])
     cm.theta(D)  # build every degree from the sound blocks first
     cm._theta[(n,)][m] = bump(cm.theta(n)[m], r, c)
-    return crossing_checks(bundle, table, cm)
+    return crossing_checks(bundle, table, cm, degrees)
 
 
 def test_corrupt_theta_unit_object(z3):
