@@ -50,7 +50,7 @@ from math import isqrt
 from typing import Optional
 
 from .algebra import Algebra
-from .linalg import Mat, first_mismatch, ikron_mul, kernel, quotient, span
+from .linalg import Mat, contract, first_mismatch, kernel, quotient, span
 from .report import CheckResult, ValidationError, first_failure
 from .scalars import ONE, ZERO, Scalar
 
@@ -81,16 +81,16 @@ class Bimodule:
         x: X -> Kron(W, self).  V and W are a dual pair, so they vanish together."""
         w = x.rows // self.dim if self.dim else 0
         v = ev.cols // w if w else 0
-        # contract first, applying ev (x) id to id_V (x) x, whose entries are as many as the
-        # contraction's terms: the action applied to ev (x) id alone would gather |V||W||self| columns
-        return self.left_action @ ikron_mul(1, ev, self.dim, Mat.identity(v).kron(x))
+        # contract first, copying each entry of x only to the v_b it pairs with under ev: the
+        # action applied to ev (x) id alone would gather |V||W||self| columns
+        return self.left_action @ contract(ev, self.dim, v, x)
 
     def ev_right(self, x: Mat, ev: Mat) -> Mat:
         """(id (x) ev)(x (x) id_W): Kron(X, W) -> self, for x: X -> Kron(self, V) and
         ev: Kron(V, W) -> A.  V and W are a dual pair, so they vanish together."""
         v = x.rows // self.dim if self.dim else 0
         w = ev.cols // v if v else 0
-        return self.right_action @ ikron_mul(self.dim, ev, 1, x.kron(Mat.identity(w)))
+        return self.right_action @ contract(ev, self.dim, w, x, mirror=True)
 
     def validate(self) -> list[CheckResult]:
         A = self.algebra
@@ -358,11 +358,11 @@ def dualize_right_module(
     # vec(M R) = (id_A (x) R^T) vec(M) and vec(mul (M (x) id_A)) = (T (x) id) vec(M), with the
     # rows of both read in Kron(A, A, module) order (the kernel does not depend on row order)
     right_t = Mat.swap(dO, dA) @ omega.right_action.transpose()  # R^T, its legs read as Kron(A, module)
-    times = ikron_mul(1, A.mul, dA, IA.kron(cup))  # T: a_k -> sum_a a_k a_a (x) e_a
+    times = contract(A.mul, dA, dA, cup)  # T: a_k -> sum_a a_k a_a (x) e_a
     maps = kernel(IA.kron(right_t) - times.kron(IO))  # column b: vec of the b-th dual basis element
     pivot_of = {col[0][0]: b for b, col in enumerate(maps.cols_sparse())}
     pick = Mat(maps.cols, dA * dO, [[(pivot_of[r], ONE)] if r in pivot_of else [] for r in range(dA * dO)])
-    vecs = ikron_mul(1, functionals, dO, Mat.identity(n).kron(cup_O))  # column i: vec(f_i)
+    vecs = contract(functionals, dO, n, cup_O)  # column i: vec(f_i)
     coords = pick @ vecs  # column i: f_i in the dual
     fail = first_mismatch(maps @ coords, vecs, (n,))
     if fail is not None:
@@ -371,13 +371,13 @@ def dualize_right_module(
     # bimodule structure on the dual: (a.al)(xi) = a.al(xi), vec(L_a M) = (L_a (x) id) vec(M), and
     # (al.a)(xi) = al(a.xi), vec(M L_a) = (id_A (x) L_a^T) vec(M), every a at once through
     # left_t: xi_k (x) a_a -> sum_j (coefficient of xi_k in a_a.xi_j) xi_j
-    left_t = ikron_mul(1, cup.transpose(), dO, IA.kron(omega.left_action.transpose())) @ Mat.swap(dO, dA)
+    left_t = contract(cup.transpose(), dO, dA, omega.left_action.transpose()) @ Mat.swap(dO, dA)
     left = pick.mul_ikron(1, A.mul, dO).mul_ikron(dA, maps, 1)
     right = pick.mul_ikron(dA, left_t, 1).mul_ikron(1, maps, dA)
     dual = Bimodule(A, maps.cols, left, right, f"dual({omega.name})")
 
     # pairing dual (x) module -> A on plain tensor coordinates: column b*dO + j is M_b(xi_j)
-    apply_mat = ikron_mul(dA, cup_O.transpose(), 1, maps.kron(IO))
+    apply_mat = contract(cup_O.transpose(), dA, dO, maps, mirror=True)
 
     pair_dual_module = TensorPair(dual, omega)
     pair_module_dual = TensorPair(omega, dual)

@@ -44,7 +44,7 @@ from typing import Optional
 from .bimodule import TensorPair, balance
 from .calculus import ConnectionModule, tensor_connection
 from .diffop import BulletTable
-from .linalg import Graded, Mat, first_mismatch, ikron_mul, inverse, quotient, span
+from .linalg import Graded, Mat, contract, first_mismatch, ikron_mul, inverse, quotient, span
 from .memo import memo
 from .report import CheckResult, ValidationError
 
@@ -414,8 +414,8 @@ class OperatorConnection:
         """v -> coev(1) bullet v on plain coordinates, V(n) -> Kron(Omega1, V(k)) for k = n, n+1."""
         g = self.geometry
         # id (x) bullet applied to coev(1) (x) v, one column per basis v
-        coev = g.coev_one.kron(Mat.identity(g.V(n).dim))
-        return Graded({k: ikron_mul(g.omega.dim, self.table.table(1, n, k), 1, coev) for k in (n, n + 1)})
+        dO, dV = g.omega.dim, g.V(n).dim
+        return Graded({k: contract(self.table.table(1, n, k), dO, dV, g.coev_one, mirror=True) for k in (n, n + 1)})
 
     # -- the identities, one memoised witness per degree as for the crossings --------
 

@@ -26,7 +26,7 @@ from .bimodule import (
     intertwining_failure,
     zigzag_failure,
 )
-from .linalg import Mat, first_mismatch, ikron_mul, inverse, rank
+from .linalg import Mat, contract, first_mismatch, ikron_mul, inverse, rank
 from .memo import memo
 from .report import ValidationError, raise_first_failure
 
@@ -148,16 +148,18 @@ class Geometry:
         Kron(Vec, E) -> E (x)_A Vec of vector fields past E derived from a plain
         crossing ``crossed: Kron(E, Omega1) -> Kron(Omega1, E)``.
 
-        It contracts before it expands: the crossing meets coev(1) once per basis
-        element of E, v is paired with the crossed form on those |E| columns, and the
-        left action of A on E comes last.  It runs once at load, for the braiding of
-        Vec, and once per ``CrossingMap``, for its sigma-hat; a loaded bundle shares
-        one crossing per module and per tensor product of two (``Bundle.crossings``)
-        among all its verification runs."""
+        It contracts before it expands, and builds no identity factor: the crossing
+        meets coev(1) once per basis element of E, v is paired with the crossed form
+        on those |E| columns (``linalg.contract`` both times, which copies an entry
+        only where it meets a nonzero column), and the left action of A on E comes
+        last.  It runs once at load, for the braiding of Vec, and once per
+        ``CrossingMap``, for its sigma-hat; a loaded bundle shares one crossing per
+        module and per tensor product of two (``Bundle.crossings``) among all its
+        verification runs."""
         dvec, dE = self.vec.dim, E.dim
-        crossed_coev = ikron_mul(1, crossed, dvec, Mat.identity(dE).kron(self.coev_one))  # E -> Kron(Omega1, E, Vec)
+        crossed_coev = contract(crossed, dvec, dE, self.coev_one)  # E -> Kron(Omega1, E, Vec)
         # Kron(Vec, E) -> Kron(A, E, Vec)
-        paired = ikron_mul(1, self.fgp.apply_mat, dE * dvec, Mat.identity(dvec).kron(crossed_coev))
+        paired = contract(self.fgp.apply_mat, dE * dvec, dvec, crossed_coev)
         return self.pair(E, self.vec).project.mul_ikron(1, E.left_action, dvec) @ paired
 
     def _build_dual_connection(self, check: bool = True):
@@ -167,7 +169,7 @@ class Geometry:
         self.OV1 = OV1
         # Kron(Vec, Omega1) -> Omega1: v (x) alpha -> d(v(alpha)) - (ev (x) id)(v (x) box(alpha))
         inner = self.d @ ev - om.ev_left(ev, W2.section @ self.box_form)
-        self.box_vec = OV1.project @ ikron_mul(1, inner, vec.dim, Mat.identity(vec.dim).kron(self.coev_one))
+        self.box_vec = OV1.project @ contract(inner, vec.dim, vec.dim, self.coev_one)
 
         # sigma on fields, Kron(Vec, Omega1) -> OV1: (ev (x) id (x) id)(id (x) sigma_inv (x) id)(id (x) id (x) coev(1))
         VO1 = self.pair(vec, om)

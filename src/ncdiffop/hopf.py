@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .linalg import Mat, ikron_mul, inverse
+from .linalg import Mat, contract, ikron_mul, inverse
 from .report import CheckResult
 from .scalars import ONE
 
@@ -181,7 +181,7 @@ class HopfCentreCandidate:
         v, w = self.module(a), self.module(b)
         vw = tensor_module(v, w)
         lhs = self.phi(vw)
-        rhs = ikron_mul(v.dim, self.phi(w), 1, self.phi(v).kron(Mat.identity(w.dim)))
+        rhs = contract(self.phi(w), v.dim, w.dim, self.phi(v), mirror=True)
         return CheckResult(f"hopf-tensor-compat-{a}-{b}", lhs == rhs)
 
     def check_inverse(self, obj: str) -> CheckResult:
@@ -213,7 +213,7 @@ class HopfCentreCandidate:
         phi = self.phi(v)
         n, dv = self.group.order, v.dim
         lhs = phi.mul_ikron(1, mu, dv)
-        rhs = ikron_mul(dv, mu, 1, ikron_mul(1, phi, n, Mat.identity(n).kron(phi)))
+        rhs = ikron_mul(dv, mu, 1, contract(phi, n, n, phi))
         return CheckResult(f"hopf-algebra-in-centre-{obj}", lhs == rhs)
 
     def check_naturality(self) -> list[CheckResult]:

@@ -21,10 +21,13 @@ The kernel does not pay for the units or for identity factors:
   ``A @ (I_n (x) X (x) I_m)``, products of strided column slices of A with X,
   and ``ikron_mul(n, X, m, B)`` is ``(I_n (x) X (x) I_m) @ B``, B's rows
   relabelled through X.  By the mixed-product rule an identity factor only
-  relabels rows and columns.  ``kron`` with an identity stays only where a
-  matrix itself is needed: as the input of ``span`` or ``kernel``, or as the
-  operand of a kernel when both factors of a product carry an identity (the
-  smaller one, such as ``I (x) coev(1)``, is built).
+  relabels rows and columns.  When both factors of a product carry one, as in
+  the evaluation and coevaluation contractions ``(ev (x) id)(id (x) x)`` and
+  ``(id (x) ev)(x (x) id)``, ``contract(X, m, n, y)`` is
+  ``(X (x) I_m)(I_n (x) y)`` and its mirror ``(I_m (x) X)(y (x) I_n)``: an
+  entry of y is copied only where it meets a nonzero column of X.  ``kron``
+  with an identity stays only where a matrix itself is needed, as the input
+  of ``span`` or ``kernel``.
 
 A map between graded sums is a ``Graded``: ``Mat`` blocks keyed by degree, or
 by (target, source) degrees; its products act block by block or sum over the
@@ -213,10 +216,6 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(self._cols_sparse)
 
-    def _check_same_shape(self, other: "Mat"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
     # -- application to vectors ---------------------------------------------
 
     def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
@@ -345,6 +344,38 @@ def ikron_mul(n: int, x: Mat, m: int, b: Mat) -> Mat:
                 base = i * p * m + k
                 moved[r] = [(base + j * m, v) for j, v in xcols[l]]
     return Mat(n * p * m, b.cols, _gather(moved, bcols))
+
+
+def contract(x: Mat, m: int, n: int, y: Mat, mirror: bool = False) -> Mat:
+    """``(x (x) I_m)(I_n (x) y)``, or ``(I_m (x) x)(y (x) I_n)`` if ``mirror``, without
+    building either identity factor: x contracts its leg of size w with y's.
+
+    x is p x (n*w), or p x (w*n) mirrored, and y is (w*m) x c, or (m*w) x c; the
+    result is (p*m) x (n*c), or (m*p) x (c*n).  n and m are given because a zero
+    leg hides them: w = 0 leaves no way to read n from x or m from y.  The nonzero
+    columns of x are indexed by their w leg, so each entry of y is copied only into
+    the output columns whose column of x it meets, and ``ikron_mul`` applies x to
+    those copies."""
+    w = x.cols // n if n else y.rows // m if m else 0
+    if x.cols != n * w or y.rows != w * m:
+        raise ValueError(f"shape mismatch: {x.rows}x{x.cols} on I_{n} and I_{m} against {y.rows}x{y.cols}")
+    xcols, c = x._cols_sparse, y.cols
+    cols = [[] for _ in range(n * c)]
+    if mirror:
+        # entry (t*w + s, v) of y column k is entry ((t*w + s)*n + j, v) of y (x) I_n column k*n + j
+        meets = [[j for j in range(n) if xcols[s * n + j]] for s in range(w)]
+        for k, col in enumerate(y._cols_sparse):
+            for r, v in col:
+                for j in meets[r % w]:
+                    cols[k * n + j].append((r * n + j, v))
+        return ikron_mul(m, x, 1, Mat(m * w * n, c * n, cols))
+    # entry (s*m + t, v) of y column k is entry (i*w*m + s*m + t, v) of I_n (x) y column i*c + k
+    meets = [[i for i in range(n) if xcols[i * w + s]] for s in range(w)]
+    for k, col in enumerate(y._cols_sparse):
+        for r, v in col:
+            for i in meets[r // m]:
+                cols[i * c + k].append((i * w * m + r, v))
+    return ikron_mul(1, x, m, Mat(n * w * m, n * c, cols))
 
 
 class Graded(dict):

@@ -19,7 +19,7 @@ from .centre import verify_centre
 from .crossing import OperatorAlgebraCandidate, check_theta_on_algebra, theta_product_compat, theta_tensor_factorization
 from .diffop import GradedOperator
 from .hopf import standard_candidate
-from .linalg import Graded, Mat, first_mismatch, ikron_mul
+from .linalg import Graded, Mat, contract, first_mismatch
 from .report import CheckResult, ValidationError, _jsonable, first_failure
 from .scalars import sc
 from .sobolev import SobolevPairings, gram_increment_certificate, sobolev_gram
@@ -162,9 +162,9 @@ def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
         # coev<n>(1) central: a.coev(1) - coev(1).a lies in the relation span, which the projection kills
         project = g.pair(Wn, Vn).project
         coev1 = g.coev_pow(n)
-        # column i: a_i.coev(1) and coev(1).a_i, the action applied to the dA copies of coev(1)
-        la = ikron_mul(1, Wn.left_action, Vn.dim, Mat.identity(dA).kron(coev1))
-        ra = ikron_mul(Wn.dim, Vn.right_action, 1, coev1.kron(Mat.identity(dA)))
+        # column i: a_i.coev(1) and coev(1).a_i, each action contracted with coev(1)
+        la = contract(Wn.left_action, Vn.dim, dA, coev1)
+        ra = contract(Vn.right_action, Wn.dim, dA, coev1, mirror=True)
         fail = first_mismatch(project @ la, project @ ra, (dA,))
         cen_fail = None if fail is None else (n, *fail)
         out.append(CheckResult(f"coev-central-{n}", cen_fail is None, witness=cen_fail))

@@ -20,7 +20,9 @@ scanning every pivot row, as it did before it indexed the columns.  Products,
 Kronecker products, sums and spans are also taken entry by entry on dense
 copies, every product computed, with no unit skipped; the balancing map is
 the Kronecker formula it was before it was read straight from the actions;
-and the field-Q literal check walks a document recursively, one call a node.
+the field-Q literal check walks a document recursively, one call a node; and
+the contraction of a map with one leg of another is ``ikron_mul`` applied to
+the other with its identity Kronecker factor built.
 An inner product is evaluated on two dense coordinate lists, and the iterated
 Sobolev pairings pair every two columns of nabla^n that way, as the library
 did before it applied the pairing's matrix to nabla^n one leg at a time.
@@ -330,6 +332,15 @@ def add_mats(a: Mat, b: Mat, sign=ONE) -> Mat:
 def ikron(n: int, x: Mat, m: int) -> Mat:
     """I_n (x) x (x) I_m, built."""
     return kron(kron(Mat.identity(n), x), Mat.identity(m))
+
+
+def contract(x: Mat, m: int, n: int, y: Mat, mirror: bool = False) -> Mat:
+    """``linalg.contract`` with its identity factor built, as the evaluation and
+    coevaluation contractions were written before it: ``ikron_mul`` of x with
+    I_n (x) y, or mirrored with y (x) I_n."""
+    if mirror:
+        return ikron_mul(m, x, 1, y.kron(Mat.identity(n)))
+    return ikron_mul(1, x, m, Mat.identity(n).kron(y))
 
 
 def dense_span(ambient_dim: int, vectors) -> Mat:

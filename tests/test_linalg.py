@@ -10,12 +10,13 @@ from itertools import combinations
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncdiffop.linalg import (
     Graded,
     Mat,
+    contract,
     NotHermitian,
     SparseEchelon,
     PsdCertificate,
@@ -359,6 +360,39 @@ def test_identity_kron_kernels_match_the_built_factor(case):
         Mat.zeros(a.rows, a.cols + 1).mul_ikron(n, x, m)
     with pytest.raises(ValueError):
         ikron_mul(n, x, m, Mat.zeros(b.rows + 1, b.cols))
+
+
+@st.composite
+def contract_cases(draw):
+    """x and y sharing a contracted leg of size w, beside identity factors I_n and
+    I_m, with n, m and w each zero sometimes (Omega1 = 0 makes every one of them
+    zero in ``zero-form-smoke``); empty columns come from ``oracle_mats``."""
+    kind = draw(st.sampled_from(["rational", "gaussian"]))
+    n, m, w = (draw(st.sampled_from([0, 1, 2, 3])) for _ in range(3))
+    p, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    _, x = draw(oracle_mats(kind, p, n * w))
+    _, y = draw(oracle_mats(kind, w * m, c))
+    return x, m, n, y, draw(st.booleans())
+
+
+@given(contract_cases())
+@settings(max_examples=300, deadline=None)
+# each leg zero with the other two not, on either side; w = 0 is the zero-form bundle's
+# case, where the shapes of x and y give neither n nor m
+@example((Mat(2, 0), 2, 3, Mat(0, 2), False))
+@example((Mat(2, 0), 2, 3, Mat(0, 2), True))
+@example((Mat(2, 0), 2, 0, Mat(4, 2), False))
+@example((Mat(2, 0), 2, 0, Mat(4, 2), True))
+@example((Mat(2, 6), 0, 3, Mat(0, 2), False))
+@example((Mat(2, 6), 0, 3, Mat(0, 2), True))
+def test_contract_matches_the_built_identity_factor(case):
+    x, m, n, y, mirror = case
+    out = contract(x, m, n, y, mirror)
+    assert read_back(out) == read_back(oracles.contract(x, m, n, y, mirror))
+    assert (out.rows, out.cols) == (x.rows * m, n * y.cols)
+    if n:  # x fixes the contracted leg, so y with one more row cannot contract with it
+        with pytest.raises(ValueError):
+            contract(x, m, n, Mat.zeros(y.rows + 1, y.cols), mirror)
 
 
 @st.composite

@@ -4,7 +4,9 @@ helpers, the per-element action lists (``M.left[i]``, ``M.right[i]``,
 ``A.left_mult``, ``A.right_mult``) or the braiding-invertibility option that
 the sparse identities replaced.  No product builds an identity Kronecker
 factor: ``A @ (I (x) X (x) I)`` and ``(I (x) X (x) I) @ B`` go through
-``Mat.mul_ikron`` and ``linalg.ikron_mul``, which apply it without building it.
+``Mat.mul_ikron`` and ``linalg.ikron_mul``, which apply it without building it,
+and neither kernel is handed one as an operand: the contractions
+``(X (x) I)(I (x) y)`` and ``(I (x) X)(y (x) I)`` go through ``linalg.contract``.
 
 Dense coordinate lists appear only where the CLI reads an element from the
 command line and prints one.  A bimodule holds each action once, as one
@@ -120,10 +122,24 @@ def _bound(nodes, test) -> set:
     return names
 
 
+def _product_operands(node) -> list:
+    """The operands of an ``@``, of a ``.mul_ikron(...)`` call (its receiver too) or
+    of an ``ikron_mul(...)`` call."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return [node.left, node.right]
+    if not isinstance(node, ast.Call):
+        return []
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr == "mul_ikron":
+        return [func.value, *node.args]
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return list(node.args) if name == "ikron_mul" else []
+
+
 def identity_kron_products(source: str) -> list[str]:
-    """Each operand of ``@`` that is a Kronecker product with an identity factor,
-    written out or through a name bound to one in the same function (or in an
-    enclosing one)."""
+    """Each operand of ``@``, ``mul_ikron`` or ``ikron_mul`` that is a Kronecker
+    product with an identity factor, written out or through a name bound to one in
+    the same function (or in an enclosing one)."""
     found = []
 
     def visit(scope, identities: set, krons: set):
@@ -133,11 +149,11 @@ def identity_kron_products(source: str) -> list[str]:
         for node in nodes:
             if isinstance(node, FUNCTIONS):
                 visit(node, identities, krons)
-            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
-                for operand in (node.left, node.right):
-                    named = isinstance(operand, ast.Name) and operand.id in krons
-                    if named or _is_identity_kron(operand, identities):
-                        found.append(f"{ast.unparse(operand)} (line {operand.lineno})")
+                continue
+            for operand in _product_operands(node):
+                named = isinstance(operand, ast.Name) and operand.id in krons
+                if named or _is_identity_kron(operand, identities):
+                    found.append(f"{ast.unparse(operand)} (line {operand.lineno})")
 
     visit(ast.parse(source), set(), set())
     return sorted(found)
@@ -164,6 +180,27 @@ def test_identity_kron_product_use_is_found():
         "lifted (line 6)",
         "x.kron(I).kron(y) (line 5)",
         "x.kron(Mat.identity(2)) (line 8)",
+    ]
+
+
+def test_identity_kron_kernel_operand_is_found():
+    """The contractions once written as ``ikron_mul`` of a built identity factor,
+    the factor bound to a name as ``coev`` was in ``CrossingMap._coev_bullet``."""
+    source = (
+        "def f(ev, x, g, t, n, dO):\n"
+        "    I = Mat.identity(n)\n"
+        "    a = linalg.ikron_mul(1, ev, 2, Mat.identity(n).kron(x))\n"
+        "    coev = g.coev_one.kron(Mat.identity(n))\n"
+        "    b = {k: ikron_mul(dO, t(k), 1, coev) for k in (n, n + 1)}\n"
+        "    c = I.kron(x).mul_ikron(1, ev, 2) + x.mul_ikron(n, ev.kron(I), 1)\n"
+        "    ok = ikron_mul(1, ev, 2, x.kron(t)) + contract(ev, 2, n, x) + x.mul_ikron(1, ev, n)\n"
+        "    return kernel(I.kron(x) - t.kron(I)), balance(coev), a, b, c, ok\n"
+    )
+    assert identity_kron_products(source) == [
+        "I.kron(x) (line 6)",
+        "Mat.identity(n).kron(x) (line 3)",
+        "coev (line 5)",
+        "ev.kron(I) (line 6)",
     ]
 
 
