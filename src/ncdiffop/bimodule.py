@@ -101,18 +101,14 @@ class Bimodule:
             CheckResult(f"{self.name}:left-unital", L.mul_ikron(1, unit, n) == In),
             CheckResult(f"{self.name}:right-unital", R.mul_ikron(n, unit, 1) == In),
         ]
-        # each axiom on Kron(A_i, A_j, M): the first failing (i, j), ties in the order listed
-        to_right = Mat.swap(d * d, n)  # Kron(A_i, A_j, M) -> Kron(M, A_i, A_j)
-        to_middle = Mat.swap(d, n)  # on the last two legs: Kron(A_i, A_j, M) -> Kron(A_i, M, A_j)
+        # each axiom on its own domain, its witness read as (i, j, m): the first failing (i, j),
+        # ties in the order listed
         axioms = {
-            "left": (L.mul_ikron(d, L, 1), L.mul_ikron(1, mul, n)),  # a_i.(a_j.m) = (a_i a_j).m
-            "right": (R.mul_ikron(1, R, d) @ to_right, R.mul_ikron(n, mul, 1) @ to_right),  # (m.a_i).a_j = m.(a_i a_j)
-            "commute": (  # (a_i.m).a_j = a_i.(m.a_j)
-                R.mul_ikron(1, L, d).mul_ikron(d, to_middle, 1),
-                L.mul_ikron(d, R, 1).mul_ikron(d, to_middle, 1),
-            ),
+            "left": (L.mul_ikron(d, L, 1), L.mul_ikron(1, mul, n), (d, d, n), None),  # a_i.(a_j.m) = (a_i a_j).m
+            "right": (R.mul_ikron(1, R, d), R.mul_ikron(n, mul, 1), (n, d, d), (1, 2, 0)),  # (m.a_i).a_j = m.(a_i a_j)
+            "commute": (R.mul_ikron(1, L, d), L.mul_ikron(d, R, 1), (d, n, d), (0, 2, 1)),  # (a_i.m).a_j = a_i.(m.a_j)
         }
-        fails = {side: first_mismatch(lhs, rhs, (d, d, n)) for side, (lhs, rhs) in axioms.items()}
+        fails = {side: first_mismatch(lhs, rhs, shape, order) for side, (lhs, rhs, shape, order) in axioms.items()}
         fail = first_failure({side: w and w[:2] for side, w in fails.items()})  # the first failing (i, j)
         fail = None if fail is None else (fail[0], *fail[1])
         results.append(CheckResult(f"{self.name}:action-axioms", fail is None, witness=fail))
@@ -174,10 +170,11 @@ def idempotent_failure(algebra: Algebra, P: Mat) -> Optional[tuple[int, int]]:
     return first_mismatch((algebra.mul @ P.kron(P)).mul_ikron(n, _diagonal(n), n), P, (n, n))
 
 
-def _first_action_failure(left: tuple[Mat, Mat], right: tuple[Mat, Mat], shape: tuple[int, int]):
+def _first_action_failure(left: tuple[Mat, Mat], right: tuple[Mat, Mat], dA: int, dX: int):
     """``("left", i)`` or ``("right", i)`` for the smallest a_i at which one of two
-    identities ``lhs == rhs`` on Kron(A, X) fails, "left" on a tie; None if both hold."""
-    fails = {side: first_mismatch(lhs, rhs, shape) for side, (lhs, rhs) in (("left", left), ("right", right))}
+    identities ``lhs == rhs`` fails, the left one on Kron(A, X) and the right one on
+    Kron(X, A), "left" on a tie; None if both hold."""
+    fails = {"left": first_mismatch(*left, (dA, dX)), "right": first_mismatch(*right, (dX, dA), order=(1, 0))}
     return first_failure({side: w and w[0] for side, w in fails.items()})
 
 
@@ -190,8 +187,7 @@ def intertwining_failure(src: Bimodule, dst: Bimodule, mat: Mat):
     right = (mat @ src.right_action, dst.right_action.mul_ikron(1, mat, dA))
     if left[0] == left[1] and right[0] == right[1]:
         return None
-    to_right = Mat.swap(dA, src.dim)  # witnesses run over a before the element
-    return _first_action_failure(left, (right[0] @ to_right, right[1] @ to_right), (dA, src.dim))
+    return _first_action_failure(left, right, dA, src.dim)
 
 
 # -- tensor product over A -----------------------------------------------------
@@ -249,8 +245,8 @@ class TensorPair:
         on_left = lplain.mul_ikron(dA, rels, 1)  # Kron(A, relations)
         on_right = rplain.mul_ikron(1, rels, dA)  # Kron(relations, A)
         if not (on_left.is_zero() and on_right.is_zero()):
-            zero, shape = Mat.zeros(self.space.dim, dA * rels.cols), (dA, rels.cols)
-            side, i = _first_action_failure((on_left, zero), (on_right @ Mat.swap(*shape), zero), shape)
+            zero = Mat.zeros(self.space.dim, dA * rels.cols)
+            side, i = _first_action_failure((on_left, zero), (on_right, zero), dA, rels.cols)
             raise ValidationError(f"tensor-{side}-action", witness=(self.space.name, i))
 
     @property

@@ -61,20 +61,18 @@ class ConnectionModule:
     # -- validation -----------------------------------------------------------
 
     def _validate_leibniz(self):
-        """nabla(a.e) = da (x) e + a.nabla(e) and, with a braiding, nabla(e.a) =
-        nabla(e).a + sigma(e (x) da), each on Kron(A, E)."""
+        """nabla(a.e) = da (x) e + a.nabla(e) on Kron(A, E) and, with a braiding,
+        nabla(e.a) = nabla(e).a + sigma(e (x) da) on Kron(E, A), each witness read as (a, e)."""
         g = self.geometry
         A, E, nabla = g.algebra, self.space, self.nabla
-        shape = (A.dim, E.dim)
         left = nabla @ E.left_action
         left_rhs = self.OE.project.mul_ikron(1, g.d, E.dim) + self.OE.space.left_action.mul_ikron(A.dim, nabla, 1)
-        checks = {"left-leibniz": first_mismatch(left, left_rhs, shape)}
+        checks = {"left-leibniz": first_mismatch(left, left_rhs, (A.dim, E.dim))}
         if self.sigma is not None:
-            flip = Mat.swap(A.dim, E.dim)
             right = nabla @ E.right_action
             crossed = (self.sigma @ self.EO.project).mul_ikron(E.dim, g.d, 1)
             right_rhs = self.OE.space.right_action.mul_ikron(1, nabla, A.dim) + crossed
-            checks["right-leibniz"] = first_mismatch(right @ flip, right_rhs @ flip, shape)
+            checks["right-leibniz"] = first_mismatch(right, right_rhs, (E.dim, A.dim), order=(1, 0))
         raise_first_failure({name: None if w is None else (self.name, *w) for name, w in checks.items()})
 
     @property

@@ -34,6 +34,8 @@ inverse holds modulo a relation span, checked on the blocks stacked into one
 matrix.  ``Graded.first_mismatch`` gives each witness: the basis indices of the
 first domain column that differs, then its degree (the module-map checks keep
 only the leading index, the unit-object and naturality checks only the degree).
+The right-module checks hold on Kron(V(n), E, A) and Kron(V(n), A), their own
+domains; their witnesses read the legs with a first.
 """
 
 from __future__ import annotations
@@ -180,12 +182,11 @@ class CrossingMap:
     def right_module_fail(self, n: int) -> Optional[tuple]:
         g, E, th = self.geometry, self.module.space, self.theta(n)
         dA, Vn = g.algebra.dim, g.V(n)
-        swap = Mat.swap(dA, Vn.dim * E.dim)  # witnesses run over a before v (x) e
         # (v (x) e).a on Kron(V(n), E, A)
-        lhs = th.mul_ikron(Vn.dim, E.right_action, 1) @ swap
+        lhs = th.mul_ikron(Vn.dim, E.right_action, 1)
         # bullet a into V(k): Kron(E, V(m), A) -> E (x)_A V(k)
-        acted = (self.table.graded_into(self.EV, m, 0).mul_ikron(1, b, dA) @ swap for m, b in self.lift(th).items())
-        return lhs.first_mismatch(Graded.sum(acted), (dA, Vn.dim * E.dim), prefix=1)
+        acted = (self.table.graded_into(self.EV, m, 0).mul_ikron(1, b, dA) for m, b in self.lift(th).items())
+        return lhs.first_mismatch(Graded.sum(acted), (Vn.dim * E.dim, dA), prefix=1, order=(1, 0))
 
     def check_right_module(self, degree: int) -> list[CheckResult]:
         """Property 4: theta intertwines the product-twisted right actions,
@@ -322,8 +323,9 @@ class CrossingMap:
     @memo
     def right_inverse_holds(self, n: int) -> bool:
         inv = self.build_inverse(n)
-        identity = Graded({n: Mat.identity(self.EV(n).dim)})
-        return (Graded.over(self.theta, inv) @ inv).first_mismatch(identity, ()) is None
+        dim = self.EV(n).dim
+        identity = Graded({n: Mat.identity(dim)})
+        return (Graded.over(self.theta, inv) @ inv).first_mismatch(identity, (dim,), prefix=0) is None
 
     def check_inverse(self, degree: int) -> list[CheckResult]:
         """theta o theta_inv = id exactly; theta_inv o theta = id modulo the
@@ -435,13 +437,11 @@ class OperatorConnection:
     @memo
     def right_module_fail(self, n: int) -> Optional[tuple]:
         g, Vn, blocks = self.geometry, self.geometry.V(n), self.blocks(n)
-        dA = g.algebra.dim
-        swap = Mat.swap(dA, Vn.dim)  # witnesses run over a before v
-        bullet = self.table.graded(n, 0) @ swap
+        dA, bullet = g.algebra.dim, self.table.graded(n, 0)
         lhs = Graded.over(self.blocks, bullet) @ bullet
         lifted = Graded({m: g.OV(m).section @ b for m, b in blocks.items()})  # -> Kron(Omega1, V(m))
-        rhs = Graded.over(lambda m: self.table.graded_into(g.OV, m, 0), blocks).mul_ikron(1, lifted, dA) @ swap
-        return lhs.first_mismatch(rhs, (dA, Vn.dim))
+        rhs = Graded.over(lambda m: self.table.graded_into(g.OV, m, 0), blocks).mul_ikron(1, lifted, dA)
+        return lhs.first_mismatch(rhs, (Vn.dim, dA), order=(1, 0))  # (a, v, degree)
 
     def check_right_module_map(self, degree: int) -> list[CheckResult]:
         """nabla(v bullet a) = nabla(v) bullet a: the zero-braiding property."""

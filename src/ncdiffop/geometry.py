@@ -123,21 +123,19 @@ class Geometry:
             raise ValidationError("surjectivity", witness=spanned)
 
     def _validate_right_connection(self):
-        """box(xi.a) = box(xi).a + xi (x) da and box(a.xi) = a.box(xi) + sigma_inv(da (x) xi),
-        each on Kron(A, Omega1); the right actions are reordered from Kron(Omega1, A)."""
+        """box(xi.a) = box(xi).a + xi (x) da on Kron(Omega1, A) and box(a.xi) = a.box(xi) +
+        sigma_inv(da (x) xi) on Kron(A, Omega1), each witness read as (a, xi)."""
         A, om, box, W2 = self.algebra, self.omega, self.box_form, self.W2
-        flip = Mat.swap(A.dim, om.dim)
         right = box @ om.right_action
         right_rhs = W2.space.right_action.mul_ikron(1, box, A.dim) + W2.project.mul_ikron(om.dim, self.d, 1)
         left = box @ om.left_action
         left_rhs = W2.space.left_action.mul_ikron(A.dim, box, 1) + (self.sigma_inv_form @ W2.project).mul_ikron(
             1, self.d, om.dim
         )
-        shape = (A.dim, om.dim)
         raise_first_failure(
             {
-                "box-right-leibniz": first_mismatch(right @ flip, right_rhs @ flip, shape),
-                "box-left-leibniz": first_mismatch(left, left_rhs, shape),
+                "box-right-leibniz": first_mismatch(right, right_rhs, (om.dim, A.dim), order=(1, 0)),
+                "box-left-leibniz": first_mismatch(left, left_rhs, (A.dim, om.dim)),
             }
         )
 
@@ -190,19 +188,18 @@ class Geometry:
             self._validate_dual_connection()
 
     def _validate_dual_connection(self):
-        """box(v.a) = box(v).a + sigma(v (x) da) and box(a.v) = a.box(v) + da (x) v, each
-        on Kron(A, Vec), then the duality with the right connection on forms."""
+        """box(v.a) = box(v).a + sigma(v (x) da) on Kron(Vec, A) and box(a.v) = a.box(v) +
+        da (x) v on Kron(A, Vec), each witness read as (a, v), then the duality with the
+        right connection on forms."""
         A, vec, box, OV1 = self.algebra, self.vec, self.box_vec, self.OV1
-        flip = Mat.swap(A.dim, vec.dim)
         right = box @ vec.right_action
         right_rhs = OV1.space.right_action.mul_ikron(1, box, A.dim) + self.sigma_vec_plain.mul_ikron(vec.dim, self.d, 1)
         left = box @ vec.left_action
         left_rhs = OV1.space.left_action.mul_ikron(A.dim, box, 1) + OV1.project.mul_ikron(1, self.d, vec.dim)
-        shape = (A.dim, vec.dim)
         raise_first_failure(
             {
-                "box-vec-right-leibniz": first_mismatch(right @ flip, right_rhs @ flip, shape),
-                "box-vec-left-leibniz": first_mismatch(left, left_rhs, shape),
+                "box-vec-right-leibniz": first_mismatch(right, right_rhs, (vec.dim, A.dim), order=(1, 0)),
+                "box-vec-left-leibniz": first_mismatch(left, left_rhs, (A.dim, vec.dim)),
             }
         )
         # duality: d o ev = (id (x) ev)(box (x) id) + (ev (x) id)(id (x) box)

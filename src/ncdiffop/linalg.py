@@ -33,6 +33,9 @@ A map between graded sums is a ``Graded``: ``Mat`` blocks keyed by degree, or
 by (target, source) degrees; its products act block by block or sum over the
 middle degree, each sum sorting every output column once.
 ``Graded.first_mismatch`` is the one witness rule; ``first_mismatch`` applies it to one matrix.
+The rule takes the domain's legs in column order and reads them in a stated
+order: an identity on Kron(X, A) is checked on its own columns, no permutation
+of its legs built, and its witness still names a before x.
 
 A subspace has one form: its canonical reduced echelon basis as the columns
 of a ``Mat`` (``span``, ``kernel``).  ``quotient`` turns it into a projection
@@ -416,34 +419,35 @@ class Graded(dict):
                 out.extend((offsets[k] + i, v) for i, v in col)
         return Mat(sum(layout.values()), len(cols), cols)
 
-    def first_mismatch(self, other: "Graded", shape: Sequence[int], prefix: int | None = None):
+    def first_mismatch(
+        self, other: "Graded", shape: Sequence[int], prefix: int | None = None, order: Sequence[int] | None = None
+    ):
         """Where ``self == other`` first fails, or None if it holds.
 
-        The blocks are maps on one Kronecker domain Kron(X1, ..., Xr) with
-        ``shape = (|X1|, ..., |Xr|)``.  The witness is ``(x1, ..., xp, k)``: the
-        first ``prefix`` basis indices (all r by default) of a domain column
-        where degree k differs, the smallest such indices and then the smallest
-        degree, as nested loops over X1, ..., Xp and then over degrees find it.
+        The blocks are maps on one Kronecker domain Kron(X1, ..., Xr), its columns
+        in that order of the legs, with ``shape = (|X1|, ..., |Xr|)``; ``order`` lists
+        the legs in the order the witness reads them, by default as they come.  The
+        witness is ``(x, k)``: x the first ``prefix`` basis indices (all r by default),
+        read in ``order``, of a domain column where degree k differs, the smallest such
+        x and then the smallest degree, as nested loops over the legs in ``order`` and
+        then over degrees find it.  The two blocks of a degree must have one shape,
+        with ``prod(shape)`` columns.
         """
-        p = len(shape) if prefix is None else prefix
-        stride = prod(shape[p:])
-        best = None
-        for k in sorted(self.keys() | other.keys()):
+        legs = range(len(shape)) if order is None else order
+        read = [(prod(shape[leg + 1 :]), shape[leg]) for leg in legs[:prefix]]
+        size, best = prod(shape), None
+        for k in self.keys() | other.keys():
             left, right = self.get(k), other.get(k)
-            lcols = left._cols_sparse if left is not None else [[]] * right.cols
-            rcols = right._cols_sparse if right is not None else [[]] * left.cols
-            stop = len(lcols) if best is None else best[0] * stride
-            c = next((c for c in range(stop) if lcols[c] != rcols[c]), None)
-            if c is not None:
-                best = (c // stride, k)
-        if best is None:
-            return None
-        x, k = best
-        indices = []
-        for size in reversed(shape[:p]):
-            x, i = divmod(x, size)
-            indices.append(i)
-        return (*reversed(indices), k)
+            block = left or right  # a missing degree reads as zero
+            if block.cols != size or (left and right and (left.rows, left.cols) != (right.rows, right.cols)):
+                raise ValueError(f"shape mismatch in degree {k} on a domain of shape {tuple(shape)}")
+            lcols = left._cols_sparse if left else [[]] * size
+            rcols = right._cols_sparse if right else [[]] * size
+            differ = [c for c, (lc, rc) in enumerate(zip(lcols, rcols)) if lc != rc]
+            if differ:
+                x = min(tuple(c // stride % n for stride, n in read) for c in differ)
+                best = (x, k) if best is None else min(best, (x, k))
+        return None if best is None else (*best[0], best[1])
 
 
 def _blockwise(a: Graded, b, product) -> Graded:
@@ -488,10 +492,10 @@ def _accumulate(terms) -> Graded:
     return out
 
 
-def first_mismatch(lhs: Mat, rhs: Mat, shape: Sequence[int]):
-    """Where ``lhs == rhs`` first fails, as basis indices ``(x1, ..., xr)``, or
+def first_mismatch(lhs: Mat, rhs: Mat, shape: Sequence[int], order: Sequence[int] | None = None):
+    """Where ``lhs == rhs`` first fails, as basis indices read in ``order``, or
     None: the witness rule of ``Graded.first_mismatch`` on one degree."""
-    fail = Graded({0: lhs}).first_mismatch(Graded({0: rhs}), shape)
+    fail = Graded({0: lhs}).first_mismatch(Graded({0: rhs}), shape, order=order)
     return None if fail is None else fail[:-1]
 
 

@@ -148,13 +148,12 @@ def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
         Vn, Wn = g.V(n), g.W(n)
         balanced = (ev @ balance(Vn, Wn)).is_zero()
         out.append(CheckResult(f"ev-balanced-{n}", balanced, witness=None if balanced else n))
-        # ev(a.v (x) w) = a.ev(v (x) w) and ev(v (x) w.a) = ev(v (x) w).a on Kron(A, V(n), W(n))
+        # ev(a.v (x) w) = a.ev(v (x) w) on Kron(A, V(n), W(n)) and ev(v (x) w.a) = ev(v (x) w).a
+        # on Kron(V(n), W(n), A), each witness read as (a, v, w)
         dA, mul = g.algebra.dim, g.algebra.mul
-        to_right = Mat.swap(dA, Vn.dim * Wn.dim)  # Kron(A, V(n), W(n)) -> Kron(V(n), W(n), A)
-        shape = (dA, Vn.dim, Wn.dim)
-        left = first_mismatch(ev.mul_ikron(1, Vn.left_action, Wn.dim), mul.mul_ikron(dA, ev, 1), shape)
+        left = first_mismatch(ev.mul_ikron(1, Vn.left_action, Wn.dim), mul.mul_ikron(dA, ev, 1), (dA, Vn.dim, Wn.dim))
         right = first_mismatch(
-            ev.mul_ikron(Vn.dim, Wn.right_action, 1) @ to_right, mul.mul_ikron(1, ev, dA) @ to_right, shape
+            ev.mul_ikron(Vn.dim, Wn.right_action, 1), mul.mul_ikron(1, ev, dA), (Vn.dim, Wn.dim, dA), order=(2, 0, 1)
         )
         fail = first_failure({"left": left and left[:1], "right": right and right[:1]})  # the first failing a_i
         eq_fail = None if fail is None else (fail[0], n, *fail[1])

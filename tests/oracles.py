@@ -15,7 +15,10 @@ bullet suite's random associativity check runs one rational triple at a time,
 as the suite did before it drew integer coefficients and batched the trials.
 Graded maps are read as the per-degree dicts of matrices they replaced:
 summed pairwise, stacked at row offsets and compared by the two witness
-rules the crossing checks used; and ``SparseEchelon`` back-substitutes by
+rules the crossing checks used, a witness read with the legs in another
+order after both sides were multiplied by the permutation of their legs
+that put the columns in that order, as the checks did before the witness
+rule took the order; and ``SparseEchelon`` back-substitutes by
 scanning every pivot row, as it did before it indexed the columns.  Products,
 Kronecker products, sums and spans are also taken entry by entry on dense
 copies, every product computed, with no unit skipped; the balancing map is
@@ -29,6 +32,8 @@ did before it applied the pairing's matrix to nabla^n one leg at a time.
 """
 
 import random
+from itertools import product
+from math import prod
 
 from ncdiffop.bundle import ParseError
 from ncdiffop.scalars import ScalarParseError
@@ -560,6 +565,37 @@ def first_by_block(lhs: dict, rhs: dict, shape):
         if fail is not None and (best is None or (fail[0], m) < best):
             best = (fail[0], m)
     return best
+
+
+def leg_permutation(shape, order) -> Mat:
+    """The permutation Kron(X_o1, ..., X_or) -> Kron(X1, ..., Xr) for ``order = (o1, ..., or)``:
+    a map on Kron(X1, ..., Xr) with ``shape = (|X1|, ..., |Xr|)`` times it has its
+    columns with the legs in ``order``."""
+    cols = []
+    for index in product(*(range(shape[leg]) for leg in order)):
+        at = dict(zip(order, index))
+        row = 0
+        for leg, size in enumerate(shape):
+            row = row * size + at[leg]
+        cols.append([(row, ONE)])
+    return Mat(prod(shape), prod(shape), cols)
+
+
+def first_mismatch_in_order(lhs: dict, rhs: dict, shape, order, prefix: int):
+    """The witness of ``lhs == rhs``, dicts of maps on Kron(X1, ..., Xr), read with the legs
+    in ``order`` and cut to ``prefix`` indices: both sides times ``leg_permutation``, then
+    ``first_by_block`` with the first ``prefix`` legs of the permuted shape as one block."""
+    perm, permuted = leg_permutation(shape, order), [shape[leg] for leg in order]
+    moved = [{m: b @ perm for m, b in side.items()} for side in (lhs, rhs)]
+    fail = first_by_block(*moved, (prod(permuted[:prefix]), prod(permuted[prefix:])))
+    if fail is None:
+        return None
+    x, m = fail
+    indices = []
+    for size in reversed(permuted[:prefix]):
+        x, i = divmod(x, size)
+        indices.append(i)
+    return (*reversed(indices), m)
 
 
 class SparseEchelon:

@@ -907,3 +907,40 @@ def test_graded_witness_matches_both_dict_rules(case):
     assert left.first_mismatch(right, shape, prefix=0) == ((differ[0],) if differ else None)
     for k in lhs.keys() & rhs.keys():
         assert first_mismatch(lhs[k], rhs[k], shape) == oracles.first_mismatch(lhs[k], rhs[k], shape)
+
+
+@given(mismatch_cases(), st.permutations(range(3)), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_graded_witness_reads_the_legs_in_order(case, order, prefix):
+    """The witness read in a drawn order of the legs is the one found after both sides
+    were multiplied by the permutation matrix that puts the columns in that order."""
+    shape, lhs, rhs = case
+    expected = oracles.first_mismatch_in_order(lhs, rhs, shape, order, prefix)
+    assert Graded(lhs).first_mismatch(Graded(rhs), shape, prefix=prefix, order=order) == expected
+    for k in lhs.keys() & rhs.keys():
+        one = oracles.first_mismatch_in_order({0: lhs[k]}, {0: rhs[k]}, shape, order, 3)
+        assert first_mismatch(lhs[k], rhs[k], shape, order) == (one and one[:-1])
+
+
+def test_witness_order_picks_another_column():
+    """On Kron(X1, X2) of shape (2, 3), columns 2 = (0, 2) and 3 = (1, 0) differ: in column
+    order the witness is column 2, and read as (x2, x1) it is column 3, (0, 1)."""
+    lhs = Mat.from_rows([[0, 0, 1, 1, 0, 0]])
+    rhs = Mat.zeros(1, 6)
+    assert first_mismatch(lhs, rhs, (2, 3)) == (0, 2)
+    assert first_mismatch(lhs, rhs, (2, 3), order=(1, 0)) == (0, 1)
+    assert oracles.first_mismatch_in_order({0: lhs}, {0: rhs}, (2, 3), (1, 0), 2) == (0, 1, 0)
+
+
+def test_witness_rule_rejects_a_shape_mismatch():
+    """A column that only one side has, or a domain shape that does not match the
+    columns, is an error, not a missed or misplaced witness."""
+    two, three = Mat.from_rows([[1, 0]]), Mat.from_rows([[1, 0, 5]])
+    with pytest.raises(ValueError):
+        first_mismatch(two, three, (2,))
+    with pytest.raises(ValueError):
+        first_mismatch(two, Mat.from_rows([[1, 1]]), (2, 2))
+    with pytest.raises(ValueError):
+        first_mismatch(two, Mat.from_rows([[1, 0], [0, 0]]), (2,))
+    with pytest.raises(ValueError):
+        Graded({0: two, 1: three}).first_mismatch(Graded({0: two}), (2,))

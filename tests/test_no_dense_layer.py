@@ -16,6 +16,12 @@ back the per-degree dicts of matrices it replaced, their pairwise sum
 by first index (``_first_by_block``) or a ``first_mismatch`` on dicts.  An
 inner product is not evaluated on dense coordinate lists (``of_elements``):
 Sobolev pairings are products with its matrix.  The retired helpers live on as the oracles in ``tests/oracles.py``.
+
+``Mat.swap`` is used only where a map really flips two legs: the star's
+anti-multiplicativity, the conjugate symmetry of an inner product, the
+conjugate bimodule, the dual basis and the nesting in ``coev_pow``.  A check
+whose witness reads the legs in another order than its domain's columns says
+so with ``first_mismatch``'s ``order``, and multiplies neither side by a swap.
 Only the stdlib ``ast`` is used, as in ``test_imports.py``.
 """
 
@@ -247,6 +253,69 @@ def test_action_list_use_is_found():
         ".right[ (line 2)",
         "left_mult (line 3)",
         "right_mult (line 3)",
+    ]
+
+
+SWAP_ALLOWED = {
+    "Algebra.validate",
+    "InnerProduct.validate",
+    "conjugate_bimodule",
+    "dualize_right_module",
+    "Geometry.coev_pow",
+}
+
+
+def swap_uses(source: str) -> list[str]:
+    """Each use of ``Mat.swap``, called or not, outside the functions in ``SWAP_ALLOWED``,
+    named by the classes and functions it sits in."""
+    found = []
+
+    def visit(node, scope: tuple):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            is_swap = isinstance(child, ast.Attribute) and child.attr == "swap"
+            if is_swap and isinstance(child.value, ast.Name) and child.value.id == "Mat":
+                name = ".".join(scope) or "<module>"
+                if name not in SWAP_ALLOWED:
+                    found.append(f"{name} (line {child.lineno})")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_swap_only_flips_legs(path):
+    assert swap_uses(path.read_text()) == []
+
+
+def test_swap_use_is_found():
+    source = (
+        "class Algebra:\n"
+        "    def validate(self, d):\n"
+        "        return self.star @ Mat.swap(d, d)\n"
+        "class Bimodule:\n"
+        "    def validate(self, d, n):\n"
+        "        to_right = Mat.swap(d * d, n)\n"
+        "        return [f @ to_right for f in (lambda: Mat.swap(d, n),)]\n"
+        "def conjugate_bimodule(e):\n"
+        "    def inner(p, q):\n"
+        "        return Mat.swap(p, q)\n"
+        "    return inner, Mat.swap(e, e)\n"
+        "def intertwining_failure(src, swap=Mat.swap):\n"
+        "    flip = Mat.swap\n"
+        "    return flip(2, 3), swap, src.swap(2, 3)\n"
+        "FLIP = Mat.swap(2, 2)\n"
+    )
+    assert swap_uses(source) == [
+        "<module> (line 15)",
+        "Bimodule.validate (line 6)",
+        "Bimodule.validate (line 7)",
+        "conjugate_bimodule.inner (line 10)",
+        "intertwining_failure (line 12)",
+        "intertwining_failure (line 13)",
     ]
 
 
