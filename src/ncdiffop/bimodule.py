@@ -20,9 +20,10 @@ plain tensor space by the image of the balancing map
 ``project (id_E (x) R_F)(section (x) id_A)``.  Every subspace here has the
 one form :mod:`ncdiffop.linalg` gives it, the canonical echelon basis as the
 columns of a ``Mat``: the relation span (``TensorPair.relation_mat``, the
-``span`` of the balancing map's columns) and the dual of a module (the
-``kernel`` of right-linearity).  Quotient coordinates are the non-pivot
-coordinates of that basis, so every derived object is reproducible.  Operators
+``span`` of the balancing map's nonzero columns, most of them coordinate
+kills) and the dual of a module (the ``kernel`` of right-linearity).  Quotient
+coordinates are the non-pivot coordinates of that basis, so every derived
+object is reproducible.  Operators
 that are only well defined as sums follow one discipline throughout: build
 the map on the plain tensor space, check with ``TensorPair.descends`` that it
 kills the relation span, then compose with ``TensorPair.section``.
@@ -196,27 +197,44 @@ def intertwining_failure(src: Bimodule, dst: Bimodule, mat: Mat):
 def balance(e: Bimodule, f: Bimodule) -> Mat:
     """The balancing map Kron(E, A, F) -> Kron(E, F), e (x) a (x) f -> e.a (x) f - e (x) a.f:
     its image is what E (x)_A F divides out, and a map on Kron(E, F) is balanced when it kills it.
+    It is R_E (x) I_F - I_E (x) L_F: the columns of ``_balancing_columns``, put in place."""
+    cols = [[] for _ in range(e.dim * e.algebra.dim * f.dim)]
+    for j, col in _balancing_columns(e, f):
+        cols[j] = col
+    return Mat(e.dim * f.dim, len(cols), cols)
 
-    It is R_E (x) I_F - I_E (x) L_F, read straight from the actions: column (x*|A| + a)*|F| + y
-    merges column x*|A| + a of R_E, moved to the rows i*|F| + y, with column a*|F| + y of -L_F,
-    moved to the rows x*|F| + k."""
+
+def _balancing_columns(e: Bimodule, f: Bimodule):
+    """The nonzero columns of the balancing map as ``(j, column)``, in column order, read
+    straight from the nonzero entries of the actions: column j = (x*|A| + a)*|F| + y merges
+    column x*|A| + a of R_E, moved to the rows i*|F| + y, with column a*|F| + y of -L_F,
+    moved to the rows x*|F| + k.  Where e_x.a_a = 0 only the columns with a_a.f_y != 0 come."""
     dA, m = e.algebra.dim, f.dim
     right, left = e.right_action.cols_sparse(), (-f.left_action).cols_sparse()
-    cols = []
+    acting = [[(y, af) for y, af in enumerate(left[a * m : (a + 1) * m]) if af] for a in range(dA)]
     for x in range(e.dim):
         for a in range(dA):
-            r, afs = right[x * dA + a], left[a * m : (a + 1) * m]
+            r, j = right[x * dA + a], (x * dA + a) * m
             if not r:
-                cols += [[(x * m + k, w) for k, w in af] if af else [] for af in afs]
+                for y, af in acting[a]:
+                    yield j + y, [(x * m + k, w) for k, w in af]  # minus e_x (x) a_a.f_y
                 continue
-            for y, af in enumerate(afs):
+            for y, af in enumerate(left[a * m : (a + 1) * m]):
                 col = [(i * m + y, v) for i, v in r]  # e_x.a_a (x) f_y
-                cols.append(_merge(col, [(x * m + k, w) for k, w in af]) if af else col)  # minus e_x (x) a_a.f_y
-    return Mat(e.dim * m, e.dim * dA * m, cols)
+                if af:
+                    col = _merge(col, [(x * m + k, w) for k, w in af])  # minus e_x (x) a_a.f_y
+                if col:
+                    yield j + y, col
 
 
 def _merge(p: list, q: list) -> list:
-    """The sum of two sparse columns, sorted by row with zeros dropped."""
+    """The sum of two sparse columns, sorted by row with zeros dropped (no dict for two entries)."""
+    if len(p) == len(q) == 1:
+        (i, v), (k, w) = p[0], q[0]
+        if i != k:
+            return [p[0], q[0]] if i < k else [q[0], p[0]]
+        s = v + w
+        return [] if s is ZERO else [(i, s)]
     summed = dict(p)
     for i, w in q:
         summed[i] = summed[i] + w if i in summed else w
@@ -224,7 +242,9 @@ def _merge(p: list, q: list) -> list:
 
 
 class TensorPair:
-    """E (x)_A F: quotient bimodule together with project/section matrices."""
+    """E (x)_A F: quotient bimodule together with project/section matrices.  The relations
+    go to ``span`` as they are read from the actions, with no ``balance`` matrix built; the
+    basis is the canonical one whatever the path, so the quotient coordinates do not move."""
 
     def __init__(self, e: Bimodule, f: Bimodule):
         if e.algebra is not f.algebra:
@@ -233,7 +253,7 @@ class TensorPair:
         self.f = f
         A = e.algebra
         dA = A.dim
-        self.relation_mat = span(e.dim * f.dim, balance(e, f).cols_sparse())
+        self.relation_mat = span(e.dim * f.dim, (col for _, col in _balancing_columns(e, f)))
         self.project, self.section = quotient(self.relation_mat)
         # the actions on plain tensors, pushed down: a.(e (x) f) and (e (x) f).a
         lplain = self.project.mul_ikron(1, e.left_action, f.dim)  # Kron(A, E, F) -> quotient

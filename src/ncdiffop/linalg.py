@@ -7,7 +7,10 @@ those nonzeros: an empty column of a product's right factor, or of either
 Kronecker factor, costs one append to the result and no other work.  Row
 reduction has one routine, ``SparseEchelon``, which keeps each reduced row as a
 dict of its nonzeros; ``rref``, ``rank``, ``kernel``, ``inverse`` and ``span``
-all go through it.  Only the PSD certificate works on a dense copy.
+all go through it, ``span`` after it takes each one-entry vector as a
+coordinate kill, a unit pivot row with no echelon step, as sparse direct
+solvers remove singletons (the basis is unique, so it does not change).
+Only the PSD certificate works on a dense copy.
 
 The kernel does not pay for the units or for identity factors:
 
@@ -611,13 +614,30 @@ def span(ambient_dim: int, sparse_vectors: Iterable) -> Mat:
     """The canonical RREF basis of the span of some vectors, one per column in
     pivot order: the first entry of each column is its pivot, equal to 1, and no
     column has an entry in another's pivot row.  A vector is a dict or a list of
-    ``(index, value)`` pairs with no zero value, as a column of a ``Mat``; this is
-    the form :func:`quotient` takes."""
-    ech = SparseEchelon()
+    ``(index, value)`` pairs, as a column of a ``Mat``, a zero value counting as
+    absent; this is the form :func:`quotient` takes.
+
+    A one-entry vector kills its coordinate: its unit row, with no echelon step.  The
+    others lose the killed coordinates and go through ``SparseEchelon``.  Both sets of
+    rows together are fully reduced (a unit row has no entry in another pivot column,
+    a reduced row none in a killed one), so they are the unique basis."""
+    killed, rest = set(), []
     for vec in sparse_vectors:
-        if vec:
-            ech.add_sparse(dict(vec))
-    return Mat(ambient_dim, len(ech.pivot_rows), [sorted(ech.pivot_rows[p].items()) for p in sorted(ech.pivot_rows)])
+        pairs = vec.items() if isinstance(vec, dict) else vec
+        if len(vec) == 1:
+            ((c, v),) = pairs
+            if v is not ZERO:
+                killed.add(c)
+        elif vec:
+            rest.append(pairs)
+    ech = SparseEchelon()
+    for pairs in rest:
+        row = {c: v for c, v in pairs if v is not ZERO and c not in killed}
+        if row:
+            ech.add_sparse(row)
+    cols = {p: sorted(row.items()) for p, row in ech.pivot_rows.items()}
+    cols.update({c: [(c, ONE)] for c in killed})
+    return Mat(ambient_dim, len(cols), [cols[p] for p in sorted(cols)])
 
 
 def kernel(m: Mat) -> Mat:

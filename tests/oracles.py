@@ -22,7 +22,10 @@ rule took the order; and ``SparseEchelon`` back-substitutes by
 scanning every pivot row, as it did before it indexed the columns.  Products,
 Kronecker products, sums and spans are also taken entry by entry on dense
 copies, every product computed, with no unit skipped; the balancing map is
-the Kronecker formula it was before it was read straight from the actions;
+the Kronecker formula it was before it was read straight from the actions,
+and the tensor relations are every generator e.a (x) f - e (x) a.f, reduced
+densely, as before ``span`` took a one-entry relation as a coordinate kill and
+``TensorPair`` read its relations from the nonzero action entries;
 the field-Q literal check walks a document recursively, one call a node; and
 the contraction of a map with one leg of another is ``ikron_mul`` applied to
 the other with its identity Kronecker factor built.

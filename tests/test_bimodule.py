@@ -25,7 +25,7 @@ from ncdiffop.bimodule import (
     intertwining_failure,
     zigzag_failure,
 )
-from ncdiffop.linalg import Mat, inverse, kron_vec, span
+from ncdiffop.linalg import Mat, inverse, kron_vec, quotient, span
 from ncdiffop.report import ValidationError
 from ncdiffop.scalars import ONE, ZERO, sc
 import oracles
@@ -137,6 +137,99 @@ def test_balance_is_the_kronecker_formula_over_gaussian_rationals(two_point_omeg
             assert balance(e, f) == oracles.kron_balance(e, f), (e.name, f.name)
             assert balance(f, e) == oracles.kron_balance(f, e), (f.name, e.name)
     assert TensorPair(twisted, twisted).dim == TensorPair(two_point_omega, two_point_omega).dim
+
+
+@functools.lru_cache(maxsize=None)
+def two_point_forms():
+    from ncdiffop.bundle import load_builtin
+
+    return load_builtin("two-point-universal").geometry.omega
+
+
+TWIST_ENTRIES = st.sampled_from(["0", "1", "-1", "2", "1/2", "i", "1-i"]).map(sc)
+TWIST_PIVOTS = st.sampled_from(["1", "-1", "3", "i", "2+i"]).map(sc)
+
+
+def direct_sum(x: Mat, y: Mat) -> Mat:
+    return Mat.from_rows([list(r) + [ZERO] * y.cols for r in x.data] + [[ZERO] * x.cols + list(r) for r in y.data])
+
+
+@st.composite
+def two_point_bimodules(draw):
+    """A bimodule over the two-point algebra: its 1-forms, the algebra or their direct
+    sum, in some cases in a basis changed by a drawn S = L D U over Q(i) (L and U
+    unitriangular, D an invertible diagonal), and in some cases conjugated.  A twist
+    mixes the basis, so that relations of several entries occur next to the
+    coordinate kills of the untwisted modules."""
+    om = two_point_forms()
+    bases = {"omega": om, "A": algebra_as_bimodule(om.algebra)}
+    base = draw(st.sampled_from(["omega", "A", "sum"]))
+    if base == "sum":
+        blocks = [action_blocks(bases["omega"]), action_blocks(bases["A"])]
+        left, right = ([direct_sum(x, y) for x, y in zip(blocks[0][k], blocks[1][k])] for k in (0, 1))
+    else:
+        left, right = action_blocks(bases[base])
+    n = left[0].rows
+    if draw(st.booleans()):
+        tri = [[ONE if i == j else draw(TWIST_ENTRIES) for j in range(n)] for i in range(n)]
+        lower = Mat.from_rows([[v if i >= j else ZERO for j, v in enumerate(row)] for i, row in enumerate(tri)])
+        upper = Mat.from_rows([[v if i <= j else ZERO for j, v in enumerate(row)] for i, row in enumerate(tri)])
+        s = lower @ Mat.from_entries(n, n, [(i, i, draw(TWIST_PIVOTS)) for i in range(n)]) @ upper
+        s_inv = inverse(s)
+        left, right = ([s @ x @ s_inv for x in blocks] for blocks in (left, right))
+    m = bimodule_from_blocks(om.algebra, n, left, right, base)
+    return conjugate_bimodule(m) if draw(st.booleans()) else m
+
+
+def assert_relations_match_the_dense_span(pair):
+    """The relation basis is the dense span of every generator e.a (x) f - e (x) a.f,
+    and the projection and section are the quotient by it."""
+    e, f = pair.e, pair.f
+    relations = oracles.dense_span(e.dim * f.dim, list(relation_vectors(e, f)))
+    assert pair.relation_mat == relations, (e.name, f.name)
+    assert (pair.project, pair.section) == quotient(relations), (e.name, f.name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=two_point_bimodules(), f=two_point_bimodules())
+def test_tensor_relations_are_the_dense_span_of_the_generators(e, f):
+    assert all(r.ok for r in e.validate())
+    assert_relations_match_the_dense_span(TensorPair(e, f))
+
+
+def test_twisted_tensor_relations_have_several_entries(two_point_omega):
+    """The Q(i) twist of the two-point 1-forms gives relations of several entries,
+    which take the echelon path, next to the coordinate kills."""
+    s, s_inv = Mat.from_rows([["1", "i"], ["0", "1"]]), Mat.from_rows([["1", "-i"], ["0", "1"]])
+    left, right = action_blocks(two_point_omega)
+    twisted = bimodule_from_blocks(
+        two_point_omega.algebra, 2, [s @ x @ s_inv for x in left], [s @ x @ s_inv for x in right], "twisted"
+    )
+    a = algebra_as_bimodule(two_point_omega.algebra)
+    for e, f in ((twisted, twisted), (twisted, a), (conjugate_bimodule(twisted), twisted)):
+        sizes = [len(v) for v in relation_vectors(e, f)]
+        assert max(sizes) > 1 and (1 in sizes or e is not twisted), (e.name, f.name, sizes)
+        assert_relations_match_the_dense_span(TensorPair(e, f))
+
+
+@pytest.mark.parametrize("name", ["two-point-universal", "z3-function-calculus", "zero-form-smoke"])
+def test_tensor_relations_of_every_pair_verify_builds(name, monkeypatch):
+    """Every tensor pair a full verify builds on a built-in bundle has the dense span
+    of its generators as its relations."""
+    from ncdiffop.bundle import load_builtin
+    from ncdiffop.verify import verify_all
+
+    pairs, init = [], TensorPair.__init__
+
+    def recording(self, e, f):
+        init(self, e, f)
+        pairs.append(self)
+
+    monkeypatch.setattr(TensorPair, "__init__", recording)
+    verify_all(load_builtin(name))
+    assert pairs
+    for pair in pairs:
+        assert_relations_match_the_dense_span(pair)
 
 
 def test_tensor_projection_section_contract(two_point_omega):

@@ -770,6 +770,53 @@ def test_echelon_pivot_rows_match_the_scanning_oracle_in_any_order(case):
     assert span(8, cols) == oracles.dense_span(8, cols)
 
 
+@st.composite
+def kill_families(draw):
+    """Q or Q(i) families made mostly of one-entry vectors (coordinate kills), each a
+    dict or a list of pairs: kill values of any size, +-1 in every form among them, a
+    kill repeated with the opposite sign, multi-entry vectors that hold a killed
+    column, all in a drawn order (so some come before the kills and some after),
+    and empty vectors."""
+    kind = draw(st.sampled_from(["rational", "gaussian"]))
+    dim = draw(st.integers(1, 8))
+    units = st.sampled_from(UNIT_FORMS).map(lambda f: f())
+    values = st.one_of(units, entries(kind).map(lambda e: e[1]).filter(bool))
+    killed = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim + 2))
+    vecs = [{c: draw(values)} for c in killed]
+    if draw(st.booleans()):
+        c, v = next(iter(draw(st.sampled_from(vecs)).items()))
+        vecs.append({c: -v})
+    for _ in range(draw(st.integers(0, 3))):
+        cols = draw(st.sets(st.integers(0, dim - 1), min_size=min(2, dim), max_size=4))
+        cols.add(draw(st.sampled_from(killed)))
+        vecs.append({c: draw(values) for c in cols})
+    vecs += [{}] * draw(st.integers(0, 2))
+    vecs = draw(st.permutations(vecs))
+    return dim, [sorted(v.items()) if draw(st.booleans()) else v for v in vecs]
+
+
+@given(kill_families())
+@settings(max_examples=300, deadline=None)
+def test_span_with_coordinate_kills_matches_the_dense_oracle(case):
+    """A one-entry vector kills its coordinate with no echelon step; the basis is
+    still the unique reduced echelon one, every column led by ONE."""
+    dim, vecs = case
+    basis = span(dim, vecs)
+    assert basis == oracles.dense_span(dim, vecs)
+    assert all(col[0][1] is ONE for col in basis.cols_sparse())
+    read_back(basis)
+
+
+def test_span_treats_a_zero_value_as_absent():
+    """A one-entry vector with a zero value kills nothing, and no zero is stored."""
+    assert span(3, [[(1, ZERO)]]) == Mat.zeros(3, 0)
+    assert span(3, [{1: sc("0/5")}, [(0, ONE), (1, sc(2))]]).cols_sparse() == [[(0, ONE), (1, sc(2))]]
+    basis = span(3, [[(0, ONE), (2, ZERO)]])
+    assert basis.cols_sparse() == [[(0, ONE)]]
+    read_back(basis)
+    assert span(3, [{0: sc(2), 2: ONE - ONE}, [(1, sc(3))]]) == Mat.from_cols([[1, 0, 0], [0, 1, 0]], 3)
+
+
 # -- graded maps against the per-degree dicts of matrices they replaced ----------
 
 
