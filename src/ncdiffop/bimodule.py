@@ -23,7 +23,10 @@ columns of a ``Mat``: the relation span (``TensorPair.relation_mat``, the
 ``span`` of the balancing map's nonzero columns, most of them coordinate
 kills) and the dual of a module (the ``kernel`` of right-linearity).  Quotient
 coordinates are the non-pivot coordinates of that basis, so every derived
-object is reproducible.  Operators
+object is reproducible, and a quotient depends only on the factors'
+dimensions and action matrices: ``Geometry.pair`` builds one per such content
+and hands it to a later pair of equal content ``over`` that pair's own factors,
+so the induced-action check runs once per content.  Operators
 that are only well defined as sums follow one discipline throughout: build
 the map on the plain tensor space, check with ``TensorPair.descends`` that it
 kills the relation span, then compose with ``TensorPair.section``.
@@ -47,6 +50,7 @@ terms of these two.
 
 from __future__ import annotations
 
+import copy
 from math import isqrt
 from typing import Optional
 
@@ -208,23 +212,30 @@ def _balancing_columns(e: Bimodule, f: Bimodule):
     """The nonzero columns of the balancing map as ``(j, column)``, in column order, read
     straight from the nonzero entries of the actions: column j = (x*|A| + a)*|F| + y merges
     column x*|A| + a of R_E, moved to the rows i*|F| + y, with column a*|F| + y of -L_F,
-    moved to the rows x*|F| + k.  Where e_x.a_a = 0 only the columns with a_a.f_y != 0 come."""
+    moved to the rows x*|F| + k.  Only the nonzero entries of L_F are negated, once a call.
+    Where e_x.a_a = 0 only the columns with a_a.f_y != 0 come, and where e_x.a_a = c e_x and
+    a_a.f_y = c f_y the column cancels and does not come: no other column can cancel."""
     dA, m = e.algebra.dim, f.dim
-    right, left = e.right_action.cols_sparse(), (-f.left_action).cols_sparse()
-    acting = [[(y, af) for y, af in enumerate(left[a * m : (a + 1) * m]) if af] for a in range(dA)]
+    right, left = e.right_action.cols_sparse(), f.left_action.cols_sparse()
+    # minus a_a.f_y, as {y: column} over the nonzero a_a.f_y
+    acting = [{y: [(k, -w) for k, w in af] for y, af in enumerate(left[a * m : (a + 1) * m]) if af} for a in range(dA)]
     for x in range(e.dim):
         for a in range(dA):
-            r, j = right[x * dA + a], (x * dA + a) * m
+            r, j, minus = right[x * dA + a], (x * dA + a) * m, acting[a]
             if not r:
-                for y, af in acting[a]:
+                for y, af in minus.items():
                     yield j + y, [(x * m + k, w) for k, w in af]  # minus e_x (x) a_a.f_y
                 continue
-            for y, af in enumerate(left[a * m : (a + 1) * m]):
+            # e_x.a_a = c e_x cancels against a_a.f_y = c f_y, that is against minus [(y, -c)]
+            cancel = -r[0][1] if len(r) == 1 and r[0][0] == x else None
+            for y in range(m):
                 col = [(i * m + y, v) for i, v in r]  # e_x.a_a (x) f_y
+                af = minus.get(y)
                 if af:
+                    if cancel is not None and len(af) == 1 and af[0][0] == y and af[0][1] == cancel:
+                        continue
                     col = _merge(col, [(x * m + k, w) for k, w in af])  # minus e_x (x) a_a.f_y
-                if col:
-                    yield j + y, col
+                yield j + y, col
 
 
 def _merge(p: list, q: list) -> list:
@@ -244,7 +255,14 @@ def _merge(p: list, q: list) -> list:
 class TensorPair:
     """E (x)_A F: quotient bimodule together with project/section matrices.  The relations
     go to ``span`` as they are read from the actions, with no ``balance`` matrix built; the
-    basis is the canonical one whatever the path, so the quotient coordinates do not move."""
+    basis is the canonical one whatever the path, so the quotient coordinates do not move.
+
+    Everything but the factors and the name of ``space`` depends only on the factors'
+    dimensions and action matrices, so a pair whose factors carry the same actions as
+    another's is that pair ``over`` its own factors.  ``Geometry.pair`` keeps one built
+    pair per content (|E|, |F|, L_E, R_E, L_F, R_F), and only one that passed the
+    induced-action check below, so that check runs once per content and a pair that
+    fails it raises under its own name."""
 
     def __init__(self, e: Bimodule, f: Bimodule):
         if e.algebra is not f.algebra:
@@ -259,7 +277,7 @@ class TensorPair:
         lplain = self.project.mul_ikron(1, e.left_action, f.dim)  # Kron(A, E, F) -> quotient
         rplain = self.project.mul_ikron(e.dim, f.right_action, 1)  # Kron(E, F, A) -> quotient
         left, right = lplain.mul_ikron(dA, self.section, 1), rplain.mul_ikron(1, self.section, dA)
-        self.space = Bimodule(A, self.project.rows, left, right, f"({e.name}(x){f.name})")
+        self.space = Bimodule(A, self.project.rows, left, right, _tensor_name(e, f))
         # the induced actions are well defined: they kill the relation span
         rels = self.relation_mat
         on_left = lplain.mul_ikron(dA, rels, 1)  # Kron(A, relations)
@@ -268,6 +286,15 @@ class TensorPair:
             zero = Mat.zeros(self.space.dim, dA * rels.cols)
             side, i = _first_action_failure((on_left, zero), (on_right, zero), dA, rels.cols)
             raise ValidationError(f"tensor-{side}-action", witness=(self.space.name, i))
+
+    def over(self, e: Bimodule, f: Bimodule) -> "TensorPair":
+        """This quotient as E (x)_A F for factors e and f that carry the same actions as
+        this pair's: the relations, projection, section and induced actions are shared, and
+        the factors and the name of the space are e's and f's."""
+        pair, space = copy.copy(self), self.space
+        pair.e, pair.f = e, f
+        pair.space = Bimodule(e.algebra, space.dim, space.left_action, space.right_action, _tensor_name(e, f))
+        return pair
 
     @property
     def dim(self) -> int:
@@ -282,6 +309,10 @@ class TensorPair:
         if not self.descends(plain_map):
             raise ValidationError(f"{name}-not-well-defined", witness=self.space.name)
         return plain_map @ self.section
+
+
+def _tensor_name(e: Bimodule, f: Bimodule) -> str:
+    return f"({e.name}(x){f.name})"
 
 
 # -- conjugate bimodules --------------------------------------------------------

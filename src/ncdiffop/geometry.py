@@ -35,6 +35,13 @@ class DualityFailure(ValidationError):
     pass
 
 
+def _content(e: Bimodule, f: Bimodule) -> tuple:
+    """All that E (x)_A F is built from but the factors' names: their algebras, |E|, |F|,
+    and L_E, R_E, L_F and R_F as tuples of columns."""
+    actions = (e.left_action, e.right_action, f.left_action, f.right_action)
+    return (e.algebra, f.algebra, e.dim, f.dim) + tuple(tuple(map(tuple, m.cols_sparse())) for m in actions)
+
+
 class Geometry:
     """Everything derived from (A, Omega1, d, dual basis, box, sigma-inverse)."""
 
@@ -64,6 +71,8 @@ class Geometry:
         self.fgp: FGPStructure = dualize_right_module(omega, dual_basis_forms, dual_basis_functionals)
         self.vec = self.fgp.dual
         self.coev_one = self.fgp.coev_one  # coev(1), plain
+        dual_basis_pairs = (self.fgp.pair_dual_module, self.fgp.pair_module_dual)
+        self._pairs_by_content = {_content(p.e, p.f): p for p in dual_basis_pairs}
 
         self.W2 = self.pair(omega, omega)
         if box_plain.rows != omega.dim * omega.dim or box_plain.cols != omega.dim:
@@ -89,11 +98,16 @@ class Geometry:
 
     @memo
     def pair(self, e: Bimodule, f: Bimodule) -> TensorPair:
-        if e is self.vec and f is self.omega:
-            return self.fgp.pair_dual_module
-        if e is self.omega and f is self.vec:
-            return self.fgp.pair_module_dual
-        return TensorPair(e, f)
+        """E (x)_A F, once per pair of factors.  Factors that are new objects may carry the
+        actions of factors met before (E (x)_A A and A (x)_A E carry E's), so a pair is also
+        kept by its content (``_content``), the two dual-basis pairs among them, and a later
+        pair of that content is the built one ``over`` its own factors.  A pair that fails
+        the induced-action check raises and is not kept, so that check runs once per content."""
+        key = _content(e, f)
+        built = self._pairs_by_content.get(key)
+        if built is None:
+            built = self._pairs_by_content[key] = TensorPair(e, f)
+        return built if built.e is e and built.f is f else built.over(e, f)
 
     # -- validation of the raw inputs ---------------------------------------
 

@@ -15,15 +15,17 @@ Only the PSD certificate works on a dense copy.
 The kernel does not pay for the units or for identity factors:
 
 * a product with ``ONE`` on either side is the other factor, in ``@`` (and so
-  in ``mul_ikron`` and ``ikron_mul``), ``kron``, ``kron_cols`` and row
-  reduction; in the first three a product with ``NEG_ONE`` on either side is
-  the other factor's negation.  Scalars are canonical (``scalars``), so every
-  zero is ``ZERO`` and every unit one of the two objects: each of these tests
-  is an identity test;
+  in ``ikron_mul``), ``mul_ikron``, ``kron``, ``kron_cols`` and row
+  reduction; in all but row reduction a product with ``NEG_ONE`` on either
+  side is the other factor's negation.  Scalars are canonical (``scalars``),
+  so every zero is ``ZERO`` and every unit one of the two objects: each of
+  these tests is an identity test;
 * identity factors are applied, not built: ``A.mul_ikron(n, X, m)`` is
-  ``A @ (I_n (x) X (x) I_m)``, products of strided column slices of A with X,
-  and ``ikron_mul(n, X, m, B)`` is ``(I_n (x) X (x) I_m) @ B``, B's rows
-  relabelled through X.  By the mixed-product rule an identity factor only
+  ``A @ (I_n (x) X (x) I_m)``, one scatter of A's nonempty columns through
+  X's rows, so it pays for nonzeros and not for output columns, which in
+  these products are mostly empty (hypersparse, as in Buluc and Gilbert,
+  IPDPS 2008); ``ikron_mul(n, X, m, B)`` is ``(I_n (x) X (x) I_m) @ B``, B's
+  rows relabelled through X.  By the mixed-product rule an identity factor only
   relabels rows and columns.  When both factors of a product carry one, as in
   the evaluation and coevaluation contractions ``(ev (x) id)(id (x) x)`` and
   ``(id (x) ev)(x (x) id)``, ``contract(X, m, n, y)`` is
@@ -184,25 +186,59 @@ class Mat:
     def mul_ikron(self, n: int, x: "Mat", m: int) -> "Mat":
         """``self @ (I_n (x) x (x) I_m)`` without building the Kronecker factor.
 
-        Output column ``(i*q + l)*m + k`` gathers column ``l`` of x from the
-        columns ``(i*p + j)*m + k`` of self, so each (i, k) block is one product
-        of a strided column slice of self with x (x is p x q)."""
+        One scatter over the nonzeros (x is p x q), x's indexed by row once: the
+        nonempty column ``(i*p + j)*m + k`` of self, times x[j, l], goes to output
+        column ``(i*q + l)*m + k`` for each nonzero x[j, l] of row j, so an empty
+        column of self, or of the product, costs nothing beyond its share of one list.
+        A column that takes one ``ONE`` term is self's column itself; one that
+        takes a second term is summed in a dict of its own, never in place, and
+        its zero sums are dropped.  With no identity factor (n = m = 1) it is
+        ``self @ x``."""
         p, q = x.rows, x.cols
         if self.cols != n * p * m:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ (I_{n} (x) {p}x{q} (x) I_{m})")
         if n == m == 1:
             return self @ x
-        acols, xcols = self._cols_sparse, x._cols_sparse
-        if m == 1:
-            out = []
-            for i in range(n):
-                out += _gather(acols[i * p : (i + 1) * p], xcols)
-        else:
-            out = [None] * (n * q * m)
-            for i in range(n):
-                for k in range(m):
-                    block = acols[i * p * m + k : (i + 1) * p * m : m]
-                    out[i * q * m + k : (i + 1) * q * m : m] = _gather(block, xcols)
+        xrows: dict[int, list] = {}  # the nonempty rows of x: j -> [(l*m, x[j, l])]
+        for l, col in enumerate(x._cols_sparse):
+            for j, v in col:
+                if j in xrows:
+                    xrows[j].append((l * m, v))
+                else:
+                    xrows[j] = [(l * m, v)]
+        empty = []
+        out = [empty] * (n * q * m)
+        sums: dict[int, dict[int, Scalar]] = {}  # the output columns two or more terms land in
+        pm, qm = p * m, q * m
+        for i in range(n):
+            for jk, col in enumerate(self._cols_sparse[i * pm : (i + 1) * pm]):
+                if not col:
+                    continue
+                j, k = divmod(jk, m)
+                if j not in xrows:
+                    continue
+                base = i * qm + k
+                for lm, v in xrows[j]:
+                    t = base + lm
+                    prev = out[t]
+                    if prev is empty:
+                        out[t] = (
+                            col
+                            if v is ONE
+                            else [(r, -a) for r, a in col]
+                            if v is NEG_ONE
+                            else [(r, v if a is ONE else -v if a is NEG_ONE else a * v) for r, a in col]
+                        )
+                        continue
+                    acc = sums.get(t)
+                    if acc is None:
+                        acc = sums[t] = dict(prev)
+                    for r, a in col:
+                        a = a if v is ONE else -a if v is NEG_ONE else v if a is ONE else -v if a is NEG_ONE else a * v
+                        s = acc.get(r)
+                        acc[r] = a if s is None else s + a
+        for t, acc in sums.items():
+            out[t] = [(r, s) for r, s in sorted(acc.items()) if s is not ZERO]
         return Mat(self.rows, n * q * m, out)
 
     def transpose(self) -> "Mat":

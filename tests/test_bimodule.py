@@ -214,22 +214,60 @@ def test_twisted_tensor_relations_have_several_entries(two_point_omega):
 
 @pytest.mark.parametrize("name", ["two-point-universal", "z3-function-calculus", "zero-form-smoke"])
 def test_tensor_relations_of_every_pair_verify_builds(name, monkeypatch):
-    """Every tensor pair a full verify builds on a built-in bundle has the dense span
-    of its generators as its relations."""
+    """Every tensor pair a full verify builds or shares on a built-in bundle has the dense
+    span of its generators as its relations, and every pair ``Geometry.pair`` returns,
+    built or shared by content, is the pair built afresh on its own factors."""
     from ncdiffop.bundle import load_builtin
+    from ncdiffop.geometry import Geometry
     from ncdiffop.verify import verify_all
 
-    pairs, init = [], TensorPair.__init__
+    built, returned, init, pair = [], [], TensorPair.__init__, Geometry.pair
 
     def recording(self, e, f):
         init(self, e, f)
-        pairs.append(self)
+        built.append(self)
+
+    def returning(self, e, f):
+        out = pair(self, e, f)
+        returned.append((e, f, out))
+        return out
 
     monkeypatch.setattr(TensorPair, "__init__", recording)
+    monkeypatch.setattr(Geometry, "pair", returning)
     verify_all(load_builtin(name))
-    assert pairs
-    for pair in pairs:
-        assert_relations_match_the_dense_span(pair)
+    monkeypatch.undo()
+    assert built
+    for p in built:
+        assert_relations_match_the_dense_span(p)
+    for e, f, p in {id(p): (e, f, p) for e, f, p in returned}.values():
+        fresh = TensorPair(e, f)
+        assert p.e is e and p.f is f
+        assert (p.relation_mat, p.project, p.section) == (fresh.relation_mat, fresh.project, fresh.section)
+        assert (p.space.left_action, p.space.right_action) == (fresh.space.left_action, fresh.space.right_action)
+        assert p.space.name == fresh.space.name and p.space.dim == fresh.space.dim
+        assert_relations_match_the_dense_span(p)
+    if name == "z3-function-calculus":  # E (x)_A A and A (x)_A E carry E's actions: some pairs are shared
+        assert len({id(p) for _, _, p in returned} - {id(p) for p in built}) > 0
+
+
+def test_equal_content_pairs_that_fail_raise_under_their_own_names():
+    """A pair that fails the induced-action check is not kept by content: a second pair of
+    the same content checks again and raises with its own space's name."""
+    from ncdiffop.bundle import load_builtin
+
+    g = load_builtin("z3-function-calculus").geometry
+    left, right = action_blocks(g.omega)
+    left[1] = left[1] + Mat.from_entries(left[1].rows, left[1].cols, [(0, 1, ONE)])
+    witnesses = []
+    for name in ("e1", "e2"):
+        e = bimodule_from_blocks(g.algebra, g.omega.dim, left, right, name)
+        with pytest.raises(ValidationError) as err:
+            g.pair(e, g.vec)
+        witnesses.append((err.value.name, err.value.witness))
+    assert witnesses == [
+        ("tensor-left-action", ("(e1(x)dual(omega1))", 1)),
+        ("tensor-left-action", ("(e2(x)dual(omega1))", 1)),
+    ]
 
 
 def test_tensor_projection_section_contract(two_point_omega):

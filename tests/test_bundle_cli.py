@@ -749,6 +749,11 @@ PINNED_BODIES = [
         ["z3-function-calculus", "--suites", "theta,centre"],
         "7481f8357ad392c5178c6996ae7a7614fe53d010afb85d09ecf50d4c9917fc17",
     ),
+    # the only pin above degree 6: its 112 tensor pairs have 5 action contents, so most are shared
+    (
+        ["two-point-universal", "--suites", "theta,centre", "--degree", "8"],
+        "811801f005438b24c01144565a43eaa77bf27e5c6fbc489e02217c77c54555b6",
+    ),
 ]
 
 
@@ -763,6 +768,7 @@ PINNED_BODIES = [
         "z3-centre-deg1",
         "z3-action",
         "z3-theta-centre",
+        "two-point-theta-centre-deg8",
     ],
 )
 def test_cli_verify_body_digest_pinned(capsys, args, digest):

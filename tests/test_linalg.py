@@ -362,6 +362,75 @@ def test_identity_kron_kernels_match_the_built_factor(case):
         ikron_mul(n, x, m, Mat.zeros(b.rows + 1, b.cols))
 
 
+# ``mul_ikron`` scatters each nonempty column of self to the output columns its x row
+# reaches: the cases below pin where that differs from a column-by-column product
+
+
+def assert_mul_ikron_matches_the_oracle(a, n, x, m):
+    out = a.mul_ikron(n, x, m)
+    assert out == oracles.matmul(a, oracles.ikron(n, x, m))
+    read_back(out)
+    return out
+
+
+def test_mul_ikron_drops_terms_that_cancel():
+    # n = 2, m = 2: output column (i*1 + 0)*2 + k sums self columns (i*2 + 0)*2 + k and (i*2 + 1)*2 + k
+    a = Mat.from_cols([[2, 1], [3, 0], [2, 1], [5, 0], [0, 4], [0, 1], [1, 4], [0, 1]])
+    x = Mat.from_cols([[1, -1]])
+    out = assert_mul_ikron_matches_the_oracle(a, 2, x, 2)
+    assert out.cols_sparse() == [[], [(0, sc(-2))], [(0, NEG_ONE)], []]
+
+
+def test_mul_ikron_sums_unit_and_non_unit_terms_in_one_column():
+    # the ONE, NEG_ONE and 2/3 terms of x's one column land in output column i, in every order
+    x = Mat.from_cols([[1, -1, "2/3"]])
+    a = Mat.from_cols([[1, 2], [0, 5], [3, 0], [0, "3/2"], [1, 0], ["3/2", "3/4"]])
+    out = assert_mul_ikron_matches_the_oracle(a, 2, x, 1)
+    assert out.cols_sparse() == [[(0, sc(3)), (1, sc(-3))], [(1, sc(2))]]
+    for order in ([2, 0, 1], [1, 2, 0]):  # the same terms, a non-unit or NEG_ONE one landing first
+        xp = Mat.from_cols([[x.column(0)[j] for j in order]])
+        ap = Mat(a.rows, a.cols, [a.cols_sparse()[i * 3 + j] for i in range(2) for j in order])
+        assert ap.mul_ikron(2, xp, 1) == out
+
+
+def test_mul_ikron_with_empty_rows_of_x_and_empty_columns_of_self():
+    # row 1 of x is empty, so self's columns j = 1 reach nothing; self's empty columns reach nothing either
+    x = Mat.from_cols([[1, 0, 2], [0, 0, -1], [3, 0, 0]])
+    a = Mat(2, 3 * 3, [[(0, ONE)], [(1, sc(7))], [], [], [(0, ONE), (1, ONE)], [], [(1, sc(5))], [], []])
+    out = assert_mul_ikron_matches_the_oracle(a, 1, x, 3)
+    assert (out.rows, out.cols) == (2, 9)
+    assert [bool(col) for col in out.cols_sparse()] == [True, True, False, True, False, False, True, True, False]
+
+
+@pytest.mark.parametrize("n,m", [(0, 3), (2, 0), (0, 0)])
+def test_mul_ikron_with_a_zero_identity_leg(n, m):
+    x = Mat.from_cols([[1, 2], [0, -1], [3, 0]])  # 2 x 3
+    out = assert_mul_ikron_matches_the_oracle(Mat.zeros(4, 0), n, x, m)
+    assert (out.rows, out.cols) == (4, 0)
+    with pytest.raises(ValueError):
+        Mat.zeros(4, 1).mul_ikron(n, x, m)
+
+
+def test_mul_ikron_shares_the_column_of_a_lone_one_term():
+    a = Mat.from_cols([[1, 2], [0, 3], [4, 0], [0, 0]])
+    x = Mat.from_cols([[1, 0], [0, 0], [0, -1]])  # 2 x 3
+    out = assert_mul_ikron_matches_the_oracle(a, 2, x, 1)
+    assert out.cols_sparse()[0] is a.cols_sparse()[0]  # x[0, 0] = 1 alone
+    assert out.cols_sparse()[3] is a.cols_sparse()[2]
+    assert out.cols_sparse()[5] is not a.cols_sparse()[3]  # -1: a column of its own
+
+
+def test_mul_ikron_leaves_a_shared_column_alone_when_a_second_term_lands():
+    # in each block i, x[0, 0] = 1 lands first and shares self's column 2i; x[1, 0] then adds column 2i + 1
+    a = Mat.from_cols([[1, 2, 0], [0, -2, 5], [0, 0, 1], [3, 0, 0]])
+    before = [list(col) for col in a.cols_sparse()]
+    shared = [a.cols_sparse()[0], a.cols_sparse()[2]]
+    out = assert_mul_ikron_matches_the_oracle(a, 2, Mat.from_cols([[1, 1]]), 1)
+    assert out.cols_sparse() == [[(0, ONE), (2, sc(5))], [(0, sc(3)), (2, ONE)]]
+    assert a.cols_sparse() == before and [a.cols_sparse()[0], a.cols_sparse()[2]] == shared
+    assert all(col is not old for col, old in zip(out.cols_sparse(), shared))
+
+
 @st.composite
 def contract_cases(draw):
     """x and y sharing a contracted leg of size w, beside identity factors I_n and
