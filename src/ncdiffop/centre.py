@@ -3,7 +3,10 @@
 A candidate is an object X with a crossing family phi_E for every test object
 E.  The axiom schedule lives here; the category-specific linear algebra lives
 in adapters (one for modules over the operator algebra's base, one for Hopf
-module categories), so the two verification paths stay independent.
+module categories), so the two verification paths stay independent.  Both
+adapters state each axiom as one identity between sparse action matrices and
+report, when it fails, the first basis tuple where it does as its witness; on
+group-algebra modules the centre is the classical Drinfeld centre of H-mod.
 """
 
 from __future__ import annotations

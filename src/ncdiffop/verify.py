@@ -463,6 +463,8 @@ def verify_all(bundle: Bundle, suites=None, degree: Optional[int] = None, seed: 
         if s not in SUITES:
             raise UnknownSuite(f"unknown suite {s!r}; available: {', '.join(SUITE_NAMES)}")
     degree = degree if degree is not None else bundle.truncation
+    if type(degree) is not int or degree < 0:  # the loader's rule for truncation_degree
+        raise ValueError(f"degree: expected a non-negative integer, got {degree!r}")
     ctx = VerifyContext(bundle, degree, seed)
     report = Report(bundle, degree, seed)
     for name in sorted(selected):

@@ -32,6 +32,10 @@ the other with its identity Kronecker factor built.
 An inner product is evaluated on two dense coordinate lists, and the iterated
 Sobolev pairings pair every two columns of nabla^n that way, as the library
 did before it applied the pairing's matrix to nabla^n one leg at a time.
+A module over a group algebra is read as the matrix of each group element, the
+blocks of its action, and the Hopf centre axioms are checked one group element
+at a time, the group's identity and inverses searched through its ``mult``, as
+the Hopf path did before it stated each axiom as one identity of action matrices.
 """
 
 import random
@@ -631,6 +635,116 @@ class SparseEchelon:
                     if not existing[cc]:
                         del existing[cc]
         self.pivot_rows[p] = row
+
+
+# -- the Hopf cross-check, one group element at a time ------------------------------
+
+
+class HopfTable:
+    """A group's product and inverse by index, and its identity, searched through
+    ``Group.mult`` as the Hopf path did before it read the group into one matrix."""
+
+    def __init__(self, group):
+        els, mult = group.elements, group.mult
+        self.elements, self.mult, self.order = els, mult, len(els)
+        self.index = {e: i for i, e in enumerate(els)}
+        self.identity = next(e for e in els if all(mult(e, g) == g and mult(g, e) == g for g in els))
+        self.inv = {e: next(f for f in els if mult(e, f) == self.identity == mult(f, e)) for e in els}
+
+    def imul(self, i: int, j: int) -> int:
+        return self.index[self.mult(self.elements[i], self.elements[j])]
+
+    def iinv(self, i: int) -> int:
+        return self.index[self.inv[self.elements[i]]]
+
+
+def hopf_mats(module) -> list:
+    """The matrix of each g_i on a Hopf module: block i of its action."""
+    d, cols = module.dim, module.action.cols_sparse()
+    return [Mat(d, d, cols[i * d : (i + 1) * d]) for i in range(module.group.order)]
+
+
+def hopf_failing_pairs(g: HopfTable, mats) -> list:
+    """Every (i, j) with g_i g_j acting otherwise than g_i then g_j, in order."""
+    n = g.order
+    return [(i, j) for i in range(n) for j in range(n) if mats[i] @ mats[j] != mats[g.imul(i, j)]]
+
+
+def hopf_validate(g: HopfTable, mats, name: str) -> list:
+    """The representation and identity checks, the representation's witness the
+    last failing pair, as the double loop reported it."""
+    pairs = hopf_failing_pairs(g, mats)
+    ident_ok = mats[g.index[g.identity]] == Mat.identity(mats[0].rows)
+    return [
+        CheckResult(f"{name}:representation", not pairs, witness=pairs[-1] if pairs else None),
+        CheckResult(f"{name}:identity", ident_ok),
+    ]
+
+
+def hopf_phi(g: HopfTable, mats) -> Mat:
+    """phi_V(g (x) v) = g.v (x) g, entry by entry."""
+    n, dv = g.order, mats[0].rows
+    entries = (
+        (k * n + i, i * dv + j, v) for i in range(n) for j, col in enumerate(mats[i].cols_sparse()) for k, v in col
+    )
+    return Mat.from_entries(dv * n, n * dv, entries)
+
+
+def hopf_phi_inverse(g: HopfTable, mats) -> Mat:
+    """phi_V^{-1}(v (x) h) = h (x) h^{-1}.v, entry by entry."""
+    n, dv = g.order, mats[0].rows
+    entries = (
+        (i * dv + k, j * n + i, v)
+        for i in range(n)
+        for j, col in enumerate(mats[g.iinv(i)].cols_sparse())
+        for k, v in col
+    )
+    return Mat.from_entries(n * dv, dv * n, entries)
+
+
+def hopf_centre_checks(cand) -> list:
+    """``verify_centre(cand)`` as the Hopf path ran it one group element at a time,
+    on the blocks of the candidate's module actions and of its adjoint action."""
+    g = HopfTable(cand.group)
+    n, names = g.order, cand.object_names()
+    mods = {name: hopf_mats(cand.module(name)) for name in names}
+    adj = hopf_mats(cand.adjoint)
+    dim = {name: m[0].rows for name, m in mods.items()}
+    out = [CheckResult("hopf-unit-object", hopf_phi(g, [Mat.identity(1)] * n) == Mat.identity(n))]
+    for obj in names:
+        v, phi = mods[obj], hopf_phi(g, mods[obj])
+        fail = next(((obj, i) for i in range(n) if phi @ adj[i].kron(v[i]) != v[i].kron(adj[i]) @ phi), None)
+        out.append(CheckResult(f"hopf-morphism-{obj}", fail is None, witness=fail))
+    for a in names:
+        for b in names:
+            lhs = hopf_phi(g, [x.kron(y) for x, y in zip(mods[a], mods[b])])
+            rhs = contract(hopf_phi(g, mods[b]), dim[a], dim[b], hopf_phi(g, mods[a]), mirror=True)
+            out.append(CheckResult(f"hopf-tensor-compat-{a}-{b}", lhs == rhs))
+    for obj in names:
+        phi, formula = hopf_phi(g, mods[obj]), hopf_phi_inverse(g, mods[obj])
+        ok = phi @ formula == Mat.identity(phi.rows) and formula @ phi == Mat.identity(phi.cols)
+        out.append(CheckResult(f"hopf-inverse-{obj}", ok and formula == inverse(phi)))
+    mu = Mat.from_entries(n, n * n, ((g.imul(i, j), i * n + j, ONE) for i in range(n) for j in range(n)))
+    fail = next((i for i in range(n) if mu @ adj[i].kron(adj[i]) != adj[i] @ mu), None)
+    out.append(CheckResult("hopf-product-morphism", fail is None, witness=fail))
+    for obj in names:
+        phi = hopf_phi(g, mods[obj])
+        lhs = phi @ ikron(1, mu, dim[obj])
+        rhs = ikron_mul(dim[obj], mu, 1, contract(phi, n, n, phi))
+        out.append(CheckResult(f"hopf-algebra-in-centre-{obj}", lhs == rhs))
+    if "regular" in mods and "trivial" in mods:
+        triv, reg = mods["trivial"], mods["regular"]
+        maps = (("symmetrizer", Mat.from_cols([[ONE] * n]), triv, reg), ("sum", Mat.from_rows([[ONE] * n]), reg, triv))
+        for name, f, src, dst in maps:
+            linear = all(dst[i] @ f == f @ src[i] for i in range(n))
+            nat = ikron_mul(1, f, n, hopf_phi(g, src)) == hopf_phi(g, dst) @ ikron(n, f, 1)
+            out.append(CheckResult(f"hopf-naturality-{name}", linear and nat))
+    for obj in names:
+        out += hopf_validate(g, mods[obj], cand.module(obj).name)
+    out += hopf_validate(g, adj, cand.adjoint.name)
+    e = g.index[g.identity]
+    ok = all(mat.column(e) == Mat.identity(n).column(e) for mat in adj)
+    return out + [CheckResult("hopf-unit-element-invariant", ok)]
 
 
 # -- the field-Q literal check, one call a node ----------------------------------

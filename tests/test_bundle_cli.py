@@ -564,6 +564,20 @@ def test_verify_all_empty_suite_selection_is_an_error():
     assert sorted(verify_all(bundle, suites=None).suites) == sorted(SUITE_NAMES)
 
 
+@pytest.mark.parametrize(
+    "suites, degree",
+    [(None, -1), (["bullet"], -1), (["sobolev"], -1), (["hopf"], -1), (None, True), (None, 1.0), (None, "2")],
+)
+def test_verify_all_rejects_a_degree_that_is_not_a_non_negative_int(suites, degree):
+    # the library twin of the CLI rule, as the loader's rule for truncation_degree: no
+    # suite runs on such a degree, whether it would recurse or check nothing
+    from ncdiffop.verify import verify_all
+
+    with pytest.raises(ValueError) as err:
+        verify_all(load_builtin("zero-form-smoke"), suites=suites, degree=degree)
+    assert str(err.value) == f"degree: expected a non-negative integer, got {degree!r}"
+
+
 def test_cli_verify_negative_degree_is_input_error(capsys):
     assert main(["verify", "two-point-universal", "--degree", "-1"]) == 2
     captured = capsys.readouterr()

@@ -56,7 +56,8 @@ def test_hopf_detects_broken_phi():
     # corrupt the regular representation: no longer a module, morphism fails
     g = cyclic_group(2)
     reg = regular_module(g)
-    reg.mats[1] = Mat.from_rows([[1, 1], [0, 1]])  # squares to a shear, not the identity
+    shear = Mat.from_rows([[1, 1], [0, 1]])  # squares to a shear, not the identity
+    reg.action = Mat(2, 4, reg.action.cols_sparse()[:2] + shear.cols_sparse())  # the g_1 columns
     cand = HopfCentreCandidate(g, {"trivial": hopf_trivial(g), "regular": reg})
     results = verify_centre(cand)
     assert any(not r.ok for r in results)

@@ -1,8 +1,8 @@
 """The package works on sparse ``Mat``s only: no module but the CLI applies a
 matrix to a dense coordinate list, and none brings back the dense algebra
 helpers, the per-element action lists (``M.left[i]``, ``M.right[i]``,
-``A.left_mult``, ``A.right_mult``) or the braiding-invertibility option that
-the sparse identities replaced.  No product builds an identity Kronecker
+``A.left_mult``, ``A.right_mult``, a Hopf module's ``.mats``) or the
+braiding-invertibility option that the sparse identities replaced.  No product builds an identity Kronecker
 factor: ``A @ (I (x) X (x) I)`` and ``(I (x) X (x) I) @ B`` go through
 ``Mat.mul_ikron`` and ``linalg.ikron_mul``, which apply it without building it,
 and neither kernel is handed one as an operand: the contractions
@@ -10,7 +10,7 @@ and neither kernel is handed one as an operand: the contractions
 
 Dense coordinate lists appear only where the CLI reads an element from the
 command line and prints one.  A bimodule holds each action once, as one
-matrix.  A map between graded sums is one ``linalg.Graded``: no module brings
+matrix, and so does a module over a group algebra.  A map between graded sums is one ``linalg.Graded``: no module brings
 back the per-degree dicts of matrices it replaced, their pairwise sum
 (``_add``), their stacking (``_stacked``, ``_stacking``), their witness rule
 by first index (``_first_by_block``) or a ``first_mismatch`` on dicts.  An
@@ -47,12 +47,13 @@ RETIRED = {
     "of_elements",
 }
 ACTION_LISTS = {"left", "right"}
+PER_ELEMENT_LISTS = {"mats"}
 APPLY_ALLOWED = {"cli.py"}
 
 
 def dense_layer_uses(source: str, allow_apply: bool = False) -> list[str]:
-    """Each definition or use of a retired name, each ``.apply(`` call and each
-    subscript of a ``.left`` or ``.right`` attribute."""
+    """Each definition or use of a retired name, each ``.apply(`` call, each
+    subscript of a ``.left`` or ``.right`` attribute and each ``.mats`` attribute."""
     found = []
     for node in ast.walk(ast.parse(source)):
         names = []
@@ -75,6 +76,8 @@ def dense_layer_uses(source: str, allow_apply: bool = False) -> list[str]:
         target = node.value if isinstance(node, ast.Subscript) else None
         if isinstance(target, ast.Attribute) and target.attr in ACTION_LISTS:
             found.append(f".{target.attr}[ (line {node.lineno})")
+        if isinstance(node, ast.Attribute) and node.attr in PER_ELEMENT_LISTS:
+            found.append(f".{node.attr} (line {node.lineno})")
     return sorted(found)
 
 
@@ -254,6 +257,18 @@ def test_action_list_use_is_found():
         "left_mult (line 3)",
         "right_mult (line 3)",
     ]
+
+
+def test_per_element_action_list_use_is_found():
+    source = (
+        "class HModule:\n"
+        "    def __init__(self, group, mats):\n"
+        "        self.mats = mats\n"
+        "def f(v, i):\n"
+        "    return v.mats[i] @ v.action, [m.kron(m) for m in v.mats]\n"
+        "mats = [w.action]\n"
+    )
+    assert dense_layer_uses(source) == [".mats (line 3)", ".mats (line 5)", ".mats (line 5)"]
 
 
 SWAP_ALLOWED = {
