@@ -55,9 +55,9 @@ from math import isqrt
 from typing import Optional
 
 from .algebra import Algebra
-from .linalg import Mat, contract, first_mismatch, kernel, quotient, span
+from .linalg import Mat, add_columns, contract, first_mismatch, kernel, quotient, span
 from .report import CheckResult, ValidationError, first_failure
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 
 
 class BimoduleMapError(ValueError):
@@ -234,22 +234,8 @@ def _balancing_columns(e: Bimodule, f: Bimodule):
                 if af:
                     if cancel is not None and len(af) == 1 and af[0][0] == y and af[0][1] == cancel:
                         continue
-                    col = _merge(col, [(x * m + k, w) for k, w in af])  # minus e_x (x) a_a.f_y
+                    col = add_columns(col, [(x * m + k, w) for k, w in af])  # minus e_x (x) a_a.f_y
                 yield j + y, col
-
-
-def _merge(p: list, q: list) -> list:
-    """The sum of two sparse columns, sorted by row with zeros dropped (no dict for two entries)."""
-    if len(p) == len(q) == 1:
-        (i, v), (k, w) = p[0], q[0]
-        if i != k:
-            return [p[0], q[0]] if i < k else [q[0], p[0]]
-        s = v + w
-        return [] if s is ZERO else [(i, s)]
-    summed = dict(p)
-    for i, w in q:
-        summed[i] = summed[i] + w if i in summed else w
-    return [(i, v) for i, v in sorted(summed.items()) if v is not ZERO]
 
 
 class TensorPair:

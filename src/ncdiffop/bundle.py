@@ -311,7 +311,7 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
             ]
             ip = InnerProduct(target.space, values, f"ip-{iname}")
         if validate:
-            for r in ip.validate(state_list):
+            for r in ip.validate(geometry, state_list):
                 if not r.ok:
                     raise ValidationError(r.name, witness=r.witness)
         inner_products[iname] = ip

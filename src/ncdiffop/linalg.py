@@ -12,14 +12,22 @@ coordinate kill, a unit pivot row with no echelon step, as sparse direct
 solvers remove singletons (the basis is unique, so it does not change).
 Only the PSD certificate works on a dense copy.
 
-The kernel does not pay for the units or for identity factors:
+The kernel does not pay for the units, for identity factors or for the
+bookkeeping of short sums:
 
 * a product with ``ONE`` on either side is the other factor, in ``@`` (and so
   in ``ikron_mul``), ``mul_ikron``, ``kron``, ``kron_cols`` and row
   reduction; in all but row reduction a product with ``NEG_ONE`` on either
   side is the other factor's negation.  Scalars are canonical (``scalars``),
   so every zero is ``ZERO`` and every unit one of the two objects: each of
-  these tests is an identity test;
+  these tests is an identity test.  Negating a shared integer is a table
+  lookup with no construction (``scalars``), and ``mul_ikron`` negates a
+  column of A at most once a call, however many -1 entries of X's row it meets;
+* two one-entry columns are summed directly, into two sorted entries, one
+  entry or ``[]`` when they cancel, with no dict and no sort (``add_columns``):
+  in ``_accumulate``, so in ``Mat`` ``+``/``-``, ``Graded.sum``/``+``/``-`` and
+  every graded product, and in the balancing map of ``bimodule``.  A column
+  that takes further terms is summed in a dict and sorted once;
 * identity factors are applied, not built: ``A.mul_ikron(n, X, m)`` is
   ``A @ (I_n (x) X (x) I_m)``, one scatter of A's nonempty columns through
   X's rows, so it pays for nonzeros and not for output columns, which in
@@ -190,10 +198,11 @@ class Mat:
         nonempty column ``(i*p + j)*m + k`` of self, times x[j, l], goes to output
         column ``(i*q + l)*m + k`` for each nonzero x[j, l] of row j, so an empty
         column of self, or of the product, costs nothing beyond its share of one list.
-        A column that takes one ``ONE`` term is self's column itself; one that
-        takes a second term is summed in a dict of its own, never in place, and
-        its zero sums are dropped.  With no identity factor (n = m = 1) it is
-        ``self @ x``."""
+        A column that takes one ``ONE`` term is self's column itself, and a column
+        of self is negated at most once a call, however many -1 entries of row j
+        meet it; an output column that takes a second term is summed in a dict of
+        its own, never in place, and its zero sums are dropped.  With no identity
+        factor (n = m = 1) it is ``self @ x``."""
         p, q = x.rows, x.cols
         if self.cols != n * p * m:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ (I_{n} (x) {p}x{q} (x) I_{m})")
@@ -217,24 +226,25 @@ class Mat:
                 j, k = divmod(jk, m)
                 if j not in xrows:
                     continue
-                base = i * qm + k
+                base, neg = i * qm + k, None
                 for lm, v in xrows[j]:
+                    if v is ONE:
+                        term = col
+                    elif v is NEG_ONE:
+                        if neg is None:
+                            neg = [(r, -a) for r, a in col]
+                        term = neg
+                    else:
+                        term = [(r, v if a is ONE else -v if a is NEG_ONE else a * v) for r, a in col]
                     t = base + lm
                     prev = out[t]
                     if prev is empty:
-                        out[t] = (
-                            col
-                            if v is ONE
-                            else [(r, -a) for r, a in col]
-                            if v is NEG_ONE
-                            else [(r, v if a is ONE else -v if a is NEG_ONE else a * v) for r, a in col]
-                        )
+                        out[t] = term
                         continue
                     acc = sums.get(t)
                     if acc is None:
                         acc = sums[t] = dict(prev)
-                    for r, a in col:
-                        a = a if v is ONE else -a if v is NEG_ONE else v if a is ONE else -v if a is NEG_ONE else a * v
+                    for r, a in term:
                         s = acc.get(r)
                         acc[r] = a if s is None else s + a
         for t, acc in sums.items():
@@ -499,8 +509,11 @@ def _blockwise(a: Graded, b, product) -> Graded:
 
 def _accumulate(terms) -> Graded:
     """The sum of ``(key, Mat)`` terms key by key, taken as they arrive.  A key's
-    first term is kept as it is.  A column that a later term adds to becomes a
-    dict of its nonzero entries, and each such column is sorted once, at the end."""
+    first term is kept as it is.  Where a later term and the column it adds to
+    both hold one entry, ``add_columns`` sums them with no dict and no sort: two
+    sorted entries, one entry, or ``[]`` when they cancel.  Any other column that
+    a later term adds to becomes a dict of its nonzero entries, and each such
+    column is sorted once, at the end."""
     out, summed = Graded(), {}
     for key, mat in terms:
         if key in out:  # a second term: the first one's columns stay only where no term adds to them
@@ -517,6 +530,9 @@ def _accumulate(terms) -> Graded:
                 cols[j] = col or into
                 continue
             if type(into) is list:
+                if len(into) == len(col) == 1:
+                    cols[j] = add_columns(into, col)
+                    continue
                 into = cols[j] = dict(into)
             for i, v in col:
                 s = into.get(i)
@@ -529,6 +545,23 @@ def _accumulate(terms) -> Graded:
     for key, (rows, ncols, cols) in summed.items():
         out[key] = Mat(rows, ncols, [sorted(c.items()) if type(c) is dict else c for c in cols])
     return out
+
+
+def add_columns(p: list, q: list) -> list:
+    """The sum of two sparse columns, sorted by row with zeros dropped.  Two one-entry
+    columns are summed with no dict and no sort: two sorted entries, one entry, or
+    ``[]`` when they cancel."""
+    if len(p) == len(q) == 1:
+        (a,), (b,) = p, q
+        if a[0] != b[0]:
+            return [a, b] if a[0] < b[0] else [b, a]
+        s = a[1] + b[1]
+        return [] if s is ZERO else [(a[0], s)]
+    summed = dict(p)
+    for i, w in q:
+        s = summed.get(i)
+        summed[i] = w if s is None else s + w
+    return [(i, v) for i, v in sorted(summed.items()) if v is not ZERO]
 
 
 def first_mismatch(lhs: Mat, rhs: Mat, shape: Sequence[int], order: Sequence[int] | None = None):

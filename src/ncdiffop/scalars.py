@@ -22,6 +22,8 @@ hands back one shared object for each real integer of absolute value at most
 ``SMALL``.  So every zero ``is ZERO``, every 1 ``is ONE`` and every -1 ``is
 NEG_ONE``: a truth test is an identity test, and the matrix kernels skip
 products with a unit by identity, on loaded and on computed values alike.
+Negation returns the shared object of a negated shared integer straight from
+the table, with no call to ``_scalar``; any other value is constructed.
 """
 
 from __future__ import annotations
@@ -156,7 +158,13 @@ class Scalar:
         return _coerce(other) / self
 
     def __neg__(self):
-        return _scalar(-self.re, -self.im)
+        # the negation of a shared integer is shared: a table lookup, no construction
+        re = self.re
+        if type(re) is int and not self.im:
+            s = _SMALL.get(-re)
+            if s is not None:
+                return s
+        return _scalar(-re, -self.im)
 
     def conj(self) -> "Scalar":
         if self.im:

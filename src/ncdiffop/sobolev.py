@@ -52,6 +52,12 @@ class InnerProduct:
         return Mat.from_cols([self.values[i][j] for i in range(d) for j in range(d)], self.algebra.dim)
 
     @memo
+    def conjugate_module(self) -> Bimodule:
+        """conj E, one object per pairing, so that ``geometry.pair`` finds E (x)_A conj E
+        by identity on every validation after the first."""
+        return conjugate_bimodule(self.module)
+
+    @memo
     def forms_power(self, geometry, n: int) -> "InnerProduct":
         """The pairing on W(n) that this pairing on the 1-forms of ``geometry``
         induces, W(n) = W(n-1) (x)_A Omega^1; W(1) is this pairing itself."""
@@ -59,7 +65,10 @@ class InnerProduct:
             return self
         return tensor_inner_product(self.forms_power(geometry, n - 1), self, geometry.pair_W(n), f"ip-W{n}")
 
-    def validate(self, states: Optional[list[State]] = None) -> list[CheckResult]:
+    def validate(self, geometry, states: Optional[list[State]] = None) -> list[CheckResult]:
+        """Symmetry, the pairing as a bimodule map E (x)_A conj E -> A, and positivity in
+        each state.  The quotient E (x)_A conj E is ``geometry.pair``'s, so it is built once
+        per content and shared by every later validation."""
         results = []
         A, E = self.algebra, self.module
         plain = self.matrix()
@@ -67,8 +76,7 @@ class InnerProduct:
         sym_fail = first_mismatch(plain, A.star @ plain.conj() @ Mat.swap(E.dim, E.dim), (E.dim, E.dim))
         results.append(CheckResult(f"{self.name}:symmetry", sym_fail is None, witness=sym_fail))
 
-        conj = conjugate_bimodule(E)
-        pair = TensorPair(E, conj)
+        pair = geometry.pair(E, self.conjugate_module())
         try:
             mat = pair.induce(plain, f"{self.name}-pairing")
             BimoduleMap(pair.space, algebra_as_bimodule(A), mat, f"{self.name}-pairing")

@@ -922,6 +922,61 @@ def test_graded_sums_match_the_dict_oracle(terms, cut):
 
 
 @st.composite
+def one_entry_terms(draw):
+    """Two to four matrices of one shape whose columns mostly hold one entry.  Rows
+    come from a small range, so that terms collide and arrive out of row order; a
+    column may repeat an earlier term's entry negated, so that the two cancel, and
+    now and then holds two entries, so that a summed column takes a further term."""
+    kind = draw(st.sampled_from(["rational", "gaussian"]))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    nonzero = entries(kind).filter(lambda e: e[0] != G0).map(lambda e: e[1])
+    mats = []
+    for _ in range(draw(st.integers(2, 4))):
+        columns = []
+        for j in range(cols):
+            seen = [m.cols_sparse()[j][0] for m in mats if m.cols_sparse()[j]]
+            how = draw(st.sampled_from(["empty", "one", "one", "cancel", "two"]))
+            if how == "cancel" and seen:
+                i, v = draw(st.sampled_from(seen))
+                columns.append([(i, -v)])
+            elif how == "two" and rows > 1:
+                i, k = sorted(draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True)))
+                columns.append([(i, draw(nonzero)), (k, draw(nonzero))])
+            elif how != "empty":
+                columns.append([(draw(st.integers(0, rows - 1)), draw(nonzero))])
+            else:
+                columns.append([])
+        mats.append(Mat(rows, cols, columns))
+    return mats
+
+
+def o_add(a, b, sign=1):
+    return [[(x[0] + sign * y[0], x[1] + sign * y[1]) for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+@given(one_entry_terms())
+@example([Mat(3, 1, [[(0, sc(2))]]), Mat(3, 1, [[(0, sc(-2))]])])  # they cancel
+@example([Mat(3, 1, [[(2, sc("1/2+i"))]]), Mat(3, 1, [[(1, sc(-3))]])])  # out of row order
+@example([Mat(3, 1, [[(2, sc(2))]]), Mat(3, 1, [[(0, sc(-3))]]), Mat(3, 1, [[(2, sc(-2))]])])
+@settings(max_examples=300, deadline=None)
+def test_sums_of_one_entry_columns_match_the_dense_oracle(mats):
+    """Two one-entry columns are summed with no dict: two sorted entries, one entry or,
+    when they cancel, an empty column, never a stored zero; no input column changes."""
+    before = [[list(col) for col in m.cols_sparse()] for m in mats]
+    dense = [read_back(m) for m in mats]
+    first, second, rest = mats[0], mats[1], mats[1:]
+    total, difference = dense[0], dense[0]
+    for d in dense[1:]:
+        total, difference = o_add(total, d), o_add(difference, d, -1)
+    assert read_back(first + second) == o_add(dense[0], dense[1])
+    assert read_back(first - second) == o_add(dense[0], dense[1], -1)
+    summed = Graded.sum(Graded({0: m}) for m in mats)
+    assert read_back(summed[0]) == total
+    assert read_back((Graded({0: first}) - Graded.sum(Graded({0: m}) for m in rest))[0]) == difference
+    assert [[list(col) for col in m.cols_sparse()] for m in mats] == before
+
+
+@st.composite
 def graded_products(draw):
     """Maps keyed by pairs (k, j), for each side of identity factors I_n and I_m
     (n, m in {1, 2}), and maps keyed by j: each block present or not, of drawn sizes."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncdiffop.scalars import _RAT, NEG_ONE, ONE, SMALL, ZERO, Scalar, ScalarParseError, _parse_rat, sc
+from ncdiffop.scalars import _RAT, _SMALL, NEG_ONE, ONE, SMALL, ZERO, Scalar, ScalarParseError, _parse_rat, sc
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
 scalars = st.builds(lambda a, b: Scalar(a, b), rationals, rationals)
@@ -338,3 +338,21 @@ def test_copy_and_pickle_keep_the_shared_objects(x):
     assert copy.copy(x) is x and copy.deepcopy([x])[0] is x
     assert (ZERO.re, ZERO.im, ONE.re, ONE.im, NEG_ONE.re, NEG_ONE.im) == (0, 0, 1, 0, -1, 0)
     assert pickle.loads(pickle.dumps(ZERO)) is ZERO and pickle.loads(pickle.dumps(NEG_ONE)) is NEG_ONE
+
+
+def test_negating_a_shared_integer_gives_the_shared_object():
+    for k in range(-SMALL, SMALL + 1):
+        assert -_SMALL[k] is _SMALL[-k]
+        assert -Scalar(k) is _SMALL[-k] and -sc(str(k)) is _SMALL[-k]
+
+
+@pytest.mark.parametrize(
+    "re_,im_", [(SMALL + 1, 0), (-SMALL - 1, 0), (Fraction(1, 2), 0), (Fraction(-7, 3), 0), (2, -1), (Fraction(1, 2), 1)]
+)
+def test_negation_outside_the_shared_integers_constructs_the_value(re_, im_):
+    x = Scalar(re_, im_)
+    neg = -x
+    assert neg == Scalar(-re_, -im_) and str(neg) == str(Scalar(-re_, -im_))
+    assert hash(neg) == hash(Scalar(-re_, -im_))
+    assert type(neg.re) is (int if Fraction(re_).denominator == 1 else _RAT)
+    assert -neg == x

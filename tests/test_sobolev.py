@@ -51,12 +51,12 @@ def omega_ip(two_point_geometry):
 
 def test_algebra_ip_valid(two_point_geometry, uniform, point_state):
     ip = canonical_algebra_ip(two_point_geometry.algebra)
-    results = ip.validate([uniform, point_state])
+    results = ip.validate(two_point_geometry, [uniform, point_state])
     assert all(r.ok for r in results)
 
 
 def test_omega_ip_valid(two_point_geometry, omega_ip, uniform):
-    results = omega_ip.validate([uniform])
+    results = omega_ip.validate(two_point_geometry, [uniform])
     assert all(r.ok for r in results)
 
 
@@ -66,7 +66,7 @@ def test_symmetry_violation_detected(two_point_geometry):
         [[0, 0], [0, 1]],
     ]
     ip = InnerProduct(two_point_geometry.omega, values, "bad")
-    results = {r.name: r for r in ip.validate([])}
+    results = {r.name: r for r in ip.validate(two_point_geometry, [])}
     assert not results["bad:symmetry"].ok
 
 
@@ -76,7 +76,7 @@ def test_non_positive_pairing_detected(two_point_geometry, uniform):
         [[0, 0], [0, 1]],
     ]
     ip = InnerProduct(two_point_geometry.omega, values, "neg")
-    results = {r.name: r for r in ip.validate([uniform])}
+    results = {r.name: r for r in ip.validate(two_point_geometry, [uniform])}
     assert not results["neg:positive[uniform]"].ok
     assert results["neg:positive[uniform]"].witness is not None
 
@@ -85,7 +85,7 @@ def test_tensor_inner_product_symmetric_bimodule(two_point_geometry, omega_ip, u
     g = two_point_geometry
     pair = g.pair_W(2)
     ip2 = tensor_inner_product(omega_ip, omega_ip, pair)
-    assert all(r.ok for r in ip2.validate([uniform]))
+    assert all(r.ok for r in ip2.validate(two_point_geometry, [uniform]))
 
 
 def test_tensor_ip_with_unit_factor_reduces(two_point_geometry, omega_ip):
@@ -278,3 +278,27 @@ def test_gram_independent_of_query_order():
         for order in range(4):
             gram_text(bundle, module, state, order)
     assert gram_text(bundle, "omega1", "uniform", 3) == first
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_a_second_validation_builds_no_tensor_pair(name, monkeypatch):
+    """``InnerProduct.validate`` takes E (x)_A conj E from ``Geometry.pair``, which keeps
+    one quotient per content: validating again builds none, and the pair's memo does
+    not grow."""
+    from ncdiffop.bimodule import TensorPair
+
+    bundle = load_builtin(name, validate=False)
+    g, states = bundle.geometry, list(bundle.states.values())
+    built = []
+    init = TensorPair.__init__
+
+    def counting(self, e, f):
+        built.append((e.name, f.name))
+        init(self, e, f)
+
+    monkeypatch.setattr(TensorPair, "__init__", counting)
+    first = [r.ok for ip in bundle.inner_products.values() for r in ip.validate(g, states)]
+    assert all(first)
+    once, pairs = list(built), len(g._pair)
+    again = [r.ok for ip in bundle.inner_products.values() for r in ip.validate(g, states)]
+    assert again == first and built == once and len(g._pair) == pairs

@@ -36,6 +36,7 @@ from ncdiffop.scalars import sc
 from ncdiffop.verify import (
     VerifyContext,
     bullet_associativity_random,
+    bullet_unit,
     suite_action,
     suite_bullet,
     suite_ev_duality,
@@ -193,6 +194,36 @@ def test_corrupt_bullet_table(z3):
 
 def corrupt_bullet_table(bundle):
     return failing(suite_bullet(bumped_bullet_context(bundle, D, (1, 0, 1), 2, 3)))
+
+
+# (bundle, unit table, row, column, witness): table(0, n, n) column a*|V(n)| + v is read
+# into column v on the left, table(n, 0, n) column v*|A| + a into column v on the right
+UNIT_TABLE_BUMPS = [
+    # u_0 (x) a_0, which the unit law checked on one random operator passed on seeds 4, 10,
+    # 15, 32 and 34: the draw gave that coordinate 0
+    (Z3, (3, 0, 3), 0, 0, ("right", 3, 0)),
+    (Z3, (0, 2, 2), 5, 13, ("left", 2, 1)),
+    (Z3, (0, 0, 0), 2, 2, ("left", 0, 2)),
+    ("two-point-universal", (1, 0, 1), 0, 3, ("right", 1, 1)),
+    ("two-point-universal", (0, 3, 3), 1, 2, ("left", 3, 0)),
+    ("zero-form-smoke", (0, 0, 0), 0, 0, ("left", 0, 0)),
+]
+
+
+@pytest.mark.parametrize("name,key,r,c,witness", UNIT_TABLE_BUMPS)
+def test_bullet_unit_fails_on_every_seed(name, key, r, c, witness):
+    """One bumped column of a unit table fails bullet-unit on every seed, with the
+    witness of the bump: no random draw decides the verdict."""
+    bundle = load_builtin(name)
+    table = bundle.crossings().table
+    for n in range(4):
+        for m in range(4 - n):
+            for k in range(n + m + 1):
+                table.table(n, m, k)
+    table._table[key] = bump(table.table(*key), r, c)
+    for seed in range(40):
+        check = bullet_unit(VerifyContext(bundle, 3, seed))
+        assert (check.ok, check.witness) == (False, witness), seed
 
 
 def bumped_bullet_context(bundle, built: int, key, r, c) -> VerifyContext:
@@ -634,7 +665,7 @@ OC_WITNESSES = {
 }
 ACT_WITNESSES = {"action-property-omega1": (0, 1, 0, 1, 3)}
 BULLET_WITNESSES = {
-    "bullet-unit": None,
+    "bullet-unit": ("right", 1, 1),  # I (x) 1 reads column 1*3 + 0 of table(1, 0, 1) into column 1
     "bullet-left-linearity": (1, 0, 1, 0, 1, 0),
     "bullet-associativity-homogeneous": (0, 1, 0, 0, 1, 0),
     "bullet-associativity-random": 0,
