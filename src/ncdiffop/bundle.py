@@ -123,7 +123,9 @@ class Bundle:
         self.omega_basis = omega_basis
         self.notes = notes
 
+    @memo
     def digest(self) -> str:
+        """sha256 of the canonical serialization, once per loaded bundle: its inputs never change."""
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
 
     def to_dict(self) -> dict:

@@ -39,7 +39,7 @@ def main(argv=None) -> int:
         help="maximum operator degree (default: the bundle's truncation); the action suite "
         "and the centre suite's operator algebra stop at degree 2",
     )
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized element checks")
+    p_verify.add_argument("--seed", type=int, default=0, help="picks only which failing trial is the associativity witness")
     p_verify.add_argument("--json", action="store_true", help="emit the canonical JSON report body")
 
     p_apply = sub.add_parser("apply", help="apply an operator expression to a module element")

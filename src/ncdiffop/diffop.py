@@ -90,6 +90,17 @@ class BulletTable:
         where ``pair(k)`` is the tensor pair of X and V(k)."""
         return Graded({k: pair(k).project.mul_ikron(pair(k).e.dim, b, 1) for k, b in self.graded(n, m).items()})
 
+    @memo
+    def associativity_fail(self, n: int, m: int, l: int):
+        """The first column of Kron(V(n), V(m), V(l)) on which sum_k o(o_k(u, v), w)
+        and sum_k o(u, o_k(v, w)) differ, or None."""
+        Vn, Vm, Vl = self.geometry.V(n), self.geometry.V(m), self.geometry.V(l)
+        left, right = self.graded(n, m), self.graded(m, l)
+        lhs = Graded.over(lambda k: self.graded(k, l), left).mul_ikron(1, left, Vl.dim)
+        rhs = Graded.over(lambda k: self.graded(n, k), right).mul_ikron(Vn.dim, right, 1)
+        fail = lhs.first_mismatch(rhs, (Vn.dim, Vm.dim, Vl.dim))
+        return None if fail is None else fail[:-1]
+
     def bullet_k(self, v: Mat, n: int, w: Mat, m: int, k: int) -> Mat:
         """v o_k w for one-column coordinates v in V(n) and w in V(m)."""
         return self.table(n, m, k) @ v.kron(w)
@@ -120,10 +131,6 @@ class GradedOperator:
             if not col.is_zero():
                 comps[deg] = col
         self.components = comps
-
-    @staticmethod
-    def unit(geometry: Geometry, truncation: int) -> "GradedOperator":
-        return GradedOperator(geometry, {0: geometry.algebra.unit}, truncation)
 
     @staticmethod
     def homogeneous(geometry: Geometry, degree: int, coords, truncation: int) -> "GradedOperator":

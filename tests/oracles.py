@@ -144,6 +144,34 @@ def bullet(x, y, table) -> dict:
     return out
 
 
+def associativity_fail(table, n: int, m: int, l: int):
+    """The first basis triple (b, c, e) of V(n), V(m), V(l), in that nesting, on which
+    sum_k o(o_k(u_b, v_c), w_e) and sum_k o(u_b, o_k(v_c, w_e)) differ, or None: the
+    exact identity one basis triple at a time on dense coordinates."""
+    dims = [table.geometry.V(d).dim for d in (n, m, l)]
+    for b, c, e in product(*map(range, dims)):
+        u, v, w = (unit_row(dim, i) for dim, i in zip(dims, (b, c, e)))
+        lhs, rhs = {}, {}
+        for k in range(n + m + 1):
+            uv = bullet_k(table, u, n, v, m, k)
+            for j in range(k + l + 1):
+                _add_dense(lhs, j, bullet_k(table, uv, k, w, l, j))
+        for k in range(m + l + 1):
+            vw = bullet_k(table, v, m, w, l, k)
+            for j in range(n + k + 1):
+                _add_dense(rhs, j, bullet_k(table, u, n, vw, k, j))
+        if lhs != rhs:
+            return b, c, e
+    return None
+
+
+def _add_dense(acc: dict, k: int, term: list) -> None:
+    if not vec_is_zero(term):
+        acc[k] = [a + b for a, b in zip(acc[k], term)] if k in acc else term
+    if k in acc and vec_is_zero(acc[k]):
+        del acc[k]
+
+
 def rational_operator(g, rng, max_deg: int, truncation: int) -> GradedOperator:
     """A random operator with coefficients a/b (-3 <= a <= 3, 1 <= b <= 3) in every degree up to max_deg."""
     comps = {d: [sc(f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}") for _ in range(g.V(d).dim)] for d in range(max_deg + 1)}

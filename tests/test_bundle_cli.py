@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ncdiffop import builtin_data, scalars
 from ncdiffop.bundle import (
+    BUILTIN_NAMES,
     ParseError,
     _Literals,
     _reject_imaginary,
@@ -239,6 +240,14 @@ PINNED_BUNDLE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(PINNED_BUNDLE_DIGESTS))
 def test_builtin_bundle_digest_pinned(name):
     assert load_builtin(name).digest() == PINNED_BUNDLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_memoised_digest_matches_a_fresh_serialization(name):
+    bundle = load_builtin(name)
+    first = bundle.digest()
+    assert bundle.digest() is first
+    assert first == hashlib.sha256(canonical_json(bundle.to_dict()).encode()).hexdigest()
 
 
 def test_field_q_rejects_gaussian_scalars(two_point_doc):
@@ -763,6 +772,24 @@ PINNED_BODIES = [
         ["z3-function-calculus", "--suites", "theta,centre"],
         "7481f8357ad392c5178c6996ae7a7614fe53d010afb85d09ecf50d4c9917fc17",
     ),
+    # below degree 3 bullet-associativity-random builds the degree-2 and -3 triples
+    # itself; the later --seed replaces the 7
+    (
+        ["z3-function-calculus", "--suites", "bullet", "--degree", "1", "--seed", "4"],
+        "43e28b8bbb97aefd945425f37c3394a0699b8f2eec9b2cc8452e316290f479e1",
+    ),
+    (
+        ["z3-function-calculus", "--suites", "bullet", "--degree", "1", "--seed", "10"],
+        "002dced34c407f8455843c4c896b69d90ff916eb7b33672f06b20672c978963a",
+    ),
+    (
+        ["z3-function-calculus", "--suites", "bullet", "--degree", "2", "--seed", "4"],
+        "fb582444b1b8d54509dab133fe457c38d42e68200d28ae185002d4c44b909727",
+    ),
+    (
+        ["z3-function-calculus", "--suites", "bullet", "--degree", "2", "--seed", "10"],
+        "d839dd3ae2de946e0cfc9084fc8380046eadbe91fdbf1d7ffacf291e253e632a",
+    ),
     # the only pin above degree 6: its 112 tensor pairs have 5 action contents, so most are shared
     (
         ["two-point-universal", "--suites", "theta,centre", "--degree", "8"],
@@ -782,6 +809,10 @@ PINNED_BODIES = [
         "z3-centre-deg1",
         "z3-action",
         "z3-theta-centre",
+        "z3-bullet-deg1-seed4",
+        "z3-bullet-deg1-seed10",
+        "z3-bullet-deg2-seed4",
+        "z3-bullet-deg2-seed10",
         "two-point-theta-centre-deg8",
     ],
 )

@@ -119,7 +119,7 @@ def test_bullet_vanishes_out_of_range(table, two_point_geometry):
 
 def test_unit_operator(two_point_geometry, table):
     g = two_point_geometry
-    one = GradedOperator.unit(g, 3)
+    one = GradedOperator(g, {0: g.algebra.unit}, 3)
     x = GradedOperator(g, {1: [sc(1), sc(-2)], 2: [sc(3), sc(0)]}, 3)
     assert one.bullet(x, table) == x
     assert x.bullet(one, table) == x
@@ -245,7 +245,7 @@ def test_unit_acts_trivially(two_point_geometry, table, two_point_omega_connecti
     g = two_point_geometry
     nabla_plain, sigma_plain = two_point_omega_connection
     for module in (trivial_module(g), omega_module(g, nabla_plain, sigma_plain), vec_module(g)):
-        one = GradedOperator.unit(g, 3)
+        one = GradedOperator(g, {0: g.algebra.unit}, 3)
         for j in range(module.space.dim):
             e = unit_row(module.space.dim, j)
             assert one.act_on(module, e) == e

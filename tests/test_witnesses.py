@@ -14,10 +14,11 @@ crossing inverse, the dual connection on vector fields and the dual of the
 
 import functools
 import hashlib
+from itertools import product
 
 import pytest
 
-from ncdiffop import crossing
+from ncdiffop import crossing, verify
 from ncdiffop.algebra import Algebra
 from ncdiffop.bimodule import Bimodule, NotProjective, TensorPair, dualize_right_module
 from ncdiffop.bundle import BUILTIN_NAMES, load_builtin
@@ -32,7 +33,7 @@ from ncdiffop.crossing import (
 from ncdiffop.diffop import BulletTable
 from ncdiffop.linalg import Mat
 from ncdiffop.report import ValidationError
-from ncdiffop.scalars import sc
+from ncdiffop.scalars import ZERO, sc
 from ncdiffop.verify import (
     VerifyContext,
     bullet_associativity_random,
@@ -215,15 +216,63 @@ def test_bullet_unit_fails_on_every_seed(name, key, r, c, witness):
     """One bumped column of a unit table fails bullet-unit on every seed, with the
     witness of the bump: no random draw decides the verdict."""
     bundle = load_builtin(name)
-    table = bundle.crossings().table
-    for n in range(4):
-        for m in range(4 - n):
-            for k in range(n + m + 1):
-                table.table(n, m, k)
-    table._table[key] = bump(table.table(*key), r, c)
+    bumped_bullet_context(bundle, 3, key, r, c)
     for seed in range(40):
         check = bullet_unit(VerifyContext(bundle, 3, seed))
         assert (check.ok, check.witness) == (False, witness), seed
+
+
+# (bundle, table, row, column, first failing (n, m, l, *basis triple) of the identity on
+# the triples of degrees <= 1): bumps of the degree <= 1 tables, one for each (n, m) in
+# some built-in.  Every single-entry bump of these tables that breaks the identity is
+# caught by some random trial on seeds 0-39, so no bump here leaves every trial passing.
+LOW_TABLE_BUMPS = [
+    (Z3, (0, 1, 1), 4, 11, (0, 0, 1, 1, 1, 5)),
+    (Z3, (1, 0, 0), 2, 17, (1, 0, 0, 5, 0, 2)),
+    (Z3, (1, 1, 2), 11, 20, (0, 1, 1, 1, 3, 2)),  # total degree 2
+    ("two-point-universal", (0, 0, 0), 1, 2, (0, 0, 0, 1, 0, 1)),
+    ("two-point-universal", (0, 1, 0), 0, 3, (0, 0, 1, 0, 1, 1)),
+    ("two-point-universal", (1, 0, 1), 1, 1, (0, 1, 0, 0, 0, 1)),
+    ("two-point-universal", (1, 1, 0), 1, 2, (1, 1, 1, 0, 1, 0)),  # total degree 3 only
+    ("zero-form-smoke", (0, 0, 0), 0, 0, None),  # doubles the product: still associative
+]
+
+
+def low_associativity_fail(table, truncation: int):
+    """The oracle's first failing (n, m, l, *basis triple) over the triples with each
+    index <= 1 and n + m + l <= min(3, truncation), in the homogeneous check's order."""
+    triples = [t for t in product(range(2), repeat=3) if sum(t) <= min(3, truncation)]
+    return next(((*t, *f) for t in triples for f in [oracles.associativity_fail(table, *t)] if f is not None), None)
+
+
+@pytest.mark.parametrize("name,key,r,c,exact", LOW_TABLE_BUMPS)
+def test_bullet_associativity_random_fails_on_every_seed(name, key, r, c, exact):
+    """At degree 1 the homogeneous check stops below total degree 2.  A bump of a
+    degree <= 1 table that breaks associativity on a triple of degrees <= 1 fails
+    bullet-associativity-random on every seed, with the rational loop's first failing
+    trial as witness; a bump that keeps it passes on every seed."""
+    bundle = load_builtin(name)
+    table = bumped_bullet_context(bundle, 3, key, r, c).table
+    assert low_associativity_fail(table, bundle.truncation) == exact
+    for seed in range(40):
+        ctx = VerifyContext(bundle, 1, seed)
+        check = bullet_associativity_random(ctx)
+        ok, trial = oracles.bullet_associativity_random(ctx)
+        expected = (True, None) if exact is None else (False, exact if ok else trial)
+        assert (check.ok, check.witness) == expected, seed
+
+
+@pytest.mark.parametrize("name,key,r,c,exact", [b for b in LOW_TABLE_BUMPS if b[-1] is not None])
+def test_bullet_associativity_random_fails_when_no_trial_does(name, key, r, c, exact, monkeypatch):
+    """With every random operator drawn as zero no trial fails, and the broken identity
+    still fails the check, with its first failing (n, m, l, *basis triple) as witness."""
+    zeros = lambda ctx, rng, max_deg: {d: [ZERO] * ctx.geometry.V(d).dim for d in range(max_deg + 1)}
+    monkeypatch.setattr(verify, "_random_coords", zeros)
+    bundle = load_builtin(name)
+    bumped_bullet_context(bundle, 3, key, r, c)
+    for seed in range(40):
+        check = bullet_associativity_random(VerifyContext(bundle, 1, seed))
+        assert (check.ok, check.witness) == (False, exact), seed
 
 
 def bumped_bullet_context(bundle, built: int, key, r, c) -> VerifyContext:
