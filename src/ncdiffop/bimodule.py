@@ -28,8 +28,9 @@ dimensions and action matrices: ``Geometry.pair`` builds one per such content
 and hands it to a later pair of equal content ``over`` that pair's own factors,
 so the induced-action check runs once per content.  Operators
 that are only well defined as sums follow one discipline throughout: build
-the map on the plain tensor space, check with ``TensorPair.descends`` that it
-kills the relation span, then compose with ``TensorPair.section``.
+the map on the plain tensor space and push it down with ``TensorPair.induce``,
+which checks that it kills the relation span, raising under the caller's name
+and witness if not, and composes it with ``TensorPair.section``.
 
 Contractions against a pairing ``ev: Kron(V, W) -> A`` go through two
 ``Bimodule`` methods.  Each takes a map ``x`` into plain tensors and returns
@@ -290,10 +291,11 @@ class TensorPair:
         """Whether a map defined on plain tensors kills every relation."""
         return (plain_map @ self.relation_mat).is_zero()
 
-    def induce(self, plain_map: Mat, name: str = "map") -> Mat:
-        """Push a plain-tensor-level map to the quotient, verifying descent."""
+    def induce(self, plain_map: Mat, name: str, witness) -> Mat:
+        """Push a plain-tensor-level map to the quotient, verifying descent: a map that
+        does not descend raises ``<name>-not-well-defined`` with the caller's witness."""
         if not self.descends(plain_map):
-            raise ValidationError(f"{name}-not-well-defined", witness=self.space.name)
+            raise ValidationError(f"{name}-not-well-defined", witness=witness)
         return plain_map @ self.section
 
 
@@ -415,7 +417,7 @@ def dualize_right_module(
     pair_dual_module = TensorPair(dual, omega)
     pair_module_dual = TensorPair(omega, dual)
 
-    ev_mat = pair_dual_module.induce(apply_mat, "ev")
+    ev_mat = pair_dual_module.induce(apply_mat, "ev", pair_dual_module.space.name)
     ev = BimoduleMap(pair_dual_module.space, algebra_as_bimodule(A), ev_mat, "ev")
 
     coev_one = forms.kron(coords) @ diag  # sum_i f^i (x) f_i

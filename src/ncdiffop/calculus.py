@@ -107,10 +107,7 @@ class ConnectionModule:
         WEn = self.WE(n)
         m1 = WEn.project.mul_ikron(1, g.box_form_pow(k), E.dim)
         m2 = WEn.project.mul_ikron(1, g.merge_om(k, 1), E.dim).mul_ikron(Wk.dim, self.OE.section @ self.nabla, 1)
-        total = m1 + m2
-        if not WEk.descends(total):
-            raise ValidationError("nabla-pow-not-well-defined", witness=(self.name, n))
-        return total @ WEk.section @ prev
+        return WEk.induce(m1 + m2, "nabla-pow", (self.name, n)) @ prev
 
     # -- the action of tensor powers of vector fields ----------------------------
 
@@ -133,7 +130,8 @@ def trivial_module(geometry: Geometry, name: str = "A", validate: bool = True) -
     OA = g.pair(g.omega, A)
     nabla = OA.project @ g.d.kron(g.one)
     # a (x) xi -> a.xi (x) 1
-    sigma = g.pair(A, g.omega).induce(OA.project @ g.omega.left_action.kron(g.one), "sigma-A")
+    AO = g.pair(A, g.omega)
+    sigma = AO.induce(OA.project @ g.omega.left_action.kron(g.one), "sigma-A", AO.space.name)
     return ConnectionModule(g, A, nabla, sigma, name=name, validate=validate)
 
 
@@ -150,7 +148,7 @@ def omega_module(
     g = geometry
     W2 = g.W2
     nabla = W2.project @ nabla_plain
-    sigma = W2.induce(W2.project @ sigma_plain, "sigma-omega")
+    sigma = W2.induce(W2.project @ sigma_plain, "sigma-omega", W2.space.name)
     return ConnectionModule(g, g.omega, nabla, sigma, name=name, validate=validate)
 
 
@@ -174,10 +172,7 @@ def tensor_connection(em: ConnectionModule, fm: ConnectionModule, name: Optional
     # sigma_E (x) id_F, then id_E (x) nabla_F or id_E (x) sigma_F on plain coordinates
     crossed = push_merge.mul_ikron(1, em.OE.section @ em.sigma_plain_dom(), F.dim)
     m2 = crossed.mul_ikron(E.dim, fm.OE.section @ fm.nabla, 1)
-    total = m1 + m2
-    if not pair_ef.descends(total):
-        raise ValidationError("tensor-connection-not-well-defined", witness=(em.name, fm.name))
-    nabla = total @ pair_ef.section
+    nabla = pair_ef.induce(m1 + m2, "tensor-connection", (em.name, fm.name))
 
     sigma = None
     if fm.has_sigma:
@@ -185,7 +180,7 @@ def tensor_connection(em: ConnectionModule, fm: ConnectionModule, name: Optional
         EFO = g.pair(EF, g.omega)
         # (sigma_E (x) id)(id (x) sigma_F) on plain E (x) F (x) Omega coordinates
         plain = crossed.mul_ikron(E.dim, fm.OE.section @ fm.sigma_plain_dom(), 1)
-        sigma = EFO.induce(plain.mul_ikron(1, pair_ef.section, g.omega.dim), "sigma-tensor")
+        sigma = EFO.induce(plain.mul_ikron(1, pair_ef.section, g.omega.dim), "sigma-tensor", EFO.space.name)
     return ConnectionModule(g, EF, nabla, sigma, name=name or f"({em.name}(x){fm.name})")
 
 

@@ -85,10 +85,9 @@ class CrossingMap:
         self.VE = g.pair(g.vec, module.space)
 
         self.sigma_hat = sigma_hat(table, module)
-        if not self.VE.descends(self.sigma_hat):
-            raise ValidationError("sigma-hat-not-well-defined", witness=module.name)
+        induced = self.VE.induce(self.sigma_hat, "sigma-hat", module.name)
         try:
-            self.sigma_hat_inv = inverse(self.sigma_hat @ self.VE.section)
+            self.sigma_hat_inv = inverse(induced)
         except ValueError:
             raise SigmaNotInvertible("sigma-hat-invertible", witness=module.name) from None
 

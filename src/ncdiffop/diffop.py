@@ -107,16 +107,13 @@ class BulletTable:
 
 
 class GradedOperator:
-    """A batch of elements of the degree-truncated operator algebra, one per column.
+    """An element of the degree-truncated operator algebra.
 
-    ``components`` is a ``Graded``: each nonzero component is a ``Mat`` of
-    quotient coordinates in V(degree), column t holding the t-th operator's; a
-    zero component is not stored.  An element is a batch of one: the
-    constructor also takes one dense coordinate list per degree, and
-    ``component``, ``act_on`` and ``__repr__`` read one-column operators.
-    ``bullet`` multiplies two batches of c operators column by column, c
-    products at once.  Arithmetic that would need components beyond the
-    truncation degree raises rather than silently dropping terms.
+    ``components`` is a ``Graded``: each nonzero component is one column of
+    quotient coordinates in V(degree); a zero component is not stored.  The
+    constructor takes a one-column ``Mat`` or a dense coordinate list per degree.
+    Arithmetic that would need components beyond the truncation degree raises
+    rather than silently dropping terms.
     """
 
     def __init__(self, geometry: Geometry, components: dict[int, Mat | list], truncation: int):
@@ -163,14 +160,14 @@ class GradedOperator:
         return not self.components
 
     def bullet(self, other: "GradedOperator", table: BulletTable) -> "GradedOperator":
-        """The associative product, column by column; sums o_k over all degrees."""
+        """The associative product; sums o_k over all degrees."""
         if self.degree + other.degree > self.truncation:
             raise TruncationExceeded(
                 f"product degree {self.degree}+{other.degree} exceeds truncation {self.truncation}"
             )
-        # every o_k at once: the Kronecker columns are shared
+        # every o_k at once: the Kronecker column is shared
         out = Graded.sum(
-            table.graded(n, m) @ v.kron_cols(w) for n, v in self.components.items() for m, w in other.components.items()
+            table.graded(n, m) @ v.kron(w) for n, v in self.components.items() for m, w in other.components.items()
         )
         return GradedOperator(self.geometry, out, self.truncation)
 

@@ -78,10 +78,7 @@ class Geometry:
         if box_plain.rows != omega.dim * omega.dim or box_plain.cols != omega.dim:
             raise ValidationError("box-shape", witness=(box_plain.rows, box_plain.cols))
         self.box_form = self.W2.project @ box_plain
-        sig = self.W2.project @ sigma_inv_plain
-        if not self.W2.descends(sig):
-            raise ValidationError("sigma-inv-not-well-defined")
-        self.sigma_inv_form = sig @ self.W2.section
+        self.sigma_inv_form = self.W2.induce(self.W2.project @ sigma_inv_plain, "sigma-inv", None)
         fail = intertwining_failure(self.W2.space, self.W2.space, self.sigma_inv_form)
         if fail is not None:
             raise ValidationError("sigma-inv-bimodule-map", witness=fail)
@@ -187,9 +184,7 @@ class Geometry:
         VO1 = self.pair(vec, om)
         self.VO1 = VO1
         self.sigma_vec_plain = self.cross_fields(om, W2.section @ self.sigma_inv_form @ W2.project)
-        if not VO1.descends(self.sigma_vec_plain):
-            raise ValidationError("sigma-vec-not-well-defined")
-        self.sigma_vec = self.sigma_vec_plain @ VO1.section
+        self.sigma_vec = VO1.induce(self.sigma_vec_plain, "sigma-vec", None)
         fail = intertwining_failure(VO1.space, OV1.space, self.sigma_vec)
         if fail is not None:
             raise ValidationError("sigma-vec-bimodule-map", witness=fail)
@@ -298,10 +293,7 @@ class Geometry:
         domain_pair = self.pair_W(n)
         m1 = self.merge_om(k, 2).mul_ikron(self.W(k).dim, self.box_form, 1)
         m2 = self.sigma_inv_last(n).mul_ikron(1, self.box_form_pow(k), self.omega.dim)
-        total = m1 + m2
-        if not domain_pair.descends(total):
-            raise ValidationError("box-form-pow-not-well-defined", witness=n)
-        return total @ domain_pair.section
+        return domain_pair.induce(m1 + m2, "box-form-pow", n)
 
     @memo
     def box_vec_pow(self, n: int) -> Mat:
@@ -318,10 +310,7 @@ class Geometry:
         m2 = push_merge.mul_ikron(1, self.OV1.section @ self.sigma_vec_plain, dk).mul_ikron(
             self.vec.dim, self.OV(k).section @ self.box_vec_pow(k), 1
         )
-        total = m1 + m2
-        if not domain_pair.descends(total):
-            raise ValidationError("box-vec-pow-not-well-defined", witness=n)
-        return total @ domain_pair.section
+        return domain_pair.induce(m1 + m2, "box-vec-pow", n)
 
     # -- n-fold evaluation and coevaluation -------------------------------------
 

@@ -102,7 +102,8 @@ def regular_module(group: Group) -> HModule:
 def adjoint_module(group: Group) -> HModule:
     """g |> h = mu (mu (x) id) (g (x) h (x) S(g))."""
     n = group.order
-    spread = Mat.identity(n * n).kron_cols(group.antipode.kron(_ones(n)))  # g (x) h -> g (x) h (x) S(g)
+    inverse = [col[0][0] for col in group.antipode.cols_sparse()]  # S(g_i) is g_inverse[i]
+    spread = Mat(n**3, n * n, [[(t * n + inverse[t // n], ONE)] for t in range(n * n)])  # g (x) h -> g (x) h (x) S(g)
     return HModule(group, group.mu.mul_ikron(1, group.mu, n) @ spread, "adjoint")
 
 

@@ -16,9 +16,9 @@ The kernel does not pay for the units, for identity factors or for the
 bookkeeping of short sums:
 
 * a product with ``ONE`` on either side is the other factor, in ``@`` (and so
-  in ``ikron_mul``), ``mul_ikron``, ``kron``, ``kron_cols`` and row
-  reduction; in all but row reduction a product with ``NEG_ONE`` on either
-  side is the other factor's negation.  Scalars are canonical (``scalars``),
+  in ``ikron_mul``), ``mul_ikron``, ``kron`` and row reduction; in all but
+  row reduction a product with ``NEG_ONE`` on either side is the other
+  factor's negation.  Scalars are canonical (``scalars``),
   so every zero is ``ZERO`` and every unit one of the two objects: each of
   these tests is an identity test.  Negating a shared integer is a table
   lookup with no construction (``scalars``), and ``mul_ikron`` negates a
@@ -305,22 +305,6 @@ class Mat:
                     ]
                 )
         return Mat(self.rows * p, self.cols * other.cols, out)
-
-    def kron_cols(self, other: "Mat") -> "Mat":
-        """Column t is ``self[:, t] (x) other[:, t]``: ``kron`` column by column,
-        so on one-column matrices it is ``kron``."""
-        if self.cols != other.cols:
-            raise ValueError(f"column counts differ: {self.cols} and {other.cols}")
-        p = other.rows
-        out = [
-            [
-                (i * p + k, b if a is ONE else a if b is ONE else -b if a is NEG_ONE else -a if b is NEG_ONE else a * b)
-                for i, a in col
-                for k, b in ocol
-            ]
-            for col, ocol in zip(self._cols_sparse, other._cols_sparse)
-        ]
-        return Mat(self.rows * p, self.cols, out)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in row) for row in self.data)

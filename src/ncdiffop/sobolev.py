@@ -78,7 +78,7 @@ class InnerProduct:
 
         pair = geometry.pair(E, self.conjugate_module())
         try:
-            mat = pair.induce(plain, f"{self.name}-pairing")
+            mat = pair.induce(plain, f"{self.name}-pairing", pair.space.name)
             BimoduleMap(pair.space, algebra_as_bimodule(A), mat, f"{self.name}-pairing")
             results.append(CheckResult(f"{self.name}:bimodule-map", True))
         except (ValidationError, BimoduleMapError) as err:

@@ -237,58 +237,36 @@ def suite_ev_duality(ctx: VerifyContext) -> list[CheckResult]:
     return out
 
 
-# A random coefficient a/b (-3 <= a <= 3, 1 <= b <= 3) is drawn as the integer
-# 6a/b.  bullet-associativity-random is trilinear in its random operators
-# (x, y, z), because the bullet product is bilinear for any tables, bumped ones
-# included.  Scaling each operator by 6 scales both sides of the identity alike,
-# so every verdict and witness is that of the rational draw, while the
-# arithmetic runs on ints.
-_RANDOM_COEFFS = {(a, b): sc(6 * a // b) for a in range(-3, 4) for b in range(1, 4)}
-
-
 def _random_coords(ctx: VerifyContext, rng: random.Random, max_deg: int) -> dict[int, list]:
-    """Dense coordinates of one random operator, degree by degree up to max_deg."""
+    """Dense coordinates of one random operator, degree by degree up to max_deg, each
+    a/b with -3 <= a <= 3 and 1 <= b <= 3."""
     g = ctx.geometry
     return {
-        d: [_RANDOM_COEFFS[rng.randint(-3, 3), rng.randint(1, 3)] for _ in range(g.V(d).dim)]
-        for d in range(max_deg + 1)
+        d: [sc(f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}") for _ in range(g.V(d).dim)] for d in range(max_deg + 1)
     }
-
-
-def _operators(ctx: VerifyContext, draws: list[dict[int, list]]) -> GradedOperator:
-    """Random operators of one degree as one batch, the t-th in column t."""
-    comps = {d: Mat.from_cols([draw[d] for draw in draws]) for d in draws[0]}
-    return GradedOperator(ctx.geometry, comps, ctx.bundle.truncation)
 
 
 def bullet_associativity_random(ctx: VerifyContext) -> CheckResult:
     """(x . y) . z == x . (y . z) for operators of degree <= 1, decided exactly: the
     product is trilinear, so this is the identity on the triples (n, m, l) with each
     index <= 1 and n + m + l <= min(3, truncation), in the homogeneous check's order,
-    and no verdict depends on the seed.  Only if it fails are 100 seeded trials drawn
-    in order and checked as one batch per degree pattern, one trial per column: the
-    seed picks the witness, the first failing trial, or the identity's first failing
-    ``(n, m, l, *column)`` if no trial fails."""
+    and no verdict depends on the seed.  Only if it fails are up to 100 seeded trials
+    drawn, one at a time: the seed picks the witness, the first failing trial, or the
+    identity's first failing ``(n, m, l, *column)`` if no trial fails."""
     table, top = ctx.table, min(3, ctx.bundle.truncation)
     triples = [(n, m, l) for n in range(2) for m in range(2) for l in range(2) if n + m + l <= top]
     exact = next(((*t, *f) for t in triples if (f := table.associativity_fail(*t)) is not None), None)
     if exact is None:
         return CheckResult("bullet-associativity-random", True)
     rng = random.Random(ctx.seed)
-    batches: dict[tuple, list] = {}
     for trial in range(100):
         degs = [rng.randint(0, 1) for _ in range(3)]
-        while sum(degs) > min(3, ctx.bundle.truncation):
+        while sum(degs) > top:
             degs[rng.randrange(3)] = 0
-        batches.setdefault(tuple(degs), []).append((trial, [_random_coords(ctx, rng, dd) for dd in degs]))
-    failed = []
-    for batch in batches.values():
-        x, y, z = (_operators(ctx, [draws[i] for _, draws in batch]) for i in range(3))
-        lhs, rhs = x.bullet(y, table).bullet(z, table), x.bullet(y.bullet(z, table), table)
-        fail = lhs.components.first_mismatch(rhs.components, (len(batch),))
-        if fail is not None:
-            failed.append(batch[fail[0]][0])
-    return CheckResult("bullet-associativity-random", False, witness=min(failed, default=exact))
+        x, y, z = (GradedOperator(ctx.geometry, _random_coords(ctx, rng, dd), ctx.bundle.truncation) for dd in degs)
+        if x.bullet(y, table).bullet(z, table) != x.bullet(y.bullet(z, table), table):
+            return CheckResult("bullet-associativity-random", False, witness=trial)
+    return CheckResult("bullet-associativity-random", False, witness=exact)
 
 
 def bullet_unit(ctx: VerifyContext) -> CheckResult:

@@ -11,8 +11,8 @@ it reduced sparse rows.  A bimodule's actions are read one basis element at a
 time, as the blocks ``left[i]`` and ``right[i]`` of its two action matrices:
 the tensor relations, bimodule-map checks and conjugate actions below loop
 over them the way the library did before it wrote them as identities.  The
-bullet suite's random associativity check runs one rational triple at a time,
-as the suite did before it drew integer coefficients and batched the trials.
+bullet suite's random associativity check runs its seeded rational triples with
+no exact identity in front, as the suite did before the identity decided it.
 Graded maps are read as the per-degree dicts of matrices they replaced:
 summed pairwise, stacked at row offsets and compared by the two witness
 rules the crossing checks used, a witness read with the legs in another
@@ -179,9 +179,10 @@ def rational_operator(g, rng, max_deg: int, truncation: int) -> GradedOperator:
 
 
 def bullet_associativity_random(ctx) -> tuple:
-    """``bullet-associativity-random`` as ``(ok, witness)``, checked the way the bullet
-    suite did before it drew integers and batched the trials: one triple of
-    one-column operators with rational coefficients at a time."""
+    """``bullet-associativity-random`` as ``(ok, witness)``, decided by the seeded
+    trials alone, the way the bullet suite did before the exact identity on the
+    homogeneous triples decided it: one triple of operators with rational
+    coefficients at a time, the first failing trial the witness."""
     g, table, trunc = ctx.geometry, ctx.table, ctx.bundle.truncation
     rng = random.Random(ctx.seed)
     for trial in range(100):
@@ -356,12 +357,6 @@ def kron(a: Mat, b: Mat) -> Mat:
     x, y = a.data, b.data
     rows = [[x[i][j] * y[k][l] for j in range(a.cols) for l in range(b.cols)] for i in range(a.rows) for k in range(b.rows)]
     return Mat.from_rows(rows, a.cols * b.cols)
-
-
-def kron_cols(a: Mat, b: Mat) -> Mat:
-    """Column t is the Kronecker product of column t of a with column t of b."""
-    x, y = a.data, b.data
-    return Mat.from_rows([[x[i][t] * y[k][t] for t in range(a.cols)] for i in range(a.rows) for k in range(b.rows)], a.cols)
 
 
 def add_mats(a: Mat, b: Mat, sign=ONE) -> Mat:

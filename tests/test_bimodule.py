@@ -73,7 +73,7 @@ def test_unit_object_left(two_point_algebra, two_point_omega):
     left = action_blocks(two_point_omega)[0]
     cols = [left[i].column(j) for i in range(A.dim) for j in range(two_point_omega.dim)]
     mult_plain = Mat.from_cols(cols, two_point_omega.dim)
-    iso = pair.induce(mult_plain, "left-unitor")
+    iso = pair.induce(mult_plain, "left-unitor", pair.space.name)
     m = BimoduleMap(pair.space, two_point_omega, iso, "left-unitor")  # verifies equivariance
     inverse(m.mat)  # invertible
 
@@ -85,7 +85,7 @@ def test_unit_object_right(two_point_algebra, two_point_omega):
     right = action_blocks(two_point_omega)[1]
     cols = [right[i].column(j) for j in range(two_point_omega.dim) for i in range(A.dim)]
     mult_plain = Mat.from_cols(cols, two_point_omega.dim)
-    iso = pair.induce(mult_plain, "right-unitor")
+    iso = pair.induce(mult_plain, "right-unitor", pair.space.name)
     BimoduleMap(pair.space, two_point_omega, iso, "right-unitor")
     inverse(iso)
 

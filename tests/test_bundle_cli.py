@@ -4,6 +4,8 @@ import copy
 from fractions import Fraction
 import hashlib
 import json
+from pathlib import Path
+import re
 import subprocess
 import sys
 
@@ -744,82 +746,157 @@ def test_field_qi_accepts_real_and_gaussian(two_point_doc):
 
 
 # -- report bodies pinned across commits -------------------------------------------
-# sha256 of the stdout of `ncdiffop verify <bundle> --json --seed 7 [--suites ...]`.
+# sha256 of the stdout of `ncdiffop verify <bundle> --json --seed 7 [args...]`, one
+# row (id, args, sha256, why) per pin; a --seed among the args replaces the 7.
 # Criterion 10 compares runs of one commit; these digests pin the bodies across
 # changes to the arithmetic, so a change that alters any check's outcome or the
 # canonical form of a body shows here.  Re-record only for a deliberate change
 # of the report format or of the checks themselves.
 PINNED_BODIES = [
-    (["two-point-universal"], "f8facf4a6ab82e49440a0cc49ab172dc6315bebf870c8283ccbe3278f1dc533f"),
-    (["zero-form-smoke"], "ba66916fb37b391fa7e6190cf1edd3371e28f1b272bdb3cc8f538730980278bd"),
     (
+        "two-point-universal",
+        ["two-point-universal"],
+        "f8facf4a6ab82e49440a0cc49ab172dc6315bebf870c8283ccbe3278f1dc533f",
+        "every suite of the two-point bundle at its default degree",
+    ),
+    (
+        "zero-form-smoke",
+        ["zero-form-smoke"],
+        "ba66916fb37b391fa7e6190cf1edd3371e28f1b272bdb3cc8f538730980278bd",
+        "every suite of the bundle with no 1-forms at its default degree",
+    ),
+    (
+        "z3-subset",
         ["z3-function-calculus", "--suites", "fgp-zigzag,connections,ev-duality,bullet,sobolev"],
         "5057b90a9ded5a703869ec1a46a3edbeccf7dd63ef13ccdcadd8886cc14b533a",
+        "the z3 suites that read no crossing, at the default degree",
     ),
     (
+        "z3-theta-deg2",
         ["z3-function-calculus", "--suites", "theta", "--degree", "2"],
         "629d67e702d69e48beaba7bcfa5a493f47eb7bf6ae930a5ae511b69ea1b47f58",
+        "the z3 crossings alone, below the default degree",
     ),
     (
+        "z3-centre-deg1",
         ["z3-function-calculus", "--suites", "centre", "--degree", "1"],
         "7545248c365530567292c1c769c029ab515120f2c30537e984bfa640da9cad0c",
+        "the centre candidate's checks stopping at degree 1",
     ),
     (
+        "z3-action",
         ["z3-function-calculus", "--suites", "action"],
         "a41494d5c312720b42d681ba3c53215176848ff13043b3dbca8a92417f35f9e4",
+        "the module actions of z3 at the default degree",
     ),
     (
+        "z3-theta-centre",
         ["z3-function-calculus", "--suites", "theta,centre"],
         "7481f8357ad392c5178c6996ae7a7614fe53d010afb85d09ecf50d4c9917fc17",
+        "theta and centre sharing the crossings of one bundle",
     ),
-    # below degree 3 bullet-associativity-random builds the degree-2 and -3 triples
-    # itself; the later --seed replaces the 7
-    (
-        ["z3-function-calculus", "--suites", "bullet", "--degree", "1", "--seed", "4"],
-        "43e28b8bbb97aefd945425f37c3394a0699b8f2eec9b2cc8452e316290f479e1",
+    *(
+        (
+            f"z3-bullet-deg{degree}-seed{seed}",
+            ["z3-function-calculus", "--suites", "bullet", "--degree", str(degree), "--seed", str(seed)],
+            digest,
+            "below degree 3 bullet-associativity-random builds the degree-2 and -3 triples itself",
+        )
+        for degree, seed, digest in [
+            (1, 4, "43e28b8bbb97aefd945425f37c3394a0699b8f2eec9b2cc8452e316290f479e1"),
+            (1, 10, "002dced34c407f8455843c4c896b69d90ff916eb7b33672f06b20672c978963a"),
+            (2, 4, "fb582444b1b8d54509dab133fe457c38d42e68200d28ae185002d4c44b909727"),
+            (2, 10, "d839dd3ae2de946e0cfc9084fc8380046eadbe91fdbf1d7ffacf291e253e632a"),
+        ]
     ),
     (
-        ["z3-function-calculus", "--suites", "bullet", "--degree", "1", "--seed", "10"],
-        "002dced34c407f8455843c4c896b69d90ff916eb7b33672f06b20672c978963a",
-    ),
-    (
-        ["z3-function-calculus", "--suites", "bullet", "--degree", "2", "--seed", "4"],
-        "fb582444b1b8d54509dab133fe457c38d42e68200d28ae185002d4c44b909727",
-    ),
-    (
-        ["z3-function-calculus", "--suites", "bullet", "--degree", "2", "--seed", "10"],
-        "d839dd3ae2de946e0cfc9084fc8380046eadbe91fdbf1d7ffacf291e253e632a",
-    ),
-    # the only pin above degree 6: its 112 tensor pairs have 5 action contents, so most are shared
-    (
+        "two-point-theta-centre-deg8",
         ["two-point-universal", "--suites", "theta,centre", "--degree", "8"],
         "811801f005438b24c01144565a43eaa77bf27e5c6fbc489e02217c77c54555b6",
+        "the only pin above degree 6: its 112 tensor pairs have 5 action contents, so most are shared",
+    ),
+    (
+        "z3-deg4",
+        ["z3-function-calculus", "--seed", "0", "--degree", "4"],
+        "bfadaa6754f33bfb11e18b90025daf020c3f286a8b32581b9e2efbaaad69d129",
+        "degree 4 is where the largest identity Kronecker factors occur, in theta, centre and ev-duality",
+    ),
+    (
+        "two-point-deg4",
+        ["two-point-universal", "--seed", "0", "--degree", "4"],
+        "0815f5e0c7bcdce50db4087ee7df8084adc937a58ad6e4d5d1f8052715cd72da",
+        "every suite of the two-point bundle at degree 4, the crossings included",
+    ),
+    (
+        "zero-form-deg5",
+        ["zero-form-smoke", "--seed", "0", "--degree", "5"],
+        "2a45b1b3820c6732468023f458e483d6d5c075d163460a5b619b90b8cade81b2",
+        "crossings without Omega1: centre asks them to degree 2, theta then to 5, reading centre's witnesses",
+    ),
+    (
+        "z3-bullet-deg5",
+        ["z3-function-calculus", "--seed", "0", "--suites", "bullet", "--degree", "5"],
+        "eecbafaa235901c1fee07b5085bc3387e67ac565cf76bbd9dd2f786d7215e015",
+        "the bullet tables at degree 5",
+    ),
+    (
+        "z3-theta-deg5",
+        ["z3-function-calculus", "--seed", "0", "--suites", "theta", "--degree", "5"],
+        "725cab7f23468a07fc5487623209aa07374af5ab9b8a1c763ff477aaf9740ec3",
+        "theta above degree 4",
+    ),
+    (
+        "z3-ev-duality-deg5",
+        ["z3-function-calculus", "--seed", "0", "--suites", "ev-duality", "--degree", "5"],
+        "0ccd4d0ae2a29fe63e608fbca225cdd6cbb0746adf063deb185725f7469f7bd6",
+        "the W(5) (x) V(5) relations, read from the nonzero action entries and spanned with coordinate kills",
+    ),
+    (
+        "z3-ev-fgp-deg6",
+        ["z3-function-calculus", "--seed", "0", "--suites", "ev-duality,fgp-zigzag", "--degree", "6"],
+        "effb514f551e9e1cd2a1b0581c4a79735a2c26c1de95fb34800ab012923fce07",
+        "the ev and coev contractions at degree 6, where they meet the largest identity factors",
+    ),
+    (
+        "two-point-deg6",
+        ["two-point-universal", "--seed", "0", "--degree", "6"],
+        "755d54c2a424ab307ed5336d18e229edaed0517fe9be87deea780a98a848cdbd",
+        "relation spans mixing 502 one-entry vectors (coordinate kills) with 222 of several entries",
+    ),
+    (
+        "z3-sobolev-deg5",
+        ["z3-function-calculus", "--seed", "0", "--suites", "sobolev", "--degree", "5"],
+        "8a47ac31863d4f086aa1e070bdea67494a2d4dcdaae7a65e348d754924126123",
+        "the Sobolev pairings above degree 4, one product with the pairing's matrix per degree",
     ),
 ]
 
 
-@pytest.mark.parametrize(
-    "args,digest",
-    PINNED_BODIES,
-    ids=[
-        "two-point-universal",
-        "zero-form-smoke",
-        "z3-subset",
-        "z3-theta-deg2",
-        "z3-centre-deg1",
-        "z3-action",
-        "z3-theta-centre",
-        "z3-bullet-deg1-seed4",
-        "z3-bullet-deg1-seed10",
-        "z3-bullet-deg2-seed4",
-        "z3-bullet-deg2-seed10",
-        "two-point-theta-centre-deg8",
-    ],
-)
-def test_cli_verify_body_digest_pinned(capsys, args, digest):
+def verify_body(capsys, args) -> str:
+    """The stdout of ``ncdiffop verify <bundle> --json --seed 7 [args...]``, which must pass."""
     assert main(["verify", args[0], "--json", "--seed", "7", *args[1:]]) == 0
-    body = capsys.readouterr().out
-    assert hashlib.sha256(body.encode()).hexdigest() == digest
+    return capsys.readouterr().out
+
+
+def body_matches(body: str, digest: str) -> bool:
+    return hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args,digest", [pytest.param(args, digest, id=id) for id, args, digest, _ in PINNED_BODIES])
+def test_cli_verify_body_digest_pinned(capsys, args, digest):
+    assert body_matches(verify_body(capsys, args), digest)
+
+
+def test_a_one_byte_change_to_a_pinned_body_fails(capsys):
+    _, args, digest, _ = PINNED_BODIES[1]  # zero-form-smoke, the quickest
+    body = verify_body(capsys, args)
+    assert body_matches(body, digest) and not body_matches(body + " ", digest)
+
+
+def test_ci_workflow_pins_no_digest():
+    """The pinned bodies live in PINNED_BODIES, which Tier-1 runs, and not in CI steps."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    assert not re.search(r"\b[0-9a-f]{64}\b", workflow.read_text())
 
 
 def test_cli_apply_and_gram_values_pinned(capsys):

@@ -215,29 +215,6 @@ def test_sparse_operator_path_matches_dense_oracles(data, name):
     assert x.act_on(module, e) == oracles.act_on(x, module, e)
 
 
-@given(st.data(), st.sampled_from(["two-point-universal", "z3-function-calculus"]), st.integers(1, 4))
-@settings(max_examples=40, deadline=None)
-def test_batched_bullet_is_the_products_column_by_column(data, name, c):
-    """c operators held one per column, bulleted with another batch of c, give the
-    c one-column products, column by column."""
-    bundle, table = bundle_and_table(name)
-    g, top = bundle.geometry, bundle.truncation
-    nx = data.draw(st.integers(0, top))
-    ny = data.draw(st.integers(0, top - nx))
-    xs = [operators(data.draw, g, top, nx) for _ in range(c)]
-    ys = [operators(data.draw, g, top, ny) for _ in range(c)]
-
-    def batch(ops):
-        return GradedOperator(g, {d: Mat.from_cols([op.component(d) for op in ops]) for d in range(top + 1)}, top)
-
-    prod = batch(xs).bullet(batch(ys), table)
-    for t in range(c):
-        want = xs[t].bullet(ys[t], table)
-        for k in range(top + 1):
-            got = prod.components[k].column(t) if k in prod.components else [ZERO] * g.V(k).dim
-            assert got == want.component(k), (t, k)
-
-
 # -- the action ------------------------------------------------------------------
 
 

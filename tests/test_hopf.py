@@ -148,3 +148,14 @@ def test_group_reads_mu_unit_and_antipode_from_its_table(group):
 def test_group_without_identity_is_refused():
     with pytest.raises(ValueError, match="no identity"):
         Group(range(2), lambda a, b: 0, "zero")
+
+
+@pytest.mark.parametrize("group", [cyclic_group(2), symmetric_group_3()], ids=["Z2", "S3"])
+def test_adjoint_action_conjugates(group):
+    """Column (g, h) of the adjoint action is the basis vector of g h g^-1, read from ``Group.mult``."""
+    elems, mult, n = group.elements, group.mult, group.order
+    identity = next(e for e in elems if all(mult(e, f) == f for f in elems))
+    inverse = {g: next(f for f in elems if mult(g, f) == identity) for g in elems}
+    conjugate = [elems.index(mult(mult(g, h), inverse[g])) for g in elems for h in elems]
+    want = Mat.from_entries(n, n * n, ((k, t, ONE) for t, k in enumerate(conjugate)))
+    assert hopf.adjoint_module(group).action == want

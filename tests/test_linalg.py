@@ -295,20 +295,19 @@ def unit_cases(draw):
     gaussian = draw(st.booleans())
     r, k, c, p, q = (draw(st.integers(0, 3)) for _ in range(5))
     n, m = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
-    mats = (draw(unit_mats(gaussian, *shape)) for shape in [(r, k), (r, k), (k, c), (p, q), (p, k)])
-    a, a2, b, x, y = mats
-    return a, a2, b, x, y, n, m, draw(unit_mats(gaussian, c, n * p * m)), draw(unit_mats(gaussian, n * q * m, c))
+    mats = (draw(unit_mats(gaussian, *shape)) for shape in [(r, k), (r, k), (k, c), (p, q)])
+    a, a2, b, x = mats
+    return a, a2, b, x, n, m, draw(unit_mats(gaussian, c, n * p * m)), draw(unit_mats(gaussian, n * q * m, c))
 
 
 @given(unit_cases())
 @settings(max_examples=300, deadline=None)
 def test_unit_singletons_in_the_kernels_match_the_oracles(case):
-    a, a2, b, x, y, n, m, left, right = case
+    a, a2, b, x, n, m, left, right = case
     assert a @ b == oracles.matmul(a, b)
     assert left.mul_ikron(n, x, m) == oracles.matmul(left, oracles.ikron(n, x, m))
     assert ikron_mul(n, x, m, right) == oracles.matmul(oracles.ikron(n, x, m), right)
     assert a.kron(x) == oracles.kron(a, x) and x.kron(a) == oracles.kron(x, a)
-    assert a.kron_cols(y) == oracles.kron_cols(a, y)
     assert a + a2 == oracles.add_mats(a, a2)
     assert a - a2 == oracles.add_mats(a, a2, NEG_ONE)
     for vectors, dim in ((a.cols_sparse(), a.rows), (a.transpose().cols_sparse(), a.cols)):
@@ -462,28 +461,6 @@ def test_contract_matches_the_built_identity_factor(case):
     if n:  # x fixes the contracted leg, so y with one more row cannot contract with it
         with pytest.raises(ValueError):
             contract(x, m, n, Mat.zeros(y.rows + 1, y.cols), mirror)
-
-
-@st.composite
-def kron_cols_cases(draw):
-    """Two Q or Q(i) matrices with the same number of columns, zero to three;
-    empty columns come from ``oracle_mats``."""
-    kind = draw(st.sampled_from(["rational", "gaussian"]))
-    c, p, q = (draw(st.integers(0, 3)) for _ in range(3))
-    return draw(oracle_mats(kind, p, c))[1], draw(oracle_mats(kind, q, c))[1]
-
-
-@given(kron_cols_cases())
-@settings(max_examples=200, deadline=None)
-def test_kron_cols_is_kron_of_the_column_slices(case):
-    x, y = case
-    out = x.kron_cols(y)
-    assert (out.rows, out.cols) == (x.rows * y.rows, x.cols)
-    for t in range(x.cols):
-        xt, yt, got = (Mat(m.rows, 1, [m.cols_sparse()[t]]) for m in (x, y, out))
-        assert read_back(got) == read_back(xt.kron(yt))
-    with pytest.raises(ValueError):
-        x.kron_cols(Mat.zeros(y.rows, y.cols + 1))
 
 
 def test_kron_vec():

@@ -9,7 +9,9 @@ pins hold the check order fixed while the checks themselves change form.
 The digests pin the blocks that the corrupted tests start from, the
 crossing inverse, the dual connection on vector fields and the dual of the
 1-forms.  The load-path pins hold the results of ``Algebra.validate`` and
-``Bimodule.validate`` and the element a bad dual basis fails on.
+``Bimodule.validate`` and the element a bad dual basis fails on.  The
+quotient pins hold the name and witness each map pushed to a tensor quotient
+raises when it does not descend there.
 """
 
 import functools
@@ -21,8 +23,8 @@ import pytest
 from ncdiffop import crossing, verify
 from ncdiffop.algebra import Algebra
 from ncdiffop.bimodule import Bimodule, NotProjective, TensorPair, dualize_right_module
-from ncdiffop.bundle import BUILTIN_NAMES, load_builtin
-from ncdiffop.calculus import connection_morphism_defect, sigma_compat_defect, tensor_connection
+from ncdiffop.bundle import BUILTIN_NAMES, builtin_bundle_dict, load_builtin, load_bundle_dict
+from ncdiffop.calculus import connection_morphism_defect, sigma_compat_defect, tensor_connection, trivial_module
 from ncdiffop.crossing import (
     CrossingMap,
     OperatorConnection,
@@ -375,7 +377,93 @@ def raised(check):
     return None
 
 
-LOAD_VALIDATORS = ("_validate_calculus", "_validate_right_connection", "_validate_dual_connection")
+def two_point_with(path, value: str) -> dict:
+    """The two-point-universal document with the entry at ``path`` set to ``value``."""
+    doc = builtin_bundle_dict("two-point-universal")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path,build,expected",
+    [
+        (("sigma_inv", 1, 0), None, ("sigma-inv-not-well-defined", None)),
+        (("modules", "omega1", "sigma", 1, 0), None, ("sigma-omega-not-well-defined", "(omega1(x)omega1)")),
+        (("sigma_inv", 1, 1), lambda b: b.geometry.box_vec_pow(2), ("box-vec-pow-not-well-defined", 2)),
+        (("box", 1, 0), lambda b: b.geometry.box_form_pow(2), ("box-form-pow-not-well-defined", 2)),
+        (("box", 1, 0), lambda b: b.modules["A"].nabla_pow(2), ("nabla-pow-not-well-defined", ("A", 2))),
+        (
+            ("modules", "omega1", "nabla", 1, 0),
+            lambda b: tensor_connection(b.modules["omega1"], b.modules["omega1"]),
+            ("tensor-connection-not-well-defined", ("omega1", "omega1")),
+        ),
+    ],
+    ids=["sigma-inv", "sigma-omega", "box-vec-pow", "box-form-pow", "nabla-pow", "tensor-connection"],
+)
+def test_map_not_descending_to_its_quotient(path, build, expected):
+    """One entry of two-point-universal set to 5 and loaded unvalidated: a map that no
+    longer kills its quotient's relations raises under its own name, with the witness it
+    has always carried (none for the two braidings of the geometry).  With no build
+    given, the load itself raises."""
+    doc = two_point_with(path, "5")
+    if build is None:
+        assert raised(lambda: load_bundle_dict(doc, validate=False)) == expected
+    else:
+        assert raised(lambda: build(load_bundle_dict(doc, validate=False))) == expected
+
+
+def test_inner_product_pairing_not_descending_to_its_quotient():
+    """A bumped star entry: each inner product's pairing fails to descend to E (x)_A conj(E),
+    reported as the bimodule-map check's detail with the quotient's name as witness."""
+    bundle = load_bundle_dict(two_point_with(("algebra", "star", 1, 1), "5"), validate=False)
+    got = {
+        r.name: r.detail
+        for name in ("A", "omega1")
+        for r in bundle.inner_products[name].validate(bundle.geometry, [])
+        if r.name.endswith("bimodule-map")
+    }
+    assert got == {
+        "ip-A:bimodule-map": "validation failed: ip-A-pairing-not-well-defined witness=(A(x)conj(A))",
+        "ip-omega1:bimodule-map": "validation failed: ip-omega1-pairing-not-well-defined witness=(omega1(x)conj(omega1))",
+    }
+
+
+@pytest.mark.parametrize(
+    "quotient,build,expected",
+    [
+        (
+            "(dual(omega1)(x)omega1)",
+            lambda b: load_builtin("two-point-universal", validate=False),
+            ("ev-not-well-defined", "(dual(omega1)(x)omega1)"),
+        ),
+        ("(dual(omega1)(x)omega1)", lambda b: b.geometry._build_dual_connection(False), ("sigma-vec-not-well-defined", None)),
+        ("(A(x)omega1)", lambda b: trivial_module(b.geometry), ("sigma-A-not-well-defined", "(A(x)omega1)")),
+        (
+            "(dual(omega1)(x)omega1)",
+            lambda b: CrossingMap(BulletTable(b.geometry), b.modules["omega1"]),
+            ("sigma-hat-not-well-defined", "omega1"),
+        ),
+        (
+            "((omega1(x)omega1)(x)omega1)",
+            lambda b: tensor_connection(b.modules["omega1"], b.modules["omega1"]),
+            ("sigma-tensor-not-well-defined", "((omega1(x)omega1)(x)omega1)"),
+        ),
+    ],
+    ids=["ev", "sigma-vec", "sigma-A", "sigma-hat", "sigma-tensor"],
+)
+def test_quotient_refusing_every_map(monkeypatch, quotient, build, expected):
+    """The pushes no single-entry corruption of a built-in reaches: with the named quotient
+    made to refuse every map, each raises under its own name and witness."""
+    bundle = load_builtin("two-point-universal")
+    descends = TensorPair.descends
+    monkeypatch.setattr(TensorPair, "descends", lambda self, m: self.space.name != quotient and descends(self, m))
+    assert raised(lambda: build(bundle)) == expected
+
+
+LOAD_VALIDATORS =("_validate_calculus", "_validate_right_connection", "_validate_dual_connection")
 
 
 @pytest.mark.parametrize(
@@ -447,17 +535,6 @@ def test_corrupt_bullet_table_111(z3, r, c):
     assert failing(suite_bullet(ctx)) == BULLET_111_WITNESSES[(r, c)]
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_batched_random_trials_match_the_rational_loop(name):
-    """The random associativity trials, drawn as integers and checked one batch per
-    degree pattern, give the verdict and witness of the per-trial rational loop."""
-    bundle = load_builtin(name)
-    for seed in range(20):
-        ctx = VerifyContext(bundle, D, seed)
-        check = bullet_associativity_random(ctx)
-        assert (check.ok, check.witness) == oracles.bullet_associativity_random(ctx)
-
-
 @pytest.mark.parametrize(
     "built,key,r,c,witness",
     [
@@ -465,18 +542,27 @@ def test_batched_random_trials_match_the_rational_loop(name):
         (3, (1, 1, 1), 0, 0, 2),  # the bumps of BULLET_111_WITNESSES
         (3, (1, 1, 1), 2, 18, 2),
         (3, (1, 1, 1), 4, 18, 2),
-        # bumps under which only some trials fail: 9 of the 19 degree-(1, 1, 1)
-        # trials, the first of them not its batch's first column
+        # bumps under which only some trials fail: 9 of the 19 trials of degrees
+        # (1, 1, 1), the first of them trial 7, after trials 2 and 6 of that pattern pass
         (3, (1, 2, 3), 0, 0, 7),
-        # 17 trials in two batches, the first failure in the batch begun later
+        # 17 trials of degrees (1, 1, 1) and (0, 1, 1), the first of them trial 5,
+        # of the pattern drawn later
         (3, (0, 2, 2), 0, 0, 5),
-        (3, (2, 0, 2), 3, 1, 2),  # 14 trials in two batches
+        (3, (2, 0, 2), 3, 1, 2),  # 14 trials of degrees (1, 1, 1) and (1, 1, 0)
+        # the built-ins as they are, with no bump: the exact identity holds, no trial is drawn
+        *(pytest.param(None, name, None, None, None, id=name) for name in BUILTIN_NAMES),
     ],
 )
 def test_batched_random_trials_match_the_rational_loop_on_bumped_tables(z3, built, key, r, c, witness):
-    ctx = bumped_bullet_context(z3[0], built, key, r, c)
+    """The check's verdict and witness are those of the oracle's rational trials, with
+    no exact identity in front; ``key`` names the built-in of an unbumped row."""
+    if built is None:
+        ctx = VerifyContext(load_builtin(key), D, seed=7)
+    else:
+        ctx = bumped_bullet_context(z3[0], built, key, r, c)
     check = bullet_associativity_random(ctx)
-    assert (check.ok, check.witness) == oracles.bullet_associativity_random(ctx) == (False, witness)
+    expected = (True, None) if witness is None else (False, witness)
+    assert (check.ok, check.witness) == oracles.bullet_associativity_random(ctx) == expected
 
 
 def test_corrupt_idempotent_reports_first_failure():
