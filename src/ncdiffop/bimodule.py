@@ -171,6 +171,12 @@ def idempotent_failure(algebra: Algebra, P: Mat) -> Optional[tuple[int, int]]:
     P is a matrix Kron(n, n) -> A with column q*n + j holding P[q][j]; the entry
     (q, j) of P o P is sum_k P[q][k] P[k][j], the product on Kron(n, n) of
     mul o (P (x) P) with id (x) sum_k e_k (x) e_k (x) id.
+
+    No loaded input can make this fail: the dual-basis and right-linearity checks of
+    ``dualize_right_module``, which run first, imply P o P = P, and each of the 180
+    single-entry corruptions of the dual bases of two-point-universal and
+    z3-function-calculus fails those first or passes everything.  It is kept as a cheap identity; ROADMAP item 10 (the
+    census of checks that cannot fail) is to give it an independent side.
     """
     n = isqrt(P.cols)
     return first_mismatch((algebra.mul @ P.kron(P)).mul_ikron(n, _diagonal(n), n), P, (n, n))

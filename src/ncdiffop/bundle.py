@@ -39,6 +39,7 @@ REQUIRED_NESTED_KEYS = {
     "dual_basis": ("forms", "functionals"),
 }
 MODULE_KEYS = ("nabla", "sigma")
+HEADER_DEFAULTS = {"name": "bundle", "field": "Q", "truncation_degree": 3, "notes": ""}
 
 
 class ParseError(ValueError):
@@ -86,10 +87,6 @@ def _number(v) -> Scalar:
     return sc(v)
 
 
-def _mat_out(m: Mat) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.data]
-
-
 class Bundle:
     def __init__(
         self,
@@ -101,12 +98,7 @@ class Bundle:
         modules: dict[str, ConnectionModule],
         inner_products: dict[str, InnerProduct],
         states: dict[str, State],
-        functionals: list[Mat],
-        box_plain: Mat,
-        sigma_inv_plain: Mat,
-        module_decls: dict,
-        omega_basis: list,
-        notes: str = "",
+        document: dict,
     ):
         self.name = name
         self.field = field
@@ -116,68 +108,53 @@ class Bundle:
         self.modules = modules
         self.inner_products = inner_products
         self.states = states
-        self.functionals = functionals
-        self.box_plain = box_plain
-        self.sigma_inv_plain = sigma_inv_plain
-        self.module_decls = module_decls
-        self.omega_basis = omega_basis
-        self.notes = notes
+        self.document = document  # as given to the loader, which has checked its shape
 
     @memo
     def digest(self) -> str:
-        """sha256 of the canonical serialization, once per loaded bundle: its inputs never change."""
+        """sha256 of the canonical document, once per loaded bundle: its inputs never change."""
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
 
     def to_dict(self) -> dict:
-        """Canonical serialization (normalized scalar strings)."""
-        g = self.geometry
-        A = self.algebra
-        # the file lists each a_i's action as a matrix: the column blocks of the action matrices
-        dO, lcols, rcols = g.omega.dim, g.omega.left_action.cols_sparse(), g.omega.right_action.cols_sparse()
-        out = {
+        """The normal form of the document this bundle was loaded from, built afresh on
+        each call, which ``digest`` hashes: each scalar as ``str`` of the value the loader
+        reads from it, the header defaults and each module's ``space`` filled in, the keys
+        the format does not define dropped, and ``inner_products.A`` as declared,
+        ``"canonical"`` or a table.  Two documents get one normal form only if they load
+        to the same data."""
+        texts = {}  # literal -> str of its value, each distinct literal parsed once
+
+        def out(x):  # a scalar, or nested lists of scalars
+            if type(x) is list:
+                return [out(y) for y in x]
+            if type(x) is str:
+                return texts[x] if x in texts else texts.setdefault(x, str(Scalar.from_str(x)))
+            return str(_number(x))
+
+        doc = self.document
+        alg, om, db = doc["algebra"], doc["omega"], doc["dual_basis"]
+        algebra = {"basis": list(alg["basis"]), "mul": out(alg["mul"]), "unit": out(alg["unit"])}
+        if "star" in alg:
+            algebra["star"] = out(alg["star"])
+        return {
             "format": FORMAT,
-            "name": self.name,
-            "field": self.field,
-            "truncation_degree": self.truncation,
-            "notes": self.notes,
-            "algebra": {
-                "basis": list(A.basis_names),
-                "mul": [[[str(x) for x in A.mul.column(i * A.dim + j)] for j in range(A.dim)] for i in range(A.dim)],
-                "unit": [str(x) for x in A.unit],
-            },
-            "omega": {
-                "basis": list(self.omega_basis),
-                "left": [_mat_out(Mat(dO, dO, lcols[i * dO : (i + 1) * dO])) for i in range(A.dim)],
-                "right": [_mat_out(Mat(dO, dO, rcols[i :: A.dim])) for i in range(A.dim)],
-            },
-            "d": _mat_out(g.d),
-            "dual_basis": {
-                "forms": [[str(x) for x in f] for f in g.fgp.basis_forms],
-                "functionals": [_mat_out(m) for m in self.functionals],
-            },
-            "box": _mat_out(self.box_plain),
-            "sigma_inv": _mat_out(self.sigma_inv_plain),
+            **{key: doc.get(key, default) for key, default in HEADER_DEFAULTS.items()},
+            "algebra": algebra,
+            "omega": {"basis": list(om["basis"]), "left": out(om["left"]), "right": out(om["right"])},
+            "d": out(doc["d"]),
+            "dual_basis": {"forms": out(db["forms"]), "functionals": out(db["functionals"])},
+            "box": out(doc["box"]),
+            "sigma_inv": out(doc["sigma_inv"]),
             "modules": {
-                mname: {
-                    "space": "omega",
-                    "nabla": _mat_out(nabla),
-                    "sigma": _mat_out(sigma),
-                }
-                for mname, (nabla, sigma) in sorted(self.module_decls.items())
+                mname: {"space": "omega", "nabla": out(decl["nabla"]), "sigma": out(decl["sigma"])}
+                for mname, decl in doc.get("modules", {}).items()
             },
             "inner_products": {
-                iname: (
-                    "canonical"
-                    if iname == "A"
-                    else [[[str(x) for x in cell] for cell in row] for row in ip.values]
-                )
-                for iname, ip in sorted(self.inner_products.items())
+                iname: spec if spec == "canonical" else out(spec)
+                for iname, spec in doc.get("inner_products", {}).items()
             },
-            "states": {name: [str(x) for x in s.functional] for name, s in sorted(self.states.items())},
+            "states": {sname: out(coords) for sname, coords in doc.get("states", {}).items()},
         }
-        if A.star is not None:
-            out["algebra"]["star"] = _mat_out(A.star)
-        return out
 
     def module_names(self) -> list[str]:
         return sorted(self.modules)
@@ -204,19 +181,19 @@ def canonical_json(doc: dict) -> str:
 
 
 def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
+    """Parse a document and, if ``validate``, check every load-time invariant.  The bundle
+    keeps the document it was given, and its digest and ``to_dict`` read it later, so the
+    caller must not change the document after loading it."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ParseError(f"not a {FORMAT} document")
     missing = _missing_keys(doc)
     if missing:
         raise ParseError(f"missing required key(s): {', '.join(missing)}")
-    name = doc.get("name", "bundle")
-    field = doc.get("field", "Q")
+    name, field, truncation = (doc.get(key, HEADER_DEFAULTS[key]) for key in ("name", "field", "truncation_degree"))
     if field not in ("Q", "Q(i)"):
         raise ParseError(f"unknown field {field!r}")
-    truncation = doc.get("truncation_degree", 3)
     if type(truncation) is not int or truncation < 0:
         raise ParseError(f"truncation_degree: expected a non-negative integer, got {truncation!r}")
-    notes = doc.get("notes", "")
     literals = _Literals()
 
     alg = doc["algebra"]
@@ -262,36 +239,33 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
     ]
     if len(forms) != len(functionals):
         raise ParseError(f"dual_basis: {len(forms)} forms but {len(functionals)} functionals")
-    box_plain = literals.mat(doc["box"], dO * dO, dO, "box")
-    sigma_inv_plain = literals.mat(doc["sigma_inv"], dO * dO, dO * dO, "sigma_inv")
-
-    geometry = Geometry(
-        algebra, omega, d, forms, functionals, box_plain, sigma_inv_plain, name=name, validate=validate
-    )
+    box = literals.mat(doc["box"], dO * dO, dO, "box")
+    sigma_inv = literals.mat(doc["sigma_inv"], dO * dO, dO * dO, "sigma_inv")
+    geometry = Geometry(algebra, omega, d, forms, functionals, box, sigma_inv, name=name, validate=validate)
 
     states: dict[str, State] = {}
     for sname, coords in sorted(_object(doc, "states").items()):
         state = State(literals.scalars(coords, dA, f"states.{sname}"), sname)
-        if validate and algebra.star is not None:
+        if algebra.star is not None:  # also when not validating: the certificate decides state.faithful
             report = {r.name: r for r in state.validate(algebra)}
             for check in ("state-unital", "state-hermitian", "state-positive"):
-                if check in report and not report[check].ok:
+                if validate and check in report and not report[check].ok:
                     raise ValidationError(check, witness=(sname, report[check].witness))
         states[sname] = state
 
     modules: dict[str, ConnectionModule] = {
         "A": trivial_module(geometry, "A", validate=validate),
-        "vec": vec_module(geometry, "vec", validate=validate),
+        # a validating Geometry has checked this Leibniz pair: (box_vec, sigma_vec) on OV1 and VO1,
+        # the very pairs that are vec's OE and EO, so vec does not check it again
+        "vec": vec_module(geometry, "vec", validate=False),
     }
-    module_decls = {}
     for mname, decl in sorted(_object(doc, "modules").items()):
         space = decl.get("space", "omega")
         if space != "omega":
             raise ParseError(f"module {mname}: only the 1-form space can be declared externally")
-        nabla_plain = literals.mat(decl["nabla"], dO * dO, dO, f"{mname}.nabla")
-        sigma_plain = literals.mat(decl["sigma"], dO * dO, dO * dO, f"{mname}.sigma")
-        module_decls[mname] = (nabla_plain, sigma_plain)
-        modules[mname] = omega_module(geometry, nabla_plain, sigma_plain, mname, validate=validate)
+        nabla = literals.mat(decl["nabla"], dO * dO, dO, f"{mname}.nabla")
+        sigma = literals.mat(decl["sigma"], dO * dO, dO * dO, f"{mname}.sigma")
+        modules[mname] = omega_module(geometry, nabla, sigma, mname, validate=validate)
 
     inner_products: dict[str, InnerProduct] = {}
     state_list = list(states.values())
@@ -327,12 +301,7 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
         modules=modules,
         inner_products=inner_products,
         states=states,
-        functionals=functionals,
-        box_plain=box_plain,
-        sigma_inv_plain=sigma_inv_plain,
-        module_decls=module_decls,
-        omega_basis=list(om["basis"]),
-        notes=notes,
+        document=doc,
     )
 
 

@@ -157,7 +157,12 @@ class HopfCentreCandidate:
         return phi_matrix(self.group, module)
 
     def check_unit(self) -> CheckResult:
-        # on the trivial module phi must be the canonical flip of coordinates
+        """On the trivial module phi must be the canonical flip of coordinates.
+
+        No input can make this fail: phi of a freshly built trivial module is read off
+        that module's own action columns, so the check tests only that ``phi_matrix``
+        and ``trivial_module`` agree.  ROADMAP item 10 (the census of checks that
+        cannot fail) is to give it an independent side."""
         n = self.group.order
         return _check("hopf-unit-object", first_mismatch(self.phi(trivial_module(self.group)), Mat.identity(n), (n, 1)))
 
@@ -168,6 +173,13 @@ class HopfCentreCandidate:
         return _check(f"hopf-morphism-{obj}", None if fail is None else (obj, fail[0]))
 
     def check_tensor_compat(self, a: str, b: str) -> CheckResult:
+        """phi of V (x) W is phi_V and phi_W applied one after the other.
+
+        No input can make this fail: phi of the tensor module and the phi of both factors
+        are read off the same action columns, the first through ``tensor_module``, so the
+        check tests only that ``phi_matrix`` and ``tensor_module`` agree.  ROADMAP item 10
+        (the census of checks that cannot fail) is to give it an independent side, for
+        example phi of V (x) W taken from the coproduct as its own matrix."""
         v, w = self.module(a), self.module(b)
         lhs = self.phi(tensor_module(v, w))
         rhs = contract(self.phi(w), v.dim, w.dim, self.phi(v), mirror=True)

@@ -265,6 +265,19 @@ def test_vec_module_valid(two_point_geometry):
     vm.require_invertible_sigma()
 
 
+@pytest.mark.parametrize("name", ["two-point-universal", "z3-function-calculus", "zero-form-smoke"])
+def test_loaded_vec_module_is_the_geometry_dual_connection(name):
+    """The loader builds vec without its own Leibniz check, since Geometry._validate_dual_connection
+    checks the same identities: vec's nabla, its two tensor pairs and its braiding on plain
+    coordinates are the geometry's box_vec, OV1, VO1 and sigma_vec_plain."""
+    from ncdiffop.bundle import load_builtin
+
+    bundle = load_builtin(name)
+    g, vec = bundle.geometry, bundle.modules["vec"]
+    assert vec.nabla is g.box_vec and vec.OE is g.OV1 and vec.EO is g.VO1
+    assert vec.sigma @ vec.EO.project == g.sigma_vec_plain
+
+
 def test_omega_module_valid(two_point_geometry, two_point_omega_connection):
     nabla_plain, sigma_plain = two_point_omega_connection
     om = omega_module(two_point_geometry, nabla_plain, sigma_plain)

@@ -697,8 +697,10 @@ def test_not_projective_names_failing_element(i, j):
     bundle = load_builtin("two-point-universal")
     forms = [list(f) for f in bundle.geometry.fgp.basis_forms]
     forms[i][j] += sc(1)
+    dO, written = bundle.geometry.omega.dim, bundle.to_dict()["dual_basis"]["functionals"]
+    functionals = [Mat.from_rows([[sc(x) for x in row] for row in f], dO) for f in written]
     with pytest.raises(NotProjective) as err:
-        dualize_right_module(bundle.geometry.omega, forms, bundle.functionals)
+        dualize_right_module(bundle.geometry.omega, forms, functionals)
     assert (err.value.name, err.value.witness) == ("dual-basis", ("omega1", NOT_PROJECTIVE_ELEMENT[(i, j)]))
 
 
