@@ -82,12 +82,15 @@ class State:
                 acc = acc + c * x
         return acc
 
-    def gram(self, algebra: Algebra) -> Mat:
-        """The matrix phi(a_i* a_j): phi @ mul @ (star (x) id) on Kron(A, A), regrouped."""
-        d = algebra.dim
-        phi = Mat.from_rows([self.functional], d)
-        flat = (phi @ algebra.mul).mul_ikron(1, algebra.star, d)
+    def gram_of(self, table: Mat, d: int) -> Mat:
+        """The d x d matrix whose entry (i, j) is phi of column i*d + j of an A-valued
+        table on Kron(d, d): ``phi @ table``, regrouped."""
+        flat = Mat.from_rows([self.functional], table.rows) @ table
         return Mat.from_entries(d, d, ((c // d, c % d, v) for c, col in enumerate(flat.cols_sparse()) for _, v in col))
+
+    def gram(self, algebra: Algebra) -> Mat:
+        """The matrix phi(a_i* a_j): the state on the table mul @ (star (x) id) on Kron(A, A)."""
+        return self.gram_of(algebra.mul.mul_ikron(1, algebra.star, algebra.dim), algebra.dim)
 
     def validate(self, algebra: Algebra) -> list[CheckResult]:
         if algebra.star is None:

@@ -165,7 +165,7 @@ class Bundle:
         otherwise the declared ``omega1`` inner product, or None if there is none.
         One object per loaded bundle, so its W(n) tables are built once."""
         if not self.geometry.omega.dim:
-            return InnerProduct(self.geometry.omega, [], "ip-omega-zero")
+            return InnerProduct(self.geometry.omega, Mat(self.algebra.dim, 0), "ip-omega-zero")
         return self.inner_products.get("omega1")
 
     @memo
@@ -211,10 +211,6 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
     algebra = Algebra(dA, mul, unit, star=star, basis_names=names)
     if field == "Q":
         _reject_imaginary(doc, literals)
-    if validate:
-        for r in algebra.validate():
-            if not r.ok:
-                raise ValidationError(r.name, witness=r.witness)
 
     om = doc["omega"]
     dO = len(_list(om["basis"], "omega.basis"))
@@ -254,7 +250,9 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
         states[sname] = state
 
     modules: dict[str, ConnectionModule] = {
-        "A": trivial_module(geometry, "A", validate=validate),
+        # through Omega1 (x)_A A = Omega1 both Leibniz rules of A are d(ab) = da.b + a.db, which a
+        # validating Geometry has checked, so A does not check them again
+        "A": trivial_module(geometry, "A", validate=False),
         # a validating Geometry has checked this Leibniz pair: (box_vec, sigma_vec) on OV1 and VO1,
         # the very pairs that are vec's OE and EO, so vec does not check it again
         "vec": vec_module(geometry, "vec", validate=False),
@@ -281,11 +279,12 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
                 raise ParseError(f"inner product for undeclared module {iname!r}")
             dim = target.space.dim
             what = f"inner_products.{iname}"
-            values = [
-                [literals.scalars(cell, dA, f"{what}[{i}][{j}]") for j, cell in enumerate(_list(row, what, dim))]
+            cells = [
+                literals.scalars(cell, dA, f"{what}[{i}][{j}]")
                 for i, row in enumerate(_list(spec, what, dim))
+                for j, cell in enumerate(_list(row, what, dim))
             ]
-            ip = InnerProduct(target.space, values, f"ip-{iname}")
+            ip = InnerProduct(target.space, Mat.from_cols(cells, dA), f"ip-{iname}")
         if validate:
             for r in ip.validate(geometry, state_list):
                 if not r.ok:

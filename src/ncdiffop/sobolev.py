@@ -1,9 +1,12 @@
 """Hermitian inner products on bimodules, tensor-product pairings, iterated
 derivative pairings, and Sobolev Gram matrices with exact PSD certificates.
 
+Every pairing is one sparse matrix Kron(E, conj E) -> A, column i*dim + j the
+pairing of e_i with conj(e_j): a declared pairing, the one it induces on a
+tensor product, and the iterated pairing <<e_i, conj(e_j)>>_n of each degree.
 Positivity at finite dimension is certified on the scalar Gram matrices
-obtained by pushing the algebra-valued pairing through states; no square
-roots or completions are ever needed.
+obtained by pushing such a matrix through a state (``State.gram_of``); no
+square roots or completions are ever needed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .calculus import ConnectionModule
 from .linalg import Mat, first_mismatch, ldl_certify_psd
 from .memo import memo
 from .report import CheckResult, ValidationError
-from .scalars import ZERO, Scalar, sc
+from .scalars import ZERO
 
 
 class PositivityFailure(ValidationError):
@@ -24,32 +27,26 @@ class PositivityFailure(ValidationError):
 
 
 class InnerProduct:
-    """An algebra-valued sesquilinear pairing on a bimodule.
+    """An algebra-valued sesquilinear pairing on a bimodule E: one matrix
+    ``matrix: Kron(E, conj E) -> A`` whose column i*dim + j holds the algebra
+    coordinates of <e_i, conj(e_j)>.  The pairing is linear in the first
+    argument and conjugate-linear in the second: <x, conj(y)> is
+    ``matrix @ (x (x) conj(y))`` on coordinate columns.
 
-    ``values[i][j]`` holds the algebra coordinates of the pairing of basis
-    element i with the conjugate of basis element j.  The pairing is linear in
-    the first argument and conjugate-linear in the second: <x, conj(y)> is
-    ``matrix() @ (x (x) conj(y))`` on coordinate columns.
-
-    Two tables are built once and kept on the pairing, so they live and die
-    with the bundle that holds it: ``matrix()``, the pairing as one map, and,
-    for a pairing on the 1-forms, ``forms_power(geometry, n)``, the pairing it
-    induces on W(n).  Every ``SobolevPairings`` over one form pairing shares
-    these W(n) tables; the pairings on W(n) (x) E stay with each
-    ``SobolevPairings``.
+    A pairing on the 1-forms keeps, for ``forms_power(geometry, n)``, the
+    pairing it induces on W(n), so the tables live and die with the bundle that
+    holds it.  Every ``SobolevPairings`` over one form pairing shares these W(n)
+    tables; the pairings on W(n) (x) E stay with each ``SobolevPairings``.
     """
 
-    def __init__(self, module: Bimodule, values, name: str = "ip"):
+    def __init__(self, module: Bimodule, matrix: Mat, name: str = "ip"):
+        dA, d = module.algebra.dim, module.dim
+        if (matrix.rows, matrix.cols) != (dA, d * d):
+            raise ValueError(f"{name}: the pairing matrix is {matrix.rows}x{matrix.cols}, not {dA}x{d * d}")
         self.module = module
         self.algebra = module.algebra
-        self.values = [[[sc(x) for x in values[i][j]] for j in range(module.dim)] for i in range(module.dim)]
+        self.matrix = matrix
         self.name = name
-
-    @memo
-    def matrix(self) -> Mat:
-        """The plain pairing Kron(E, conj E) -> A: column i*dim + j is <e_i, conj(e_j)>."""
-        d = self.module.dim
-        return Mat.from_cols([self.values[i][j] for i in range(d) for j in range(d)], self.algebra.dim)
 
     @memo
     def conjugate_module(self) -> Bimodule:
@@ -71,7 +68,7 @@ class InnerProduct:
         per content and shared by every later validation."""
         results = []
         A, E = self.algebra, self.module
-        plain = self.matrix()
+        plain = self.matrix
         # <e_i, conj(e_j)> = <e_j, conj(e_i)>*, row-major: the witness is the first failing (i, j)
         sym_fail = first_mismatch(plain, A.star @ plain.conj() @ Mat.swap(E.dim, E.dim), (E.dim, E.dim))
         results.append(CheckResult(f"{self.name}:symmetry", sym_fail is None, witness=sym_fail))
@@ -85,7 +82,7 @@ class InnerProduct:
             results.append(CheckResult(f"{self.name}:bimodule-map", False, detail=str(err)))
 
         for state in states or []:
-            gram = _state_gram(self.values, state, E.dim)
+            gram = state.gram_of(plain, E.dim)
             if gram != gram.conj_transpose():  # not Hermitian: neither certificate exists
                 results.append(CheckResult(f"{self.name}:positive[{state.name}]", False))
                 continue
@@ -102,10 +99,8 @@ class InnerProduct:
 
 def canonical_algebra_ip(algebra: Algebra, space: Optional[Bimodule] = None) -> InnerProduct:
     """<a, conj(b)> = a b* on the algebra itself: mul @ (id (x) star) on Kron(A, A)."""
-    d = algebra.dim
-    pairing = algebra.mul.mul_ikron(d, algebra.star, 1)
-    values = [[pairing.column(i * d + j) for j in range(d)] for i in range(d)]
-    return InnerProduct(space or algebra_as_bimodule(algebra), values, "ip-A")
+    pairing = algebra.mul.mul_ikron(algebra.dim, algebra.star, 1)
+    return InnerProduct(space or algebra_as_bimodule(algebra), pairing, "ip-A")
 
 
 def tensor_inner_product(ip_e: InnerProduct, ip_f: InnerProduct, pair: TensorPair, name=None) -> InnerProduct:
@@ -115,10 +110,10 @@ def tensor_inner_product(ip_e: InnerProduct, ip_f: InnerProduct, pair: TensorPai
         raise ValueError("tensor pair does not match the inner product factors")
     dim, dA = pair.dim, ip_e.algebra.dim
     right = E.right_action.cols_sparse()  # column i*dA + t is e_i . a_t
-    values = []
+    pe, pf = ip_e.matrix.cols_sparse(), ip_f.matrix.cols_sparse()
+    cols = []
     for a in range(dim):
         xa = pair.section.column(a)
-        row = []
         for b in range(dim):
             yb = pair.section.column(b)
             acc = [ZERO] * dA
@@ -130,22 +125,18 @@ def tensor_inner_product(ip_e: InnerProduct, ip_f: InnerProduct, pair: TensorPai
                     if not c2:
                         continue
                     k, l = divmod(q, F.dim)
-                    inner = ip_f.values[j][l]
-                    moved = [ZERO] * E.dim  # e_i . inner
-                    for t, x in enumerate(inner):
-                        if x:
-                            for m, v in right[i * dA + t]:
-                                moved[m] = moved[m] + x * v
+                    moved = [ZERO] * E.dim  # e_i . <f_j, conj(f_l)>
+                    for t, x in pf[j * F.dim + l]:
+                        for m, v in right[i * dA + t]:
+                            moved[m] = moved[m] + x * v
                     cc = c * c2.conj()
                     for m, cm in enumerate(moved):
                         if not cm:
                             continue
-                        for t, v in enumerate(ip_e.values[m][k]):
-                            if v:
-                                acc[t] = acc[t] + cc * cm * v
-            row.append(acc)
-        values.append(row)
-    return InnerProduct(pair.space, values, name or f"({ip_e.name}(x){ip_f.name})")
+                        for t, v in pe[m * E.dim + k]:
+                            acc[t] = acc[t] + cc * cm * v
+            cols.append(acc)
+    return InnerProduct(pair.space, Mat.from_cols(cols, dA), name or f"({ip_e.name}(x){ip_f.name})")
 
 
 class SobolevPairings:
@@ -175,19 +166,17 @@ class SobolevPairings:
         return tensor_inner_product(self.ip_forms_power(n), self.ip_module, pair, f"ip-W{n}E")
 
     @memo
-    def iterated(self, n: int) -> list[list[list[Scalar]]]:
-        """values[i][j] = <<e_i, conj(e_j)>>_n in algebra coordinates.
+    def iterated(self, n: int) -> Mat:
+        """The table Kron(E, conj E) -> A whose column i*dim + j is <<e_i, conj(e_j)>>_n.
 
         It is <nabla^n e_i, conj(nabla^n e_j)> on W(n) (x) E, so the whole table
         is the pairing's matrix P times nabla^n (x) conj(nabla^n), applied one
-        leg at a time and never formed: column i*dim + j of
-        P (I (x) conj(nabla^n)) (nabla^n (x) I)."""
+        leg at a time and never formed: P (I (x) conj(nabla^n)) (nabla^n (x) I).
+        At n = 0 it is the module pairing's own matrix."""
         if n == 0:
-            return self.ip_module.values
-        d = self.module.space.dim
+            return self.ip_module.matrix
         npow = self.module.nabla_pow(n)
-        table = self.ip_derivative_target(n).matrix().mul_ikron(npow.rows, npow.conj(), 1).mul_ikron(1, npow, d)
-        return [[table.column(i * d + j) for j in range(d)] for i in range(d)]
+        return self.ip_derivative_target(n).matrix.mul_ikron(npow.rows, npow.conj(), 1).mul_ikron(1, npow, npow.cols)
 
 
 class SobolevGram:
@@ -208,10 +197,10 @@ class SobolevGram:
 
 def sobolev_gram(pairings: SobolevPairings, state: State, order: int) -> SobolevGram:
     """Gram matrix of the order-n Sobolev pairing, with an exact certificate."""
-    E = pairings.module.space
-    gram = Mat.zeros(E.dim, E.dim)
+    d = pairings.module.space.dim
+    gram = Mat.zeros(d, d)
     for m in range(order + 1):
-        gram = gram + _state_gram(pairings.iterated(m), state, E.dim)
+        gram = gram + state.gram_of(pairings.iterated(m), d)
     cert = ldl_certify_psd(gram)
     if not cert.is_psd:
         raise PositivityFailure(
@@ -224,10 +213,4 @@ def sobolev_gram(pairings: SobolevPairings, state: State, order: int) -> Sobolev
 
 def gram_increment_certificate(pairings: SobolevPairings, state: State, order: int):
     """Certificate that Gram(order) - Gram(order-1) is PSD (it is the order-n term)."""
-    E = pairings.module.space
-    return ldl_certify_psd(_state_gram(pairings.iterated(order), state, E.dim))
-
-
-def _state_gram(values, state: State, dim: int) -> Mat:
-    """The matrix state(values[i][j]) of A-valued pairings."""
-    return Mat.from_rows([[state(v) for v in row] for row in values], dim)
+    return ldl_certify_psd(state.gram_of(pairings.iterated(order), pairings.module.space.dim))

@@ -32,6 +32,8 @@ the other with its identity Kronecker factor built.
 An inner product is evaluated on two dense coordinate lists, and the iterated
 Sobolev pairings pair every two columns of nabla^n that way, as the library
 did before it applied the pairing's matrix to nabla^n one leg at a time.
+A state's Gram matrix phi(a_i* a_j) applies the state to the product before
+the star, as ``State.gram`` did before it took the state of a whole table.
 A module over a group algebra is read as the matrix of each group element, the
 blocks of its action, and the Hopf centre axioms are checked one group element
 at a time, the group's identity and inverses searched through its ``mult``, as
@@ -104,7 +106,7 @@ def pair_apply(fgp, alpha, xi):
 
 def of_elements(ip, x, y) -> list:
     """<x, conj(y)> in algebra coordinates, for dense coordinates x and y."""
-    out = [ZERO] * ip.algebra.dim
+    out, d = [ZERO] * ip.algebra.dim, ip.module.dim
     for i, a in enumerate(x):
         if not a:
             continue
@@ -112,19 +114,28 @@ def of_elements(ip, x, y) -> list:
             if not b:
                 continue
             c = a * b.conj()
-            for k, v in enumerate(ip.values[i][j]):
+            for k, v in enumerate(ip.matrix.column(i * d + j)):
                 if v:
                     out[k] = out[k] + c * v
     return out
 
 
-def iterated(pairings, n: int) -> list:
-    """``values[i][j] = <nabla^n e_i, conj(nabla^n e_j)>``, one pair of dense columns at a time."""
+def iterated(pairings, n: int) -> Mat:
+    """The table whose column i*dim + j is <nabla^n e_i, conj(nabla^n e_j)>, one pair of
+    dense columns at a time."""
     if n == 0:
-        return pairings.ip_module.values
+        return pairings.ip_module.matrix
     ip, npow = pairings.ip_derivative_target(n), pairings.module.nabla_pow(n)
     cols = [npow.column(j) for j in range(npow.cols)]
-    return [[of_elements(ip, x, y) for y in cols] for x in cols]
+    return Mat.from_cols([of_elements(ip, x, y) for x in cols for y in cols], ip.algebra.dim)
+
+
+def state_gram(state, algebra) -> Mat:
+    """phi(a_i* a_j), as ``State.gram`` computed it before it went through ``State.gram_of``:
+    phi @ mul first, then the star on the first leg, regrouped into d x d."""
+    d = algebra.dim
+    flat = (Mat.from_rows([state.functional], d) @ algebra.mul).mul_ikron(1, algebra.star, d)
+    return Mat.from_entries(d, d, ((c // d, c % d, v) for c, col in enumerate(flat.cols_sparse()) for _, v in col))
 
 
 def bullet_k(table, v, n, w, m, k):

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdiffop.algebra import Algebra, NoStar, State
+from ncdiffop.bundle import BUILTIN_NAMES, load_builtin
 from ncdiffop.linalg import Mat
-from ncdiffop.scalars import ONE, sc
-from oracles import apply_star, mul, mul_tensor, unit_row
+from ncdiffop.scalars import ONE, ZERO, Scalar, sc
+from oracles import apply_star, mul, mul_tensor, state_gram, unit_row
 
 
 def test_rationals_algebra_valid():
@@ -119,3 +122,42 @@ def test_state_needs_star():
     a = Algebra(1, [[[1]]], unit=[1])
     with pytest.raises(NoStar):
         State([1]).validate(a)
+
+
+# -- the state on a table of algebra elements ------------------------------------
+
+
+parts = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def state_tables(draw):
+    """A functional on A and a table Kron(d, d) -> A over Q or Q(i), with d from 0 to 3,
+    dA from 1 to 3 and whole columns left empty one time in three."""
+    entries = st.builds(Scalar, parts, parts if draw(st.booleans()) else st.just(0))
+    d, dA = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    functional = draw(st.lists(entries, min_size=dA, max_size=dA))
+    cols = [
+        [ZERO] * dA if draw(st.integers(0, 2)) == 0 else draw(st.lists(entries, min_size=dA, max_size=dA))
+        for _ in range(d * d)
+    ]
+    return State(functional), Mat.from_cols(cols, dA), d
+
+
+@given(state_tables())
+@settings(max_examples=200, deadline=None)
+def test_gram_of_is_the_state_on_each_column(case):
+    state, table, d = case
+    per_entry = [[state(table.column(i * d + j)) for j in range(d)] for i in range(d)]
+    assert state.gram_of(table, d) == Mat.from_rows(per_entry, d)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_state_gram_matches_the_regroup_oracle(name):
+    bundle = load_builtin(name)
+    algebra, d = bundle.algebra, bundle.algebra.dim
+    states = list(bundle.states.values())
+    states += [State([1 if i == k else 0 for i in range(d)], f"e{k}") for k in range(d)]
+    states.append(State([Scalar(k + 1, k - 1) for k in range(d)], "gaussian"))
+    for state in states:
+        assert state.gram(algebra) == state_gram(state, algebra), state.name

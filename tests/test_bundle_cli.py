@@ -257,8 +257,10 @@ def explicit_algebra_inner_product(doc, factor: int) -> dict:
     """The two-point bundle with ``inner_products.A`` written out as a table, ``factor``
     times the canonical pairing <a, conj(b)> = a b*."""
     doc = copy.deepcopy(doc)
-    canonical = load_bundle_dict(doc).inner_products["A"].values
-    doc["inner_products"]["A"] = [[[str(factor * x) for x in cell] for cell in row] for row in canonical]
+    canonical = load_bundle_dict(doc).inner_products["A"].matrix
+    d = canonical.rows  # the module is A itself
+    cells = [[str(factor * x) for x in canonical.column(c)] for c in range(d * d)]
+    doc["inner_products"]["A"] = [cells[i * d : (i + 1) * d] for i in range(d)]
     return doc
 
 

@@ -2,6 +2,8 @@
 on fields, iterated derivatives and the tensor-product connection.
 """
 
+import copy
+
 import pytest
 
 from ncdiffop.bimodule import Bimodule
@@ -276,6 +278,36 @@ def test_loaded_vec_module_is_the_geometry_dual_connection(name):
     g, vec = bundle.geometry, bundle.modules["vec"]
     assert vec.nabla is g.box_vec and vec.OE is g.OV1 and vec.EO is g.VO1
     assert vec.sigma @ vec.EO.project == g.sigma_vec_plain
+
+
+@pytest.mark.parametrize("name", ["two-point-universal", "z3-function-calculus"])
+def test_loaded_a_module_leibniz_is_the_calculus_leibniz(name):
+    """The loader builds A without its own Leibniz check: through Omega1 (x)_A A = Omega1
+    both rules of nabla = d are d(ab) = da.b + a.db, which Geometry._validate_calculus
+    checks.  Every single-entry bump of d, loaded unvalidated, fails the module's check
+    exactly when it fails the calculus's Leibniz rule."""
+    from ncdiffop.bundle import builtin_bundle_dict, load_bundle_dict
+
+    def raised(check):
+        try:
+            check()
+        except ValidationError as err:
+            return err.name
+        return None
+
+    base = builtin_bundle_dict(name)
+    outcomes = set()
+    for r, row in enumerate(base["d"]):
+        for c in range(len(row)):
+            for value in ("5", "-1", "1/2"):
+                doc = copy.deepcopy(base)
+                doc["d"][r][c] = value
+                g = load_bundle_dict(doc, validate=False).geometry
+                calculus = raised(g._validate_calculus)
+                module = raised(trivial_module(g, validate=False)._validate_leibniz)
+                assert (calculus == "leibniz") == (module is not None), (r, c, value, calculus, module)
+                outcomes.add(module)
+    assert outcomes == {None, "left-leibniz", "right-leibniz"}
 
 
 def test_omega_module_valid(two_point_geometry, two_point_omega_connection):

@@ -39,6 +39,12 @@ def point_state(two_point_algebra):
     return s
 
 
+def pairing(module, table, name):
+    """A pairing from a nested table: ``table[i][j]`` lists the algebra coordinates of
+    <e_i, conj(e_j)>, column i*dim + j of the pairing's matrix."""
+    return InnerProduct(module, Mat.from_cols([cell for row in table for cell in row], module.algebra.dim), name)
+
+
 @pytest.fixture
 def omega_ip(two_point_geometry):
     # <w12, conj(w12)> = p1, <w21, conj(w21)> = 2 p2, cross terms vanish
@@ -46,7 +52,15 @@ def omega_ip(two_point_geometry):
         [[1, 0], [0, 0]],
         [[0, 0], [0, 2]],
     ]
-    return InnerProduct(two_point_geometry.omega, values, "ip-omega")
+    return pairing(two_point_geometry.omega, values, "ip-omega")
+
+
+def test_pairing_matrix_must_be_dA_by_dim_squared(two_point_geometry):
+    g = two_point_geometry
+    for rows, cols in ((2, 2), (2, 3), (1, 4), (3, 4), (4, 4), (2, 0)):
+        with pytest.raises(ValueError, match="ip-bad"):
+            InnerProduct(g.omega, Mat(rows, cols), "ip-bad")
+    assert InnerProduct(g.omega, Mat(2, 4), "ip-zero").matrix == Mat.zeros(2, 4)
 
 
 def test_algebra_ip_valid(two_point_geometry, uniform, point_state):
@@ -65,7 +79,7 @@ def test_symmetry_violation_detected(two_point_geometry):
         [[1, 0], [1, 0]],  # <w12, conj(w21)> = p1 but <w21, conj(w12)> = 0
         [[0, 0], [0, 1]],
     ]
-    ip = InnerProduct(two_point_geometry.omega, values, "bad")
+    ip = pairing(two_point_geometry.omega, values, "bad")
     results = {r.name: r for r in ip.validate(two_point_geometry, [])}
     assert not results["bad:symmetry"].ok
 
@@ -75,7 +89,7 @@ def test_non_positive_pairing_detected(two_point_geometry, uniform):
         [[-1, 0], [0, 0]],
         [[0, 0], [0, 1]],
     ]
-    ip = InnerProduct(two_point_geometry.omega, values, "neg")
+    ip = pairing(two_point_geometry.omega, values, "neg")
     results = {r.name: r for r in ip.validate(two_point_geometry, [uniform])}
     assert not results["neg:positive[uniform]"].ok
     assert results["neg:positive[uniform]"].witness is not None
@@ -113,7 +127,7 @@ def test_tensor_ip_with_unit_factor_reduces(two_point_geometry, omega_ip):
                 i, j = divmod(p, g.algebra.dim)
                 term = right_apply(g.omega, unit_row(g.omega.dim, i), unit_row(g.algebra.dim, j))
                 eb = [x + c * y for x, y in zip(eb, term)]
-            assert prod.values[a][b] == of_elements(omega_ip, ea, eb)
+            assert prod.matrix.column(a * pair.dim + b) == of_elements(omega_ip, ea, eb)
 
 
 def test_order_zero_gram_uniform(two_point_geometry, omega_ip, uniform):
@@ -133,7 +147,7 @@ def test_iterated_pairing_order_one_is_d_pairing(two_point_geometry, omega_ip):
     vals = pairings.iterated(1)
     for i in range(2):
         for j in range(2):
-            assert vals[i][j] == of_elements(omega_ip, g.d.column(i), g.d.column(j))
+            assert vals.column(i * 2 + j) == of_elements(omega_ip, g.d.column(i), g.d.column(j))
 
 
 def test_gram_monotone_and_strict(two_point_geometry, omega_ip, uniform, point_state, two_point_omega_connection):
@@ -176,12 +190,12 @@ def test_zero_element_has_zero_norm(two_point_geometry, omega_ip, uniform):
 def test_positivity_failure_raises_with_witness(two_point_geometry, uniform):
     g = two_point_geometry
     am = trivial_module(g)
-    bad_ip = InnerProduct(
+    bad_ip = pairing(
         g.A_bim,
         [[[-1, 0], [0, 0]], [[0, 0], [0, -1]]],
         "bad",
     )
-    bad_omega = InnerProduct(g.omega, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "ok")
+    bad_omega = pairing(g.omega, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "ok")
     pairings = SobolevPairings(am, bad_omega, bad_ip)
     with pytest.raises(PositivityFailure) as err:
         sobolev_gram(pairings, uniform, 0)
@@ -196,9 +210,9 @@ def test_order_two_values_frozen(two_point_geometry, omega_ip, uniform):
     am = trivial_module(g)
     pairings = SobolevPairings(am, omega_ip, canonical_algebra_ip(g.algebra, am.space))
     vals = pairings.iterated(2)
-    assert vals[0][0] == [sc_(18), sc_(32)]
-    assert vals[1][1] == [sc_(18), sc_(32)]
-    assert vals[0][1] == [sc_(-18), sc_(-32)]
+    assert vals.column(0) == [sc_(18), sc_(32)]
+    assert vals.column(3) == [sc_(18), sc_(32)]
+    assert vals.column(1) == [sc_(-18), sc_(-32)]
     # the full order-2 Gram under the uniform state
     gram = sobolev_gram(pairings, uniform, 2)
     assert gram.matrix == Mat.from_rows(
@@ -239,8 +253,8 @@ def test_iterated_matches_oracle_on_gaussian_pairing(two_point_geometry):
     nabla_plain = Mat.from_rows([[0, 0], ["-1/2+i", 1], [1, -5], [0, 0]])
     sigma_plain = Mat.from_rows([[0, 0, 0, 0], [0, "1/2-i", 0, 0], [0, 0, 5, 0], [0, 0, 0, 0]])
     gaussian = omega_module(g, nabla_plain, sigma_plain)
-    ip_om = InnerProduct(g.omega, [[["1+i", 0], [0, 0]], [[0, 0], [0, "2-3i"]]], "ip-omega-gaussian")
-    ip_a = InnerProduct(g.A_bim, [[["i", 0], [0, 0]], [[0, 0], [0, "1/2+i"]]], "ip-A-gaussian")
+    ip_om = pairing(g.omega, [[["1+i", 0], [0, 0]], [[0, 0], [0, "2-3i"]]], "ip-omega-gaussian")
+    ip_a = pairing(g.A_bim, [[["i", 0], [0, 0]], [[0, 0], [0, "1/2+i"]]], "ip-A-gaussian")
     for module, ip_e in ((gaussian, ip_om), (trivial_module(g), ip_a)):
         p = SobolevPairings(module, ip_om, ip_e)
         for n in range(4):
@@ -249,8 +263,8 @@ def test_iterated_matches_oracle_on_gaussian_pairing(two_point_geometry):
     for n in range(1, 4):
         npow = gaussian.nabla_pow(n)
         assert npow != npow.conj()
-        plain = p.ip_derivative_target(n).matrix().mul_ikron(npow.rows, npow, 1).mul_ikron(1, npow, 2)
-        assert [[plain.column(i * 2 + j) for j in range(2)] for i in range(2)] != p.iterated(n)
+        plain = p.ip_derivative_target(n).matrix.mul_ikron(npow.rows, npow, 1).mul_ikron(1, npow, 2)
+        assert plain != p.iterated(n)
 
 
 def test_forms_power_tables_shared_per_bundle():
@@ -263,7 +277,7 @@ def test_forms_power_tables_shared_per_bundle():
     fresh = _declared_pairings(load_builtin("z3-function-calculus"))[0][1]
     for n in range(1, 4):
         assert fresh.ip_forms_power(n) is not a.ip_forms_power(n)
-        assert fresh.ip_forms_power(n).values == a.ip_forms_power(n).values
+        assert fresh.ip_forms_power(n).matrix == a.ip_forms_power(n).matrix
 
 
 def test_gram_independent_of_query_order():
