@@ -12,6 +12,7 @@ import sys
 
 from .bundle import BUILTIN_NAMES, ParseError, resolve_bundle
 from .exprs import DegreeExceeded, ExprError, UnknownName, parse_element, parse_operator
+from .linalg import Mat
 from .report import ValidationError, _jsonable
 from .sobolev import PositivityFailure, SobolevPairings, sobolev_gram
 from .verify import SUITE_NAMES, UnknownSuite, verify_all
@@ -123,11 +124,11 @@ def cmd_apply(args) -> int:
     result = op.act_on(module, element)
     trace = {}
     if args.trace:
+        e = Mat.from_cols([element], module.space.dim)
         for n in sorted(op.components):
             if n == 0:
                 continue
-            coords = module.nabla_pow(n).apply(element)
-            trace[n] = [str(x) for x in coords]
+            trace[n] = [str(x) for x in (module.nabla_pow(n) @ e).column(0)]
     if args.json:
         doc = {
             "module": args.module,

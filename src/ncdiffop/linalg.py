@@ -10,7 +10,10 @@ dict of its nonzeros; ``rref``, ``rank``, ``kernel``, ``inverse`` and ``span``
 all go through it, ``span`` after it takes each one-entry vector as a
 coordinate kill, a unit pivot row with no echelon step, as sparse direct
 solvers remove singletons (the basis is unique, so it does not change).
-Only the PSD certificate works on a dense copy.
+Only the PSD certificate works on a dense copy, and it moves no row or column
+of it: exact LDL* eliminates over an order of the indices, pivots first, and
+carries a counterexample back to the original coordinates by walking the
+pivots in reverse.
 
 The kernel does not pay for the units, for identity factors or for the
 bookkeeping of short sums:
@@ -271,6 +274,9 @@ class Mat:
     # -- application to vectors ---------------------------------------------
 
     def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
+        """The matrix applied to a dense coordinate list.  The library multiplies
+        one-column ``Mat``s instead; this stays for the dense test oracles and as a
+        name the benchmark's tracer wraps."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
         out = [ZERO] * self.rows
@@ -788,10 +794,15 @@ def quadratic_form(g: Mat, v: Sequence[Scalar]) -> Scalar:
 def ldl_certify_psd(g: Mat):
     """Certify that a conjugate-symmetric matrix is PSD, or exhibit a witness.
 
-    Uses exact LDL* with symmetric pivoting on positive diagonal entries.  A
-    negative diagonal entry, or a zero diagonal with a nonzero off-diagonal
-    entry in its row, yields an explicit counterexample vector.  Exactly one of
-    the two outcomes is returned, and each is re-verified before returning.
+    Uses exact LDL* with symmetric pivoting on positive diagonal entries (Golub
+    and Van Loan, *Matrix Computations*, semidefinite LDL^T).  ``order`` lists the
+    indices, pivots first: a step's pivot is the first remaining index in that
+    order with a nonzero diagonal, it swaps places in ``order`` only, and the
+    dense copy, kept on the original indices, takes the Schur complement on the
+    indices after it.  A negative diagonal entry, or a zero diagonal with a
+    nonzero off-diagonal entry among the remaining indices, yields an explicit
+    counterexample vector.  Exactly one of the two outcomes is returned, and each
+    is re-verified before returning.
     """
     if g.rows != g.cols:
         raise NotHermitian("matrix is not square")
@@ -801,84 +812,51 @@ def ldl_certify_psd(g: Mat):
         for j in range(n):
             if a[i][j] != a[j][i].conj():
                 raise NotHermitian(f"entry ({i},{j}) breaks conjugate symmetry")
-    perm = list(range(n))
-    # trans[k] expresses current coordinate k in terms of original coordinates
-    trans = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        trans[i][i] = ONE
-    lower = Mat.identity(n)._dense()
+    order = list(range(n))
+    low = [[ZERO] * n for _ in range(n)]  # low[i][k]: L's entry of index i at step k
     diag: list[Scalar] = [ZERO] * n
 
-    def counterexample_from(vec_current):
-        v = [ZERO] * n
-        for k, c in enumerate(vec_current):
-            if c:
-                for j in range(n):
-                    if trans[k][j]:
-                        v[j] = v[j] + c * trans[k][j]
+    def counterexample(coeffs: dict[int, Scalar], step: int) -> PsdCounterexample:
+        # At ``step`` the basis vector of index i is e_i - sum_{k < step} conj(low[i][k])
+        # times the pivot vector of step k: walk the pivots in reverse to reach e-coordinates.
+        v = [coeffs.get(i, ZERO) for i in range(n)]
+        for k in reversed(range(step)):
+            p = order[k]
+            for i in order[k + 1 :]:
+                if v[i] and low[i][k]:
+                    v[p] = v[p] - low[i][k].conj() * v[i]
         value = quadratic_form(g, v)
         assert value.is_real() and value.re < 0, "internal witness check failed"
         return PsdCounterexample(v, value)
 
     for step in range(n):
-        # find a usable pivot among remaining diagonal entries
         pivot = None
-        for i in range(step, n):
-            d = a[i][i]
-            if not d.is_real():
-                raise NotHermitian(f"diagonal entry {i} is not real")
+        for pos in range(step, n):
+            d = a[order[pos]][order[pos]]
             if d.re > 0:
-                pivot = i
+                pivot = pos
                 break
             if d.re < 0:
-                e = [ZERO] * n
-                e[i] = ONE
-                return counterexample_from(e)
+                return counterexample({order[pos]: ONE}, step)
         if pivot is None:
-            # all remaining diagonals vanish; any nonzero off-diagonal kills PSD
-            for i in range(step, n):
-                for j in range(step, n):
+            # the remaining diagonal vanishes, so v = a_ij e_i - e_j gives v* a v = -2 |a_ij|^2 there
+            rest = order[step:]
+            for i in rest:
+                for j in rest:
                     if i != j and a[i][j]:
-                        gij = a[i][j]
-                        # a_ii = a_jj = 0 here, so v = g_ij e_i - e_j gives
-                        # v* a v = -2 |g_ij|^2 < 0
-                        v = [ZERO] * n
-                        v[i] = gij
-                        v[j] = -ONE
-                        val = (
-                            v[i].conj() * a[i][i] * v[i]
-                            + v[i].conj() * a[i][j] * v[j]
-                            + v[j].conj() * a[j][i] * v[i]
-                            + v[j].conj() * a[j][j] * v[j]
-                        )
-                        assert val.re < 0
-                        return counterexample_from(v)
+                        return counterexample({i: a[i][j], j: NEG_ONE}, step)
             break
-        if pivot != step:
-            a[step], a[pivot] = a[pivot], a[step]
-            for row in a:
-                row[step], row[pivot] = row[pivot], row[step]
-            trans[step], trans[pivot] = trans[pivot], trans[step]
-            perm[step], perm[pivot] = perm[pivot], perm[step]
-            # swap the already-written part of L (columns before this step)
-            for j in range(step):
-                lower[step][j], lower[pivot][j] = lower[pivot][j], lower[step][j]
-        d = a[step][step]
-        diag[step] = d
-        for i in range(step + 1, n):
-            f = a[i][step] / d
+        order[step], order[pivot] = order[pivot], order[step]
+        p, rest = order[step], order[step + 1 :]
+        d = diag[step] = a[p][p]
+        for i in rest:
+            f = a[i][p] / d
             if f:
-                lower[i][step] = f
-                for j in range(step, n):
-                    a[i][j] = a[i][j] - f * a[step][j]
-                for j in range(n):
-                    a[j][i] = a[j][i] - f.conj() * a[j][step]
-                # congruence A -> E A E* sends the new basis vector e_i back to
-                # e_i - conj(f) e_step in the previous coordinates
-                fc = f.conj()
-                for j in range(n):
-                    if trans[step][j]:
-                        trans[i][j] = trans[i][j] - fc * trans[step][j]
-    cert = PsdCertificate(perm, Mat.from_rows(lower, n), diag)
+                low[i][step] = f
+                for j in rest:
+                    a[i][j] = a[i][j] - f * a[p][j]
+    for pos, i in enumerate(order):
+        low[i][pos] = ONE
+    cert = PsdCertificate(order, Mat.from_rows([low[i] for i in order], n), diag)
     assert cert.reconstruct() == g, "internal certificate check failed"
     return cert

@@ -38,6 +38,9 @@ A module over a group algebra is read as the matrix of each group element, the
 blocks of its action, and the Hopf centre axioms are checked one group element
 at a time, the group's identity and inverses searched through its ``mult``, as
 the Hopf path did before it stated each axiom as one identity of action matrices.
+The PSD certificate swaps rows and columns of its dense copy and keeps an n x n
+transform from the current basis to the original one, updated at every step,
+as ``ldl_certify_psd`` did before it eliminated over an index order.
 """
 
 import random
@@ -48,7 +51,17 @@ from ncdiffop.bundle import ParseError
 from ncdiffop.scalars import ScalarParseError
 from ncdiffop.bimodule import Bimodule, algebra_as_bimodule, balance
 from ncdiffop.diffop import GradedOperator
-from ncdiffop.linalg import Mat, ikron_mul, kron_vec, quotient, span
+from ncdiffop.linalg import (
+    Mat,
+    NotHermitian,
+    PsdCertificate,
+    PsdCounterexample,
+    ikron_mul,
+    kron_vec,
+    quadratic_form,
+    quotient,
+    span,
+)
 from ncdiffop.report import CheckResult
 from ncdiffop.scalars import ONE, ZERO, sc
 
@@ -811,3 +824,85 @@ def reject_imaginary(doc, literals) -> None:
             if key in ("algebra", "omega") and isinstance(value, dict):
                 value = {k: v for k, v in value.items() if k != "basis"}
             walk(value)
+
+
+# -- LDL* with physical swaps and a transform matrix -------------------------------
+
+
+def ldl_certify_psd(g: Mat):
+    """A PsdCertificate or a PsdCounterexample for a conjugate-symmetric g, by LDL* on
+    a dense copy whose rows and columns are swapped as pivots are chosen; trans[k]
+    holds current basis vector k in original coordinates."""
+    if g.rows != g.cols:
+        raise NotHermitian("matrix is not square")
+    n = g.rows
+    a = g._dense()
+    for i in range(n):
+        for j in range(n):
+            if a[i][j] != a[j][i].conj():
+                raise NotHermitian(f"entry ({i},{j}) breaks conjugate symmetry")
+    perm = list(range(n))
+    trans = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        trans[i][i] = ONE
+    lower = Mat.identity(n)._dense()
+    diag = [ZERO] * n
+
+    def counterexample_from(vec_current):
+        v = [ZERO] * n
+        for k, c in enumerate(vec_current):
+            if c:
+                for j in range(n):
+                    if trans[k][j]:
+                        v[j] = v[j] + c * trans[k][j]
+        value = quadratic_form(g, v)
+        assert value.is_real() and value.re < 0, "internal witness check failed"
+        return PsdCounterexample(v, value)
+
+    for step in range(n):
+        pivot = None
+        for i in range(step, n):
+            d = a[i][i]
+            if not d.is_real():
+                raise NotHermitian(f"diagonal entry {i} is not real")
+            if d.re > 0:
+                pivot = i
+                break
+            if d.re < 0:
+                e = [ZERO] * n
+                e[i] = ONE
+                return counterexample_from(e)
+        if pivot is None:
+            for i in range(step, n):
+                for j in range(step, n):
+                    if i != j and a[i][j]:
+                        v = [ZERO] * n
+                        v[i] = a[i][j]
+                        v[j] = -ONE
+                        return counterexample_from(v)
+            break
+        if pivot != step:
+            a[step], a[pivot] = a[pivot], a[step]
+            for row in a:
+                row[step], row[pivot] = row[pivot], row[step]
+            trans[step], trans[pivot] = trans[pivot], trans[step]
+            perm[step], perm[pivot] = perm[pivot], perm[step]
+            for j in range(step):
+                lower[step][j], lower[pivot][j] = lower[pivot][j], lower[step][j]
+        d = a[step][step]
+        diag[step] = d
+        for i in range(step + 1, n):
+            f = a[i][step] / d
+            if f:
+                lower[i][step] = f
+                for j in range(step, n):
+                    a[i][j] = a[i][j] - f * a[step][j]
+                for j in range(n):
+                    a[j][i] = a[j][i] - f.conj() * a[j][step]
+                fc = f.conj()
+                for j in range(n):
+                    if trans[step][j]:
+                        trans[i][j] = trans[i][j] - fc * trans[step][j]
+    cert = PsdCertificate(perm, Mat.from_rows(lower, n), diag)
+    assert cert.reconstruct() == g, "internal certificate check failed"
+    return cert

@@ -34,7 +34,7 @@ from ncdiffop.linalg import (
     span,
 )
 from ncdiffop.bundle import _Literals
-from ncdiffop.scalars import NEG_ONE, ONE, ZERO, Scalar, sc
+from ncdiffop.scalars import I, NEG_ONE, ONE, ZERO, Scalar, sc
 import oracles
 from oracles import unit_row, vec_is_zero
 
@@ -571,6 +571,57 @@ def test_psd_single_outcome_and_witness(m):
         assert val == res2.value and val.re < 0
     else:
         assert res2.reconstruct() == shifted
+
+
+@st.composite
+def hermitian_mats(draw, max_dim=5):
+    """A conjugate-symmetric matrix over Q or Q(i), n = 0 to max_dim: a product m m*
+    (PSD) shifted down by 0, 1 or 2 times the identity, a random one, or one with a
+    zero diagonal; or, one time in eight, such a matrix with one entry bumped out of
+    symmetry."""
+    n = draw(st.integers(0, max_dim))
+    gauss = draw(st.booleans())
+    part = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+
+    def entry():
+        return sc(draw(part)) + (sc(draw(part)) * I if gauss else ZERO)
+
+    kind = draw(st.sampled_from(["product", "random", "zero-diagonal"]))
+    if kind == "product":
+        k = draw(st.integers(1, 4))
+        m = Mat.from_rows([[entry() for _ in range(k)] for _ in range(n)], k)
+        g = m @ m.conj_transpose() - Mat.identity(n).scale(sc(draw(st.integers(0, 2))))
+    else:
+        upper = {(i, j): entry() for i in range(n) for j in range(i + 1, n)}
+        diag = [ZERO if kind == "zero-diagonal" else sc(draw(part)) for _ in range(n)]
+        rows = [[diag[i] if i == j else upper[i, j] if i < j else upper[j, i].conj() for j in range(n)] for i in range(n)]
+        g = Mat.from_rows(rows, n)
+    if n and draw(st.integers(0, 7)) == 0:
+        g = g + Mat.from_entries(n, n, [(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), I)])
+    return g
+
+
+def ldl_outcome(certify, g: Mat) -> tuple:
+    """Every output of one PSD certification: the certificate's perm, lower and diag,
+    the counterexample's vector and value, or the NotHermitian message."""
+    try:
+        res = certify(g)
+    except NotHermitian as err:
+        return ("not-hermitian", str(err))
+    if isinstance(res, PsdCertificate):
+        return ("certificate", res.perm, res.lower, res.diag)
+    return ("counterexample", res.vector, res.value)
+
+
+@given(hermitian_mats())
+@settings(max_examples=400, deadline=None)
+@example(Mat.from_rows([[0, 0, 1], [0, 1, 2], [1, 2, 0]]))
+@example(Mat.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 0]]))
+@example(Mat.from_rows([[1, 2, 0], [2, 5, 1], [0, 1, -1]]))
+def test_psd_matches_transform_oracle(g):
+    """Elimination over an index order gives what swapping rows and columns under a
+    transform matrix gave: the same pivots, factors, witnesses and messages."""
+    assert ldl_outcome(ldl_certify_psd, g) == ldl_outcome(oracles.ldl_certify_psd, g)
 
 
 # -- the sparse Mat against a dense oracle -----------------------------------------

@@ -1,5 +1,6 @@
-"""The package works on sparse ``Mat``s only: no module but the CLI applies a
-matrix to a dense coordinate list, and none brings back the dense algebra
+"""The package works on sparse ``Mat``s only: no module applies a matrix to a
+dense coordinate list (``Mat.apply`` stays only as a name the benchmark's tracer
+wraps), and none brings back the dense algebra
 helpers, the per-element action lists (``M.left[i]``, ``M.right[i]``,
 ``A.left_mult``, ``A.right_mult``, a Hopf module's ``.mats``) or the
 braiding-invertibility option that the sparse identities replaced.  No product builds an identity Kronecker
@@ -48,7 +49,7 @@ RETIRED = {
 }
 ACTION_LISTS = {"left", "right"}
 PER_ELEMENT_LISTS = {"mats"}
-APPLY_ALLOWED = {"cli.py"}
+APPLY_ALLOWED: set[str] = set()
 
 
 def dense_layer_uses(source: str, allow_apply: bool = False) -> list[str]:

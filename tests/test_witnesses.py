@@ -191,6 +191,16 @@ def corrupt_act_table(bundle):
     return failing(suite_action(ctx))
 
 
+def test_theta_not_well_defined_witness(z3):
+    """A bumped act_table(1) makes theta(2) fail to descend to Vec (x)_A V(1): the
+    witness names the module, the degree and the target degree m (0 here) of theta_2^m
+    at the first relation column that theta does not kill (24, left out of the witness)."""
+    bundle, table = z3
+    em = bundle.modules["omega1"]
+    em._act_table[(1,)] = bump(em.act_table(1), 0, 6)
+    assert raised(lambda: CrossingMap(table, em).theta(2)) == ("theta-not-well-defined", ("omega1", 2, 0))
+
+
 def test_corrupt_bullet_table(z3):
     assert corrupt_bullet_table(z3[0]) == BULLET_WITNESSES
 
