@@ -17,6 +17,13 @@ What is shared and for how long:
   coevaluation connection.  These depend on the geometry and the modules
   only, so every verification run over the bundle reads the same ones
   (``Bundle.crossings``), each grown as far as some check has asked;
+* one crossing per module content: what a crossing reads of its module,
+  |E|, L_E, R_E, nabla and sigma, but not the name.  A is the unit object, so
+  A (x)_A E and E (x)_A A are E again, and on the built-ins most of them have
+  E's content exactly; such a module gets the built crossing ``over`` itself
+  (``CrossingMap.over``), its own module and name with the blocks and
+  witnesses of the crossing it copies, whichever of the two builds them.  The
+  tensor connection is still built for every pair, as its content is the key;
 * with them, the witness of each identity per degree checked so far (None, a
   tuple or a bool), memoised on the crossing or connection whose blocks it
   reads and keyed by whatever else it reads, so the theta suite, the centre
@@ -47,7 +54,7 @@ from .bimodule import TensorPair, balance
 from .calculus import ConnectionModule, tensor_connection
 from .diffop import BulletTable
 from .linalg import Graded, Mat, contract, first_mismatch, ikron_mul, inverse, quotient, span
-from .memo import memo
+from .memo import memo, shared_copy
 from .report import CheckResult, ValidationError
 
 
@@ -90,6 +97,12 @@ class CrossingMap:
             self.sigma_hat_inv = inverse(induced)
         except ValueError:
             raise SigmaNotInvertible("sigma-hat-invertible", witness=module.name) from None
+
+    def over(self, module: ConnectionModule) -> "CrossingMap":
+        """This crossing for a module of the same content (``Crossings``): the blocks and
+        witnesses are shared, whichever of the two builds them first, and the module, so
+        the name a failed build raises under, is ``module``."""
+        return shared_copy(self, module=module)
 
     def EV(self, m: int) -> TensorPair:
         return self.geometry.pair(self.module.space, self.geometry.V(m))
@@ -496,8 +509,8 @@ class Crossings:
 
     They depend on the geometry and the modules only, so one ``Crossings`` per
     loaded bundle (``Bundle.crossings``) serves every verification run over it:
-    each crossing is built once, on first use, and grows degree by degree as
-    far as any check asks.
+    each crossing is built once per module content, on first use, and grows
+    degree by degree as far as any check asks.
     """
 
     def __init__(self, table: BulletTable, modules: dict[str, ConnectionModule]):
@@ -507,13 +520,14 @@ class Crossings:
         self.geometry = table.geometry
         self.modules = dict(modules)
         self.operator_connection = OperatorConnection(table)
+        self._by_content: dict[tuple, CrossingMap] = {}
 
     def object_names(self) -> list[str]:
         return sorted(self.modules)
 
     @memo
     def crossing(self, name: str) -> CrossingMap:
-        return CrossingMap(self.table, self.modules[name])
+        return self._crossing_of(self.modules[name])
 
     @memo
     def tensor_module(self, a: str, b: str) -> ConnectionModule:
@@ -521,7 +535,25 @@ class Crossings:
 
     @memo
     def tensor_crossing(self, a: str, b: str) -> CrossingMap:
-        return CrossingMap(self.table, self.tensor_module(a, b))
+        return self._crossing_of(self.tensor_module(a, b))
+
+    def _crossing_of(self, module: ConnectionModule) -> CrossingMap:
+        """One crossing per module content (``_content``): a module whose content has a
+        crossing gets that crossing ``over`` itself.  A crossing that fails to build
+        raises under its module's name and is not kept."""
+        key = _content(module)
+        built = self._by_content.get(key)
+        if built is None:
+            built = self._by_content[key] = CrossingMap(self.table, module)
+        return built if built.module is module else built.over(module)
+
+
+def _content(module: ConnectionModule) -> tuple:
+    """All that a crossing reads of its module but the name: |E|, and L_E, R_E, nabla
+    and sigma as tuples of columns (sigma None if there is none)."""
+    E = module.space
+    mats = (E.left_action, E.right_action, module.nabla, module.sigma)
+    return (E.dim, *(None if m is None else tuple(map(tuple, m.cols_sparse())) for m in mats))
 
 
 class OperatorAlgebraCandidate:

@@ -32,12 +32,16 @@ bookkeeping of short sums:
   every graded product, and in the balancing map of ``bimodule``.  A column
   that takes further terms is summed in a dict and sorted once;
 * identity factors are applied, not built: ``A.mul_ikron(n, X, m)`` is
-  ``A @ (I_n (x) X (x) I_m)``, one scatter of A's nonempty columns through
-  X's rows, so it pays for nonzeros and not for output columns, which in
-  these products are mostly empty (hypersparse, as in Buluc and Gilbert,
-  IPDPS 2008); ``ikron_mul(n, X, m, B)`` is ``(I_n (x) X (x) I_m) @ B``, B's
-  rows relabelled through X.  By the mixed-product rule an identity factor only
-  relabels rows and columns.  When both factors of a product carry one, as in
+  ``A @ (I_n (x) X (x) I_m)``, one scatter of A's nonempty columns, and only
+  those are walked, through X's rows, so it pays for nonzeros and not for
+  columns, which in these products are mostly empty (hypersparse, as in Buluc
+  and Gilbert, IPDPS 2008).  X's rows are indexed once per matrix, not once a
+  call: ``Mat.row_index`` is built on first use and kept, as such kernels keep
+  it with the matrix, so the blocks of a ``Graded`` product, and every later
+  product, read one index.  ``ikron_mul(n, X, m, B)`` is
+  ``(I_n (x) X (x) I_m) @ B``, B's rows relabelled through X.  By the
+  mixed-product rule an identity factor only relabels rows and columns.  When
+  both factors of a product carry one, as in
   the evaluation and coevaluation contractions ``(ev (x) id)(id (x) x)`` and
   ``(id (x) ev)(x (x) id)``, ``contract(X, m, n, y)`` is
   ``(X (x) I_m)(I_n (x) y)`` and its mirror ``(I_m (x) X)(y (x) I_n)``: an
@@ -65,7 +69,7 @@ are reproducible across runs.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from math import prod
 from typing import Iterable, Sequence
 
@@ -81,11 +85,12 @@ class Mat:
 
     ``_cols_sparse[j]`` lists the nonzero entries of column ``j`` as
     ``(row, value)`` pairs sorted by row; a zero is never stored.  Columns are
-    never mutated once built, so results may share them.  ``data`` is a dense
-    read-only view (a tuple of row tuples), built on each access.
+    never mutated once built, so results may share them, and the row index
+    (``row_index``) is kept once built.  ``data`` is a dense read-only view (a
+    tuple of row tuples), built on each access.
     """
 
-    __slots__ = ("rows", "cols", "_cols_sparse")
+    __slots__ = ("rows", "cols", "_cols_sparse", "_row_index")
 
     def __init__(self, rows: int, cols: int, columns=None):
         self.rows = rows
@@ -197,62 +202,67 @@ class Mat:
     def mul_ikron(self, n: int, x: "Mat", m: int) -> "Mat":
         """``self @ (I_n (x) x (x) I_m)`` without building the Kronecker factor.
 
-        One scatter over the nonzeros (x is p x q), x's indexed by row once: the
-        nonempty column ``(i*p + j)*m + k`` of self, times x[j, l], goes to output
-        column ``(i*q + l)*m + k`` for each nonzero x[j, l] of row j, so an empty
-        column of self, or of the product, costs nothing beyond its share of one list.
-        A column that takes one ``ONE`` term is self's column itself, and a column
-        of self is negated at most once a call, however many -1 entries of row j
-        meet it; an output column that takes a second term is summed in a dict of
-        its own, never in place, and its zero sums are dropped.  With no identity
-        factor (n = m = 1) it is ``self @ x``."""
+        One scatter over the nonzeros (x is p x q) through x's ``row_index``, built
+        once per x: the nonempty column ``(i*p + j)*m + k`` of self, times x[j, l],
+        goes to output column ``(i*q + l)*m + k`` for each nonzero x[j, l] of row j.
+        Only the nonempty columns of self are walked, so an empty column of self, or
+        of the product, costs nothing beyond its share of one list.  A column that
+        takes one ``ONE`` term is self's column itself, and a column of self is
+        negated at most once a call, however many -1 entries of row j meet it; an
+        output column that takes a second term is summed in a dict of its own, never
+        in place, and its zero sums are dropped.  With no identity factor
+        (n = m = 1) it is ``self @ x``."""
         p, q = x.rows, x.cols
         if self.cols != n * p * m:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ (I_{n} (x) {p}x{q} (x) I_{m})")
         if n == m == 1:
             return self @ x
-        xrows: dict[int, list] = {}  # the nonempty rows of x: j -> [(l*m, x[j, l])]
-        for l, col in enumerate(x._cols_sparse):
-            for j, v in col:
-                if j in xrows:
-                    xrows[j].append((l * m, v))
-                else:
-                    xrows[j] = [(l * m, v)]
+        xrows = x.row_index()
         empty = []
         out = [empty] * (n * q * m)
         sums: dict[int, dict[int, Scalar]] = {}  # the output columns two or more terms land in
-        pm, qm = p * m, q * m
-        for i in range(n):
-            for jk, col in enumerate(self._cols_sparse[i * pm : (i + 1) * pm]):
-                if not col:
+        cols, qm = self._cols_sparse, q * m
+        for c in compress(range(len(cols)), cols):
+            ij, k = divmod(c, m)
+            i, j = divmod(ij, p)
+            xrow = xrows[j]
+            if not xrow:
+                continue
+            col, base, neg = cols[c], i * qm + k, None
+            for l, v in xrow:
+                if v is ONE:
+                    term = col
+                elif v is NEG_ONE:
+                    if neg is None:
+                        neg = [(r, -a) for r, a in col]
+                    term = neg
+                else:
+                    term = [(r, v if a is ONE else -v if a is NEG_ONE else a * v) for r, a in col]
+                t = base + l * m
+                prev = out[t]
+                if prev is empty:
+                    out[t] = term
                     continue
-                j, k = divmod(jk, m)
-                if j not in xrows:
-                    continue
-                base, neg = i * qm + k, None
-                for lm, v in xrows[j]:
-                    if v is ONE:
-                        term = col
-                    elif v is NEG_ONE:
-                        if neg is None:
-                            neg = [(r, -a) for r, a in col]
-                        term = neg
-                    else:
-                        term = [(r, v if a is ONE else -v if a is NEG_ONE else a * v) for r, a in col]
-                    t = base + lm
-                    prev = out[t]
-                    if prev is empty:
-                        out[t] = term
-                        continue
-                    acc = sums.get(t)
-                    if acc is None:
-                        acc = sums[t] = dict(prev)
-                    for r, a in term:
-                        s = acc.get(r)
-                        acc[r] = a if s is None else s + a
+                acc = sums.get(t)
+                if acc is None:
+                    acc = sums[t] = dict(prev)
+                for r, a in term:
+                    s = acc.get(r)
+                    acc[r] = a if s is None else s + a
         for t, acc in sums.items():
             out[t] = [(r, s) for r, s in sorted(acc.items()) if s is not ZERO]
         return Mat(self.rows, n * q * m, out)
+
+    def row_index(self) -> list[list[tuple[int, Scalar]]]:
+        """The nonzero entries of each row as ``(column, value)`` pairs sorted by
+        column, the columns of the transpose: built on first use and kept, since a
+        ``Mat`` is never changed.  The slot is left unset until then, so a matrix
+        whose rows are never indexed pays nothing for it."""
+        try:
+            return self._row_index
+        except AttributeError:
+            index = self._row_index = self.transpose()._cols_sparse
+            return index
 
     def transpose(self) -> "Mat":
         out = [[] for _ in range(self.rows)]
@@ -446,6 +456,8 @@ class Graded(dict):
         return _blockwise(self, other, Mat.__matmul__)
 
     def mul_ikron(self, n: int, x, m: int) -> "Graded":
+        """Each block times ``I_n (x) x (x) I_m``; a ``Mat`` x is indexed by row once, for
+        every block."""
         return _blockwise(self, x, lambda a, b: a.mul_ikron(n, b, m))
 
     def stacked(self, layout: dict[int, int]) -> Mat:

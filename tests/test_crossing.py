@@ -186,8 +186,9 @@ def test_operator_product_is_morphism(table):
 
 
 def test_theta_and_centre_share_one_crossing_per_module(monkeypatch):
-    # three objects A, omega1, vec: one crossing each and one per ordered pair,
-    # one operator connection and one tensor connection per ordered pair
+    # three objects A, omega1, vec: one operator connection and one tensor connection per
+    # ordered pair, and one crossing per module content: A (x)_A E and E (x)_A A are E again,
+    # and here all five such products hold the content of E itself, so 3 + 9 - 5 = 7
     counts = {"CrossingMap": 0, "OperatorConnection": 0, "tensor_connection": 0}
 
     def counted(name, build):
@@ -203,7 +204,7 @@ def test_theta_and_centre_share_one_crossing_per_module(monkeypatch):
         monkeypatch.setattr(owner, "tensor_connection", counted("tensor_connection", owner.tensor_connection))
     report = verify.verify_all(load_builtin("two-point-universal"), suites=["theta", "centre"], seed=7)
     assert report.ok
-    assert counts == {"CrossingMap": 12, "OperatorConnection": 1, "tensor_connection": 9}
+    assert counts == {"CrossingMap": 7, "OperatorConnection": 1, "tensor_connection": 9}
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -261,8 +262,25 @@ def test_runs_on_one_bundle_share_its_crossings(monkeypatch, first):
     assert bodies == fresh
     shared = bundle.crossings()
     assert verify.VerifyContext(bundle, 2, seed=7).table is shared.table
-    # three objects: one crossing each and one per ordered pair, each built once
-    assert len(shared._crossing) + len(shared._tensor_crossing) == len(built) == 12
+    # three objects: one crossing each and one per ordered pair, built once per module
+    # content; A (x) A, A (x) vec, omega1 (x) A and vec (x) A hold a built crossing over themselves
+    assert len(shared._crossing) + len(shared._tensor_crossing) == 12
+    assert len(built) == len(shared._by_content) == 8
+    tensors = {f"({a}(x){b})" for a, b in shared._tensor_crossing}
+    assert sorted(tensors - set(built)) == ["(A(x)A)", "(A(x)vec)", "(omega1(x)A)", "(vec(x)A)"]
+    for cm in (*shared._crossing.values(), *shared._tensor_crossing.values()):
+        assert shared._by_content[crossing._content(cm.module)]._theta is cm._theta
+
+
+def test_a_unit_object_product_reads_the_blocks_of_its_factor():
+    # omega1 (x)_A A is omega1 again: its crossing is omega1's over the tensor module
+    shared = load_builtin("z3-function-calculus").crossings()
+    cm, twin = shared.crossing("omega1"), shared.tensor_crossing("omega1", "A")
+    assert twin is not cm and twin.module is shared.tensor_module("omega1", "A")
+    assert twin.module.name == "(omega1(x)A)" and cm.module.name == "omega1"
+    blocks = twin.theta(2)  # built by the copy, read by the crossing it was copied from
+    assert cm.theta(2) is blocks and blocks == CrossingMap(cm.table, cm.module).theta(2)
+    assert cm.braid(2) is twin.braid(2)
 
 
 # -- each identity checked once per degree per loaded bundle ----------------------------

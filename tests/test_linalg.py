@@ -5,6 +5,8 @@ Fraction-based oracles in this file (minor expansion for ranks, direct
 quadratic-form evaluation for witnesses) and then frozen into the asserts.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -428,6 +430,81 @@ def test_mul_ikron_leaves_a_shared_column_alone_when_a_second_term_lands():
     assert out.cols_sparse() == [[(0, ONE), (2, sc(5))], [(0, sc(3)), (2, ONE)]]
     assert a.cols_sparse() == before and [a.cols_sparse()[0], a.cols_sparse()[2]] == shared
     assert all(col is not old for col, old in zip(out.cols_sparse(), shared))
+
+
+# ``mul_ikron`` reads x's rows from ``row_index``, built on the first product and kept with x
+
+
+@st.composite
+def shared_x_cases(draw):
+    """One x beside identity factors I_n and I_m in several products: left factors for
+    drawn (n, m) (n, m in {0, 1, 2, 3}), and the blocks of a ``Graded`` for one more (n, m)
+    with an identity factor; empty columns come from ``oracle_mats``."""
+    kind = draw(st.sampled_from(["rational", "gaussian"]))
+    p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    _, x = draw(oracle_mats(kind, p, q))
+    legs = st.sampled_from([0, 1, 2, 3])
+    lefts = []
+    for _ in range(draw(st.integers(2, 4))):
+        n, m = draw(legs), draw(legs)
+        lefts.append((n, draw(oracle_mats(kind, draw(st.integers(0, 3)), n * p * m))[1], m))
+    n, m = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 1)]))
+    blocks = {k: draw(oracle_mats(kind, draw(st.integers(0, 3)), n * p * m))[1] for k in range(draw(st.integers(2, 3)))}
+    return x, lefts, (n, Graded(blocks), m)
+
+
+@given(shared_x_cases())
+@settings(max_examples=200, deadline=None)
+def test_one_row_index_serves_every_product_with_its_x(case):
+    x, lefts, (n, blocks, m) = case
+    index = x.row_index()
+    assert index == x.transpose().cols_sparse()
+    for ni, a, mi in lefts:
+        assert read_back(a.mul_ikron(ni, x, mi)) == read_back(oracles.matmul(a, oracles.ikron(ni, x, mi)))
+    graded = blocks.mul_ikron(n, x, m)
+    assert graded.keys() == blocks.keys()
+    for k, a in blocks.items():
+        assert read_back(graded[k]) == read_back(oracles.matmul(a, oracles.ikron(n, x, m)))
+    assert x.row_index() is index and index == x.transpose().cols_sparse()
+
+
+class ReadColumns(list):
+    """Sparse columns that record which ones are read by index."""
+
+    def __getitem__(self, j):
+        self.read.append(j)
+        return super().__getitem__(j)
+
+
+def test_mul_ikron_reads_only_the_nonempty_columns_of_self():
+    # n = 2, m = 2, x 2 x 3: self's columns 1, 3, 4 and 6 of 8 hold entries, and 3 and 6
+    # (j = 1) meet x's empty row 1, so only 1 and 4 are read
+    x = Mat.from_cols([[1, 0], [2, 0], [-1, 0]])
+    cols = [[], [(0, ONE)], [], [(1, sc(3))], [(0, sc(2)), (1, ONE)], [], [(1, NEG_ONE)], []]
+    a = Mat(2, 8, ReadColumns(cols))
+    a._cols_sparse.read = []
+    out = a.mul_ikron(2, x, 2)
+    assert sorted(a._cols_sparse.read) == [1, 4]
+    assert out == oracles.matmul(Mat(2, 8, cols), oracles.ikron(2, x, 2))
+    empty = [c for c in out.cols_sparse() if not c]  # where no term lands: one shared list
+    assert len(empty) == 6 and all(c is empty[0] for c in empty)
+
+
+def test_a_built_row_index_changes_no_copy_or_comparison_of_its_matrix():
+    cells = [[1, 0, 2], [0, 0, -1], [3, 0, 0]]
+    x, twin = Mat.from_cols(cells), Mat.from_cols(cells)
+    unindexed = (copy.copy(x), pickle.loads(pickle.dumps(x)))
+    index = x.row_index()
+    assert index == x.transpose().cols_sparse() == [[(0, ONE), (2, sc(3))], [], [(0, sc(2)), (1, NEG_ONE)]]
+    assert x.row_index() is index
+    assert x == twin and twin == x and not x != twin
+    a = Mat.from_cols([[1, 2], [0, 3], [4, 0], [0, 0], [5, 0], [0, -1]])  # 2 x 6: n = 2, m = 1
+    product = oracles.matmul(a, oracles.ikron(2, x, 1))
+    for copied in (copy.copy(x), pickle.loads(pickle.dumps(x)), *unindexed):
+        assert copied == x and (copied.rows, copied.cols) == (3, 3)
+        assert copied.row_index() == index
+        assert a.mul_ikron(2, copied, 1) == product
+    assert a.mul_ikron(2, x, 1) == product
 
 
 @st.composite

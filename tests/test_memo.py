@@ -10,7 +10,7 @@ import pytest
 from ncdiffop.bundle import load_builtin
 from ncdiffop.diffop import BulletTable, GradedOperator
 from ncdiffop.linalg import Mat
-from ncdiffop.memo import memo
+from ncdiffop.memo import memo, shared_copy
 from ncdiffop.report import ValidationError
 from ncdiffop.scalars import sc
 from ncdiffop.sobolev import SobolevPairings, sobolev_gram
@@ -43,6 +43,18 @@ def test_a_build_that_raises_caches_nothing():
         with pytest.raises(ValueError):
             c.square(-1)
     assert c.builds == [-1, -1] and (-1,) not in c.__dict__.get("_square", {})
+
+
+def test_a_shared_copy_reads_and_fills_the_caches_of_its_instance():
+    a = Counter()
+    a.name = "a"
+    b = shared_copy(a, name="b")  # before any build: no cache dict exists yet
+    assert (a.name, b.name) == ("a", "b") and b.builds is a.builds
+    assert [b.square(3), a.square(3), a.square(4), b.square(4)] == [9, 9, 16, 16]
+    assert a.builds == [3, 4] and a._square is b._square
+    with pytest.raises(ValueError):
+        b.square(-1)
+    assert (-1,) not in a._square
 
 
 def test_corrupted_bullet_table_raises_the_same_error_twice():

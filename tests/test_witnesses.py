@@ -201,6 +201,19 @@ def test_theta_not_well_defined_witness(z3):
     assert raised(lambda: CrossingMap(table, em).theta(2)) == ("theta-not-well-defined", ("omega1", 2, 0))
 
 
+def test_theta_not_well_defined_names_the_module_of_a_shared_crossing():
+    """omega1 (x)_A A shares omega1's crossing; with its own act_table(1) bumped as above,
+    the shared crossing builds theta(2) from the tensor module and raises under its name."""
+    shared = load_builtin(Z3).crossings()
+    cm, twin = shared.crossing("omega1"), shared.tensor_crossing("omega1", "A")
+    tm = twin.module
+    assert cm._theta is twin._theta and tm is not cm.module
+    tm._act_table[(1,)] = bump(tm.act_table(1), 0, 6)
+    for _ in range(2):  # a build that raises keeps nothing
+        assert raised(lambda: twin.theta(2)) == ("theta-not-well-defined", ("(omega1(x)A)", 2, 0))
+    assert (2,) not in cm._theta
+
+
 def test_corrupt_bullet_table(z3):
     assert corrupt_bullet_table(z3[0]) == BULLET_WITNESSES
 
