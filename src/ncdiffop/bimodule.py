@@ -337,7 +337,9 @@ class FGPStructure:
     ``module`` plays the 1-forms, ``dual`` the vector fields; ``apply_mat`` is
     the pairing dual x module -> A on plain tensor coordinates, and
     ``coev_one`` is coev(1) in plain Kron(module, dual) coordinates, one column;
-    ``idempotent`` is P: Kron(n, n) -> A, column q*n + j holding P[q][j] = f_q(f^j).
+    ``ev`` and ``coev`` are the bimodule maps dual (x)_A module -> A and
+    A -> module (x)_A dual on the quotients; ``idempotent`` is P: Kron(n, n) -> A,
+    column q*n + j holding P[q][j] = f_q(f^j).
     """
 
     def __init__(
@@ -347,8 +349,8 @@ class FGPStructure:
         basis_forms: list[list[Scalar]],
         basis_functionals: list[list[Scalar]],
         apply_mat: Mat,
-        ev: BimoduleMap,
-        coev: BimoduleMap,
+        ev: Mat,
+        coev: Mat,
         coev_one: Mat,
         pair_dual_module: "TensorPair",
         pair_module_dual: "TensorPair",
@@ -377,8 +379,9 @@ def dualize_right_module(
     The dual is cut out of Hom(module, A) by right-A-linearity, as the kernel
     of a constraint on the row-major ``vec(M)`` in Kron(A, module) of a map M;
     a right-linear map has coordinates ``pick @ vec(M)`` in its echelon basis.
-    ev and coev are assembled as bimodule maps and the zig-zag identities are
-    verified exactly.  The idempotent ``P[q][j] = f_q(f^j)`` is not re-checked:
+    ev and coev are checked to be bimodule maps (``ev-bimodule-map``,
+    ``coev-bimodule-map``, witness as in :func:`intertwining_failure`) and the
+    zig-zag identities are verified exactly.  The idempotent ``P[q][j] = f_q(f^j)`` is not re-checked:
     right-linearity and the dual-basis identity, both checked here, give
     (P o P)[q][j] = f_q(sum_k f^k . f_k(f^j)) = f_q(f^j).
     """
@@ -426,12 +429,17 @@ def dualize_right_module(
     pair_dual_module = TensorPair(dual, omega)
     pair_module_dual = TensorPair(omega, dual)
 
-    ev_mat = pair_dual_module.induce(apply_mat, "ev", pair_dual_module.space.name)
-    ev = BimoduleMap(pair_dual_module.space, algebra_as_bimodule(A), ev_mat, "ev")
-
+    A_bim = algebra_as_bimodule(A)
+    ev = pair_dual_module.induce(apply_mat, "ev", pair_dual_module.space.name)
     coev_one = forms.kron(coords) @ diag  # sum_i f^i (x) f_i
-    coev_mat = pair_module_dual.project.mul_ikron(1, omega.left_action, dual.dim).mul_ikron(dA, coev_one, 1)
-    coev = BimoduleMap(algebra_as_bimodule(A), pair_module_dual.space, coev_mat, "coev")
+    coev = pair_module_dual.project.mul_ikron(1, omega.left_action, dual.dim).mul_ikron(dA, coev_one, 1)
+    for name, src, dst, mat in (
+        ("ev", pair_dual_module.space, A_bim, ev),
+        ("coev", A_bim, pair_module_dual.space, coev),
+    ):
+        fail = intertwining_failure(src, dst, mat)
+        if fail is not None:
+            raise ValidationError(f"{name}-bimodule-map", witness=fail)
 
     # zig-zag identities (exact, on every basis element)
     coev_rep = pair_module_dual.section @ pair_module_dual.project @ coev_one

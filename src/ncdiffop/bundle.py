@@ -27,7 +27,7 @@ from .diffop import BulletTable
 from .geometry import Geometry
 from .linalg import Mat
 from .memo import memo
-from .report import ValidationError
+from .report import ValidationError, first_not_ok, raise_failure
 from .scalars import Scalar, ScalarParseError, sc
 from .sobolev import InnerProduct, canonical_algebra_ip
 
@@ -286,9 +286,7 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
             ]
             ip = InnerProduct(target.space, Mat.from_cols(cells, dA), f"ip-{iname}")
         if validate:
-            for r in ip.validate(geometry, state_list):
-                if not r.ok:
-                    raise ValidationError(r.name, witness=r.witness)
+            raise_failure(first_not_ok(ip.validate(geometry, state_list)))
         inner_products[iname] = ip
 
     return Bundle(

@@ -1,6 +1,10 @@
 """Modules with connection: left covariant derivatives, bimodule connections,
 iterated derivatives, the module action of tensor powers of vector fields, and
 the tensor-product connection.
+
+A module's Leibniz rules are one invariant, ``ConnectionModule.leibniz_failure``,
+which returns the first failure, ``(name, witness)``, or None; a validating
+constructor raises it, and the ``connections`` suite reports it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from .bimodule import Bimodule, TensorPair, intertwining_failure
 from .geometry import Geometry
 from .linalg import Mat, first_mismatch, inverse
 from .memo import memo
-from .report import ValidationError, raise_first_failure
+from .report import ValidationError, first_failure, raise_failure
 
 
 class SigmaRequired(ValueError):
@@ -44,7 +48,6 @@ class ConnectionModule:
             raise ValidationError("nabla-shape", witness=name)
         self.nabla = nabla
         self.sigma = sigma  # quotient-level: EO.space -> OE.space
-        self.sigma_inv = None
         if sigma is not None:
             if sigma.rows != self.OE.dim or sigma.cols != self.EO.dim:
                 raise ValidationError("sigma-shape", witness=name)
@@ -52,15 +55,15 @@ class ConnectionModule:
             if fail is not None:
                 raise ValidationError("sigma-bimodule-map", witness=(name, fail))
             try:
-                self.sigma_inv = inverse(sigma)
+                inverse(sigma)  # the braiding must invert; the inverse itself is not needed
             except ValueError:
                 raise ValidationError("sigma-invertible", witness=name) from None
         if validate:
-            self._validate_leibniz()
+            raise_failure(self.leibniz_failure())
 
     # -- validation -----------------------------------------------------------
 
-    def _validate_leibniz(self):
+    def leibniz_failure(self):
         """nabla(a.e) = da (x) e + a.nabla(e) on Kron(A, E) and, with a braiding,
         nabla(e.a) = nabla(e).a + sigma(e (x) da) on Kron(E, A), each witness read as (a, e)."""
         g = self.geometry
@@ -73,7 +76,7 @@ class ConnectionModule:
             crossed = (self.sigma @ self.EO.project).mul_ikron(E.dim, g.d, 1)
             right_rhs = self.OE.space.right_action.mul_ikron(1, nabla, A.dim) + crossed
             checks["right-leibniz"] = first_mismatch(right, right_rhs, (E.dim, A.dim), order=(1, 0))
-        raise_first_failure({name: None if w is None else (self.name, *w) for name, w in checks.items()})
+        return first_failure({name: None if w is None else (self.name, *w) for name, w in checks.items()})
 
     @property
     def has_sigma(self) -> bool:

@@ -9,6 +9,11 @@ row-major, ``idx = i * dim_right + j``.  Every operator that the theory only
 defines as a sum of non-well-defined terms is assembled on plain coordinates
 and checked to kill the relation span before it is pushed to the quotient.
 
+The load-time invariants (``calculus_failure``, ``right_connection_failure``,
+``dual_connection_failure``) each return their first failure, ``(name,
+witness)``, or None: a validating ``Geometry`` raises it as a
+``ValidationError``, and the ``connections`` suite reports it as a check.
+
 The tensor pairs, towers, merges and n-fold maps are built on first use by
 ``@memo`` methods: once per argument tuple, kept on the ``Geometry`` and never
 changed afterwards, so they are freed with it.
@@ -28,11 +33,7 @@ from .bimodule import (
 )
 from .linalg import Mat, contract, first_mismatch, ikron_mul, inverse, rank
 from .memo import memo
-from .report import ValidationError, raise_first_failure
-
-
-class DualityFailure(ValidationError):
-    pass
+from .report import ValidationError, first_failure, first_not_ok, raise_failure
 
 
 def _content(e: Bimodule, f: Bimodule) -> tuple:
@@ -65,8 +66,7 @@ class Geometry:
         self.one = algebra.one
 
         if validate:
-            self._validate_algebra_and_module()
-            self._validate_calculus()
+            raise_failure(first_not_ok(algebra.validate()) or first_not_ok(omega.validate()) or self.calculus_failure())
 
         self.fgp: FGPStructure = dualize_right_module(omega, dual_basis_forms, dual_basis_functionals)
         self.vec = self.fgp.dual
@@ -87,9 +87,11 @@ class Geometry:
         except ValueError:
             raise ValidationError("sigma-invertible") from None
         if validate:
-            self._validate_right_connection()
+            raise_failure(self.right_connection_failure())
 
-        self._build_dual_connection(check=validate)
+        self._build_dual_connection()
+        if validate:
+            raise_failure(self.dual_connection_failure())
 
     # -- small helpers -----------------------------------------------------
 
@@ -106,34 +108,25 @@ class Geometry:
             built = self._pairs_by_content[key] = TensorPair(e, f)
         return built if built.e is e and built.f is f else built.over(e, f)
 
-    # -- validation of the raw inputs ---------------------------------------
+    # -- load-time invariants: each returns its first failure, (name, witness), or None --
 
-    def _validate_algebra_and_module(self):
-        for r in self.algebra.validate():
-            if not r.ok:
-                raise ValidationError(r.name, witness=r.witness)
-        for r in self.omega.validate():
-            if not r.ok:
-                raise ValidationError(r.name, witness=r.witness)
-
-    def _validate_calculus(self):
+    def calculus_failure(self):
+        """d has the shape Omega1 <- A, obeys d(ab) = da.b + a.db on Kron(A, A), kills 1,
+        and its a.db span Omega1."""
         A, om, d = self.algebra, self.omega, self.d
         if d.rows != om.dim or d.cols != A.dim:
-            raise ValidationError("d-shape")
-        # d(ab) = da.b + a.db on Kron(A, A)
+            return "d-shape", None
         lhs = d @ self.A_bim.left_action
         rhs = om.right_action.mul_ikron(1, d, A.dim) + om.left_action.mul_ikron(A.dim, d, 1)
         fail = first_mismatch(lhs, rhs, (A.dim, A.dim))
         if fail is not None:
-            raise ValidationError("leibniz", witness=fail)
+            return "leibniz", fail
         if not (d @ self.one).is_zero():
-            raise ValidationError("d-of-unit")
-        # surjectivity: span{a.db} = Omega1
+            return "d-of-unit", None
         spanned = rank(om.left_action.mul_ikron(A.dim, d, 1))
-        if spanned != om.dim:
-            raise ValidationError("surjectivity", witness=spanned)
+        return None if spanned == om.dim else ("surjectivity", spanned)
 
-    def _validate_right_connection(self):
+    def right_connection_failure(self):
         """box(xi.a) = box(xi).a + xi (x) da on Kron(Omega1, A) and box(a.xi) = a.box(xi) +
         sigma_inv(da (x) xi) on Kron(A, Omega1), each witness read as (a, xi)."""
         A, om, box, W2 = self.algebra, self.omega, self.box_form, self.W2
@@ -143,7 +136,7 @@ class Geometry:
         left_rhs = W2.space.left_action.mul_ikron(A.dim, box, 1) + (self.sigma_inv_form @ W2.project).mul_ikron(
             1, self.d, om.dim
         )
-        raise_first_failure(
+        return first_failure(
             {
                 "box-right-leibniz": first_mismatch(right, right_rhs, (om.dim, A.dim), order=(1, 0)),
                 "box-left-leibniz": first_mismatch(left, left_rhs, (A.dim, om.dim)),
@@ -171,7 +164,7 @@ class Geometry:
         paired = contract(self.fgp.apply_mat, dE * dvec, dvec, crossed_coev)
         return self.pair(E, self.vec).project.mul_ikron(1, E.left_action, dvec) @ paired
 
-    def _build_dual_connection(self, check: bool = True):
+    def _build_dual_connection(self):
         """box(v) = d(v(alpha)) (x) w - (ev (x) id (x) id)(v (x) box(alpha) (x) w) over coev(1) = alpha (x) w."""
         om, vec, ev, W2 = self.omega, self.vec, self.fgp.apply_mat, self.W2
         OV1 = self.pair(om, vec)
@@ -193,28 +186,25 @@ class Geometry:
         except ValueError:
             raise ValidationError("sigma-vec-invertible") from None
 
-        if check:
-            self._validate_dual_connection()
-
-    def _validate_dual_connection(self):
+    def dual_connection_failure(self):
         """box(v.a) = box(v).a + sigma(v (x) da) on Kron(Vec, A) and box(a.v) = a.box(v) +
         da (x) v on Kron(A, Vec), each witness read as (a, v), then the duality with the
-        right connection on forms."""
+        right connection on forms, ``("duality", w)`` with w as in ``ev_duality_defect(1)``."""
         A, vec, box, OV1 = self.algebra, self.vec, self.box_vec, self.OV1
         right = box @ vec.right_action
         right_rhs = OV1.space.right_action.mul_ikron(1, box, A.dim) + self.sigma_vec_plain.mul_ikron(vec.dim, self.d, 1)
         left = box @ vec.left_action
         left_rhs = OV1.space.left_action.mul_ikron(A.dim, box, 1) + OV1.project.mul_ikron(1, self.d, vec.dim)
-        raise_first_failure(
+        leibniz = first_failure(
             {
                 "box-vec-right-leibniz": first_mismatch(right, right_rhs, (vec.dim, A.dim), order=(1, 0)),
                 "box-vec-left-leibniz": first_mismatch(left, left_rhs, (A.dim, vec.dim)),
             }
         )
-        # duality: d o ev = (id (x) ev)(box (x) id) + (ev (x) id)(id (x) box)
-        lhs_fail = self.ev_duality_defect(1)
-        if lhs_fail is not None:
-            raise DualityFailure("duality", witness=lhs_fail)
+        if leibniz is not None:
+            return leibniz
+        duality = self.ev_duality_defect(1)
+        return None if duality is None else ("duality", duality)
 
     # -- towers --------------------------------------------------------------
 

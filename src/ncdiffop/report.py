@@ -2,6 +2,11 @@
 
 Every failed check carries a machine-replayable witness: basis indices plus
 the coordinate data needed to re-evaluate the violated identity.
+
+A load-time invariant is a function that returns its first failure,
+``(name, witness)``, or None.  Only constructors turn a failure into a
+:class:`ValidationError`, through :func:`raise_failure`; a verification suite
+reads the same function's value and raises nothing.
 """
 
 from __future__ import annotations
@@ -73,8 +78,12 @@ def first_failure(checks: dict):
     return name, witness
 
 
-def raise_first_failure(checks: dict) -> None:
-    """Raise for the check that :func:`first_failure` picks, if any fails."""
-    fail = first_failure(checks)
+def first_not_ok(results):
+    """The ``(name, witness)`` of the first failed :class:`CheckResult` in ``results``, or None."""
+    return next(((r.name, r.witness) for r in results if not r.ok), None)
+
+
+def raise_failure(fail) -> None:
+    """Raise the :class:`ValidationError` of a ``(name, witness)`` failure; None passes."""
     if fail is not None:
-        raise ValidationError(fail[0], witness=fail[1])
+        raise ValidationError(*fail)

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .bimodule import balance, idempotent_failure
 from .bundle import Bundle, canonical_json
-from .calculus import connection_morphism_defect, sigma_compat_defect, tensor_connection
+from .calculus import connection_morphism_defect, sigma_compat_defect
 from .centre import verify_centre
 from .crossing import OperatorAlgebraCandidate, check_theta_on_algebra, theta_product_compat, theta_tensor_factorization
 from .diffop import GradedOperator
@@ -170,6 +170,12 @@ def _ev_coev_bimodule_checks(ctx: VerifyContext) -> list[CheckResult]:
     return out
 
 
+def _invariant(name: str, fail) -> CheckResult:
+    """A load-time invariant's first failure as a check, its detail the text of the
+    error a validating load raises for it."""
+    return CheckResult(name, fail is None, detail="" if fail is None else str(ValidationError(*fail)))
+
+
 def suite_connections(ctx: VerifyContext) -> list[CheckResult]:
     g = ctx.geometry
     out = []
@@ -180,36 +186,18 @@ def suite_connections(ctx: VerifyContext) -> list[CheckResult]:
             and (g.sigma_inv_form @ g.sigma_form) == Mat.identity(g.W2.dim),
         )
     )
-    # right-connection Leibniz pair re-verified (the loader already enforced it)
-    try:
-        g._validate_right_connection()
-        out.append(CheckResult("box-leibniz-pair", True))
-    except Exception as err:  # noqa: BLE001
-        out.append(CheckResult("box-leibniz-pair", False, detail=str(err)))
-    try:
-        g._validate_dual_connection()
-        out.append(CheckResult("dual-connection-leibniz", True))
-    except Exception as err:  # noqa: BLE001
-        out.append(CheckResult("dual-connection-leibniz", False, detail=str(err)))
+    # the load-time invariants again (a validating load has enforced them)
+    out.append(_invariant("box-leibniz-pair", g.right_connection_failure()))
+    out.append(_invariant("dual-connection-leibniz", g.dual_connection_failure()))
     for name, module in sorted(ctx.bundle.modules.items()):
-        try:
-            module._validate_leibniz()
-            out.append(CheckResult(f"module-leibniz-{name}", True))
-        except Exception as err:  # noqa: BLE001
-            out.append(CheckResult(f"module-leibniz-{name}", False, detail=str(err)))
+        out.append(_invariant(f"module-leibniz-{name}", module.leibniz_failure()))
     # tensor-product connection on omega1 (x) omega1 when declared
     if "omega1" in ctx.bundle.modules and ctx.geometry.omega.dim:
-        em = ctx.bundle.modules["omega1"]
         try:
-            tm = tensor_connection(em, em)
+            tm = ctx.crossings.tensor_module("omega1", "omega1")
             out.append(CheckResult("tensor-connection-omega-omega", True))
-            out.append(
-                CheckResult(
-                    "tensor-connection-sigma-invertible",
-                    tm.sigma_inv is not None,
-                )
-            )
-        except Exception as err:  # noqa: BLE001
+            out.append(CheckResult("tensor-connection-sigma-invertible", tm.sigma is not None))
+        except ValueError as err:
             out.append(CheckResult("tensor-connection-omega-omega", False, detail=str(err)))
     # morphism discipline: scalar multiples of the identity intertwine, and the
     # braiding compatibility follows (checked, not assumed)
@@ -437,7 +425,7 @@ def suite_sobolev(ctx: VerifyContext) -> list[CheckResult]:
                                 gram.strictly_positive(),
                             )
                         )
-                except Exception as err:  # noqa: BLE001
+                except ValueError as err:
                     out.append(CheckResult(f"gram-psd-{name}-{sname}-{n}", False, detail=str(err)))
     return out
 

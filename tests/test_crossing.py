@@ -200,8 +200,7 @@ def test_theta_and_centre_share_one_crossing_per_module(monkeypatch):
 
     for cls in (crossing.CrossingMap, crossing.OperatorConnection):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
-    for owner in (crossing, verify):
-        monkeypatch.setattr(owner, "tensor_connection", counted("tensor_connection", owner.tensor_connection))
+    monkeypatch.setattr(crossing, "tensor_connection", counted("tensor_connection", crossing.tensor_connection))
     report = verify.verify_all(load_builtin("two-point-universal"), suites=["theta", "centre"], seed=7)
     assert report.ok
     assert counts == {"CrossingMap": 7, "OperatorConnection": 1, "tensor_connection": 9}

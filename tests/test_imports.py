@@ -1,11 +1,14 @@
-"""Every name a module of the package imports is used in that module, and
-every package-relative import sits at module level.
+"""Every name a module of the package imports is used in that module, every
+package-relative import sits at module level, and no handler catches every
+exception.
 
 A deletion that leaves an import behind (say ``kron_vec`` after the last
 per-basis-vector loop using it is gone) fails here, and so does an import of
 a sibling module hidden inside a function body, where it runs on every call
-and hides the module's dependencies.  Only the stdlib ``ast`` is used, so the
-check needs no linter.
+and hides the module's dependencies.  A bare ``except:``, ``except Exception``
+or ``except BaseException`` would turn a bug into a verdict, so the package
+names what it catches.  Only the stdlib ``ast`` is used, so the check needs no
+linter.
 """
 
 import ast
@@ -45,6 +48,18 @@ def function_body_imports(source: str) -> list[str]:
     return found
 
 
+def broad_handlers(source: str) -> list[str]:
+    """The ``except`` clauses that catch everything: bare, or naming ``Exception`` or
+    ``BaseException``, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or (isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")) for t in caught):
+                found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -63,3 +78,18 @@ def test_function_body_import_is_found():
 def test_unused_import_is_found():
     source = "from .linalg import Mat, kron_vec\nfrom .scalars import ZERO\nimport os\n\ndef f():\n    return Mat\n"
     assert unused_imports(source) == ["ZERO (line 2)", "kron_vec (line 1)", "os (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_handler_catches_every_exception(path):
+    assert broad_handlers(path.read_text()) == []
+
+
+def test_broad_handler_is_found():
+    source = (
+        "try:\n    f()\nexcept:\n    pass\n"
+        "try:\n    f()\nexcept (KeyError, Exception):\n    pass\n"
+        "try:\n    f()\nexcept BaseException as err:\n    raise err\n"
+        "try:\n    f()\nexcept ValueError:\n    pass\n"
+    )
+    assert broad_handlers(source) == ["line 3", "line 7", "line 11"]

@@ -2,8 +2,8 @@
 
 Each test corrupts one entry of a built block (a crossing block, sigma-hat,
 an operator-connection block, an action table, a bullet table, an input of
-the ev-duality suite, an input of a load-time connection validator) and pins
-the exact witness of every check that then fails.  A witness names the first
+the ev-duality suite, an input of a load-time invariant) and pins the exact
+witness of every check that then fails.  A witness names the first
 failing basis tuple in the order the checks have always reported, so these
 pins hold the check order fixed while the checks themselves change form.
 The digests pin the blocks that the corrupted tests start from, the
@@ -11,7 +11,9 @@ crossing inverse, the dual connection on vector fields and the dual of the
 1-forms.  The load-path pins hold the results of ``Algebra.validate`` and
 ``Bimodule.validate`` and the element a bad dual basis fails on.  The
 quotient pins hold the name and witness each map pushed to a tensor quotient
-raises when it does not descend there.
+raises when it does not descend there.  The bump sweep loads every single-entry
+bump of the two-point bundle unvalidated: each load that fails names its
+failure, and the verify bodies of the rest are pinned.
 """
 
 import functools
@@ -23,7 +25,7 @@ import pytest
 from ncdiffop import crossing, verify
 from ncdiffop.algebra import Algebra
 from ncdiffop.bimodule import Bimodule, NotProjective, TensorPair, dualize_right_module
-from ncdiffop.bundle import BUILTIN_NAMES, builtin_bundle_dict, load_builtin, load_bundle_dict
+from ncdiffop.bundle import BUILTIN_NAMES, ParseError, builtin_bundle_dict, load_builtin, load_bundle_dict
 from ncdiffop.calculus import connection_morphism_defect, sigma_compat_defect, tensor_connection, trivial_module
 from ncdiffop.crossing import (
     CrossingMap,
@@ -44,6 +46,7 @@ from ncdiffop.verify import (
     suite_bullet,
     suite_ev_duality,
     suite_fgp_zigzag,
+    verify_all,
 )
 import oracles
 from oracles import action_blocks, bimodule_from_blocks, left_mult_matrix, morphism_equivariance_report, mul_tensor
@@ -462,7 +465,7 @@ def test_inner_product_pairing_not_descending_to_its_quotient():
             lambda b: load_builtin("two-point-universal", validate=False),
             ("ev-not-well-defined", "(dual(omega1)(x)omega1)"),
         ),
-        ("(dual(omega1)(x)omega1)", lambda b: b.geometry._build_dual_connection(False), ("sigma-vec-not-well-defined", None)),
+        ("(dual(omega1)(x)omega1)", lambda b: b.geometry._build_dual_connection(), ("sigma-vec-not-well-defined", None)),
         ("(A(x)omega1)", lambda b: trivial_module(b.geometry), ("sigma-A-not-well-defined", "(A(x)omega1)")),
         (
             "(dual(omega1)(x)omega1)",
@@ -486,7 +489,51 @@ def test_quotient_refusing_every_map(monkeypatch, quotient, build, expected):
     assert raised(lambda: build(bundle)) == expected
 
 
-LOAD_VALIDATORS =("_validate_calculus", "_validate_right_connection", "_validate_dual_connection")
+def test_unvalidated_load_names_a_coev_that_is_no_bimodule_map():
+    """A bumped left action of the 1-forms, loaded unvalidated, breaks coev before any
+    load-time invariant runs: it is refused by name, with the action it fails on."""
+    doc = two_point_with(("omega", "left", 0, 0, 0), "5")
+    assert raised(lambda: load_bundle_dict(doc, validate=False)) == ("coev-bimodule-map", ("left", 0))
+
+
+def literal_paths(doc, path=()):
+    """The path of every scalar literal of a bundle document, in document order: each
+    text inside a list, but for basis names."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if key != "basis":
+                yield from literal_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            if isinstance(value, str):
+                yield path + (i,)
+            else:
+                yield from literal_paths(value, path + (i,))
+
+
+SWEEP_VALUES = ("5", "-1", "1/2")
+
+
+def test_two_point_bump_sweep_pinned():
+    """Every single-entry bump of two-point-universal to 5, -1 or 1/2 (310 documents),
+    loaded unvalidated.  A load that fails raises a named error, never a bare one, and
+    the connections and sobolev bodies of the 178 that load are pinned."""
+    base = builtin_bundle_dict("two-point-universal")
+    bodies = []
+    for path in literal_paths(base):
+        entry = functools.reduce(lambda x, key: x[key], path, base)
+        for value in SWEEP_VALUES:
+            if entry == value:
+                continue
+            try:
+                bundle = load_bundle_dict(two_point_with(path, value), validate=False)
+            except (ValidationError, ParseError):
+                continue
+            bodies.append(verify_all(bundle, ["connections", "sobolev"], degree=2, seed=7).body_json())
+    assert (len(bodies), hashlib.sha256("\n".join(bodies).encode()).hexdigest()) == SWEEP_BODIES
+
+
+LOAD_INVARIANTS = ("calculus_failure", "right_connection_failure", "dual_connection_failure")
 
 
 @pytest.mark.parametrize(
@@ -506,7 +553,7 @@ LOAD_VALIDATORS =("_validate_calculus", "_validate_right_connection", "_validate
 def test_corrupt_geometry_input(attr, r, c):
     g = load_builtin(Z3).geometry
     setattr(g, attr, bump(getattr(g, attr), r, c))
-    got = {name: raised(getattr(g, name)) for name in LOAD_VALIDATORS}
+    got = {name: getattr(g, name)() for name in LOAD_INVARIANTS}
     assert {name: w for name, w in got.items() if w is not None} == GEOMETRY_WITNESSES[(attr, r, c)]
 
 
@@ -525,7 +572,7 @@ def test_corrupt_geometry_input(attr, r, c):
 def test_corrupt_module_connection(module, attr, r, c):
     m = load_builtin(Z3).modules[module]
     setattr(m, attr, bump(getattr(m, attr), r, c))
-    assert raised(m._validate_leibniz) == MODULE_WITNESSES[(module, attr, r, c)]
+    assert m.leibniz_failure() == MODULE_WITNESSES[(module, attr, r, c)]
 
 
 @pytest.mark.parametrize("left,right", [(1, None), (None, 2), (2, 1), (1, 1), (1, 2)])
@@ -619,7 +666,7 @@ def test_fgp_digests_pinned(name):
         "left": digest(left),
         "right": digest(right),
         "apply_mat": digest([fgp.apply_mat]),
-        "coev": digest([fgp.coev.mat]),
+        "coev": digest([fgp.coev]),
         "basis_functionals": vec_digest(fgp.basis_functionals),
     }
     assert got == FGP_DIGESTS[name]
@@ -923,28 +970,29 @@ DUAL_CONNECTION_DIGESTS = {  # (box_vec, sigma_vec_plain)
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
+SWEEP_BODIES = (178, "2e49cc8a077e38eaff7c43a7d6919cc65eb2c244e229ea0471a04c331bf4147a")  # count, sha256
 GEOMETRY_WITNESSES = {
     ("d", 0, 0): {
-        "_validate_calculus": ("leibniz", (0, 1)),
-        "_validate_right_connection": ("box-left-leibniz", (0, 1)),
-        "_validate_dual_connection": ("box-vec-right-leibniz", (0, 2)),
+        "calculus_failure": ("leibniz", (0, 1)),
+        "right_connection_failure": ("box-left-leibniz", (0, 1)),
+        "dual_connection_failure": ("box-vec-right-leibniz", (0, 2)),
     },
     ("d", 4, 0): {
-        "_validate_calculus": ("leibniz", (1, 0)),
-        "_validate_right_connection": ("box-right-leibniz", (0, 0)),
-        "_validate_dual_connection": ("box-vec-left-leibniz", (0, 0)),
+        "calculus_failure": ("leibniz", (1, 0)),
+        "right_connection_failure": ("box-right-leibniz", (0, 0)),
+        "dual_connection_failure": ("box-vec-left-leibniz", (0, 0)),
     },
     ("d", 1, 1): {
-        "_validate_calculus": ("leibniz", (1, 2)),
-        "_validate_right_connection": ("box-right-leibniz", (1, 0)),
-        "_validate_dual_connection": ("box-vec-right-leibniz", (1, 1)),
+        "calculus_failure": ("leibniz", (1, 2)),
+        "right_connection_failure": ("box-right-leibniz", (1, 0)),
+        "dual_connection_failure": ("box-vec-right-leibniz", (1, 1)),
     },
-    ("box_form", 0, 0): {"_validate_right_connection": ("box-right-leibniz", (1, 0))},
-    ("box_form", 3, 0): {"_validate_right_connection": ("box-left-leibniz", (0, 0))},
-    ("sigma_inv_form", 1, 6): {"_validate_right_connection": ("box-left-leibniz", (0, 2))},
-    ("box_vec", 1, 3): {"_validate_dual_connection": ("box-vec-left-leibniz", (0, 3))},
-    ("box_vec", 6, 0): {"_validate_dual_connection": ("box-vec-right-leibniz", (1, 0))},
-    ("sigma_vec_plain", 1, 18): {"_validate_dual_connection": ("box-vec-right-leibniz", (0, 3))},
+    ("box_form", 0, 0): {"right_connection_failure": ("box-right-leibniz", (1, 0))},
+    ("box_form", 3, 0): {"right_connection_failure": ("box-left-leibniz", (0, 0))},
+    ("sigma_inv_form", 1, 6): {"right_connection_failure": ("box-left-leibniz", (0, 2))},
+    ("box_vec", 1, 3): {"dual_connection_failure": ("box-vec-left-leibniz", (0, 3))},
+    ("box_vec", 6, 0): {"dual_connection_failure": ("box-vec-right-leibniz", (1, 0))},
+    ("sigma_vec_plain", 1, 18): {"dual_connection_failure": ("box-vec-right-leibniz", (0, 3))},
 }
 MODULE_WITNESSES = {
     ("A", "nabla", 0, 0): ("right-leibniz", ("A", 0, 0)),
@@ -985,7 +1033,7 @@ NON_MORPHISM_WITNESSES = {  # (connection defect, sigma defect, equivariance per
     ("vec", 0, 1): (1, 7, [None, (1, 0, 4), (2, 0, 2)]),
 }
 _EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()  # no 1-forms: every block is empty
-FGP_DIGESTS = {  # dual.left, dual.right, apply_mat, coev.mat, basis_functionals
+FGP_DIGESTS = {  # dual.left, dual.right, apply_mat, coev, basis_functionals
     "two-point-universal": {
         "left": "9b221bf73c40e7b89e4b2bf9767a23bf71d3a94a51a8a1138c7fc11c7d2ef7bb",
         "right": "6028ffaf902f150769e25fa6c18330a789fdb0e22aa3036fb2b8e810da8e43fd",
