@@ -9,8 +9,10 @@ A bimodule holds each action once, as one sparse ``Mat``:
 
 The algebra acting on itself has ``mul`` for both.  The checks on actions are
 identities between products: a bimodule map ``T`` satisfies
-``T L_src = L_dst (id_A (x) T)`` and ``T R_src = R_dst (T (x) id_A)``, and the
-conjugate module's actions are the other side's, composed with the star.
+``T L_src = L_dst (id_A (x) T)`` and ``T R_src = R_dst (T (x) id_A)``, which
+:func:`intertwining_failure`, the one bimodule-map check, reads as the first
+algebra basis element where either fails; and the conjugate module's actions
+are the other side's, composed with the star.
 
 Tensor products over the algebra are realized as explicit quotients of the
 plain tensor space by the image of the balancing map
@@ -59,10 +61,6 @@ from .algebra import Algebra
 from .linalg import Mat, add_columns, contract, first_mismatch, kernel, quotient, span
 from .report import CheckResult, ValidationError, first_failure
 from .scalars import ONE, Scalar
-
-
-class BimoduleMapError(ValueError):
-    pass
 
 
 class NotProjective(ValidationError):
@@ -126,25 +124,6 @@ class Bimodule:
 
 def algebra_as_bimodule(A: Algebra, name: str = "A") -> Bimodule:
     return Bimodule(A, A.dim, A.mul, A.mul, name)
-
-
-class BimoduleMap:
-    """A linear map between bimodules that intertwines both actions.
-
-    Construction re-verifies the intertwining property exactly; a failed check
-    is an error, not a warning.
-    """
-
-    def __init__(self, src: Bimodule, dst: Bimodule, mat: Mat, name: str = "map"):
-        if mat.rows != dst.dim or mat.cols != src.dim:
-            raise BimoduleMapError(f"{name}: shape {mat.rows}x{mat.cols} does not match {dst.dim}x{src.dim}")
-        self.src = src
-        self.dst = dst
-        self.mat = mat
-        self.name = name
-        witness = intertwining_failure(src, dst, mat)
-        if witness is not None:
-            raise BimoduleMapError(f"{name}: not a bimodule map at {witness}")
 
 
 def zigzag_failure(V: Bimodule, W: Bimodule, ev: Mat, coev: Mat):

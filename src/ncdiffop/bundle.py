@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from pathlib import Path
 
 from . import builtin_data
@@ -55,16 +54,25 @@ def _list(x, what: str, n: int | None = None) -> list:
     return x
 
 
-class _Literals(dict):
-    """The scalar literals of one document, each parsed once: text -> value.
+class Literals(dict):
+    """The scalar literals of one field, each parsed once: text -> value.
 
     A document repeats a handful of literals thousands of times (z3 holds
     3,459 literals with four distinct values), so each load keeps one of
-    these and reads every scalar through it.
+    these and reads every scalar through it.  It holds the field's rule: on
+    ``Q`` a literal whose value is not real is refused with a ParseError, once
+    per distinct literal, when it is first read, and is not stored.
     """
 
+    def __init__(self, field: str):
+        super().__init__()
+        self.field = field
+
     def __missing__(self, text: str) -> Scalar:
-        value = self[text] = Scalar.from_str(text)
+        value = Scalar.from_str(text)
+        if self.field == "Q" and not value.is_real():
+            raise ParseError(f"field Q cannot carry the scalar {text!r}")
+        self[text] = value
         return value
 
     def scalars(self, x, n: int, what: str) -> list:
@@ -181,9 +189,12 @@ def canonical_json(doc: dict) -> str:
 
 
 def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
-    """Parse a document and, if ``validate``, check every load-time invariant.  The bundle
-    keeps the document it was given, and its digest and ``to_dict`` read it later, so the
-    caller must not change the document after loading it."""
+    """Parse a document and, if ``validate``, check every load-time invariant.  Every scalar
+    the loader reads goes through one :class:`Literals` of the document's field, so on ``Q``
+    a non-real literal is refused where it is read, in the loader's order (the algebra and
+    geometry, then states, modules and inner products), and a key the loader does not read
+    is not checked.  The bundle keeps the document it was given, and its digest and
+    ``to_dict`` read it later, so the caller must not change the document after loading it."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ParseError(f"not a {FORMAT} document")
     missing = _missing_keys(doc)
@@ -194,7 +205,7 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
         raise ParseError(f"unknown field {field!r}")
     if type(truncation) is not int or truncation < 0:
         raise ParseError(f"truncation_degree: expected a non-negative integer, got {truncation!r}")
-    literals = _Literals()
+    literals = Literals(field)
 
     alg = doc["algebra"]
     names = _list(alg["basis"], "algebra.basis")
@@ -209,8 +220,6 @@ def load_bundle_dict(doc: dict, validate: bool = True) -> Bundle:
     unit = literals.scalars(alg["unit"], dA, "algebra.unit")
     star = literals.mat(alg["star"], dA, dA, "star") if "star" in alg else None
     algebra = Algebra(dA, mul, unit, star=star, basis_names=names)
-    if field == "Q":
-        _reject_imaginary(doc, literals)
 
     om = doc["omega"]
     dO = len(_list(om["basis"], "omega.basis"))
@@ -322,47 +331,6 @@ def _missing_keys(doc: dict) -> list[str]:
         decl = decl if isinstance(decl, dict) else {}
         missing += [f"modules.{mname}.{k}" for k in MODULE_KEYS if k not in decl]
     return missing
-
-
-# the end of a literal that ends in i (before any trailing space) in text joined by "\0"; a "\0" inside a
-# literal may match too, so a match is settled literal by literal
-_IMAGINARY_TAIL = re.compile(r"[iI]\s*(?:\0|\Z)")
-
-
-def _reject_imaginary(doc, literals: _Literals):
-    """Raise a ParseError at the first literal, in document order, that is not real.
-    A list of text is searched as one joined string, not called on literal by literal."""
-
-    def walk(x):
-        if isinstance(x, dict):
-            x = list(x.values())
-        elif isinstance(x, str):
-            x = [x]
-        elif not isinstance(x, list):
-            return
-        try:
-            joined = "\0".join(x)
-        except TypeError:  # not all text
-            for y in x:
-                walk(y)
-            return
-        if not _IMAGINARY_TAIL.search(joined):
-            return  # only a literal ending in i can parse to a non-real scalar
-        for text in x:
-            if text.rstrip().endswith(("i", "I")):
-                try:
-                    val = literals[text]
-                except ScalarParseError:
-                    continue
-                if not val.is_real():
-                    raise ParseError(f"field Q cannot carry the scalar {text!r}")
-
-    for key in ("algebra", "omega", "d", "dual_basis", "box", "sigma_inv", "modules", "inner_products", "states"):
-        if key in doc:
-            value = doc[key]
-            if key in ("algebra", "omega") and isinstance(value, dict):
-                value = {k: v for k, v in value.items() if k != "basis"}  # basis names, not scalars
-            walk(value)
 
 
 def load_bundle(path, validate: bool = True) -> Bundle:

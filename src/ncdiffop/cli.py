@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .bundle import BUILTIN_NAMES, ParseError, resolve_bundle
+from .bundle import BUILTIN_NAMES, Literals, ParseError, resolve_bundle
 from .exprs import DegreeExceeded, ExprError, UnknownName, parse_element, parse_operator
 from .linalg import Mat
 from .report import ValidationError, _jsonable
@@ -116,11 +116,7 @@ def cmd_apply(args) -> int:
     if module is None:
         raise ExprError(f"unknown module {args.module!r}; available: {', '.join(bundle.module_names())}")
     op = parse_operator(bundle.geometry, args.expr, bundle.truncation)
-    element = parse_element(module.space.dim, args.element)
-    if bundle.field == "Q":
-        for x, text in zip(element, args.element.split(",")):
-            if not x.is_real():
-                raise ExprError(f"field Q cannot carry the scalar {text.strip()!r}")
+    element = parse_element(module.space.dim, args.element, Literals(bundle.field))
     result = op.act_on(module, element)
     trace = {}
     if args.trace:

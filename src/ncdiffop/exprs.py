@@ -130,11 +130,15 @@ def parse_operator(geometry: Geometry, text: str, truncation: int) -> GradedOper
             raise ExprError(f"expected '+' or '-' before {tokens[i][1]!r}")
 
 
-def parse_element(dim: int, text: str) -> list[Scalar]:
+def parse_element(dim: int, text: str, literals=None) -> list[Scalar]:
+    """The comma-separated coordinates of a module element, each read through
+    ``literals`` (a field's ``bundle.Literals``, which holds the field's rule) or, if
+    None, by ``sc``."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != dim:
         raise ExprError(f"element needs {dim} coordinates, got {len(parts)}")
+    read = sc if literals is None else literals.__getitem__
     try:
-        return [sc(p) for p in parts]
+        return [read(p) for p in parts]
     except ScalarParseError as err:
         raise ExprError(str(err)) from None

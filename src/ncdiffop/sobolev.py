@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .algebra import Algebra, State
-from .bimodule import BimoduleMap, BimoduleMapError, Bimodule, TensorPair, algebra_as_bimodule, conjugate_bimodule
+from .bimodule import Bimodule, TensorPair, algebra_as_bimodule, conjugate_bimodule, intertwining_failure
 from .calculus import ConnectionModule
 from .linalg import Mat, first_mismatch, ldl_certify_psd
 from .memo import memo
@@ -65,7 +65,9 @@ class InnerProduct:
     def validate(self, geometry, states: Optional[list[State]] = None) -> list[CheckResult]:
         """Symmetry, the pairing as a bimodule map E (x)_A conj E -> A, and positivity in
         each state.  The quotient E (x)_A conj E is ``geometry.pair``'s, so it is built once
-        per content and shared by every later validation."""
+        per content and shared by every later validation.  The bimodule-map check fails
+        with the quotient's name as witness where the pairing does not descend to it, and
+        otherwise with :func:`intertwining_failure`'s witness, such as ``("left", 0)``."""
         results = []
         A, E = self.algebra, self.module
         plain = self.matrix
@@ -74,12 +76,14 @@ class InnerProduct:
         results.append(CheckResult(f"{self.name}:symmetry", sym_fail is None, witness=sym_fail))
 
         pair = geometry.pair(E, self.conjugate_module())
-        try:
-            mat = pair.induce(plain, f"{self.name}-pairing", pair.space.name)
-            BimoduleMap(pair.space, algebra_as_bimodule(A), mat, f"{self.name}-pairing")
-            results.append(CheckResult(f"{self.name}:bimodule-map", True))
-        except (ValidationError, BimoduleMapError) as err:
-            results.append(CheckResult(f"{self.name}:bimodule-map", False, detail=str(err)))
+        name = f"{self.name}-pairing"
+        if not pair.descends(plain):
+            fail = pair.space.name
+            detail = str(ValidationError(f"{name}-not-well-defined", witness=fail))
+        else:
+            fail = intertwining_failure(pair.space, algebra_as_bimodule(A), plain @ pair.section)
+            detail = "" if fail is None else f"{name}: not a bimodule map at {fail}"
+        results.append(CheckResult(f"{self.name}:bimodule-map", fail is None, witness=fail, detail=detail))
 
         for state in states or []:
             gram = state.gram_of(plain, E.dim)

@@ -19,7 +19,7 @@ from .centre import verify_centre
 from .crossing import OperatorAlgebraCandidate, check_theta_on_algebra, theta_product_compat, theta_tensor_factorization
 from .diffop import GradedOperator
 from .hopf import standard_candidate
-from .linalg import Graded, Mat, contract, first_mismatch
+from .linalg import Graded, Mat, NotHermitian, contract, first_mismatch
 from .report import CheckResult, ValidationError, _jsonable, first_failure
 from .scalars import sc
 from .sobolev import SobolevPairings, gram_increment_certificate, sobolev_gram
@@ -197,7 +197,7 @@ def suite_connections(ctx: VerifyContext) -> list[CheckResult]:
             tm = ctx.crossings.tensor_module("omega1", "omega1")
             out.append(CheckResult("tensor-connection-omega-omega", True))
             out.append(CheckResult("tensor-connection-sigma-invertible", tm.sigma is not None))
-        except ValueError as err:
+        except ValidationError as err:
             out.append(CheckResult("tensor-connection-omega-omega", False, detail=str(err)))
     # morphism discipline: scalar multiples of the identity intertwine, and the
     # braiding compatibility follows (checked, not assumed)
@@ -425,7 +425,7 @@ def suite_sobolev(ctx: VerifyContext) -> list[CheckResult]:
                                 gram.strictly_positive(),
                             )
                         )
-                except ValueError as err:
+                except (ValidationError, NotHermitian) as err:
                     out.append(CheckResult(f"gram-psd-{name}-{sname}-{n}", False, detail=str(err)))
     return out
 

@@ -797,16 +797,18 @@ def hopf_centre_checks(cand) -> list:
 # -- the field-Q literal check, one call a node ----------------------------------
 
 
-def reject_imaginary(doc, literals) -> None:
+def reject_imaginary(doc) -> None:
     """Raise a ParseError at the first literal of the scalar sections, in document
-    order, that is not real; basis names under algebra and omega are skipped."""
+    order, that is not real; basis names under algebra and omega are skipped.  This
+    is the walk over the whole document the loader ran before the literal parser
+    held the field rule."""
 
     def walk(x):
         if isinstance(x, str):
             if not x.rstrip().endswith(("i", "I")):
                 return  # only a literal ending in i can parse to a non-real scalar
             try:
-                val = literals[x]
+                val = sc(x)
             except ScalarParseError:
                 return
             if not val.is_real():

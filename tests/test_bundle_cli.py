@@ -18,8 +18,6 @@ from ncdiffop import builtin_data, scalars
 from ncdiffop.bundle import (
     BUILTIN_NAMES,
     ParseError,
-    _Literals,
-    _reject_imaginary,
     builtin_bundle_dict,
     canonical_json,
     load_builtin,
@@ -30,6 +28,7 @@ from ncdiffop.bundle import (
 from ncdiffop.cli import main
 from ncdiffop.exprs import DegreeExceeded, ExprError, UnknownName, parse_operator
 from ncdiffop.report import ValidationError
+import bump_sweep
 import oracles
 
 
@@ -371,29 +370,92 @@ def test_cli_field_q_rejects_nested_imaginary_literal(tmp_path, capsys, two_poin
     capsys.readouterr()
 
 
-literal_texts = st.sampled_from(["0", "1", "-1/2", "2i", "1/2-1i", "3I ", "1i\n", "i", "x\0i", "1i\0", "", " ", "bad i"])
-json_leaves = literal_texts | st.integers(-2, 2) | st.booleans() | st.none()
-json_keys = literal_texts | st.just("basis")
-json_values = st.recursive(
-    json_leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_keys, inner, max_size=3), max_leaves=24
+NON_REAL = ["2i", "1/2-1i", "3I ", "1i\n", "i"]
+literal_texts = st.sampled_from(["0", "1", "-1/2", *NON_REAL, "x\0i", "1i\0", "", " ", "bad i"])
+TWO_POINT_LITERALS = list(bump_sweep.literal_paths(builtin_data.two_point_universal()))
+
+
+def field_error(doc):
+    """The text of the field rule's ParseError that loading ``doc`` raises, or None."""
+    try:
+        load_bundle_dict(doc)
+    except ParseError as err:
+        return str(err) if str(err).startswith("field Q cannot carry") else None
+    except ValidationError:
+        pass
+    return None
+
+
+def walk_error(doc):
+    """The text of the ParseError the document walk of ``oracles`` raises, or None."""
+    try:
+        oracles.reject_imaginary(doc)
+    except ParseError as err:
+        return str(err)
+    return None
+
+
+@given(st.sampled_from(TWO_POINT_LITERALS), literal_texts)
+@settings(max_examples=200, deadline=None)
+def test_field_q_refuses_the_literal_the_walk_names(path, text):
+    """One literal the loader reads, set to any text: the load raises the field error
+    exactly when the document walk does, naming the same literal."""
+    doc = bump_sweep.builtin_with("two-point-universal", path, text)
+    assert field_error(doc) == walk_error(doc)
+
+
+@given(
+    st.dictionaries(st.sampled_from(TWO_POINT_LITERALS), st.sampled_from([*NON_REAL, None]), min_size=1, max_size=6),
+    st.sampled_from(["Q", "Q(i)"]),
 )
+@settings(max_examples=200, deadline=None)
+def test_field_error_iff_the_walk_refuses(texts, field):
+    """Several literals, each set to a non-real text or respelled with its own value
+    (None): on Q the load raises the field error if and only if the walk does; on Q(i)
+    it never does."""
+    doc = builtin_data.two_point_universal()
+    doc["field"] = field
+    for path, text in texts.items():
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = f" {parent[path[-1]]} " if text is None else text
+    if field == "Q":
+        assert (field_error(doc) is None) == (walk_error(doc) is None)
+    else:
+        assert field_error(doc) is None
 
 
-@given(st.dictionaries(st.sampled_from(["algebra", "omega", "d", "modules", "states", "notes", "name"]), json_values))
-@settings(max_examples=300, deadline=None)
-def test_field_q_walk_matches_the_recursive_walk(doc):
-    """The walk accepts and rejects what the recursive walk it replaced does, and
-    names the same literal: the first non-real one in document order."""
-    expected = got = None
-    try:
-        oracles.reject_imaginary(doc, _Literals())
-    except ParseError as err:
-        expected = str(err)
-    try:
-        _reject_imaginary(doc, _Literals())
-    except ParseError as err:
-        got = str(err)
-    assert got == expected
+def test_field_q_ignores_a_key_the_loader_does_not_read(two_point_doc):
+    """A non-real literal at an unknown key is not read, so it refuses nothing, and it is
+    not part of the digest, like every other unknown key."""
+    doc = copy.deepcopy(two_point_doc)
+    doc["algebra"]["extra"] = ["1i"]
+    assert walk_error(doc) == "field Q cannot carry the scalar '1i'"
+    assert load_bundle_dict(doc).digest() == load_bundle_dict(two_point_doc).digest()
+
+
+def test_field_q_names_the_first_literal_read(two_point_doc):
+    """Of several non-real literals the error names the first one the loader reads:
+    states are read before modules, which come first in the document walk."""
+    doc = copy.deepcopy(two_point_doc)
+    doc["modules"]["omega1"]["nabla"][1][0] = "2i"
+    doc["states"]["uniform"][0] = "1i"
+    assert walk_error(doc) == "field Q cannot carry the scalar '2i'"
+    with pytest.raises(ParseError, match="^field Q cannot carry the scalar '1i'$"):
+        load_bundle_dict(doc)
+
+
+def test_cli_field_q_after_a_failed_geometry_invariant(tmp_path, capsys, two_point_doc):
+    """A non-real state is read after the geometry is built, like every other format
+    error in the states, so a geometry that fails a load-time invariant is reported first."""
+    doc = copy.deepcopy(two_point_doc)
+    doc["box"][1][0] = "5"
+    doc["states"]["uniform"][0] = "1/2+1i"
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "validation failed: box-right-leibniz\n  witness: [0, 0]\n"
 
 
 def dual_basis_bumps(doc):
@@ -785,7 +847,7 @@ def test_tensor_rebracketing_all_builtin_bundles():
     # dimension equality and equivariant invertible re-bracketing for the
     # omega towers of every shipped bundle
     from oracles import unit_row
-    from ncdiffop.bimodule import BimoduleMap, TensorPair
+    from ncdiffop.bimodule import TensorPair, intertwining_failure
     from ncdiffop.linalg import Mat, inverse, kron_vec
     from ncdiffop.scalars import ZERO
     from oracles import lift, push
@@ -814,8 +876,47 @@ def test_tensor_rebracketing_all_builtin_bundles():
                     out = [x + c * cc * y for x, y in zip(out, term)]
             cols.append(out)
         rebracket = Mat.from_cols(cols)
-        BimoduleMap(ef_h.space, e_fh.space, rebracket, "assoc")
+        assert intertwining_failure(ef_h.space, e_fh.space, rebracket) is None
         inverse(rebracket)
+
+
+@pytest.mark.parametrize(
+    "cells,witness,detail,cli_witness",
+    [
+        (
+            [(0, 0, 1)],
+            ("left", 0),
+            "ip-omega1-pairing: not a bimodule map at ('left', 0)",
+            "['left', 0]",
+        ),
+        (
+            [(0, 1, 0), (1, 0, 0)],
+            "(omega1(x)conj(omega1))",
+            "validation failed: ip-omega1-pairing-not-well-defined witness=(omega1(x)conj(omega1))",
+            "(omega1(x)conj(omega1))",
+        ),
+    ],
+    ids=["not-a-bimodule-map", "not-well-defined"],
+)
+def test_refused_pairing_keeps_its_witness(tmp_path, capsys, two_point_doc, cells, witness, detail, cli_witness):
+    """A pairing on the 1-forms that is no bimodule map E (x)_A conj E -> A fails with the
+    place it fails at: the action it does not commute with, or the quotient it does not
+    descend to.  The second case sets a symmetric pair of cells, so the symmetry check,
+    which comes first, passes."""
+    doc = copy.deepcopy(two_point_doc)
+    for i, j, t in cells:
+        doc["inner_products"]["omega1"][i][j][t] = "5"
+    bundle = load_bundle_dict(doc, validate=False)
+    results = bundle.inner_products["omega1"].validate(bundle.geometry)
+    check = next(r for r in results if r.name == "ip-omega1:bimodule-map")
+    assert (check.ok, check.witness, check.detail) == (False, witness, detail)
+    with pytest.raises(ValidationError) as err:
+        load_bundle_dict(doc)
+    assert (err.value.name, err.value.witness) == ("ip-omega1:bimodule-map", witness)
+    path = tmp_path / "pairing.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"validation failed: ip-omega1:bimodule-map\n  witness: {cli_witness}\n"
 
 
 def test_field_qi_accepts_real_and_gaussian(two_point_doc):
@@ -1037,12 +1138,12 @@ TWO_POINT, Z3 = "two-point-universal", "z3-function-calculus"
 PINNED_FAILING_BODIES = [
     (TWO_POINT, ("sigma_inv",), SWAPPED_BRAIDING, "4fe58a040c14ccdb6c30061143cf4715878c7cec21c6213e793bcc6fa7511048"),
     (TWO_POINT, ("box", 1, 0), "5", "b712d39e4dfca8c0592bd374808d703e2081fc4da805e36244b4e6b988ccaf12"),
-    (TWO_POINT, ("algebra", "star", 1, 1), "-1", "5d06237bdef3a6b780ee59926e4b238741601fb437158d739bfd15f9fb6a16a4"),
+    (TWO_POINT, ("algebra", "star", 1, 1), "-1", "0ac27c951b1039b325709b47cc1e7dc5ab104289e25cc7acf815e1020a947c3d"),
     (
         Z3,
         ("inner_products", "omega1", 2, 5),
         ["0", "1", "-1"],
-        "19b3f7f092ea036c7f09efa1201f4feb4f8bc9e1ed7e9dc5927ebdced01eaf07",
+        "86bb4b72f59f2abc670ab7015bdc5d59fa962961d386fcf0e42a1ca4d849cb59",
     ),
 ]
 

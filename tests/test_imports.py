@@ -7,7 +7,8 @@ per-basis-vector loop using it is gone) fails here, and so does an import of
 a sibling module hidden inside a function body, where it runs on every call
 and hides the module's dependencies.  A bare ``except:``, ``except Exception``
 or ``except BaseException`` would turn a bug into a verdict, so the package
-names what it catches.  Only the stdlib ``ast`` is used, so the check needs no
+names what it catches; the suites in ``verify.py`` do not catch ``ValueError``
+either, the base of every error the package names.  Only the stdlib ``ast`` is used, so the check needs no
 linter.
 """
 
@@ -48,14 +49,14 @@ def function_body_imports(source: str) -> list[str]:
     return found
 
 
-def broad_handlers(source: str) -> list[str]:
-    """The ``except`` clauses that catch everything: bare, or naming ``Exception`` or
-    ``BaseException``, alone or in a tuple."""
+def broad_handlers(source: str, names=("Exception", "BaseException")) -> list[str]:
+    """The ``except`` clauses that catch everything: bare, or naming one of ``names``,
+    alone or in a tuple."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ExceptHandler):
             caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-            if any(t is None or (isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")) for t in caught):
+            if any(t is None or (isinstance(t, ast.Name) and t.id in names) for t in caught):
                 found.append(node.lineno)
     return [f"line {line}" for line in sorted(found)]
 
@@ -85,6 +86,13 @@ def test_no_handler_catches_every_exception(path):
     assert broad_handlers(path.read_text()) == []
 
 
+def test_suites_catch_named_errors_only():
+    """A suite reads a failed construction as a check only from the package's named
+    errors; a plain ValueError, say from a shape bug, fails loudly."""
+    source = (PACKAGE / "verify.py").read_text()
+    assert broad_handlers(source, ("Exception", "BaseException", "ValueError")) == []
+
+
 def test_broad_handler_is_found():
     source = (
         "try:\n    f()\nexcept:\n    pass\n"
@@ -93,3 +101,4 @@ def test_broad_handler_is_found():
         "try:\n    f()\nexcept ValueError:\n    pass\n"
     )
     assert broad_handlers(source) == ["line 3", "line 7", "line 11"]
+    assert broad_handlers(source, ("ValueError",)) == ["line 3", "line 15"]

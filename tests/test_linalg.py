@@ -35,7 +35,7 @@ from ncdiffop.linalg import (
     rref,
     span,
 )
-from ncdiffop.bundle import _Literals
+from ncdiffop.bundle import Literals
 from ncdiffop.scalars import I, NEG_ONE, ONE, ZERO, Scalar, sc
 import oracles
 from oracles import unit_row, vec_is_zero
@@ -327,7 +327,7 @@ def test_neg_one_singleton():
     assert str(NEG_ONE) == "-1" and repr(NEG_ONE) == "Scalar(-1)"
     assert -ONE is NEG_ONE and -NEG_ONE is ONE
     assert -Scalar(1) is NEG_ONE and -Scalar(-1) is ONE and ZERO - ONE is NEG_ONE and sc("-3/3") * -1 is ONE
-    literals = _Literals()
+    literals = Literals("Q")
     assert literals["-1"] is NEG_ONE and literals["1"] is ONE and literals["0"] is ZERO
     assert literals["-2/2"] is NEG_ONE and literals["-1+0i"] is NEG_ONE
 

@@ -25,7 +25,7 @@ import pytest
 from ncdiffop import crossing, verify
 from ncdiffop.algebra import Algebra
 from ncdiffop.bimodule import Bimodule, NotProjective, TensorPair, dualize_right_module
-from ncdiffop.bundle import BUILTIN_NAMES, ParseError, builtin_bundle_dict, load_builtin, load_bundle_dict
+from ncdiffop.bundle import BUILTIN_NAMES, load_builtin, load_bundle_dict
 from ncdiffop.calculus import connection_morphism_defect, sigma_compat_defect, tensor_connection, trivial_module
 from ncdiffop.crossing import (
     CrossingMap,
@@ -48,6 +48,7 @@ from ncdiffop.verify import (
     suite_fgp_zigzag,
     verify_all,
 )
+import bump_sweep
 import oracles
 from oracles import action_blocks, bimodule_from_blocks, left_mult_matrix, morphism_equivariance_report, mul_tensor
 
@@ -405,12 +406,7 @@ def raised(check):
 
 def two_point_with(path, value: str) -> dict:
     """The two-point-universal document with the entry at ``path`` set to ``value``."""
-    doc = builtin_bundle_dict("two-point-universal")
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return doc
+    return bump_sweep.builtin_with("two-point-universal", path, value)
 
 
 @pytest.mark.parametrize(
@@ -496,41 +492,13 @@ def test_unvalidated_load_names_a_coev_that_is_no_bimodule_map():
     assert raised(lambda: load_bundle_dict(doc, validate=False)) == ("coev-bimodule-map", ("left", 0))
 
 
-def literal_paths(doc, path=()):
-    """The path of every scalar literal of a bundle document, in document order: each
-    text inside a list, but for basis names."""
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            if key != "basis":
-                yield from literal_paths(value, path + (key,))
-    elif isinstance(doc, list):
-        for i, value in enumerate(doc):
-            if isinstance(value, str):
-                yield path + (i,)
-            else:
-                yield from literal_paths(value, path + (i,))
-
-
-SWEEP_VALUES = ("5", "-1", "1/2")
-
-
 def test_two_point_bump_sweep_pinned():
     """Every single-entry bump of two-point-universal to 5, -1 or 1/2 (310 documents),
     loaded unvalidated.  A load that fails raises a named error, never a bare one, and
     the connections and sobolev bodies of the 178 that load are pinned."""
-    base = builtin_bundle_dict("two-point-universal")
-    bodies = []
-    for path in literal_paths(base):
-        entry = functools.reduce(lambda x, key: x[key], path, base)
-        for value in SWEEP_VALUES:
-            if entry == value:
-                continue
-            try:
-                bundle = load_bundle_dict(two_point_with(path, value), validate=False)
-            except (ValidationError, ParseError):
-                continue
-            bodies.append(verify_all(bundle, ["connections", "sobolev"], degree=2, seed=7).body_json())
-    assert (len(bodies), hashlib.sha256("\n".join(bodies).encode()).hexdigest()) == SWEEP_BODIES
+    failures, bodies = bump_sweep.sweep("two-point-universal")
+    assert sum(failures.values()) + len(bodies) == 310
+    assert (len(bodies), bump_sweep.bodies_digest(bodies)) == SWEEP_BODIES
 
 
 LOAD_INVARIANTS = ("calculus_failure", "right_connection_failure", "dual_connection_failure")
@@ -970,7 +938,7 @@ DUAL_CONNECTION_DIGESTS = {  # (box_vec, sigma_vec_plain)
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
-SWEEP_BODIES = (178, "2e49cc8a077e38eaff7c43a7d6919cc65eb2c244e229ea0471a04c331bf4147a")  # count, sha256
+SWEEP_BODIES = (178, "cdf68fc93d1547daf1ba772ec20fdcc5ca3e495df77cec8be85962746867cdf2")  # count, sha256
 GEOMETRY_WITNESSES = {
     ("d", 0, 0): {
         "calculus_failure": ("leibniz", (0, 1)),
